@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"lsmssd/internal/block"
-	"lsmssd/internal/core"
 	"lsmssd/internal/obs"
 )
 
@@ -34,7 +33,7 @@ type WriteBatch struct {
 	// perShard holds the queued operations pre-partitioned by owning
 	// shard, each slice in append order. Unbound batches use a single
 	// slice. n is the total across slices.
-	perShard [][]core.BatchOp
+	perShard [][]block.Op
 	n        int
 }
 
@@ -43,16 +42,16 @@ type WriteBatch struct {
 // layout as they are appended, and applying it to a different DB fails
 // with ErrBatchDB.
 func (db *DB) NewBatch() *WriteBatch {
-	return &WriteBatch{db: db, perShard: make([][]core.BatchOp, len(db.shards))}
+	return &WriteBatch{db: db, perShard: make([][]block.Op, len(db.shards))}
 }
 
 // bucket returns the partition that should receive key's operation.
-func (b *WriteBatch) bucket(key uint64) *[]core.BatchOp {
+func (b *WriteBatch) bucket(key uint64) *[]block.Op {
 	if b.db == nil {
 		// Unbound (zero-value) batch: single staging slice, partitioned by
 		// the receiving DB at Apply.
 		if b.perShard == nil {
-			b.perShard = make([][]core.BatchOp, 1)
+			b.perShard = make([][]block.Op, 1)
 		}
 		return &b.perShard[0]
 	}
@@ -64,14 +63,14 @@ func (b *WriteBatch) bucket(key uint64) *[]core.BatchOp {
 // then.
 func (b *WriteBatch) Put(key uint64, value []byte) {
 	ops := b.bucket(key)
-	*ops = append(*ops, core.BatchOp{Key: block.Key(key), Payload: value})
+	*ops = append(*ops, block.Op{Key: key, Value: value})
 	b.n++
 }
 
 // Delete queues a removal of key.
 func (b *WriteBatch) Delete(key uint64) {
 	ops := b.bucket(key)
-	*ops = append(*ops, core.BatchOp{Key: block.Key(key), Delete: true})
+	*ops = append(*ops, block.Op{Key: key, Delete: true})
 	b.n++
 }
 
@@ -109,10 +108,10 @@ func (db *DB) Apply(b *WriteBatch) error {
 		// now, exactly as NewBatch would have at append time.
 		staged := b.perShard[0]
 		b.db = db
-		b.perShard = make([][]core.BatchOp, len(db.shards))
+		b.perShard = make([][]block.Op, len(db.shards))
 		b.n = 0
 		for _, op := range staged {
-			ops := b.bucket(uint64(op.Key))
+			ops := b.bucket(op.Key)
 			*ops = append(*ops, op)
 			b.n++
 		}
@@ -121,7 +120,7 @@ func (db *DB) Apply(b *WriteBatch) error {
 		// An empty batch still goes through one shard's admission and
 		// cascade check, preserving the pre-sharding semantics (a stalled
 		// or failed engine reports it).
-		return db.applyShard(db.shards[0], nil)
+		return db.write(db.shards[0], obs.OpApply, nil)
 	}
 	for i, ops := range b.perShard {
 		if len(ops) == 0 {
@@ -131,22 +130,9 @@ func (db *DB) Apply(b *WriteBatch) error {
 		if b.db != nil {
 			s = db.shards[i]
 		}
-		if err := db.applyShard(s, ops); err != nil {
+		if err := db.write(s, obs.OpApply, ops); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// applyShard runs one shard's slice of a batch under its own latency
-// series and phase span: each touched shard is a separate atomic writer
-// step, so each gets its own OpApply observation — a stall on shard 2
-// shows up on shard 2's timeline, not smeared across the batch.
-func (db *DB) applyShard(s *shard, ops []core.BatchOp) error {
-	start := s.lat.Start()
-	sp := db.tracer.Start(obs.OpApply, s.id)
-	err := s.applyOps(ops, sp)
-	sp.Finish()
-	s.lat.Done(obs.OpApply, start)
-	return err
 }

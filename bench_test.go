@@ -11,10 +11,7 @@ package lsmssd_test
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"testing"
-	"time"
 
 	"lsmssd"
 	"lsmssd/internal/experiments"
@@ -346,72 +343,6 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentReads measures point-lookup throughput scaling across
-// goroutines (run with `make bench-read`). Gets acquire a snapshot instead
-// of the writer lock, so throughput should rise substantially from 1 to 8
-// goroutines; a background writer keeps merges churning to show reads do
-// not stall behind them.
-func BenchmarkConcurrentReads(b *testing.B) {
-	db, err := lsmssd.Open(lsmssd.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	const n = 200_000
-	for i := uint64(0); i < n; i++ {
-		if err := db.Put(i, []byte("value")); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, readers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("goroutines=%d", readers), func(b *testing.B) {
-			stop := make(chan struct{})
-			var writerWG sync.WaitGroup
-			writerWG.Add(1)
-			go func() { // background writer: steady merge pressure
-				defer writerWG.Done()
-				payload := make([]byte, 100)
-				for i := uint64(n); ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if err := db.Put(i%(2*n), payload); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for g := 0; g < readers; g++ {
-				g := g
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					k := uint64(g)*7919 + 1
-					ops := b.N / readers
-					if g < b.N%readers {
-						ops++
-					}
-					for i := 0; i < ops; i++ {
-						k = k*2654435761 + 1
-						if _, _, err := db.Get(k % n); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
-			close(stop)
-			writerWG.Wait()
-		})
-	}
-}
-
 func BenchmarkScan(b *testing.B) {
 	db, err := lsmssd.Open(lsmssd.Options{})
 	if err != nil {
@@ -485,86 +416,6 @@ func BenchmarkExtensionForcedGrowth(b *testing.B) {
 				writesPerMB = res.WritesPerMB
 			}
 			b.ReportMetric(writesPerMB, "writes/MB")
-		})
-	}
-}
-
-// BenchmarkConcurrentWrites measures write throughput with concurrent
-// writers under both compaction modes (run with `make bench-write`). Sync
-// mode makes the overflowing writer pay the whole cascade inline;
-// background mode moves it to the scheduler goroutine, so writers pay only
-// L0 insertion plus any backpressure.
-func BenchmarkConcurrentWrites(b *testing.B) {
-	for _, mode := range []lsmssd.CompactionMode{lsmssd.SyncCompaction, lsmssd.BackgroundCompaction} {
-		mode := mode
-		for _, writers := range []int{1, 4} {
-			writers := writers
-			b.Run(fmt.Sprintf("%s/goroutines=%d", mode, writers), func(b *testing.B) {
-				db, err := lsmssd.Open(lsmssd.Options{CompactionMode: mode, CacheBlocks: -1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer db.Close()
-				payload := make([]byte, 100)
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for g := 0; g < writers; g++ {
-					g := g
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						ops := b.N / writers
-						if g < b.N%writers {
-							ops++
-						}
-						k := uint64(g) * 1_000_003
-						for i := 0; i < ops; i++ {
-							k = k*2654435761 + 1
-							if err := db.Put(k%100_000_000, payload); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}()
-				}
-				wg.Wait()
-				b.StopTimer()
-				c := db.Stats().Compaction
-				b.ReportMetric(float64(c.Slowdowns+c.Stops)/float64(b.N), "stalls/op")
-			})
-		}
-	}
-}
-
-// BenchmarkPutLatencyTail compares the put-latency tail across compaction
-// modes: sync's tail is the full cascade a boundary write pays; background
-// trades it for scheduler backpressure. Reports p50/p99/max per mode.
-func BenchmarkPutLatencyTail(b *testing.B) {
-	for _, mode := range []lsmssd.CompactionMode{lsmssd.SyncCompaction, lsmssd.BackgroundCompaction} {
-		mode := mode
-		b.Run(mode.String(), func(b *testing.B) {
-			db, err := lsmssd.Open(lsmssd.Options{CompactionMode: mode, CacheBlocks: -1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			payload := make([]byte, 100)
-			lat := make([]time.Duration, b.N)
-			k := uint64(1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k = k*2654435761 + 1
-				start := time.Now()
-				if err := db.Put(k%100_000_000, payload); err != nil {
-					b.Fatal(err)
-				}
-				lat[i] = time.Since(start)
-			}
-			b.StopTimer()
-			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-			b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds()), "p50-ns")
-			b.ReportMetric(float64(lat[len(lat)*99/100].Nanoseconds()), "p99-ns")
-			b.ReportMetric(float64(lat[len(lat)-1].Nanoseconds()), "max-ns")
 		})
 	}
 }

@@ -49,9 +49,6 @@ func main() {
 		quick = flag.Bool("quick", false, "fewer sizes per figure (smoke pass)")
 		trace = flag.String("trace", "", "append the per-merge JSONL event trace to this file")
 
-		timeline = flag.String("timeline", "", "instead of a figure, drive the sustained-load latency-attribution workload and write its JSON artifact here (e.g. BENCH_timeline.json)")
-		tdur     = flag.Duration("timeline-dur", 8*time.Second, "measured duration of the -timeline workload")
-
 		workloadF = flag.String("workload", "", "instead of a figure, run the layout sweep on these workloads: uniform, delete, scan, a comma list, or all")
 		layoutF   = flag.String("layout", "all", "layouts for the -workload sweep: leveling, tiering, lazy, a comma list, or all")
 		tierRuns  = flag.Int("tier-runs", 4, "run budget T for tiered layouts in the -workload sweep")
@@ -61,14 +58,6 @@ func main() {
 	// The harness allocates heavily but briefly (merge outputs, payload
 	// buffers); a relaxed GC target trades memory for wall-clock time.
 	debug.SetGCPercent(400)
-
-	if *timeline != "" {
-		if err := runTimeline(*timeline, *tdur, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "lsmbench: timeline: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	p := experiments.Params{Scale: *scale, Seed: *seed}.WithDefaults()
 

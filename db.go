@@ -114,40 +114,20 @@ func Open(opts Options) (*DB, error) {
 	for i := 0; i < opts.Shards; i++ {
 		s, err := db.openShard(i)
 		if err != nil {
-			return nil, errors.Join(shardErr(i, err), db.abortOpen())
+			// Tear down the shards already brought up, leaving their files
+			// exactly as recovery left them (no further checkpoint).
+			return nil, errors.Join(shardErr(i, err), db.shutdown(true))
 		}
 		db.shards = append(db.shards, s)
 	}
 	return db.startObs()
 }
 
-// abortOpen tears down the shards a failed Open managed to bring up, in
-// the same order Close would: schedulers and scrubbers first (their
-// goroutines need the writer locks), then WALs and devices, then the bus.
-func (db *DB) abortOpen() error {
-	var errs []error
-	for _, s := range db.shards {
-		s.sched.Stop()
-		s.stopScrub()
-	}
-	for _, s := range db.shards {
-		s.writerMu.Lock()
-		if s.wal != nil {
-			errs = append(errs, shardErr(s.id, s.wal.Close()))
-		}
-		s.tree.MarkClosed()
-		errs = append(errs, shardErr(s.id, s.raw.Close()))
-		s.writerMu.Unlock()
-	}
-	db.bus.Close()
-	return errors.Join(errs...)
-}
-
 func manifestPath(path string) string { return path + ".manifest" }
 func walBase(path string) string      { return path + ".wal" }
 
-// shardErr attributes err to its shard. Fan-out paths (Close, Crash,
-// Checkpoint, Validate, abortOpen) aggregate per-shard failures with
+// shardErr attributes err to its shard. Fan-out paths (shutdown,
+// Checkpoint, Validate) aggregate per-shard failures with
 // errors.Join; without the index a multi-shard teardown error would not
 // say which fault domain each failure belongs to.
 func shardErr(id int, err error) error {
@@ -201,24 +181,27 @@ func (db *DB) Checkpoint() error {
 // configured triggers, and reports any merge error that shard's scheduler
 // parked since the previous write.
 func (db *DB) Put(key uint64, value []byte) error {
-	s := db.shardFor(key)
-	start := s.lat.Start()
-	sp := db.tracer.Start(obs.OpPut, s.id)
-	err := s.put(key, value, sp)
-	sp.Finish()
-	s.lat.Done(obs.OpPut, start)
-	return err
+	return db.write(db.shardFor(key), obs.OpPut, []block.Op{{Key: key, Value: value}})
 }
 
 // Delete removes key. Deleting an absent key is a no-op that still costs a
 // logged tombstone, as in any LSM store.
 func (db *DB) Delete(key uint64) error {
-	s := db.shardFor(key)
+	return db.write(db.shardFor(key), obs.OpDelete, []block.Op{{Key: key, Delete: true}})
+}
+
+// write runs ops through s's write path under the op's latency series and
+// phase span. Put, Delete and each touched shard of an Apply are each one
+// call: every atomic writer step gets its own observation — a stall on
+// shard 2 shows up on shard 2's timeline, not smeared across a batch. The
+// ops slice is not retained, so Put and Delete's one-element ops stay on
+// the caller's stack.
+func (db *DB) write(s *shard, op obs.Op, ops []block.Op) error {
 	start := s.lat.Start()
-	sp := db.tracer.Start(obs.OpDelete, s.id)
-	err := s.delete(key, sp)
+	sp := db.tracer.Start(op, s.id)
+	err := s.write(ops, sp)
 	sp.Finish()
-	s.lat.Done(obs.OpDelete, start)
+	s.lat.Done(op, start)
 	return err
 }
 
@@ -280,38 +263,11 @@ func (db *DB) Scan(lo, hi uint64, fn func(key uint64, value []byte) bool) error 
 // Close checkpoints a file-backed store and releases the DB's resources,
 // including the metrics endpoint and the event bus (pending events are
 // delivered to subscribed sinks before Close returns). Every operation
-// issued after Close returns ErrClosed.
-//
-// Ordering: every shard's compaction scheduler is stopped first, before
-// any writer lock is taken — the scheduler goroutines need their shard's
-// lock to finish an in-flight merge step, and they must be quiescent
-// before the devices and event bus go away. A cascade interrupted mid-way
-// is completed on the next Open (the manifest round-trips over-capacity
+// issued after Close returns ErrClosed. A cascade interrupted mid-way is
+// completed on the next Open (the manifest round-trips over-capacity
 // levels; Restore drains them). Any background merge error a scheduler
 // parked is folded into Close's return.
-func (db *DB) Close() error {
-	for _, s := range db.shards {
-		s.sched.Stop()
-		s.stopScrub()
-	}
-	db.stopRecorder()
-	unlock := db.lockAllShards()
-	defer unlock()
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	var errs []error
-	if db.metrics != nil {
-		errs = append(errs, db.metrics.Close())
-		db.metrics = nil
-	}
-	db.bus.Close()
-	db.closed.Store(true)
-	for _, s := range db.shards {
-		errs = append(errs, shardErr(s.id, s.sched.Err()), shardErr(s.id, s.closeLocked()))
-	}
-	return errors.Join(errs...)
-}
+func (db *DB) Close() error { return db.shutdown(false) }
 
 // Crash abandons the DB as a power cut would: no checkpoint, no device
 // sync, and write-ahead log frames buffered past the last policy-driven
@@ -320,12 +276,25 @@ func (db *DB) Close() error {
 // the surviving WAL prefix, shard by shard. Crash exists for durability
 // testing (the crash-loop harness drives it); production code wants
 // Close. The returned error reports teardown problems only.
-func (db *DB) Crash() error {
+func (db *DB) Crash() error { return db.shutdown(true) }
+
+// shutdown is the DB's one teardown, shared by Close, Crash and a failed
+// Open; they differ only in the last step applied to each shard under its
+// writer lock (shard.releaseLocked: clean close, or crash).
+//
+// Ordering: every shard's compaction scheduler and scrubber is stopped
+// first, before any writer lock is taken — their goroutines need their
+// shard's lock to finish an in-flight step, and they must be quiescent
+// before the devices and event bus go away. The flight recorder stops next
+// (its collector reads per-shard state the release step frees), then all
+// writer locks are taken, the metrics endpoint and the bus close, the DB is
+// marked closed, and each shard is released.
+func (db *DB) shutdown(crash bool) error {
 	for _, s := range db.shards {
 		s.sched.Stop()
 		s.stopScrub()
 	}
-	db.stopRecorder()
+	db.recOnce.Do(func() { db.recorder.Close() })
 	unlock := db.lockAllShards()
 	defer unlock()
 	if db.closed.Load() {
@@ -339,17 +308,9 @@ func (db *DB) Crash() error {
 	db.bus.Close()
 	db.closed.Store(true)
 	for _, s := range db.shards {
-		errs = append(errs, shardErr(s.id, s.crashLocked()))
+		errs = append(errs, shardErr(s.id, s.releaseLocked(crash)))
 	}
 	return errors.Join(errs...)
-}
-
-// stopRecorder shuts the flight recorder's ticker goroutine down, once,
-// before any shard teardown: the collector reads per-shard state (WAL
-// statistics, scheduler snapshots) that closeLocked releases, so it must
-// be quiescent first. Safe when the recorder never started.
-func (db *DB) stopRecorder() {
-	db.recOnce.Do(func() { db.recorder.Close() })
 }
 
 // Validate checks every internal invariant of every shard (level

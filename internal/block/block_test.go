@@ -127,8 +127,27 @@ func TestDecodeCorrupt(t *testing.T) {
 
 func TestCapacityFor(t *testing.T) {
 	// Paper defaults: 4KB blocks, 100-byte payloads.
-	if b := CapacityFor(4096, 100); b < 30 || b > 40 {
-		t.Errorf("CapacityFor(4096,100) = %d, want ~36", b)
+	if b := CapacityFor(4096, 100); b != 36 {
+		t.Errorf("CapacityFor(4096,100) = %d, want 36", b)
+	}
+	// The derived capacity is the largest that Encode accepts: a block of B
+	// records at the hinted payload fits, B+1 does not.
+	for _, payload := range []int{1, 7, 100, 500, 4000} {
+		b := CapacityFor(4096, payload)
+		full := func(n int) *Block {
+			rs := make([]Record, n)
+			for i := range rs {
+				rs[i] = Record{Key: Key(i), Payload: make([]byte, payload)}
+			}
+			return New(rs)
+		}
+		buf := make([]byte, 4096)
+		if err := full(b).Encode(buf, 4096); err != nil {
+			t.Errorf("payload %d: %d records do not encode: %v", payload, b, err)
+		}
+		if err := full(b+1).Encode(buf, 4096); err == nil {
+			t.Errorf("payload %d: CapacityFor = %d but %d records still fit", payload, b, b+1)
+		}
 	}
 	// Extreme: 4000-byte payloads -> one record per block.
 	if b := CapacityFor(4096, 4000); b != 1 {

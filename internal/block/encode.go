@@ -29,7 +29,7 @@ const (
 func (b *Block) EncodedSize() int {
 	n := headerSize
 	for _, r := range b.records {
-		n += 8 + 1 + 2 + len(r.Payload)
+		n += encodedRecordSize(len(r.Payload))
 	}
 	return n
 }

@@ -31,6 +31,19 @@ func (r Record) Size() int {
 	return 8 + len(r.Payload)
 }
 
+// Op is one modification request: an upsert of Value under Key, or a
+// delete of Key when Delete is set. It is the write path's single op
+// record — a WriteBatch stages it, the write-ahead log encodes it into a
+// frame and decodes it on replay, and the tree applies it — so a request
+// crosses those layers without being converted or copied. Key is the plain
+// integer the public API and the log's wire format carry; the tree reads
+// it as Key(op.Key).
+type Op struct {
+	Key    uint64
+	Value  []byte
+	Delete bool
+}
+
 func (r Record) String() string {
 	if r.Tombstone {
 		return fmt.Sprintf("del(%d)", r.Key)
@@ -38,18 +51,26 @@ func (r Record) String() string {
 	return fmt.Sprintf("put(%d,%dB)", r.Key, len(r.Payload))
 }
 
-// RecordSize returns the on-device footprint in bytes of a record with the
-// given payload length: 8-byte key, 1-byte flags, and the payload.
+// RecordSize returns the request-byte footprint of a record with the
+// given payload length — 8-byte key, 1-byte flags, and the payload — the
+// unit behind the paper's "per MB of requests" accounting. The encoded
+// form is two bytes longer (see encodedRecordSize).
 func RecordSize(payloadLen int) int {
 	return 8 + 1 + payloadLen
 }
 
+// encodedRecordSize is the number of bytes Encode writes for one record:
+// RecordSize plus the uint16 payload-length prefix.
+func encodedRecordSize(payloadLen int) int {
+	return RecordSize(payloadLen) + 2
+}
+
 // CapacityFor returns the block capacity B for the given storage block size
-// and payload length: the number of records that fit in one block after the
-// block header. It is at least 1 (a block can always hold one record, as in
-// the paper's 4000-byte-payload extreme where B = 1).
+// and payload length: the number of encoded records that fit in one block
+// after the block header. It is at least 1 (a block can always hold one
+// record, as in the paper's 4000-byte-payload extreme where B = 1).
 func CapacityFor(blockSize, payloadLen int) int {
-	b := (blockSize - headerSize) / RecordSize(payloadLen)
+	b := (blockSize - headerSize) / encodedRecordSize(payloadLen)
 	if b < 1 {
 		b = 1
 	}

@@ -12,6 +12,11 @@
 // array with logarithmic search; bulk ReplaceRange is the only mutation, as
 // in the paper's merge ("each bulk operation affects at most one key range
 // per internal level").
+//
+// Being the lowest package that knows a run's metadata, it also holds the
+// one definition of the paper's per-run constraints (Section II): the
+// PairOK and WasteOK predicates the repairing code acts on, and
+// ValidateMetas, the checker every validator above calls.
 package btree
 
 import (
@@ -164,11 +169,10 @@ func (x *Index) ReplaceRange(i, j int, repl []BlockMeta) {
 	x.metas = out
 }
 
-// Validate checks the level invariants: every block non-empty with
-// Min <= Max, blocks in key order with disjoint ranges, and the cached
-// record total consistent.
-func (x *Index) Validate() error {
-	if err := ValidateMetas(x.metas); err != nil {
+// Validate checks the run's Section II constraints (see ValidateMetas) and
+// that the cached record and tombstone totals match the metadata.
+func (x *Index) Validate(b int, epsilon float64) error {
+	if err := ValidateMetas(x.metas, b, epsilon); err != nil {
 		return err
 	}
 	total, tombs := 0, 0
@@ -185,24 +189,72 @@ func (x *Index) Validate() error {
 	return nil
 }
 
-// ValidateMetas checks the fence invariants of a metadata slice: every
-// block non-empty with a valid id and Min <= Max, blocks in key order with
-// disjoint ranges. It is the slice-level form of Index.Validate for the
-// frozen slices captured by read snapshots.
-func ValidateMetas(metas []BlockMeta) error {
+// PairOK is the pairwise waste constraint (Section II-B, constraint 2):
+// two consecutive data blocks holding a and c records must together hold
+// strictly more than B.
+func PairOK(a, c, b int) bool { return a+c > b }
+
+// WasteFactor returns the fraction of empty record slots across blocks
+// data blocks of capacity b holding records records, or 0 for no blocks.
+func WasteFactor(blocks, records, b int) float64 {
+	if blocks == 0 {
+		return 0
+	}
+	return float64(blocks*b-records) / float64(blocks*b)
+}
+
+// WasteOK is the level-wise waste constraint (Section II-B, constraint 1):
+// the waste factor of a sorted run is at most ε. Runs with fewer than two
+// data blocks are exempt (a single block may be arbitrarily empty), and so
+// are maximally packed runs (fewer empty slots than one block): a small run
+// can exceed ε even when compacted — e.g. 6 records with B=5 pack as (5,1),
+// waste 0.4 — and compaction cannot improve on maximal packing.
+func WasteOK(blocks, records, b int, epsilon float64) bool {
+	if blocks < 2 || blocks*b-records < b {
+		return true
+	}
+	return WasteFactor(blocks, records, b) <= epsilon
+}
+
+// ValidateMetas is the one checker of the paper's per-run constraints
+// (Section II) over a frozen metadata slice, given the block capacity B
+// and the waste bound ε; every validator in the repository (level.Validate,
+// core's View and Tree Validate, invariant.Check) calls it and adds only
+// what it alone knows. The error names the violated constraint:
+//
+//   - fences: every block non-empty with a valid id and Min <= Max, blocks
+//     in strict key order with disjoint ranges (Section II-A);
+//   - overfull: no block holds more than B records;
+//   - pairwise: PairOK for every two consecutive blocks;
+//   - level-wise: WasteOK for the run as a whole.
+func ValidateMetas(metas []BlockMeta, b int, epsilon float64) error {
+	records := 0
 	for i, m := range metas {
 		if m.Count <= 0 {
-			return fmt.Errorf("btree: block %d (id %d) empty", i, m.ID)
+			return fmt.Errorf("btree: fences: block %d (id %d) empty", i, m.ID)
 		}
 		if m.Min > m.Max {
-			return fmt.Errorf("btree: block %d (id %d) has Min %d > Max %d", i, m.ID, m.Min, m.Max)
+			return fmt.Errorf("btree: fences: block %d (id %d) has Min %d > Max %d", i, m.ID, m.Min, m.Max)
 		}
 		if m.ID == 0 {
-			return fmt.Errorf("btree: block %d has invalid id", i)
+			return fmt.Errorf("btree: fences: block %d has invalid id", i)
 		}
 		if i > 0 && metas[i-1].Max >= m.Min {
-			return fmt.Errorf("btree: blocks %d,%d overlap: %d >= %d", i-1, i, metas[i-1].Max, m.Min)
+			return fmt.Errorf("btree: fences: blocks %d,%d overlap: %d >= %d", i-1, i, metas[i-1].Max, m.Min)
 		}
+		if m.Count > b {
+			return fmt.Errorf("btree: block %d overfull: %d records > B = %d", i, m.Count, b)
+		}
+		records += m.Count
+	}
+	for i := 0; i+1 < len(metas); i++ {
+		if a, c := metas[i].Count, metas[i+1].Count; !PairOK(a, c, b) {
+			return fmt.Errorf("btree: pairwise waste violated at blocks %d,%d: %d+%d <= B = %d", i, i+1, a, c, b)
+		}
+	}
+	if !WasteOK(len(metas), records, b, epsilon) {
+		return fmt.Errorf("btree: level-wise waste %.3f exceeds ε = %.3f (%d empty slots over %d blocks)",
+			WasteFactor(len(metas), records, b), epsilon, len(metas)*b-records, len(metas))
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -85,7 +86,7 @@ func TestReplaceRange(t *testing.T) {
 	if x.Records() != 3+2+4+3 {
 		t.Fatalf("Records = %d, want 12", x.Records())
 	}
-	if err := x.Validate(); err != nil {
+	if err := x.Validate(4, 1); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	if x.Meta(1).ID != 100 || x.Meta(2).ID != 101 {
@@ -101,7 +102,7 @@ func TestReplaceRange(t *testing.T) {
 	if x.Len() != 3 || x.Records() != 12 {
 		t.Errorf("after insert-only: len=%d records=%d", x.Len(), x.Records())
 	}
-	if err := x.Validate(); err != nil {
+	if err := x.Validate(5, 1); err != nil {
 		t.Fatalf("Validate after edits: %v", err)
 	}
 }
@@ -115,21 +116,63 @@ func TestReplaceRangePanicsOnBadRange(t *testing.T) {
 	seq(2).ReplaceRange(1, 3, nil)
 }
 
-func TestValidateCatchesCorruption(t *testing.T) {
-	cases := map[string][]BlockMeta{
-		"empty block":  {meta(1, 0, 5, 0)},
-		"min>max":      {meta(1, 6, 5, 1)},
-		"zero id":      {meta(0, 0, 5, 1)},
-		"overlap":      {meta(1, 0, 10, 2), meta(2, 10, 20, 2)},
-		"out of order": {meta(1, 20, 30, 2), meta(2, 0, 10, 2)},
+// TestValidateMetas is the table for the one Section II run checker every
+// validator calls: one case per constraint, each waste exemption, and the
+// boundaries that must pass. B = 10, ε = 0.2 throughout.
+func TestValidateMetas(t *testing.T) {
+	// run builds consecutive disjoint blocks with the given record counts.
+	run := func(counts ...int) []BlockMeta {
+		metas := make([]BlockMeta, len(counts))
+		for i, c := range counts {
+			metas[i] = meta(storage.BlockID(i+1), block.Key(i*100), block.Key(i*100+50), c)
+		}
+		return metas
 	}
-	for name, metas := range cases {
-		if err := NewIndex(metas).Validate(); err == nil {
-			t.Errorf("%s: Validate passed", name)
+	cases := []struct {
+		name  string
+		metas []BlockMeta
+		want  string // error substring; "" = must pass
+	}{
+		{"empty run", nil, ""},
+		{"empty block", []BlockMeta{meta(1, 0, 5, 0)}, "fences"},
+		{"min>max", []BlockMeta{meta(1, 6, 5, 1)}, "fences"},
+		{"zero id", []BlockMeta{meta(0, 0, 5, 1)}, "fences"},
+		{"overlap", []BlockMeta{meta(1, 0, 10, 6), meta(2, 10, 20, 6)}, "overlap"},
+		{"out of order", []BlockMeta{meta(1, 20, 30, 6), meta(2, 0, 10, 6)}, "overlap"},
+		{"overfull", run(10, 11), "overfull"},
+		{"full blocks", run(10, 10, 10), ""},
+		{"pairwise violated", run(10, 4, 6, 10), "pairwise"}, // 4+6 = B, needs > B
+		{"pairwise boundary", run(10, 5, 6, 10), ""},         // 5+6 = B+1; waste 9/40 is packed to within a block
+		{"level-wise violated", run(6, 6, 6), "level-wise"},  // waste 12/30 = 0.4
+		{"level-wise boundary", run(8, 8, 8, 8, 8), ""},      // waste 10/50 = ε exactly
+		{"just over ε", run(8, 8, 8, 8, 7), "level-wise"},    // waste 11/50
+		{"exempt: single block", run(1), ""},                 // waste 0.9, one block
+		{"exempt: maximally packed", run(10, 1), ""},         // waste 9/20 = 0.45, but < B empty slots
+	}
+	for _, tc := range cases {
+		err := ValidateMetas(tc.metas, 10, 0.2)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v does not name %q", tc.name, err, tc.want)
 		}
 	}
-	if err := NewIndex(nil).Validate(); err != nil {
-		t.Errorf("empty index invalid: %v", err)
+}
+
+// TestIndexValidateChecksAggregates: Index.Validate is ValidateMetas plus
+// the cached totals.
+func TestIndexValidateChecksAggregates(t *testing.T) {
+	x := seq(3)
+	if err := x.Validate(3, 0.2); err != nil {
+		t.Fatal(err)
+	}
+	x.records++
+	if err := x.Validate(3, 0.2); err == nil || !strings.Contains(err.Error(), "cached record count") {
+		t.Errorf("drifted record total: %v", err)
+	}
+	if err := NewIndex([]BlockMeta{meta(1, 6, 5, 1)}).Validate(3, 0.2); err == nil {
+		t.Error("Index.Validate passed a fence violation")
 	}
 }
 
@@ -199,12 +242,12 @@ func TestQuickReplaceRangeInvariants(t *testing.T) {
 					for r := 0; r < nrepl; r++ {
 						base := lo + int64(r)*width
 						repl = append(repl, meta(storage.BlockID(1000+op*10+r),
-							block.Key(base), block.Key(base+width-2), rng.Intn(5)+1))
+							block.Key(base), block.Key(base+width-2), 5))
 					}
 				}
 			}
 			x.ReplaceRange(i, j, repl)
-			if x.Validate() != nil {
+			if x.Validate(5, 1) != nil {
 				return false
 			}
 		}

@@ -4,69 +4,53 @@ import (
 	"lsmssd/internal/block"
 )
 
-// Put inserts or updates the record for k. The write lands in L0; storage
-// levels change only through merges, which Put no longer drives: after
-// the mutation the caller (internal/compaction) runs or schedules the
-// overflow cascade via CompactionStep/RunCascade. Writer-side: callers
-// serialize. The error return is reserved for future L0 failure modes;
-// today Put always succeeds.
+// Put inserts or updates the record for k: a one-op ApplyBatch. Writer-side:
+// callers serialize.
 func (t *Tree) Put(k block.Key, payload []byte) error {
-	t.applyOne(BatchOp{Key: k, Payload: payload})
-	t.publish()
-	return nil
+	return t.ApplyBatch([]block.Op{{Key: uint64(k), Value: payload}})
 }
 
-// Delete removes k. If k lives in L0 the request executes there (the
-// record is replaced by a tombstone); otherwise the delete is logged as a
-// tombstone record that cancels matching records during merges. Like
-// Put, Delete leaves the overflow cascade to the caller.
+// Delete removes k: a one-op ApplyBatch. If k lives in L0 the request
+// executes there (the record is replaced by a tombstone); otherwise the
+// delete is logged as a tombstone record that cancels matching records
+// during merges.
 func (t *Tree) Delete(k block.Key) error {
-	t.applyOne(BatchOp{Key: k, Delete: true})
-	t.publish()
-	return nil
+	return t.ApplyBatch([]block.Op{{Key: uint64(k), Delete: true}})
 }
 
-// BatchOp is one modification inside an ApplyBatch call: an upsert of
-// Payload under Key, or a delete of Key when Delete is set.
-type BatchOp struct {
-	Key     block.Key
-	Payload []byte
-	Delete  bool
-}
-
-// ApplyBatch applies ops in order as a single writer step: a single new
-// snapshot is published covering the whole batch — so no reader observes
-// a prefix of the batch, and the per-request overhead (snapshot capture,
-// and the caller's one overflow check) is paid once rather than len(ops)
-// times.
+// ApplyBatch is the tree's one mutation entry: it lands ops in L0 in order
+// as a single writer step and publishes one new snapshot covering them all
+// — so no reader observes a prefix of the batch, and the per-request
+// overhead (snapshot capture, and the caller's one overflow check) is paid
+// once rather than len(ops) times. Storage levels change only through
+// merges, which ApplyBatch does not drive: after the mutation the caller
+// (internal/compaction) runs or schedules the overflow cascade via
+// CompactionStep/RunCascade. The error return is reserved for future L0
+// failure modes; today ApplyBatch always succeeds.
 //
 // Request statistics count each op individually, keeping a batched
 // workload's Stats comparable to the same workload issued record by
 // record.
-func (t *Tree) ApplyBatch(ops []BatchOp) error {
+func (t *Tree) ApplyBatch(ops []block.Op) error {
 	for _, op := range ops {
-		t.applyOne(op)
+		k := block.Key(op.Key)
+		t.cnt.requests.Add(1)
+		if op.Delete {
+			t.cnt.deletes.Add(1)
+			t.cnt.requestBytes.Add(8) // a delete request carries only the key
+			// A key already tombstoned in L0 is already logged.
+			if r, ok := t.mem.Get(k); !ok || !r.Tombstone {
+				t.mem.Put(block.Record{Key: k, Tombstone: true})
+			}
+			continue
+		}
+		r := block.Record{Key: k, Payload: op.Value}
+		t.mem.Put(r)
+		t.cnt.inserts.Add(1)
+		t.cnt.requestBytes.Add(int64(r.Size()))
 	}
 	t.publish()
 	return nil
-}
-
-// applyOne lands one modification in L0 and accounts for it.
-func (t *Tree) applyOne(op BatchOp) {
-	t.cnt.requests.Add(1)
-	if op.Delete {
-		t.cnt.deletes.Add(1)
-		t.cnt.requestBytes.Add(8) // a delete request carries only the key
-		if r, ok := t.mem.Get(op.Key); ok && r.Tombstone {
-			return // already logged
-		}
-		t.mem.Put(block.Record{Key: op.Key, Tombstone: true})
-		return
-	}
-	r := block.Record{Key: op.Key, Payload: op.Payload}
-	t.mem.Put(r)
-	t.cnt.inserts.Add(1)
-	t.cnt.requestBytes.Add(int64(r.Size()))
 }
 
 // Get returns the payload stored for k. It acquires the current snapshot,

@@ -64,7 +64,7 @@ func Restore(cfg Config, st ExportedState) (*Tree, error) {
 			if err := s.runs[j].ReplaceRange(0, 0, metas, nil); err != nil {
 				return nil, err
 			}
-			if err := s.runs[j].Index().Validate(); err != nil {
+			if err := s.runs[j].Validate(); err != nil {
 				return nil, fmt.Errorf("core: restore L%d run %d: %w", i+1, j, err)
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"sync/atomic"
 
+	"lsmssd/internal/btree"
 	"lsmssd/internal/storage"
 )
 
@@ -131,17 +132,13 @@ func (t *Tree) Snapshot() Snapshot {
 	for i, sl := range t.slots {
 		blocks := sl.blocks()
 		records := sl.records()
-		wf := 0.0
-		if blocks > 0 {
-			wf = float64(blocks*t.cfg.BlockCapacity-records) / float64(blocks*t.cfg.BlockCapacity)
-		}
 		s.Levels = append(s.Levels, LevelStats{
 			Number:        i + 1,
 			Runs:          len(sl.runs),
 			Blocks:        blocks,
 			Records:       records,
 			Capacity:      sl.newest().Capacity(),
-			WasteFactor:   wf,
+			WasteFactor:   btree.WasteFactor(blocks, records, t.cfg.BlockCapacity),
 			BlocksWritten: sl.blocksWritten(),
 			Compactions:   sl.compactions(),
 		})

@@ -606,47 +606,43 @@ func (t *Tree) checkWasteWarnings() {
 // Validate checks every invariant of every level plus cross-level block
 // accounting; tests and the harness call it between phases. It uses Peek
 // throughout, leaving the experiment counters untouched. It runs in the
-// writer's context (it reads live level state); concurrent readers use
-// View.Validate plus ValidateAccounting instead.
+// writer's context: what only the live levels know (index aggregates, every
+// run's capacity label) is checked here, the rest by the current snapshot's
+// View.Validate and by ValidateAccounting — the pair concurrent readers use.
 func (t *Tree) Validate() error {
-	liveWant := int64(0)
 	for i, s := range t.slots {
-		if !t.tiered(i+1) && len(s.runs) != 1 {
-			return fmt.Errorf("core: leveled L%d holds %d runs", i+1, len(s.runs))
-		}
 		for j, l := range s.runs {
-			if err := l.ValidateContents(); err != nil {
+			if err := l.Validate(); err != nil {
 				return fmt.Errorf("core: L%d run %d: %w", i+1, j, err)
 			}
-			liveWant += int64(l.Blocks())
 			if want := t.cfg.capacityBlocks(i + 1); l.Capacity() != want {
 				return fmt.Errorf("core: L%d run %d capacity %d, want %d", i+1, j, l.Capacity(), want)
 			}
 		}
 	}
-	if err := t.validateLive(liveWant); err != nil {
+	v, err := t.AcquireView()
+	if err != nil {
 		return err
 	}
-	// Tombstones must not survive in a leveled bottom level. A tiered
-	// bottom legitimately carries them until its runs consolidate, since a
-	// newer bottom run still shadows the older ones below it.
-	if n := len(t.slots); n > 0 && !t.tiered(n) {
-		idx := t.slots[n-1].newest().Index()
-		for i := 0; i < idx.Len(); i++ {
-			if idx.Meta(i).Tombstones > 0 {
-				return fmt.Errorf("core: tombstones in bottom level block %d", i)
-			}
-		}
+	defer v.Release()
+	if err := v.Validate(); err != nil {
+		return err
 	}
-	return nil
+	return t.ValidateAccounting()
 }
 
-// validateLive checks the device's live-block count against the levels'
-// references: every live block is referenced by exactly one level, except
-// blocks whose free is deferred until snapshot readers release them.
-func (t *Tree) validateLive(liveWant int64) error {
+// ValidateAccounting checks the device's live-block count against the
+// levels' references: every live block is referenced by exactly one level,
+// except blocks whose free is deferred until snapshot readers release them.
+// The public DB pairs it (under the writer lock) with a lock-free
+// View.Validate.
+func (t *Tree) ValidateAccounting() error {
 	if err := t.reclaimError(); err != nil {
 		return err
+	}
+	liveWant := int64(0)
+	for _, s := range t.slots {
+		liveWant += int64(s.blocks())
 	}
 	deferred := t.DeferredFrees()
 	if got := t.dev.Counters().Live; got != liveWant+deferred {
@@ -654,14 +650,4 @@ func (t *Tree) validateLive(liveWant int64) error {
 			got, liveWant, deferred)
 	}
 	return nil
-}
-
-// ValidateAccounting runs only the live-block accounting check. The public
-// DB pairs it (under the writer lock) with a lock-free View.Validate.
-func (t *Tree) ValidateAccounting() error {
-	liveWant := int64(0)
-	for _, s := range t.slots {
-		liveWant += int64(s.blocks())
-	}
-	return t.validateLive(liveWant)
 }

@@ -112,16 +112,12 @@ func (t *Tree) publish() {
 			blocks += r.Blocks()
 		}
 		records := s.records()
-		wf := 0.0
-		if blocks > 0 {
-			wf = float64(blocks*t.cfg.BlockCapacity-records) / float64(blocks*t.cfg.BlockCapacity)
-		}
 		nv.levels[i] = LevelView{
 			Number:        i + 1,
 			Runs:          runs,
 			Records:       records,
 			Capacity:      s.newest().Capacity(),
-			WasteFactor:   wf,
+			WasteFactor:   btree.WasteFactor(blocks, records, t.cfg.BlockCapacity),
 			BlocksWritten: s.blocksWritten(),
 			Compactions:   s.compactions(),
 		}
@@ -540,81 +536,47 @@ func (s *iterStream) skipKey(k block.Key) {
 
 // --- snapshot validation -------------------------------------------------
 
-// Validate checks the snapshot's structural invariants — fence ordering,
-// pairwise and level-wise waste constraints, capacity labels, bottom-level
-// tombstone absence, and fence/content consistency — without any lock and
-// without perturbing the I/O statistics (contents are read with Peek).
+// Validate checks the snapshot's structural invariants without any lock and
+// without perturbing the I/O statistics (contents are read with Peek): each
+// run's Section II constraints (btree.ValidateMetas), and what only the
+// tree knows — capacity labels, the layout's run count for leveled levels,
+// bottom-level tombstone absence, and fence/content consistency.
 //
 // Device-level accounting (live blocks vs references) spans state outside
 // any one snapshot; Tree.Validate checks it under the writer's quiescence.
 func (v *View) Validate() error {
 	cfg := v.tree.cfg
-	b := cfg.BlockCapacity
 	layout := v.tree.layout
 	for _, lv := range v.levels {
 		if want := cfg.capacityBlocks(lv.Number); lv.Capacity != want {
 			return fmt.Errorf("core: L%d capacity %d, want %d", lv.Number, lv.Capacity, want)
 		}
-		if !layout.Tiered(lv.Number, len(v.levels)+1) && len(lv.Runs) != 1 {
+		tiered := layout.Tiered(lv.Number, len(v.levels)+1)
+		if !tiered && len(lv.Runs) != 1 {
 			return fmt.Errorf("core: leveled L%d holds %d runs", lv.Number, len(lv.Runs))
 		}
-		bottomLeveled := lv.Number == len(v.levels) && !layout.Tiered(lv.Number, len(v.levels)+1)
 		for ri, metas := range lv.Runs {
-			if err := btree.ValidateMetas(metas); err != nil {
-				return fmt.Errorf("core: L%d run %d fences: %w", lv.Number, ri, err)
-			}
-			records := 0
-			for _, m := range metas {
-				records += m.Count
+			if err := btree.ValidateMetas(metas, cfg.BlockCapacity, cfg.Epsilon); err != nil {
+				return fmt.Errorf("core: L%d run %d: %w", lv.Number, ri, err)
 			}
 			for j, m := range metas {
-				if m.Count > b {
-					return fmt.Errorf("core: L%d run %d block %d overfull: %d > B=%d", lv.Number, ri, j, m.Count, b)
+				// Tombstones must not survive in a leveled bottom level. A
+				// tiered bottom legitimately carries them until its runs
+				// consolidate, since a newer bottom run still shadows the
+				// older ones below it.
+				if lv.Number == len(v.levels) && !tiered && m.Tombstones > 0 {
+					return fmt.Errorf("core: tombstones in bottom level block %d", j)
 				}
-				if j+1 < len(metas) && m.Count+metas[j+1].Count <= b {
-					return fmt.Errorf("core: L%d run %d pairwise waste violated at %d: %d+%d <= B=%d",
-						lv.Number, ri, j, m.Count, metas[j+1].Count, b)
-				}
-			}
-			if !wasteOK(metas, records, b, cfg.Epsilon) {
-				return fmt.Errorf("core: L%d run %d waste factor %.3f exceeds ε=%.3f",
-					lv.Number, ri, wasteFactor(metas, records, b), cfg.Epsilon)
-			}
-			if bottomLeveled {
-				for j, m := range metas {
-					if m.Tombstones > 0 {
-						return fmt.Errorf("core: tombstones in bottom level block %d", j)
-					}
-				}
-			}
-			for j, m := range metas {
 				blk, err := v.PeekBlock(m.ID)
 				if err != nil {
 					return fmt.Errorf("core: L%d run %d block %d: %w", lv.Number, ri, j, err)
 				}
-				if blk.Len() != m.Count || blk.MinKey() != m.Min || blk.MaxKey() != m.Max {
-					return fmt.Errorf("core: L%d run %d block %d metadata %+v does not match contents (%d records, [%d,%d])",
-						lv.Number, ri, j, m, blk.Len(), blk.MinKey(), blk.MaxKey())
+				if got := btree.MetaFor(m.ID, blk); got != m {
+					return fmt.Errorf("core: L%d run %d block %d stale fence pointer: meta %+v vs contents %+v",
+						lv.Number, ri, j, m, got)
 				}
 			}
 		}
 	}
 	return nil
-}
-
-// wasteFactor mirrors level.WasteFactor for a frozen metadata slice.
-func wasteFactor(metas []btree.BlockMeta, records, b int) float64 {
-	if len(metas) == 0 {
-		return 0
-	}
-	return float64(len(metas)*b-records) / float64(len(metas)*b)
-}
-
-// wasteOK mirrors level.WasteOK (including its two exemptions) for a
-// frozen metadata slice.
-func wasteOK(metas []btree.BlockMeta, records, b int, epsilon float64) bool {
-	if len(metas) < 2 || len(metas)*b-records < b {
-		return true
-	}
-	return wasteFactor(metas, records, b) <= epsilon
 }

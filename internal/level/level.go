@@ -117,36 +117,22 @@ func (l *Level) ResetWriteStats() {
 	l.Compactions = 0
 }
 
-// EmptySlots returns the total number of unused record slots.
-func (l *Level) EmptySlots() int { return l.idx.Len()*l.b - l.idx.Records() }
-
 // WasteFactor returns the fraction of empty slots across the level's data
 // blocks, or 0 for an empty level.
 func (l *Level) WasteFactor() float64 {
-	if l.idx.Len() == 0 {
-		return 0
-	}
-	return float64(l.EmptySlots()) / float64(l.idx.Len()*l.b)
+	return btree.WasteFactor(l.idx.Len(), l.idx.Records(), l.b)
 }
 
-// WasteOK reports whether the level-wise waste constraint holds. Levels
-// with fewer than two data blocks are exempt (a single block may be
-// arbitrarily empty), and so are maximally packed levels (fewer empty
-// slots than one block): a small level can exceed ε even when compacted —
-// e.g. 6 records with B=5 pack as (5,1), waste 0.4 — and compaction cannot
-// improve on maximal packing.
+// WasteOK reports whether the level-wise waste constraint holds
+// (btree.WasteOK, including its two exemptions).
 func (l *Level) WasteOK() bool {
-	if l.idx.Len() < 2 || l.EmptySlots() < l.b {
-		return true
-	}
-	return l.WasteFactor() <= l.epsilon
+	return btree.WasteOK(l.idx.Len(), l.idx.Records(), l.b, l.epsilon)
 }
 
 // PairOK reports whether the pairwise waste constraint holds between the
-// blocks at positions i and i+1: together they must hold strictly more
-// than B records.
+// blocks at positions i and i+1.
 func (l *Level) PairOK(i int) bool {
-	return l.idx.Meta(i).Count+l.idx.Meta(i+1).Count > l.b
+	return btree.PairOK(l.idx.Meta(i).Count, l.idx.Meta(i+1).Count, l.b)
 }
 
 // ReadAt returns the data block at position i, counting a device read.
@@ -314,44 +300,33 @@ func (l *Level) Compact() (int, error) {
 	return len(blocks), nil
 }
 
-// Validate checks all level invariants: index consistency, the pairwise
-// constraint between every adjacent pair, and the level-wise waste bound.
+// Validate checks the level's Section II constraints — fences, block
+// capacity, pairwise and level-wise waste (btree.ValidateMetas) — and the
+// index's cached totals.
 func (l *Level) Validate() error {
-	if err := l.idx.Validate(); err != nil {
-		return err
-	}
-	for i := 0; i+1 < l.idx.Len(); i++ {
-		if !l.PairOK(i) {
-			return fmt.Errorf("level: pairwise waste violated at %d: %d+%d <= B=%d",
-				i, l.idx.Meta(i).Count, l.idx.Meta(i+1).Count, l.b)
-		}
-	}
-	if !l.WasteOK() {
-		return fmt.Errorf("level: waste factor %.3f exceeds ε=%.3f", l.WasteFactor(), l.epsilon)
-	}
-	for i := 0; i < l.idx.Len(); i++ {
-		if c := l.idx.Meta(i).Count; c > l.b {
-			return fmt.Errorf("level: block %d overfull: %d > B=%d", i, c, l.b)
-		}
-	}
-	return nil
+	return l.idx.Validate(l.b, l.epsilon)
 }
 
-// ValidateContents additionally checks that metadata matches the stored
-// blocks (diagnostic; uses Peek so accounting is unaffected).
+// ValidateContents additionally checks every stored block against its fence
+// metadata — record count, key range, tombstone count — and its records'
+// internal order (diagnostic; uses Peek so accounting is unaffected).
 func (l *Level) ValidateContents() error {
 	if err := l.Validate(); err != nil {
 		return err
 	}
-	for i := 0; i < l.idx.Len(); i++ {
-		m := l.idx.Meta(i)
+	for i, m := range l.idx.All() {
 		blk, err := l.dev.Peek(m.ID)
 		if err != nil {
-			return fmt.Errorf("level: block %d: %w", i, err)
+			return fmt.Errorf("level: block %d (id %d) unreadable: %w", i, m.ID, err)
 		}
-		if blk.Len() != m.Count || blk.MinKey() != m.Min || blk.MaxKey() != m.Max {
-			return fmt.Errorf("level: block %d metadata %+v does not match contents (%d records, [%d,%d])",
-				i, m, blk.Len(), blk.MinKey(), blk.MaxKey())
+		recs := blk.Records()
+		for k := 1; k < len(recs); k++ {
+			if recs[k-1].Key >= recs[k].Key {
+				return fmt.Errorf("level: block %d records out of order at %d: %d >= %d", i, k, recs[k-1].Key, recs[k].Key)
+			}
+		}
+		if got := btree.MetaFor(m.ID, blk); got != m {
+			return fmt.Errorf("level: block %d stale fence pointer: meta %+v vs contents %+v", i, m, got)
 		}
 	}
 	return nil

@@ -7,6 +7,7 @@ package walordering
 import (
 	"errors"
 
+	"lsmssd/internal/block"
 	"lsmssd/internal/core"
 )
 
@@ -65,4 +66,27 @@ func walDisabledPathIsFine(s *store) error {
 		}
 	}
 	return s.tree.Put(5, nil)
+}
+
+// singleWritePath is the shape of the DB layer's one write path
+// (shard.write): the append is skipped when no log is open or the batch is
+// empty, its error lands in the named result by plain assignment, and the
+// one tree mutation entry follows.
+func singleWritePath(s *store, ops []block.Op) (err error) {
+	if s.walEnabled && len(ops) > 0 {
+		if err = s.logMutation(len(ops)); err != nil {
+			return err
+		}
+	}
+	return s.tree.ApplyBatch(ops)
+}
+
+func singleWritePathUnchecked(s *store, ops []block.Op) (err error) {
+	if s.walEnabled && len(ops) > 0 {
+		err = s.logMutation(len(ops))
+	}
+	if aerr := s.tree.ApplyBatch(ops); aerr != nil { // want wal-ordering
+		return aerr
+	}
+	return err
 }

@@ -5,9 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -17,7 +17,9 @@ var update = flag.Bool("update", false, "regenerate the golden corruption fixtur
 // from sampleState: one valid manifest plus one variant per corruption
 // class. Each corrupt variant differs from the valid file in exactly the
 // way its class requires, so the test below can assert that Load reports
-// that class and no other.
+// that class and no other. version3.manifest is not regenerated: it is the
+// last file a version-3 writer produced (seven config fields, no layout,
+// one implicit run per level), kept frozen to prove such files are refused.
 func regenerateFixtures(t *testing.T) {
 	t.Helper()
 	dir := t.TempDir()
@@ -36,19 +38,11 @@ func regenerateFixtures(t *testing.T) {
 	badcrc := append([]byte(nil), valid...)
 	badcrc[len(badcrc)-1] ^= 0xFF
 
-	// Version skew with a correct checksum, so the skew itself is what
-	// Load reports.
-	version1 := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint32(version1[4:8], 1)
-	binary.LittleEndian.PutUint32(version1[len(version1)-4:],
-		crc32.ChecksumIEEE(version1[:len(version1)-4]))
-
 	for name, data := range map[string][]byte{
 		"valid.manifest":     valid,
 		"truncated.manifest": valid[:10],
 		"badmagic.manifest":  badmagic,
 		"badcrc.manifest":    badcrc,
-		"version1.manifest":  version1,
 	} {
 		if err := os.WriteFile(filepath.Join("testdata", name), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -72,7 +66,7 @@ func TestGoldenCorruptionFixtures(t *testing.T) {
 		{"truncated.manifest", ErrTruncated},
 		{"badmagic.manifest", ErrBadMagic},
 		{"badcrc.manifest", ErrChecksum},
-		{"version1.manifest", ErrVersion},
+		{"version3.manifest", ErrVersion},
 	}
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {
@@ -98,6 +92,9 @@ func TestGoldenCorruptionFixtures(t *testing.T) {
 						t.Errorf("error %v also matches unrelated sentinel %v", err, s)
 					}
 				}
+				if tc.want == ErrVersion && !strings.Contains(err.Error(), "unsupported version 3") {
+					t.Errorf("version error %q does not name the file's version", err)
+				}
 			}
 			after, err := os.ReadFile(path)
 			if err != nil {
@@ -111,9 +108,8 @@ func TestGoldenCorruptionFixtures(t *testing.T) {
 }
 
 // TestLoadVersionSkewDistinctFromChecksum guards the header-before-CRC
-// ordering: a version-1 file checksums differently from what a version-2
-// reader would compute over patched bytes, so only explicit ordering
-// keeps the error a version error.
+// ordering: a file whose version and checksum are both wrong must report
+// the version, so only explicit ordering keeps the error a version error.
 func TestLoadVersionSkewDistinctFromChecksum(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m")
 	if err := Save(path, sampleState()); err != nil {

@@ -32,8 +32,7 @@ import (
 // Format (little endian):
 //
 //	magic   "LSMM"            4 bytes
-//	version uint32            currently 4 (v2 added walseq, v3 shard
-//	                          identity, v4 layout + per-run metas)
+//	version uint32            4; any other version is refused (ErrVersion)
 //	config  9 × uint64        blockCapacity, k0, gamma, epsilon(bits), seed,
 //	                          shards, shardID, layout, tierRuns
 //	walseq  uint64            last WAL frame sequence this checkpoint covers
@@ -47,15 +46,10 @@ import (
 //	    records uint64
 //	    per record: key uint64, flags uint8, plen uint32, payload
 //	crc32 of everything above  uint32
-//
-// Version 3 manifests (no layout fields, one implicit run per level) are
-// still read: they decode as the leveling layout with every level a single
-// run, which is exactly the state a v3 writer could produce.
 
 const (
-	magic      = "LSMM"
-	version    = 4
-	oldVersion = 3 // still readable; written by pre-layout builds
+	magic   = "LSMM"
+	version = 4
 )
 
 // ErrNoManifest is returned by Load when the manifest file does not exist.
@@ -225,10 +219,8 @@ func Load(path string) (State, error) {
 	if string(raw[:4]) != magic {
 		return st, fmt.Errorf("%w %q", ErrBadMagic, raw[:4])
 	}
-	v := binary.LittleEndian.Uint32(raw[4:8])
-	if v != version && v != oldVersion {
-		return st, fmt.Errorf("%w %d (this build reads versions %d and %d)",
-			ErrVersion, v, oldVersion, version)
+	if v := binary.LittleEndian.Uint32(raw[4:8]); v != version {
+		return st, fmt.Errorf("%w %d (this build reads version %d only)", ErrVersion, v, version)
 	}
 	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
 	if got := crc32.ChecksumIEEE(body); got != binary.LittleEndian.Uint32(tail) {
@@ -244,10 +236,8 @@ func Load(path string) (State, error) {
 		Seed:          int64(r.u64()),
 		Shards:        int(r.u64()),
 		ShardID:       int(r.u64()),
-	}
-	if v >= version {
-		st.Config.Layout = int(r.u64())
-		st.Config.TierRuns = int(r.u64())
+		Layout:        int(r.u64()),
+		TierRuns:      int(r.u64()),
 	}
 	st.WALSeq = r.u64()
 	levels := int(r.u64())
@@ -269,18 +259,13 @@ func Load(path string) (State, error) {
 		return metas
 	}
 	for i := 0; i < levels; i++ {
+		nr := int(r.u64())
+		if nr > 1<<16 {
+			return st, fmt.Errorf("manifest: implausible run count %d in L%d", nr, i+1)
+		}
 		var runs [][]btree.BlockMeta
-		if v >= version {
-			nr := int(r.u64())
-			if nr > 1<<16 {
-				return st, fmt.Errorf("manifest: implausible run count %d in L%d", nr, i+1)
-			}
-			for j := 0; j < nr; j++ {
-				runs = append(runs, readMetas())
-			}
-		} else {
-			// v3: one implicit run per level (the leveling layout).
-			runs = [][]btree.BlockMeta{readMetas()}
+		for j := 0; j < nr; j++ {
+			runs = append(runs, readMetas())
 		}
 		st.Runs = append(st.Runs, runs)
 	}

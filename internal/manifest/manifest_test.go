@@ -2,8 +2,6 @@ package manifest
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -88,69 +86,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if g.Key != w.Key || g.Tombstone != w.Tombstone || !bytes.Equal(g.Payload, w.Payload) {
 			t.Errorf("memtable[%d] = %+v, want %+v", i, g, w)
 		}
-	}
-}
-
-// TestLoadV3 pins backward compatibility: a version-3 manifest (written
-// before the layout axis existed, one implicit run per level) must load
-// as the leveling layout with every level a single run.
-func TestLoadV3(t *testing.T) {
-	var body bytes.Buffer
-	body.WriteString("LSMM")
-	u32 := func(v uint32) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		body.Write(b[:])
-	}
-	u64 := func(vs ...uint64) {
-		var b [8]byte
-		for _, v := range vs {
-			binary.LittleEndian.PutUint64(b[:], v)
-			body.Write(b[:])
-		}
-	}
-	u32(3)                                    // version
-	u64(36, 256, 10, floatBits(0.2), 7, 1, 0) // v3 config: 7 fields, no layout
-	u64(9)                                    // walseq
-	u64(2)                                    // levels
-	u64(2)                                    // L1: two blocks
-	u64(3, 10, 20, 4, 1)
-	u64(9, 30, 44, 5, 0)
-	u64(0) // L2: empty
-	u64(1) // memtable: one record
-	u64(5)
-	body.WriteByte(0)
-	u32(2)
-	body.Write([]byte("hi"))
-	u32(crc32.ChecksumIEEE(body.Bytes()))
-
-	path := filepath.Join(t.TempDir(), "v3")
-	if err := os.WriteFile(path, body.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Load(path)
-	if err != nil {
-		t.Fatalf("v3 manifest rejected: %v", err)
-	}
-	if st.Config.Layout != 0 || st.Config.TierRuns != 0 {
-		t.Errorf("v3 layout = %d/%d, want 0/0 (leveling)", st.Config.Layout, st.Config.TierRuns)
-	}
-	if st.WALSeq != 9 {
-		t.Errorf("walseq = %d, want 9", st.WALSeq)
-	}
-	if len(st.Runs) != 2 {
-		t.Fatalf("levels = %d, want 2", len(st.Runs))
-	}
-	for i, runs := range st.Runs {
-		if len(runs) != 1 {
-			t.Fatalf("L%d decoded with %d runs, want 1", i+1, len(runs))
-		}
-	}
-	if len(st.Runs[0][0]) != 2 || st.Runs[0][0][0].ID != 3 || st.Runs[0][0][1].Count != 5 {
-		t.Errorf("L1 metas = %+v", st.Runs[0][0])
-	}
-	if len(st.Memtable) != 1 || st.Memtable[0].Key != 5 || string(st.Memtable[0].Payload) != "hi" {
-		t.Errorf("memtable = %+v", st.Memtable)
 	}
 }
 

@@ -80,9 +80,8 @@ func Merge(src Source, xFrom, xTo int, tgt *level.Level, opts Options) (Result, 
 		prevCount = tgt.Index().Meta(yStart - 1).Count
 	}
 
-	// pairOK is the pairwise waste constraint: two adjacent blocks must
-	// hold strictly more than B records. A missing neighbour passes.
-	pairOK := func(a, c int) bool { return a < 0 || a+c > b }
+	// pairOK is the pairwise waste constraint; a missing neighbour passes.
+	pairOK := func(a, c int) bool { return a < 0 || btree.PairOK(a, c, b) }
 
 	flush := func() error {
 		if len(buf) == 0 {

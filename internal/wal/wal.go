@@ -51,6 +51,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"lsmssd/internal/block"
 )
 
 // SyncPolicy selects when appended frames are fsynced.
@@ -105,13 +107,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Op is one logged modification: an upsert of Value under Key, or a
-// delete of Key when Delete is set.
-type Op struct {
-	Key    uint64
-	Value  []byte
-	Delete bool
-}
+// Op is one logged modification — an upsert of Value under Key, or a
+// delete of Key when Delete is set: the write path's shared op record, so
+// a staged batch is logged, and a replayed frame applied, without
+// conversion.
+type Op = block.Op
 
 // ErrCorrupt reports structural damage to the log outside the torn tail
 // of the final segment — damage that cannot be explained by a crash and

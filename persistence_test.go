@@ -263,3 +263,51 @@ func TestBackgroundCloseMidCascade(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultOptionsFileBackedStore is the regression test for the derived
+// default block capacity: with nothing but Path set, values of the default
+// PayloadHint size must flush and merge onto a file-backed device (the
+// derived B once ignored the 2-byte length prefix Encode writes, so a full
+// block overflowed the 4096-byte slot) and come back after a reopen.
+func TestDefaultOptionsFileBackedStore(t *testing.T) {
+	opts := lsmssd.Options{Path: filepath.Join(t.TempDir(), "db.blk")}
+	db, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := func(k uint64) []byte {
+		v := make([]byte, 100)
+		for i := range v {
+			v[i] = byte(k) + byte(i)
+		}
+		return v
+	}
+	// Default MemtableBlocks is 256 blocks of 36 records: 30k sequential
+	// keys force three full-block flushes into L1.
+	const n = 30_000
+	for k := uint64(0); k < n; k++ {
+		if err := db.Put(k, value(k)); err != nil {
+			t.Fatalf("put %d: %v", k, err)
+		}
+	}
+	if st := db.Stats(); st.Merges < 3 {
+		t.Fatalf("only %d merges ran; the test must cross several flushes", st.Merges)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if err := db2.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < n; k += 97 {
+		v, ok, err := db2.Get(k)
+		if err != nil || !ok || string(v) != string(value(k)) {
+			t.Fatalf("get %d after reopen: ok=%v err=%v", k, ok, err)
+		}
+	}
+}

@@ -28,9 +28,8 @@ import (
 // fan-out helper DB.lockAllShards, which acquires them in ascending shard
 // order (the shard-lock-order lint rule checks both properties).
 //
-// Everything below is a per-shard port of the pre-sharding DB internals;
-// the durability protocol (log → apply → checkpoint-on-rotation) is
-// unchanged, it just runs once per shard over per-shard files.
+// The durability protocol (log → apply → checkpoint-on-rotation) runs once
+// per shard over per-shard files, in exactly one place: shard.write.
 type shard struct {
 	id   int
 	db   *DB
@@ -304,8 +303,12 @@ func (s *shard) openWAL() error {
 	}
 
 	start := time.Now()
+	// Replay pushes each recovered frame through the normal write path, so
+	// recovery exercises exactly the machinery of live traffic. The log is
+	// not open yet (s.wal == nil), which is what makes write skip the append
+	// and the rotation checkpoint — the only two steps replay must not take.
 	info, err := wal.Replay(base, s.lastSeq, func(seq uint64, ops []wal.Op) error {
-		return s.applyReplayed(ops)
+		return s.write(ops, nil)
 	})
 	if err != nil {
 		return fmt.Errorf("lsmssd: write-ahead log replay: %w", err)
@@ -350,29 +353,6 @@ func (s *shard) openWAL() error {
 		})
 	}
 	return nil
-}
-
-// applyReplayed pushes one recovered WAL frame through the normal write
-// path — admission, the writer lock, a batched apply, and the cascade
-// notification — so recovery exercises exactly the machinery of live
-// traffic.
-func (s *shard) applyReplayed(ops []wal.Op) error {
-	batch := make([]core.BatchOp, len(ops))
-	for i, op := range ops {
-		batch[i] = core.BatchOp{Key: block.Key(op.Key), Payload: op.Value, Delete: op.Delete}
-	}
-	if err := s.sched.Admit(); err != nil {
-		return err
-	}
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	if err := s.tree.ApplyBatch(batch); err != nil {
-		return err
-	}
-	if err := s.sched.Notify(); err != nil {
-		return err
-	}
-	return s.paranoidSteadyCheck()
 }
 
 // checkpointLocked persists the shard's current state under its writer
@@ -460,10 +440,7 @@ func (s *shard) checkpoint() error {
 // the log's cumulative fsync-nanoseconds delta across the call is
 // shifted to PhaseWALSync — writerMu serializes this shard's appends,
 // so the delta is exactly this frame's group-commit fsync wait.
-func (s *shard) logMutation(ops []wal.Op, sp *obs.Span) (rotated bool, err error) {
-	if s.wal == nil {
-		return false, nil
-	}
+func (s *shard) logMutation(ops []block.Op, sp *obs.Span) (rotated bool, err error) {
 	var syncBefore int64
 	if sp != nil {
 		syncBefore = s.wal.SyncNanos()
@@ -496,122 +473,31 @@ func (s *shard) logMutation(ops []wal.Op, sp *obs.Span) (rotated bool, err error
 	return rotated, nil
 }
 
-// put is Put for the keys this shard owns. The span (nil when tracing is
-// off) attributes the op's time: admission under PhaseStallWait (the
-// pacing sleep and stall gate live inside Admit), the WAL frame under
-// PhaseWALAppend/WALSync (logMutation), the memtable insert under
-// PhaseMemtable, and the cascade notification under PhaseCascade — in
-// sync compaction mode the whole inline merge cascade runs inside
-// Notify, which is exactly the write-amplification time the phase names.
-func (s *shard) put(key uint64, value []byte, sp *obs.Span) error {
+// write is the shard's one durability protocol, carrying Put, Delete (a
+// one-element ops), each shard's slice of a WriteBatch, and WAL replay:
+// health gate → admission → writer lock → closed check → WAL frame →
+// memtable apply → cascade notification → checkpoint if the append sealed
+// a segment → paranoid audit. It is a single atomic writer step: one
+// admission, one lock acquisition, one WAL frame (group commit), one
+// batched apply. A mutation-path error is classified against the shard's
+// health after the writer lock is released.
+//
+// The span (nil when tracing is off) attributes the op's time: admission
+// under PhaseStallWait (the pacing sleep and stall gate live inside
+// Admit), the WAL frame under PhaseWALAppend/WALSync (logMutation), the
+// memtable insert under PhaseMemtable, and the cascade notification under
+// PhaseCascade — in sync compaction mode the whole inline merge cascade
+// runs inside Notify, which is exactly the write-amplification time the
+// phase names.
+func (s *shard) write(ops []block.Op, sp *obs.Span) (err error) {
 	if err := s.writable(); err != nil {
 		return err
 	}
-	err := s.doPut(key, value, sp)
-	if err != nil {
-		s.noteWriteError(err)
-	}
-	return err
-}
-
-func (s *shard) doPut(key uint64, value []byte, sp *obs.Span) error {
-	sp.To(obs.PhaseStallWait)
-	if err := s.sched.Admit(); err != nil {
-		return err
-	}
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	sp.To(obs.PhaseOther)
-	if s.db.closed.Load() {
-		return ErrClosed
-	}
-	rotated, err := s.logMutation([]wal.Op{{Key: key, Value: value}}, sp)
-	if err != nil {
-		return err
-	}
-	sp.To(obs.PhaseMemtable)
-	err = s.tree.Put(block.Key(key), value)
-	sp.To(obs.PhaseOther)
-	if err != nil {
-		return err
-	}
-	sp.To(obs.PhaseCascade)
-	err = s.sched.Notify()
-	sp.To(obs.PhaseOther)
-	if err != nil {
-		return err
-	}
-	if rotated {
-		if err := s.checkpointLocked(); err != nil {
-			return err
+	defer func() {
+		if err != nil {
+			s.noteWriteError(err)
 		}
-	}
-	return s.paranoidSteadyCheck()
-}
-
-// delete is Delete for the keys this shard owns; phase attribution as in
-// put.
-func (s *shard) delete(key uint64, sp *obs.Span) error {
-	if err := s.writable(); err != nil {
-		return err
-	}
-	err := s.doDelete(key, sp)
-	if err != nil {
-		s.noteWriteError(err)
-	}
-	return err
-}
-
-func (s *shard) doDelete(key uint64, sp *obs.Span) error {
-	sp.To(obs.PhaseStallWait)
-	if err := s.sched.Admit(); err != nil {
-		return err
-	}
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	sp.To(obs.PhaseOther)
-	if s.db.closed.Load() {
-		return ErrClosed
-	}
-	rotated, err := s.logMutation([]wal.Op{{Key: key, Delete: true}}, sp)
-	if err != nil {
-		return err
-	}
-	sp.To(obs.PhaseMemtable)
-	err = s.tree.Delete(block.Key(key))
-	sp.To(obs.PhaseOther)
-	if err != nil {
-		return err
-	}
-	sp.To(obs.PhaseCascade)
-	err = s.sched.Notify()
-	sp.To(obs.PhaseOther)
-	if err != nil {
-		return err
-	}
-	if rotated {
-		if err := s.checkpointLocked(); err != nil {
-			return err
-		}
-	}
-	return s.paranoidSteadyCheck()
-}
-
-// applyOps executes one shard's slice of a WriteBatch as a single atomic
-// writer step: one admission, one writer-lock acquisition, one WAL frame
-// (group commit), one batched apply. Phase attribution as in put.
-func (s *shard) applyOps(ops []core.BatchOp, sp *obs.Span) error {
-	if err := s.writable(); err != nil {
-		return err
-	}
-	err := s.doApplyOps(ops, sp)
-	if err != nil {
-		s.noteWriteError(err)
-	}
-	return err
-}
-
-func (s *shard) doApplyOps(ops []core.BatchOp, sp *obs.Span) error {
+	}()
 	sp.To(obs.PhaseStallWait)
 	if err := s.sched.Admit(); err != nil {
 		return err
@@ -624,18 +510,12 @@ func (s *shard) doApplyOps(ops []core.BatchOp, sp *obs.Span) error {
 	}
 	var rotated bool
 	if s.wal != nil && len(ops) > 0 {
-		wops := make([]wal.Op, len(ops))
-		for i, op := range ops {
-			wops[i] = wal.Op{Key: uint64(op.Key), Value: op.Payload, Delete: op.Delete}
-		}
-		var err error
-		rotated, err = s.logMutation(wops, sp)
-		if err != nil {
+		if rotated, err = s.logMutation(ops, sp); err != nil {
 			return err
 		}
 	}
 	sp.To(obs.PhaseMemtable)
-	err := s.tree.ApplyBatch(ops)
+	err = s.tree.ApplyBatch(ops)
 	sp.To(obs.PhaseOther)
 	if err != nil {
 		return err
@@ -714,31 +594,27 @@ func (s *shard) forceGrow() {
 	s.tree.ForceGrow()
 }
 
-// closeLocked checkpoints and releases the shard's resources. The caller
-// holds the shard's writer lock (via lockAllShards) and has stopped the
-// scheduler.
-func (s *shard) closeLocked() error {
-	err := s.checkpointLocked()
-	var werr error
+// releaseLocked is the last step of DB.shutdown, which holds the shard's
+// writer lock and has stopped its scheduler. A clean close folds in any
+// background merge error the scheduler parked, checkpoints, and closes the
+// log; crash abandons the shard as a power cut would — no checkpoint, no
+// device sync, the log's unsynced tail truncated. Either way snapshot
+// acquisition fails from here on and the device is closed.
+func (s *shard) releaseLocked(crash bool) error {
+	var errs []error
+	if !crash {
+		errs = append(errs, s.sched.Err(), s.checkpointLocked())
+	}
 	if s.wal != nil {
-		werr = s.wal.Close()
+		if crash {
+			errs = append(errs, s.wal.Crash())
+		} else {
+			errs = append(errs, s.wal.Close())
+		}
 		s.wal = nil
 	}
 	s.tree.MarkClosed()
-	return errors.Join(err, werr, s.raw.Close())
-}
-
-// crashLocked abandons the shard as a power cut would: no checkpoint, no
-// device sync, buffered WAL frames truncated. Caller holds the shard's
-// writer lock and has stopped the scheduler.
-func (s *shard) crashLocked() error {
-	var werr error
-	if s.wal != nil {
-		werr = s.wal.Crash()
-		s.wal = nil
-	}
-	s.tree.MarkClosed()
-	return errors.Join(werr, s.raw.Close())
+	return errors.Join(append(errs, s.raw.Close())...)
 }
 
 // lockedTree exposes the shard's engine under its writer lock to sibling

@@ -147,7 +147,8 @@ func TestSampledSpansOnBus(t *testing.T) {
 // TestTracingDisabledAddsNoAllocs pins the disabled-path acceptance
 // criterion end to end: on a default DB (no Metrics, no tracing), Get of
 // a memtable-resident key allocates nothing — the span plumbing adds no
-// allocation to the hot read path.
+// allocation to the hot read path — and the single write path allocates no
+// more than its memtable insert and snapshot publication need.
 func TestTracingDisabledAddsNoAllocs(t *testing.T) {
 	db, err := Open(Options{})
 	if err != nil {
@@ -167,6 +168,48 @@ func TestTracingDisabledAddsNoAllocs(t *testing.T) {
 	}
 	if sp := db.tracer.Start(obs.OpGet, 0); sp != nil {
 		t.Error("default DB's tracer handed out a span")
+	}
+
+	// Writes, with the WAL on so the whole path runs (admission, frame
+	// encode, apply, notify). The ceilings are what the treap path copy and
+	// the published View cost on this 8-key memtable; the op slice (Put and
+	// Delete's one-element one stays on the caller's stack, a batch's is
+	// logged and applied as staged, unconverted), the WAL frame (encoded
+	// into the log's scratch buffer) and the span plumbing add nothing.
+	wdb, err := Open(Options{
+		Path:            filepath.Join(t.TempDir(), "db.blk"),
+		RecordsPerBlock: 32,
+		WAL:             WALOptions{Enabled: true, Sync: SyncNever},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wdb.Close()
+	val := []byte("answer")
+	batch := wdb.NewBatch()
+	for k := uint64(0); k < 8; k++ {
+		batch.Put(k, val)
+	}
+	if err := wdb.Apply(batch); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		fn   func() error
+	}{
+		{"Put", 6, func() error { return wdb.Put(3, val) }},
+		{"Delete", 4, func() error { return wdb.Delete(3) }},
+		{"Apply of a reused 8-op batch", 30, func() error { return wdb.Apply(batch) }},
+	} {
+		got := testing.AllocsPerRun(1000, func() {
+			if err := tc.fn(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.max {
+			t.Errorf("%s allocates %.1f per op, want ≤ %.0f", tc.name, got, tc.max)
+		}
 	}
 }
 
