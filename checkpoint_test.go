@@ -1,0 +1,628 @@
+package lsmssd_test
+
+// Tests for the checkpoint split (capture under the writer lock, persist
+// without it) and the ordering it must keep. They are deterministic: the
+// shard's device is decorated with a gate whose Sync blocks on a channel,
+// so "while the checkpoint is persisting" is a state the test holds open
+// for as long as it likes instead of a race it hopes to win.
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"lsmssd"
+	"lsmssd/internal/manifest"
+	"lsmssd/internal/storage"
+	"lsmssd/internal/wal"
+)
+
+// syncGate decorates a device so that, while armed, every Sync announces
+// itself on entered and then waits for a verdict on release: nil lets the
+// real sync run, an error is returned in its place.
+type syncGate struct {
+	storage.Device
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan error
+}
+
+func newSyncGate() *syncGate {
+	// Buffered: a Sync the test is not watching for must not wedge teardown.
+	return &syncGate{entered: make(chan struct{}, 16), release: make(chan error, 16)}
+}
+
+func (g *syncGate) wrap(_ int, dev storage.Device) storage.Device {
+	g.Device = dev
+	return g
+}
+
+func (g *syncGate) Sync() error {
+	if g.armed.Load() {
+		g.entered <- struct{}{}
+		if err := <-g.release; err != nil {
+			return err
+		}
+	}
+	return g.Device.(storage.Syncer).Sync()
+}
+
+// gatedOpts is a single-shard background-compaction store small enough that
+// a few hundred puts flush, merge and (with the given segment size) rotate
+// the log.
+func gatedOpts(t *testing.T, g *syncGate, segmentBytes int64) lsmssd.Options {
+	t.Helper()
+	return lsmssd.Options{
+		Path:            t.TempDir() + "/store.db",
+		RecordsPerBlock: 16,
+		MemtableBlocks:  8, // slowdown at 256 records, stop at 512: room for the puts a test issues while the scheduler is blocked
+		Gamma:           4,
+		CacheBlocks:     -1, // every level read is a device read
+		CompactionMode:  lsmssd.BackgroundCompaction,
+		WAL:             lsmssd.WALOptions{Enabled: true, Sync: lsmssd.SyncEvery, SegmentBytes: segmentBytes},
+		DeviceWrap:      g.wrap,
+	}
+}
+
+func ckptValue(key uint64, round int) []byte {
+	return []byte(fmt.Sprintf("value-%06d-round-%d-%s", key, round, "padpadpadpadpadpadpadpadpadpad"))
+}
+
+const testWait = 20 * time.Second
+
+// within fails the test unless fn returns, without error, before the
+// deadline: the assertion "this does not wait for the blocked checkpoint".
+// fn runs on its own goroutine so a hang fails the test instead of the run.
+func within(t *testing.T, what string, fn func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- fn() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(testWait):
+		t.Fatalf("%s did not finish within %v: it is waiting behind the blocked checkpoint", what, testWait)
+	}
+}
+
+func poll(what string, cond func() bool) error {
+	deadline := time.Now().Add(testWait)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return nil
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	if err := poll(what, cond); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func awaitEntered(t *testing.T, g *syncGate, what string) {
+	t.Helper()
+	select {
+	case <-g.entered:
+	case <-time.After(testWait):
+		t.Fatalf("%s never reached its device sync", what)
+	}
+}
+
+func drained(db *lsmssd.DB) func() bool {
+	return func() bool { return db.Stats().Compaction.QueueDepth == 0 }
+}
+
+// checkpointEvents subscribes to the bus and returns a snapshot function
+// over the CheckpointEvents published so far.
+func checkpointEvents(db *lsmssd.DB) func() []lsmssd.CheckpointEvent {
+	ch := make(chan lsmssd.CheckpointEvent, 64)
+	db.Subscribe(func(ev lsmssd.Event) {
+		if ce, ok := ev.(lsmssd.CheckpointEvent); ok {
+			ch <- ce
+		}
+	})
+	var seen []lsmssd.CheckpointEvent
+	return func() []lsmssd.CheckpointEvent {
+		for {
+			select {
+			case ce := <-ch:
+				seen = append(seen, ce)
+			default:
+				return seen
+			}
+		}
+	}
+}
+
+// putRange writes keys [lo, hi) at the given round and records them.
+func putRange(db *lsmssd.DB, lo, hi uint64, round int, model map[uint64]int) error {
+	for key := lo; key < hi; key++ {
+		if err := db.Put(key, ckptValue(key, round)); err != nil {
+			return fmt.Errorf("Put(%d): %w", key, err)
+		}
+		model[key] = round
+	}
+	return nil
+}
+
+func mustPut(t *testing.T, db *lsmssd.DB, key uint64, model map[uint64]int) {
+	t.Helper()
+	if err := putRange(db, key, key+1, 0, model); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// contents checks that the store holds exactly the model, by Get and by Scan.
+func contents(db *lsmssd.DB, model map[uint64]int) error {
+	for key, round := range model {
+		v, ok, err := db.Get(key)
+		if err != nil {
+			return fmt.Errorf("Get(%d): %w", key, err)
+		}
+		if want := ckptValue(key, round); !ok || string(v) != string(want) {
+			return fmt.Errorf("key %d: got %q (found=%v), want %q", key, v, ok, want)
+		}
+	}
+	n := 0
+	if err := db.Scan(0, ^uint64(0), func(uint64, []byte) bool { n++; return true }); err != nil {
+		return err
+	}
+	if n != len(model) {
+		return fmt.Errorf("store holds %d keys, model %d", n, len(model))
+	}
+	return nil
+}
+
+func mustHave(t *testing.T, db *lsmssd.DB, model map[uint64]int) {
+	t.Helper()
+	if err := contents(db, model); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// preload writes n fresh keys with the gate open and waits for merges and
+// checkpoints to drain, so the levels hold data before a test closes it.
+func preload(t *testing.T, db *lsmssd.DB, n int, model map[uint64]int, next *uint64) {
+	t.Helper()
+	if err := putRange(db, *next, *next+uint64(n), 0, model); err != nil {
+		t.Fatal(err)
+	}
+	*next += uint64(n)
+	waitFor(t, "preload to drain", drained(db))
+}
+
+// putUntilBackgroundCheckpoint arms the gate and writes fresh keys until one
+// seals a WAL segment, then waits for the checkpoint that Put requested to
+// block in its device sync. No write follows the sealing Put, so the
+// checkpoint captured exactly the returned sequence.
+func putUntilBackgroundCheckpoint(t *testing.T, db *lsmssd.DB, g *syncGate, model map[uint64]int, next *uint64) (captured uint64) {
+	t.Helper()
+	g.armed.Store(true)
+	rotations := db.Stats().WAL.Rotations
+	for i := 0; db.Stats().WAL.Rotations == rotations; i++ {
+		if i == 5000 {
+			t.Fatal("5000 puts never sealed a WAL segment")
+		}
+		mustPut(t, db, *next, model)
+		*next++
+	}
+	awaitEntered(t, g, "the rotation-requested checkpoint")
+	return db.Stats().Shards[0].WAL.LastSeq
+}
+
+// TestBackgroundCheckpointDoesNotBlockWrites: with the rotation-requested
+// checkpoint stuck in its device sync, Puts still return at memtable speed
+// and Gets that go to the device are served; the sealed segment waits, and
+// QueueDepth says so. Released, the checkpoint finishes, the merges queued
+// behind it on the same goroutine run, and the log shrinks to its active
+// segment.
+func TestBackgroundCheckpointDoesNotBlockWrites(t *testing.T) {
+	g := newSyncGate()
+	opts := gatedOpts(t, g, 8<<10)
+	db, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	model, next := map[uint64]int{}, uint64(0)
+	preload(t, db, 400, model, &next)
+
+	putUntilBackgroundCheckpoint(t, db, g, model, &next)
+	if qd := db.Stats().Compaction.QueueDepth; qd < 1 {
+		t.Fatalf("QueueDepth = %d with a checkpoint running; a drain would not wait for it", qd)
+	}
+	if segs, _ := wal.SegmentFiles(opts.Path + ".wal"); len(segs) < 2 {
+		t.Fatalf("%d WAL segments on disk while the covering checkpoint is blocked, want the sealed one kept", len(segs))
+	}
+
+	// Few enough to stay clear of the stall gate: the merges that would
+	// drain L0 share the blocked goroutine.
+	within(t, "Puts during a blocked checkpoint", func() error {
+		return putRange(db, next, next+40, 0, model)
+	})
+	next += 40
+	readsBefore := db.Stats().BlocksRead
+	within(t, "device-reading Gets during a blocked checkpoint", func() error {
+		for key := uint64(0); key < 32; key++ {
+			if _, ok, err := db.Get(key); err != nil || !ok {
+				return fmt.Errorf("Get(%d) = found %v, err %v", key, ok, err)
+			}
+		}
+		return nil
+	})
+	if db.Stats().BlocksRead == readsBefore {
+		t.Fatal("the Gets never reached the device; the test did not exercise a read during the sync")
+	}
+
+	g.armed.Store(false)
+	g.release <- nil
+	waitFor(t, "checkpoint and queued merges to drain", drained(db))
+	if segs, _ := wal.SegmentFiles(opts.Path + ".wal"); len(segs) != 1 {
+		t.Fatalf("%d WAL segments after the drain, want only the active one", len(segs))
+	}
+	mustHave(t, db, model)
+	if err := db.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestExplicitCheckpointDoesNotBlockWritesOrMerges: DB.Checkpoint persists
+// off the writer lock as well, and since it runs on the caller's goroutine
+// the scheduler stays free — Puts, device-reading Gets and merge steps all
+// complete while its device sync is blocked.
+func TestExplicitCheckpointDoesNotBlockWritesOrMerges(t *testing.T) {
+	g := newSyncGate()
+	db, err := lsmssd.Open(gatedOpts(t, g, 4<<20)) // no rotation: the only checkpoint is the explicit one
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	model, next := map[uint64]int{}, uint64(0)
+	preload(t, db, 400, model, &next)
+
+	g.armed.Store(true)
+	ckptErr := make(chan error, 1)
+	go func() { ckptErr <- db.Checkpoint() }()
+	awaitEntered(t, g, "DB.Checkpoint")
+
+	mergesBefore := db.Stats().Merges
+	within(t, "Puts and merges during a blocked checkpoint", func() error {
+		if err := putRange(db, 0, 400, 1, model); err != nil {
+			return err
+		}
+		return poll("merge steps to run while the checkpoint is blocked", func() bool {
+			return db.Stats().Merges > mergesBefore && drained(db)()
+		})
+	})
+	readsBefore := db.Stats().BlocksRead
+	within(t, "device-reading Gets during a blocked checkpoint", func() error { return contents(db, model) })
+	if db.Stats().BlocksRead == readsBefore {
+		t.Fatal("the Gets never reached the device")
+	}
+	select {
+	case err := <-ckptErr:
+		t.Fatalf("Checkpoint returned (%v) while its device sync was still blocked", err)
+	default:
+	}
+
+	g.armed.Store(false)
+	g.release <- nil
+	if err := <-ckptErr; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCrashDuringBackgroundCheckpoint: a power cut that lands while the
+// background checkpoint is between capture and manifest rename leaves the
+// previous manifest and every WAL segment in place, and under SyncEvery
+// they recover every acknowledged write — including those acknowledged
+// while the checkpoint was running.
+func TestCrashDuringBackgroundCheckpoint(t *testing.T) {
+	g := newSyncGate()
+	opts := gatedOpts(t, g, 8<<10)
+	db, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, next := map[uint64]int{}, uint64(0)
+	// An explicit checkpoint first, so "the previous manifest" exists and
+	// has something in it.
+	preload(t, db, 30, model, &next)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(opts.Path + ".manifest")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	putUntilBackgroundCheckpoint(t, db, g, model, &next)
+	// Acknowledged while the checkpoint is in flight.
+	if err := putRange(db, next, next+40, 0, model); err != nil {
+		t.Fatal(err)
+	}
+
+	// The cut: Crash waits for the scheduler goroutine, whose device sync
+	// now fails the way a dying device's would.
+	crashed := make(chan error, 1)
+	go func() { crashed <- db.Crash() }()
+	g.release <- errors.New("power cut")
+	select {
+	case <-crashed: // teardown reports the interrupted checkpoint; not our concern
+	case <-time.After(testWait):
+		t.Fatal("Crash did not return")
+	}
+	after, err := os.ReadFile(opts.Path + ".manifest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Fatal("the manifest changed although the checkpoint never got past its device sync")
+	}
+
+	opts.DeviceWrap = nil
+	opts.Paranoid = true
+	rdb, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer rdb.Close()
+	mustHave(t, rdb, model)
+	if err := rdb.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckpointWALSeqMatchesView: writes acknowledged after the capture are
+// not in the captured view, so the manifest's replay cutoff must be the
+// captured sequence — not the log's position when the manifest is finally
+// written (ahead: those writes are skipped on replay and lost) and not an
+// older one (behind: frames already in the view are replayed again). The
+// recovery's frame count pins it exactly.
+func TestCheckpointWALSeqMatchesView(t *testing.T) {
+	g := newSyncGate()
+	opts := gatedOpts(t, g, 8<<10)
+	db, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := checkpointEvents(db)
+	model, next := map[uint64]int{}, uint64(0)
+
+	captured := putUntilBackgroundCheckpoint(t, db, g, model, &next)
+	g.armed.Store(false)
+	const during = 25 // fewer than a segment's worth: no second rotation
+	if err := putRange(db, next, next+during, 0, model); err != nil {
+		t.Fatal(err)
+	}
+	g.release <- nil
+	waitFor(t, "the checkpoint to finish", drained(db))
+
+	st, err := manifest.Load(opts.Path + ".manifest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.WALSeq != captured {
+		t.Fatalf("manifest WALSeq = %d, want the captured sequence %d (log is at %d)",
+			st.WALSeq, captured, db.Stats().Shards[0].WAL.LastSeq)
+	}
+	evs := events()
+	if len(evs) != 1 || evs[0].WALSeq != captured || evs[0].Inline {
+		t.Fatalf("checkpoint events = %+v, want one background event at sequence %d", evs, captured)
+	}
+	if err := db.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	opts.DeviceWrap = nil
+	rdb, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdb.Close()
+	if got := rdb.Stats().WAL.Recovery.Frames; got != during {
+		t.Fatalf("recovery replayed %d frames, want exactly the %d written after the capture", got, during)
+	}
+	mustHave(t, rdb, model)
+}
+
+// TestCheckpointKeepsSlotsFreedAfterCapture is the slot-reuse hazard: blocks
+// the captured state names are freed by merges while the checkpoint is
+// still persisting. The manifest it then writes names them, so their slots
+// must stay parked until the next checkpoint; were they handed back with
+// the rest of the limbo list, the writes that follow would overwrite them
+// and a crash before the next checkpoint would reopen onto a manifest whose
+// blocks hold other records.
+func TestCheckpointKeepsSlotsFreedAfterCapture(t *testing.T) {
+	g := newSyncGate()
+	opts := gatedOpts(t, g, 4<<20) // no rotation: checkpoints happen only where the test puts them
+	db, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 600
+	model := map[uint64]int{}
+	round := func(r int) {
+		t.Helper()
+		if err := putRange(db, 0, keys, r, model); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "merges to drain", drained(db))
+	}
+	round(0)
+	if err := db.Checkpoint(); err != nil { // empties the limbo list
+		t.Fatal(err)
+	}
+	round(1)
+
+	g.armed.Store(true)
+	ckptErr := make(chan error, 1)
+	go func() { ckptErr <- db.Checkpoint() }()
+	awaitEntered(t, g, "DB.Checkpoint") // captured: the image names round 1's blocks
+
+	liveBefore := db.Stats().LiveBlocks
+	round(2) // merges rewrite every level, freeing the blocks the image names
+	if db.Stats().LiveBlocks > 2*liveBefore {
+		t.Fatalf("live blocks grew %d → %d: the frees are being held back, the test would prove nothing",
+			liveBefore, db.Stats().LiveBlocks)
+	}
+	g.armed.Store(false)
+	g.release <- nil
+	if err := <-ckptErr; err != nil { // the manifest now on disk names blocks freed during round 2
+		t.Fatal(err)
+	}
+
+	round(3) // allocates: must not land on those slots
+	if err := db.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	opts.DeviceWrap = nil
+	opts.Paranoid = true // audit block contents against the manifest's metadata on reopen
+	rdb, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatalf("reopen after crash: %v", err)
+	}
+	defer rdb.Close()
+	mustHave(t, rdb, model)
+	if err := rdb.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRotationDuringCheckpointIsNotLost: rotations that happen while a
+// checkpoint is running coalesce into exactly one more checkpoint, whose
+// cutoff covers the last of them.
+func TestRotationDuringCheckpointIsNotLost(t *testing.T) {
+	g := newSyncGate()
+	opts := gatedOpts(t, g, 4<<10)
+	db, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	events := checkpointEvents(db)
+	model, next := map[uint64]int{}, uint64(0)
+
+	putUntilBackgroundCheckpoint(t, db, g, model, &next)
+	rotated := db.Stats().WAL.Rotations
+	for db.Stats().WAL.Rotations < rotated+2 { // two more segments sealed behind the blocked checkpoint
+		mustPut(t, db, next, model)
+		next++
+	}
+	lastSealed := db.Stats().Shards[0].WAL.LastSeq - 1 // the rotating append opened the new segment
+
+	g.release <- nil // first checkpoint completes
+	awaitEntered(t, g, "the checkpoint the later rotations requested")
+	g.armed.Store(false)
+	g.release <- nil
+	waitFor(t, "the second checkpoint to finish", drained(db))
+
+	evs := events()
+	if len(evs) != 2 {
+		t.Fatalf("%d checkpoints ran for three rotations (two behind a running checkpoint), want 2: %+v", len(evs), evs)
+	}
+	if evs[1].WALSeq < lastSealed {
+		t.Fatalf("second checkpoint covers sequence %d, the last sealed segment ends at %d", evs[1].WALSeq, lastSealed)
+	}
+	if segs, _ := wal.SegmentFiles(opts.Path + ".wal"); len(segs) != 1 {
+		t.Fatalf("%d WAL segments after both checkpoints, want only the active one", len(segs))
+	}
+	mustHave(t, db, model)
+}
+
+// TestFailedBackgroundCheckpointDemotesShard: a background checkpoint whose
+// device sync fails demotes the shard exactly as an inline one did — cause
+// "sync-failed", the very next write refused, the failure reported again at
+// Close — while the Put that sealed the segment was acknowledged and, like
+// every other acknowledged write, survives in the log.
+func TestFailedBackgroundCheckpointDemotesShard(t *testing.T) {
+	g := newSyncGate()
+	opts := gatedOpts(t, g, 8<<10)
+	db, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, next := map[uint64]int{}, uint64(0)
+
+	putUntilBackgroundCheckpoint(t, db, g, model, &next) // every Put so far, the sealing one included, returned nil
+	syncErr := errors.New("injected sync failure")
+	g.release <- syncErr
+	waitFor(t, "the demotion", func() bool { return db.Health().Shards[0].State == "read-only" })
+	if cause := db.Health().Shards[0].Cause; cause != "sync-failed" {
+		t.Fatalf("demotion cause %q, want sync-failed", cause)
+	}
+
+	err = db.Put(next, ckptValue(next, 0))
+	var ro *lsmssd.ShardReadOnlyError
+	if !errors.As(err, &ro) || ro.Cause != "sync-failed" || !errors.Is(err, syncErr) {
+		t.Fatalf("Put after the failed checkpoint = %v, want a ShardReadOnlyError (sync-failed) wrapping the sync error", err)
+	}
+	if _, ok, err := db.Get(0); err != nil || !ok {
+		t.Fatalf("read-only shard stopped serving reads: found %v, err %v", ok, err)
+	}
+	g.armed.Store(false)
+	if err := db.Close(); !errors.Is(err, syncErr) {
+		t.Fatalf("Close = %v, want the parked checkpoint failure", err)
+	}
+
+	opts.DeviceWrap = nil
+	rdb, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdb.Close()
+	mustHave(t, rdb, model)
+}
+
+// TestIdleWALTailIsSynced: under SyncInterval a write followed by silence is
+// durable within about an interval, in either compaction mode — the
+// shard's background goroutine syncs the tail the next append never came
+// to sync.
+func TestIdleWALTailIsSynced(t *testing.T) {
+	for _, mode := range []lsmssd.CompactionMode{lsmssd.SyncCompaction, lsmssd.BackgroundCompaction} {
+		t.Run(mode.String(), func(t *testing.T) {
+			opts := lsmssd.Options{
+				Path:           t.TempDir() + "/store.db",
+				CompactionMode: mode,
+				WAL:            lsmssd.WALOptions{Enabled: true, Sync: lsmssd.SyncInterval, Interval: 50 * time.Millisecond},
+			}
+			db, err := lsmssd.Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Put(42, []byte("written, then silence")); err != nil {
+				t.Fatal(err)
+			}
+			// The append normally finds the last sync (Open's) younger than
+			// the interval and leaves its frame unsynced; the tick then syncs
+			// it and the counter moves. Should the append have synced inline
+			// (a stalled machine), nothing is left to sync: give up after ten
+			// intervals and let the crash below decide either way.
+			synced := db.Stats().WAL.Syncs
+			for deadline := time.Now().Add(10 * opts.WAL.Interval); db.Stats().WAL.Syncs == synced && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			if err := db.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			rdb, err := lsmssd.Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rdb.Close()
+			if v, ok, err := rdb.Get(42); err != nil || !ok || string(v) != "written, then silence" {
+				t.Fatalf("after the crash: %q, found %v, err %v; the idle tail was never synced", v, ok, err)
+			}
+		})
+	}
+}

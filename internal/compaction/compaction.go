@@ -15,9 +15,22 @@
 //     admission sleeps briefly; at StopBlocks it blocks until the
 //     scheduler catches up (the hard stall gate).
 //
-// Error contract (Background): a failed merge step parks the error; every
-// subsequent Admit/Notify returns it, and DB.Close folds it into its own
-// error, so background failures surface on the next write or at Close —
+// The same goroutine carries the shard's other background work, so the
+// engine has one background protocol per shard, not several:
+//
+//   - checkpoints (Background mode): a writer whose WAL append sealed a
+//     segment calls RequestCheckpoint and returns; the goroutine runs
+//     Config.Checkpoint between merge steps, without the writer lock held
+//     across it. Requests coalesce, and one arriving while a checkpoint
+//     runs yields one more run. A requested-or-running checkpoint counts
+//     one unit of QueueDepth, so "drained" means "and checkpointed";
+//   - the idle tick (both modes, when Config.Tick is set): called every
+//     TickInterval — the DB uses it to fsync a WAL tail that went idle
+//     under the interval sync policy.
+//
+// Error contract: a failed merge step, checkpoint or tick parks the error;
+// every subsequent Admit/Notify returns it, and DB.Close folds it into its
+// own error, so background failures surface on the next write or at Close —
 // never silently.
 package compaction
 
@@ -75,6 +88,15 @@ type Config struct {
 	Bus *obs.Bus
 	// Lat records stall durations under obs.OpStall; may be nil.
 	Lat *obs.LatencySet
+	// Checkpoint persists the engine's state; the goroutine calls it once
+	// per coalesced RequestCheckpoint, with Mu not held (the callback takes
+	// it briefly itself). Background mode only; nil ignores requests.
+	Checkpoint func() error
+	// Tick, when set with a positive TickInterval, is called from the
+	// goroutine every TickInterval between other work. It starts the
+	// goroutine in Sync mode too, where ticking is all it does.
+	Tick         func() error
+	TickInterval time.Duration
 }
 
 // Scheduler drives a Tree's overflow cascade per its Config. All methods
@@ -97,7 +119,13 @@ type Scheduler struct {
 	gateMu sync.Mutex
 	gate   *sync.Cond
 	l0Gate int
-	err    error // first failed merge step, sticky
+	err    error // first failed merge step, checkpoint or tick; sticky
+
+	// Checkpoint requests are generations: a request bumps ckptWant, the
+	// goroutine copies the value it read before running into ckptDone
+	// afterwards. A request that arrives mid-run leaves the two unequal, so
+	// it is neither lost nor run twice.
+	ckptWant, ckptDone atomic.Int64
 
 	// Gauges and counters, atomics so Stats stays lock-free.
 	queueDepth    atomic.Int64
@@ -110,8 +138,8 @@ type Scheduler struct {
 	stopNanos     atomic.Int64
 }
 
-// New builds a scheduler and, in Background mode, starts its goroutine.
-// Background mode requires Mu.
+// New builds a scheduler and starts its goroutine in Background mode, or
+// in Sync mode when there is a Tick to run. Background mode requires Mu.
 func New(cfg Config) (*Scheduler, error) {
 	if cfg.Tree == nil {
 		return nil, errors.New("compaction: Config.Tree is required")
@@ -138,6 +166,8 @@ func New(cfg Config) (*Scheduler, error) {
 		s.l0Blocks.Store(int64(l0))
 		s.queueDepth.Store(int64(cfg.Tree.CompactionBacklog()))
 		s.l0Gate = l0
+	}
+	if cfg.Mode == Background || s.ticking() {
 		go s.run()
 	} else {
 		close(s.done)
@@ -206,13 +236,33 @@ func (s *Scheduler) Notify() error {
 	}
 	s.refreshLocked()
 	if s.pendingWork.Load() {
-		select {
-		case s.wake <- struct{}{}:
-		default: // a wakeup is already queued
-		}
+		s.signal()
 	}
 	return s.Err()
 }
+
+// RequestCheckpoint asks the goroutine to run Config.Checkpoint and returns
+// at once; any number of requests before the next run are served by that
+// one run. It reports false — the caller checkpoints inline — when there is
+// no goroutine to hand the work to: Sync mode, or no Config.Checkpoint.
+func (s *Scheduler) RequestCheckpoint() bool {
+	if s.cfg.Mode != Background || s.cfg.Checkpoint == nil {
+		return false
+	}
+	s.ckptWant.Add(1)
+	s.signal()
+	return true
+}
+
+// signal wakes the goroutine without blocking.
+func (s *Scheduler) signal() {
+	select {
+	case s.wake <- struct{}{}:
+	default: // a wakeup is already queued
+	}
+}
+
+func (s *Scheduler) ticking() bool { return s.cfg.Tick != nil && s.cfg.TickInterval > 0 }
 
 // refreshLocked recomputes the gauges from live tree state and pokes the
 // stall gate. The caller holds the writer lock (tree state is only
@@ -229,23 +279,46 @@ func (s *Scheduler) refreshLocked() {
 	s.gate.Broadcast()
 }
 
-// run is the background goroutine: sleep until woken, then drain the
-// cascade one step at a time, taking the writer lock per step so writers
-// and the cascade interleave.
+// run is the background goroutine: sleep until woken or ticked, then run
+// what is due — a requested checkpoint, then the cascade one step at a
+// time, taking the writer lock per step so writers and the cascade
+// interleave, with a checkpoint requested mid-drain served between steps.
+// The first failure parks and ends the goroutine.
 func (s *Scheduler) run() {
 	defer close(s.done)
+	var tick <-chan time.Time
+	if s.ticking() {
+		t := time.NewTicker(s.cfg.TickInterval)
+		defer t.Stop()
+		tick = t.C
+	}
 	for {
 		select {
 		case <-s.stopCh:
 			return
+		case <-tick:
+			if err := s.cfg.Tick(); err != nil {
+				s.fail(err)
+				return
+			}
+			continue
 		case <-s.wake:
 		}
-		for {
+		for acted := true; acted; {
 			if s.stopping.Load() {
 				return
 			}
+			if want := s.ckptWant.Load(); want != s.ckptDone.Load() {
+				if err := s.cfg.Checkpoint(); err != nil {
+					s.fail(err)
+					return
+				}
+				s.ckptDone.Store(want)
+				continue
+			}
 			s.cfg.Mu.Lock()
-			acted, err := s.cfg.Tree.CompactionStep()
+			var err error
+			acted, err = s.cfg.Tree.CompactionStep()
 			if acted {
 				s.steps.Add(1)
 			}
@@ -255,14 +328,11 @@ func (s *Scheduler) run() {
 				s.fail(err)
 				return
 			}
-			if !acted {
-				break
-			}
 		}
 	}
 }
 
-// fail parks the first merge error and releases any gated writers.
+// fail parks the first background error and releases any gated writers.
 func (s *Scheduler) fail(err error) {
 	s.gateMu.Lock()
 	if s.err == nil {
@@ -272,9 +342,9 @@ func (s *Scheduler) fail(err error) {
 	s.gate.Broadcast()
 }
 
-// Err returns the parked background merge error, or nil. Sticky: once a
-// step fails the scheduler goroutine has exited and every subsequent
-// write reports the failure.
+// Err returns the parked background error (merge step, checkpoint or
+// tick), or nil. Sticky: once one fails the scheduler goroutine has exited
+// and every subsequent write reports the failure.
 func (s *Scheduler) Err() error {
 	s.gateMu.Lock()
 	defer s.gateMu.Unlock()
@@ -288,11 +358,13 @@ func (s *Scheduler) Pending() bool {
 	return s.cfg.Mode == Background && s.pendingWork.Load()
 }
 
-// Stop halts the scheduler: no further steps start, the in-flight step
-// (if any) completes, gated writers are released, and Stop returns once
-// the goroutine has exited. Callers must NOT hold the writer lock — the
-// goroutine may need it to finish its step. Idempotent; a no-op in Sync
-// mode. An interrupted cascade is completed by Restore on reopen.
+// Stop halts the scheduler: no further step, checkpoint or tick starts,
+// the one in flight (if any) completes, gated writers are released, and
+// Stop returns once the goroutine has exited. Callers must NOT hold the
+// writer lock — the goroutine may need it to finish. Idempotent; a no-op
+// when no goroutine was started. A checkpoint request still pending is
+// dropped (a clean Close checkpoints inline afterwards), and an interrupted
+// cascade is completed by Restore on reopen.
 func (s *Scheduler) Stop() {
 	s.stopOnce.Do(func() {
 		s.stopping.Store(true)
@@ -305,7 +377,7 @@ func (s *Scheduler) Stop() {
 // Stats is a point-in-time snapshot of the scheduler's accounting.
 type Stats struct {
 	Mode         Mode
-	QueueDepth   int   // overflowing merge sources awaiting work
+	QueueDepth   int   // overflowing merge sources awaiting work, plus one for a requested-or-running checkpoint
 	L0Blocks     int   // L0 size at the last refresh, in blocks
 	Steps        int64 // cascade steps executed by the background goroutine
 	Slowdowns    int64 // admissions that paid the pacing sleep
@@ -318,7 +390,7 @@ type Stats struct {
 func (s *Scheduler) Snapshot() Stats {
 	return Stats{
 		Mode:         s.cfg.Mode,
-		QueueDepth:   int(s.queueDepth.Load()),
+		QueueDepth:   int(s.queueDepth.Load()) + s.checkpointPending(),
 		L0Blocks:     int(s.l0Blocks.Load()),
 		Steps:        s.steps.Load(),
 		Slowdowns:    s.slowdowns.Load(),
@@ -326,6 +398,14 @@ func (s *Scheduler) Snapshot() Stats {
 		SlowdownTime: time.Duration(s.slowdownNanos.Load()),
 		StopTime:     time.Duration(s.stopNanos.Load()),
 	}
+}
+
+// checkpointPending is 1 while a requested checkpoint has not finished.
+func (s *Scheduler) checkpointPending() int {
+	if s.ckptWant.Load() != s.ckptDone.Load() {
+		return 1
+	}
+	return 0
 }
 
 // ResetCounters zeroes the cumulative counters (steps, stalls, stall

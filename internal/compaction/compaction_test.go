@@ -261,3 +261,125 @@ func TestStopReleasesGatedWriter(t *testing.T) {
 		t.Fatal("Stop did not release the gated writer")
 	}
 }
+
+// TestCheckpointRequestsCoalesce: the goroutine runs Config.Checkpoint off
+// the writer lock, once for any number of requests made before a run
+// starts and once more for requests made while one is running; QueueDepth
+// counts the requested-or-running checkpoint so a drain waits for it.
+func TestCheckpointRequestsCoalesce(t *testing.T) {
+	var mu sync.Mutex
+	entered, release := make(chan struct{}), make(chan struct{})
+	runs := 0
+	s, err := compaction.New(compaction.Config{
+		Tree: newTree(t, storage.NewMemDevice()),
+		Mu:   &mu,
+		Mode: compaction.Background,
+		Checkpoint: func() error {
+			if !mu.TryLock() {
+				t.Error("Checkpoint called with the writer lock held")
+			} else {
+				mu.Unlock()
+			}
+			runs++ // only the scheduler goroutine touches it until Stop
+			entered <- struct{}{}
+			<-release
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+
+	s.RequestCheckpoint()
+	s.RequestCheckpoint()
+	<-entered // first run, serving both requests
+	if qd := s.Snapshot().QueueDepth; qd != 1 {
+		t.Fatalf("QueueDepth = %d with a checkpoint running, want 1", qd)
+	}
+	s.RequestCheckpoint() // arrives mid-run: must not be lost, must not double
+	s.RequestCheckpoint()
+	release <- struct{}{}
+	<-entered // the one extra run
+	if qd := s.Snapshot().QueueDepth; qd != 1 {
+		t.Fatalf("QueueDepth = %d with the follow-up checkpoint running, want 1", qd)
+	}
+	release <- struct{}{}
+	waitDepth(t, s, 0)
+	s.Stop()
+	if runs != 2 {
+		t.Fatalf("Checkpoint ran %d times for 2+2 requests, want 2", runs)
+	}
+}
+
+// TestCheckpointErrorParks: a failed checkpoint is a failed background
+// step — parked, returned by the next Admit, the goroutine gone.
+func TestCheckpointErrorParks(t *testing.T) {
+	var mu sync.Mutex
+	boom := errors.New("checkpoint failed")
+	s, err := compaction.New(compaction.Config{
+		Tree:       newTree(t, storage.NewMemDevice()),
+		Mu:         &mu,
+		Mode:       compaction.Background,
+		Checkpoint: func() error { return boom },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	s.RequestCheckpoint()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("the checkpoint failure never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.Admit(); !errors.Is(err, boom) {
+		t.Fatalf("Admit after a failed checkpoint = %v, want the parked error", err)
+	}
+}
+
+// TestTickRunsInBothModes: the idle tick is the goroutine's only job in
+// Sync mode, and Stop ends it there too.
+func TestTickRunsInBothModes(t *testing.T) {
+	for _, mode := range []compaction.Mode{compaction.Sync, compaction.Background} {
+		t.Run(mode.String(), func(t *testing.T) {
+			var mu sync.Mutex
+			ticks := make(chan struct{}, 1)
+			s, err := compaction.New(compaction.Config{
+				Tree:         newTree(t, storage.NewMemDevice()),
+				Mu:           &mu,
+				Mode:         mode,
+				TickInterval: time.Millisecond,
+				Tick: func() error {
+					select {
+					case ticks <- struct{}{}:
+					default:
+					}
+					return nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-ticks:
+			case <-time.After(10 * time.Second):
+				t.Fatal("no tick within 10s")
+			}
+			s.Stop() // returns only once the goroutine has exited
+		})
+	}
+}
+
+func waitDepth(t *testing.T, s *compaction.Scheduler, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Snapshot().QueueDepth != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("QueueDepth stuck at %d, want %d", s.Snapshot().QueueDepth, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

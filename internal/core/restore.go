@@ -17,19 +17,24 @@ type ExportedState struct {
 	Memtable []block.Record
 }
 
-// Export captures the state needed to Restore this tree over the same
-// device contents later.
-func (t *Tree) Export() ExportedState {
-	st := ExportedState{Memtable: t.mem.All()}
-	for _, s := range t.slots {
-		runs := make([][]btree.BlockMeta, 0, len(s.runs))
-		for _, r := range s.runs {
-			metas := make([]btree.BlockMeta, len(r.Index().All()))
-			copy(metas, r.Index().All())
-			runs = append(runs, metas)
-		}
-		st.Runs = append(st.Runs, runs)
+// Export renders the snapshot as the state needed to Restore the tree over
+// the same device contents later. It reads only the view's frozen metadata
+// and memtable snapshot, so it needs no lock and may run while the writer
+// and merges move on — which is what lets a checkpoint write its manifest
+// off the write path. The run slices are the view's own (immutable);
+// treat them as read-only.
+func (v *View) Export() ExportedState {
+	st := ExportedState{
+		Runs:     make([][][]btree.BlockMeta, len(v.levels)),
+		Memtable: make([]block.Record, 0, v.mem.Len()),
 	}
+	for i := range v.levels {
+		st.Runs[i] = v.levels[i].Runs
+	}
+	v.mem.Ascend(0, ^block.Key(0), func(r block.Record) bool {
+		st.Memtable = append(st.Memtable, r)
+		return true
+	})
 	return st
 }
 

@@ -105,11 +105,13 @@ type chaosScenario struct {
 	fault faultdev.Options        // injected into the target shard's device
 	tune  func(o *lsmssd.Options) // scenario-specific engine options (both runs)
 
-	expectReadOnly bool // the faulted shard must end up rejecting writes with ErrShardReadOnly
-	expectScrub    bool // the scrubber must detect corruption on the faulted shard
-	expectRetries  bool // the retry layer must have absorbed read faults
-	quiet          bool // no health transition may occur at all
-	compareTarget  bool // the faulted shard's write count must also match the disarmed run
+	expectReadOnly bool   // the faulted shard must end up rejecting writes with ErrShardReadOnly
+	expectCause    string // when set, the read-only demotion must carry exactly this cause
+	ackedUntilRO   bool   // the fault must cost no write its acknowledgement: every refusal is ErrShardReadOnly
+	expectScrub    bool   // the scrubber must detect corruption on the faulted shard
+	expectRetries  bool   // the retry layer must have absorbed read faults
+	quiet          bool   // no health transition may occur at all
+	compareTarget  bool   // the faulted shard's write count must also match the disarmed run
 }
 
 func chaosScenarios() []chaosScenario {
@@ -131,10 +133,15 @@ func chaosScenarios() []chaosScenario {
 			expectReadOnly: true,
 		},
 		{
-			name:           "stickysync",
-			about:          "permanently failing device syncs on one shard: its first checkpoint demotes it to read-only (fsyncgate semantics)",
-			fault:          faultdev.Options{SyncFailProb: 1, SyncFailSticky: true},
+			name:  "stickysync",
+			about: "permanently failing device syncs on one shard under background compaction: the first checkpoint, run off the write path, demotes it to read-only (fsyncgate semantics) after the Put that sealed the segment was acknowledged",
+			fault: faultdev.Options{SyncFailProb: 1, SyncFailSticky: true},
+			tune: func(o *lsmssd.Options) {
+				o.CompactionMode = lsmssd.BackgroundCompaction
+			},
 			expectReadOnly: true,
+			expectCause:    "sync-failed",
+			ackedUntilRO:   true,
 		},
 		{
 			name:          "latency",
@@ -263,12 +270,19 @@ func checkChaosPair(sc chaosScenario, target, shards int, base, armed *chaosOutc
 		seen := false
 		for _, ev := range armed.events {
 			if ev.To == "read-only" {
+				if sc.expectCause != "" && ev.Cause != sc.expectCause {
+					return fmt.Errorf("faulted shard %d demoted to read-only with cause %q, want %q", target, ev.Cause, sc.expectCause)
+				}
 				seen = true
 				break
 			}
 		}
 		if !seen {
 			return fmt.Errorf("faulted shard %d never published a read-only demotion (events: %d)", target, len(armed.events))
+		}
+		if sc.ackedUntilRO && armed.faulted != 0 {
+			return fmt.Errorf("%d writes to shard %d failed with the raw fault instead of being acknowledged or refused as read-only: the failing checkpoint ran on the write path",
+				armed.faulted, target)
 		}
 		if armed.rejected == 0 {
 			return fmt.Errorf("faulted shard %d demoted but no write was rejected with ErrShardReadOnly", target)
@@ -369,11 +383,41 @@ func runChaosInstance(dir string, sc chaosScenario, target int, cfg ChaosConfig)
 		return nil, fmt.Errorf(format, args...)
 	}
 
+	// Under background compaction merges run when the scheduler gets to
+	// them, and which records a merge finds in L0 decides what it writes; to
+	// keep the paired runs' write counts comparable the workload lets every
+	// unfaulted shard's queue (merges and checkpoints) empty after each op.
+	// The faulted shard is left out: once demoted its queue never empties.
+	settle := func() error { return nil }
+	if opts.CompactionMode == lsmssd.BackgroundCompaction {
+		settle = func() error {
+			deadline := time.Now().Add(30 * time.Second)
+			for {
+				busy := -1
+				for i, ss := range db.Stats().Shards {
+					if i != target && ss.Compaction.QueueDepth > 0 {
+						busy = i
+					}
+				}
+				if busy < 0 {
+					return nil
+				}
+				if time.Now().After(deadline) {
+					return fmt.Errorf("shard %d's compaction queue did not empty within 30s", busy)
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+	}
+
 	// Workload: sequence-numbered keys round-robin the shards (key & mask
 	// is the shard), so each key is written exactly once and the per-shard
 	// op sequence is identical whether or not a sibling is faulted.
 	mask := cfg.Shards - 1
 	for op := 0; op < cfg.Ops; op++ {
+		if serr := settle(); serr != nil {
+			return fail("%v", serr)
+		}
 		key := uint64(op)
 		sh := op & mask
 		if perr := db.Put(key, chaosValue(op)); perr != nil {
@@ -466,6 +510,9 @@ func runChaosInstance(dir string, sc chaosScenario, target int, cfg ChaosConfig)
 		}
 	}
 
+	if serr := settle(); serr != nil {
+		return fail("%v", serr)
+	}
 	st := db.Stats()
 	out.per = st.Shards
 	out.health = db.Health()

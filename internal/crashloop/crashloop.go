@@ -57,6 +57,13 @@ type Config struct {
 	Layout   lsmssd.Layout // level layout under test (default Leveling)
 	TierRuns int           // run budget T for tiered layouts (0 = default)
 
+	// Compaction selects the merge scheduling under test (default
+	// SyncCompaction). Under BackgroundCompaction the checkpoint a sealed WAL
+	// segment calls for runs on the shard's scheduler goroutine, concurrently
+	// with the cycle's remaining mutations, and a crash may find it requested
+	// but not yet started.
+	Compaction lsmssd.CompactionMode
+
 	Logf func(format string, args ...any) // optional progress logger
 }
 
@@ -135,17 +142,23 @@ func Run(cfg Config) (Report, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	path := filepath.Join(cfg.Dir, "store.db")
 	opts := lsmssd.Options{
-		Path:     path,
-		Shards:   cfg.Shards,
-		Paranoid: cfg.Paranoid,
-		Layout:   cfg.Layout,
-		TierRuns: cfg.TierRuns,
+		Path:           path,
+		Shards:         cfg.Shards,
+		Paranoid:       cfg.Paranoid,
+		Layout:         cfg.Layout,
+		TierRuns:       cfg.TierRuns,
+		CompactionMode: cfg.Compaction,
 		WAL: lsmssd.WALOptions{
 			Enabled:      true,
 			Sync:         cfg.Sync,
 			Interval:     cfg.Interval,
 			SegmentBytes: 16 << 10, // small segments so rotation+GC happen often
 		},
+	}
+	if cfg.Compaction == lsmssd.BackgroundCompaction {
+		// Smaller still: most cycles then seal a segment, so crashes land
+		// before, during and after the scheduler goroutine's checkpoint.
+		opts.WAL.SegmentBytes = 4 << 10
 	}
 	mask := uint64(cfg.Shards - 1)
 

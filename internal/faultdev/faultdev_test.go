@@ -222,7 +222,12 @@ func TestPowerCutFullTreeRecovery(t *testing.T) {
 	for k := block.Key(0); k < 300; k++ {
 		put(k)
 	}
-	st := tr.Export()
+	v, err := tr.AcquireView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := v.Export()
+	v.Release()
 	if err := dev.Sync(); err != nil {
 		t.Fatal(err)
 	}

@@ -133,6 +133,15 @@ type Config struct {
 	// TreeMutateMethods are the mutating methods on TreePkg's Tree that
 	// the lock-discipline rule guards.
 	TreeMutateMethods []string
+	// LockHeldFuncs are same-package functions under the caller-holds-lock
+	// contract whose call sites the rule checks as it does tree mutations:
+	// calling one on a path where LockName may not be held is a finding.
+	// (The "Locked" suffix alone only exempts a function's body.)
+	LockHeldFuncs []string
+	// LockFreeFuncs are same-package functions that run both with and
+	// without LockName held by their caller, so they must never acquire it
+	// themselves: doing so self-deadlocks the callers that hold it.
+	LockFreeFuncs []string
 
 	// ShardLockPkgs lists the packages where the shard-lock-order rule
 	// applies: no function may acquire a second shard writer lock while
@@ -254,8 +263,14 @@ func DefaultConfig() Config {
 		LockAcquireHelpers: []string{"lockedTree", "lockAllShards"},
 		TreeMutateMethods: []string{
 			"Put", "Delete", "ApplyBatch", "ForceGrow",
-			"MarkClosed", "ResetStats", "Export",
+			"MarkClosed", "ResetStats",
 		},
+		// The checkpoint split: the capture reads lastSeq, the current view
+		// and the limbo mark as one instant, so it needs the writer lock;
+		// the persist half is shared by callers that hold it (Close) and
+		// callers that do not (the scheduler goroutine, DB.Checkpoint).
+		LockHeldFuncs: []string{"captureLocked"},
+		LockFreeFuncs: []string{"persist"},
 
 		ShardLockPkgs:    []string{"lsmssd"},
 		ShardFanoutFuncs: []string{"lockAllShards"},
@@ -271,6 +286,11 @@ func DefaultConfig() Config {
 		GoShutdownPkgs: []string{
 			"lsmssd/internal/compaction",
 			"lsmssd/internal/obs",
+			// The DB layer supplies the work the compaction goroutine's
+			// extended loop runs (checkpoints, idle WAL syncs) and owns the
+			// scrubber; background work added here must be stoppable by
+			// DB.shutdown too, not spawned per checkpoint.
+			"lsmssd",
 		},
 		GoDelegates: []string{"Serve", "ListenAndServe", "Wait", "Run"},
 	}

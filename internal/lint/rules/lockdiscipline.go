@@ -6,7 +6,9 @@ package rules
 // path (an explicit Unlock, a deferred Unlock, or the unlock func
 // escaping to the caller, as lockedTree itself does). Functions whose
 // names end in "Locked" follow the caller-holds-lock convention and are
-// exempt.
+// exempt; calls to the ones listed in LockHeldFuncs are checked like tree
+// mutations, so the contract is verified at the call site too. Functions in
+// LockFreeFuncs run under either regime and must not acquire the lock.
 //
 // The analysis is a forward may-analysis over a four-state machine
 // tracked as a bitmask (a bit per state a path may be in):
@@ -45,6 +47,9 @@ type lockAnalysis struct {
 	ctx    *lint.Context
 	tokens map[types.Object]bool // unlock funcs bound from acquire helpers
 	report func(pos token.Pos, msg string)
+
+	fnName   string // the function under analysis
+	lockFree bool   // it is one of Cfg.LockFreeFuncs
 }
 
 func (a *lockAnalysis) Boundary() dataflow.Fact { return lsUnlocked }
@@ -133,9 +138,20 @@ func (a *lockAnalysis) node(n ast.Node, mask uint8) uint8 {
 		case *ast.CallExpr:
 			switch {
 			case a.isLockCall(x) || a.isHelperCall(x):
+				if a.lockFree && a.report != nil {
+					a.report(x.Pos(), fmt.Sprintf(
+						"%s is called both with and without %s held, so it must not acquire it",
+						a.fnName, cfgc.LockName))
+				}
 				mask = mapStates(mask, onLock)
 			case a.isUnlockCall(x) || a.isTokenCall(x):
 				mask = mapStates(mask, onUnlock)
+			case inList(finalName(x.Fun), cfgc.LockHeldFuncs):
+				if mask&lsUnlocked != 0 && a.report != nil {
+					a.report(x.Pos(), fmt.Sprintf(
+						"%s requires %s but may be called without it on some path",
+						finalName(x.Fun), cfgc.LockName))
+				}
 			default:
 				if sel, s, ok := restrictedMethodCall(a.ctx, x, cfgc.TreePkg, "Tree", cfgc.TreeMutateMethods); ok {
 					if mask&lsUnlocked != 0 && a.report != nil {
@@ -240,7 +256,8 @@ var lockDiscipline = lint.Rule{
 				continue // caller-holds-lock convention
 			}
 			g := cfg.Build(fn.body)
-			a := &lockAnalysis{ctx: ctx, tokens: lockTokens(ctx, fn.body)}
+			a := &lockAnalysis{ctx: ctx, tokens: lockTokens(ctx, fn.body),
+				fnName: fn.name, lockFree: inList(fn.name, ctx.Cfg.LockFreeFuncs)}
 			res := dataflow.Forward(g, a)
 
 			// Replay with the stable in-facts to emit mutation findings

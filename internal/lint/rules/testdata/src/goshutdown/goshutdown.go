@@ -68,3 +68,33 @@ func startDrainLoop(w *worker) {
 func startDelegate(s server) {
 	go func() { _ = s.Serve() }()
 }
+
+// The scheduler's extended loop: wake, tick and stop share one select, and
+// the checkpoint and idle-sync callbacks run between receives — still one
+// stoppable goroutine.
+func (w *worker) runExtended(tick <-chan int, checkpoint, idle func() error) {
+	for {
+		select {
+		case <-w.stopCh:
+			return
+		case <-tick:
+			if idle() != nil {
+				return
+			}
+		case <-w.wake:
+			if checkpoint() != nil {
+				return
+			}
+		}
+	}
+}
+
+func startExtendedLoop(w *worker, tick <-chan int, checkpoint, idle func() error) {
+	go w.runExtended(tick, checkpoint, idle)
+}
+
+// A goroutine per checkpoint is what the loop replaces: nothing stops it
+// and nothing waits for it, so it can outlive Close with the files gone.
+func startPerCheckpoint(persist func() error) {
+	go persist() // want goroutine-shutdown
+}

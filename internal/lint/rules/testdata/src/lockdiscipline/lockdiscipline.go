@@ -71,3 +71,42 @@ func (s *store) lockedTree() (*core.Tree, func()) {
 func applyLocked(s *store) error {
 	return s.tree.Delete(7)
 }
+
+// The checkpoint split. captureLocked is on the LockHeldFuncs table: its
+// call sites are checked, not just its body exempted. persist is on the
+// LockFreeFuncs table: callers hold the lock or not, so it may not take it.
+
+type image struct{ seq uint64 }
+
+func (s *store) captureLocked() image { return image{} }
+
+func (s *store) persist(img image) error {
+	s.writerMu.Lock() // want lock-discipline
+	defer s.writerMu.Unlock()
+	return nil
+}
+
+func captureWithoutLock(s *store) image {
+	return s.captureLocked() // want lock-discipline
+}
+
+func captureAfterUnlock(s *store) image {
+	s.writerMu.Lock()
+	s.writerMu.Unlock()
+	return s.captureLocked() // want lock-discipline
+}
+
+func captureThenPersistOffLock(s *store) error {
+	s.writerMu.Lock()
+	img := s.captureLocked()
+	s.writerMu.Unlock()
+	return persistFixed(s, img)
+}
+
+// checkpointLocked holds the lock throughout, by the suffix convention.
+func checkpointLocked(s *store) error {
+	return persistFixed(s, s.captureLocked())
+}
+
+// persistFixed is the fixed shape: no engine lock taken.
+func persistFixed(s *store, img image) error { return nil }

@@ -167,7 +167,7 @@ type StallEvent struct {
 func (StallEvent) event() {}
 
 // WALEvent reports a write-ahead-log lifecycle action from the DB layer:
-// a segment rotation (Kind "rotate", which triggers the automatic
+// a segment rotation (Kind "rotate", which requests the automatic
 // checkpoint) or a checkpoint-driven garbage collection (Kind "gc").
 type WALEvent struct {
 	Kind     string // "rotate" or "gc"
@@ -177,6 +177,31 @@ type WALEvent struct {
 }
 
 func (WALEvent) event() {}
+
+// CheckpointEvent describes one completed checkpoint of one shard: the
+// state captured under the writer lock (microseconds) and persisted
+// without it — device sync, manifest write, reclamation of the block
+// slots freed before the capture, WAL segment GC. Inline marks the
+// checkpoints that kept the writer lock through the persist half as well
+// (Close, recovery, sync compaction mode's rotation checkpoint); the
+// others — DB.Checkpoint and the scheduler goroutine's — stalled writers
+// for Capture only. A failed checkpoint publishes no event (a failed
+// device sync publishes the HealthEvent of its demotion).
+type CheckpointEvent struct {
+	Shard  int
+	WALSeq uint64 // last WAL frame the manifest covers (0 with the WAL off)
+	Inline bool   // the writer lock was held from capture to the end
+
+	Capture      time.Duration // writer lock held: pin the view, read lastSeq, mark limbo
+	DeviceSync   time.Duration // fsync of the device file
+	ManifestSave time.Duration // read the view out, encode, write, fsync, rename, directory sync
+	GC           time.Duration // slot reclamation and WAL segment removal
+
+	SlotsReclaimed  int // freed block slots returned to the allocator
+	SegmentsRemoved int // WAL segments deleted
+}
+
+func (CheckpointEvent) event() {}
 
 // RecoveryEvent summarizes a crash recovery performed by Open: the WAL
 // frames replayed over the checkpoint manifest, and any torn tail

@@ -56,6 +56,22 @@ func TestWritePromGolden(t *testing.T) {
 				{Labels: []Label{{Name: "op", Value: "scan"}}, Snap: HistSnapshot{}, Scale: 1e-9},
 			},
 		},
+		{
+			// One sample per phase, so the label every phase renders under
+			// is part of the pinned exposition.
+			Name: "lsmssd_phase_duration_seconds",
+			Help: "Traced-operation time by engine phase.",
+			Type: TypeHistogram,
+			Hists: func() []HistSample {
+				var hs []HistSample
+				for p := Phase(0); p < NumPhases; p++ {
+					var ph Histogram
+					ph.Observe(time.Duration(p+1) * time.Microsecond)
+					hs = append(hs, HistSample{Labels: []Label{{Name: "phase", Value: p.String()}}, Snap: ph.Snapshot(), Scale: 1e-9})
+				}
+				return hs
+			}(),
+		},
 	}
 
 	var sb strings.Builder

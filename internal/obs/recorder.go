@@ -20,6 +20,8 @@ type ShardCounters struct {
 	L0Blocks     int   // gauge: L0 size at the last scheduler refresh
 	WALSyncs     int64
 	WALSyncNanos int64
+	Checkpoints  int64 // checkpoints completed
+	CheckpointNS int64 // cumulative capture + persist time of those checkpoints
 	CacheHits    int64
 	CacheMisses  int64
 }
@@ -59,6 +61,12 @@ type TimelineSample struct {
 
 	WALSyncs      int64 `json:"wal_syncs"`
 	WALSyncMeanNS int64 `json:"wal_sync_mean_ns"`
+
+	// Checkpoints completed during the tick and the time they took end to
+	// end (mostly off the write path under background compaction), so a
+	// latency bump can be lined up against the checkpoint that overlapped it.
+	Checkpoints     int64 `json:"checkpoints"`
+	CheckpointNanos int64 `json:"checkpoint_nanos"`
 
 	CacheHitRate float64 `json:"cache_hit_rate"` // over the tick; 0 when no block reads
 
@@ -179,6 +187,9 @@ func diffSample(shard int, seq int64, now time.Time, interval time.Duration, cur
 		QueueDepth:    cur.QueueDepth,
 		L0Blocks:      cur.L0Blocks,
 		WALSyncs:      cur.WALSyncs - prev.WALSyncs,
+	}
+	if dc := cur.Checkpoints - prev.Checkpoints; dc > 0 {
+		s.Checkpoints, s.CheckpointNanos = dc, cur.CheckpointNS-prev.CheckpointNS
 	}
 	if s.Ops < 0 { // reset landed between ticks
 		s.Ops = 0

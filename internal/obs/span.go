@@ -13,7 +13,7 @@ import (
 type Phase int
 
 // The phase taxonomy. Write ops (Put/Delete/Apply) move through
-// StallWait → WALAppend/WALSync → Memtable → Cascade; read ops
+// StallWait → LockWait → WALAppend/WALSync → Memtable → Cascade; read ops
 // (Get/Scan) through Memtable (probe) → Bloom → CacheRead or DevRead,
 // with Scan's heap work under KWayMerge. Setup, routing, fence-pointer
 // search, and everything else is Other.
@@ -28,6 +28,7 @@ const (
 	PhaseCacheRead              // block fetch served by the cache
 	PhaseDevRead                // block fetch that went to the device
 	PhaseKWayMerge              // iterator heap work merging per-shard cursors
+	PhaseLockWait               // admitted, waiting for the shard's writer lock (behind a merge step or another writer)
 	NumPhases
 )
 
@@ -54,6 +55,8 @@ func (p Phase) String() string {
 		return "dev_read"
 	case PhaseKWayMerge:
 		return "kway_merge"
+	case PhaseLockWait:
+		return "lock_wait"
 	}
 	return "unknown"
 }

@@ -46,7 +46,7 @@ type FileDevice struct {
 	blockSize int
 	next      BlockID
 	free      []BlockID
-	limbo     []BlockID // freed slots awaiting ReclaimFreed (deferred mode)
+	limbo     []BlockID // freed slots awaiting ReclaimFreed (deferred mode), oldest first
 	deferred  bool      // deferRecycle: Free parks slots in limbo
 	written   map[BlockID]bool
 	syncErr   error // sticky after a failed fsync (never retried)
@@ -242,19 +242,44 @@ func (d *FileDevice) SetDeferRecycle(on bool) {
 	d.mu.Unlock()
 }
 
-// ReclaimFreed returns every limbo slot to the free list. Called by the
-// DB layer immediately after a checkpoint manifest is durably written —
-// from that point no recovery path can reference the parked slots.
-func (d *FileDevice) ReclaimFreed() {
+// LimboMark returns the current length of the limbo list: the slots
+// freed so far and not yet reclaimed. A checkpoint records it when it
+// captures the state its manifest will describe and passes it back to
+// ReclaimFreed once that manifest is durable.
+func (d *FileDevice) LimboMark() int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return len(d.limbo)
+}
+
+// ReclaimFreed returns the first mark limbo slots — those freed before the
+// matching LimboMark — to the free list. Called by the DB layer immediately
+// after a checkpoint manifest is durably written: no recovery path can
+// reference a slot freed before that manifest's state was captured. Slots
+// freed after the mark stay parked: the manifest just written may still
+// name them, so they wait for the next checkpoint. Marks come from one
+// caller at a time (checkpoints are serialized), so limbo only ever shrinks
+// from the front between a mark and its reclaim.
+func (d *FileDevice) ReclaimFreed(mark int) (reclaimed int) {
 	d.mu.Lock()
-	d.free = append(d.free, d.limbo...)
-	d.limbo = nil
-	d.mu.Unlock()
+	defer d.mu.Unlock()
+	if mark > len(d.limbo) {
+		mark = len(d.limbo)
+	}
+	d.free = append(d.free, d.limbo[:mark]...)
+	d.limbo = append(d.limbo[:0:0], d.limbo[mark:]...)
+	return mark
 }
 
 // Sync flushes the backing file to stable storage. The DB layer calls it
 // before writing a checkpoint manifest so the manifest never references
 // volatile block contents.
+//
+// The fsync runs without the device mutex — the mutex guards the allocator
+// maps and the sticky error, never a syscall — so reads, writes and frees
+// proceed while a checkpoint's sync is in flight. Blocks written while it
+// runs may or may not be covered; a checkpoint only relies on the blocks
+// written before it called Sync.
 //
 // A sync failure is sticky: a failed fsync may discard dirty pages and
 // clear the kernel's error state, so a retried fsync could falsely report
@@ -262,13 +287,18 @@ func (d *FileDevice) ReclaimFreed() {
 // the same error — no checkpoint can be cut past the failure, and the
 // store must reopen from its last durable state.
 func (d *FileDevice) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.syncErr != nil {
-		return d.syncErr
+	d.mu.RLock()
+	err := d.syncErr
+	d.mu.RUnlock()
+	if err != nil {
+		return err
 	}
 	if err := d.f.Sync(); err != nil {
-		d.syncErr = fmt.Errorf("storage: sync device file: %w", err)
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if d.syncErr == nil {
+			d.syncErr = fmt.Errorf("storage: sync device file: %w", err)
+		}
 		return d.syncErr
 	}
 	return nil

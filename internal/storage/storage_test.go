@@ -156,6 +156,50 @@ func TestFileDeviceRecyclesSlots(t *testing.T) {
 	}
 }
 
+// TestFileDeviceReclaimUpToMark: in deferred mode a freed slot is reusable
+// only after a ReclaimFreed whose mark was taken after the free — the
+// checkpoint that captured its state before the free may still name it.
+func TestFileDeviceReclaimUpToMark(t *testing.T) {
+	fd, err := OpenFileDevice(filepath.Join(t.TempDir(), "dev.blk"), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fd.Close()
+	fd.SetDeferRecycle(true)
+	var ids [3]BlockID
+	for i := range ids {
+		ids[i] = fd.Alloc()
+		if err := fd.Write(ids[i], testBlock(block.Key(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fd.Free(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	mark := fd.LimboMark() // a checkpoint captures here
+	if err := fd.Free(ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	if got := fd.Alloc(); got == ids[0] || got == ids[1] {
+		t.Fatalf("slot %d reused before any reclaim", got)
+	}
+	if n := fd.ReclaimFreed(mark); n != 1 {
+		t.Fatalf("reclaimed %d slots up to the mark, want 1", n)
+	}
+	if got := fd.Alloc(); got != ids[0] {
+		t.Fatalf("allocated slot %d after the reclaim, want %d (freed before the mark)", got, ids[0])
+	}
+	if got := fd.Alloc(); got == ids[1] {
+		t.Fatalf("slot %d was freed after the mark, yet that checkpoint's reclaim released it", got)
+	}
+	if n := fd.ReclaimFreed(fd.LimboMark()); n != 1 { // the next checkpoint
+		t.Fatalf("the next reclaim released %d slots, want 1", n)
+	}
+	if got := fd.Alloc(); got != ids[1] {
+		t.Fatalf("allocated slot %d after the second reclaim, want %d", got, ids[1])
+	}
+}
+
 // Property: on both devices, any interleaving of writes and frees keeps
 // Live == Allocs - Frees, and every live block reads back its content.
 func TestQuickDeviceAccounting(t *testing.T) {

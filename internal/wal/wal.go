@@ -31,7 +31,16 @@
 // covers (manifest.State.WALSeq); replay skips frames at or below it, and
 // GC removes sealed segments whose frames are all covered. Rotating to a
 // new segment is the DB layer's cue to checkpoint, which bounds both
-// replay time and disk held by the log.
+// replay time and disk held by the log. The checkpoint need not run inside
+// the append that rotated: the sealed segment simply stays on disk until a
+// checkpoint whose WALSeq covers it has been written and GC is called with
+// that sequence — under background compaction that happens on the shard's
+// scheduler goroutine, off the write path.
+//
+// Concurrency. Append is serialized by the caller (the DB's writer lock);
+// Sync and GC may be called from another goroutine while appends run (the
+// idle-tail sync and the background checkpoint), and Stats from metrics
+// scrapes. The log's own mutex orders them all.
 //
 // The frame format is private to this package: frames are constructed and
 // synced only here, and the lsmlint wal-frame rule keeps every commit
@@ -62,9 +71,14 @@ const (
 	// SyncEvery fsyncs after every append: an acknowledged write is
 	// durable before the call returns. The default.
 	SyncEvery SyncPolicy = iota
-	// SyncInterval fsyncs at most once per Options.Interval, checked at
-	// append time: a crash loses at most the last interval's writes, but
-	// the surviving log is always a prefix of what was acknowledged.
+	// SyncInterval fsyncs about once per Options.Interval: an append that
+	// finds the last fsync at least Interval old syncs inline, and the
+	// owner calls Sync once per Interval from a background goroutine so the
+	// tail of a log that went idle is synced too. A crash therefore loses
+	// at most about the last interval's writes (plus however long that
+	// goroutine was busy), and the surviving log is always a prefix of what
+	// was acknowledged. Without the periodic Sync call the tail written
+	// before a pause stays unsynced until the next append or Close.
 	SyncInterval
 	// SyncNever issues no explicit fsync until Close; the OS decides when
 	// dirty pages reach the platter.
@@ -86,9 +100,10 @@ func (p SyncPolicy) String() string {
 type Options struct {
 	// Policy selects the sync policy (default SyncEvery).
 	Policy SyncPolicy
-	// Interval is the maximum time between fsyncs under SyncInterval
-	// (default 100ms). Checked at append time: an idle log syncs on the
-	// next append or at Close.
+	// Interval is the target time between fsyncs under SyncInterval
+	// (default 100ms). Append checks it inline; the log has no timer of its
+	// own, so bounding an idle tail is the owner's job: call Sync every
+	// Interval (a no-op when nothing is unsynced).
 	Interval time.Duration
 	// SegmentBytes is the rotation threshold (default 4 MiB): an append
 	// that would push the active segment past it seals the segment and
@@ -399,9 +414,9 @@ type Stats struct {
 	NextSeq   uint64 // sequence the next append will be assigned
 }
 
-// Log is an open write-ahead log positioned for appending. Append/GC/
-// Close are serialized by the caller (the DB's writer lock); Stats may be
-// called concurrently from metrics scrapes.
+// Log is an open write-ahead log positioned for appending. Append and
+// Close are serialized by the caller (the DB's writer lock); Sync, GC and
+// Stats may be called concurrently with appends.
 type Log struct {
 	base string
 	opts Options
@@ -657,7 +672,8 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// Sync forces an fsync of the active segment regardless of policy.
+// Sync fsyncs the active segment regardless of policy; a no-op when every
+// appended byte is already durable. Safe to call while appends run.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -670,27 +686,38 @@ func (l *Log) Sync() error {
 // GC removes sealed segments every frame of which has sequence at or
 // below upToSeq — i.e. segments fully covered by the checkpoint that
 // recorded upToSeq. The active segment is never removed.
+//
+// The files are unlinked without the log's mutex: removing a
+// multi-megabyte segment takes milliseconds, and appends need not wait for
+// it. That is safe because covered segments are a prefix of the list,
+// appends only ever add at its tail, and GC has one caller at a time
+// (checkpoints are serialized).
 func (l *Log) GC(upToSeq uint64) (removed int, err error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
+		l.mu.Unlock()
 		return 0, errClosed
 	}
-	keep := l.segs[:0]
-	for i, s := range l.segs {
-		// Frame sequences are contiguous, so a segment's last frame is
-		// the next segment's first minus one.
-		if i+1 < len(l.segs) && l.segs[i+1].first-1 <= upToSeq {
-			if err := os.Remove(segPath(l.base, s.idx)); err != nil {
-				return removed, fmt.Errorf("wal: remove sealed segment: %w", err)
-			}
-			removed++
-			continue
-		}
-		keep = append(keep, s)
+	// Frame sequences are contiguous, so a segment's last frame is the
+	// next segment's first minus one.
+	n := 0
+	for n+1 < len(l.segs) && l.segs[n+1].first-1 <= upToSeq {
+		n++
 	}
-	l.segs = keep
-	return removed, nil
+	covered := append([]segInfo(nil), l.segs[:n]...)
+	l.mu.Unlock()
+
+	for _, s := range covered {
+		if err = os.Remove(segPath(l.base, s.idx)); err != nil {
+			err = fmt.Errorf("wal: remove sealed segment: %w", err)
+			break
+		}
+		removed++
+	}
+	l.mu.Lock()
+	l.segs = l.segs[removed:]
+	l.mu.Unlock()
+	return removed, err
 }
 
 // Stats returns a lock-free snapshot of the cumulative counters plus the

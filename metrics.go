@@ -46,10 +46,15 @@ type (
 	// RecoveryEvent summarizes the crash recovery Open performed (frames
 	// replayed, torn tail truncated).
 	RecoveryEvent = obs.RecoveryEvent
+	// CheckpointEvent describes one completed checkpoint of one shard: the
+	// WAL sequence it covers, how long the writer lock was held to capture
+	// it, how long the device sync, manifest write and garbage collection
+	// took without it, and what they reclaimed.
+	CheckpointEvent = obs.CheckpointEvent
 	// SpanEvent is one finished operation span: total wall time split
-	// across engine phases (WAL append, fsync wait, stall wait, memtable,
-	// cascade, Bloom, cache vs device reads, k-way merge), summing to the
-	// total exactly. Published for sampled ops (Options.TraceSampleRate)
+	// across engine phases (stall wait, writer-lock wait, WAL append, fsync
+	// wait, memtable, cascade, Bloom, cache vs device reads, k-way merge),
+	// summing to the total exactly. Published for sampled ops (Options.TraceSampleRate)
 	// and every op over Options.SlowOpThreshold.
 	SpanEvent = obs.SpanEvent
 	// HealthEvent records one accepted shard health transition (the From,
@@ -146,6 +151,7 @@ func (db *DB) collectShardCounters() []obs.ShardCounters {
 			sc.WALSyncs = ws.Syncs
 			sc.WALSyncNanos = ws.SyncNanos
 		}
+		sc.Checkpoints, sc.CheckpointNS = s.ckpts.Load(), s.ckptNanos.Load()
 		if c := s.tree.Cache(); c != nil {
 			st := c.Stats()
 			sc.CacheHits, sc.CacheMisses = st.Hits, st.Misses
@@ -205,7 +211,7 @@ func (db *DB) metricFamilies() []obs.Family {
 		counter("lsmssd_bloom_skipped_total", "Block reads avoided by Bloom filters.", s.BloomSkipped),
 		counter("lsmssd_bloom_passed_total", "Lookups Bloom filters could not rule out.", s.BloomPassed),
 		counter("lsmssd_event_drops_total", "Observability events dropped because sinks lagged.", db.bus.Drops()),
-		gauge("lsmssd_compaction_queue_depth", "Overflowing merge sources (memtable and full levels) awaiting compaction; always 0 in sync mode.", float64(s.Compaction.QueueDepth)),
+		gauge("lsmssd_compaction_queue_depth", "Overflowing merge sources (memtable and full levels) awaiting compaction, plus one per shard with a requested-or-running background checkpoint; always 0 in sync mode.", float64(s.Compaction.QueueDepth)),
 		counter("lsmssd_compaction_steps_total", "Cascade steps executed by the background compaction schedulers.", s.Compaction.Steps),
 		gauge("lsmssd_shards", "Number of key-space shards (independent LSM trees) behind this DB.", float64(len(db.shards))),
 		gauge("lsmssd_quarantined_blocks", "Corrupt blocks currently quarantined (pinned, excluded from merges) across all shards.", float64(s.Quarantined)),

@@ -144,10 +144,15 @@ const (
 	// default, and what the experiment harness uses so BlocksWritten
 	// accounting is reproducible.
 	SyncCompaction CompactionMode = iota
-	// BackgroundCompaction moves merge cascades to a scheduler goroutine:
-	// writes pay only the L0 insertion, subject to LevelDB-style
-	// backpressure (SlowdownTrigger/StopTrigger) when compaction falls
-	// behind. Merge errors surface on a subsequent write or at Close.
+	// BackgroundCompaction moves merge cascades to a scheduler goroutine,
+	// one per shard: writes pay only the L0 insertion, subject to
+	// LevelDB-style backpressure (SlowdownTrigger/StopTrigger) when
+	// compaction falls behind. The same goroutine writes the checkpoint a
+	// sealed WAL segment calls for (device sync, manifest, segment removal
+	// — none of it under the writer lock, so a Put never waits for those
+	// fsyncs). Merge and checkpoint errors surface on a subsequent write
+	// or at Close; Stats().Compaction.QueueDepth is zero once both the
+	// cascade and a requested checkpoint have finished.
 	BackgroundCompaction
 )
 
@@ -169,9 +174,13 @@ const (
 	// acknowledged writes are lost on a crash. Group commit applies — a
 	// WriteBatch pays one fsync for the whole batch. The default.
 	SyncEvery SyncPolicy = iota
-	// SyncInterval fsyncs at most once per WALOptions.Interval: a crash
-	// loses at most the final interval's writes, and recovery always
-	// yields a prefix of the acknowledged history (never a gap).
+	// SyncInterval fsyncs about once per WALOptions.Interval — inline in a
+	// write that finds the last fsync that old, and from the shard's
+	// background goroutine every Interval, so the tail of a log that went
+	// idle is synced too. A crash loses at most about the final interval's
+	// writes (the goroutine's sync can be late by a merge step or a
+	// checkpoint in progress), and recovery always yields a prefix of the
+	// acknowledged history (never a gap).
 	SyncInterval
 	// SyncNever leaves fsync timing to the operating system: fastest, and
 	// a crash may lose everything since the last checkpoint or natural
@@ -191,12 +200,18 @@ type WALOptions struct {
 	Enabled bool
 	// Sync selects the fsync cadence (default SyncEvery).
 	Sync SyncPolicy
-	// Interval is the maximum time between fsyncs under SyncInterval
-	// (default 100ms). Ignored by the other policies.
+	// Interval is the target time between fsyncs under SyncInterval
+	// (default 100ms): how old acknowledged-but-unsynced writes may get,
+	// whether or not more writes follow. Ignored by the other policies.
 	Interval time.Duration
 	// SegmentBytes caps a log segment (default 4 MiB). Filling a segment
-	// triggers an automatic checkpoint, which bounds both recovery replay
-	// time and the disk the log holds.
+	// seals it and calls for an automatic checkpoint, which bounds both
+	// recovery replay time and the disk the log holds. Under
+	// SyncCompaction the write that sealed the segment performs the
+	// checkpoint before returning; under BackgroundCompaction it only
+	// requests it, and the sealed segment stays on disk until the shard's
+	// background goroutine has made the covering checkpoint durable — so
+	// the log briefly holds one segment more than SegmentBytes suggests.
 	SegmentBytes int64
 }
 

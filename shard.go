@@ -29,16 +29,22 @@ import (
 // order (the shard-lock-order lint rule checks both properties).
 //
 // The durability protocol (log → apply → checkpoint-on-rotation) runs once
-// per shard over per-shard files, in exactly one place: shard.write.
+// per shard over per-shard files, in exactly one place: shard.write; the
+// checkpoint itself is captureLocked + persist, whoever asks for it.
 type shard struct {
 	id   int
 	db   *DB
 	path string // device file path; "" for an in-memory shard
 
-	writerMu sync.Mutex // serializes this shard's mutations, checkpoints, tuning
-	tree     *core.Tree
-	sched    *compaction.Scheduler
-	raw      storage.Device // the base device (FileDevice/MemDevice), for Close and reclaim
+	writerMu sync.Mutex // serializes this shard's mutations, checkpoint captures, tuning
+	// ckptMu serializes checkpoints from capture to the end of persist, so
+	// manifests reach the disk in capture order. It is always taken with
+	// writerMu held (lock order writerMu → ckptMu); the background
+	// checkpoint then drops writerMu and persists under ckptMu alone.
+	ckptMu sync.Mutex
+	tree   *core.Tree
+	sched  *compaction.Scheduler
+	raw    storage.Device // the base device (FileDevice/MemDevice), for Close and reclaim
 	// dev is what the tree reads and writes through: raw, behind the
 	// optional Options.DeviceWrap decoration (the fault-injection seam)
 	// and the transient-read retry layer. rdev is the same object typed
@@ -76,6 +82,10 @@ type shard struct {
 	wal      *wal.Log
 	lastSeq  uint64
 	recovery WALRecoveryStats
+
+	// Completed checkpoints and their cumulative capture+persist time, for
+	// the flight recorder.
+	ckpts, ckptNanos atomic.Int64
 }
 
 // shardPath derives shard id's device file path. Shard 0 keeps the
@@ -155,7 +165,7 @@ func (db *DB) openShard(id int) (*shard, error) {
 	if opts.CompactionMode == BackgroundCompaction {
 		mode = compaction.Background
 	}
-	sched, err := compaction.New(compaction.Config{
+	ccfg := compaction.Config{
 		Tree:           s.tree,
 		Mu:             &s.writerMu,
 		Mode:           mode,
@@ -163,7 +173,14 @@ func (db *DB) openShard(id int) (*shard, error) {
 		StopBlocks:     opts.StopTrigger,
 		Bus:            db.bus,
 		Lat:            s.lat,
-	})
+		Checkpoint:     s.checkpoint,
+	}
+	if s.path != "" && opts.WAL.Enabled && opts.WAL.Sync == SyncInterval {
+		// Bound the unsynced tail of a log that goes idle: appends check the
+		// interval only when they happen.
+		ccfg.Tick, ccfg.TickInterval = s.syncIdleWAL, opts.WAL.Interval
+	}
+	sched, err := compaction.New(ccfg)
 	if err != nil {
 		return nil, errors.Join(err, s.raw.Close())
 	}
@@ -324,7 +341,9 @@ func (s *shard) openWAL() error {
 	if err != nil {
 		return fmt.Errorf("lsmssd: write-ahead log open: %w", err)
 	}
+	s.writerMu.Lock() // the scheduler goroutine's tick may already be reading s.wal
 	s.wal = log
+	s.writerMu.Unlock()
 	s.recovery = WALRecoveryStats{
 		Recovered: info.Frames > 0 || info.TornBytes > 0,
 		Segments:  info.Segments,
@@ -355,17 +374,61 @@ func (s *shard) openWAL() error {
 	return nil
 }
 
-// checkpointLocked persists the shard's current state under its writer
-// lock. With the WAL enabled it also advances the durability horizon, in
-// a fixed order: the device is synced first (the manifest must never
-// reference a block the device could still lose), the manifest then
-// records lastSeq as the replay cutoff, and only after that checkpoint
-// is durable do freed block slots become reusable and fully covered WAL
-// segments get deleted.
-func (s *shard) checkpointLocked() error {
-	if s.path == "" {
-		return nil
+// checkpointImage is what a checkpoint captures under the writer lock and
+// persists without it: the pinned snapshot the manifest will describe, the
+// WAL sequence that snapshot includes, and how much of the device's limbo
+// list predates it.
+type checkpointImage struct {
+	view    *core.View
+	walSeq  uint64
+	limbo   int
+	capture time.Duration
+}
+
+// captureLocked freezes the state a checkpoint will persist. The caller
+// holds writerMu (so view, lastSeq and the limbo mark describe one instant)
+// and ckptMu. It costs microseconds: the view is the copy-on-write snapshot
+// readers already use, pinned until persist has read it out.
+func (s *shard) captureLocked() (checkpointImage, error) {
+	start := time.Now()
+	// The tree's own acquire, not s.acquireView: Close checkpoints after the
+	// DB is marked closed.
+	v, err := s.tree.AcquireView()
+	if err != nil {
+		return checkpointImage{}, err
 	}
+	img := checkpointImage{view: v, walSeq: s.lastSeq}
+	if fd, ok := s.raw.(*storage.FileDevice); ok {
+		img.limbo = fd.LimboMark()
+	}
+	img.capture = time.Since(start)
+	return img, nil
+}
+
+// persist makes a captured image the shard's durable checkpoint and releases
+// it. It takes no engine lock — the caller holds ckptMu and may or may not
+// hold writerMu — so under background compaction writes, reads and merges
+// all proceed while it runs. The view is read out and released first: from
+// then on merges may free blocks the image names, and the limbo mark, not
+// the pin, is what keeps their slots from being reused. With the WAL
+// enabled the durability horizon then advances in a fixed order, each step
+// relying on the one before:
+//
+//  1. device sync — the manifest must never reference a block the device
+//     could still lose (every block of the image was written before the
+//     capture, hence before this sync started);
+//  2. manifest, recording the captured WAL sequence as the replay cutoff —
+//     exactly the frames the captured memtable and levels include;
+//  3. only now do block slots freed before the capture become reusable: no
+//     manifest on disk names them any more. Slots freed since stay parked
+//     until the next checkpoint, because this very manifest may name them;
+//  4. only now are WAL segments fully covered by the cutoff deleted.
+func (s *shard) persist(img checkpointImage, inline bool) error {
+	start := time.Now()
+	st := img.view.Export()
+	img.view.Release()
+	ev := obs.CheckpointEvent{Shard: s.id, WALSeq: img.walSeq, Inline: inline, Capture: img.capture}
+	t0 := time.Now()
 	if s.wal != nil {
 		// Sync through the wrapped device, not s.raw, so injected sync
 		// faults are observed and demote the shard: a checkpoint whose
@@ -379,7 +442,7 @@ func (s *shard) checkpointLocked() error {
 			}
 		}
 	}
-	st := s.tree.Export()
+	t1 := time.Now()
 	cfg := s.tree.Config()
 	lay := policy.LayoutOf(cfg.Policy).Normalized()
 	if err := manifest.Save(manifestPath(s.path), manifest.State{
@@ -394,37 +457,105 @@ func (s *shard) checkpointLocked() error {
 			Layout:        int(lay.Kind),
 			TierRuns:      lay.TierRuns,
 		},
-		WALSeq:   s.lastSeq,
+		WALSeq:   img.walSeq,
 		Runs:     st.Runs,
 		Memtable: st.Memtable,
 	}); err != nil {
 		return err
 	}
-	if s.wal == nil {
-		return nil
+	t2 := time.Now()
+	if s.wal != nil {
+		if fd, ok := s.raw.(*storage.FileDevice); ok {
+			ev.SlotsReclaimed = fd.ReclaimFreed(img.limbo)
+		}
+		removed, err := s.wal.GC(img.walSeq)
+		if err != nil {
+			return fmt.Errorf("lsmssd: write-ahead log gc: %w", err)
+		}
+		ev.SegmentsRemoved = removed
+		if removed > 0 && s.db.bus.Enabled() {
+			ws := s.wal.Stats()
+			s.db.bus.Publish(obs.WALEvent{Kind: "gc", Segments: ws.Segments, Removed: removed, LastSeq: img.walSeq})
+		}
 	}
-	if fd, ok := s.raw.(*storage.FileDevice); ok {
-		fd.ReclaimFreed()
-	}
-	removed, err := s.wal.GC(s.lastSeq)
-	if err != nil {
-		return fmt.Errorf("lsmssd: write-ahead log gc: %w", err)
-	}
-	if removed > 0 && s.db.bus.Enabled() {
-		ws := s.wal.Stats()
-		s.db.bus.Publish(obs.WALEvent{Kind: "gc", Segments: ws.Segments, Removed: removed, LastSeq: s.lastSeq})
+	t3 := time.Now()
+	s.ckpts.Add(1)
+	s.ckptNanos.Add(int64(img.capture + t3.Sub(start)))
+	if s.db.bus.Enabled() {
+		ev.DeviceSync, ev.ManifestSave, ev.GC = t1.Sub(t0), t0.Sub(start)+t2.Sub(t1), t3.Sub(t2)
+		s.db.bus.Publish(ev)
 	}
 	return nil
 }
 
-// checkpoint takes the shard's writer lock and persists its state.
+// checkpointLocked checkpoints inline: capture and persist with the writer
+// lock held throughout, so the checkpoint is durable before the caller's
+// next step. Close, post-recovery and the rotation checkpoint of sync
+// compaction mode use it — callers that hold the lock anyway and have no
+// concurrent writer to spare. It waits out a checkpoint in flight (ckptMu),
+// which is what keeps manifests in capture order.
+func (s *shard) checkpointLocked() error {
+	if s.path == "" {
+		return nil
+	}
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	img, err := s.captureLocked()
+	if err != nil {
+		return err
+	}
+	return s.persist(img, true)
+}
+
+// checkpoint holds the writer lock for the capture only; the fsyncs happen
+// after it is dropped. It serves DB.Checkpoint and, as compaction.Config.
+// Checkpoint, the scheduler goroutine when a WAL rotation requested one.
 func (s *shard) checkpoint() error {
 	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
 	if s.db.closed.Load() {
+		s.writerMu.Unlock()
 		return ErrClosed
 	}
+	if s.path == "" {
+		s.writerMu.Unlock()
+		return nil
+	}
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	img, err := s.captureLocked()
+	s.writerMu.Unlock()
+	if err != nil {
+		return err
+	}
+	return s.persist(img, false)
+}
+
+// rotationCheckpointLocked covers the WAL segment an append just sealed: a
+// request to the scheduler goroutine under background compaction, where the
+// write path never waits for an fsync it does not need for its own
+// durability; inline under sync compaction, which has no such goroutine.
+// Caller holds writerMu.
+func (s *shard) rotationCheckpointLocked() error {
+	if s.sched.RequestCheckpoint() {
+		return nil
+	}
 	return s.checkpointLocked()
+}
+
+// syncIdleWAL is the scheduler goroutine's tick under SyncInterval: fsync
+// whatever the log holds unsynced, so the tail written before a pause is
+// durable within an interval instead of waiting for the next append.
+func (s *shard) syncIdleWAL() error {
+	s.writerMu.Lock() // orders this read against openWAL's assignment
+	log := s.wal
+	s.writerMu.Unlock()
+	if log == nil { // recovery has not opened the log yet
+		return nil
+	}
+	if err := log.Sync(); err != nil {
+		return fmt.Errorf("lsmssd: write-ahead log idle sync: %w", err)
+	}
+	return nil
 }
 
 // logMutation appends ops to the shard's write-ahead log as a single
@@ -455,11 +586,10 @@ func (s *shard) logMutation(ops []block.Op, sp *obs.Span) (rotated bool, err err
 	}
 	if err != nil {
 		// rotated can be true even on error: the rotation succeeded before
-		// the frame write failed. Checkpoint now anyway, so the sealed
-		// segment is covered and GC'd instead of lingering until the next
-		// rotation.
+		// the frame write failed. Checkpoint anyway, so the sealed segment
+		// is covered and GC'd instead of lingering until the next rotation.
 		if rotated {
-			if cerr := s.checkpointLocked(); cerr != nil {
+			if cerr := s.rotationCheckpointLocked(); cerr != nil {
 				err = errors.Join(err, cerr)
 			}
 		}
@@ -500,8 +630,14 @@ func (s *shard) write(ops []block.Op, sp *obs.Span) (err error) {
 	}()
 	sp.To(obs.PhaseStallWait)
 	if err := s.sched.Admit(); err != nil {
+		// A background checkpoint that failed has already demoted the shard;
+		// report that, as every later write will, rather than the raw cause.
+		if roErr := s.writable(); roErr != nil {
+			return roErr
+		}
 		return err
 	}
+	sp.To(obs.PhaseLockWait)
 	s.writerMu.Lock()
 	defer s.writerMu.Unlock()
 	sp.To(obs.PhaseOther)
@@ -527,7 +663,7 @@ func (s *shard) write(ops []block.Op, sp *obs.Span) (err error) {
 		return err
 	}
 	if rotated {
-		if err := s.checkpointLocked(); err != nil {
+		if err := s.rotationCheckpointLocked(); err != nil {
 			return err
 		}
 	}

@@ -185,12 +185,16 @@ type WALRecoveryStats struct {
 // completes inside each mutating call, so the queue is always empty and
 // no write ever stalls.
 type CompactionStats struct {
-	Mode       string // "sync" or "background"
-	QueueDepth int    // overflowing merge sources awaiting background work
-	L0Blocks   int    // L0 size at the last scheduler refresh, in blocks
-	Steps      int64  // cascade steps executed by the background scheduler
-	Slowdowns  int64  // writes that paid the pacing sleep (SlowdownTrigger)
-	Stops      int64  // writes that blocked on the hard gate (StopTrigger)
+	Mode string // "sync" or "background"
+	// QueueDepth counts overflowing merge sources awaiting background work,
+	// plus one per shard whose background checkpoint (requested when a WAL
+	// segment is sealed) has not finished — so QueueDepth == 0 means drained
+	// and checkpointed: the sealed segment is covered and removed.
+	QueueDepth int
+	L0Blocks   int   // L0 size at the last scheduler refresh, in blocks
+	Steps      int64 // cascade steps executed by the background scheduler
+	Slowdowns  int64 // writes that paid the pacing sleep (SlowdownTrigger)
+	Stops      int64 // writes that blocked on the hard gate (StopTrigger)
 	// SlowdownTime and StopTime are the cumulative durations writes spent
 	// in each kind of stall.
 	SlowdownTime time.Duration

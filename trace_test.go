@@ -103,6 +103,109 @@ func TestSpanSumEqualsLatencyAtDB(t *testing.T) {
 	}
 }
 
+// TestLockWaitPhaseAttributed: time a write spends between admission and
+// getting the shard's writer lock — behind a merge step, under background
+// compaction — lands in PhaseLockWait, not in the unattributed remainder.
+func TestLockWaitPhaseAttributed(t *testing.T) {
+	db, err := Open(traceOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+
+	const held = 50 * time.Millisecond
+	s := db.shards[0]
+	s.writerMu.Lock() // stands in for a merge step holding the lock
+	issued, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		close(issued)
+		done <- db.Put(1, []byte("waits for the lock"))
+	}()
+	<-issued
+	time.Sleep(held)
+	s.writerMu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	evs := db.SlowOps()
+	if len(evs) != 1 || evs[0].Op != obs.OpPut {
+		t.Fatalf("captured spans %+v, want the one Put", evs)
+	}
+	ev := evs[0]
+	if ev.PhaseSum() != ev.Total {
+		t.Errorf("phase sum %v != total %v", ev.PhaseSum(), ev.Total)
+	}
+	// The Put was issued at the start of the hold; even a late-scheduled
+	// goroutine spends most of it waiting.
+	if wait := ev.Phases[obs.PhaseLockWait]; wait < held/10 || wait < ev.Total/2 {
+		t.Errorf("lock_wait = %v of a %v Put that queued behind a %v lock hold (other = %v)",
+			wait, ev.Total, held, ev.Phases[obs.PhaseOther])
+	}
+}
+
+// TestCheckpointOnBusAndTimeline: every checkpoint publishes exactly one
+// CheckpointEvent carrying its cutoff and its cost split, and the flight
+// recorder counts it in the tick it completed in.
+func TestCheckpointOnBusAndTimeline(t *testing.T) {
+	opts := traceOptions()
+	opts.Path = filepath.Join(t.TempDir(), "store.blk")
+	opts.WAL = WALOptions{Enabled: true, Sync: SyncEvery}
+	opts.TimelineInterval = 5 * time.Millisecond
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	events := make(chan CheckpointEvent, 8)
+	defer db.Subscribe(func(ev Event) {
+		if ce, ok := ev.(CheckpointEvent); ok {
+			events <- ce
+		}
+	})()
+
+	for i := uint64(0); i < 100; i++ {
+		if err := db.Put(i, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var ev CheckpointEvent
+	select {
+	case ev = <-events:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Checkpoint published no CheckpointEvent")
+	}
+	if ev.Shard != 0 || ev.WALSeq != 100 || ev.Inline {
+		t.Errorf("event %+v, want shard 0, WALSeq 100, not inline", ev)
+	}
+	if ev.Capture <= 0 || ev.DeviceSync <= 0 || ev.ManifestSave <= 0 || ev.GC <= 0 {
+		t.Errorf("event %+v leaves part of the checkpoint's time unreported", ev)
+	}
+	select {
+	case extra := <-events:
+		t.Errorf("a second event for one checkpoint: %+v", extra)
+	default:
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var n, nanos int64
+		for _, smp := range db.Timeline()[0] {
+			n, nanos = n+smp.Checkpoints, nanos+smp.CheckpointNanos
+		}
+		if n == 1 && nanos > 0 {
+			break
+		}
+		if n > 1 || time.Now().After(deadline) {
+			t.Fatalf("timeline counts %d checkpoints (%d ns), want 1", n, nanos)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestSampledSpansOnBus checks the event-bus route: with 1-in-2 sampling
 // and no slow capture, exactly half the puts publish a SpanEvent.
 func TestSampledSpansOnBus(t *testing.T) {
@@ -319,6 +422,7 @@ func TestTimelineAndSlowEndpoints(t *testing.T) {
 		"lsmssd_timeline_ops_per_sec{shard=\"0\"}",
 		"lsmssd_timeline_l0_blocks{shard=\"1\"}",
 		"lsmssd_phase_duration_seconds_bucket{phase=\"memtable\",le=",
+		"lsmssd_phase_duration_seconds_bucket{phase=\"lock_wait\",le=",
 		"lsmssd_shard_op_duration_seconds_count{shard=\"0\",op=\"put\"}",
 	} {
 		if !strings.Contains(string(body), family) {
