@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint test race fuzz bench obs-smoke crash chaos ci
+.PHONY: all build fmt vet lint test race fuzz bench crash chaos ci
 
 all: build
 
@@ -50,12 +50,6 @@ race:
 bench:
 	bash bench/run.sh
 
-# End-to-end observability smoke: open a store with the /metrics endpoint
-# on an ephemeral port, drive writes, scrape it, and require the core
-# metric families plus a parseable /debug/lsm dump.
-obs-smoke:
-	$(GO) run ./cmd/obssmoke
-
 # Power-cut recovery harness (internal/crashloop via cmd/crashloop): all
 # three WAL sync policies, randomized crashes and torn tails, acked-write
 # loss and prefix consistency checked after every recovery. Bounded for
@@ -81,4 +75,4 @@ crash:
 chaos:
 	$(GO) run ./cmd/crashloop -chaos
 
-ci: fmt vet lint test race fuzz obs-smoke crash chaos
+ci: fmt vet lint test race fuzz crash chaos

@@ -308,6 +308,10 @@ func TestOptionsValidate(t *testing.T) {
 		{"gamma one", func(o *lsmssd.Options) { o.Gamma = 1 }, "Gamma"},
 		{"gamma negative", func(o *lsmssd.Options) { o.Gamma = -3 }, "Gamma"},
 		{"blocksize negative", func(o *lsmssd.Options) { o.BlockSize = -4096 }, "BlockSize"},
+		// 64 < 4-byte header + one encoded 100-byte-value record (115): the
+		// derived B floors at 1 and the first flush could not be stored.
+		{"blocksize below one default record, file-backed", func(o *lsmssd.Options) { o.Path, o.BlockSize = "unused.blk", 64 }, "BlockSize 64"},
+		{"blocksize one byte short, file-backed", func(o *lsmssd.Options) { o.Path, o.BlockSize = "unused.blk", 114 }, "at least 115"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -328,5 +332,15 @@ func TestOptionsValidate(t *testing.T) {
 	// Zero value means defaults and is valid.
 	if err := (lsmssd.Options{}).Validate(); err != nil {
 		t.Errorf("zero Options invalid: %v", err)
+	}
+	// The small-block rule is about the derived B of a file-backed store only.
+	for _, o := range []lsmssd.Options{
+		{Path: "unused.blk", BlockSize: 115},
+		{Path: "unused.blk", BlockSize: 64, RecordsPerBlock: 2},
+		{BlockSize: 64},
+	} {
+		if err := o.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", o, err)
+		}
 	}
 }

@@ -415,6 +415,8 @@ func TestCheckpointWALSeqMatchesView(t *testing.T) {
 		t.Fatalf("manifest WALSeq = %d, want the captured sequence %d (log is at %d)",
 			st.WALSeq, captured, db.Stats().Shards[0].WAL.LastSeq)
 	}
+	// The bus delivers on its own goroutine: drained means published, not yet seen.
+	waitFor(t, "the checkpoint's event", func() bool { return len(events()) >= 1 })
 	evs := events()
 	if len(evs) != 1 || evs[0].WALSeq != captured || evs[0].Inline {
 		t.Fatalf("checkpoint events = %+v, want one background event at sequence %d", evs, captured)
@@ -527,6 +529,7 @@ func TestRotationDuringCheckpointIsNotLost(t *testing.T) {
 	g.release <- nil
 	waitFor(t, "the second checkpoint to finish", drained(db))
 
+	waitFor(t, "both checkpoints' events", func() bool { return len(events()) >= 2 })
 	evs := events()
 	if len(evs) != 2 {
 		t.Fatalf("%d checkpoints ran for three rotations (two behind a running checkpoint), want 2: %+v", len(evs), evs)

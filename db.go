@@ -102,10 +102,10 @@ type DB struct {
 // reopening an existing store with a different Options.Shards fails
 // rather than routing keys to the wrong trees.
 func Open(opts Options) (*DB, error) {
-	opts = opts.withDefaults()
-	if err := opts.Validate(); err != nil {
+	if err := opts.Validate(); err != nil { // before the defaults: it tells a derived B from a given one
 		return nil, err
 	}
+	opts = opts.withDefaults()
 	db := &DB{opts: opts, bus: obs.NewBus(0), lat: &obs.LatencySet{}}
 	db.lat.Enable(opts.Metrics)
 	db.tracer = obs.NewTracer(db.bus, opts.Shards, opts.TraceSampleRate, opts.SlowOpThreshold)

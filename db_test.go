@@ -89,7 +89,6 @@ func TestPutGetDeleteScan(t *testing.T) {
 func TestFileBackedDB(t *testing.T) {
 	opts := smallOptions()
 	opts.Path = filepath.Join(t.TempDir(), "db.blk")
-	opts.PayloadHint = 32
 	db, err := lsmssd.Open(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -30,9 +30,9 @@ func key(w, d int, line uint64) uint64 {
 
 func main() {
 	db, err := lsmssd.Open(lsmssd.Options{
-		MergePolicy:    lsmssd.ChooseBest,
-		MemtableBlocks: 64,
-		PayloadHint:    64,
+		MergePolicy:     lsmssd.ChooseBest,
+		MemtableBlocks:  64,
+		RecordsPerBlock: 54, // 64-byte order lines in a 4 KiB block
 	})
 	if err != nil {
 		log.Fatal(err)

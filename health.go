@@ -233,6 +233,10 @@ func (s *shard) scrubLoop() {
 	}
 }
 
+// scrubMaxPace is the longest pause between two block verifications of a
+// scrub pass.
+const scrubMaxPace = 500 * time.Microsecond
+
 // scrubEntry is one block to verify in a pass.
 type scrubEntry struct {
 	id    storage.BlockID
@@ -240,7 +244,9 @@ type scrubEntry struct {
 }
 
 // scrubPass verifies every live block of the shard's current snapshot
-// against the device, pacing ScrubPace between blocks. Holding the view
+// against the device, pausing between blocks so that the pass spreads over
+// at most one ScrubInterval (and never pauses longer than scrubMaxPace, the
+// bound on its read pressure). Holding the view
 // for the whole pass pins its blocks (frees defer through the snapshot
 // protocol), so every enumerated ID stays readable. Verification goes
 // through Peek — below the buffer cache, uncounted, unretried — so the
@@ -266,6 +272,10 @@ func (s *shard) scrubPass() {
 				entries = append(entries, scrubEntry{id: m.ID, level: lv.Number})
 			}
 		}
+	}
+	pace := scrubMaxPace
+	if n := len(entries); n > 0 {
+		pace = min(pace, s.db.opts.ScrubInterval/time.Duration(n))
 	}
 	checked, corrupt, repaired := 0, 0, 0
 	for _, e := range entries {
@@ -293,7 +303,7 @@ func (s *shard) scrubPass() {
 				s.health.Degrade("scrub-corruption", fmt.Errorf("lsmssd: shard %d block %d: %w", s.id, e.id, perr))
 			}
 		}
-		if pace := s.db.opts.ScrubPace; pace > 0 {
+		if pace > 0 {
 			select {
 			case <-s.scrubQuit:
 				return

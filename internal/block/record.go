@@ -65,6 +65,13 @@ func encodedRecordSize(payloadLen int) int {
 	return RecordSize(payloadLen) + 2
 }
 
+// MinSizeFor returns the smallest storage block size that holds one encoded
+// record of the given payload length after the block header — below it,
+// CapacityFor's floor of 1 promises a block the device cannot store.
+func MinSizeFor(payloadLen int) int {
+	return headerSize + encodedRecordSize(payloadLen)
+}
+
 // CapacityFor returns the block capacity B for the given storage block size
 // and payload length: the number of encoded records that fit in one block
 // after the block header. It is at least 1 (a block can always hold one

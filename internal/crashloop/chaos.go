@@ -122,7 +122,6 @@ func chaosScenarios() []chaosScenario {
 			fault: faultdev.Options{BitFlipProb: 0.25},
 			tune: func(o *lsmssd.Options) {
 				o.ScrubInterval = 10 * time.Millisecond
-				o.ScrubPace = 20 * time.Microsecond
 			},
 			expectScrub: true,
 		},

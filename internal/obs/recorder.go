@@ -5,10 +5,11 @@ import (
 	"time"
 )
 
-// ShardCounters is one shard's cumulative observability state, as
-// gathered by the DB for the flight recorder on every tick. All fields
-// are cumulative since Open (or the last reset); the recorder diffs
-// successive collections to produce per-tick deltas.
+// ShardCounters is one shard's cumulative observability state, as the DB
+// gathers it for the flight recorder on every tick from the shard's Stats
+// snapshot and latency histograms. All fields are cumulative since Open (or
+// the last reset); the recorder diffs successive collections to produce
+// per-tick deltas.
 type ShardCounters struct {
 	Ops          int64 // operations routed to the shard (puts+gets+deletes+applies)
 	Put          HistSnapshot
@@ -80,9 +81,9 @@ type RecorderConfig struct {
 	Shards   int
 	Interval time.Duration // tick period; default 1s
 	Capacity int           // ring capacity per shard; default 512 samples
-	// Collect returns the current cumulative counters, one entry per
-	// shard. Called on the recorder goroutine once per tick; it must be
-	// safe to run concurrently with foreground operations.
+	// Collect returns the current cumulative counters, exactly one entry
+	// per shard. Called on the recorder goroutine once per tick; it must
+	// be safe to run concurrently with foreground operations.
 	Collect func() []ShardCounters
 }
 
@@ -91,13 +92,13 @@ type RecorderConfig struct {
 // cliff minutes ago is inspectable as a timeline instead of a mystery
 // aggregate max. Memory is bounded by Shards × Capacity samples.
 type Recorder struct {
-	cfg  RecorderConfig
-	mu   sync.Mutex
+	cfg RecorderConfig
+	mu  sync.Mutex
+	// ring[shard] holds tick number q (1-based) at index (q-1) % Capacity:
+	// every tick writes every shard, so seq alone says where the samples are.
 	ring [][]TimelineSample
-	at   []int
-	n    []int
 	prev []ShardCounters
-	seq  int64
+	seq  int64 // ticks so far
 	stop chan struct{}
 	done chan struct{}
 }
@@ -116,8 +117,6 @@ func StartRecorder(cfg RecorderConfig) *Recorder {
 	r := &Recorder{
 		cfg:  cfg,
 		ring: make([][]TimelineSample, cfg.Shards),
-		at:   make([]int, cfg.Shards),
-		n:    make([]int, cfg.Shards),
 		prev: cfg.Collect(),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
@@ -150,24 +149,14 @@ func (r *Recorder) tick(now time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seq++
-	interval := r.cfg.Interval
-	for sh := range cur {
-		if sh >= len(r.ring) {
-			break
-		}
-		var prev ShardCounters
-		if sh < len(r.prev) {
-			prev = r.prev[sh]
-		}
-		s := diffSample(sh, r.seq, now, interval, cur[sh], prev)
-		r.ring[sh][r.at[sh]] = s
-		r.at[sh] = (r.at[sh] + 1) % len(r.ring[sh])
-		if r.n[sh] < len(r.ring[sh]) {
-			r.n[sh]++
-		}
+	for sh := range r.ring {
+		r.ring[sh][r.slot(r.seq)] = diffSample(sh, r.seq, now, r.cfg.Interval, cur[sh], r.prev[sh])
 	}
 	r.prev = cur
 }
+
+// slot is the ring index of tick number q.
+func (r *Recorder) slot(q int64) int { return int((q - 1) % int64(r.cfg.Capacity)) }
 
 func diffSample(shard int, seq int64, now time.Time, interval time.Duration, cur, prev ShardCounters) TimelineSample {
 	put := cur.Put.Sub(prev.Put)
@@ -232,19 +221,19 @@ func (r *Recorder) Timeline() [][]TimelineSample {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	first := max(1, r.seq-int64(r.cfg.Capacity)+1) // oldest tick still in the ring
 	out := make([][]TimelineSample, len(r.ring))
 	for sh := range r.ring {
-		samples := make([]TimelineSample, 0, r.n[sh])
-		for i := 0; i < r.n[sh]; i++ {
-			samples = append(samples, r.ring[sh][(r.at[sh]-r.n[sh]+i+len(r.ring[sh]))%len(r.ring[sh])])
+		out[sh] = make([]TimelineSample, 0, r.seq-first+1)
+		for q := first; q <= r.seq; q++ {
+			out[sh] = append(out[sh], r.ring[sh][r.slot(q)])
 		}
-		out[sh] = samples
 	}
 	return out
 }
 
-// Latest returns each shard's most recent sample (zero Seq when a shard
-// has none yet); the Prometheus timeline gauges render from it.
+// Latest returns each shard's most recent sample (zero Seq before the first
+// tick); the Prometheus timeline gauges render from it.
 func (r *Recorder) Latest() []TimelineSample {
 	if r == nil {
 		return nil
@@ -253,8 +242,8 @@ func (r *Recorder) Latest() []TimelineSample {
 	defer r.mu.Unlock()
 	out := make([]TimelineSample, len(r.ring))
 	for sh := range r.ring {
-		if r.n[sh] > 0 {
-			out[sh] = r.ring[sh][(r.at[sh]-1+len(r.ring[sh]))%len(r.ring[sh])]
+		if r.seq > 0 {
+			out[sh] = r.ring[sh][r.slot(r.seq)]
 		}
 	}
 	return out

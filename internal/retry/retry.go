@@ -147,6 +147,14 @@ func (r *Retryer) jittered(d time.Duration) time.Duration {
 	return time.Duration(half + j)
 }
 
+// Reset zeroes the cumulative retry accounting, starting a new measurement
+// window.
+func (r *Retryer) Reset() {
+	r.attempts.Store(0)
+	r.retries.Store(0)
+	r.exhausted.Store(0)
+}
+
 // Snapshot returns the cumulative retry accounting. Lock-free.
 func (r *Retryer) Snapshot() Stats {
 	return Stats{

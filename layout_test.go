@@ -187,7 +187,6 @@ func TestTieringPersistence(t *testing.T) {
 		t.Run(lc.name, func(t *testing.T) {
 			opts := layoutOptions(lc.layout, 3)
 			opts.Path = filepath.Join(t.TempDir(), "db.blk")
-			opts.PayloadHint = 32
 			db, err := lsmssd.Open(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -238,7 +237,6 @@ func TestTieringPersistence(t *testing.T) {
 func TestLayoutMismatchRefused(t *testing.T) {
 	opts := layoutOptions(lsmssd.Tiering, 3)
 	opts.Path = filepath.Join(t.TempDir(), "db.blk")
-	opts.PayloadHint = 32
 	db, err := lsmssd.Open(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package lsmssd
 import (
 	"errors"
 	"strconv"
+	"strings"
 
 	"lsmssd/internal/health"
 	"lsmssd/internal/obs"
@@ -105,7 +106,6 @@ func (db *DB) startObs() (*DB, error) {
 		db.recorder = obs.StartRecorder(obs.RecorderConfig{
 			Shards:   len(db.shards),
 			Interval: db.opts.TimelineInterval,
-			Capacity: db.opts.TimelineCapacity,
 			Collect:  db.collectShardCounters,
 		})
 	}
@@ -115,7 +115,7 @@ func (db *DB) startObs() (*DB, error) {
 	srv, err := obs.StartServer(obs.ServerConfig{
 		Addr:     db.opts.MetricsAddr,
 		Metrics:  db.metricFamilies,
-		Debug:    func() any { return db.debugState() },
+		Debug:    db.debugLSM,
 		Timeline: func() any { return db.Timeline() },
 		Slow:     func() any { return db.SlowOps() },
 	})
@@ -127,34 +127,31 @@ func (db *DB) startObs() (*DB, error) {
 }
 
 // collectShardCounters gathers every shard's cumulative observability
-// counters for one flight-recorder tick. It runs on the recorder
-// goroutine concurrently with foreground traffic: everything it touches
-// is atomics, internal short-lived mutexes, or fields that only change
-// after the recorder is stopped (s.wal).
+// counters for one flight-recorder tick: the shard's Stats snapshot, so the
+// timeline can show nothing Stats does not, plus the histograms the
+// per-tick quantiles are cut from. It runs on the recorder goroutine
+// concurrently with foreground traffic, like any other Stats caller.
 func (db *DB) collectShardCounters() []obs.ShardCounters {
 	out := make([]obs.ShardCounters, len(db.shards))
 	for i, s := range db.shards {
-		sc := &out[i]
-		sc.Put = s.lat.Hist(obs.OpPut).Snapshot()
-		sc.Get = s.lat.Hist(obs.OpGet).Snapshot()
-		del := s.lat.Hist(obs.OpDelete).Snapshot()
-		app := s.lat.Hist(obs.OpApply).Snapshot()
-		sc.Ops = sc.Put.Count + sc.Get.Count + del.Count + app.Count
-		sc.Phases = db.tracer.PhaseSnapshot(i)
-		cs := s.sched.Snapshot()
-		sc.Stalls = cs.Slowdowns + cs.Stops
-		sc.StallNanos = int64(cs.SlowdownTime + cs.StopTime)
-		sc.QueueDepth = cs.QueueDepth
-		sc.L0Blocks = cs.L0Blocks
-		if s.wal != nil {
-			ws := s.wal.Stats()
-			sc.WALSyncs = ws.Syncs
-			sc.WALSyncNanos = ws.SyncNanos
-		}
-		sc.Checkpoints, sc.CheckpointNS = s.ckpts.Load(), s.ckptNanos.Load()
-		if c := s.tree.Cache(); c != nil {
-			st := c.Stats()
-			sc.CacheHits, sc.CacheMisses = st.Hits, st.Misses
+		ss, _ := s.stats() // the recorder stops before the shards close
+		put, get := s.lat.Hist(obs.OpPut).Snapshot(), s.lat.Hist(obs.OpGet).Snapshot()
+		del, app := s.lat.Hist(obs.OpDelete).Snapshot(), s.lat.Hist(obs.OpApply).Snapshot()
+		out[i] = obs.ShardCounters{
+			Ops:          put.Count + get.Count + del.Count + app.Count,
+			Put:          put,
+			Get:          get,
+			Phases:       db.tracer.PhaseSnapshot(i),
+			Stalls:       ss.Compaction.Slowdowns + ss.Compaction.Stops,
+			StallNanos:   int64(ss.Compaction.SlowdownTime + ss.Compaction.StopTime),
+			QueueDepth:   ss.Compaction.QueueDepth,
+			L0Blocks:     ss.Compaction.L0Blocks,
+			WALSyncs:     ss.WAL.Syncs,
+			WALSyncNanos: int64(ss.WAL.SyncTime),
+			Checkpoints:  ss.Checkpoints,
+			CheckpointNS: int64(ss.CheckpointTime),
+			CacheHits:    ss.CacheHits,
+			CacheMisses:  ss.CacheMisses,
 		}
 	}
 	return out
@@ -163,9 +160,9 @@ func (db *DB) collectShardCounters() []obs.ShardCounters {
 // Timeline returns the flight recorder's retained samples, one slice per
 // shard, oldest first: a per-interval time series of ops/s, latency
 // quantiles, per-phase deltas (when tracing is on), stall state,
-// compaction debt, WAL sync latency, and cache hit rate over the last
-// Options.TimelineCapacity intervals. Nil unless Options.Metrics (or
-// MetricsAddr) is set. Also served at /debug/lsm/timeline.
+// compaction debt, WAL sync latency, and cache hit rate over the last 512
+// intervals. Nil unless Options.Metrics (or MetricsAddr) is set. Also
+// served at /debug/lsm/timeline.
 func (db *DB) Timeline() [][]TimelineSample {
 	return db.recorder.Timeline()
 }
@@ -178,192 +175,138 @@ func (db *DB) SlowOps() []SpanEvent {
 	return db.tracer.SlowOps()
 }
 
-// metricFamilies materializes the /metrics payload from a Stats snapshot.
+func shardLabel(id int) obs.Label { return obs.Label{Name: "shard", Value: strconv.Itoa(id)} }
+
+// sample appends the row's value in c to its family, starting the family
+// unless the previous row already did. shard < 0 is the aggregate; for a
+// shard the one naming rule applies, lsmssd_X → lsmssd_shard_X, the help is
+// the row's shardHelp or else the aggregate's marked as per shard, and the
+// sample carries the shard label.
+func (m *metric) sample(fams []obs.Family, shard int, c *Counters) []obs.Family {
+	name, help := m.name, m.help
+	var labels []obs.Label
+	if shard >= 0 {
+		name = "lsmssd_shard_" + strings.TrimPrefix(m.name, "lsmssd_")
+		if help = m.shardHelp; help == "" && m.help != "" {
+			help = "Per shard: " + m.help
+		}
+		labels = append(labels, shardLabel(shard))
+	}
+	if m.kind != "" {
+		labels = append(labels, obs.Label{Name: "kind", Value: m.kind})
+	}
+	if n := len(fams); n == 0 || fams[n-1].Name != name {
+		typ := obs.TypeCounter
+		if m.typ == gauge {
+			typ = obs.TypeGauge
+		}
+		fams = append(fams, obs.Family{Name: name, Help: help, Type: typ})
+	}
+	f := &fams[len(fams)-1]
+	f.Samples = append(f.Samples, obs.Sample{Labels: labels, Value: m.get(c)})
+	return fams
+}
+
+// series is one family over a list of labelled items (levels, the latest
+// timeline tick of each shard) rather than over Counters.
+type series[T any] struct {
+	name, help string
+	typ        obs.FamilyType
+	value      func(T) float64
+}
+
+func seriesFamilies[T any](fams []obs.Family, rows []series[T], items []T, label func(T) obs.Label) []obs.Family {
+	for _, r := range rows {
+		f := obs.Family{Name: r.name, Help: r.help, Type: r.typ}
+		for _, it := range items {
+			f.Samples = append(f.Samples, obs.Sample{Labels: []obs.Label{label(it)}, Value: r.value(it)})
+		}
+		fams = append(fams, f)
+	}
+	return fams
+}
+
+var levelSeries = []series[LevelStats]{
+	{"lsmssd_level_blocks", "Data blocks in the level.", obs.TypeGauge, func(l LevelStats) float64 { return float64(l.Blocks) }},
+	{"lsmssd_level_records", "Records in the level.", obs.TypeGauge, func(l LevelStats) float64 { return float64(l.Records) }},
+	{"lsmssd_level_capacity_blocks", "Level capacity K_i in blocks.", obs.TypeGauge, func(l LevelStats) float64 { return float64(l.CapacityBlocks) }},
+	{"lsmssd_level_waste_factor", "Fraction of empty record slots in the level (bounded by epsilon).", obs.TypeGauge, func(l LevelStats) float64 { return l.WasteFactor }},
+	{"lsmssd_level_blocks_written_total", "Cumulative blocks written into the level.", obs.TypeCounter, func(l LevelStats) float64 { return float64(l.BlocksWritten) }},
+	{"lsmssd_level_compactions_total", "Compactions of the level.", obs.TypeCounter, func(l LevelStats) float64 { return float64(l.Compactions) }},
+}
+
+var timelineSeries = []series[TimelineSample]{
+	{"lsmssd_timeline_ops_per_sec", "Operations per second over the last flight-recorder interval.", obs.TypeGauge, func(t TimelineSample) float64 { return t.OpsPerSec }},
+	{"lsmssd_timeline_put_p99_seconds", "Put p99 over the last flight-recorder interval.", obs.TypeGauge, func(t TimelineSample) float64 { return float64(t.PutP99NS) * 1e-9 }},
+	{"lsmssd_timeline_get_p99_seconds", "Get p99 over the last flight-recorder interval.", obs.TypeGauge, func(t TimelineSample) float64 { return float64(t.GetP99NS) * 1e-9 }},
+	{"lsmssd_timeline_stalls", "Write stalls during the last flight-recorder interval.", obs.TypeGauge, func(t TimelineSample) float64 { return float64(t.Stalls) }},
+	{"lsmssd_timeline_l0_blocks", "L0 size in blocks at the last flight-recorder tick.", obs.TypeGauge, func(t TimelineSample) float64 { return float64(t.L0Blocks) }},
+	{"lsmssd_timeline_wal_sync_mean_seconds", "Mean WAL fsync latency over the last flight-recorder interval.", obs.TypeGauge, func(t TimelineSample) float64 { return float64(t.WALSyncMeanNS) * 1e-9 }},
+	{"lsmssd_timeline_cache_hit_rate", "Buffer-cache hit rate over the last flight-recorder interval.", obs.TypeGauge, func(t TimelineSample) float64 { return t.CacheHitRate }},
+}
+
+// metricFamilies materializes the /metrics payload from a Stats snapshot:
+// every metricTable row over the aggregate and, on a sharded DB, over each
+// shard; then what is not a Counters field (the bus, the shard count and
+// health states, per-level rows, histograms, the timeline's latest tick).
 // Called per scrape from HTTP handler goroutines; everything it reads is
 // lock-free or behind the few-instruction view mutex.
 func (db *DB) metricFamilies() []obs.Family {
 	s := db.Stats()
-	counter := func(name, help string, v int64) obs.Family {
-		return obs.Family{Name: name, Help: help, Type: obs.TypeCounter,
-			Samples: []obs.Sample{{Value: float64(v)}}}
+	var fams []obs.Family
+	for i := range metricTable {
+		fams = metricTable[i].sample(fams, -1, &s.Counters)
 	}
-	gauge := func(name, help string, v float64) obs.Family {
-		return obs.Family{Name: name, Help: help, Type: obs.TypeGauge,
-			Samples: []obs.Sample{{Value: v}}}
-	}
-	fams := []obs.Family{
-		counter("lsmssd_blocks_written_total", "Data blocks written to the device (the paper's cost metric).", s.BlocksWritten),
-		counter("lsmssd_blocks_read_total", "Data blocks read from the device (cache misses only when caching is on).", s.BlocksRead),
-		gauge("lsmssd_live_blocks", "Device blocks currently allocated.", float64(s.LiveBlocks)),
-		counter("lsmssd_requests_total", "Modification requests processed (inserts plus deletes).", s.Requests),
-		counter("lsmssd_inserts_total", "Insert/update requests processed.", s.Inserts),
-		counter("lsmssd_deletes_total", "Delete requests processed.", s.Deletes),
-		counter("lsmssd_lookups_total", "Point lookups served.", s.Lookups),
-		counter("lsmssd_scans_total", "Range scans started.", s.Scans),
-		counter("lsmssd_request_bytes_total", "Key+payload bytes of modifications processed.", s.RequestBytes),
-		counter("lsmssd_merges_total", "Merges executed.", s.Merges),
-		counter("lsmssd_full_merges_total", "Merges that took a whole source level.", s.FullMerges),
-		gauge("lsmssd_height", "Tree height including the memtable level.", float64(s.Height)),
-		gauge("lsmssd_records", "Records stored, including shadowed versions and tombstones.", float64(s.Records)),
-		gauge("lsmssd_memtable_records", "Records currently in the memtable (L0).", float64(s.MemtableRecords)),
-		counter("lsmssd_cache_hits_total", "Buffer-cache hits.", s.CacheHits),
-		counter("lsmssd_cache_misses_total", "Buffer-cache misses.", s.CacheMisses),
-		counter("lsmssd_bloom_skipped_total", "Block reads avoided by Bloom filters.", s.BloomSkipped),
-		counter("lsmssd_bloom_passed_total", "Lookups Bloom filters could not rule out.", s.BloomPassed),
-		counter("lsmssd_event_drops_total", "Observability events dropped because sinks lagged.", db.bus.Drops()),
-		gauge("lsmssd_compaction_queue_depth", "Overflowing merge sources (memtable and full levels) awaiting compaction, plus one per shard with a requested-or-running background checkpoint; always 0 in sync mode.", float64(s.Compaction.QueueDepth)),
-		counter("lsmssd_compaction_steps_total", "Cascade steps executed by the background compaction schedulers.", s.Compaction.Steps),
-		gauge("lsmssd_shards", "Number of key-space shards (independent LSM trees) behind this DB.", float64(len(db.shards))),
-		gauge("lsmssd_quarantined_blocks", "Corrupt blocks currently quarantined (pinned, excluded from merges) across all shards.", float64(s.Quarantined)),
-	}
-	{
-		hf := obs.Family{
-			Name: "lsmssd_shard_health",
-			Help: "Shard fault-domain state: 0 healthy, 1 degraded, 2 read-only, 3 failed.",
-			Type: obs.TypeGauge,
-		}
-		for _, sh := range db.shards {
-			hf.Samples = append(hf.Samples, obs.Sample{
-				Labels: []obs.Label{{Name: "shard", Value: strconv.Itoa(sh.id)}},
-				Value:  float64(sh.health.State()),
-			})
-		}
-		fams = append(fams, hf)
-	}
-	if len(db.shards) > 1 {
-		shardLabel := func(n int) []obs.Label {
-			return []obs.Label{{Name: "shard", Value: strconv.Itoa(n)}}
-		}
-		perShard := []struct {
-			name, help string
-			typ        obs.FamilyType
-			value      func(ShardStats) float64
-		}{
-			{"lsmssd_shard_blocks_written_total", "Data blocks written by the shard's tree.", obs.TypeCounter,
-				func(ss ShardStats) float64 { return float64(ss.BlocksWritten) }},
-			{"lsmssd_shard_requests_total", "Modification requests routed to the shard.", obs.TypeCounter,
-				func(ss ShardStats) float64 { return float64(ss.Requests) }},
-			{"lsmssd_shard_records", "Records stored in the shard, including shadowed versions and tombstones.", obs.TypeGauge,
-				func(ss ShardStats) float64 { return float64(ss.Records) }},
-			{"lsmssd_shard_height", "Shard tree height including the memtable level.", obs.TypeGauge,
-				func(ss ShardStats) float64 { return float64(ss.Height) }},
-		}
-		for _, m := range perShard {
-			f := obs.Family{Name: m.name, Help: m.help, Type: m.typ}
-			for _, ss := range s.Shards {
-				f.Samples = append(f.Samples, obs.Sample{Labels: shardLabel(ss.Shard), Value: m.value(ss)})
+	if len(s.Shards) > 1 {
+		for i := range metricTable {
+			for j := range s.Shards {
+				fams = metricTable[i].sample(fams, j, &s.Shards[j].Counters)
 			}
-			fams = append(fams, f)
 		}
 	}
-	if s.WAL.Enabled {
-		fams = append(fams,
-			gauge("lsmssd_wal_enabled", "1 when the write-ahead log is on.", 1),
-			counter("lsmssd_wal_appends_total", "WAL frames appended (one per Put/Delete/Apply).", s.WAL.Appends),
-			counter("lsmssd_wal_ops_total", "Operations inside appended WAL frames.", s.WAL.Ops),
-			counter("lsmssd_wal_bytes_total", "WAL frame bytes written, headers included.", s.WAL.Bytes),
-			counter("lsmssd_wal_syncs_total", "WAL fsyncs issued by the sync policy or checkpoints.", s.WAL.Syncs),
-			counter("lsmssd_wal_rotations_total", "WAL segments sealed (each seals a checkpoint).", s.WAL.Rotations),
-			gauge("lsmssd_wal_segments", "WAL segment files currently on disk.", float64(s.WAL.Segments)),
-			gauge("lsmssd_wal_last_seq", "Sequence of the newest logged frame.", float64(s.WAL.LastSeq)),
-			counter("lsmssd_wal_recovered_ops_total", "Operations re-applied by crash recovery at Open.", int64(s.WAL.Recovery.Ops)),
-			counter("lsmssd_wal_recovered_torn_bytes_total", "Bytes truncated from the WAL's torn tail at Open.", s.WAL.Recovery.TornBytes),
-		)
-	}
-	stallKind := func(kind string) []obs.Label {
-		return []obs.Label{{Name: "kind", Value: kind}}
-	}
+	fams = seriesFamilies(fams, []series[*shard]{{"lsmssd_shard_health", "Shard fault-domain state: 0 healthy, 1 degraded, 2 read-only, 3 failed.", obs.TypeGauge,
+		func(sh *shard) float64 { return float64(sh.health.State()) }}}, db.shards, func(sh *shard) obs.Label { return shardLabel(sh.id) })
 	fams = append(fams,
-		obs.Family{
-			Name: "lsmssd_write_stalls_total",
-			Help: "Writes that hit compaction backpressure, by kind (slowdown = pacing sleep, stop = hard gate).",
-			Type: obs.TypeCounter,
-			Samples: []obs.Sample{
-				{Labels: stallKind("slowdown"), Value: float64(s.Compaction.Slowdowns)},
-				{Labels: stallKind("stop"), Value: float64(s.Compaction.Stops)},
-			},
-		},
-		obs.Family{
-			Name: "lsmssd_write_stall_seconds_total",
-			Help: "Cumulative time writes spent stalled, by kind.",
-			Type: obs.TypeCounter,
-			Samples: []obs.Sample{
-				{Labels: stallKind("slowdown"), Value: s.Compaction.SlowdownTime.Seconds()},
-				{Labels: stallKind("stop"), Value: s.Compaction.StopTime.Seconds()},
-			},
-		},
+		obs.Family{Name: "lsmssd_event_drops_total", Help: "Observability events dropped because sinks lagged.", Type: obs.TypeCounter,
+			Samples: []obs.Sample{{Value: float64(db.bus.Drops())}}},
+		obs.Family{Name: "lsmssd_shards", Help: "Number of key-space shards (independent LSM trees) behind this DB.", Type: obs.TypeGauge,
+			Samples: []obs.Sample{{Value: float64(len(db.shards))}}},
 	)
+	fams = seriesFamilies(fams, levelSeries, s.Levels, func(l LevelStats) obs.Label {
+		return obs.Label{Name: "level", Value: strconv.Itoa(l.Level)}
+	})
 
-	levelLabel := func(n int) []obs.Label {
-		return []obs.Label{{Name: "level", Value: strconv.Itoa(n)}}
+	hist := func(f *obs.Family, snap obs.HistSnapshot, labels ...obs.Label) {
+		f.Hists = append(f.Hists, obs.HistSample{Labels: labels, Snap: snap, Scale: 1e-9})
 	}
-	perLevel := []struct {
-		name, help string
-		typ        obs.FamilyType
-		value      func(LevelStats) float64
-	}{
-		{"lsmssd_level_blocks", "Data blocks in the level.", obs.TypeGauge,
-			func(l LevelStats) float64 { return float64(l.Blocks) }},
-		{"lsmssd_level_records", "Records in the level.", obs.TypeGauge,
-			func(l LevelStats) float64 { return float64(l.Records) }},
-		{"lsmssd_level_capacity_blocks", "Level capacity K_i in blocks.", obs.TypeGauge,
-			func(l LevelStats) float64 { return float64(l.CapacityBlocks) }},
-		{"lsmssd_level_waste_factor", "Fraction of empty record slots in the level (bounded by epsilon).", obs.TypeGauge,
-			func(l LevelStats) float64 { return l.WasteFactor }},
-		{"lsmssd_level_blocks_written_total", "Cumulative blocks written into the level.", obs.TypeCounter,
-			func(l LevelStats) float64 { return float64(l.BlocksWritten) }},
-		{"lsmssd_level_compactions_total", "Compactions of the level.", obs.TypeCounter,
-			func(l LevelStats) float64 { return float64(l.Compactions) }},
-	}
-	for _, m := range perLevel {
-		f := obs.Family{Name: m.name, Help: m.help, Type: m.typ}
-		for _, l := range s.Levels {
-			f.Samples = append(f.Samples, obs.Sample{Labels: levelLabel(l.Level), Value: m.value(l)})
-		}
-		fams = append(fams, f)
-	}
-
-	lf := obs.Family{
+	ops := obs.Family{
 		Name: "lsmssd_op_duration_seconds",
 		Help: "Operation latency (log-spaced buckets). Recorded only when Options.Metrics or MetricsAddr is set.",
 		Type: obs.TypeHistogram,
 	}
-	if db.lat.Enabled() {
-		for op := obs.Op(0); op < obs.NumOps; op++ {
-			lf.Hists = append(lf.Hists, obs.HistSample{
-				Labels: []obs.Label{{Name: "op", Value: op.String()}},
-				Snap:   db.latHist(op),
-				Scale:  1e-9,
-			})
-		}
+	shardOps := obs.Family{
+		Name: "lsmssd_shard_op_duration_seconds",
+		Help: "Operation latency by owning shard (log-spaced buckets).",
+		Type: obs.TypeHistogram,
 	}
-	fams = append(fams, lf)
-	if db.lat.Enabled() && len(db.shards) > 1 {
-		sf := obs.Family{
-			Name: "lsmssd_shard_op_duration_seconds",
-			Help: "Operation latency by owning shard (log-spaced buckets).",
-			Type: obs.TypeHistogram,
-		}
+	for op := obs.Op(0); op < obs.NumOps && db.lat.Enabled(); op++ {
+		opLabel := obs.Label{Name: "op", Value: op.String()}
+		all := db.lat.Hist(op).Snapshot() // the router's series (Scan) plus every shard's
 		for _, sh := range db.shards {
-			for op := obs.Op(0); op < obs.NumOps; op++ {
-				snap := sh.lat.Hist(op).Snapshot()
-				if snap.Count == 0 {
-					continue
-				}
-				sf.Hists = append(sf.Hists, obs.HistSample{
-					Labels: []obs.Label{
-						{Name: "shard", Value: strconv.Itoa(sh.id)},
-						{Name: "op", Value: op.String()},
-					},
-					Snap:  snap,
-					Scale: 1e-9,
-				})
+			snap := sh.lat.Hist(op).Snapshot()
+			all.Merge(snap)
+			if snap.Count > 0 {
+				hist(&shardOps, snap, shardLabel(sh.id), opLabel)
 			}
 		}
-		fams = append(fams, sf)
+		hist(&ops, all, opLabel)
+	}
+	fams = append(fams, ops)
+	if db.lat.Enabled() && len(db.shards) > 1 {
+		fams = append(fams, shardOps)
 	}
 	if db.tracer.Enabled() {
-		pf := obs.Family{
+		phases := obs.Family{
 			Name: "lsmssd_phase_duration_seconds",
 			Help: "Traced-operation time by engine phase, summed across shards (requires TraceSampleRate or SlowOpThreshold).",
 			Type: obs.TypeHistogram,
@@ -373,132 +316,45 @@ func (db *DB) metricFamilies() []obs.Family {
 			for i := range db.shards {
 				snap.Merge(db.tracer.PhaseSnapshot(i)[p])
 			}
-			if snap.Count == 0 {
-				continue
+			if snap.Count > 0 {
+				hist(&phases, snap, obs.Label{Name: "phase", Value: p.String()})
 			}
-			pf.Hists = append(pf.Hists, obs.HistSample{
-				Labels: []obs.Label{{Name: "phase", Value: p.String()}},
-				Snap:   snap,
-				Scale:  1e-9,
-			})
 		}
-		fams = append(fams, pf)
+		fams = append(fams, phases)
 	}
 	if latest := db.recorder.Latest(); len(latest) > 0 {
-		shardLabel := func(n int) []obs.Label {
-			return []obs.Label{{Name: "shard", Value: strconv.Itoa(n)}}
-		}
-		timeline := []struct {
-			name, help string
-			value      func(TimelineSample) float64
-		}{
-			{"lsmssd_timeline_ops_per_sec", "Operations per second over the last flight-recorder interval.",
-				func(t TimelineSample) float64 { return t.OpsPerSec }},
-			{"lsmssd_timeline_put_p99_seconds", "Put p99 over the last flight-recorder interval.",
-				func(t TimelineSample) float64 { return float64(t.PutP99NS) * 1e-9 }},
-			{"lsmssd_timeline_get_p99_seconds", "Get p99 over the last flight-recorder interval.",
-				func(t TimelineSample) float64 { return float64(t.GetP99NS) * 1e-9 }},
-			{"lsmssd_timeline_stalls", "Write stalls during the last flight-recorder interval.",
-				func(t TimelineSample) float64 { return float64(t.Stalls) }},
-			{"lsmssd_timeline_l0_blocks", "L0 size in blocks at the last flight-recorder tick.",
-				func(t TimelineSample) float64 { return float64(t.L0Blocks) }},
-			{"lsmssd_timeline_wal_sync_mean_seconds", "Mean WAL fsync latency over the last flight-recorder interval.",
-				func(t TimelineSample) float64 { return float64(t.WALSyncMeanNS) * 1e-9 }},
-			{"lsmssd_timeline_cache_hit_rate", "Buffer-cache hit rate over the last flight-recorder interval.",
-				func(t TimelineSample) float64 { return t.CacheHitRate }},
-		}
-		for _, m := range timeline {
-			f := obs.Family{Name: m.name, Help: m.help, Type: obs.TypeGauge}
-			for _, t := range latest {
-				f.Samples = append(f.Samples, obs.Sample{Labels: shardLabel(t.Shard), Value: m.value(t)})
-			}
-			fams = append(fams, f)
-		}
+		fams = seriesFamilies(fams, timelineSeries, latest, func(t TimelineSample) obs.Label { return shardLabel(t.Shard) })
 	}
 	return fams
 }
 
-// debugLevelJSON is one storage level in the /debug/lsm dump.
-type debugLevelJSON struct {
-	Level          int     `json:"level"`
-	Blocks         int     `json:"blocks"`
-	Records        int     `json:"records"`
-	CapacityBlocks int     `json:"capacity_blocks"`
-	WasteFactor    float64 `json:"waste_factor"`
-	BlocksWritten  int64   `json:"blocks_written"`
-	Compactions    int64   `json:"compactions"`
-}
-
-// debugStateJSON is the /debug/lsm payload: per-level state plus the
-// snapshot-machinery internals (live views, deferred frees) that Stats
-// does not expose.
-type debugStateJSON struct {
-	Policy          string           `json:"policy"`
-	Shards          int              `json:"shards"`
-	Height          int              `json:"height"`
-	Records         int              `json:"records"`
-	MemtableRecords int              `json:"memtable_records"`
-	BlocksWritten   int64            `json:"blocks_written"`
-	BlocksRead      int64            `json:"blocks_read"`
-	LiveBlocks      int64            `json:"live_blocks"`
-	LiveViews       int              `json:"live_views"`
-	DeferredFrees   int64            `json:"deferred_frees"`
-	EventDrops      int64            `json:"event_drops"`
-	CompactionMode  string           `json:"compaction_mode"`
-	CompactionQueue int              `json:"compaction_queue_depth"`
-	WriteStalls     int64            `json:"write_stalls"`
-	Health          string           `json:"health"`
-	Quarantined     int              `json:"quarantined_blocks"`
-	ShardHealth     []ShardHealth    `json:"shard_health,omitempty"`
-	WAL             *WALStats        `json:"wal,omitempty"`
-	Levels          []debugLevelJSON `json:"levels"`
-	Latencies       []LatencyStats   `json:"latencies,omitempty"`
-}
-
-func (db *DB) debugState() debugStateJSON {
-	s := db.Stats()
-	liveViews, deferredFrees := 0, int64(0)
+// debugLSM is the /debug/lsm payload: the Stats snapshot as JSON (Counters'
+// and LevelStats' tags are its keys; the per-shard breakdown is per_shard),
+// plus what this endpoint alone shows — the policy and shard count, the
+// snapshot machinery's live views and deferred frees, the bus's drops, the
+// shards' health detail once any is unhealthy — and the flat spellings of
+// three Compaction values that scrapers of the old dump read.
+func (db *DB) debugLSM() any {
+	d := struct {
+		Policy     string `json:"policy"`
+		ShardCount int    `json:"shards"`
+		Stats
+		LiveViews       int           `json:"live_views"`
+		DeferredFrees   int64         `json:"deferred_frees"`
+		EventDrops      int64         `json:"event_drops"`
+		CompactionMode  string        `json:"compaction_mode"`
+		CompactionQueue int           `json:"compaction_queue_depth"`
+		WriteStalls     int64         `json:"write_stalls"`
+		ShardHealth     []ShardHealth `json:"shard_health,omitempty"`
+	}{Policy: db.opts.MergePolicy.String(), ShardCount: len(db.shards), Stats: db.Stats(), EventDrops: db.bus.Drops()}
 	for _, sh := range db.shards {
-		liveViews += sh.tree.LiveViews()
-		deferredFrees += sh.tree.DeferredFrees()
+		d.LiveViews += sh.tree.LiveViews()
+		d.DeferredFrees += sh.tree.DeferredFrees()
 	}
-	d := debugStateJSON{
-		Policy:          db.opts.MergePolicy.String(),
-		Shards:          len(db.shards),
-		Height:          s.Height,
-		Records:         s.Records,
-		MemtableRecords: s.MemtableRecords,
-		BlocksWritten:   s.BlocksWritten,
-		BlocksRead:      s.BlocksRead,
-		LiveBlocks:      s.LiveBlocks,
-		LiveViews:       liveViews,
-		DeferredFrees:   deferredFrees,
-		EventDrops:      db.bus.Drops(),
-		CompactionMode:  s.Compaction.Mode,
-		CompactionQueue: s.Compaction.QueueDepth,
-		WriteStalls:     s.Compaction.Slowdowns + s.Compaction.Stops,
-		Health:          s.Health,
-		Quarantined:     s.Quarantined,
-		Latencies:       s.Latencies,
-	}
-	hr := db.Health()
-	if hr.State != health.Healthy.String() {
-		d.ShardHealth = hr.Shards
-	}
-	if s.WAL.Enabled {
-		w := s.WAL
-		d.WAL = &w
-	}
-	for _, l := range s.Levels {
-		d.Levels = append(d.Levels, debugLevelJSON{
-			Level:          l.Level,
-			Blocks:         l.Blocks,
-			Records:        l.Records,
-			CapacityBlocks: l.CapacityBlocks,
-			WasteFactor:    l.WasteFactor,
-			BlocksWritten:  l.BlocksWritten,
-			Compactions:    l.Compactions,
-		})
+	d.CompactionMode, d.CompactionQueue = d.Compaction.Mode, d.Compaction.QueueDepth
+	d.WriteStalls = d.Compaction.Slowdowns + d.Compaction.Stops
+	if d.Health != health.Healthy.String() {
+		d.ShardHealth = db.Health().Shards
 	}
 	return d
 }

@@ -240,14 +240,12 @@ type Options struct {
 	WAL WALOptions
 	// BlockSize is the storage block size in bytes (default 4096).
 	BlockSize int
-	// PayloadHint is the typical value size in bytes used to derive the
-	// per-block record capacity B (default 100, the paper's setting).
-	// Records larger than the hint still work; they simply occupy more
-	// encoded space, and the file device will reject blocks whose
-	// encoding exceeds BlockSize, so set the hint to your maximum value
-	// size when using Path.
-	PayloadHint int
-	// RecordsPerBlock overrides the derived B directly when nonzero.
+	// RecordsPerBlock is B, the per-block record capacity. Zero derives it
+	// from BlockSize for 100-byte values, the paper's setting (36 at the
+	// default BlockSize). Records with larger values still work in memory;
+	// they simply occupy more encoded space, and the file device rejects a
+	// block whose encoding exceeds BlockSize — so with Path, set B to the
+	// number of your largest records that fit in one block.
 	RecordsPerBlock int
 	// MemtableBlocks is K0, the capacity of the in-memory level measured
 	// in blocks (default 256).
@@ -338,11 +336,8 @@ type Options struct {
 	// 1s when Metrics is on). Each tick appends one sample per shard —
 	// ops/s, latency quantile deltas, stall state, compaction debt, WAL
 	// sync latency, cache hit rate — to a bounded in-memory ring covering
-	// the last TimelineCapacity ticks.
+	// the last 512 ticks (about 8.5 minutes at the default interval).
 	TimelineInterval time.Duration
-	// TimelineCapacity is the flight recorder's ring size in samples per
-	// shard (default 512 — about 8.5 minutes at the default interval).
-	TimelineCapacity int
 	// ReadRetries caps the attempts a device read makes before its error
 	// surfaces: transient failures (flaky media, injected faults) are
 	// retried through a bounded, jittered backoff, while permanent ones
@@ -355,12 +350,10 @@ type Options struct {
 	// device checksums, quarantines corrupt blocks (excluding them from
 	// merges), repairs them from a surviving cached copy when possible,
 	// and promotes a Degraded shard back to Healthy after a clean pass.
-	// Zero (the default) disables scrubbing.
+	// Zero (the default) disables scrubbing. A pass pauses between blocks
+	// — 500µs, or less when that would stretch the pass beyond one interval
+	// — which bounds the scrubber's read pressure.
 	ScrubInterval time.Duration
-	// ScrubPace is the delay between consecutive block verifications
-	// within a scrub pass, bounding the scrubber's read pressure (default
-	// 500µs when ScrubInterval is set).
-	ScrubPace time.Duration
 	// DeviceWrap, when set, decorates each shard's device at Open:
 	// the shard's base device is passed in and the returned device is
 	// used in its place (the engine's retry layer then wraps the result).
@@ -378,6 +371,10 @@ type Options struct {
 	Paranoid bool
 }
 
+// defaultPayload is the value size, in bytes, behind the derived default
+// RecordsPerBlock: the paper's 100-byte payloads.
+const defaultPayload = 100
+
 func (o Options) withDefaults() Options {
 	if o.Shards == 0 {
 		o.Shards = 1
@@ -385,11 +382,8 @@ func (o Options) withDefaults() Options {
 	if o.BlockSize == 0 {
 		o.BlockSize = 4096
 	}
-	if o.PayloadHint == 0 {
-		o.PayloadHint = 100
-	}
 	if o.RecordsPerBlock == 0 {
-		o.RecordsPerBlock = block.CapacityFor(o.BlockSize, o.PayloadHint)
+		o.RecordsPerBlock = block.CapacityFor(o.BlockSize, defaultPayload)
 	}
 	if o.MemtableBlocks == 0 {
 		o.MemtableBlocks = 256
@@ -433,19 +427,11 @@ func (o Options) withDefaults() Options {
 	if o.ReadRetries == 0 {
 		o.ReadRetries = 3
 	}
-	if o.ScrubInterval > 0 && o.ScrubPace == 0 {
-		o.ScrubPace = 500 * time.Microsecond
-	}
 	if o.MetricsAddr != "" {
 		o.Metrics = true
 	}
-	if o.Metrics {
-		if o.TimelineInterval == 0 {
-			o.TimelineInterval = time.Second
-		}
-		if o.TimelineCapacity == 0 {
-			o.TimelineCapacity = 512
-		}
+	if o.Metrics && o.TimelineInterval == 0 {
+		o.TimelineInterval = time.Second
 	}
 	return o
 }
@@ -457,12 +443,17 @@ func (o Options) withDefaults() Options {
 // call Validate directly to vet configuration before paying Open's device
 // setup.
 func (o Options) Validate() error {
+	derivedB := o.RecordsPerBlock == 0
 	o = o.withDefaults()
 	if o.Shards < 1 || o.Shards > 1024 || o.Shards&(o.Shards-1) != 0 {
 		return fmt.Errorf("lsmssd: Options.Shards %d must be a power of two in [1, 1024]: keys route by key & (Shards-1)", o.Shards)
 	}
 	if o.BlockSize < 0 {
 		return fmt.Errorf("lsmssd: Options.BlockSize %d is negative", o.BlockSize)
+	}
+	if least := block.MinSizeFor(defaultPayload); o.Path != "" && derivedB && o.BlockSize < least {
+		return fmt.Errorf("lsmssd: Options.BlockSize %d cannot hold one %d-byte-value record: a file-backed store needs at least %d, or an explicit RecordsPerBlock",
+			o.BlockSize, defaultPayload, least)
 	}
 	if o.Epsilon <= 0 || o.Epsilon >= 1 {
 		return fmt.Errorf("lsmssd: Options.Epsilon %g outside (0, 1): ε is the allowed fraction of empty record slots per level", o.Epsilon)
@@ -502,9 +493,6 @@ func (o Options) Validate() error {
 	if o.ScrubInterval < 0 {
 		return fmt.Errorf("lsmssd: Options.ScrubInterval %v is negative; use 0 to disable scrubbing", o.ScrubInterval)
 	}
-	if o.ScrubPace < 0 {
-		return fmt.Errorf("lsmssd: Options.ScrubPace %v is negative", o.ScrubPace)
-	}
 	if o.TraceSampleRate < 0 {
 		return fmt.Errorf("lsmssd: Options.TraceSampleRate %d is negative; use 0 to disable sampling", o.TraceSampleRate)
 	}
@@ -513,9 +501,6 @@ func (o Options) Validate() error {
 	}
 	if o.TimelineInterval < 0 {
 		return fmt.Errorf("lsmssd: Options.TimelineInterval %v is negative", o.TimelineInterval)
-	}
-	if o.TimelineCapacity < 0 {
-		return fmt.Errorf("lsmssd: Options.TimelineCapacity %d is negative", o.TimelineCapacity)
 	}
 	if o.WAL.Enabled {
 		if o.Path == "" {

@@ -14,7 +14,6 @@ func fileOptions(t *testing.T) lsmssd.Options {
 	t.Helper()
 	opts := smallOptions()
 	opts.Path = filepath.Join(t.TempDir(), "db.blk")
-	opts.PayloadHint = 32
 	return opts
 }
 
@@ -266,7 +265,7 @@ func TestBackgroundCloseMidCascade(t *testing.T) {
 
 // TestDefaultOptionsFileBackedStore is the regression test for the derived
 // default block capacity: with nothing but Path set, values of the default
-// PayloadHint size must flush and merge onto a file-backed device (the
+// 100-byte payload size must flush and merge onto a file-backed device (the
 // derived B once ignored the 2-byte length prefix Encode writes, so a full
 // block overflowed the 4096-byte slot) and come back after a reopen.
 func TestDefaultOptionsFileBackedStore(t *testing.T) {

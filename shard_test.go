@@ -3,7 +3,7 @@ package lsmssd_test
 // Sharded-engine coverage: routing transparency (the public API behaves
 // identically at any shard count), cross-shard iterator ordering,
 // snapshot isolation under concurrent writers, batch/DB binding,
-// OpenPath, shard-count persistence, and the Shards=1 compatibility
+// shard-count persistence, and the Shards=1 compatibility
 // guarantee (same write cost and same on-device bytes as the default
 // single-tree configuration).
 
@@ -217,48 +217,6 @@ func TestBatchBoundToDB(t *testing.T) {
 	zb.Put(1, nil)
 	if err := db2.Apply(&zb); !errors.Is(err, lsmssd.ErrBatchDB) {
 		t.Fatalf("re-used zero-value batch on other DB = %v, want ErrBatchDB", err)
-	}
-}
-
-// TestOpenPath covers the functional-options constructor: directory
-// layout, option application, and reopen with the same options.
-func TestOpenPath(t *testing.T) {
-	if _, err := lsmssd.OpenPath(""); err == nil {
-		t.Fatal("OpenPath(\"\") should fail")
-	}
-
-	dir := filepath.Join(t.TempDir(), "store")
-	db, err := lsmssd.OpenPath(dir,
-		lsmssd.WithShards(2),
-		lsmssd.WithMemtableBlocks(4),
-		lsmssd.WithSync(lsmssd.SyncEvery),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := uint64(0); k < 500; k++ {
-		if err := db.Put(k, []byte(fmt.Sprintf("p%d", k))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db, err = lsmssd.OpenPath(dir,
-		lsmssd.WithShards(2),
-		lsmssd.WithMemtableBlocks(4),
-		lsmssd.WithSync(lsmssd.SyncEvery),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	for k := uint64(0); k < 500; k += 31 {
-		v, ok, err := db.Get(k)
-		if err != nil || !ok || string(v) != fmt.Sprintf("p%d", k) {
-			t.Fatalf("after reopen Get(%d) = %q, %v, %v", k, v, ok, err)
-		}
 	}
 }
 

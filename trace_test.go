@@ -325,7 +325,6 @@ func TestTimelineAndSlowEndpoints(t *testing.T) {
 	opts.Shards = 2
 	opts.MetricsAddr = "127.0.0.1:0"
 	opts.TimelineInterval = 10 * time.Millisecond
-	opts.TimelineCapacity = 64
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
