@@ -17,13 +17,13 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Repo-specific static analysis, seventeen rules. Ten are syntactic
-# allowlists (device-io, global-rand, unchecked-err, layering, tree-state,
-# obs-event, compaction-step, wal-frame: DESIGN.md §6.3; layout-assert: §15;
-# retry-bounded: §16.2); seven run on the CFG/dataflow layer
-# (lock-discipline, view-refcount, sentinel-error-flow, wal-ordering,
-# goroutine-shutdown, shard-lock-order, span-finish: §12). Rule tables are
-# in internal/lint/lint.go, fixtures under internal/lint/rules/testdata.
+# Repo-specific static analysis, fifteen rules. Ten are syntactic
+# (device-io, tree-state, compaction-step and wal-frame from one
+# confinement table; global-rand, unchecked-err, layering, obs-event,
+# retry-bounded, goroutine-shutdown: DESIGN.md §6.3); five share three
+# CFG/dataflow analyses (lock-discipline + shard-lock-order, view-refcount
+# + span-finish, sentinel-error-flow: §12). Rule tables are in
+# internal/lint/lint.go, fixtures under internal/lint/rules/testdata.
 lint:
 	$(GO) run ./cmd/lsmlint ./...
 

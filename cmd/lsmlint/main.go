@@ -1,22 +1,22 @@
 // Command lsmlint is the repository's static analyzer. It enforces the
 // coding disciplines the engine's correctness and experiments depend on:
-// device I/O confined to the accounting layers, seeded randomness only,
-// no dropped errors, package layering, and the path-sensitive protocols
-// the engine's concurrency and durability arguments rest on (writer-lock
-// discipline, view refcounting, sentinel error flow, WAL ordering,
-// goroutine shutdown).
+// device I/O, live tree state, merge cascades and WAL frames confined to
+// their owning layers, seeded randomness only, no dropped errors, package
+// layering, and the path-sensitive protocols the engine's concurrency and
+// durability arguments rest on (writer-lock discipline and shard lock
+// order, view and span obligations, sentinel error flow), plus goroutine
+// shutdown and bounded retry.
 //
 // Usage:
 //
 //	go run ./cmd/lsmlint ./...
-//	go run ./cmd/lsmlint -rules lock-discipline,wal-ordering ./...
-//	go run ./cmd/lsmlint -json ./... > findings.json
+//	go run ./cmd/lsmlint -rules lock-discipline,shard-lock-order ./...
+//	go run ./cmd/lsmlint -list
 //
 // Exits 1 when findings exist, 2 on analysis failure.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -25,21 +25,11 @@ import (
 	"lsmssd/internal/lint/rules"
 )
 
-// jsonFinding is the machine-readable finding shape for -json.
-type jsonFinding struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
-	Rule string `json:"rule"`
-	Msg  string `json:"msg"`
-}
-
 func main() {
 	ruleList := flag.String("rules", "", "comma-separated rule names to run (default: all)")
-	asJSON := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	listRules := flag.Bool("list", false, "list the registered rules and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: lsmlint [-rules r1,r2] [-json] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: lsmlint [-rules r1,r2] [-list] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -66,28 +56,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	if *asJSON {
-		out := make([]jsonFinding, 0, len(findings))
-		for _, f := range findings {
-			out = append(out, jsonFinding{
-				File: f.Pos.Filename,
-				Line: f.Pos.Line,
-				Col:  f.Pos.Column,
-				Rule: f.Rule,
-				Msg:  f.Msg,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "lsmlint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "lsmlint: %d finding(s)\n", len(findings))

@@ -79,7 +79,7 @@ func TestRRCyclesThroughKeySpace(t *testing.T) {
 			return
 		}
 		// The last merged key range is observable via the policy cursor.
-		if rr, ok := policy.AsRR(tr.Policy()); ok {
+		if rr, ok := tr.Policy().RR(); ok {
 			if k, set := rr.Cursor(1); set {
 				mins = append(mins, block.Key(k))
 			}

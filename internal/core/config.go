@@ -20,7 +20,7 @@ type Config struct {
 	// externally or set CacheBlocks to have the tree do it.
 	Device storage.Device
 	// Policy decides what each merge takes (Full, RR, ChooseBest, Mixed...).
-	Policy policy.Policy
+	Policy *policy.Policy
 	// BlockCapacity is B: records per data block.
 	BlockCapacity int
 	// K0 is the capacity of the memory-resident L0, in blocks.

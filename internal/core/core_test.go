@@ -11,7 +11,7 @@ import (
 	"lsmssd/internal/storage"
 )
 
-func testConfig(p policy.Policy) Config {
+func testConfig(p *policy.Policy) Config {
 	return Config{
 		Device:        storage.NewMemDevice(),
 		Policy:        p,
@@ -23,16 +23,16 @@ func testConfig(p policy.Policy) Config {
 	}
 }
 
-func allPolicies(delta float64) map[string]func() policy.Policy {
-	return map[string]func() policy.Policy{
-		"Full":         func() policy.Policy { return policy.NewFull(true) },
-		"Full-P":       func() policy.Policy { return policy.NewFull(false) },
-		"RR":           func() policy.Policy { return policy.NewRR(delta, true) },
-		"RR-P":         func() policy.Policy { return policy.NewRR(delta, false) },
-		"ChooseBest":   func() policy.Policy { return policy.NewChooseBest(delta, true) },
-		"ChooseBest-P": func() policy.Policy { return policy.NewChooseBest(delta, false) },
-		"TestMixed":    func() policy.Policy { return policy.NewTestMixed(delta, true) },
-		"Mixed":        func() policy.Policy { return policy.NewMixed(delta, true, map[int]float64{2: 0.4}, true) },
+func allPolicies(delta float64) map[string]func() *policy.Policy {
+	return map[string]func() *policy.Policy{
+		"Full":         func() *policy.Policy { return policy.NewFull(true) },
+		"Full-P":       func() *policy.Policy { return policy.NewFull(false) },
+		"RR":           func() *policy.Policy { return policy.NewRR(delta, true) },
+		"RR-P":         func() *policy.Policy { return policy.NewRR(delta, false) },
+		"ChooseBest":   func() *policy.Policy { return policy.NewChooseBest(delta, true) },
+		"ChooseBest-P": func() *policy.Policy { return policy.NewChooseBest(delta, false) },
+		"TestMixed":    func() *policy.Policy { return policy.NewTestMixed(delta, true) },
+		"Mixed":        func() *policy.Policy { return policy.NewMixed(delta, true, map[int]float64{2: 0.4}, true) },
 	}
 }
 
@@ -367,7 +367,7 @@ func TestSnapshotShape(t *testing.T) {
 func TestQuickTreeModel(t *testing.T) {
 	f := func(seed int64, policyPick, deltaRaw uint8, preserve bool) bool {
 		delta := float64(deltaRaw%40+10) / 100 // 0.10..0.49
-		var p policy.Policy
+		var p *policy.Policy
 		switch policyPick % 5 {
 		case 0:
 			p = policy.NewFull(preserve)

@@ -181,8 +181,8 @@ func New(cfg Config) (*Tree, error) {
 		return nil, err
 	}
 	t := &Tree{cfg: cfg, dev: cfg.Device, bus: cfg.Bus, lat: cfg.Lat,
-		layout:  policy.LayoutOf(cfg.Policy),
-		trigger: policy.TriggerOf(cfg.Policy),
+		layout:  cfg.Policy.Layout(),
+		trigger: cfg.Policy.Trigger(),
 		warned:  make(map[*level.Level]bool)}
 	if cfg.CacheBlocks > 0 {
 		t.cache = cache.New(cfg.Device, cfg.CacheBlocks)
@@ -273,7 +273,7 @@ func (t *Tree) Cache() *cache.Cache { return t.cache }
 func (t *Tree) Blooms() *bloom.Registry { return t.blooms }
 
 // Policy returns the merge policy in use.
-func (t *Tree) Policy() policy.Policy { return t.cfg.Policy }
+func (t *Tree) Policy() *policy.Policy { return t.cfg.Policy }
 
 // Config returns the tree's configuration.
 func (t *Tree) Config() Config { return t.cfg }
@@ -324,10 +324,6 @@ func (t *Tree) SizeBlocks(level int) int {
 
 // --- overflow handling ---------------------------------------------------
 
-// levelsGrewNotifier is implemented by policies that keep per-level state
-// (RR's cursors) needing relocation when the tree gains a level.
-type levelsGrewNotifier interface{ LevelsGrew(oldBottom int) }
-
 // ForceGrow adds a level ahead of the bottom level's overflow. The paper
 // observes (Section V-A) that full merges into a relatively empty new
 // bottom level are very cost-effective and asks "whether we can increase
@@ -351,9 +347,7 @@ func (t *Tree) grow() {
 	}
 	fresh := newSlot(t.newLevel(n))
 	t.slots = append(t.slots[:n-1], fresh, old)
-	if g, ok := t.cfg.Policy.(levelsGrewNotifier); ok {
-		g.LevelsGrew(n)
-	}
+	t.cfg.Policy.LevelsGrew(n)
 	t.cnt.grows.Add(1)
 	if t.bus.Enabled() {
 		t.bus.Publish(obs.GrowEvent{

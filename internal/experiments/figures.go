@@ -6,7 +6,6 @@ import (
 	"lsmssd/internal/compaction"
 	"lsmssd/internal/histogram"
 	"lsmssd/internal/learn"
-	"lsmssd/internal/policy"
 	"lsmssd/internal/workload"
 )
 
@@ -58,7 +57,7 @@ func (p Params) Fig1(buckets int) (Fig1Result, *Table, error) {
 		return res, nil, err
 	}
 	res.L1, res.L2 = histogram.Normalize(l1), histogram.Normalize(l2)
-	if rr, ok := policy.AsRR(run.pol); ok {
+	if rr, ok := run.pol.RR(); ok {
 		if k, set := rr.Cursor(1); set {
 			res.ArrowBucket = int(k / ((p.KeySpace + uint64(buckets) - 1) / uint64(buckets)))
 		}
@@ -402,7 +401,7 @@ func (p Params) growthRun(polName string, taus map[int]float64, beta bool, check
 	if err != nil {
 		return nil, err
 	}
-	if m, ok := policy.AsMixed(pol); ok {
+	if m, ok := pol.Mixed(); ok {
 		for lvl, tau := range taus {
 			m.SetTau(lvl, tau)
 		}

@@ -126,7 +126,7 @@ func (p Params) LayoutSweep(layouts []policy.Layout, workloads []string, dataset
 			if err != nil {
 				return nil, nil, err
 			}
-			pol := policy.Relayout(policy.NewFull(true), lay)
+			pol := policy.NewFull(true).WithLayout(lay)
 			// A cache of a few blocks keeps reads honest: every run the
 			// read path crosses costs device reads instead of hits.
 			tree, dev, err := p.newTree(pol, payload, p.blocksForMB(k0MB), 4)

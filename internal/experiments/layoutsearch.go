@@ -19,7 +19,7 @@ import (
 //
 // ChooseBest carries the δ axis because it is the paper's strongest
 // δ-parameterized granularity; the layout axis is applied with
-// policy.Relayout so the candidates differ only along the searched axes.
+// Policy.WithLayout so the candidates differ only along the searched axes.
 func (p Params) LayoutSearch(space learn.Space, wl string, datasetMB, windowMB float64) (learn.Candidate, []learn.Candidate, *Table, error) {
 	p = p.WithDefaults()
 	const k0MB, payload = 1.0, 96
@@ -32,7 +32,7 @@ func (p Params) LayoutSearch(space learn.Space, wl string, datasetMB, windowMB f
 		if err != nil {
 			return 0, err
 		}
-		pol := policy.Relayout(policy.NewChooseBest(delta, true), lay)
+		pol := policy.NewChooseBest(delta, true).WithLayout(lay)
 		tree, dev, err := p.newTree(pol, payload, p.blocksForMB(k0MB), 4)
 		if err != nil {
 			return 0, err

@@ -117,7 +117,7 @@ var PolicyNames = []string{
 }
 
 // BuildPolicy constructs a policy by its paper name.
-func BuildPolicy(name string, delta float64) (policy.Policy, error) {
+func BuildPolicy(name string, delta float64) (*policy.Policy, error) {
 	switch name {
 	case "Full":
 		return policy.NewFull(true), nil
@@ -217,7 +217,7 @@ func (s WorkloadSpec) New(keySpace uint64) workload.Generator {
 }
 
 // newTree builds a tree for an experiment run.
-func (p Params) newTree(pol policy.Policy, payload int, k0Blocks, cacheBlocks int) (*core.Tree, *storage.MemDevice, error) {
+func (p Params) newTree(pol *policy.Policy, payload int, k0Blocks, cacheBlocks int) (*core.Tree, *storage.MemDevice, error) {
 	dev := storage.NewMemDevice()
 	tree, err := core.New(core.Config{
 		Device:        dev,

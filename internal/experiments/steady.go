@@ -52,7 +52,7 @@ type steadyRun struct {
 	tree  *core.Tree
 	dev   *storage.MemDevice
 	gen   workload.Generator
-	pol   policy.Policy
+	pol   *policy.Policy
 	mixed *policy.Mixed // nil unless the policy is Mixed
 }
 
@@ -78,7 +78,7 @@ func (p Params) buildSteady(spec SteadySpec) (*steadyRun, error) {
 		return nil, err
 	}
 	run := &steadyRun{tree: tree, dev: dev, gen: gen, pol: pol}
-	if m, ok := policy.AsMixed(pol); ok {
+	if m, ok := pol.Mixed(); ok {
 		run.mixed = m
 		if spec.MixedTaus != nil || spec.MixedBeta != nil {
 			for lvl, tau := range spec.MixedTaus {

@@ -38,7 +38,6 @@ import (
 	"fmt"
 
 	"lsmssd/internal/core"
-	"lsmssd/internal/policy"
 )
 
 // Options selects the audit strictness.
@@ -90,7 +89,7 @@ func Check(t *core.Tree, o Options) error {
 	}
 
 	height := t.Height()
-	lay := policy.LayoutOf(cfg.Policy)
+	lay := cfg.Policy.Layout()
 	liveWant := int64(0)
 	for i := 1; i <= height-1; i++ {
 		runs := t.Runs(i)

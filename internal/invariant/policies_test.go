@@ -18,12 +18,12 @@ import (
 // constraint (the silent failure mode of compaction bugs) fails here at
 // the first violating merge, not at the end of the run.
 func TestPoliciesUnderAudit(t *testing.T) {
-	policies := map[string]func() policy.Policy{
-		"Full":       func() policy.Policy { return policy.NewFull(true) },
-		"RR":         func() policy.Policy { return policy.NewRR(0.25, true) },
-		"ChooseBest": func() policy.Policy { return policy.NewChooseBest(0.25, true) },
-		"TestMixed":  func() policy.Policy { return policy.NewTestMixed(0.25, true) },
-		"Mixed": func() policy.Policy {
+	policies := map[string]func() *policy.Policy{
+		"Full":       func() *policy.Policy { return policy.NewFull(true) },
+		"RR":         func() *policy.Policy { return policy.NewRR(0.25, true) },
+		"ChooseBest": func() *policy.Policy { return policy.NewChooseBest(0.25, true) },
+		"TestMixed":  func() *policy.Policy { return policy.NewTestMixed(0.25, true) },
+		"Mixed": func() *policy.Policy {
 			return policy.NewMixed(0.25, true, map[int]float64{2: 0.5}, true)
 		},
 	}

@@ -13,12 +13,12 @@ import (
 
 // newMixed builds a zero-parameter Mixed policy and unwraps its tunable
 // granularity.
-func newMixed(t *testing.T) (policy.Policy, *policy.Mixed) {
+func newMixed(t *testing.T) (*policy.Policy, *policy.Mixed) {
 	t.Helper()
 	pol := policy.NewMixed(0.25, true, nil, false)
-	m, ok := policy.AsMixed(pol)
+	m, ok := pol.Mixed()
 	if !ok {
-		t.Fatal("AsMixed failed on a Mixed policy")
+		t.Fatal("Mixed() failed on a Mixed policy")
 	}
 	return pol, m
 }

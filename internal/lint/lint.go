@@ -52,77 +52,67 @@ type Context struct {
 	Cfg Config
 }
 
+// Confinement restricts calls of Methods on Type (any named type when
+// Type is "") declared in Pkg to the Allowed packages. One row is one
+// syntactic confinement rule; Why ends its finding message.
+type Confinement struct {
+	Rule    string
+	Pkg     string
+	Type    string
+	Methods []string
+	Allowed []string
+	Why     string
+}
+
+// Obligation makes every call whose first result is *Pkg.Type start an
+// obligation that only a Method call on the value (direct or deferred) or
+// the value escaping to a new owner discharges, on every path.
+type Obligation struct {
+	Rule   string
+	Pkg    string
+	Type   string
+	Method string
+}
+
 // Config selects the rule parameters. DefaultConfig returns the
 // repository's production configuration; tests substitute fixture paths.
 type Config struct {
 	// ModulePrefix is the module path; packages under it are "ours" for
 	// the unchecked-err rule.
 	ModulePrefix string
-	// DevicePkg is the package whose Read/Write methods are restricted.
-	DevicePkg string
-	// DeviceMethods are the restricted method names on DevicePkg types.
-	DeviceMethods []string
-	// DeviceIOAllowed lists the packages allowed to call DeviceMethods.
-	DeviceIOAllowed []string
 	// RandAllowed lists the math/rand functions that remain legal
 	// (constructors taking an explicit seed or source).
 	RandAllowed []string
-	// TreePkg is the package defining the engine Tree whose live-state
-	// accessors are restricted to writer-side packages.
+	// TreePkg is the package defining the engine Tree whose mutations the
+	// lock-discipline rule guards.
 	TreePkg string
-	// TreeStateMethods are the restricted accessor names on TreePkg's Tree.
-	TreeStateMethods []string
-	// TreeStateAllowed lists the packages allowed to read live tree state
-	// (they run in the writer's context by construction).
-	TreeStateAllowed []string
 	// ObsPkg is the package defining the observability event types whose
-	// construction is restricted to instrumented packages.
-	ObsPkg string
-	// ObsAllowed lists the packages allowed to construct ObsPkg event
-	// values (the sanctioned emission points). Test files are never
-	// linted, so sinks remain testable everywhere.
+	// construction is restricted to ObsAllowed, the instrumented packages.
+	// Test files are never linted, so sinks remain testable everywhere.
+	ObsPkg     string
 	ObsAllowed []string
-	// CompactionMethods are the cascade entry points on TreePkg's Tree
-	// whose callers are restricted to the scheduling layer.
-	CompactionMethods []string
-	// CompactionAllowed lists the packages allowed to call
-	// CompactionMethods. Test files are never linted, so tests may drive
-	// cascades directly everywhere.
-	CompactionAllowed []string
-	// WALPkg is the package defining the write-ahead log whose mutating
-	// methods are restricted to the durability layer.
-	WALPkg string
-	// WALMethods are the restricted method names on WALPkg's Log.
-	WALMethods []string
-	// WALAllowed lists the packages allowed to call WALMethods (the wal
-	// package itself and the DB layer that owns the commit protocol).
-	WALAllowed []string
-	// PolicyPkg is the package defining the merge-policy axes. The
-	// layout-assert rule forbids type assertions and type switches on its
-	// Policy interface outside PolicyAssertAllowed, so layout stays an
-	// axis read through accessors (policy.LayoutOf, TriggerOf, Relayout,
-	// AsMixed) rather than a type check that silently misses recomposed
-	// policies.
-	PolicyPkg string
-	// PolicyAssertAllowed lists the packages allowed to assert on
-	// PolicyPkg's Policy interface (the policy package itself, which owns
-	// the accessors).
-	PolicyAssertAllowed []string
+
+	// Confined is the table behind device-io, tree-state, compaction-step
+	// and wal-frame.
+	Confined []Confinement
+	// Obligations is the table behind view-refcount and span-finish.
+	Obligations []Obligation
 
 	// RetryAllowed lists the packages allowed to hand-roll sleep-retry
-	// loops around DeviceMethods calls. Everywhere else the retry-bounded
-	// rule requires internal/retry's capped, accounted backoff.
+	// loops around the device-io row's methods. Everywhere else the
+	// retry-bounded rule requires internal/retry's capped, accounted backoff.
 	RetryAllowed []string
 
 	// Layering maps a package path to import paths it must not depend on,
 	// directly or transitively.
 	Layering map[string][]string
 
-	// LockCheckedPkgs lists the packages where the lock-discipline rule
-	// applies: every TreeMutateMethods call must be dominated by a
-	// LockName.Lock() with an unlock on all exit paths. Packages below the
-	// DB layer (core, compaction) mutate under a caller-holds-lock
-	// contract and are excluded.
+	// LockCheckedPkgs lists the packages where lock-discipline and
+	// shard-lock-order apply: every TreeMutateMethods call must be dominated
+	// by a LockName.Lock() with an unlock on all exit paths, and no writer
+	// lock may be taken while one may be held. Packages below the DB layer
+	// (core, compaction) mutate under a caller-holds-lock contract and are
+	// excluded.
 	LockCheckedPkgs []string
 	// LockName is the mutex field serializing tree mutations ("writerMu").
 	LockName string
@@ -142,13 +132,9 @@ type Config struct {
 	// without LockName held by their caller, so they must never acquire it
 	// themselves: doing so self-deadlocks the callers that hold it.
 	LockFreeFuncs []string
-
-	// ShardLockPkgs lists the packages where the shard-lock-order rule
-	// applies: no function may acquire a second shard writer lock while
-	// one may already be held, except the ShardFanoutFuncs, which must
-	// take them by ranging over the shard slice (ascending order).
-	ShardLockPkgs []string
-	// ShardFanoutFuncs are the sanctioned all-shard lock fan-out helpers.
+	// ShardFanoutFuncs are the sanctioned all-shard lock fan-out helpers:
+	// the only functions that may hold several writer locks, which they
+	// must take by ranging over the shard slice (ascending order).
 	ShardFanoutFuncs []string
 
 	// SentinelPkgs lists the packages whose returned errors carry sentinel
@@ -157,21 +143,13 @@ type Config struct {
 	// on any path.
 	SentinelPkgs []string
 
-	// WALOrderPkgs lists the packages where the wal-ordering rule applies
-	// (the DB layer owning the log-then-apply commit protocol).
-	WALOrderPkgs []string
-	// WALAppendHelpers are same-package helpers that wrap wal.Log.Append
-	// and return an error; a mutation applied before that error is
-	// checked violates the commit protocol.
-	WALAppendHelpers []string
-
 	// GoShutdownPkgs lists the packages where every `go` statement must
 	// have a shutdown path: a select/receive on a quit-like channel, a
 	// range over a channel, or a sole-statement delegate call.
 	GoShutdownPkgs []string
 	// GoDelegates are method names whose sole-statement call inside a
 	// goroutine counts as delegating lifecycle to the callee
-	// (http.Server.Serve and friends block until shutdown).
+	// (http.Server.Serve blocks until the server is closed).
 	GoDelegates []string
 }
 
@@ -184,28 +162,10 @@ func DefaultConfig() Config {
 		"lsmssd/internal/merge",
 	}
 	return Config{
-		ModulePrefix:  "lsmssd",
-		DevicePkg:     "lsmssd/internal/storage",
-		DeviceMethods: []string{"Read", "Write"},
-		DeviceIOAllowed: []string{
-			"lsmssd/internal/storage",
-			"lsmssd/internal/cache",
-			"lsmssd/internal/level",
-			"lsmssd/internal/merge",
-			"lsmssd/internal/core",
-			"lsmssd/internal/faultdev", // transparent Device wrapper; delegates accounting to the inner device
-		},
-		RandAllowed:      []string{"New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8"},
-		TreePkg:          "lsmssd/internal/core",
-		TreeStateMethods: []string{"Level", "Memtable"},
-		TreeStateAllowed: []string{
-			"lsmssd/internal/core",
-			"lsmssd/internal/invariant",   // runs as the writer's auditor hook
-			"lsmssd/internal/histogram",   // tree-based variant used by experiments
-			"lsmssd/internal/learn",       // drives the tree single-threaded
-			"lsmssd/internal/experiments", // single-threaded harness
-		},
-		ObsPkg: "lsmssd/internal/obs",
+		ModulePrefix: "lsmssd",
+		RandAllowed:  []string{"New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8"},
+		TreePkg:      "lsmssd/internal/core",
+		ObsPkg:       "lsmssd/internal/obs",
 		ObsAllowed: []string{
 			"lsmssd/internal/obs",
 			"lsmssd/internal/core",
@@ -215,18 +175,45 @@ func DefaultConfig() Config {
 			"lsmssd/internal/experiments", // RunEvent window markers
 			"lsmssd",                      // WALEvent/RecoveryEvent at the DB's durability points
 		},
-		CompactionMethods: []string{"CompactionStep", "RunCascade"},
-		CompactionAllowed: []string{
-			"lsmssd/internal/core",       // Restore completes an interrupted cascade
-			"lsmssd/internal/compaction", // the scheduler and the sync Driver
-		},
-		PolicyPkg:           "lsmssd/internal/policy",
-		PolicyAssertAllowed: []string{"lsmssd/internal/policy"},
-		WALPkg:              "lsmssd/internal/wal",
-		WALMethods:          []string{"Append", "Sync", "GC", "Crash"},
-		WALAllowed: []string{
-			"lsmssd/internal/wal",
-			"lsmssd", // the DB layer owns the log-then-apply commit protocol
+		Confined: []Confinement{{
+			Rule: "device-io", Pkg: "lsmssd/internal/storage", Methods: []string{"Read", "Write"},
+			Allowed: []string{
+				"lsmssd/internal/storage",
+				"lsmssd/internal/cache",
+				"lsmssd/internal/level",
+				"lsmssd/internal/merge",
+				"lsmssd/internal/core",
+				"lsmssd/internal/faultdev", // transparent Device wrapper; delegates accounting to the inner device
+			},
+			Why: "raw device I/O breaks write-cost accounting; route it through level/merge/core",
+		}, {
+			Rule: "tree-state", Pkg: "lsmssd/internal/core", Type: "Tree", Methods: []string{"Level", "Memtable"},
+			Allowed: []string{
+				"lsmssd/internal/core",
+				"lsmssd/internal/invariant",   // runs as the writer's auditor hook
+				"lsmssd/internal/histogram",   // tree-based variant used by experiments
+				"lsmssd/internal/learn",       // drives the tree single-threaded
+				"lsmssd/internal/experiments", // single-threaded harness
+			},
+			Why: "live level state mutates under concurrent merges; acquire a snapshot with Tree.AcquireView instead",
+		}, {
+			Rule: "compaction-step", Pkg: "lsmssd/internal/core", Type: "Tree", Methods: []string{"CompactionStep", "RunCascade"},
+			Allowed: []string{
+				"lsmssd/internal/core",       // Restore completes an interrupted cascade
+				"lsmssd/internal/compaction", // the scheduler and the sync Driver
+			},
+			Why: "go through compaction.Scheduler (or compaction.Driver) so backpressure and error parking see every step",
+		}, {
+			Rule: "wal-frame", Pkg: "lsmssd/internal/wal", Type: "Log", Methods: []string{"Append", "Sync", "GC", "Crash"},
+			Allowed: []string{
+				"lsmssd/internal/wal",
+				"lsmssd", // the DB layer owns the log-then-apply commit protocol
+			},
+			Why: "frames are appended and garbage-collected only by the DB's commit protocol so acked writes stay recoverable",
+		}},
+		Obligations: []Obligation{
+			{Rule: "view-refcount", Pkg: "lsmssd/internal/core", Type: "View", Method: "Release"},
+			{Rule: "span-finish", Pkg: "lsmssd/internal/obs", Type: "Span", Method: "Finish"},
 		},
 		RetryAllowed: []string{
 			"lsmssd/internal/retry",   // owns the bounded loop
@@ -269,19 +256,14 @@ func DefaultConfig() Config {
 		// and the limbo mark as one instant, so it needs the writer lock;
 		// the persist half is shared by callers that hold it (Close) and
 		// callers that do not (the scheduler goroutine, DB.Checkpoint).
-		LockHeldFuncs: []string{"captureLocked"},
-		LockFreeFuncs: []string{"persist"},
-
-		ShardLockPkgs:    []string{"lsmssd"},
+		LockHeldFuncs:    []string{"captureLocked"},
+		LockFreeFuncs:    []string{"persist"},
 		ShardFanoutFuncs: []string{"lockAllShards"},
 
 		SentinelPkgs: []string{
 			"lsmssd/internal/wal",
 			"lsmssd/internal/storage",
 		},
-
-		WALOrderPkgs:     []string{"lsmssd"},
-		WALAppendHelpers: []string{"logMutation"},
 
 		GoShutdownPkgs: []string{
 			"lsmssd/internal/compaction",
@@ -292,7 +274,7 @@ func DefaultConfig() Config {
 			// DB.shutdown too, not spawned per checkpoint.
 			"lsmssd",
 		},
-		GoDelegates: []string{"Serve", "ListenAndServe", "Wait", "Run"},
+		GoDelegates: []string{"Serve"},
 	}
 }
 

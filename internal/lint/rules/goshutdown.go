@@ -1,16 +1,18 @@
 package rules
 
 // goroutine-shutdown: every `go` statement in the long-running service
-// packages (compaction, obs) must have a shutdown path. Accepted shapes,
+// packages (compaction, obs, the DB layer) must have a shutdown path. Accepted shapes,
 // checked in the goroutine's body (a func literal, or the same-package
 // function/method it starts):
 //
 //   - a receive (select case, expression, or assignment) from a channel
 //     whose name looks like a shutdown signal (done/stop/quit/exit/close);
 //   - ranging over a channel (the loop ends when the sender closes it);
-//   - delegating lifecycle: the body's sole statement calls a blocking
-//     method like Serve/ListenAndServe/Wait/Run, whose own shutdown is
-//     the callee's contract (http.Server.Serve returns on Close).
+//   - delegating lifecycle: the body's sole statement calls a
+//     Config.GoDelegates method (Serve), whose own shutdown is the
+//     callee's contract (http.Server.Serve returns on Close). Nothing else
+//     is listed: a `go w.Run()` is checked through Run's body like any
+//     other call.
 //
 // Anything else is a goroutine the engine cannot stop: it outlives Close,
 // races teardown in tests, and leaks under repeated open/close cycles.
@@ -123,7 +125,7 @@ var goroutineShutdown = lint.Rule{
 					out = append(out, lint.Finding{
 						Pos:  ctx.Pkg.Fset.Position(gs.Pos()),
 						Rule: "goroutine-shutdown",
-						Msg:  "goroutine has no shutdown path; select on a quit/done channel, range over a closable channel, or delegate to a blocking Serve/Wait",
+						Msg:  "goroutine has no shutdown path; select on a quit/done channel, range over a closable channel, or delegate to a blocking Serve",
 					})
 				}
 				return true

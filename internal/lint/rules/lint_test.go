@@ -26,13 +26,15 @@ func fixtureConfig() lint.Config {
 			"lsmssd/internal/level",  // transitive via merge
 		},
 	}
-	cfg.LockCheckedPkgs = []string{fixturePrefix + "lockdiscipline"}
-	cfg.WALOrderPkgs = []string{fixturePrefix + "walordering"}
+	cfg.LockCheckedPkgs = []string{fixturePrefix + "lockdiscipline", fixturePrefix + "shardlockorder"}
 	cfg.GoShutdownPkgs = []string{fixturePrefix + "goshutdown"}
-	cfg.ShardLockPkgs = []string{fixturePrefix + "shardlockorder"}
 	// The retry-bounded fixture calls Device.Read/Write directly; exempt it
 	// from device-io so only the rule under test fires.
-	cfg.DeviceIOAllowed = append(cfg.DeviceIOAllowed, fixturePrefix+"retrybounded")
+	for i, c := range cfg.Confined {
+		if c.Rule == "device-io" {
+			cfg.Confined[i].Allowed = append(c.Allowed, fixturePrefix+"retrybounded")
+		}
+	}
 	// The fixture needs a second fan-out name so a failing fan-out shape
 	// can coexist with the fixed lockAllShards.
 	cfg.ShardFanoutFuncs = append(cfg.ShardFanoutFuncs, "lockAllShardsDesc")
@@ -84,29 +86,33 @@ func wantComments(t *testing.T, dir string) map[string][]string {
 }
 
 // TestFixturesDetected proves every seeded violation of every rule is
-// reported, and nothing else: each fixture carries both the failing
-// shape (marked `// want rule`) and its fixed counterpart (unmarked).
+// reported, and nothing else: each fixture under testdata/src carries both
+// the failing shape (marked `// want rule`) and its fixed counterpart
+// (unmarked). Across the corpus every registered rule must be seeded at
+// least once, and every marker must name a registered rule.
 func TestFixturesDetected(t *testing.T) {
-	fixtures := []string{
-		// v1 syntactic rules.
-		"devcall", "globalrand", "uncheckederr", "layering",
-		"treestate", "obsevent", "compactionstep", "walframe", "layoutassert",
-		"retrybounded",
-		// v2 path-sensitive rules.
-		"lockdiscipline", "viewrefcount", "errflow", "walordering", "goshutdown",
-		"shardlockorder", "spanfinish",
-		// Driver mechanism.
-		"suppress",
+	entries, err := os.ReadDir("testdata/src")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, fix := range fixtures {
-		fix := fix
+	seeded := map[string]bool{}
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		fix := e.Name()
+		want := wantComments(t, filepath.Join("testdata/src", fix))
+		for _, rules := range want {
+			for _, r := range rules {
+				seeded[r] = true
+			}
+		}
 		t.Run(fix, func(t *testing.T) {
 			rel := "./internal/lint/rules/testdata/src/" + fix
 			findings, err := lint.Run("../../..", []string{rel}, fixtureConfig(), All())
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := wantComments(t, filepath.Join("testdata/src", fix))
 			if len(want) == 0 && fix != "suppress" {
 				t.Fatalf("fixture %s has no want comments", fix)
 			}
@@ -126,6 +132,18 @@ func TestFixturesDetected(t *testing.T) {
 				}
 			}
 		})
+	}
+	registered := map[string]bool{}
+	for _, r := range All() {
+		registered[r.Name] = true
+		if !seeded[r.Name] {
+			t.Errorf("rule %s has no `// want %s` marker in testdata/src", r.Name, r.Name)
+		}
+	}
+	for r := range seeded {
+		if !registered[r] {
+			t.Errorf("a `// want %s` marker names an unregistered rule", r)
+		}
 	}
 }
 

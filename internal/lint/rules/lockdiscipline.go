@@ -1,14 +1,27 @@
 package rules
 
-// lock-discipline: inside the DB layer, every core.Tree mutation must be
-// dominated by a writerMu.Lock() (directly or via a lock-acquire helper
-// like lockedTree), and an acquired lock must be released on every exit
-// path (an explicit Unlock, a deferred Unlock, or the unlock func
-// escaping to the caller, as lockedTree itself does). Functions whose
-// names end in "Locked" follow the caller-holds-lock convention and are
-// exempt; calls to the ones listed in LockHeldFuncs are checked like tree
-// mutations, so the contract is verified at the call site too. Functions in
-// LockFreeFuncs run under either regime and must not acquire the lock.
+// lock-discipline and shard-lock-order: one lock analysis over the DB
+// layer (Config.LockCheckedPkgs).
+//
+// lock-discipline: every core.Tree mutation must be dominated by a
+// writerMu.Lock() (directly or via a lock-acquire helper like lockedTree),
+// and an acquired lock must be released on every exit path (an explicit
+// Unlock, a deferred Unlock, or the unlock func escaping to the caller, as
+// lockedTree itself does). Functions whose names end in "Locked" follow
+// the caller-holds-lock convention: their analysis starts locked and skips
+// the exit check. Calls to the ones listed in LockHeldFuncs are checked
+// like tree mutations, so the contract is verified at the call site too.
+// Functions in LockFreeFuncs run under either regime and must not acquire
+// the lock.
+//
+// shard-lock-order: no writer lock may be taken (Lock or a helper) while
+// one may already be held — two goroutines nesting shard locks in
+// different orders is a deadlock, and the per-shard design never needs
+// it. The only exception is the fan-out helpers (Config.ShardFanoutFuncs,
+// i.e. lockAllShards), which skip the state machine and must instead take
+// every lock inside a `range` over the shard slice: ranging visits
+// ascending indices, so every multi-shard acquisition follows one global
+// order.
 //
 // The analysis is a forward may-analysis over a four-state machine
 // tracked as a bitmask (a bit per state a path may be in):
@@ -18,8 +31,12 @@ package rules
 //	any --unlock value escapes--> escaped (terminal: caller releases)
 //
 // A mutation is flagged when the unlocked bit is set at the call (some
-// path reaches it without the lock); a function is flagged when the plain
-// locked bit survives to Exit (some path returns without releasing).
+// path reaches it without the lock); a Lock is a nesting when any other
+// bit is set (a deferred unlock runs only at return, so the lock is still
+// held); a function is flagged when the plain locked bit survives to Exit
+// (some path returns without releasing), unless it already has a nesting
+// finding — the one-lock exit check does not describe a function that
+// holds two.
 
 import (
 	"fmt"
@@ -41,18 +58,21 @@ const (
 )
 
 // lockAnalysis implements dataflow.Analysis; the fact is the state
-// bitmask. report is nil during the fixpoint and set during the replay
-// pass that emits findings from the stable facts.
+// bitmask. report (lock-discipline) and nesting (shard-lock-order) are nil
+// during the fixpoint and set during the replay pass that emits findings
+// from the stable facts.
 type lockAnalysis struct {
-	ctx    *lint.Context
-	tokens map[types.Object]bool // unlock funcs bound from acquire helpers
-	report func(pos token.Pos, msg string)
+	ctx     *lint.Context
+	tokens  map[types.Object]bool // unlock funcs bound from acquire helpers
+	report  func(pos token.Pos, msg string)
+	nesting func(pos token.Pos, msg string)
 
 	fnName   string // the function under analysis
 	lockFree bool   // it is one of Cfg.LockFreeFuncs
+	entry    uint8  // lsLocked for the caller-holds-lock convention
 }
 
-func (a *lockAnalysis) Boundary() dataflow.Fact { return lsUnlocked }
+func (a *lockAnalysis) Boundary() dataflow.Fact { return a.entry }
 func (a *lockAnalysis) Meet(x, y dataflow.Fact) dataflow.Fact {
 	return x.(uint8) | y.(uint8)
 }
@@ -143,6 +163,11 @@ func (a *lockAnalysis) node(n ast.Node, mask uint8) uint8 {
 						"%s is called both with and without %s held, so it must not acquire it",
 						a.fnName, cfgc.LockName))
 				}
+				if mask&^lsUnlocked != 0 && a.report != nil {
+					a.nesting(x.Pos(), fmt.Sprintf(
+						"%s takes a writer lock while one may already be held; multi-shard acquisition is reserved for %s",
+						types.ExprString(x.Fun), strings.Join(cfgc.ShardFanoutFuncs, ", ")))
+				}
 				mask = mapStates(mask, onLock)
 			case a.isUnlockCall(x) || a.isTokenCall(x):
 				mask = mapStates(mask, onUnlock)
@@ -153,11 +178,11 @@ func (a *lockAnalysis) node(n ast.Node, mask uint8) uint8 {
 						finalName(x.Fun), cfgc.LockName))
 				}
 			default:
-				if sel, s, ok := restrictedMethodCall(a.ctx, x, cfgc.TreePkg, "Tree", cfgc.TreeMutateMethods); ok {
+				if sel, _, ok := restrictedMethodCall(a.ctx, x, cfgc.TreePkg, "Tree", cfgc.TreeMutateMethods); ok {
 					if mask&lsUnlocked != 0 && a.report != nil {
 						a.report(sel.Sel.Pos(), fmt.Sprintf(
 							"core.Tree.%s may run without %s held on some path; acquire the writer lock before mutating",
-							s.Obj().Name(), cfgc.LockName))
+							sel.Sel.Name, cfgc.LockName))
 					}
 				}
 			}
@@ -243,48 +268,90 @@ func lockTokens(ctx *lint.Context, body *ast.BlockStmt) map[types.Object]bool {
 	return tokens
 }
 
-var lockDiscipline = lint.Rule{
-	Name: "lock-discipline",
-	Doc:  "core.Tree mutations dominated by writerMu.Lock with release on all exit paths",
-	Run: func(ctx *lint.Context) []lint.Finding {
-		if ctx.Cfg.LockName == "" || !inList(ctx.Pkg.Path, ctx.Cfg.LockCheckedPkgs) {
-			return nil
+// fanoutFindings checks a sanctioned fan-out helper: every writerMu.Lock
+// it takes must sit inside a `range` statement over the shard slice, so
+// acquisition order is the slice order (ascending).
+func fanoutFindings(ctx *lint.Context, fn fnBody, report func(rule string, pos token.Pos, msg string)) {
+	var ranges []*ast.RangeStmt
+	inspectShallow(fn.body, func(n ast.Node) bool {
+		if rs, ok := n.(*ast.RangeStmt); ok && finalName(rs.X) == "shards" {
+			ranges = append(ranges, rs)
 		}
-		var out []lint.Finding
-		for _, fn := range functions(ctx.Pkg) {
-			if strings.HasSuffix(fn.name, "Locked") {
-				continue // caller-holds-lock convention
-			}
-			g := cfg.Build(fn.body)
-			a := &lockAnalysis{ctx: ctx, tokens: lockTokens(ctx, fn.body),
-				fnName: fn.name, lockFree: inList(fn.name, ctx.Cfg.LockFreeFuncs)}
-			res := dataflow.Forward(g, a)
-
-			// Replay with the stable in-facts to emit mutation findings
-			// exactly once per site.
-			a.report = func(pos token.Pos, msg string) {
-				out = append(out, lint.Finding{
-					Pos:  ctx.Pkg.Fset.Position(pos),
-					Rule: "lock-discipline",
-					Msg:  msg,
-				})
-			}
-			for _, b := range g.Blocks {
-				if in, ok := res.In[b]; ok {
-					a.Transfer(b, in)
-				}
-			}
-			a.report = nil
-
-			if exitIn, ok := res.In[g.Exit]; ok && exitIn.(uint8)&lsLocked != 0 {
-				out = append(out, lint.Finding{
-					Pos:  ctx.Pkg.Fset.Position(fn.pos),
-					Rule: "lock-discipline",
-					Msg: fmt.Sprintf("%s may still be held at return on some path; unlock on every exit or defer the unlock",
-						ctx.Cfg.LockName),
-				})
+		return true
+	})
+	la := &lockAnalysis{ctx: ctx}
+	inspectShallow(fn.body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || !la.isLockCall(call) {
+			return true
+		}
+		for _, rs := range ranges {
+			if call.Pos() >= rs.Body.Pos() && call.Pos() < rs.Body.End() {
+				return true
 			}
 		}
-		return out
-	},
+		report("shard-lock-order", call.Pos(), fmt.Sprintf(
+			"fan-out helper %s must take shard locks by ranging over the shard slice (range order is ascending)", fn.name))
+		return true
+	})
 }
+
+// lockFindings runs the lock analysis over every function of a checked
+// package and keeps the findings of one of its two rules.
+func lockFindings(ctx *lint.Context, rule string) []lint.Finding {
+	if ctx.Cfg.LockName == "" || !inList(ctx.Pkg.Path, ctx.Cfg.LockCheckedPkgs) {
+		return nil
+	}
+	var out []lint.Finding
+	report := func(r string, pos token.Pos, msg string) {
+		if r == rule {
+			out = append(out, lint.Finding{Pos: ctx.Pkg.Fset.Position(pos), Rule: r, Msg: msg})
+		}
+	}
+	for _, fn := range functions(ctx.Pkg) {
+		if inList(fn.name, ctx.Cfg.ShardFanoutFuncs) {
+			fanoutFindings(ctx, fn, report)
+			continue
+		}
+		callerHolds := strings.HasSuffix(fn.name, "Locked")
+		g := cfg.Build(fn.body)
+		a := &lockAnalysis{ctx: ctx, tokens: lockTokens(ctx, fn.body), entry: lsUnlocked,
+			fnName: fn.name, lockFree: inList(fn.name, ctx.Cfg.LockFreeFuncs)}
+		if callerHolds {
+			a.entry = lsLocked
+		}
+		res := dataflow.Forward(g, a)
+
+		// Replay with the stable in-facts to emit findings exactly once per
+		// site.
+		nested := false
+		a.report = func(pos token.Pos, msg string) { report("lock-discipline", pos, msg) }
+		a.nesting = func(pos token.Pos, msg string) {
+			nested = true
+			report("shard-lock-order", pos, msg)
+		}
+		for _, b := range g.Blocks {
+			if in, ok := res.In[b]; ok {
+				a.Transfer(b, in)
+			}
+		}
+		if exitIn, ok := res.In[g.Exit]; ok && exitIn.(uint8)&lsLocked != 0 && !callerHolds && !nested {
+			report("lock-discipline", fn.pos, fmt.Sprintf(
+				"%s may still be held at return on some path; unlock on every exit or defer the unlock", ctx.Cfg.LockName))
+		}
+	}
+	return out
+}
+
+var (
+	lockDiscipline = lint.Rule{
+		Name: "lock-discipline",
+		Doc:  "core.Tree mutations dominated by writerMu.Lock with release on all exit paths",
+		Run:  func(ctx *lint.Context) []lint.Finding { return lockFindings(ctx, "lock-discipline") },
+	}
+	shardLockOrder = lint.Rule{
+		Name: "shard-lock-order",
+		Doc:  "no nested shard writer locks outside the sanctioned ascending fan-out helpers",
+		Run:  func(ctx *lint.Context) []lint.Finding { return lockFindings(ctx, "shard-lock-order") },
+	}
+)

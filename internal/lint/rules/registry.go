@@ -8,11 +8,11 @@ import (
 	"lsmssd/internal/lint"
 )
 
-// All returns every lsmlint rule: the ten syntactic restrictions and
-// the seven path-sensitive dataflow rules.
+// All returns every lsmlint rule: ten syntactic restrictions and five
+// path-sensitive rules, which share three dataflow analyses.
 func All() []lint.Rule {
 	return []lint.Rule{
-		// Syntactic (v1).
+		// Syntactic.
 		deviceIO,
 		globalRand,
 		uncheckedErr,
@@ -21,16 +21,14 @@ func All() []lint.Rule {
 		obsEvent,
 		compactionStep,
 		walFrame,
-		layoutAssert,
 		retryBounded,
-		// Path-sensitive (v2, CFG + dataflow).
-		lockDiscipline,
-		viewRefcount,
-		sentinelErrorFlow,
-		walOrdering,
 		goroutineShutdown,
+		// Path-sensitive (CFG + dataflow).
+		lockDiscipline,
 		shardLockOrder,
+		viewRefcount,
 		spanFinish,
+		sentinelErrorFlow,
 	}
 }
 

@@ -12,8 +12,8 @@ package rules
 //
 // Detection is syntactic but type-informed: a for/range statement whose
 // body (excluding nested function literals, which are their own analysis
-// units) contains both a call to one of Config.DeviceMethods on a
-// DevicePkg type and a call to time.Sleep. Either half alone is fine —
+// units) contains both a call matching the device-io confinement row and
+// a call to time.Sleep. Either half alone is fine —
 // polling loops sleep without touching the device, and scan loops read
 // without sleeping; only the combination is the unbounded-retry shape.
 
@@ -28,7 +28,8 @@ var retryBounded = lint.Rule{
 	Name: "retry-bounded",
 	Doc:  "device-I/O retry loops must use internal/retry's bounded backoff",
 	Run: func(ctx *lint.Context) []lint.Finding {
-		if ctx.Cfg.DevicePkg == "" || inList(ctx.Pkg.Path, ctx.Cfg.RetryAllowed) {
+		dev, ok := deviceRow(ctx.Cfg)
+		if !ok || inList(ctx.Pkg.Path, ctx.Cfg.RetryAllowed) {
 			return nil
 		}
 		var out []lint.Finding
@@ -43,12 +44,12 @@ var retryBounded = lint.Rule{
 				default:
 					return true
 				}
-				if dev, slept := loopCallsDeviceAndSleep(ctx, body); dev && slept {
+				if io, slept := loopCallsDeviceAndSleep(ctx, dev, body); io && slept {
 					out = append(out, lint.Finding{
 						Pos:  ctx.Pkg.Fset.Position(n.Pos()),
 						Rule: "retry-bounded",
 						Msg: fmt.Sprintf("loop mixes %s device I/O with time.Sleep — an unbounded retry; use retry.New(Policy).Do so attempts, deadline, and exhaustion accounting stay bounded",
-							ctx.Cfg.DevicePkg),
+							dev.Pkg),
 					})
 				}
 				return true
@@ -62,14 +63,14 @@ var retryBounded = lint.Rule{
 // function literals — for a restricted Device method call and a
 // time.Sleep call. Nested loops are scanned too: an inner scan loop's
 // device read still makes the sleeping outer loop a retry loop.
-func loopCallsDeviceAndSleep(ctx *lint.Context, body *ast.BlockStmt) (dev, slept bool) {
+func loopCallsDeviceAndSleep(ctx *lint.Context, dev lint.Confinement, body *ast.BlockStmt) (io, slept bool) {
 	inspectShallow(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if _, _, ok := restrictedMethodCall(ctx, call, ctx.Cfg.DevicePkg, "", ctx.Cfg.DeviceMethods); ok {
-			dev = true
+		if _, _, ok := restrictedMethodCall(ctx, call, dev.Pkg, dev.Type, dev.Methods); ok {
+			io = true
 			return true
 		}
 		if fn := calleeFunc(ctx.Pkg.Info, call); fn != nil &&
@@ -78,5 +79,16 @@ func loopCallsDeviceAndSleep(ctx *lint.Context, body *ast.BlockStmt) (dev, slept
 		}
 		return true
 	})
-	return dev, slept
+	return io, slept
+}
+
+// deviceRow returns the device-io confinement row, whose methods are the
+// device I/O a retry loop wraps.
+func deviceRow(cfg lint.Config) (lint.Confinement, bool) {
+	for _, c := range cfg.Confined {
+		if c.Rule == "device-io" {
+			return c, true
+		}
+	}
+	return lint.Confinement{}, false
 }

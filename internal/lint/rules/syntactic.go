@@ -1,41 +1,32 @@
 // Package rules implements every lsmlint rule on top of the
-// internal/lint driver. This file holds the syntactic (single-node)
-// rules carried over from lsmlint v1 (layout-assert, added with the
-// compaction-axis decomposition, lives in layoutassert.go; retry-bounded,
-// added with fault-domain isolation, lives in retrybounded.go):
+// internal/lint driver. This file holds the syntactic (single-node) rules:
 //
-//   - device-io: storage.Device.Read/Write may be called only from the
-//     packages that own block I/O and its cost accounting (the paper's
-//     write counts are the experimental metric; a stray call elsewhere
-//     silently skews them);
+//   - device-io, tree-state, compaction-step, wal-frame: the confinement
+//     table (lint.Config.Confined). Each row names methods on a type that
+//     only an allowlist of packages may call: raw device I/O (the paper's
+//     write counts are the experimental metric), core.Tree's live level
+//     state (it mutates under concurrent merges; everyone else reads an
+//     acquired snapshot), the merge cascade's entry points (scheduling is
+//     centralized so backpressure and error parking see every step), and
+//     the WAL's mutating entry points (frames are appended before the tree
+//     applies them and garbage-collected only after a checkpoint);
 //   - global-rand: no math/rand package-level functions — all randomness
 //     must flow from a seeded *rand.Rand so runs are reproducible;
 //   - unchecked-err: no dropped error results from Close (any package) or
 //     from this module's own APIs;
 //   - layering: the leaf packages (block, btree, bloom, ...) must not
 //     depend on the engine layers above them;
-//   - tree-state: core.Tree's live level-state accessors (Level, Memtable)
-//     may be read only by the writer-side packages — everyone else must go
-//     through an acquired snapshot (Tree.AcquireView), because live state
-//     mutates under concurrent merges.
 //   - obs-event: observability event values (obs.MergeEvent & friends) may
 //     be constructed only by the instrumented engine packages — the
 //     per-merge trace is experimental evidence, and a stray constructor
 //     elsewhere would inject events no engine emission point produced.
-//   - compaction-step: core.Tree's cascade entry points (CompactionStep,
-//     RunCascade) may be called only from the compaction scheduler (and
-//     core itself) — merge scheduling is centralized so backpressure,
-//     error parking, and mid-cascade audits see every step; a stray
-//     cascade call elsewhere would bypass all three.
-//   - wal-frame: wal.Log's mutating entry points (Append, Sync, GC, Crash)
-//     may be called only from the wal package and the DB layer — the
-//     durability argument depends on frames being appended before the tree
-//     applies them and garbage-collected only after a checkpoint, and a
-//     stray append or GC elsewhere would break the acked-write contract.
 //
-// The path-sensitive rules (lock-discipline, view-refcount,
-// sentinel-error-flow, wal-ordering, goroutine-shutdown) live in their own
-// files and build on internal/lint/cfg + internal/lint/dataflow.
+// retry-bounded (retrybounded.go) and goroutine-shutdown (goshutdown.go)
+// are syntactic too. The path-sensitive rules build on internal/lint/cfg +
+// internal/lint/dataflow: lock-discipline and shard-lock-order share one
+// lock analysis (lockdiscipline.go), view-refcount and span-finish one
+// obligation analysis (obligation.go), and sentinel-error-flow is the
+// backward error-liveness analysis (errflow.go).
 package rules
 
 import (
@@ -66,17 +57,14 @@ func eachFile(ctx *lint.Context, visit func(f *ast.File)) {
 
 // restrictedMethodCall reports whether call invokes one of methods on the
 // named type typeName (or any named type when typeName is "") declared in
-// pkgPath, returning the selection on success.
-func restrictedMethodCall(ctx *lint.Context, call *ast.CallExpr, pkgPath, typeName string, methods []string) (*ast.SelectorExpr, *types.Selection, bool) {
+// pkgPath, returning the selector and the receiver's type on success.
+func restrictedMethodCall(ctx *lint.Context, call *ast.CallExpr, pkgPath, typeName string, methods []string) (*ast.SelectorExpr, *types.TypeName, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return nil, nil, false
 	}
 	s := ctx.Pkg.Info.Selections[sel]
-	if s == nil || s.Kind() != types.MethodVal {
-		return nil, nil, false
-	}
-	if !inList(s.Obj().Name(), methods) {
+	if s == nil || s.Kind() != types.MethodVal || !inList(s.Obj().Name(), methods) {
 		return nil, nil, false
 	}
 	recv := s.Recv()
@@ -90,136 +78,48 @@ func restrictedMethodCall(ctx *lint.Context, call *ast.CallExpr, pkgPath, typeNa
 	if typeName != "" && named.Obj().Name() != typeName {
 		return nil, nil, false
 	}
-	return sel, s, true
+	return sel, named.Obj(), true
 }
 
-var deviceIO = lint.Rule{
-	Name: "device-io",
-	Doc:  "storage.Device.Read/Write confined to the block-I/O accounting layers",
-	Run: func(ctx *lint.Context) []lint.Finding {
-		if inList(ctx.Pkg.Path, ctx.Cfg.DeviceIOAllowed) {
-			return nil
-		}
+// confined builds one of the confinement rules: calls matching a
+// Config.Confined row named name, from a package outside its Allowed list.
+func confined(name, doc string) lint.Rule {
+	return lint.Rule{Name: name, Doc: doc, Run: func(ctx *lint.Context) []lint.Finding {
 		var out []lint.Finding
-		eachFile(ctx, func(f *ast.File) {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
+		for _, c := range ctx.Cfg.Confined {
+			if c.Rule != name || inList(ctx.Pkg.Path, c.Allowed) {
+				continue
+			}
+			eachFile(ctx, func(f *ast.File) {
+				ast.Inspect(f, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					sel, typ, ok := restrictedMethodCall(ctx, call, c.Pkg, c.Type, c.Methods)
+					if !ok {
+						return true
+					}
+					out = append(out, lint.Finding{
+						Pos:  ctx.Pkg.Fset.Position(sel.Sel.Pos()),
+						Rule: name,
+						Msg: fmt.Sprintf("%s.%s.%s called outside the packages it is confined to; %s",
+							typ.Pkg().Name(), typ.Name(), sel.Sel.Name, c.Why),
+					})
 					return true
-				}
-				sel, s, ok := restrictedMethodCall(ctx, call, ctx.Cfg.DevicePkg, "", ctx.Cfg.DeviceMethods)
-				if !ok {
-					return true
-				}
-				recv := s.Recv()
-				if ptr, ok := recv.(*types.Pointer); ok {
-					recv = ptr.Elem()
-				}
-				out = append(out, lint.Finding{
-					Pos:  ctx.Pkg.Fset.Position(sel.Sel.Pos()),
-					Rule: "device-io",
-					Msg: fmt.Sprintf("direct %s.%s.%s call outside the block-I/O layers breaks write-cost accounting; route it through level/merge/core",
-						ctx.Cfg.DevicePkg, recv.(*types.Named).Obj().Name(), s.Obj().Name()),
 				})
-				return true
 			})
-		})
+		}
 		return out
-	},
+	}}
 }
 
-var treeState = lint.Rule{
-	Name: "tree-state",
-	Doc:  "live core.Tree level state readable only by writer-side packages",
-	Run: func(ctx *lint.Context) []lint.Finding {
-		if ctx.Cfg.TreePkg == "" || inList(ctx.Pkg.Path, ctx.Cfg.TreeStateAllowed) {
-			return nil
-		}
-		var out []lint.Finding
-		eachFile(ctx, func(f *ast.File) {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, s, ok := restrictedMethodCall(ctx, call, ctx.Cfg.TreePkg, "Tree", ctx.Cfg.TreeStateMethods)
-				if !ok {
-					return true
-				}
-				out = append(out, lint.Finding{
-					Pos:  ctx.Pkg.Fset.Position(sel.Sel.Pos()),
-					Rule: "tree-state",
-					Msg: fmt.Sprintf("core.Tree.%s reads live level state that mutates under concurrent merges; acquire a snapshot with Tree.AcquireView instead",
-						s.Obj().Name()),
-				})
-				return true
-			})
-		})
-		return out
-	},
-}
-
-var compactionStep = lint.Rule{
-	Name: "compaction-step",
-	Doc:  "merge cascades driven only from the compaction scheduling layer",
-	Run: func(ctx *lint.Context) []lint.Finding {
-		if ctx.Cfg.TreePkg == "" || len(ctx.Cfg.CompactionMethods) == 0 || inList(ctx.Pkg.Path, ctx.Cfg.CompactionAllowed) {
-			return nil
-		}
-		var out []lint.Finding
-		eachFile(ctx, func(f *ast.File) {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, s, ok := restrictedMethodCall(ctx, call, ctx.Cfg.TreePkg, "Tree", ctx.Cfg.CompactionMethods)
-				if !ok {
-					return true
-				}
-				out = append(out, lint.Finding{
-					Pos:  ctx.Pkg.Fset.Position(sel.Sel.Pos()),
-					Rule: "compaction-step",
-					Msg: fmt.Sprintf("core.Tree.%s drives the merge cascade outside the compaction scheduler; go through compaction.Scheduler (or compaction.Driver) so backpressure and error parking see every step",
-						s.Obj().Name()),
-				})
-				return true
-			})
-		})
-		return out
-	},
-}
-
-var walFrame = lint.Rule{
-	Name: "wal-frame",
-	Doc:  "wal.Log mutations confined to the durability layer",
-	Run: func(ctx *lint.Context) []lint.Finding {
-		if ctx.Cfg.WALPkg == "" || len(ctx.Cfg.WALMethods) == 0 || inList(ctx.Pkg.Path, ctx.Cfg.WALAllowed) {
-			return nil
-		}
-		var out []lint.Finding
-		eachFile(ctx, func(f *ast.File) {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, s, ok := restrictedMethodCall(ctx, call, ctx.Cfg.WALPkg, "Log", ctx.Cfg.WALMethods)
-				if !ok {
-					return true
-				}
-				out = append(out, lint.Finding{
-					Pos:  ctx.Pkg.Fset.Position(sel.Sel.Pos()),
-					Rule: "wal-frame",
-					Msg: fmt.Sprintf("wal.Log.%s called outside the durability layer; frames are appended and garbage-collected only by the DB's commit protocol so acked writes stay recoverable",
-						s.Obj().Name()),
-				})
-				return true
-			})
-		})
-		return out
-	},
-}
+var (
+	deviceIO       = confined("device-io", "storage.Device.Read/Write confined to the block-I/O accounting layers")
+	treeState      = confined("tree-state", "live core.Tree level state readable only by writer-side packages")
+	compactionStep = confined("compaction-step", "merge cascades driven only from the compaction scheduling layer")
+	walFrame       = confined("wal-frame", "wal.Log mutations confined to the durability layer")
+)
 
 var obsEvent = lint.Rule{
 	Name: "obs-event",

@@ -98,3 +98,15 @@ func startExtendedLoop(w *worker, tick <-chan int, checkpoint, idle func() error
 func startPerCheckpoint(persist func() error) {
 	go persist() // want goroutine-shutdown
 }
+
+// Run is named like a lifecycle delegate but loops forever: only Serve
+// delegates, so the body is checked like any other.
+func (w *worker) Run() {
+	for {
+		<-w.wake
+	}
+}
+
+func startRunNamed(w *worker) {
+	go w.Run() // want goroutine-shutdown
+}

@@ -116,3 +116,10 @@ func (d *db) lockedTree() func() {
 	s.writerMu.Lock()
 	return s.writerMu.Unlock
 }
+
+// relockLocked follows the caller-holds-lock convention, so any lock it
+// takes nests inside the caller's.
+func (d *db) relockLocked() {
+	d.shards[1].writerMu.Lock() // want shard-lock-order
+	d.shards[1].writerMu.Unlock()
+}

@@ -67,3 +67,30 @@ func escapes(t *core.Tree) (*cursor, error) {
 	}
 	return &cursor{view: v}, nil
 }
+
+// nilComparedButLeaks: comparing the view with nil keeps the obligation;
+// only a release or an escape ends it.
+func nilComparedButLeaks(t *core.Tree, skip bool) error {
+	v, err := t.AcquireView() // want view-refcount
+	if err != nil {
+		return err
+	}
+	if v != nil && skip {
+		return nil
+	}
+	v.Release()
+	return nil
+}
+
+// nilGuarded: on the nil branch nothing is held.
+func nilGuarded(t *core.Tree) {
+	v, _ := t.AcquireView()
+	if v == nil {
+		return
+	}
+	v.Release()
+}
+
+func droppedBare(t *core.Tree) {
+	t.AcquireView() // want view-refcount unchecked-err
+}

@@ -149,30 +149,20 @@ func TestComposeNamesAndAxes(t *testing.T) {
 		t.Errorf("lazy Name = %q", lz.Name())
 	}
 	// WithLayout shares granularity state but not the layout.
-	if LayoutOf(p).Kind != Leveling || LayoutOf(ti).Kind != Tiering {
-		t.Error("LayoutOf wrong")
+	if p.Layout().Kind != Leveling || ti.Layout().Kind != Tiering {
+		t.Error("Layout wrong")
 	}
 	if ti.Granularity() != p.Granularity() {
 		t.Error("WithLayout must share the granularity")
 	}
 	// Defaults: zero Spec is the paper's point of the space.
 	c := Compose(Spec{})
-	if c.Name() != "Full" || !c.Preserve() || TriggerOf(c).Name() != "level-overflow" {
-		t.Errorf("zero Spec compiled to %q preserve=%v trigger=%q", c.Name(), c.Preserve(), TriggerOf(c).Name())
+	if c.Name() != "Full" || !c.Preserve() || c.Trigger().Name() != "level-overflow" {
+		t.Errorf("zero Spec compiled to %q preserve=%v trigger=%q", c.Name(), c.Preserve(), c.Trigger().Name())
 	}
 	// WithTrigger swaps only the trigger.
 	st := p.WithTrigger(SizeRatio{Ratio: 0.5})
-	if TriggerOf(st).Name() != "size-ratio(0.50)" || st.Name() != p.Name() {
+	if st.Trigger().Name() != "size-ratio(0.50)" || st.Name() != p.Name() {
 		t.Error("WithTrigger wrong")
 	}
-	// Non-composed policies read as leveling / level-overflow.
-	if LayoutOf(nopPolicy{}).Kind != Leveling || TriggerOf(nopPolicy{}).Name() != "level-overflow" {
-		t.Error("non-composed policy axes wrong")
-	}
 }
-
-type nopPolicy struct{}
-
-func (nopPolicy) Name() string              { return "nop" }
-func (nopPolicy) Preserve() bool            { return false }
-func (nopPolicy) Decide(View, int) Decision { return Decision{Full: true} }

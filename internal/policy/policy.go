@@ -43,19 +43,6 @@ type Decision struct {
 	From, To int
 }
 
-// Policy selects what to merge when a level overflows. Decide may update
-// internal policy state (e.g. RR's cursor); the tree guarantees that every
-// returned decision is executed.
-type Policy interface {
-	// Name identifies the policy in reports ("ChooseBest", "RR-P", ...).
-	Name() string
-	// Preserve reports whether merges run with the block-preserving
-	// optimization.
-	Preserve() bool
-	// Decide chooses the merge from level `from` into `from+1`.
-	Decide(v View, from int) Decision
-}
-
 // windowBlocks returns the partial-merge window size for the given source
 // level: ⌊δ·K_from⌋, at least 1, capped at the level's size. The size cap
 // uses required blocks (⌈records/B⌉) — the paper's level-size unit — not
@@ -90,7 +77,7 @@ type Full struct{}
 
 // NewFull returns the Full policy under the paper's axes (level-overflow
 // trigger, leveling layout).
-func NewFull(preserve bool) *Compiled {
+func NewFull(preserve bool) *Policy {
 	return Compose(Spec{Granularity: &Full{}, Movement: movementFor(preserve)})
 }
 
@@ -115,7 +102,7 @@ type cursor struct {
 }
 
 // NewRR returns the RR policy with merge rate delta.
-func NewRR(delta float64, preserve bool) *Compiled {
+func NewRR(delta float64, preserve bool) *Policy {
 	return Compose(Spec{Granularity: newRR(delta), Movement: movementFor(preserve)})
 }
 
@@ -186,13 +173,13 @@ type ChooseBest struct {
 }
 
 // NewChooseBest returns the ChooseBest policy with merge rate delta.
-func NewChooseBest(delta float64, preserve bool) *Compiled {
+func NewChooseBest(delta float64, preserve bool) *Policy {
 	return Compose(Spec{Granularity: &ChooseBest{delta: delta}, Movement: movementFor(preserve)})
 }
 
 // NewChooseBestPartitioned returns the HyperLevelDB-style restriction of
 // ChooseBest that only considers aligned windows.
-func NewChooseBestPartitioned(delta float64, preserve bool) *Compiled {
+func NewChooseBestPartitioned(delta float64, preserve bool) *Policy {
 	return Compose(Spec{Granularity: &ChooseBest{delta: delta, partitioned: true}, Movement: movementFor(preserve)})
 }
 
@@ -255,7 +242,7 @@ type TestMixed struct {
 }
 
 // NewTestMixed returns the TestMixed policy with merge rate delta.
-func NewTestMixed(delta float64, preserve bool) *Compiled {
+func NewTestMixed(delta float64, preserve bool) *Policy {
 	return Compose(Spec{Granularity: &TestMixed{cb: &ChooseBest{delta: delta}}, Movement: movementFor(preserve)})
 }
 
@@ -289,7 +276,7 @@ type Mixed struct {
 
 // NewMixed returns a Mixed policy. taus maps target level index to τ; keys
 // absent default to 0 (always partial). The map is copied.
-func NewMixed(delta float64, preserve bool, taus map[int]float64, beta bool) *Compiled {
+func NewMixed(delta float64, preserve bool, taus map[int]float64, beta bool) *Policy {
 	m := &Mixed{cb: &ChooseBest{delta: delta}, taus: make(map[int]float64), beta: beta}
 	for k, v := range taus {
 		m.taus[k] = v

@@ -44,7 +44,7 @@ func metas(n int, base block.Key) []btree.BlockMeta {
 }
 
 func TestNames(t *testing.T) {
-	cases := map[string]Policy{
+	cases := map[string]*Policy{
 		"Full":         NewFull(true),
 		"Full-P":       NewFull(false),
 		"RR":           NewRR(0.1, true),
@@ -169,9 +169,9 @@ func TestTestMixedFullIntoBottomOnly(t *testing.T) {
 func TestMixedThresholds(t *testing.T) {
 	taus := map[int]float64{2: 0.5}
 	p := NewMixed(0.1, true, taus, true)
-	m, ok := AsMixed(p)
+	m, ok := p.Mixed()
 	if !ok {
-		t.Fatal("AsMixed failed on a Mixed policy")
+		t.Fatal("Mixed() failed on a Mixed policy")
 	}
 	// 4-level tree; merge from L1 into internal L2 with S(L2) below
 	// τ·K: Full.

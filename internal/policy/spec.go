@@ -25,127 +25,90 @@ type Spec struct {
 // constructors (NewFull, NewRR, ...) are thin wrappers over Compose with
 // the leveling layout, so their leveling behavior — and the BlocksWritten
 // goldens — is unchanged by composition.
-func Compose(s Spec) *Compiled {
+func Compose(s Spec) *Policy {
 	if s.Trigger == nil {
 		s.Trigger = LevelOverflow{}
 	}
 	if s.Granularity == nil {
 		s.Granularity = &Full{}
 	}
-	return &Compiled{trigger: s.Trigger, gran: s.Granularity, move: s.Movement, layout: s.Layout.withDefaults()}
+	return &Policy{trigger: s.Trigger, gran: s.Granularity, move: s.Movement, layout: s.Layout.withDefaults()}
 }
 
-// Compiled is a composed policy: it carries one choice per axis and
-// implements Policy by delegating window selection to its granularity.
-// The tree reads the trigger and layout axes through LayoutOf/TriggerOf
-// rather than asserting on this type (enforced by lsmlint's layoutassert
-// rule outside this package).
-type Compiled struct {
+// Policy is a composed merge policy: one choice per axis. It selects what
+// to merge when a level overflows by delegating window selection to its
+// granularity. Decide may update granularity state (e.g. RR's cursor); the
+// tree guarantees that every returned decision is executed.
+type Policy struct {
 	trigger Trigger
 	gran    Granularity
 	move    Movement
 	layout  Layout
 }
 
-// Name implements Policy. Leveling keeps the legacy names byte-identical
-// ("ChooseBest", "RR-P", ...); non-leveling layouts are tagged
-// ("Full@tiering(4)").
-func (c *Compiled) Name() string {
-	n := c.gran.Name() + suffix(c.move == PreserveBlocks)
-	if c.layout.Kind != Leveling {
-		n += "@" + c.layout.String()
+// Name identifies the policy in reports. Leveling keeps the legacy names
+// byte-identical ("ChooseBest", "RR-P", ...); non-leveling layouts are
+// tagged ("Full@tiering(4)").
+func (p *Policy) Name() string {
+	n := p.gran.Name() + suffix(p.move == PreserveBlocks)
+	if p.layout.Kind != Leveling {
+		n += "@" + p.layout.String()
 	}
 	return n
 }
 
-// Preserve implements Policy.
-func (c *Compiled) Preserve() bool { return c.move == PreserveBlocks }
+// Preserve reports whether merges run with the block-preserving
+// optimization.
+func (p *Policy) Preserve() bool { return p.move == PreserveBlocks }
 
-// Decide implements Policy.
-func (c *Compiled) Decide(v View, from int) Decision { return c.gran.Decide(v, from) }
+// Decide chooses the merge from level `from` into `from+1`.
+func (p *Policy) Decide(v View, from int) Decision { return p.gran.Decide(v, from) }
 
 // LevelsGrew forwards tree growth to the granularity when it keeps
 // per-level state (RR's cursors).
-func (c *Compiled) LevelsGrew(oldBottom int) {
-	if n, ok := c.gran.(interface{ LevelsGrew(int) }); ok {
+func (p *Policy) LevelsGrew(oldBottom int) {
+	if n, ok := p.gran.(interface{ LevelsGrew(int) }); ok {
 		n.LevelsGrew(oldBottom)
 	}
 }
 
 // Trigger returns the trigger axis.
-func (c *Compiled) Trigger() Trigger { return c.trigger }
+func (p *Policy) Trigger() Trigger { return p.trigger }
 
 // Granularity returns the granularity axis.
-func (c *Compiled) Granularity() Granularity { return c.gran }
+func (p *Policy) Granularity() Granularity { return p.gran }
 
 // Movement returns the movement axis.
-func (c *Compiled) Movement() Movement { return c.move }
+func (p *Policy) Movement() Movement { return p.move }
 
 // Layout returns the layout axis.
-func (c *Compiled) Layout() Layout { return c.layout }
+func (p *Policy) Layout() Layout { return p.layout }
 
 // WithLayout returns a copy of the policy running under a different
 // layout; trigger, granularity, and movement are shared.
-func (c *Compiled) WithLayout(l Layout) *Compiled {
-	out := *c
+func (p *Policy) WithLayout(l Layout) *Policy {
+	out := *p
 	out.layout = l.withDefaults()
 	return &out
 }
 
 // WithTrigger returns a copy of the policy with a different trigger.
-func (c *Compiled) WithTrigger(tr Trigger) *Compiled {
-	out := *c
+func (p *Policy) WithTrigger(tr Trigger) *Policy {
+	out := *p
 	out.trigger = tr
 	return &out
 }
 
-// Relayout returns p running under layout l. Every engine policy is a
-// Compiled; a foreign Policy implementation has no layout axis to change
-// and is returned unmodified. Callers outside this package must use this
-// (not a type assertion on Compiled) — lsmlint enforces it.
-func Relayout(p Policy, l Layout) Policy {
-	if c, ok := p.(*Compiled); ok {
-		return c.WithLayout(l)
-	}
-	return p
+// Mixed returns the Mixed granularity, if the policy has one — the tuning
+// surface (tune.go, internal/learn) adjusts τ/β through it.
+func (p *Policy) Mixed() (*Mixed, bool) {
+	m, ok := p.gran.(*Mixed)
+	return m, ok
 }
 
-// LayoutOf returns the layout axis of a policy: the compiled layout for
-// composed policies, leveling for anything else. Callers outside this
-// package must use this (not a type assertion on Compiled) so layout
-// remains an axis, not a type check — lsmlint enforces it.
-func LayoutOf(p Policy) Layout {
-	if c, ok := p.(*Compiled); ok {
-		return c.layout
-	}
-	return Layout{}
-}
-
-// TriggerOf returns the trigger axis of a policy, LevelOverflow for
-// non-composed policies.
-func TriggerOf(p Policy) Trigger {
-	if c, ok := p.(*Compiled); ok {
-		return c.trigger
-	}
-	return LevelOverflow{}
-}
-
-// AsMixed unwraps the Mixed granularity from a policy, if it has one —
-// the tuning surface (tune.go, internal/learn) adjusts τ/β through it.
-func AsMixed(p Policy) (*Mixed, bool) {
-	if c, ok := p.(*Compiled); ok {
-		m, ok := c.gran.(*Mixed)
-		return m, ok
-	}
-	return nil, false
-}
-
-// AsRR unwraps the RR granularity from a policy, if it has one — used by
-// the experiment harness to read RR's merge cursor.
-func AsRR(p Policy) (*RR, bool) {
-	if c, ok := p.(*Compiled); ok {
-		r, ok := c.gran.(*RR)
-		return r, ok
-	}
-	return nil, false
+// RR returns the RR granularity, if the policy has one — used by the
+// experiment harness to read RR's merge cursor.
+func (p *Policy) RR() (*RR, bool) {
+	r, ok := p.gran.(*RR)
+	return r, ok
 }

@@ -525,9 +525,9 @@ func (o Options) Validate() error {
 // merge-policy constructor picks the granularity and movement axes, then
 // the layout axis is composed on top (a no-op under Leveling, keeping the
 // legacy policies byte-identical).
-func (o Options) buildPolicy() policy.Policy {
+func (o Options) buildPolicy() *policy.Policy {
 	preserve := !o.DisablePreserve
-	var p *policy.Compiled
+	var p *policy.Policy
 	switch o.MergePolicy {
 	case Full:
 		p = policy.NewFull(preserve)

@@ -263,7 +263,7 @@ func (s *shard) restore(cfg core.Config, st manifest.State) error {
 	// sorted runs; a leveled one exactly one), so reopening under a
 	// different layout would hand the tree a structure its invariants
 	// reject. Refuse the skew instead of guessing.
-	lay := policy.LayoutOf(cfg.Policy).Normalized()
+	lay := cfg.Policy.Layout().Normalized()
 	disk := policy.Layout{Kind: policy.LayoutKind(st.Config.Layout), TierRuns: st.Config.TierRuns}
 	if lay != disk.Normalized() {
 		return fmt.Errorf("lsmssd: options layout %s does not match manifest layout %s; reopen with the layout the store was written under",
@@ -444,7 +444,7 @@ func (s *shard) persist(img checkpointImage, inline bool) error {
 	}
 	t1 := time.Now()
 	cfg := s.tree.Config()
-	lay := policy.LayoutOf(cfg.Policy).Normalized()
+	lay := cfg.Policy.Layout().Normalized()
 	if err := manifest.Save(manifestPath(s.path), manifest.State{
 		Config: manifest.Config{
 			BlockCapacity: cfg.BlockCapacity,

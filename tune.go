@@ -5,7 +5,6 @@ import (
 
 	"lsmssd/internal/block"
 	"lsmssd/internal/learn"
-	"lsmssd/internal/policy"
 	"lsmssd/internal/workload"
 )
 
@@ -75,7 +74,7 @@ func (db *DB) TuneMixed(next func() (Request, bool), opts TuneOptions) (TuneResu
 	}
 	tree, unlock := db.shards[0].lockedTree()
 	defer unlock()
-	m, ok := policy.AsMixed(tree.Policy())
+	m, ok := tree.Policy().Mixed()
 	if !ok {
 		return TuneResult{}, ErrNotMixed
 	}
@@ -103,7 +102,7 @@ func (db *DB) TuneMixed(next func() (Request, bool), opts TuneOptions) (TuneResu
 func (db *DB) MixedParams() (taus map[int]float64, beta bool, ok bool) {
 	tree, unlock := db.shards[0].lockedTree()
 	defer unlock()
-	m, isMixed := policy.AsMixed(tree.Policy())
+	m, isMixed := tree.Policy().Mixed()
 	if !isMixed {
 		return nil, false, false
 	}

@@ -1,12 +1,14 @@
 package lsmssd_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
 
 	"lsmssd"
+	"lsmssd/internal/wal"
 )
 
 // TestSingleWritePathEquivalence drives one op sequence through every
@@ -162,5 +164,84 @@ func TestSingleWritePathEquivalence(t *testing.T) {
 			same(t, "replay: get", cGets, aGets)
 			same(t, "replay: scan", cScan, aScan)
 		})
+	}
+}
+
+// TestRefusedWALAppendLeavesTreeUntouched pins shard.write's log-then-apply
+// order. A batch one op over the WAL's per-frame cap is refused by
+// wal.Log.Append with ErrTooLarge before anything is written, so the write
+// must fail without touching the tree: no key of the batch is visible to
+// Get or an iterator, the shard stays healthy and keeps logging, and a
+// close and reopen brings none of the keys back.
+func TestRefusedWALAppendLeavesTreeUntouched(t *testing.T) {
+	const (
+		maxFrameOps = 1 << 20 // the wal package's per-frame op cap
+		keys        = 256     // the batch cycles over keys [0, keys)
+		other       = keys    // a key written outside the batch
+	)
+	o := walOpts(filepath.Join(t.TempDir(), "db.blk"), lsmssd.SyncEvery)
+	o.Shards = 1
+	db, err := lsmssd.Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if db != nil {
+			db.Close()
+		}
+	}()
+
+	batch := db.NewBatch()
+	val := []byte("refused")
+	for i := 0; i <= maxFrameOps; i++ {
+		batch.Put(uint64(i%keys), val)
+	}
+	if err := db.Apply(batch); !errors.Is(err, wal.ErrTooLarge) {
+		t.Fatalf("Apply of %d ops: err = %v, want wal.ErrTooLarge", batch.Len(), err)
+	}
+	batch = nil
+
+	// untouched checks that only the key written outside the batch exists.
+	untouched := func(when string) {
+		t.Helper()
+		for k := uint64(0); k < keys; k++ {
+			if v, ok, err := db.Get(k); err != nil || ok {
+				t.Errorf("%s: Get(%d) = %q, %v, %v; want absent", when, k, v, ok, err)
+			}
+		}
+		it, err := db.NewIterator(0, ^uint64(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen []uint64
+		for it.Next() {
+			seen = append(seen, it.Key())
+		}
+		if err := errors.Join(it.Err(), it.Close()); err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != 1 || seen[0] != other {
+			t.Errorf("%s: iterator sees keys %v, want only %d", when, seen, other)
+		}
+		if h := db.Health(); h.State != "healthy" {
+			t.Errorf("%s: health %+v, want healthy", when, h)
+		}
+	}
+
+	// The refusal wrote nothing, so the log still takes frames.
+	if err := db.Put(other, []byte("logged")); err != nil {
+		t.Fatal(err)
+	}
+	untouched("after the refused append")
+
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = lsmssd.Open(o); err != nil {
+		t.Fatal(err)
+	}
+	untouched("after reopen")
+	if v, ok, err := db.Get(other); err != nil || !ok || string(v) != "logged" {
+		t.Errorf("after reopen: Get(%d) = %q, %v, %v; want the logged value", other, v, ok, err)
 	}
 }
