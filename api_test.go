@@ -303,6 +303,9 @@ func TestOptionsValidate(t *testing.T) {
 		{"epsilon negative", func(o *lsmssd.Options) { o.Epsilon = -0.1 }, "Epsilon"},
 		{"epsilon one", func(o *lsmssd.Options) { o.Epsilon = 1 }, "Epsilon"},
 		{"epsilon above one", func(o *lsmssd.Options) { o.Epsilon = 1.5 }, "Epsilon"},
+		{"epsilon above one half", func(o *lsmssd.Options) { o.Epsilon = 0.6 }, "Epsilon"},
+		{"memtableblocks negative", func(o *lsmssd.Options) { o.MemtableBlocks = -1 }, "MemtableBlocks"},
+		{"recordsperblock negative", func(o *lsmssd.Options) { o.RecordsPerBlock = -1 }, "RecordsPerBlock"},
 		{"delta negative", func(o *lsmssd.Options) { o.Delta = -0.2 }, "Delta"},
 		{"delta above one", func(o *lsmssd.Options) { o.Delta = 1.01 }, "Delta"},
 		{"gamma one", func(o *lsmssd.Options) { o.Gamma = 1 }, "Gamma"},
@@ -332,6 +335,9 @@ func TestOptionsValidate(t *testing.T) {
 	// Zero value means defaults and is valid.
 	if err := (lsmssd.Options{}).Validate(); err != nil {
 		t.Errorf("zero Options invalid: %v", err)
+	}
+	if err := (lsmssd.Options{Epsilon: 0.5}).Validate(); err != nil {
+		t.Errorf("ε = 0.5, the largest the tree accepts, rejected: %v", err)
 	}
 	// The small-block rule is about the derived B of a file-backed store only.
 	for _, o := range []lsmssd.Options{

@@ -81,8 +81,11 @@ func TestStallBackpressure(t *testing.T) {
 		t.Fatal("stop stalls counted but no stall time recorded")
 	}
 
-	// Sync mode must never stall: the triggers are background-only knobs.
-	sdb, err := lsmssd.Open(smallOptions())
+	// Sync mode must never stall: the triggers are background-only knobs,
+	// ignored even when set — only the writer drains L0 there.
+	sopts := smallOptions()
+	sopts.SlowdownTrigger, sopts.StopTrigger = opts.SlowdownTrigger, opts.StopTrigger
+	sdb, err := lsmssd.Open(sopts)
 	if err != nil {
 		t.Fatal(err)
 	}

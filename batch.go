@@ -99,6 +99,15 @@ func (b *WriteBatch) Reset() {
 // on that shard's log — group commit: under SyncEvery a thousand-record
 // batch costs one fsync per touched shard, not a thousand — and replay
 // re-applies each frame atomically.
+//
+// Across shards Apply is not atomic, on either count:
+//   - It stops at the first shard whose write fails and returns that
+//     error. The portions of the shards before it stay applied, the shards
+//     after it are not attempted, and the failing shard's own portion is
+//     applied only if its write failed after the apply (a merge or audit
+//     error, not admission or the WAL append).
+//   - Each portion is its own frame on its own shard's log, so a power cut
+//     keeps or loses each portion independently.
 func (db *DB) Apply(b *WriteBatch) error {
 	if b.db != nil && b.db != db {
 		return ErrBatchDB

@@ -43,27 +43,40 @@ func (g *syncGate) wrap(_ int, dev storage.Device) storage.Device {
 func (g *syncGate) Sync() error {
 	if g.armed.Load() {
 		g.entered <- struct{}{}
-		if err := <-g.release; err != nil {
-			return err
+		select {
+		case err := <-g.release:
+			if err != nil {
+				return err
+			}
+		case <-time.After(2 * testWait): // the test has failed; let teardown through
+			return errors.New("sync gate never released")
 		}
 	}
 	return g.Device.(storage.Syncer).Sync()
 }
 
-// gatedOpts is a single-shard background-compaction store small enough that
-// a few hundred puts flush, merge and (with the given segment size) rotate
-// the log.
-func gatedOpts(t *testing.T, g *syncGate, segmentBytes int64) lsmssd.Options {
+// gatedOpts is a single-shard store small enough that a few hundred puts
+// flush, merge and (with the given segment size) rotate the log.
+func gatedOpts(t *testing.T, g *syncGate, segmentBytes int64, mode lsmssd.CompactionMode) lsmssd.Options {
 	t.Helper()
 	return lsmssd.Options{
 		Path:            t.TempDir() + "/store.db",
 		RecordsPerBlock: 16,
-		MemtableBlocks:  8, // slowdown at 256 records, stop at 512: room for the puts a test issues while the scheduler is blocked
+		MemtableBlocks:  8, // background: slowdown at 256 records, stop at 512 — room for the puts a test issues while the scheduler is blocked
 		Gamma:           4,
 		CacheBlocks:     -1, // every level read is a device read
-		CompactionMode:  lsmssd.BackgroundCompaction,
+		CompactionMode:  mode,
 		WAL:             lsmssd.WALOptions{Enabled: true, Sync: lsmssd.SyncEvery, SegmentBytes: segmentBytes},
 		DeviceWrap:      g.wrap,
+	}
+}
+
+// bothModes runs test once per compaction mode. The mode decides who runs
+// a merge step; the checkpoint a sealed WAL segment requests runs on the
+// shard's scheduler goroutine in either.
+func bothModes(t *testing.T, test func(t *testing.T, mode lsmssd.CompactionMode)) {
+	for _, mode := range []lsmssd.CompactionMode{lsmssd.SyncCompaction, lsmssd.BackgroundCompaction} {
+		t.Run(mode.String(), func(t *testing.T) { test(t, mode) })
 	}
 }
 
@@ -202,32 +215,42 @@ func preload(t *testing.T, db *lsmssd.DB, n int, model map[uint64]int, next *uin
 
 // putUntilBackgroundCheckpoint arms the gate and writes fresh keys until one
 // seals a WAL segment, then waits for the checkpoint that Put requested to
-// block in its device sync. No write follows the sealing Put, so the
-// checkpoint captured exactly the returned sequence.
+// block in its device sync. The sealing Put must return without waiting for
+// that sync. No write follows it, so the checkpoint captured exactly the
+// returned sequence.
 func putUntilBackgroundCheckpoint(t *testing.T, db *lsmssd.DB, g *syncGate, model map[uint64]int, next *uint64) (captured uint64) {
 	t.Helper()
 	g.armed.Store(true)
 	rotations := db.Stats().WAL.Rotations
-	for i := 0; db.Stats().WAL.Rotations == rotations; i++ {
-		if i == 5000 {
-			t.Fatal("5000 puts never sealed a WAL segment")
+	within(t, "the Puts up to and including the one that sealed a WAL segment", func() error {
+		for i := 0; db.Stats().WAL.Rotations == rotations; i++ {
+			if i == 5000 {
+				return errors.New("5000 puts never sealed a WAL segment")
+			}
+			if err := putRange(db, *next, *next+1, 0, model); err != nil {
+				return err
+			}
+			*next++
 		}
-		mustPut(t, db, *next, model)
-		*next++
-	}
+		return nil
+	})
 	awaitEntered(t, g, "the rotation-requested checkpoint")
 	return db.Stats().Shards[0].WAL.LastSeq
 }
 
 // TestBackgroundCheckpointDoesNotBlockWrites: with the rotation-requested
-// checkpoint stuck in its device sync, Puts still return at memtable speed
-// and Gets that go to the device are served; the sealed segment waits, and
-// QueueDepth says so. Released, the checkpoint finishes, the merges queued
-// behind it on the same goroutine run, and the log shrinks to its active
-// segment.
+// checkpoint stuck in its device sync, the Put that sealed the segment has
+// returned, later Puts still return and Gets that go to the device are
+// served; the sealed segment waits, and QueueDepth says so. Released, the
+// checkpoint finishes, the merges queued behind it on the same goroutine
+// (background mode) run, and the log shrinks to its active segment.
 func TestBackgroundCheckpointDoesNotBlockWrites(t *testing.T) {
+	bothModes(t, testCheckpointDoesNotBlockWrites)
+}
+
+func testCheckpointDoesNotBlockWrites(t *testing.T, mode lsmssd.CompactionMode) {
 	g := newSyncGate()
-	opts := gatedOpts(t, g, 8<<10)
+	opts := gatedOpts(t, g, 8<<10, mode)
 	db, err := lsmssd.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +304,7 @@ func TestBackgroundCheckpointDoesNotBlockWrites(t *testing.T) {
 // complete while its device sync is blocked.
 func TestExplicitCheckpointDoesNotBlockWritesOrMerges(t *testing.T) {
 	g := newSyncGate()
-	db, err := lsmssd.Open(gatedOpts(t, g, 4<<20)) // no rotation: the only checkpoint is the explicit one
+	db, err := lsmssd.Open(gatedOpts(t, g, 4<<20, lsmssd.BackgroundCompaction)) // no rotation: the only checkpoint is the explicit one
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +350,12 @@ func TestExplicitCheckpointDoesNotBlockWritesOrMerges(t *testing.T) {
 // they recover every acknowledged write — including those acknowledged
 // while the checkpoint was running.
 func TestCrashDuringBackgroundCheckpoint(t *testing.T) {
+	bothModes(t, testCrashDuringCheckpoint)
+}
+
+func testCrashDuringCheckpoint(t *testing.T, mode lsmssd.CompactionMode) {
 	g := newSyncGate()
-	opts := gatedOpts(t, g, 8<<10)
+	opts := gatedOpts(t, g, 8<<10, mode)
 	db, err := lsmssd.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +417,7 @@ func TestCrashDuringBackgroundCheckpoint(t *testing.T) {
 // recovery's frame count pins it exactly.
 func TestCheckpointWALSeqMatchesView(t *testing.T) {
 	g := newSyncGate()
-	opts := gatedOpts(t, g, 8<<10)
+	opts := gatedOpts(t, g, 8<<10, lsmssd.BackgroundCompaction)
 	db, err := lsmssd.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -418,8 +445,8 @@ func TestCheckpointWALSeqMatchesView(t *testing.T) {
 	// The bus delivers on its own goroutine: drained means published, not yet seen.
 	waitFor(t, "the checkpoint's event", func() bool { return len(events()) >= 1 })
 	evs := events()
-	if len(evs) != 1 || evs[0].WALSeq != captured || evs[0].Inline {
-		t.Fatalf("checkpoint events = %+v, want one background event at sequence %d", evs, captured)
+	if len(evs) != 1 || evs[0].WALSeq != captured {
+		t.Fatalf("checkpoint events = %+v, want one event at sequence %d", evs, captured)
 	}
 	if err := db.Crash(); err != nil {
 		t.Fatal(err)
@@ -446,7 +473,7 @@ func TestCheckpointWALSeqMatchesView(t *testing.T) {
 // blocks hold other records.
 func TestCheckpointKeepsSlotsFreedAfterCapture(t *testing.T) {
 	g := newSyncGate()
-	opts := gatedOpts(t, g, 4<<20) // no rotation: checkpoints happen only where the test puts them
+	opts := gatedOpts(t, g, 4<<20, lsmssd.BackgroundCompaction) // no rotation: checkpoints happen only where the test puts them
 	db, err := lsmssd.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -505,8 +532,12 @@ func TestCheckpointKeepsSlotsFreedAfterCapture(t *testing.T) {
 // checkpoint is running coalesce into exactly one more checkpoint, whose
 // cutoff covers the last of them.
 func TestRotationDuringCheckpointIsNotLost(t *testing.T) {
+	bothModes(t, testRotationDuringCheckpointIsNotLost)
+}
+
+func testRotationDuringCheckpointIsNotLost(t *testing.T, mode lsmssd.CompactionMode) {
 	g := newSyncGate()
-	opts := gatedOpts(t, g, 4<<10)
+	opts := gatedOpts(t, g, 4<<10, mode)
 	db, err := lsmssd.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -544,13 +575,17 @@ func TestRotationDuringCheckpointIsNotLost(t *testing.T) {
 }
 
 // TestFailedBackgroundCheckpointDemotesShard: a background checkpoint whose
-// device sync fails demotes the shard exactly as an inline one did — cause
-// "sync-failed", the very next write refused, the failure reported again at
-// Close — while the Put that sealed the segment was acknowledged and, like
-// every other acknowledged write, survives in the log.
+// device sync fails demotes the shard — cause "sync-failed", the very next
+// write refused, the failure reported again at Close — while the Put that
+// sealed the segment was acknowledged and, like every other acknowledged
+// write, survives in the log.
 func TestFailedBackgroundCheckpointDemotesShard(t *testing.T) {
+	bothModes(t, testFailedCheckpointDemotesShard)
+}
+
+func testFailedCheckpointDemotesShard(t *testing.T, mode lsmssd.CompactionMode) {
 	g := newSyncGate()
-	opts := gatedOpts(t, g, 8<<10)
+	opts := gatedOpts(t, g, 8<<10, mode)
 	db, err := lsmssd.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -592,40 +627,38 @@ func TestFailedBackgroundCheckpointDemotesShard(t *testing.T) {
 // shard's background goroutine syncs the tail the next append never came
 // to sync.
 func TestIdleWALTailIsSynced(t *testing.T) {
-	for _, mode := range []lsmssd.CompactionMode{lsmssd.SyncCompaction, lsmssd.BackgroundCompaction} {
-		t.Run(mode.String(), func(t *testing.T) {
-			opts := lsmssd.Options{
-				Path:           t.TempDir() + "/store.db",
-				CompactionMode: mode,
-				WAL:            lsmssd.WALOptions{Enabled: true, Sync: lsmssd.SyncInterval, Interval: 50 * time.Millisecond},
-			}
-			db, err := lsmssd.Open(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Put(42, []byte("written, then silence")); err != nil {
-				t.Fatal(err)
-			}
-			// The append normally finds the last sync (Open's) younger than
-			// the interval and leaves its frame unsynced; the tick then syncs
-			// it and the counter moves. Should the append have synced inline
-			// (a stalled machine), nothing is left to sync: give up after ten
-			// intervals and let the crash below decide either way.
-			synced := db.Stats().WAL.Syncs
-			for deadline := time.Now().Add(10 * opts.WAL.Interval); db.Stats().WAL.Syncs == synced && time.Now().Before(deadline); {
-				time.Sleep(time.Millisecond)
-			}
-			if err := db.Crash(); err != nil {
-				t.Fatal(err)
-			}
-			rdb, err := lsmssd.Open(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rdb.Close()
-			if v, ok, err := rdb.Get(42); err != nil || !ok || string(v) != "written, then silence" {
-				t.Fatalf("after the crash: %q, found %v, err %v; the idle tail was never synced", v, ok, err)
-			}
-		})
-	}
+	bothModes(t, func(t *testing.T, mode lsmssd.CompactionMode) {
+		opts := lsmssd.Options{
+			Path:           t.TempDir() + "/store.db",
+			CompactionMode: mode,
+			WAL:            lsmssd.WALOptions{Enabled: true, Sync: lsmssd.SyncInterval, Interval: 50 * time.Millisecond},
+		}
+		db, err := lsmssd.Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Put(42, []byte("written, then silence")); err != nil {
+			t.Fatal(err)
+		}
+		// The append normally finds the last sync (Open's) younger than
+		// the interval and leaves its frame unsynced; the tick then syncs
+		// it and the counter moves. Should the append have synced inline
+		// (a stalled machine), nothing is left to sync: give up after ten
+		// intervals and let the crash below decide either way.
+		synced := db.Stats().WAL.Syncs
+		for deadline := time.Now().Add(10 * opts.WAL.Interval); db.Stats().WAL.Syncs == synced && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if err := db.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		rdb, err := lsmssd.Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rdb.Close()
+		if v, ok, err := rdb.Get(42); err != nil || !ok || string(v) != "written, then silence" {
+			t.Fatalf("after the crash: %q, found %v, err %v; the idle tail was never synced", v, ok, err)
+		}
+	})
 }

@@ -49,7 +49,7 @@ func main() {
 		paranoid = flag.Bool("paranoid", false, "run the store with Options.Paranoid")
 		layout   = flag.String("layout", "leveling", "level layout: leveling, tiering, or lazy")
 		tierRuns = flag.Int("tier-runs", 0, "run budget T for tiered layouts (0 = default)")
-		compact  = flag.String("compaction", "sync", "merge scheduling: sync, or background (merges and rotation checkpoints on the scheduler goroutine)")
+		compact  = flag.String("compaction", "sync", "merge scheduling: sync, or background (merges on the scheduler goroutine, which runs rotation checkpoints in both modes)")
 		chaos    = flag.Bool("chaos", false, "run the fault-domain isolation soak instead of the crash loop")
 		scenario = flag.String("scenario", "", "chaos scenario to run: bitflip, enospc, stickysync, latency, or transient (default: all)")
 		verbose  = flag.Bool("v", false, "log each cycle")

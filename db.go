@@ -46,9 +46,11 @@ var ErrCorrupt = storage.ErrCorrupt
 // Merge scheduling: mutations land records in the owning shard's L0 and
 // hand overflow work to that shard's compaction scheduler
 // (internal/compaction) — inline in the mutating call under
-// SyncCompaction (the default), or on a background goroutine under
+// SyncCompaction (the default), or on that scheduler's goroutine under
 // BackgroundCompaction, with write-stall backpressure when compaction
-// falls behind. No merge is ever initiated from this layer directly.
+// falls behind. The goroutine runs in both modes and also writes the
+// checkpoint a sealed WAL segment calls for. No merge is ever initiated
+// from this layer directly.
 type DB struct {
 	closed atomic.Bool
 	opts   Options
@@ -178,8 +180,9 @@ func (db *DB) Checkpoint() error {
 
 // Put inserts or updates the value stored for key. Under background
 // compaction Put may pace or stall when the owning shard's L0 reaches the
-// configured triggers, and reports any merge error that shard's scheduler
-// parked since the previous write.
+// configured triggers. In either mode it reports any error that shard's
+// scheduler goroutine parked since the previous write (a failed merge
+// step, checkpoint or idle WAL sync).
 func (db *DB) Put(key uint64, value []byte) error {
 	return db.write(db.shardFor(key), obs.OpPut, []block.Op{{Key: key, Value: value}})
 }

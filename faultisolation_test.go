@@ -65,6 +65,62 @@ func isoWorkload(t *testing.T, db *lsmssd.DB, tolerate int) map[uint64][]byte {
 	return acked
 }
 
+// TestApplyAcrossShardsFailsPerShard pins Apply's documented cross-shard
+// semantics on a 2-shard store whose shard 1 is read-only: a batch touching
+// both shards returns ErrShardReadOnly with shard 0's portion applied, and
+// since that portion is its own frame on shard 0's log, it alone survives
+// a power cut.
+func TestApplyAcrossShardsFailsPerShard(t *testing.T) {
+	opts := isoOptions(t.TempDir())
+	opts.Shards = 2
+	opts.DeviceWrap = func(shard int, dev storage.Device) storage.Device {
+		if shard != 1 {
+			return dev
+		}
+		return faultdev.Wrap(dev, faultdev.Options{CapacityBlocks: 6})
+	}
+	db, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Odd keys route to shard 1: write them until its device runs out of space.
+	for key := uint64(1); db.Health().Shards[1].State != "read-only"; key += 2 {
+		if key > 2*isoOps {
+			t.Fatal("shard 1 never ran out of space")
+		}
+		db.Put(key, isoValue(int(key))) // fails once the ceiling is reached
+	}
+
+	const healthy, readOnly = 1 << 20, 1<<20 + 1 // shard 0, shard 1
+	b := db.NewBatch()
+	b.Put(healthy, []byte("applied"))
+	b.Put(readOnly, []byte("refused"))
+	if err := db.Apply(b); !errors.Is(err, lsmssd.ErrShardReadOnly) {
+		t.Fatalf("Apply over a read-only shard = %v, want ErrShardReadOnly", err)
+	}
+	portions := func(db *lsmssd.DB, when string) {
+		t.Helper()
+		if v, ok, err := db.Get(healthy); err != nil || !ok || string(v) != "applied" {
+			t.Fatalf("%s: shard 0's portion = %q, found %v, err %v; want it applied", when, v, ok, err)
+		}
+		if v, ok, err := db.Get(readOnly); err != nil || ok {
+			t.Fatalf("%s: shard 1's portion = %q, found %v, err %v; want it absent", when, v, ok, err)
+		}
+	}
+	portions(db, "after Apply")
+
+	if err := db.Crash(); err != nil {
+		t.Fatalf("crash teardown: %v", err)
+	}
+	opts.DeviceWrap = nil
+	rdb, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatalf("reopen after crash: %v", err)
+	}
+	defer rdb.Close()
+	portions(rdb, "after a power cut")
+}
+
 func TestFaultIsolationAcrossShards(t *testing.T) {
 	// Fault-free reference run: per-shard device write counts.
 	baseDir := t.TempDir()

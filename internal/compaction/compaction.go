@@ -1,32 +1,34 @@
 // Package compaction owns merge scheduling: it is the only non-test code
 // allowed to drive core.Tree's overflow cascade (CompactionStep /
 // RunCascade — the lsmlint compaction-step rule enforces the boundary).
-// Writers land records in L0, then hand the cascade to a Scheduler, which
-// runs it in one of two modes:
+// Writers land records in L0, then hand the cascade to a Scheduler. The
+// mode decides only who runs a merge step:
 //
-//   - Sync: the cascade runs to completion inline in the mutating call,
+//   - Sync: the writer runs the cascade to completion inline in Notify,
 //     step order identical to the original engine — the paper's cost
 //     model, and the mode experiments use so BlocksWritten accounting
 //     stays byte-identical;
-//   - Background: a scheduler goroutine drains the cascade one step at a
+//   - Background: the scheduler goroutine drains the cascade one step at a
 //     time under the writer lock, so writes only pay L0 insertion and
 //     readers keep consuming published snapshots. Writers are paced by
 //     LevelDB-style backpressure on L0's size: at SlowdownBlocks each
 //     admission sleeps briefly; at StopBlocks it blocks until the
 //     scheduler catches up (the hard stall gate).
 //
-// The same goroutine carries the shard's other background work, so the
-// engine has one background protocol per shard, not several:
+// Every Scheduler runs one goroutine, in both modes, and it carries the
+// shard's other background work, so the engine has one background
+// protocol per shard, not several:
 //
-//   - checkpoints (Background mode): a writer whose WAL append sealed a
-//     segment calls RequestCheckpoint and returns; the goroutine runs
-//     Config.Checkpoint between merge steps, without the writer lock held
-//     across it. Requests coalesce, and one arriving while a checkpoint
-//     runs yields one more run. A requested-or-running checkpoint counts
-//     one unit of QueueDepth, so "drained" means "and checkpointed";
-//   - the idle tick (both modes, when Config.Tick is set): called every
-//     TickInterval — the DB uses it to fsync a WAL tail that went idle
-//     under the interval sync policy.
+//   - checkpoints: a writer whose WAL append sealed a segment calls
+//     RequestCheckpoint and returns; the goroutine runs Config.Checkpoint
+//     (between merge steps in Background mode), without the writer lock
+//     held across it. Requests coalesce, and one arriving while a
+//     checkpoint runs yields one more run. A requested-or-running
+//     checkpoint counts one unit of QueueDepth, so "drained" means "and
+//     checkpointed";
+//   - the idle tick (when Config.Tick is set): called every TickInterval —
+//     the DB uses it to fsync a WAL tail that went idle under the interval
+//     sync policy.
 //
 // Error contract: a failed merge step, checkpoint or tick parks the error;
 // every subsequent Admit/Notify returns it, and DB.Close folds it into its
@@ -45,7 +47,7 @@ import (
 	"lsmssd/internal/obs"
 )
 
-// Mode selects who drives the overflow cascade.
+// Mode selects who runs a merge step.
 type Mode int
 
 const (
@@ -68,18 +70,18 @@ type Config struct {
 	// Tree is the engine to compact. Required.
 	Tree *core.Tree
 	// Mu serializes cascade steps against the engine's other mutations —
-	// the DB's writer lock. Required in Background mode; the scheduler
-	// acquires it per step, never across steps, so writers interleave
-	// with a draining cascade.
+	// the DB's writer lock. Required; the goroutine acquires it per step,
+	// never across steps, so writers interleave with a draining cascade.
 	Mu sync.Locker
-	// Mode selects scheduling; see the package comment.
+	// Mode selects who runs a merge step; see the package comment.
 	Mode Mode
 	// SlowdownBlocks is the L0 size (in blocks) at which each admission
-	// pays SlowdownSleep. Zero disables pacing. Background mode only.
+	// pays SlowdownSleep. Zero disables pacing.
 	SlowdownBlocks int
 	// StopBlocks is the L0 size (in blocks) at which admissions block
 	// until the scheduler drains L0 back under the trigger. Zero disables
-	// the gate. Background mode only.
+	// the gate. Leave both triggers zero in Sync mode: only the writer
+	// drains L0 there, so a closed gate would never open.
 	StopBlocks int
 	// SlowdownSleep is the pacing sleep (default 1ms, LevelDB's choice).
 	SlowdownSleep time.Duration
@@ -90,11 +92,10 @@ type Config struct {
 	Lat *obs.LatencySet
 	// Checkpoint persists the engine's state; the goroutine calls it once
 	// per coalesced RequestCheckpoint, with Mu not held (the callback takes
-	// it briefly itself). Background mode only; nil ignores requests.
+	// it briefly itself). Required if RequestCheckpoint is ever called.
 	Checkpoint func() error
 	// Tick, when set with a positive TickInterval, is called from the
-	// goroutine every TickInterval between other work. It starts the
-	// goroutine in Sync mode too, where ticking is all it does.
+	// goroutine every TickInterval between other work.
 	Tick         func() error
 	TickInterval time.Duration
 }
@@ -138,14 +139,10 @@ type Scheduler struct {
 	stopNanos     atomic.Int64
 }
 
-// New builds a scheduler and starts its goroutine in Background mode, or
-// in Sync mode when there is a Tick to run. Background mode requires Mu.
+// New builds a scheduler and starts its goroutine.
 func New(cfg Config) (*Scheduler, error) {
-	if cfg.Tree == nil {
-		return nil, errors.New("compaction: Config.Tree is required")
-	}
-	if cfg.Mode == Background && cfg.Mu == nil {
-		return nil, errors.New("compaction: Background mode requires Config.Mu")
+	if cfg.Tree == nil || cfg.Mu == nil {
+		return nil, errors.New("compaction: Config.Tree and Config.Mu are required")
 	}
 	if cfg.SlowdownSleep == 0 {
 		cfg.SlowdownSleep = time.Millisecond
@@ -157,32 +154,19 @@ func New(cfg Config) (*Scheduler, error) {
 		done:   make(chan struct{}),
 	}
 	s.gate = sync.NewCond(&s.gateMu)
-	if cfg.Mode == Background {
-		// Seed the gauges from the tree so a scheduler built over an
-		// existing backlog gates admissions correctly from the first
-		// write. New runs before any concurrency, so reading the tree
-		// here is safe without Mu.
-		l0 := cfg.Tree.SizeBlocks(0)
-		s.l0Blocks.Store(int64(l0))
-		s.queueDepth.Store(int64(cfg.Tree.CompactionBacklog()))
-		s.l0Gate = l0
-	}
-	if cfg.Mode == Background || s.ticking() {
-		go s.run()
-	} else {
-		close(s.done)
-	}
+	// Seed the gauges from the tree so a scheduler built over an existing
+	// backlog gates admissions correctly from the first write. New runs
+	// before any concurrency, so reading the tree here is safe without Mu.
+	s.refreshLocked()
+	go s.run()
 	return s, nil
 }
 
 // Admit applies write-path backpressure; writers call it before taking
 // the writer lock (it may sleep or block, and the scheduler needs the
 // lock to make the progress being waited for). It returns any parked
-// background merge error. Sync mode admits unconditionally.
+// background error; with no trigger reached that is all it does.
 func (s *Scheduler) Admit() error {
-	if s.cfg.Mode == Sync {
-		return nil
-	}
 	if err := s.Err(); err != nil {
 		return err
 	}
@@ -193,8 +177,9 @@ func (s *Scheduler) Admit() error {
 		start := time.Now()
 		time.Sleep(s.cfg.SlowdownSleep)
 		s.recordStall("slowdown", s.cfg.SlowdownBlocks, &s.slowdowns, &s.slowdownNanos, time.Since(start))
+		return s.Err()
 	}
-	return s.Err()
+	return nil
 }
 
 // waitBelowStop parks the writer until L0 drops back under StopBlocks,
@@ -226,13 +211,16 @@ func (s *Scheduler) recordStall(kind string, trigger int, n, nanos *atomic.Int64
 }
 
 // Notify hands the scheduler the overflow work a mutation may have
-// created. The caller holds the writer lock. Sync mode runs the cascade
-// to completion inline and returns its error; Background mode refreshes
-// the backpressure gauges, wakes the goroutine, and returns any parked
-// merge error.
+// created. The caller holds the writer lock. In Sync mode the caller runs
+// the cascade to completion here and gets its error, so no merge work is
+// ever left for the goroutine; in Background mode the goroutine is woken
+// to run it. Either way Notify refreshes the gauges and returns any
+// parked background error.
 func (s *Scheduler) Notify() error {
 	if s.cfg.Mode == Sync {
-		return s.cfg.Tree.RunCascade()
+		if err := s.cfg.Tree.RunCascade(); err != nil {
+			return err
+		}
 	}
 	s.refreshLocked()
 	if s.pendingWork.Load() {
@@ -243,15 +231,10 @@ func (s *Scheduler) Notify() error {
 
 // RequestCheckpoint asks the goroutine to run Config.Checkpoint and returns
 // at once; any number of requests before the next run are served by that
-// one run. It reports false — the caller checkpoints inline — when there is
-// no goroutine to hand the work to: Sync mode, or no Config.Checkpoint.
-func (s *Scheduler) RequestCheckpoint() bool {
-	if s.cfg.Mode != Background || s.cfg.Checkpoint == nil {
-		return false
-	}
+// one run.
+func (s *Scheduler) RequestCheckpoint() {
 	s.ckptWant.Add(1)
 	s.signal()
-	return true
 }
 
 // signal wakes the goroutine without blocking.
@@ -261,8 +244,6 @@ func (s *Scheduler) signal() {
 	default: // a wakeup is already queued
 	}
 }
-
-func (s *Scheduler) ticking() bool { return s.cfg.Tick != nil && s.cfg.TickInterval > 0 }
 
 // refreshLocked recomputes the gauges from live tree state and pokes the
 // stall gate. The caller holds the writer lock (tree state is only
@@ -279,15 +260,16 @@ func (s *Scheduler) refreshLocked() {
 	s.gate.Broadcast()
 }
 
-// run is the background goroutine: sleep until woken or ticked, then run
-// what is due — a requested checkpoint, then the cascade one step at a
-// time, taking the writer lock per step so writers and the cascade
+// run is the scheduler goroutine: sleep until woken or ticked, then run
+// what is due — a requested checkpoint, then the pending cascade one step
+// at a time, taking the writer lock per step so writers and the cascade
 // interleave, with a checkpoint requested mid-drain served between steps.
-// The first failure parks and ends the goroutine.
+// Merge work is pending only in Background mode (a Sync Notify drains it
+// before returning). The first failure parks and ends the goroutine.
 func (s *Scheduler) run() {
 	defer close(s.done)
 	var tick <-chan time.Time
-	if s.ticking() {
+	if s.cfg.Tick != nil && s.cfg.TickInterval > 0 {
 		t := time.NewTicker(s.cfg.TickInterval)
 		defer t.Stop()
 		tick = t.C
@@ -304,7 +286,7 @@ func (s *Scheduler) run() {
 			continue
 		case <-s.wake:
 		}
-		for acted := true; acted; {
+		for {
 			if s.stopping.Load() {
 				return
 			}
@@ -316,9 +298,11 @@ func (s *Scheduler) run() {
 				s.ckptDone.Store(want)
 				continue
 			}
+			if !s.pendingWork.Load() {
+				break
+			}
 			s.cfg.Mu.Lock()
-			var err error
-			acted, err = s.cfg.Tree.CompactionStep()
+			acted, err := s.cfg.Tree.CompactionStep()
 			if acted {
 				s.steps.Add(1)
 			}
@@ -351,20 +335,18 @@ func (s *Scheduler) Err() error {
 	return s.err
 }
 
-// Pending reports whether compaction work is outstanding. Always false
-// in Sync mode (the cascade completes before Notify returns); the DB
-// keys its mid-cascade-vs-steady invariant audits off this.
-func (s *Scheduler) Pending() bool {
-	return s.cfg.Mode == Background && s.pendingWork.Load()
-}
+// Pending reports whether merge work is outstanding as of the last
+// refresh; the DB keys its mid-cascade-vs-steady invariant audits off
+// this. A Sync Notify that returned nil leaves it false.
+func (s *Scheduler) Pending() bool { return s.pendingWork.Load() }
 
 // Stop halts the scheduler: no further step, checkpoint or tick starts,
 // the one in flight (if any) completes, gated writers are released, and
 // Stop returns once the goroutine has exited. Callers must NOT hold the
-// writer lock — the goroutine may need it to finish. Idempotent; a no-op
-// when no goroutine was started. A checkpoint request still pending is
-// dropped (a clean Close checkpoints inline afterwards), and an interrupted
-// cascade is completed by Restore on reopen.
+// writer lock — the goroutine may need it to finish. Idempotent. A
+// checkpoint request still pending is dropped (a clean Close checkpoints
+// inline afterwards), and an interrupted cascade is completed by Restore
+// on reopen.
 func (s *Scheduler) Stop() {
 	s.stopOnce.Do(func() {
 		s.stopping.Store(true)

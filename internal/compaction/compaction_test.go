@@ -33,13 +33,26 @@ func newTree(t *testing.T, dev storage.Device) *core.Tree {
 
 // TestSyncSchedulerMatchesDriver pins the refactor's core promise: a Sync
 // scheduler's Put/Notify sequence produces a device write counter
-// byte-identical to the synchronous Driver for the same inputs.
+// byte-identical to the synchronous Driver for the same inputs. Its
+// goroutine serves the checkpoints requested along the way and never takes
+// a merge step.
 func TestSyncSchedulerMatchesDriver(t *testing.T) {
 	run := func(viaScheduler bool) int64 {
 		dev := storage.NewMemDevice()
 		tr := newTree(t, dev)
 		if viaScheduler {
-			s, err := compaction.New(compaction.Config{Tree: tr, Mode: compaction.Sync})
+			var mu sync.Mutex
+			ckpts := make(chan struct{}, 1)
+			s, err := compaction.New(compaction.Config{
+				Tree: tr, Mu: &mu, Mode: compaction.Sync,
+				Checkpoint: func() error {
+					select {
+					case ckpts <- struct{}{}:
+					default:
+					}
+					return nil
+				},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,12 +61,26 @@ func TestSyncSchedulerMatchesDriver(t *testing.T) {
 				if err := s.Admit(); err != nil {
 					t.Fatal(err)
 				}
-				if err := tr.Put((k*7919)%997, []byte{byte(k)}); err != nil {
+				mu.Lock()
+				err := tr.Put((k*7919)%997, []byte{byte(k)})
+				if err == nil {
+					err = s.Notify()
+				}
+				if err == nil && s.Pending() {
+					err = fmt.Errorf("work pending after a Sync Notify at key %d", k)
+				}
+				if k%50 == 0 {
+					s.RequestCheckpoint()
+				}
+				mu.Unlock()
+				if err != nil {
 					t.Fatal(err)
 				}
-				if err := s.Notify(); err != nil {
-					t.Fatal(err)
-				}
+			}
+			<-ckpts
+			waitDepth(t, s, 0)
+			if st := s.Snapshot(); st.Steps != 0 {
+				t.Fatalf("the Sync scheduler's goroutine took %d merge steps", st.Steps)
 			}
 		} else {
 			drv := compaction.Driver{Tree: tr}
@@ -340,8 +367,8 @@ func TestCheckpointErrorParks(t *testing.T) {
 	}
 }
 
-// TestTickRunsInBothModes: the idle tick is the goroutine's only job in
-// Sync mode, and Stop ends it there too.
+// TestTickRunsInBothModes: the goroutine ticks in either mode, and Stop
+// ends it.
 func TestTickRunsInBothModes(t *testing.T) {
 	for _, mode := range []compaction.Mode{compaction.Sync, compaction.Background} {
 		t.Run(mode.String(), func(t *testing.T) {

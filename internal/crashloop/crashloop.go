@@ -58,10 +58,10 @@ type Config struct {
 	TierRuns int           // run budget T for tiered layouts (0 = default)
 
 	// Compaction selects the merge scheduling under test (default
-	// SyncCompaction). Under BackgroundCompaction the checkpoint a sealed WAL
-	// segment calls for runs on the shard's scheduler goroutine, concurrently
-	// with the cycle's remaining mutations, and a crash may find it requested
-	// but not yet started.
+	// SyncCompaction). In either mode the checkpoint a sealed WAL segment
+	// calls for runs on the shard's scheduler goroutine, concurrently with
+	// the cycle's remaining mutations, and a crash may find it requested but
+	// not yet started; BackgroundCompaction moves the merges there too.
 	Compaction lsmssd.CompactionMode
 
 	Logf func(format string, args ...any) // optional progress logger
@@ -149,16 +149,13 @@ func Run(cfg Config) (Report, error) {
 		TierRuns:       cfg.TierRuns,
 		CompactionMode: cfg.Compaction,
 		WAL: lsmssd.WALOptions{
-			Enabled:      true,
-			Sync:         cfg.Sync,
-			Interval:     cfg.Interval,
-			SegmentBytes: 16 << 10, // small segments so rotation+GC happen often
+			Enabled:  true,
+			Sync:     cfg.Sync,
+			Interval: cfg.Interval,
+			// Small enough that most cycles seal a segment, so crashes land
+			// before, during and after the scheduler goroutine's checkpoint.
+			SegmentBytes: 4 << 10,
 		},
-	}
-	if cfg.Compaction == lsmssd.BackgroundCompaction {
-		// Smaller still: most cycles then seal a segment, so crashes land
-		// before, during and after the scheduler goroutine's checkpoint.
-		opts.WAL.SegmentBytes = 4 << 10
 	}
 	mask := uint64(cfg.Shards - 1)
 

@@ -181,16 +181,13 @@ func (WALEvent) event() {}
 // CheckpointEvent describes one completed checkpoint of one shard: the
 // state captured under the writer lock (microseconds) and persisted
 // without it — device sync, manifest write, reclamation of the block
-// slots freed before the capture, WAL segment GC. Inline marks the
-// checkpoints that kept the writer lock through the persist half as well
-// (Close, recovery, sync compaction mode's rotation checkpoint); the
-// others — DB.Checkpoint and the scheduler goroutine's — stalled writers
-// for Capture only. A failed checkpoint publishes no event (a failed
-// device sync publishes the HealthEvent of its demotion).
+// slots freed before the capture, WAL segment GC. Only Capture holds the
+// writer lock, except at Close and after recovery, where no writer waits. A
+// failed checkpoint publishes no event (a failed device sync publishes the
+// HealthEvent of its demotion).
 type CheckpointEvent struct {
 	Shard  int
 	WALSeq uint64 // last WAL frame the manifest covers (0 with the WAL off)
-	Inline bool   // the writer lock was held from capture to the end
 
 	Capture      time.Duration // writer lock held: pin the view, read lastSeq, mark limbo
 	DeviceSync   time.Duration // fsync of the device file

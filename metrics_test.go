@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // obsOptions mirrors the external tests' smallOptions: tiny levels so a
@@ -351,6 +352,14 @@ func TestResetIOStatsUniformWindow(t *testing.T) {
 	db.shards[0].scrubPass() // also promotes the shard the failed read degraded
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	// The rotations' checkpoints run on the scheduler goroutine: let them
+	// finish, or one may move a counter between the two snapshots.
+	for deadline := time.Now().Add(10 * time.Second); db.Stats().Compaction.QueueDepth > 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the rotation checkpoints never finished")
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	s1 := db.Stats()

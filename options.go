@@ -144,15 +144,14 @@ const (
 	// default, and what the experiment harness uses so BlocksWritten
 	// accounting is reproducible.
 	SyncCompaction CompactionMode = iota
-	// BackgroundCompaction moves merge cascades to a scheduler goroutine,
-	// one per shard: writes pay only the L0 insertion, subject to
-	// LevelDB-style backpressure (SlowdownTrigger/StopTrigger) when
-	// compaction falls behind. The same goroutine writes the checkpoint a
-	// sealed WAL segment calls for (device sync, manifest, segment removal
-	// — none of it under the writer lock, so a Put never waits for those
-	// fsyncs). Merge and checkpoint errors surface on a subsequent write
-	// or at Close; Stats().Compaction.QueueDepth is zero once both the
-	// cascade and a requested checkpoint have finished.
+	// BackgroundCompaction moves merge cascades to the shard's scheduler
+	// goroutine: writes pay only the L0 insertion, subject to LevelDB-style
+	// backpressure (SlowdownTrigger/StopTrigger) when compaction falls
+	// behind. Merge errors surface on a subsequent write or at Close;
+	// Stats().Compaction.QueueDepth is zero once both the cascade and a
+	// requested checkpoint have finished. (In either mode that goroutine
+	// also writes the checkpoint a sealed WAL segment calls for; see
+	// WALOptions.SegmentBytes.)
 	BackgroundCompaction
 )
 
@@ -206,12 +205,13 @@ type WALOptions struct {
 	Interval time.Duration
 	// SegmentBytes caps a log segment (default 4 MiB). Filling a segment
 	// seals it and calls for an automatic checkpoint, which bounds both
-	// recovery replay time and the disk the log holds. Under
-	// SyncCompaction the write that sealed the segment performs the
-	// checkpoint before returning; under BackgroundCompaction it only
-	// requests it, and the sealed segment stays on disk until the shard's
-	// background goroutine has made the covering checkpoint durable — so
-	// the log briefly holds one segment more than SegmentBytes suggests.
+	// recovery replay time and the disk the log holds. The write that
+	// sealed the segment only requests the checkpoint: the shard's
+	// background goroutine runs its fsyncs off the writer lock, so no Put
+	// waits for them, and a failure surfaces on the shard's next write or
+	// at Close. The sealed segment stays on disk until that checkpoint is
+	// durable, so the log briefly holds one segment more than SegmentBytes
+	// suggests.
 	SegmentBytes int64
 }
 
@@ -253,7 +253,7 @@ type Options struct {
 	// Gamma is Γ, the capacity ratio between adjacent levels (default 10).
 	Gamma int
 	// Epsilon is ε, the maximum fraction of empty record slots allowed
-	// per level (default 0.2).
+	// per level (default 0.2; at most 0.5).
 	Epsilon float64
 	// Delta is δ, the fraction of a level a partial merge takes
 	// (default 0.07, the paper's experimental setting).
@@ -293,12 +293,13 @@ type Options struct {
 	CompactionMode CompactionMode
 	// SlowdownTrigger is the L0 size, in blocks, at which each write pays
 	// a short pacing sleep so compaction can keep up (background mode
-	// only; default 2×MemtableBlocks). Must be at least MemtableBlocks.
+	// only, ignored otherwise; default 2×MemtableBlocks). Must be at least
+	// MemtableBlocks.
 	SlowdownTrigger int
 	// StopTrigger is the L0 size, in blocks, at which writes block until
 	// the background scheduler drains L0 back under the trigger — the
-	// hard stall gate (background mode only; default 4×MemtableBlocks).
-	// Must be at least SlowdownTrigger.
+	// hard stall gate (background mode only, ignored otherwise; default
+	// 4×MemtableBlocks). Must be at least SlowdownTrigger.
 	StopTrigger int
 	// MetricsAddr, when set, serves the observability endpoint on this TCP
 	// address: Prometheus-text /metrics, an engine-state JSON dump at
@@ -415,6 +416,9 @@ func (o Options) withDefaults() Options {
 		if o.StopTrigger == 0 {
 			o.StopTrigger = 4 * o.MemtableBlocks
 		}
+	} else {
+		// Nothing but the writer drains L0 here, so a gate would never open.
+		o.SlowdownTrigger, o.StopTrigger = 0, 0
 	}
 	if o.WAL.Enabled {
 		if o.WAL.Interval == 0 {
@@ -455,8 +459,14 @@ func (o Options) Validate() error {
 		return fmt.Errorf("lsmssd: Options.BlockSize %d cannot hold one %d-byte-value record: a file-backed store needs at least %d, or an explicit RecordsPerBlock",
 			o.BlockSize, defaultPayload, least)
 	}
-	if o.Epsilon <= 0 || o.Epsilon >= 1 {
-		return fmt.Errorf("lsmssd: Options.Epsilon %g outside (0, 1): ε is the allowed fraction of empty record slots per level", o.Epsilon)
+	if o.RecordsPerBlock < 0 {
+		return fmt.Errorf("lsmssd: Options.RecordsPerBlock %d is negative; use 0 to derive it from BlockSize", o.RecordsPerBlock)
+	}
+	if o.MemtableBlocks < 0 {
+		return fmt.Errorf("lsmssd: Options.MemtableBlocks %d is negative; use 0 for the default", o.MemtableBlocks)
+	}
+	if o.Epsilon <= 0 || o.Epsilon > 0.5 {
+		return fmt.Errorf("lsmssd: Options.Epsilon %g outside (0, 0.5]: ε is the allowed fraction of empty record slots per level", o.Epsilon)
 	}
 	if o.Delta <= 0 || o.Delta > 1 {
 		return fmt.Errorf("lsmssd: Options.Delta %g outside (0, 1]: δ is the fraction of a level one partial merge takes", o.Delta)
@@ -474,7 +484,7 @@ func (o Options) Validate() error {
 	}
 	switch o.CompactionMode {
 	case SyncCompaction:
-		// Triggers are background-mode knobs; tolerate them set (ignored).
+		// Triggers are background-mode knobs; withDefaults dropped any set.
 	case BackgroundCompaction:
 		if o.SlowdownTrigger < o.MemtableBlocks {
 			return fmt.Errorf("lsmssd: Options.SlowdownTrigger %d below MemtableBlocks %d: writes would stall before L0 can even fill",

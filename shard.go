@@ -130,11 +130,9 @@ func (db *DB) openShard(id int) (*shard, error) {
 		// in a level whose own overflow the cascade has not reached yet.
 		// Under background compaction the audit runs on the scheduler
 		// goroutine between concurrently admitted writes, so L0's bound is
-		// the stall gate's StopTrigger rather than K0.
-		audit := invariant.Options{MidCascade: true}
-		if opts.CompactionMode == BackgroundCompaction {
-			audit.L0CapacityBlocks = opts.StopTrigger
-		}
+		// the stall gate's StopTrigger; under sync compaction the trigger
+		// is zero, which means K0.
+		audit := invariant.Options{MidCascade: true, L0CapacityBlocks: opts.StopTrigger}
 		cfg.Auditor = func(t *core.Tree) error {
 			return invariant.Check(t, audit)
 		}
@@ -407,12 +405,12 @@ func (s *shard) captureLocked() (checkpointImage, error) {
 
 // persist makes a captured image the shard's durable checkpoint and releases
 // it. It takes no engine lock — the caller holds ckptMu and may or may not
-// hold writerMu — so under background compaction writes, reads and merges
-// all proceed while it runs. The view is read out and released first: from
-// then on merges may free blocks the image names, and the limbo mark, not
-// the pin, is what keeps their slots from being reused. With the WAL
-// enabled the durability horizon then advances in a fixed order, each step
-// relying on the one before:
+// hold writerMu — so writes, reads and merges all proceed while the
+// scheduler goroutine or DB.Checkpoint runs it. The view is read out and
+// released first: from then on merges may free blocks the image names,
+// and the limbo mark, not the pin, is what keeps their slots from being
+// reused. With the WAL enabled the durability horizon then advances in a
+// fixed order, each step relying on the one before:
 //
 //  1. device sync — the manifest must never reference a block the device
 //     could still lose (every block of the image was written before the
@@ -423,11 +421,11 @@ func (s *shard) captureLocked() (checkpointImage, error) {
 //     manifest on disk names them any more. Slots freed since stay parked
 //     until the next checkpoint, because this very manifest may name them;
 //  4. only now are WAL segments fully covered by the cutoff deleted.
-func (s *shard) persist(img checkpointImage, inline bool) error {
+func (s *shard) persist(img checkpointImage) error {
 	start := time.Now()
 	st := img.view.Export()
 	img.view.Release()
-	ev := obs.CheckpointEvent{Shard: s.id, WALSeq: img.walSeq, Inline: inline, Capture: img.capture}
+	ev := obs.CheckpointEvent{Shard: s.id, WALSeq: img.walSeq, Capture: img.capture}
 	t0 := time.Now()
 	if s.wal != nil {
 		// Sync through the wrapped device, not s.raw, so injected sync
@@ -490,10 +488,10 @@ func (s *shard) persist(img checkpointImage, inline bool) error {
 
 // checkpointLocked checkpoints inline: capture and persist with the writer
 // lock held throughout, so the checkpoint is durable before the caller's
-// next step. Close, post-recovery and the rotation checkpoint of sync
-// compaction mode use it — callers that hold the lock anyway and have no
-// concurrent writer to spare. It waits out a checkpoint in flight (ckptMu),
-// which is what keeps manifests in capture order.
+// next step. Only Close and the post-recovery checkpoint use it — callers
+// that hold the lock anyway and that no writer can be waiting on. It waits
+// out a checkpoint in flight (ckptMu), which is what keeps manifests in
+// capture order.
 func (s *shard) checkpointLocked() error {
 	if s.path == "" {
 		return nil
@@ -504,7 +502,7 @@ func (s *shard) checkpointLocked() error {
 	if err != nil {
 		return err
 	}
-	return s.persist(img, true)
+	return s.persist(img)
 }
 
 // checkpoint holds the writer lock for the capture only; the fsyncs happen
@@ -527,19 +525,7 @@ func (s *shard) checkpoint() error {
 	if err != nil {
 		return err
 	}
-	return s.persist(img, false)
-}
-
-// rotationCheckpointLocked covers the WAL segment an append just sealed: a
-// request to the scheduler goroutine under background compaction, where the
-// write path never waits for an fsync it does not need for its own
-// durability; inline under sync compaction, which has no such goroutine.
-// Caller holds writerMu.
-func (s *shard) rotationCheckpointLocked() error {
-	if s.sched.RequestCheckpoint() {
-		return nil
-	}
-	return s.checkpointLocked()
+	return s.persist(img)
 }
 
 // syncIdleWAL is the scheduler goroutine's tick under SyncInterval: fsync
@@ -562,10 +548,10 @@ func (s *shard) syncIdleWAL() error {
 // frame — group commit: one frame, and under SyncEvery one fsync, per
 // request regardless of batch size. A logging failure means the request
 // was never made durable, so the caller must fail it without touching
-// the tree. When the append sealed a segment the caller checkpoints
-// after applying the ops (after, because the checkpoint's WALSeq covers
-// this frame — the manifest state must include it). Caller holds
-// writerMu.
+// the tree. When the append sealed a segment the caller requests a
+// checkpoint after applying the ops (after, because the checkpoint's
+// WALSeq covers this frame — the manifest state must include it). Caller
+// holds writerMu.
 //
 // Span attribution: the whole append is timed as PhaseWALAppend, then
 // the log's cumulative fsync-nanoseconds delta across the call is
@@ -589,9 +575,7 @@ func (s *shard) logMutation(ops []block.Op, sp *obs.Span) (rotated bool, err err
 		// the frame write failed. Checkpoint anyway, so the sealed segment
 		// is covered and GC'd instead of lingering until the next rotation.
 		if rotated {
-			if cerr := s.rotationCheckpointLocked(); cerr != nil {
-				err = errors.Join(err, cerr)
-			}
+			s.sched.RequestCheckpoint()
 		}
 		return false, fmt.Errorf("lsmssd: write-ahead log append: %w", err)
 	}
@@ -606,11 +590,13 @@ func (s *shard) logMutation(ops []block.Op, sp *obs.Span) (rotated bool, err err
 // write is the shard's one durability protocol, carrying Put, Delete (a
 // one-element ops), each shard's slice of a WriteBatch, and WAL replay:
 // health gate → admission → writer lock → closed check → WAL frame →
-// memtable apply → cascade notification → checkpoint if the append sealed
-// a segment → paranoid audit. It is a single atomic writer step: one
-// admission, one lock acquisition, one WAL frame (group commit), one
-// batched apply. A mutation-path error is classified against the shard's
-// health after the writer lock is released.
+// memtable apply → cascade notification → checkpoint request if the append
+// sealed a segment → paranoid audit. It is a single atomic writer step:
+// one admission, one lock acquisition, one WAL frame (group commit), one
+// batched apply; the checkpoint runs on the scheduler goroutine in either
+// compaction mode, and its failure surfaces on the next write's admission.
+// A mutation-path error is classified against the shard's health after
+// the writer lock is released.
 //
 // The span (nil when tracing is off) attributes the op's time: admission
 // under PhaseStallWait (the pacing sleep and stall gate live inside
@@ -659,13 +645,11 @@ func (s *shard) write(ops []block.Op, sp *obs.Span) (err error) {
 	sp.To(obs.PhaseCascade)
 	err = s.sched.Notify()
 	sp.To(obs.PhaseOther)
+	if rotated {
+		s.sched.RequestCheckpoint()
+	}
 	if err != nil {
 		return err
-	}
-	if rotated {
-		if err := s.rotationCheckpointLocked(); err != nil {
-			return err
-		}
 	}
 	return s.paranoidSteadyCheck()
 }

@@ -174,8 +174,8 @@ type WALRecoveryStats struct {
 
 // CompactionStats describes the compaction scheduler (see
 // Options.CompactionMode); on a sharded DB the counters sum over the
-// per-shard schedulers. In sync mode only Mode is meaningful: the cascade
-// completes inside each mutating call, so the queue is always empty and
+// per-shard schedulers. In sync mode the cascade completes inside each
+// mutating call, so no merge ever waits in the queue, Steps stays zero and
 // no write ever stalls.
 type CompactionStats struct {
 	Mode string // "sync" or "background"
@@ -295,7 +295,7 @@ var metricTable = []metric{
 	{typ: counter, name: "lsmssd_bloom_skipped_total", help: "Block reads avoided by Bloom filters.", field: num(func(c *Counters) *int64 { return &c.BloomSkipped })},
 	{typ: counter, name: "lsmssd_bloom_passed_total", help: "Lookups Bloom filters could not rule out.", field: num(func(c *Counters) *int64 { return &c.BloomPassed })},
 
-	{typ: gauge, name: "lsmssd_compaction_queue_depth", help: "Overflowing merge sources (memtable and full levels) awaiting compaction, plus one per shard with a requested-or-running background checkpoint; always 0 in sync mode.", field: num(func(c *Counters) *int { return &c.Compaction.QueueDepth })},
+	{typ: gauge, name: "lsmssd_compaction_queue_depth", help: "Overflowing merge sources (memtable and full levels) awaiting compaction, plus one per shard with a requested-or-running background checkpoint.", field: num(func(c *Counters) *int { return &c.Compaction.QueueDepth })},
 	{typ: gauge, name: "lsmssd_compaction_l0_blocks", help: "L0 size in blocks at the compaction schedulers' last refresh.", field: num(func(c *Counters) *int { return &c.Compaction.L0Blocks })},
 	{typ: counter, name: "lsmssd_compaction_steps_total", help: "Cascade steps executed by the background compaction schedulers.", field: num(func(c *Counters) *int64 { return &c.Compaction.Steps })},
 	{typ: counter, name: "lsmssd_write_stalls_total", help: "Writes that hit compaction backpressure, by kind (slowdown = pacing sleep, stop = hard gate).", kind: "slowdown", field: num(func(c *Counters) *int64 { return &c.Compaction.Slowdowns })},
