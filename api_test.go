@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -311,6 +312,12 @@ func TestOptionsValidate(t *testing.T) {
 		{"gamma one", func(o *lsmssd.Options) { o.Gamma = 1 }, "Gamma"},
 		{"gamma negative", func(o *lsmssd.Options) { o.Gamma = -3 }, "Gamma"},
 		{"blocksize negative", func(o *lsmssd.Options) { o.BlockSize = -4096 }, "BlockSize"},
+		// +Inf used to panic in the first block write's filter allocation;
+		// NaN silently turned filters off.
+		{"bloom bits +Inf", func(o *lsmssd.Options) { o.BloomBitsPerKey = math.Inf(1) }, "BloomBitsPerKey"},
+		{"bloom bits -Inf", func(o *lsmssd.Options) { o.BloomBitsPerKey = math.Inf(-1) }, "BloomBitsPerKey"},
+		{"bloom bits NaN", func(o *lsmssd.Options) { o.BloomBitsPerKey = math.NaN() }, "BloomBitsPerKey"},
+		{"bloom bits above 64", func(o *lsmssd.Options) { o.BloomBitsPerKey = 64.5 }, "BloomBitsPerKey"},
 		// 64 < 4-byte header + one encoded 100-byte-value record (115): the
 		// derived B floors at 1 and the first flush could not be stored.
 		{"blocksize below one default record, file-backed", func(o *lsmssd.Options) { o.Path, o.BlockSize = "unused.blk", 64 }, "BlockSize 64"},
@@ -338,6 +345,11 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := (lsmssd.Options{Epsilon: 0.5}).Validate(); err != nil {
 		t.Errorf("ε = 0.5, the largest the tree accepts, rejected: %v", err)
+	}
+	for _, b := range []float64{-3, 64} { // negative means off; 64 is the cap
+		if err := (lsmssd.Options{BloomBitsPerKey: b}).Validate(); err != nil {
+			t.Errorf("BloomBitsPerKey %g rejected: %v", b, err)
+		}
 	}
 	// The small-block rule is about the derived B of a file-backed store only.
 	for _, o := range []lsmssd.Options{

@@ -61,6 +61,9 @@ func TestCrashLoopSyncEvery(t *testing.T) {
 	if report.Recoveries == 0 {
 		t.Error("no recovery ever replayed frames")
 	}
+	if report.FilterSkips == 0 {
+		t.Error("no verification read went through a rebuilt Bloom filter")
+	}
 }
 
 // TestCrashLoopSyncInterval checks the weaker policy's contract: crashes

@@ -6,7 +6,9 @@
 // they are implemented here as an optional extension. A Registry holds one
 // filter per live data block, keyed by block ID, so filters survive
 // block-preserving merges (the block, and therefore its filter, simply
-// changes levels) and disappear with the block on free.
+// changes levels) and disappear with the block on free. Filters are never
+// written to the device: restoring a tree rebuilds the filter of every
+// live block from its contents (core.Restore).
 package bloom
 
 import "lsmssd/internal/block"

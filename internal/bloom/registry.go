@@ -34,7 +34,8 @@ func NewRegistry(bitsPerKey float64) *Registry {
 	}
 }
 
-// Add builds and stores the filter for a freshly written block.
+// Add builds and stores the filter for a freshly written block, or for a
+// live block read back when a tree is restored.
 func (r *Registry) Add(id storage.BlockID, b *block.Block) {
 	keys := make([]block.Key, b.Len())
 	for i, rec := range b.Records() {
@@ -53,9 +54,10 @@ func (r *Registry) Drop(id storage.BlockID) {
 	r.mu.Unlock()
 }
 
-// MayContain consults the block's filter; blocks without a filter
-// (registry attached mid-life, or already dropped while an old snapshot
-// still references the block) conservatively report true.
+// MayContain consults the block's filter; blocks without a filter (one
+// that failed its checksum when the tree was restored, or one already
+// dropped while an old snapshot still references it) conservatively
+// report true, so the read goes to the device.
 func (r *Registry) MayContain(id storage.BlockID, k block.Key) bool {
 	r.mu.RLock()
 	f, ok := r.filters[id]

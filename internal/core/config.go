@@ -34,7 +34,8 @@ type Config struct {
 	// blocks over Device.
 	CacheBlocks int
 	// BloomBitsPerKey, when positive, maintains per-block Bloom filters
-	// to cut lookup reads for absent keys.
+	// to cut lookup reads for absent keys. Filters live in memory only;
+	// Restore rebuilds them from the device.
 	BloomBitsPerKey float64
 	// Seed drives the memtable's skiplist randomness; runs with equal
 	// configs and workloads are bit-for-bit reproducible.

@@ -285,26 +285,46 @@ func TestBloomFiltersCutAbsentReads(t *testing.T) {
 	for k := block.Key(0); k < 400; k += 2 {
 		putC(tr, k, []byte{1})
 	}
-	cfg.Device.ResetCounters()
-	for k := block.Key(1); k < 400; k += 2 {
-		if _, ok, _ := tr.Get(k); ok {
-			t.Fatalf("odd key %d present", k)
+	check := func(name string, tr *Tree) {
+		t.Helper()
+		cfg.Device.ResetCounters()
+		for k := block.Key(1); k < 400; k += 2 {
+			if _, ok, _ := tr.Get(k); ok {
+				t.Fatalf("%s: odd key %d present", name, k)
+			}
+		}
+		if skipped, _ := tr.Blooms().Counts(); skipped == 0 {
+			t.Errorf("%s: bloom filters never skipped a read", name)
+		}
+		reads := cfg.Device.Counters().Reads
+		if reads > 40 { // 200 absent lookups, nearly all should be filtered
+			t.Errorf("%s: absent lookups cost %d reads with blooms on", name, reads)
+		}
+		// And presence still works.
+		for k := block.Key(0); k < 400; k += 2 {
+			if _, ok, _ := tr.Get(k); !ok {
+				t.Fatalf("%s: present key %d lost with blooms on", name, k)
+			}
 		}
 	}
-	reg := tr.Blooms()
-	if skipped, _ := reg.Counts(); skipped == 0 {
-		t.Error("bloom filters never skipped a read")
+	check("live", tr)
+
+	// A tree restored over the same device rebuilds every live block's
+	// filter, so it reads no more for absent keys than the tree that wrote it.
+	v, err := tr.AcquireView()
+	if err != nil {
+		t.Fatal(err)
 	}
-	reads := cfg.Device.Counters().Reads
-	if reads > 40 { // 200 absent lookups, nearly all should be filtered
-		t.Errorf("absent lookups cost %d reads with blooms on", reads)
+	st := v.Export()
+	v.Release()
+	restored, err := Restore(cfg, st)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// And presence still works.
-	for k := block.Key(0); k < 400; k += 2 {
-		if _, ok, _ := tr.Get(k); !ok {
-			t.Fatalf("present key %d lost with blooms on", k)
-		}
+	if got, want := restored.Blooms().Len(), tr.Blooms().Len(); got != want {
+		t.Errorf("restored tree holds %d filters, the live tree %d", got, want)
 	}
+	check("restored", restored)
 }
 
 func TestCacheReducesReads(t *testing.T) {

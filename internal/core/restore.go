@@ -77,6 +77,21 @@ func Restore(cfg Config, st ExportedState) (*Tree, error) {
 	for _, r := range st.Memtable {
 		t.mem.Put(r)
 	}
+	if t.blooms != nil {
+		// Filters are not persisted: rebuild one per live block from an
+		// uncounted Peek of the uncached device, before the cascade below so
+		// the blocks it preserves keep theirs. A block that fails its
+		// checksum gets none; a Get then reads it and surfaces the error.
+		for _, runs := range st.Runs {
+			for _, metas := range runs {
+				for _, m := range metas {
+					if blk, err := cfg.Device.Peek(m.ID); err == nil {
+						t.blooms.Add(m.ID, blk)
+					}
+				}
+			}
+		}
+	}
 	// Complete any overflow cascade the shutdown interrupted: a Close can
 	// land mid-cascade (the background scheduler stops after its current
 	// step), so the manifest may describe levels legitimately over

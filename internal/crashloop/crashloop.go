@@ -107,13 +107,15 @@ type Report struct {
 
 	TornInjected int   // crashes followed by a simulated torn tail
 	TornBytes    int64 // bytes recovery truncated from torn tails
+
+	FilterSkips int64 // block reads the reopened stores' Bloom filters spared verification
 }
 
 func (r Report) String() string {
 	return fmt.Sprintf(
-		"crashloop: %d cycles (%d crashes, %d clean), %d acked ops in %d frames, %d lost frames, %d recoveries replayed %d ops, %d checkpoints, %d torn tails (%d bytes truncated)",
+		"crashloop: %d cycles (%d crashes, %d clean), %d acked ops in %d frames, %d lost frames, %d recoveries replayed %d ops, %d checkpoints, %d torn tails (%d bytes truncated), %d filter skips",
 		r.Iters, r.Crashes, r.CleanCloses, r.Acked, r.Frames, r.LostFrames,
-		r.Recoveries, r.ReplayedOps, r.Checkpoints, r.TornInjected, r.TornBytes)
+		r.Recoveries, r.ReplayedOps, r.Checkpoints, r.TornInjected, r.TornBytes, r.FilterSkips)
 }
 
 // frame is the model's image of one acknowledged request: the ops that
@@ -142,12 +144,17 @@ func Run(cfg Config) (Report, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	path := filepath.Join(cfg.Dir, "store.db")
 	opts := lsmssd.Options{
-		Path:           path,
-		Shards:         cfg.Shards,
-		Paranoid:       cfg.Paranoid,
-		Layout:         cfg.Layout,
-		TierRuns:       cfg.TierRuns,
-		CompactionMode: cfg.Compaction,
+		Path:     path,
+		Shards:   cfg.Shards,
+		Paranoid: cfg.Paranoid,
+		Layout:   cfg.Layout,
+		TierRuns: cfg.TierRuns,
+		// A small L0 pushes the key space down to the device levels, so
+		// recoveries restore runs and rebuild their Bloom filters, and
+		// verifyState's point reads go through those filters.
+		MemtableBlocks:  2,
+		BloomBitsPerKey: 10,
+		CompactionMode:  cfg.Compaction,
 		WAL: lsmssd.WALOptions{
 			Enabled:  true,
 			Sync:     cfg.Sync,
@@ -209,6 +216,7 @@ func Run(cfg Config) (Report, error) {
 		if err := verifyState(db, model, cfg.KeySpace); err != nil {
 			return fmt.Errorf("crashloop: cycle %d: recovered state does not match the acked per-shard prefixes (%d frames kept): %w", it, kept, err)
 		}
+		r.FilterSkips += db.Stats().BloomSkipped - s.BloomSkipped
 		if err := db.Validate(); err != nil {
 			return fmt.Errorf("crashloop: cycle %d: validate after recovery: %w", it, err)
 		}
@@ -381,9 +389,24 @@ func applyFrame(model map[uint64][]byte, fr frame) {
 }
 
 // verifyState checks the store's full contents against the model in both
-// directions: a scan must yield exactly the model's keys and values, and
-// point lookups must agree on presence for every key in the space.
+// directions: a scan must yield exactly the model's keys and values, and a
+// point lookup of every key in the space must return the model's value, or
+// not-found for a key the model lacks — so a Bloom filter rebuilt at
+// reopen can never hide a live key.
 func verifyState(db *lsmssd.DB, model map[uint64][]byte, keySpace uint64) error {
+	for key := uint64(0); key < keySpace; key++ {
+		value, found, err := db.Get(key)
+		if err != nil {
+			return fmt.Errorf("get %d: %w", key, err)
+		}
+		want, ok := model[key]
+		switch {
+		case found != ok:
+			return fmt.Errorf("get %d: found=%v, acked prefix has it %v", key, found, ok)
+		case found && !bytes.Equal(value, want):
+			return fmt.Errorf("get %d: %d-byte value, acked prefix has %d bytes", key, len(value), len(want))
+		}
+	}
 	seen := 0
 	var verr error
 	err := db.Scan(0, keySpace-1, func(key uint64, value []byte) bool {

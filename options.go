@@ -60,6 +60,7 @@ package lsmssd
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"lsmssd/internal/block"
@@ -277,7 +278,11 @@ type Options struct {
 	// set negative to disable caching).
 	CacheBlocks int
 	// BloomBitsPerKey, when positive, maintains per-block Bloom filters
-	// to skip reads for absent keys.
+	// to skip reads for absent keys; zero or negative turns them off. At
+	// most 64: above about 11.6 the hash count is capped at 8, so larger
+	// values only add memory. Filters are held in memory, not on disk:
+	// Open rebuilds them, at about one uncounted block read per live block,
+	// so a reopened store skips reads as the store that was closed did.
 	BloomBitsPerKey float64
 	// MixedTaus and MixedBeta preset the Mixed policy's parameters
 	// (target level → τ, and the bottom-level decision). Ignored for
@@ -478,6 +483,9 @@ func (o Options) Validate() error {
 	case Leveling, Tiering, LazyLeveling:
 	default:
 		return fmt.Errorf("lsmssd: Options.Layout %d is not Leveling, Tiering, or LazyLeveling", o.Layout)
+	}
+	if b := o.BloomBitsPerKey; math.IsNaN(b) || math.IsInf(b, 0) || b > 64 {
+		return fmt.Errorf("lsmssd: Options.BloomBitsPerKey %g must be finite and at most 64 (zero or negative turns filters off)", b)
 	}
 	if o.TierRuns < 0 || o.TierRuns == 1 {
 		return fmt.Errorf("lsmssd: Options.TierRuns %d invalid: a tiered level needs a run budget of at least 2 (0 means the default)", o.TierRuns)
