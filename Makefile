@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint test race fuzz bench crash chaos ci
+.PHONY: all build fmt vet lint test race fuzz bench crash chaos size ci
 
 all: build
 
@@ -75,5 +75,13 @@ crash:
 # longer soak: `go run ./cmd/crashloop -chaos -ops 20000`.
 chaos:
 	$(GO) run ./cmd/crashloop -chaos
+
+# Size of the engine, as ROADMAP counts it: non-test Go lines outside
+# bench/ (lint fixtures included) and the number of Options fields.
+size:
+	@printf 'non-test Go lines outside bench/: '; \
+	find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+	@printf 'Options fields: '; \
+	awk '/^type Options struct/ {in_opts = 1; next} in_opts && /^}/ {exit} in_opts && /^\t[A-Z][A-Za-z0-9]* / {n++} END {print n}' options.go
 
 ci: fmt vet lint test race fuzz crash chaos

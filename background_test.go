@@ -48,13 +48,13 @@ func TestBackgroundCompactionBasic(t *testing.T) {
 	}
 }
 
-// TestStallBackpressure drives writes hard enough that admission hits the
-// slowdown or stop trigger, and checks the stalls are counted and timed.
+// TestStallBackpressure drives writes hard enough that admission reaches
+// the slowdown or stop threshold (2 and 4 blocks over a one-block L0), and
+// checks the stalls are counted and timed.
 func TestStallBackpressure(t *testing.T) {
 	opts := smallOptions()
 	opts.CompactionMode = lsmssd.BackgroundCompaction
-	opts.SlowdownTrigger = opts.MemtableBlocks // stall as early as legal
-	opts.StopTrigger = opts.MemtableBlocks + 1
+	opts.MemtableBlocks = 1
 	db, err := lsmssd.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestStallBackpressure(t *testing.T) {
 		}
 	}
 	if !stalled() {
-		t.Fatal("200k writes against a 2-block L0 never tripped backpressure")
+		t.Fatal("200k writes against a 1-block L0 never tripped backpressure")
 	}
 	c := db.Stats().Compaction
 	if c.Slowdowns > 0 && c.SlowdownTime == 0 {
@@ -81,10 +81,10 @@ func TestStallBackpressure(t *testing.T) {
 		t.Fatal("stop stalls counted but no stall time recorded")
 	}
 
-	// Sync mode must never stall: the triggers are background-only knobs,
-	// ignored even when set — only the writer drains L0 there.
+	// Sync mode must never stall, on the same L0: only the writer drains L0
+	// there, so there is no gate.
 	sopts := smallOptions()
-	sopts.SlowdownTrigger, sopts.StopTrigger = opts.SlowdownTrigger, opts.StopTrigger
+	sopts.MemtableBlocks = opts.MemtableBlocks
 	sdb, err := lsmssd.Open(sopts)
 	if err != nil {
 		t.Fatal(err)

@@ -179,8 +179,8 @@ func (db *DB) Checkpoint() error {
 }
 
 // Put inserts or updates the value stored for key. Under background
-// compaction Put may pace or stall when the owning shard's L0 reaches the
-// configured triggers. In either mode it reports any error that shard's
+// compaction Put may pace or stall when the owning shard's L0 reaches 2× or
+// 4× MemtableBlocks blocks. In either mode it reports any error that shard's
 // scheduler goroutine parked since the previous write (a failed merge
 // step, checkpoint or idle WAL sync).
 func (db *DB) Put(key uint64, value []byte) error {

@@ -51,9 +51,8 @@ func MetaFor(id storage.BlockID, b *block.Block) BlockMeta {
 // Index is the in-memory block index of one level. The zero value is an
 // empty index.
 type Index struct {
-	metas      []BlockMeta
-	records    int
-	tombstones int
+	metas   []BlockMeta
+	records int
 }
 
 // NewIndex builds an index over the given metadata, which must be in key
@@ -62,7 +61,6 @@ func NewIndex(metas []BlockMeta) *Index {
 	x := &Index{metas: metas}
 	for _, m := range metas {
 		x.records += m.Count
-		x.tombstones += m.Tombstones
 	}
 	return x
 }
@@ -72,11 +70,6 @@ func (x *Index) Len() int { return len(x.metas) }
 
 // Records returns the number of records across all blocks.
 func (x *Index) Records() int { return x.records }
-
-// Tombstones returns the number of tombstone records across all blocks.
-// Like Records it is maintained incrementally, so compaction triggers that
-// watch tombstone debt read it in O(1) on every mutation.
-func (x *Index) Tombstones() int { return x.tombstones }
 
 // Meta returns the metadata of the i-th block.
 func (x *Index) Meta(i int) BlockMeta { return x.metas[i] }
@@ -156,11 +149,9 @@ func (x *Index) ReplaceRange(i, j int, repl []BlockMeta) {
 	}
 	for _, m := range x.metas[i:j] {
 		x.records -= m.Count
-		x.tombstones -= m.Tombstones
 	}
 	for _, m := range repl {
 		x.records += m.Count
-		x.tombstones += m.Tombstones
 	}
 	out := make([]BlockMeta, 0, len(x.metas)-(j-i)+len(repl))
 	out = append(out, x.metas[:i]...)
@@ -170,21 +161,17 @@ func (x *Index) ReplaceRange(i, j int, repl []BlockMeta) {
 }
 
 // Validate checks the run's Section II constraints (see ValidateMetas) and
-// that the cached record and tombstone totals match the metadata.
+// that the cached record total matches the metadata.
 func (x *Index) Validate(b int, epsilon float64) error {
 	if err := ValidateMetas(x.metas, b, epsilon); err != nil {
 		return err
 	}
-	total, tombs := 0, 0
+	total := 0
 	for _, m := range x.metas {
 		total += m.Count
-		tombs += m.Tombstones
 	}
 	if total != x.records {
 		return fmt.Errorf("btree: cached record count %d != actual %d", x.records, total)
-	}
-	if tombs != x.tombstones {
-		return fmt.Errorf("btree: cached tombstone count %d != actual %d", x.tombstones, tombs)
 	}
 	return nil
 }

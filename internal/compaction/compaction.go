@@ -11,9 +11,9 @@
 //   - Background: the scheduler goroutine drains the cascade one step at a
 //     time under the writer lock, so writes only pay L0 insertion and
 //     readers keep consuming published snapshots. Writers are paced by
-//     LevelDB-style backpressure on L0's size: at SlowdownBlocks each
-//     admission sleeps briefly; at StopBlocks it blocks until the
-//     scheduler catches up (the hard stall gate).
+//     LevelDB-style backpressure on L0's size, derived from the tree's K0:
+//     from 2·K0 blocks each admission sleeps 1 ms; from 4·K0 (StopBlocks)
+//     it blocks until the scheduler catches up (the hard stall gate).
 //
 // Every Scheduler runs one goroutine, in both modes, and it carries the
 // shard's other background work, so the engine has one background
@@ -65,6 +65,26 @@ func (m Mode) String() string {
 	return "sync"
 }
 
+// Background admission is LevelDB's two-threshold gate on L0's size, in
+// multiples of the tree's L0 capacity K0 (blocks): from slowdownK0·K0 each
+// admission pays pacingSleep, from stopK0·K0 it blocks.
+const (
+	slowdownK0  = 2
+	stopK0      = 4
+	pacingSleep = time.Millisecond
+)
+
+// StopBlocks is the L0 size, in blocks, at which Admit blocks writers to a
+// tree whose L0 holds k0 blocks: 4·k0 under Background, and zero — no gate
+// at all — under Sync, where only the writer drains L0, so a closed gate
+// would never open. The DB's Paranoid auditor takes its L0 bound from here.
+func StopBlocks(m Mode, k0 int) int {
+	if m != Background {
+		return 0
+	}
+	return stopK0 * k0
+}
+
 // Config parameterizes a Scheduler.
 type Config struct {
 	// Tree is the engine to compact. Required.
@@ -73,18 +93,9 @@ type Config struct {
 	// the DB's writer lock. Required; the goroutine acquires it per step,
 	// never across steps, so writers interleave with a draining cascade.
 	Mu sync.Locker
-	// Mode selects who runs a merge step; see the package comment.
+	// Mode selects who runs a merge step and whether admission is gated;
+	// see the package comment.
 	Mode Mode
-	// SlowdownBlocks is the L0 size (in blocks) at which each admission
-	// pays SlowdownSleep. Zero disables pacing.
-	SlowdownBlocks int
-	// StopBlocks is the L0 size (in blocks) at which admissions block
-	// until the scheduler drains L0 back under the trigger. Zero disables
-	// the gate. Leave both triggers zero in Sync mode: only the writer
-	// drains L0 there, so a closed gate would never open.
-	StopBlocks int
-	// SlowdownSleep is the pacing sleep (default 1ms, LevelDB's choice).
-	SlowdownSleep time.Duration
 	// Bus receives StallEvents; may be nil (events are gated on
 	// subscription as everywhere else).
 	Bus *obs.Bus
@@ -104,6 +115,10 @@ type Config struct {
 // are safe for concurrent use. The zero value is not usable; call New.
 type Scheduler struct {
 	cfg Config
+
+	// The stall gate's thresholds in L0 blocks, fixed at New; both zero
+	// (no gate) in Sync mode.
+	slowdown, stop int
 
 	// Background machinery. wake is buffered so Notify never blocks;
 	// stopping gates new work, stopCh interrupts the run loop, done
@@ -144,14 +159,15 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.Tree == nil || cfg.Mu == nil {
 		return nil, errors.New("compaction: Config.Tree and Config.Mu are required")
 	}
-	if cfg.SlowdownSleep == 0 {
-		cfg.SlowdownSleep = time.Millisecond
-	}
 	s := &Scheduler{
 		cfg:    cfg,
 		wake:   make(chan struct{}, 1),
 		stopCh: make(chan struct{}),
 		done:   make(chan struct{}),
+	}
+	if cfg.Mode == Background {
+		k0 := cfg.Tree.CapacityBlocks(0)
+		s.slowdown, s.stop = slowdownK0*k0, StopBlocks(cfg.Mode, k0)
 	}
 	s.gate = sync.NewCond(&s.gateMu)
 	// Seed the gauges from the tree so a scheduler built over an existing
@@ -165,34 +181,36 @@ func New(cfg Config) (*Scheduler, error) {
 // Admit applies write-path backpressure; writers call it before taking
 // the writer lock (it may sleep or block, and the scheduler needs the
 // lock to make the progress being waited for). It returns any parked
-// background error; with no trigger reached that is all it does.
+// background error; below the gate that is all it does.
 func (s *Scheduler) Admit() error {
 	if err := s.Err(); err != nil {
 		return err
 	}
-	if s.cfg.StopBlocks > 0 && s.l0Blocks.Load() >= int64(s.cfg.StopBlocks) {
+	switch l0 := int(s.l0Blocks.Load()); {
+	case s.stop == 0:
+		return nil
+	case l0 >= s.stop:
 		return s.waitBelowStop()
-	}
-	if s.cfg.SlowdownBlocks > 0 && s.l0Blocks.Load() >= int64(s.cfg.SlowdownBlocks) {
+	case l0 >= s.slowdown:
 		start := time.Now()
-		time.Sleep(s.cfg.SlowdownSleep)
-		s.recordStall("slowdown", s.cfg.SlowdownBlocks, &s.slowdowns, &s.slowdownNanos, time.Since(start))
+		time.Sleep(pacingSleep)
+		s.recordStall("slowdown", s.slowdown, &s.slowdowns, &s.slowdownNanos, time.Since(start))
 		return s.Err()
 	}
 	return nil
 }
 
-// waitBelowStop parks the writer until L0 drops back under StopBlocks,
-// a merge fails, or the scheduler stops.
+// waitBelowStop parks the writer until L0 drops back under the stop
+// threshold, a merge fails, or the scheduler stops.
 func (s *Scheduler) waitBelowStop() error {
 	start := time.Now()
 	s.gateMu.Lock()
-	for s.l0Gate >= s.cfg.StopBlocks && s.err == nil && !s.stopping.Load() {
+	for s.l0Gate >= s.stop && s.err == nil && !s.stopping.Load() {
 		s.gate.Wait()
 	}
 	err := s.err
 	s.gateMu.Unlock()
-	s.recordStall("stop", s.cfg.StopBlocks, &s.stops, &s.stopNanos, time.Since(start))
+	s.recordStall("stop", s.stop, &s.stops, &s.stopNanos, time.Since(start))
 	return err
 }
 

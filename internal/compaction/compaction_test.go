@@ -106,14 +106,14 @@ func TestDriverLeavesNoBacklog(t *testing.T) {
 		if err := drv.Put(k, []byte{byte(k)}); err != nil {
 			t.Fatal(err)
 		}
-		if tr.NeedsCompaction() {
+		if tr.CompactionBacklog() > 0 {
 			t.Fatalf("backlog after Driver.Put(%d): the Driver must drain inline", k)
 		}
 	}
 	if err := drv.Delete(7); err != nil {
 		t.Fatal(err)
 	}
-	if tr.NeedsCompaction() {
+	if tr.CompactionBacklog() > 0 {
 		t.Fatal("backlog after Driver.Delete")
 	}
 	if err := tr.Validate(); err != nil {
@@ -129,8 +129,6 @@ func TestBackgroundDrainsAndStops(t *testing.T) {
 	var mu sync.Mutex
 	s, err := compaction.New(compaction.Config{
 		Tree: tr, Mu: &mu, Mode: compaction.Background,
-		SlowdownBlocks: 8, StopBlocks: 16,
-		SlowdownSleep: 50 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +150,7 @@ func TestBackgroundDrainsAndStops(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		mu.Lock()
-		pending := tr.NeedsCompaction()
+		pending := tr.CompactionBacklog() > 0
 		mu.Unlock()
 		if !pending {
 			break
@@ -212,7 +210,6 @@ func TestBackgroundErrorParksAndSurfaces(t *testing.T) {
 	var mu sync.Mutex
 	s, err := compaction.New(compaction.Config{
 		Tree: tr, Mu: &mu, Mode: compaction.Background,
-		SlowdownBlocks: 64, StopBlocks: 128,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,9 +255,9 @@ func TestBackgroundErrorParksAndSurfaces(t *testing.T) {
 // not deadlock Stop — shutdown broadcasts and the writer returns.
 func TestStopReleasesGatedWriter(t *testing.T) {
 	tr := newTree(t, storage.NewMemDevice())
-	// Fill L0 past the trigger before building the scheduler: New seeds
-	// the gate from the tree, and with no Notify ever sent, nothing
-	// drains it — the gate stays shut until Stop.
+	// Fill L0 to 16 blocks, past the stop threshold 4·K0 = 8, before
+	// building the scheduler: New seeds the gate from the tree, and with no
+	// Notify ever sent, nothing drains it — the gate stays shut until Stop.
 	for k := block.Key(0); k < 64; k++ {
 		if err := tr.Put(k, []byte{1}); err != nil {
 			t.Fatal(err)
@@ -269,7 +266,6 @@ func TestStopReleasesGatedWriter(t *testing.T) {
 	var mu sync.Mutex
 	s, err := compaction.New(compaction.Config{
 		Tree: tr, Mu: &mu, Mode: compaction.Background,
-		SlowdownBlocks: 1, StopBlocks: 1, // gate closes as soon as L0 holds a block
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -286,6 +282,63 @@ func TestStopReleasesGatedWriter(t *testing.T) {
 	case <-admitted:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Stop did not release the gated writer")
+	}
+}
+
+// TestDerivedStallGate pins the gate the scheduler derives from its tree
+// (newTree: K0 = 2 blocks of B = 4): admission passes below 2·K0 = 4 L0
+// blocks, pays one pacing sleep from 4, and blocks from 4·K0 = 8 until
+// released; a Sync scheduler never gates, however full L0 is.
+func TestDerivedStallGate(t *testing.T) {
+	admit := func(mode compaction.Mode, records int) compaction.Stats {
+		t.Helper()
+		tr := newTree(t, storage.NewMemDevice())
+		for k := 0; k < records; k++ {
+			if err := tr.Put(block.Key(k), []byte{1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var mu sync.Mutex
+		s, err := compaction.New(compaction.Config{Tree: tr, Mu: &mu, Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		admitted := make(chan error, 1)
+		go func() { admitted <- s.Admit() }()
+		select {
+		case err := <-admitted:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(50 * time.Millisecond):
+			s.Stop() // parked on the gate: Stop releases it
+			<-admitted
+		}
+		s.Stop()
+		return s.Snapshot()
+	}
+	for _, c := range []struct {
+		mode            compaction.Mode
+		records         int // L0 blocks = ⌈records/4⌉
+		slowdowns, stop int64
+	}{
+		{compaction.Background, 12, 0, 0}, // 3 blocks
+		{compaction.Background, 13, 1, 0}, // 4 blocks = 2·K0
+		{compaction.Background, 28, 1, 0}, // 7 blocks
+		{compaction.Background, 29, 0, 1}, // 8 blocks = 4·K0
+		{compaction.Sync, 200, 0, 0},      // 50 blocks, no gate
+	} {
+		st := admit(c.mode, c.records)
+		if st.L0Blocks != (c.records+3)/4 || st.Slowdowns != c.slowdowns || st.Stops != c.stop {
+			t.Errorf("%s at %d records: L0Blocks=%d slowdowns=%d stops=%d, want %d/%d",
+				c.mode, c.records, st.L0Blocks, st.Slowdowns, st.Stops, c.slowdowns, c.stop)
+		}
+	}
+	if got := compaction.StopBlocks(compaction.Background, 2); got != 8 {
+		t.Errorf("StopBlocks(Background, 2) = %d, want 8", got)
+	}
+	if got := compaction.StopBlocks(compaction.Sync, 2); got != 0 {
+		t.Errorf("StopBlocks(Sync, 2) = %d, want 0", got)
 	}
 }
 

@@ -11,23 +11,9 @@ package core
 // All three methods are writer-side: callers serialize them with the
 // tree's other mutations.
 
-// NeedsCompaction reports whether the trigger axis fires on any level —
-// with the default level-overflow trigger, L0 at or over K0·B records, a
-// leveled level at or over its block capacity, a tiered level additionally
-// when its run budget is exhausted. It is the scheduler's wake predicate:
-// false means a cascade run would be a no-op.
-func (t *Tree) NeedsCompaction() bool {
-	for i := 0; i <= len(t.slots); i++ {
-		if t.fires(i) {
-			return true
-		}
-	}
-	return false
-}
-
-// CompactionBacklog counts the firing merge sources (L0 plus every firing
-// storage level): the scheduler's queue depth. Zero iff NeedsCompaction is
-// false.
+// CompactionBacklog counts the merge sources the overflow rule fires on
+// (L0 plus every firing storage level; see fires): the scheduler's queue
+// depth and its wake predicate — zero means a cascade run would be a no-op.
 func (t *Tree) CompactionBacklog() int {
 	n := 0
 	for i := 0; i <= len(t.slots); i++ {
@@ -104,7 +90,7 @@ func (t *Tree) CompactionStep() (acted bool, err error) {
 }
 
 // RunCascade drives CompactionStep until the tree is quiescent
-// (NeedsCompaction false) or a step fails. Restore uses it to complete
+// (CompactionBacklog zero) or a step fails. Restore uses it to complete
 // any cascade a shutdown interrupted; internal/compaction uses it for
 // synchronous mode and the experiment harness's Driver.
 func (t *Tree) RunCascade() error {

@@ -41,9 +41,6 @@ func TestPutAloneDoesNotMerge(t *testing.T) {
 	if got := tr.dev.Counters().Writes; got != 0 {
 		t.Fatalf("Put alone wrote %d blocks; merges must be caller-driven", got)
 	}
-	if !tr.NeedsCompaction() {
-		t.Fatal("L0 over capacity but NeedsCompaction() = false")
-	}
 	if tr.CompactionBacklog() == 0 {
 		t.Fatal("L0 over capacity but CompactionBacklog() = 0")
 	}
@@ -51,6 +48,53 @@ func TestPutAloneDoesNotMerge(t *testing.T) {
 	for k := block.Key(0); k < 100; k++ {
 		if _, ok, err := tr.Get(k); err != nil || !ok {
 			t.Fatalf("Get(%d) before cascade: ok=%v err=%v", k, ok, err)
+		}
+	}
+}
+
+// TestLevelOverflowTrigger pins the paper's overflow rule as fires states
+// it, under testConfig's B = 4, K0 = 2, Γ = 4: L0 fires at 8 records, L1 at
+// K1 = 8 required blocks, and a tiered L1 also at its run budget T = 3. L0
+// is drained by hand, so L1 fills past its own trigger with nothing
+// handling it.
+func TestLevelOverflowTrigger(t *testing.T) {
+	for _, p := range []*policy.Policy{
+		policy.NewChooseBest(0.5, true),
+		policy.NewChooseBest(0.5, true).WithLayout(policy.Layout{Kind: policy.Tiering, TierRuns: 3}),
+	} {
+		tr, err := New(testConfig(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		budgetFired := false
+		for k := block.Key(0); tr.slots[0].requiredBlocks() < 8; k++ {
+			if got, want := tr.fires(0), tr.mem.Len() >= 8; got != want {
+				t.Fatalf("%s: L0 at %d records fires=%v", p.Name(), tr.mem.Len(), got)
+			}
+			runs, size := len(tr.slots[0].runs), tr.slots[0].requiredBlocks()
+			want := size >= 8 || (tr.tiered(1) && runs >= 3)
+			if got := tr.fires(1); got != want {
+				t.Fatalf("%s: L1 at %d blocks in %d runs fires=%v", p.Name(), size, runs, got)
+			}
+			budgetFired = budgetFired || (want && size < 8)
+			if tr.fires(0) {
+				drain := tr.mergeFromMem
+				if tr.tiered(1) {
+					drain = tr.flushMemToRun
+				}
+				if err := drain(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tr.Put(k, []byte{1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !tr.fires(1) {
+			t.Errorf("%s: L1 at capacity does not fire", p.Name())
+		}
+		if budgetFired != tr.tiered(1) {
+			t.Errorf("%s: fired on the run budget alone = %v, want %v", p.Name(), budgetFired, tr.tiered(1))
 		}
 	}
 }
@@ -83,9 +127,6 @@ func TestCompactionStepResumable(t *testing.T) {
 	}
 	if steps == 0 {
 		t.Fatal("no cascade steps ran for 200 records over an 8-record L0")
-	}
-	if tr.NeedsCompaction() {
-		t.Fatal("NeedsCompaction() true after stepping to quiescence")
 	}
 	if got, want := tr.CompactionBacklog(), 0; got != want {
 		t.Fatalf("backlog = %d after quiescence, want %d", got, want)

@@ -366,18 +366,27 @@ func TestSnapshotShape(t *testing.T) {
 	for k := block.Key(0); k < 100; k++ {
 		putC(tr, k, []byte{1})
 	}
-	s := tr.Snapshot()
-	if s.Height != tr.Height() || len(s.Levels) != tr.Height()-1 {
-		t.Errorf("snapshot height %d/%d levels inconsistent", s.Height, len(s.Levels))
+	v, err := tr.AcquireView()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.Stats.Inserts != 100 || s.Stats.Requests != 100 {
-		t.Errorf("stats = %+v", s.Stats)
+	defer v.Release()
+	levels := v.Levels()
+	if v.Height() != tr.Height() || len(levels) != tr.Height()-1 {
+		t.Errorf("view height %d/%d levels inconsistent", v.Height(), len(levels))
 	}
-	if s.Device.Writes == 0 {
-		t.Error("no device writes recorded")
+	if st := tr.Stats(); st.Inserts != 100 || st.Requests != 100 {
+		t.Errorf("stats = %+v", st)
 	}
-	if s.Levels[0].Number != 1 {
-		t.Error("level numbering wrong")
+	written := int64(0)
+	for i, lv := range levels {
+		if lv.Number != i+1 {
+			t.Errorf("level %d numbered %d", i+1, lv.Number)
+		}
+		written += lv.BlocksWritten
+	}
+	if written == 0 || written != tr.Device().Counters().Writes {
+		t.Errorf("per-level writes sum to %d, device counted %d", written, tr.Device().Counters().Writes)
 	}
 }
 

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"lsmssd/internal/btree"
-	"lsmssd/internal/storage"
-)
+import "sync/atomic"
 
 // Stats aggregates tree-level accounting. Device traffic (the paper's
 // write-cost metric) lives in the device counters; per-level write series
@@ -80,29 +75,6 @@ func (t *Tree) ResetStats() {
 	t.publish()
 }
 
-// LevelStats is a read-only snapshot of one storage level. Runs is the
-// number of sorted runs the level holds (always 1 under leveling).
-type LevelStats struct {
-	Number        int
-	Runs          int
-	Blocks        int
-	Records       int
-	Capacity      int
-	WasteFactor   float64
-	BlocksWritten int64
-	Compactions   int64
-}
-
-// Snapshot is a full accounting snapshot of the tree.
-type Snapshot struct {
-	Stats    Stats
-	Device   storage.Counters
-	MemLen   int
-	MemBytes int
-	Height   int
-	Levels   []LevelStats
-}
-
 // Stats materializes the tree's request/merge counters.
 func (t *Tree) Stats() Stats {
 	return Stats{
@@ -116,34 +88,6 @@ func (t *Tree) Stats() Stats {
 		FullMerges:   t.cnt.fullMerges.Load(),
 		Grows:        t.cnt.grows.Load(),
 	}
-}
-
-// Snapshot captures the full accounting state. It reads level structure
-// directly and so belongs to the writer's context (experiments, tests);
-// concurrent readers should combine Stats with an acquired View instead.
-func (t *Tree) Snapshot() Snapshot {
-	s := Snapshot{
-		Stats:    t.Stats(),
-		Device:   t.dev.Counters(),
-		MemLen:   t.mem.Len(),
-		MemBytes: t.mem.Bytes(),
-		Height:   t.Height(),
-	}
-	for i, sl := range t.slots {
-		blocks := sl.blocks()
-		records := sl.records()
-		s.Levels = append(s.Levels, LevelStats{
-			Number:        i + 1,
-			Runs:          len(sl.runs),
-			Blocks:        blocks,
-			Records:       records,
-			Capacity:      sl.newest().Capacity(),
-			WasteFactor:   btree.WasteFactor(blocks, records, t.cfg.BlockCapacity),
-			BlocksWritten: sl.blocksWritten(),
-			Compactions:   sl.compactions(),
-		})
-	}
-	return s
 }
 
 // Records returns the number of live records currently indexed (an upper

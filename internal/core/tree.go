@@ -31,11 +31,9 @@ type Tree struct {
 	mem    *memtable.Table
 	slots  []*slot // slots[i] is level L_{i+1}
 
-	// Layout and trigger axes, resolved from the policy once at New: the
-	// layout decides how many sorted runs each level may hold, the trigger
-	// decides when a level participates in the overflow cascade.
-	layout  policy.Layout
-	trigger policy.Trigger
+	// Layout axis, resolved from the policy once at New: how many sorted
+	// runs each level may hold.
+	layout policy.Layout
 
 	cnt     counters
 	onMerge func(MergeEvent)
@@ -100,14 +98,6 @@ func (s *slot) records() int {
 	n := 0
 	for _, r := range s.runs {
 		n += r.Records()
-	}
-	return n
-}
-
-func (s *slot) tombstones() int {
-	n := 0
-	for _, r := range s.runs {
-		n += r.Tombstones()
 	}
 	return n
 }
@@ -181,9 +171,8 @@ func New(cfg Config) (*Tree, error) {
 		return nil, err
 	}
 	t := &Tree{cfg: cfg, dev: cfg.Device, bus: cfg.Bus, lat: cfg.Lat,
-		layout:  cfg.Policy.Layout(),
-		trigger: cfg.Policy.Trigger(),
-		warned:  make(map[*level.Level]bool)}
+		layout: cfg.Policy.Layout(),
+		warned: make(map[*level.Level]bool)}
 	if cfg.CacheBlocks > 0 {
 		t.cache = cache.New(cfg.Device, cfg.CacheBlocks)
 		t.dev = t.cache
@@ -232,33 +221,21 @@ func (t *Tree) Layout() policy.Layout { return t.layout }
 // tree's layout at its current height.
 func (t *Tree) tiered(i int) bool { return t.layout.Tiered(i, t.Height()) }
 
-// levelState assembles the trigger's view of level i (0 = the memtable).
-func (t *Tree) levelState(i int) policy.LevelState {
+// fires is the paper's overflow rule, the one condition under which the
+// cascade acts on level i (0 = the memtable): L0 at K0·B records, a storage
+// level at K_i required blocks (⌈records/B⌉, the paper's level-size unit)
+// or, when tiered, at a full run budget.
+func (t *Tree) fires(i int) bool {
 	if i == 0 {
-		return policy.LevelState{
-			Level:           0,
-			Runs:            1,
-			MaxRuns:         1,
-			Records:         t.mem.Len(),
-			CapacityRecords: t.memCapacityRecords(),
-		}
+		return t.mem.Len() >= t.cfg.K0*t.cfg.BlockCapacity
 	}
 	s := t.slots[i-1]
-	capBlocks := t.cfg.capacityBlocks(i)
-	return policy.LevelState{
-		Level:           i,
-		Runs:            len(s.runs),
-		MaxRuns:         t.layout.MaxRuns(i, t.Height()),
-		SizeBlocks:      s.requiredBlocks(),
-		CapacityBlocks:  capBlocks,
-		Records:         s.records(),
-		CapacityRecords: capBlocks * t.cfg.BlockCapacity,
-		Tombstones:      s.tombstones(),
+	if s.requiredBlocks() >= t.cfg.capacityBlocks(i) {
+		return true
 	}
+	budget := t.layout.MaxRuns(i, t.Height())
+	return budget > 1 && len(s.runs) >= budget
 }
-
-// fires reports whether the trigger axis wants level i compacted.
-func (t *Tree) fires(i int) bool { return t.trigger.Fire(t.levelState(i)) }
 
 // Memtable exposes L0 for diagnostics; treat it as read-only.
 func (t *Tree) Memtable() *memtable.Table { return t.mem }
@@ -277,9 +254,6 @@ func (t *Tree) Policy() *policy.Policy { return t.cfg.Policy }
 
 // Config returns the tree's configuration.
 func (t *Tree) Config() Config { return t.cfg }
-
-// memCapacityRecords is L0's capacity expressed in records.
-func (t *Tree) memCapacityRecords() int { return t.cfg.K0 * t.cfg.BlockCapacity }
 
 // --- policy.View implementation ----------------------------------------
 

@@ -5,9 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"lsmssd/internal/learn"
-	"lsmssd/internal/policy"
 )
 
 // tiny returns parameters small enough for unit tests: the paper's 20MB
@@ -240,45 +237,5 @@ func TestLayoutSweepSmoke(t *testing.T) {
 	}
 	if r := byCell["tiering(3)/uniform"]; r.MaxRuns < 2 || r.MaxRuns > 3 {
 		t.Errorf("tiering max runs = %d, want within (1, 3]", r.MaxRuns)
-	}
-}
-
-// TestLayoutSearchSmoke runs the live-tree layout × δ search on a tiny
-// configuration: the search must finish under the golden-section budget
-// and hand back a best point it actually measured, and on a pure-write
-// workload tiering's write cost must beat leveling's.
-func TestLayoutSearchSmoke(t *testing.T) {
-	p := Params{Scale: 0.01, Seed: 1}.WithDefaults()
-	space := learn.Space{
-		Layouts: []policy.Layout{
-			{Kind: policy.Leveling},
-			{Kind: policy.Tiering, TierRuns: 3},
-		},
-		DeltaGrid: []float64{0.2, 0.4, 0.6, 0.8, 1.0},
-	}
-	best, all, table, err := p.LayoutSearch(space, "uniform", 8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Cost <= 0 {
-		t.Fatalf("best cost = %v", best.Cost)
-	}
-	if len(all) == 0 || len(all) > len(space.Layouts)*len(space.DeltaGrid) {
-		t.Fatalf("measured %d points, exhaustive is %d", len(all), len(space.Layouts)*len(space.DeltaGrid))
-	}
-	if len(table.Rows) != len(all) {
-		t.Fatalf("table has %d rows, %d points measured", len(table.Rows), len(all))
-	}
-	if best.Layout.Kind != policy.Tiering {
-		t.Errorf("best layout = %s; tiering should win on write cost", best.Layout)
-	}
-	minLeveling := math.Inf(1)
-	for _, c := range all {
-		if c.Layout.Kind == policy.Leveling && c.Cost < minLeveling {
-			minLeveling = c.Cost
-		}
-	}
-	if !(best.Cost < minLeveling) {
-		t.Errorf("best tiering cost %v not below best measured leveling cost %v", best.Cost, minLeveling)
 	}
 }

@@ -48,11 +48,16 @@ func (p Params) Fig1(buckets int) (Fig1Result, *Table, error) {
 		return Fig1Result{}, nil, err
 	}
 	res := Fig1Result{Buckets: buckets}
-	l1, err := histogram.Level(run.tree, 1, p.KeySpace, buckets)
+	v, err := run.tree.AcquireView()
 	if err != nil {
 		return res, nil, err
 	}
-	l2, err := histogram.Level(run.tree, 2, p.KeySpace, buckets)
+	defer v.Release()
+	l1, err := histogram.ViewLevel(v, 1, p.KeySpace, buckets)
+	if err != nil {
+		return res, nil, err
+	}
+	l2, err := histogram.ViewLevel(v, 2, p.KeySpace, buckets)
 	if err != nil {
 		return res, nil, err
 	}

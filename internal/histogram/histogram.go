@@ -11,31 +11,10 @@ import (
 	"lsmssd/internal/core"
 )
 
-// Level counts the keys of storage level `level` (1-based) into n equal
-// buckets over [0, keySpace).
-func Level(t *core.Tree, level int, keySpace uint64, n int) ([]int, error) {
-	if level < 1 || level >= t.Height() {
-		return nil, fmt.Errorf("histogram: level %d out of range [1,%d)", level, t.Height())
-	}
-	counts := make([]int, n)
-	for _, l := range t.Runs(level) {
-		for i := 0; i < l.Blocks(); i++ {
-			blk, err := l.PeekAt(i)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range blk.Records() {
-				counts[bucket(r.Key, keySpace, n)]++
-			}
-		}
-	}
-	return counts, nil
-}
-
 // ViewLevel counts the keys of storage level `level` (1-based) into n
 // equal buckets over [0, keySpace), reading from an acquired snapshot
-// instead of the live tree — the form the public DB uses so histograms
-// never block or race with the writer.
+// rather than the live tree, so histograms never block or race with the
+// writer.
 func ViewLevel(v *core.View, level int, keySpace uint64, n int) ([]int, error) {
 	if level < 1 || level >= v.Height() {
 		return nil, fmt.Errorf("histogram: level %d out of range [1,%d)", level, v.Height())
@@ -54,16 +33,6 @@ func ViewLevel(v *core.View, level int, keySpace uint64, n int) ([]int, error) {
 		}
 	}
 	return counts, nil
-}
-
-// Memtable counts L0's keys into n equal buckets over [0, keySpace).
-func Memtable(t *core.Tree, keySpace uint64, n int) []int {
-	counts := make([]int, n)
-	t.Memtable().Ascend(0, ^block.Key(0), func(r block.Record) bool {
-		counts[bucket(r.Key, keySpace, n)]++
-		return true
-	})
-	return counts
 }
 
 // Normalize converts counts to frequencies summing to 1 (all zeros when

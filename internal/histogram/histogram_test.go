@@ -36,8 +36,13 @@ func TestLevelHistogram(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	v, err := tree.AcquireView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Release()
 	before := dev.Counters().Reads
-	counts, err := Level(tree, 1, 1000, 10)
+	counts, err := ViewLevel(v, 1, 1000, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,31 +61,31 @@ func TestLevelHistogram(t *testing.T) {
 	for _, c := range counts {
 		total += c
 	}
-	if total != tree.Level(1).Records() {
-		t.Errorf("histogram total %d != level records %d", total, tree.Level(1).Records())
+	if want := v.Levels()[0].Records; total != want {
+		t.Errorf("histogram total %d != level records %d", total, want)
 	}
 }
 
 func TestLevelHistogramRange(t *testing.T) {
 	tree, _ := buildTree(t)
-	if _, err := Level(tree, 0, 1000, 10); err == nil {
+	v, err := tree.AcquireView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Release()
+	if _, err := ViewLevel(v, 0, 1000, 10); err == nil {
 		t.Error("level 0 accepted")
 	}
-	if _, err := Level(tree, 99, 1000, 10); err == nil {
+	if _, err := ViewLevel(v, 99, 1000, 10); err == nil {
 		t.Error("absent level accepted")
 	}
 }
 
-func TestMemtableHistogramAndNormalize(t *testing.T) {
-	tree, _ := buildTree(t)
-	for k := uint64(900); k < 910; k++ {
-		tree.Put(block.Key(k), []byte("v"))
+func TestNormalize(t *testing.T) {
+	norm := Normalize([]int{3, 0, 1, 4})
+	if norm[0] != 3.0/8 || norm[1] != 0 {
+		t.Errorf("Normalize = %v", norm)
 	}
-	counts := Memtable(tree, 1000, 10)
-	if counts[9] == 0 {
-		t.Error("keys 900-909 not in the last bucket")
-	}
-	norm := Normalize(counts)
 	sum := 0.0
 	for _, f := range norm {
 		sum += f

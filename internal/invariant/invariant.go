@@ -51,12 +51,13 @@ type Options struct {
 	MidCascade bool
 	// L0CapacityBlocks overrides the memtable capacity the audit assumes,
 	// in blocks; zero means K0. Background compaction admits writes into
-	// L0 past K0 up to the stop trigger, so scheduler-keyed audits pass
-	// the trigger here. A nonzero value together with MidCascade also
-	// waives the per-level size bound: with writers admitted concurrently,
-	// the inflow a level accumulates between its own compactions is paced
-	// by backpressure, not statically bounded (the waste, pairwise, fence,
-	// tombstone, and accounting constraints still hold and are checked).
+	// L0 past K0 up to the stall gate's stop threshold, 4·K0, so
+	// scheduler-keyed audits pass compaction.StopBlocks here. A nonzero
+	// value together with MidCascade also waives the per-level size bound:
+	// with writers admitted concurrently, the inflow a level accumulates
+	// between its own compactions is paced by backpressure, not statically
+	// bounded (the waste, pairwise, fence, tombstone, and accounting
+	// constraints still hold and are checked).
 	L0CapacityBlocks int
 	// SkipContents skips reading data blocks, checking fence metadata
 	// only. Metadata checks are O(blocks); content checks are O(records)
@@ -108,7 +109,7 @@ func Check(t *core.Tree, o Options) error {
 				i, len(runs), maxRuns)
 		}
 
-		capBlocks := capacityBlocks(cfg, i)
+		capBlocks := t.CapacityBlocks(i)
 		levelRecords := 0
 		for ri, l := range runs {
 			at := fmt.Sprintf("L%d", i)
@@ -174,7 +175,7 @@ func Check(t *core.Tree, o Options) error {
 				if tiered {
 					slack = maxRuns
 				}
-				bound += slack * capacityBlocks(cfg, i-1) * b
+				bound += slack * t.CapacityBlocks(i-1) * b
 			}
 			if levelRecords > bound {
 				return fmt.Errorf("invariant: L%d holds %d records, exceeding (1+ε)·K%d·B = %d",
@@ -192,13 +193,4 @@ func Check(t *core.Tree, o Options) error {
 			got, liveWant, deferred)
 	}
 	return nil
-}
-
-// capacityBlocks returns Ki = K0·Γ^i.
-func capacityBlocks(cfg core.Config, level int) int {
-	k := cfg.K0
-	for i := 0; i < level; i++ {
-		k *= cfg.Gamma
-	}
-	return k
 }

@@ -83,10 +83,6 @@ func (l *Level) Blocks() int { return l.idx.Len() }
 // Records returns the number of records currently in the level.
 func (l *Level) Records() int { return l.idx.Records() }
 
-// Tombstones returns the number of tombstone records currently in the
-// level (O(1), from the index aggregate).
-func (l *Level) Tombstones() int { return l.idx.Tombstones() }
-
 // Capacity returns K_i, the level capacity in blocks.
 func (l *Level) Capacity() int { return l.capacity }
 

@@ -191,7 +191,6 @@ func DefaultConfig() Config {
 			Allowed: []string{
 				"lsmssd/internal/core",
 				"lsmssd/internal/invariant",   // runs as the writer's auditor hook
-				"lsmssd/internal/histogram",   // tree-based variant used by experiments
 				"lsmssd/internal/learn",       // drives the tree single-threaded
 				"lsmssd/internal/experiments", // single-threaded harness
 			},

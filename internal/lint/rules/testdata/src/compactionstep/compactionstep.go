@@ -16,9 +16,9 @@ func drainDirectly(t *core.Tree) error {
 	return t.RunCascade() // want compaction-step
 }
 
-func predicatesFine(t *core.Tree) bool {
+func backlogFine(t *core.Tree) bool {
 	// Reading the backlog is allowed; only driving it is restricted.
-	return t.NeedsCompaction() || t.CompactionBacklog() > 0
+	return t.CompactionBacklog() > 0
 }
 
 // A RunCascade method on an unrelated type must not trip the rule.

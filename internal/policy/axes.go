@@ -4,12 +4,11 @@ import "fmt"
 
 // This file defines the orthogonal axes of the compaction design space
 // (after Sarkar et al., "Constructing and Analyzing the LSM Compaction
-// Design Space"): Trigger (when does a level compact), Granularity (how
-// much of it moves — the paper's merge policies), Movement (rewrite vs
+// Design Space") that the engine varies: Granularity (how much of a level
+// moves — the paper's merge policies, policy.go), Movement (rewrite vs
 // block-preserving, the paper's "-P" axis), and Layout (how many sorted
-// runs a level may hold: leveling, tiering, lazy leveling). A Spec
-// composes one choice per axis; Compose compiles it into a Policy the
-// tree runs.
+// runs a level may hold: leveling, tiering, lazy leveling). When a level
+// compacts is not an axis: core.Tree fires the paper's overflow rule.
 
 // --- Layout --------------------------------------------------------------
 
@@ -114,99 +113,6 @@ func (l Layout) String() string {
 	return fmt.Sprintf("%s(%d)", l.Kind, l.withDefaults().TierRuns)
 }
 
-// --- Trigger -------------------------------------------------------------
-
-// LevelState summarizes one level for trigger evaluation. Level 0 is the
-// memtable and is measured in records; storage levels are measured in
-// required blocks (⌈records/B⌉, the paper's level-size unit) and runs.
-type LevelState struct {
-	Level           int // 0 = memtable
-	Runs            int // sorted runs currently in the level (0 for L0)
-	MaxRuns         int // run budget (1 for leveled levels)
-	SizeBlocks      int // required blocks
-	CapacityBlocks  int // K_i
-	Records         int
-	CapacityRecords int // K0·B; level 0 only
-	Tombstones      int // tombstone records currently in the level
-}
-
-// Trigger is the axis deciding when a level must compact. The tree
-// evaluates it against every level after each mutation; a firing level is
-// handled by the cascade (merge forward, consolidate, or grow).
-type Trigger interface {
-	// Name identifies the trigger in reports.
-	Name() string
-	// Fire reports whether the level must compact.
-	Fire(s LevelState) bool
-}
-
-// LevelOverflow is the paper's trigger (and the only one the pre-axis
-// engine had): L0 fires at K0·B records, a storage level at K_i required
-// blocks — and, for tiered levels, also when its run budget is exhausted.
-type LevelOverflow struct{}
-
-// Name implements Trigger.
-func (LevelOverflow) Name() string { return "level-overflow" }
-
-// Fire implements Trigger.
-func (LevelOverflow) Fire(s LevelState) bool {
-	if s.Level == 0 {
-		return s.Records >= s.CapacityRecords
-	}
-	if s.SizeBlocks >= s.CapacityBlocks {
-		return true
-	}
-	return s.MaxRuns > 1 && s.Runs >= s.MaxRuns
-}
-
-// SizeRatio fires a level early, at Ratio of its capacity (Ratio 1 is
-// LevelOverflow). It trades extra merges for shallower levels — the
-// "trigger" axis's classic second point, kept composable with every
-// granularity and layout.
-type SizeRatio struct {
-	Ratio float64 // fraction of capacity at which the level fires; (0, 1]
-}
-
-// Name implements Trigger.
-func (t SizeRatio) Name() string { return fmt.Sprintf("size-ratio(%.2f)", t.Ratio) }
-
-// Fire implements Trigger.
-func (t SizeRatio) Fire(s LevelState) bool {
-	r := t.Ratio
-	if r <= 0 || r > 1 {
-		r = 1
-	}
-	if s.Level == 0 {
-		return float64(s.Records) >= r*float64(s.CapacityRecords)
-	}
-	if float64(s.SizeBlocks) >= r*float64(s.CapacityBlocks) {
-		return true
-	}
-	return s.MaxRuns > 1 && s.Runs >= s.MaxRuns
-}
-
-// TombstoneDebt wraps LevelOverflow and additionally fires a storage
-// level whose tombstone fraction exceeds MaxFraction, pushing deletes
-// toward the bottom so space is reclaimed before capacity forces it
-// (delete-heavy workloads; cf. Sarkar et al.'s delete-driven triggers).
-type TombstoneDebt struct {
-	MaxFraction float64 // tombstones/records above which the level fires
-}
-
-// Name implements Trigger.
-func (t TombstoneDebt) Name() string { return fmt.Sprintf("tombstone-debt(%.2f)", t.MaxFraction) }
-
-// Fire implements Trigger.
-func (t TombstoneDebt) Fire(s LevelState) bool {
-	if (LevelOverflow{}).Fire(s) {
-		return true
-	}
-	if s.Level == 0 || s.Records == 0 || t.MaxFraction <= 0 {
-		return false
-	}
-	return float64(s.Tombstones) > t.MaxFraction*float64(s.Records)
-}
-
 // --- Movement ------------------------------------------------------------
 
 // Movement is the data-movement axis: whether merges may adopt input
@@ -221,19 +127,3 @@ const (
 	// Rewrite always writes fresh output blocks.
 	Rewrite
 )
-
-// String returns "preserve" or "rewrite".
-func (m Movement) String() string {
-	if m == Rewrite {
-		return "rewrite"
-	}
-	return "preserve"
-}
-
-// movementFor maps the legacy preserve flag onto the axis.
-func movementFor(preserve bool) Movement {
-	if preserve {
-		return PreserveBlocks
-	}
-	return Rewrite
-}

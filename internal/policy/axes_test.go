@@ -76,93 +76,27 @@ func TestLayoutTieredAndMaxRuns(t *testing.T) {
 	}
 }
 
-func TestLevelOverflowTrigger(t *testing.T) {
-	tr := LevelOverflow{}
-	// L0 fires on records.
-	if tr.Fire(LevelState{Level: 0, Records: 31, CapacityRecords: 32}) {
-		t.Error("L0 fired below capacity")
-	}
-	if !tr.Fire(LevelState{Level: 0, Records: 32, CapacityRecords: 32}) {
-		t.Error("L0 did not fire at capacity")
-	}
-	// Storage levels fire on required blocks.
-	if tr.Fire(LevelState{Level: 1, SizeBlocks: 9, CapacityBlocks: 10, MaxRuns: 1, Runs: 1}) {
-		t.Error("level fired below capacity")
-	}
-	if !tr.Fire(LevelState{Level: 1, SizeBlocks: 10, CapacityBlocks: 10, MaxRuns: 1, Runs: 1}) {
-		t.Error("level did not fire at capacity")
-	}
-	// Tiered levels also fire when the run budget is exhausted.
-	if tr.Fire(LevelState{Level: 1, SizeBlocks: 2, CapacityBlocks: 10, MaxRuns: 4, Runs: 3}) {
-		t.Error("tiered level fired below run budget")
-	}
-	if !tr.Fire(LevelState{Level: 1, SizeBlocks: 2, CapacityBlocks: 10, MaxRuns: 4, Runs: 4}) {
-		t.Error("tiered level did not fire at run budget")
-	}
-}
-
-func TestSizeRatioTrigger(t *testing.T) {
-	tr := SizeRatio{Ratio: 0.5}
-	if !tr.Fire(LevelState{Level: 1, SizeBlocks: 5, CapacityBlocks: 10, MaxRuns: 1, Runs: 1}) {
-		t.Error("did not fire at half capacity")
-	}
-	if tr.Fire(LevelState{Level: 1, SizeBlocks: 4, CapacityBlocks: 10, MaxRuns: 1, Runs: 1}) {
-		t.Error("fired below the ratio")
-	}
-	if !tr.Fire(LevelState{Level: 0, Records: 16, CapacityRecords: 32}) {
-		t.Error("L0 did not fire at the ratio")
-	}
-}
-
-func TestTombstoneDebtTrigger(t *testing.T) {
-	tr := TombstoneDebt{MaxFraction: 0.3}
-	base := LevelState{Level: 1, SizeBlocks: 5, CapacityBlocks: 10, MaxRuns: 1, Runs: 1, Records: 100}
-	s := base
-	s.Tombstones = 30
-	if tr.Fire(s) {
-		t.Error("fired at exactly the fraction")
-	}
-	s.Tombstones = 31
-	if !tr.Fire(s) {
-		t.Error("did not fire above the fraction")
-	}
-	// Still subsumes level overflow.
-	s = base
-	s.SizeBlocks = 10
-	if !tr.Fire(s) {
-		t.Error("overflow not subsumed")
-	}
-}
-
+// TestComposeNamesAndAxes: a policy composes one choice per axis. Leveling
+// keeps legacy names byte-identical; other layouts are tagged.
 func TestComposeNamesAndAxes(t *testing.T) {
-	// Leveling keeps legacy names byte-identical; other layouts are tagged.
-	p := NewChooseBest(0.1, true)
-	if p.Name() != "ChooseBest" {
-		t.Errorf("Name = %q", p.Name())
+	p := NewMixed(0.1, true, nil, false)
+	if p.Name() != "Mixed" || !p.Preserve() {
+		t.Errorf("Name = %q, Preserve = %v", p.Name(), p.Preserve())
 	}
 	ti := p.WithLayout(Layout{Kind: Tiering, TierRuns: 4})
-	if ti.Name() != "ChooseBest@tiering(4)" {
+	if ti.Name() != "Mixed@tiering(4)" {
 		t.Errorf("tiering Name = %q", ti.Name())
 	}
-	lz := p.WithLayout(Layout{Kind: LazyLeveling})
-	if lz.Name() != "ChooseBest@lazy(4)" {
+	lz := NewChooseBest(0.1, false).WithLayout(Layout{Kind: LazyLeveling})
+	if lz.Name() != "ChooseBest-P@lazy(4)" {
 		t.Errorf("lazy Name = %q", lz.Name())
 	}
 	// WithLayout shares granularity state but not the layout.
 	if p.Layout().Kind != Leveling || ti.Layout().Kind != Tiering {
 		t.Error("Layout wrong")
 	}
-	if ti.Granularity() != p.Granularity() {
+	m, _ := p.Mixed()
+	if mt, _ := ti.Mixed(); mt != m {
 		t.Error("WithLayout must share the granularity")
-	}
-	// Defaults: zero Spec is the paper's point of the space.
-	c := Compose(Spec{})
-	if c.Name() != "Full" || !c.Preserve() || c.Trigger().Name() != "level-overflow" {
-		t.Errorf("zero Spec compiled to %q preserve=%v trigger=%q", c.Name(), c.Preserve(), c.Trigger().Name())
-	}
-	// WithTrigger swaps only the trigger.
-	st := p.WithTrigger(SizeRatio{Ratio: 0.5})
-	if st.Trigger().Name() != "size-ratio(0.50)" || st.Name() != p.Name() {
-		t.Error("WithTrigger wrong")
 	}
 }

@@ -1,15 +1,15 @@
 // Package policy models compaction as a point in the design space of
-// Sarkar et al.: a Trigger (when a level compacts), a Granularity (how
-// much of it moves), a Movement policy (block-preserving or rewrite — the
-// paper's "-P" axis), and a Layout (leveling, tiering, lazy leveling).
+// Sarkar et al.: a Granularity (how much of an overflowing level moves),
+// a Movement policy (block-preserving or rewrite — the paper's "-P" axis),
+// and a Layout (leveling, tiering, lazy leveling). When a level compacts
+// is the paper's overflow rule, stated once in core.Tree.
 //
 // The merge policies studied in the paper — the classic Full policy, the
 // round-robin partial policy RR (≈ LevelDB), the ChooseBest policy (a
 // strictly stronger form of HyperLevelDB's), the diagnostic TestMixed
 // policy, and the threshold-based Mixed policy of Section IV — are the
-// granularity axis; the New* constructors compose each of them with the
-// paper's other axis choices (level-overflow trigger, leveling layout)
-// so their behavior is unchanged.
+// granularity axis; the New* constructors run each of them under the
+// leveling layout, and WithLayout moves a policy onto another layout.
 package policy
 
 import (
@@ -41,6 +41,86 @@ type View interface {
 type Decision struct {
 	Full     bool
 	From, To int
+}
+
+// Granularity is the axis deciding how much of a firing level moves: the
+// paper's merge policies (Full, RR, ChooseBest, TestMixed, Mixed) are
+// exactly granularity choices, stripped of the preserve flag (the Movement
+// axis) and of the layout they run under.
+type Granularity interface {
+	// Name identifies the granularity in reports ("Full", "ChooseBest", ...).
+	Name() string
+	// Decide chooses the merge from level `from` into `from+1`.
+	Decide(v View, from int) Decision
+}
+
+// Policy is a merge policy: one choice per axis. It selects what to merge
+// when a level overflows by delegating window selection to its
+// granularity. Decide may update granularity state (e.g. RR's cursor); the
+// tree guarantees that every returned decision is executed.
+type Policy struct {
+	gran   Granularity
+	move   Movement
+	layout Layout
+}
+
+// newPolicy runs g under the leveling layout.
+func newPolicy(g Granularity, preserve bool) *Policy {
+	if preserve {
+		return &Policy{gran: g, move: PreserveBlocks}
+	}
+	return &Policy{gran: g, move: Rewrite}
+}
+
+// Name identifies the policy in reports. Leveling keeps the legacy names
+// byte-identical ("ChooseBest", "RR-P", ...); non-leveling layouts are
+// tagged ("Full@tiering(4)").
+func (p *Policy) Name() string {
+	n := p.gran.Name() + suffix(p.move == PreserveBlocks)
+	if p.layout.Kind != Leveling {
+		n += "@" + p.layout.String()
+	}
+	return n
+}
+
+// Preserve reports whether merges run with the block-preserving
+// optimization.
+func (p *Policy) Preserve() bool { return p.move == PreserveBlocks }
+
+// Decide chooses the merge from level `from` into `from+1`.
+func (p *Policy) Decide(v View, from int) Decision { return p.gran.Decide(v, from) }
+
+// LevelsGrew forwards tree growth to the granularity when it keeps
+// per-level state (RR's cursors).
+func (p *Policy) LevelsGrew(oldBottom int) {
+	if n, ok := p.gran.(interface{ LevelsGrew(int) }); ok {
+		n.LevelsGrew(oldBottom)
+	}
+}
+
+// Layout returns the layout axis.
+func (p *Policy) Layout() Layout { return p.layout }
+
+// WithLayout returns a copy of the policy running under a different
+// layout; granularity and movement are shared.
+func (p *Policy) WithLayout(l Layout) *Policy {
+	out := *p
+	out.layout = l.withDefaults()
+	return &out
+}
+
+// Mixed returns the Mixed granularity, if the policy has one — the tuning
+// surface (tune.go, internal/learn) adjusts τ/β through it.
+func (p *Policy) Mixed() (*Mixed, bool) {
+	m, ok := p.gran.(*Mixed)
+	return m, ok
+}
+
+// RR returns the RR granularity, if the policy has one — used by the
+// experiment harness to read RR's merge cursor.
+func (p *Policy) RR() (*RR, bool) {
+	r, ok := p.gran.(*RR)
+	return r, ok
 }
 
 // windowBlocks returns the partial-merge window size for the given source
@@ -75,10 +155,9 @@ func suffix(preserve bool) string {
 // bLSM).
 type Full struct{}
 
-// NewFull returns the Full policy under the paper's axes (level-overflow
-// trigger, leveling layout).
+// NewFull returns the Full policy under the leveling layout.
 func NewFull(preserve bool) *Policy {
-	return Compose(Spec{Granularity: &Full{}, Movement: movementFor(preserve)})
+	return newPolicy(&Full{}, preserve)
 }
 
 // Name implements Granularity.
@@ -103,11 +182,7 @@ type cursor struct {
 
 // NewRR returns the RR policy with merge rate delta.
 func NewRR(delta float64, preserve bool) *Policy {
-	return Compose(Spec{Granularity: newRR(delta), Movement: movementFor(preserve)})
-}
-
-func newRR(delta float64) *RR {
-	return &RR{delta: delta, cursor: make(map[int]cursor)}
+	return newPolicy(&RR{delta: delta, cursor: make(map[int]cursor)}, preserve)
 }
 
 // Name implements Granularity.
@@ -174,13 +249,13 @@ type ChooseBest struct {
 
 // NewChooseBest returns the ChooseBest policy with merge rate delta.
 func NewChooseBest(delta float64, preserve bool) *Policy {
-	return Compose(Spec{Granularity: &ChooseBest{delta: delta}, Movement: movementFor(preserve)})
+	return newPolicy(&ChooseBest{delta: delta}, preserve)
 }
 
 // NewChooseBestPartitioned returns the HyperLevelDB-style restriction of
 // ChooseBest that only considers aligned windows.
 func NewChooseBestPartitioned(delta float64, preserve bool) *Policy {
-	return Compose(Spec{Granularity: &ChooseBest{delta: delta, partitioned: true}, Movement: movementFor(preserve)})
+	return newPolicy(&ChooseBest{delta: delta, partitioned: true}, preserve)
 }
 
 // Name implements Granularity.
@@ -243,7 +318,7 @@ type TestMixed struct {
 
 // NewTestMixed returns the TestMixed policy with merge rate delta.
 func NewTestMixed(delta float64, preserve bool) *Policy {
-	return Compose(Spec{Granularity: &TestMixed{cb: &ChooseBest{delta: delta}}, Movement: movementFor(preserve)})
+	return newPolicy(&TestMixed{cb: &ChooseBest{delta: delta}}, preserve)
 }
 
 // Name implements Granularity.
@@ -281,7 +356,7 @@ func NewMixed(delta float64, preserve bool, taus map[int]float64, beta bool) *Po
 	for k, v := range taus {
 		m.taus[k] = v
 	}
-	return Compose(Spec{Granularity: m, Movement: movementFor(preserve)})
+	return newPolicy(m, preserve)
 }
 
 // Name implements Granularity.

@@ -114,7 +114,7 @@ func TestRRLevelsGrew(t *testing.T) {
 	p := NewRR(0.1, true)
 	p.Decide(v, 1)
 	p.LevelsGrew(1)
-	rr := p.Granularity().(*RR)
+	rr, _ := p.RR()
 	if _, ok := rr.cursor[1]; ok {
 		t.Error("cursor not moved off relabelled level")
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strconv"
 	"strings"
+	"time"
 
 	"lsmssd/internal/health"
 	"lsmssd/internal/obs"
@@ -97,6 +98,10 @@ func (db *DB) MetricsAddr() string {
 	return db.metrics.Addr()
 }
 
+// timelineInterval is the flight recorder's tick: one sample per shard per
+// second. A variable only so package tests can tick faster.
+var timelineInterval = time.Second
+
 // startObs finishes Open: it starts the flight recorder when
 // Options.Metrics is on and the HTTP observability endpoint when
 // Options.MetricsAddr is set. On listen failure the DB is closed and the
@@ -105,7 +110,7 @@ func (db *DB) startObs() (*DB, error) {
 	if db.opts.Metrics {
 		db.recorder = obs.StartRecorder(obs.RecorderConfig{
 			Shards:   len(db.shards),
-			Interval: db.opts.TimelineInterval,
+			Interval: timelineInterval,
 			Collect:  db.collectShardCounters,
 		})
 	}

@@ -218,12 +218,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// Under background compaction the stall families must be live, not just
-	// declared: drive a store with tiny triggers until admission stalls.
+	// declared: drive a store with a one-block L0 (a 2-block slowdown and a
+	// 4-block stop threshold) until admission stalls.
 	t.Run("background stalls", func(t *testing.T) {
 		opts := obsOptions()
 		opts.MetricsAddr = "127.0.0.1:0"
 		opts.CompactionMode = BackgroundCompaction
-		opts.SlowdownTrigger, opts.StopTrigger = 2, 3
+		opts.MemtableBlocks = 1
 		db, err := Open(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -245,7 +246,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			}
 		}
 		if stalled() == 0 {
-			t.Fatal("200k writes against a 2-block L0 never tripped backpressure")
+			t.Fatal("200k writes against a 1-block L0 never tripped backpressure")
 		}
 		// The stall was published inside the Put that counted it; once the
 		// bus has delivered, the subscription must have seen it.

@@ -64,6 +64,7 @@ import (
 	"time"
 
 	"lsmssd/internal/block"
+	"lsmssd/internal/compaction"
 	"lsmssd/internal/policy"
 	"lsmssd/internal/storage"
 	"lsmssd/internal/wal"
@@ -147,8 +148,10 @@ const (
 	SyncCompaction CompactionMode = iota
 	// BackgroundCompaction moves merge cascades to the shard's scheduler
 	// goroutine: writes pay only the L0 insertion, subject to LevelDB-style
-	// backpressure (SlowdownTrigger/StopTrigger) when compaction falls
-	// behind. Merge errors surface on a subsequent write or at Close;
+	// backpressure when compaction falls behind — a 1 ms pacing sleep per
+	// write once the shard's L0 holds 2×MemtableBlocks blocks, and a hard
+	// stall from 4×MemtableBlocks until the scheduler drains it. Merge
+	// errors surface on a subsequent write or at Close;
 	// Stats().Compaction.QueueDepth is zero once both the cascade and a
 	// requested checkpoint have finished. (In either mode that goroutine
 	// also writes the checkpoint a sealed WAL segment calls for; see
@@ -296,16 +299,6 @@ type Options struct {
 	// CompactionMode selects synchronous (default) or background merge
 	// scheduling; see the constants.
 	CompactionMode CompactionMode
-	// SlowdownTrigger is the L0 size, in blocks, at which each write pays
-	// a short pacing sleep so compaction can keep up (background mode
-	// only, ignored otherwise; default 2×MemtableBlocks). Must be at least
-	// MemtableBlocks.
-	SlowdownTrigger int
-	// StopTrigger is the L0 size, in blocks, at which writes block until
-	// the background scheduler drains L0 back under the trigger — the
-	// hard stall gate (background mode only, ignored otherwise; default
-	// 4×MemtableBlocks). Must be at least SlowdownTrigger.
-	StopTrigger int
 	// MetricsAddr, when set, serves the observability endpoint on this TCP
 	// address: Prometheus-text /metrics, an engine-state JSON dump at
 	// /debug/lsm, the flight-recorder timeline at /debug/lsm/timeline, the
@@ -322,7 +315,11 @@ type Options struct {
 	// Stats.Shards) and the in-memory timeline behind DB.Timeline. Implied
 	// by MetricsAddr; set it alone to observe through the Go API only.
 	// Off (the default), the engine records no latencies and runs no
-	// recorder goroutine.
+	// recorder goroutine. The recorder ticks once a second; each tick
+	// appends one sample per shard — ops/s, latency quantile deltas, stall
+	// state, compaction debt, WAL sync latency, cache hit rate — to a
+	// bounded in-memory ring covering the last 512 ticks (about 8.5
+	// minutes).
 	Metrics bool
 	// TraceSampleRate, when positive, phase-traces one in this many
 	// operations: the sampled op's wall time is attributed across engine
@@ -338,12 +335,6 @@ type Options struct {
 	// advance), so it costs two time.Now calls per op plus the phase
 	// transitions. Zero (the default) disables slow-op capture.
 	SlowOpThreshold time.Duration
-	// TimelineInterval is the flight recorder's sampling period (default
-	// 1s when Metrics is on). Each tick appends one sample per shard —
-	// ops/s, latency quantile deltas, stall state, compaction debt, WAL
-	// sync latency, cache hit rate — to a bounded in-memory ring covering
-	// the last 512 ticks (about 8.5 minutes at the default interval).
-	TimelineInterval time.Duration
 	// ReadRetries caps the attempts a device read makes before its error
 	// surfaces: transient failures (flaky media, injected faults) are
 	// retried through a bounded, jittered backoff, while permanent ones
@@ -414,17 +405,6 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.CompactionMode == BackgroundCompaction {
-		if o.SlowdownTrigger == 0 {
-			o.SlowdownTrigger = 2 * o.MemtableBlocks
-		}
-		if o.StopTrigger == 0 {
-			o.StopTrigger = 4 * o.MemtableBlocks
-		}
-	} else {
-		// Nothing but the writer drains L0 here, so a gate would never open.
-		o.SlowdownTrigger, o.StopTrigger = 0, 0
-	}
 	if o.WAL.Enabled {
 		if o.WAL.Interval == 0 {
 			o.WAL.Interval = 100 * time.Millisecond
@@ -438,9 +418,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MetricsAddr != "" {
 		o.Metrics = true
-	}
-	if o.Metrics && o.TimelineInterval == 0 {
-		o.TimelineInterval = time.Second
 	}
 	return o
 }
@@ -491,17 +468,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("lsmssd: Options.TierRuns %d invalid: a tiered level needs a run budget of at least 2 (0 means the default)", o.TierRuns)
 	}
 	switch o.CompactionMode {
-	case SyncCompaction:
-		// Triggers are background-mode knobs; withDefaults dropped any set.
-	case BackgroundCompaction:
-		if o.SlowdownTrigger < o.MemtableBlocks {
-			return fmt.Errorf("lsmssd: Options.SlowdownTrigger %d below MemtableBlocks %d: writes would stall before L0 can even fill",
-				o.SlowdownTrigger, o.MemtableBlocks)
-		}
-		if o.StopTrigger < o.SlowdownTrigger {
-			return fmt.Errorf("lsmssd: Options.StopTrigger %d below SlowdownTrigger %d: the hard gate must sit above the pacing threshold",
-				o.StopTrigger, o.SlowdownTrigger)
-		}
+	case SyncCompaction, BackgroundCompaction:
 	default:
 		return fmt.Errorf("lsmssd: Options.CompactionMode %d is not SyncCompaction or BackgroundCompaction", o.CompactionMode)
 	}
@@ -516,9 +483,6 @@ func (o Options) Validate() error {
 	}
 	if o.SlowOpThreshold < 0 {
 		return fmt.Errorf("lsmssd: Options.SlowOpThreshold %v is negative; use 0 to disable slow-op capture", o.SlowOpThreshold)
-	}
-	if o.TimelineInterval < 0 {
-		return fmt.Errorf("lsmssd: Options.TimelineInterval %v is negative", o.TimelineInterval)
 	}
 	if o.WAL.Enabled {
 		if o.Path == "" {
@@ -562,4 +526,12 @@ func (o Options) buildPolicy() *policy.Policy {
 		p = p.WithLayout(policy.Layout{Kind: policy.LayoutKind(o.Layout), TierRuns: o.TierRuns})
 	}
 	return p
+}
+
+// schedMode is the compaction scheduler's mode for the options.
+func (o Options) schedMode() compaction.Mode {
+	if o.CompactionMode == BackgroundCompaction {
+		return compaction.Background
+	}
+	return compaction.Sync
 }

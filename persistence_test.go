@@ -220,9 +220,7 @@ func TestBackgroundCloseMidCascade(t *testing.T) {
 	// complete the interrupted cascade (Restore drains it) and hand back
 	// a tree that validates with every record intact.
 	opts := fileOptions(t)
-	opts.CompactionMode = lsmssd.BackgroundCompaction
-	opts.SlowdownTrigger = 4
-	opts.StopTrigger = 8
+	opts.CompactionMode = lsmssd.BackgroundCompaction // 2-block L0: stalls from 4 and 8 blocks
 
 	model := map[uint64]string{}
 	db, err := lsmssd.Open(opts)

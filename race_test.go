@@ -303,14 +303,12 @@ func TestRaceBackgroundCompaction(t *testing.T) {
 	db, err := lsmssd.Open(lsmssd.Options{
 		Path:            filepath.Join(t.TempDir(), "bg.blk"),
 		RecordsPerBlock: 16,
-		MemtableBlocks:  4,
+		MemtableBlocks:  3, // stalls from 6 and 12 L0 blocks
 		Gamma:           4,
 		Delta:           0.2,
 		CacheBlocks:     64,
 		BloomBitsPerKey: 8,
 		CompactionMode:  lsmssd.BackgroundCompaction,
-		SlowdownTrigger: 6,
-		StopTrigger:     10,
 	})
 	if err != nil {
 		t.Fatal(err)

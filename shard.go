@@ -126,13 +126,7 @@ func (db *DB) openShard(id int) (*shard, error) {
 		Lat:             s.lat,
 	}
 	if opts.Paranoid {
-		// Mid-cascade audits tolerate in-flight records: a merge may land
-		// in a level whose own overflow the cascade has not reached yet.
-		// Under background compaction the audit runs on the scheduler
-		// goroutine between concurrently admitted writes, so L0's bound is
-		// the stall gate's StopTrigger; under sync compaction the trigger
-		// is zero, which means K0.
-		audit := invariant.Options{MidCascade: true, L0CapacityBlocks: opts.StopTrigger}
+		audit := midCascadeAudit(opts)
 		cfg.Auditor = func(t *core.Tree) error {
 			return invariant.Check(t, audit)
 		}
@@ -159,19 +153,13 @@ func (db *DB) openShard(id int) (*shard, error) {
 		}
 	}
 
-	mode := compaction.Sync
-	if opts.CompactionMode == BackgroundCompaction {
-		mode = compaction.Background
-	}
 	ccfg := compaction.Config{
-		Tree:           s.tree,
-		Mu:             &s.writerMu,
-		Mode:           mode,
-		SlowdownBlocks: opts.SlowdownTrigger,
-		StopBlocks:     opts.StopTrigger,
-		Bus:            db.bus,
-		Lat:            s.lat,
-		Checkpoint:     s.checkpoint,
+		Tree:       s.tree,
+		Mu:         &s.writerMu,
+		Mode:       opts.schedMode(),
+		Bus:        db.bus,
+		Lat:        s.lat,
+		Checkpoint: s.checkpoint,
 	}
 	if s.path != "" && opts.WAL.Enabled && opts.WAL.Sync == SyncInterval {
 		// Bound the unsynced tail of a log that goes idle: appends check the
@@ -663,12 +651,22 @@ func (s *shard) paranoidSteadyCheck() error {
 	if !s.db.opts.Paranoid {
 		return nil
 	}
-	o := invariant.Options{SkipContents: true}
+	o := invariant.Options{}
 	if s.sched.Pending() {
-		o.MidCascade = true
-		o.L0CapacityBlocks = s.db.opts.StopTrigger
+		o = midCascadeAudit(s.db.opts)
 	}
+	o.SkipContents = true
 	return invariant.Check(s.tree, o)
+}
+
+// midCascadeAudit is the Paranoid audit for a shard whose cascade may be
+// unfinished. A merge may land in a level whose own overflow the cascade
+// has not reached yet, and under background compaction the audit runs on
+// the scheduler goroutine between concurrently admitted writes, so L0's
+// bound is the scheduler's stall gate, compaction.StopBlocks; under sync
+// compaction that is zero, which the audit reads as K0.
+func midCascadeAudit(o Options) invariant.Options {
+	return invariant.Options{MidCascade: true, L0CapacityBlocks: compaction.StopBlocks(o.schedMode(), o.MemtableBlocks)}
 }
 
 // acquireView pins the shard's current read snapshot, translating a

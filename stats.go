@@ -176,7 +176,8 @@ type WALRecoveryStats struct {
 // Options.CompactionMode); on a sharded DB the counters sum over the
 // per-shard schedulers. In sync mode the cascade completes inside each
 // mutating call, so no merge ever waits in the queue, Steps stays zero and
-// no write ever stalls.
+// no write ever stalls. In background mode a shard's writes pace from an
+// L0 of 2×MemtableBlocks blocks and stop from 4×MemtableBlocks.
 type CompactionStats struct {
 	Mode string // "sync" or "background"
 	// QueueDepth counts overflowing merge sources awaiting background work,
@@ -186,8 +187,8 @@ type CompactionStats struct {
 	QueueDepth int
 	L0Blocks   int   // L0 size at the last scheduler refresh, in blocks
 	Steps      int64 // cascade steps executed by the background scheduler
-	Slowdowns  int64 // writes that paid the pacing sleep (SlowdownTrigger)
-	Stops      int64 // writes that blocked on the hard gate (StopTrigger)
+	Slowdowns  int64 // writes that paid the 1 ms pacing sleep
+	Stops      int64 // writes that blocked on the hard gate
 	// SlowdownTime and StopTime are the cumulative durations writes spent
 	// in each kind of stall.
 	SlowdownTime time.Duration

@@ -151,7 +151,7 @@ func TestCheckpointOnBusAndTimeline(t *testing.T) {
 	opts := traceOptions()
 	opts.Path = filepath.Join(t.TempDir(), "store.blk")
 	opts.WAL = WALOptions{Enabled: true, Sync: SyncEvery}
-	opts.TimelineInterval = 5 * time.Millisecond
+	fastTimeline(t, 5*time.Millisecond)
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +324,7 @@ func TestTimelineAndSlowEndpoints(t *testing.T) {
 	opts := traceOptions()
 	opts.Shards = 2
 	opts.MetricsAddr = "127.0.0.1:0"
-	opts.TimelineInterval = 10 * time.Millisecond
+	fastTimeline(t, 10*time.Millisecond)
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -438,7 +438,7 @@ func TestMetricsWithoutHTTP(t *testing.T) {
 	opts := obsOptions()
 	opts.Metrics = true
 	opts.Shards = 4
-	opts.TimelineInterval = 5 * time.Millisecond
+	fastTimeline(t, 5*time.Millisecond)
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -557,4 +557,12 @@ func TestResetCoversShardLatenciesAndPhases(t *testing.T) {
 			t.Errorf("shard %d phase histograms survive reset", sh)
 		}
 	}
+}
+
+// fastTimeline makes the flight recorder of every DB the test opens tick
+// every d instead of once a second.
+func fastTimeline(t *testing.T, d time.Duration) {
+	old := timelineInterval
+	timelineInterval = d
+	t.Cleanup(func() { timelineInterval = old })
 }

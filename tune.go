@@ -65,9 +65,8 @@ var ErrSharded = errors.New("lsmssd: TuneMixed supports single-shard DBs only (O
 // TuneMixed tunes the granularity axis (τ, β) only. The layout axis
 // cannot be retuned on a live DB — the manifest pins it, and reopen
 // refuses a mismatch — so choosing between leveling, tiering, and lazy
-// leveling is an offline search (internal/learn.SearchLayout over
-// layout × δ × T) whose product is an Options.Layout recommendation for
-// the next open.
+// leveling is a comparison made before the next open: `lsmbench -workload`
+// tabulates write and read cost per layout for a workload.
 func (db *DB) TuneMixed(next func() (Request, bool), opts TuneOptions) (TuneResult, error) {
 	if len(db.shards) > 1 {
 		return TuneResult{}, ErrSharded
