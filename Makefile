@@ -30,12 +30,13 @@ lint:
 test:
 	$(GO) test ./...
 
-# Fuzz smoke: the WAL frame decoder and the checksummed block read path,
-# 10s each (go's fuzzer takes one -fuzz target per invocation). Longer
-# soaks: bump -fuzztime.
+# Fuzz smoke: the WAL frame decoder, the checksummed block read path and
+# the memtable snapshot cursor, 10s each (go's fuzzer takes one -fuzz
+# target per invocation). Longer soaks: bump -fuzztime.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzBlockChecksum -fuzztime 10s ./internal/storage
+	$(GO) test -run '^$$' -fuzz FuzzMemtableCursor -fuzztime 10s ./internal/memtable
 
 # Race-detector run; includes the TestRaceStress and
 # TestRaceIteratorSnapshot concurrency suites.

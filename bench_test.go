@@ -11,6 +11,7 @@ package lsmssd_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"lsmssd"
@@ -343,29 +344,101 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
+// BenchmarkScan has two shapes. dense reads 1,000 consecutive keys, so
+// [lo, hi] spans exactly what it returns. sparse asks for 100 keys over
+// [lo, 2^40−1] like the benchmark module's sparse scans, on a store whose
+// records all sit in L0: what it costs beyond the 100 keys is what the
+// span, not the result, makes L0 pay.
 func BenchmarkScan(b *testing.B) {
-	db, err := lsmssd.Open(lsmssd.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	const n = 100_000
-	for i := uint64(0); i < n; i++ {
-		if err := db.Put(i, []byte("value")); err != nil {
+	b.Run("dense", func(b *testing.B) {
+		db, err := lsmssd.Open(lsmssd.Options{})
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := uint64(i) % (n - 1000)
-		count := 0
-		db.Scan(lo, lo+999, func(uint64, []byte) bool {
-			count++
-			return true
-		})
-		if count == 0 {
-			b.Fatal("empty scan")
+		defer db.Close()
+		const n = 100_000
+		for i := uint64(0); i < n; i++ {
+			if err := db.Put(i, []byte("value")); err != nil {
+				b.Fatal(err)
+			}
 		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lo := uint64(i) % (n - 1000)
+			count := 0
+			db.Scan(lo, lo+999, func(uint64, []byte) bool {
+				count++
+				return true
+			})
+			if count == 0 {
+				b.Fatal("empty scan")
+			}
+		}
+	})
+	for _, l0 := range []int{1000, 8000} {
+		b.Run(fmt.Sprintf("sparse/L0=%dk", l0/1000), func(b *testing.B) {
+			db := sparseScanStore(b, l0)
+			defer db.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sparseScan(b, db, uint64(i)*2654435761%(sparseKeys/2))
+			}
+		})
+	}
+}
+
+// sparseKeys bounds the keys of the sparse scan store: 2^40, the key space
+// of the benchmark module.
+const sparseKeys = 1 << 40
+
+// sparseScanStore opens a sync-mode, WAL-off, cache-less store and puts n
+// random keys below sparseKeys, few enough that no merge runs: every record
+// stays in L0.
+func sparseScanStore(tb testing.TB, n int) *lsmssd.DB {
+	tb.Helper()
+	db, err := lsmssd.Open(lsmssd.Options{CacheBlocks: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(n)))
+	payload := make([]byte, 100)
+	for i := 0; i < n; i++ {
+		if err := db.Put(rng.Uint64()%sparseKeys, payload); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if got := db.Stats().MemtableRecords; got != n {
+		tb.Fatalf("L0 holds %d records, want all %d", got, n)
+	}
+	return db
+}
+
+// sparseScan reads the first 100 keys of [lo, sparseKeys−1].
+func sparseScan(tb testing.TB, db *lsmssd.DB, lo uint64) {
+	got := 0
+	err := db.Scan(lo, sparseKeys-1, func(uint64, []byte) bool {
+		got++
+		return got < 100
+	})
+	if err != nil || got != 100 {
+		tb.Fatalf("sparse scan from %d: %d keys, err %v", lo, got, err)
+	}
+}
+
+// TestScanAllocsIndependentOfL0 pins what a sparse scan allocates: the same
+// count whether L0 holds 1k or 8k records, because L0 is read through a
+// cursor rather than copied.
+func TestScanAllocsIndependentOfL0(t *testing.T) {
+	var allocs [2]float64
+	for i, l0 := range []int{1000, 8000} {
+		db := sparseScanStore(t, l0)
+		allocs[i] = testing.AllocsPerRun(50, func() { sparseScan(t, db, sparseKeys/4) })
+		db.Close()
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 12 {
+		t.Fatalf("sparse scan allocs: %v at L0 = 1k, %v at L0 = 8k; want equal and <= 12", allocs[0], allocs[1])
 	}
 }
 

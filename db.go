@@ -242,16 +242,17 @@ func (db *DB) Scan(lo, hi uint64, fn func(key uint64, value []byte) bool) error 
 	start := db.lat.Start()
 	defer db.lat.Done(obs.OpScan, start)
 	// A scan crosses shards, so its span carries shard -1 and its phase
-	// histograms are not shard-attributed; heap interleaving and block
-	// fetches land in PhaseKWayMerge / PhaseCacheRead / PhaseDevRead, the
-	// caller's fn in PhaseOther.
+	// histograms are not shard-attributed. The span is attached before the
+	// iterator primes its streams: the L0 seeks land in PhaseMemtable,
+	// every block fetch (priming ones included) in PhaseCacheRead /
+	// PhaseDevRead, heap interleaving in PhaseKWayMerge, the caller's fn in
+	// PhaseOther.
 	sp := db.tracer.Start(obs.OpScan, -1)
 	defer sp.Finish()
-	it, err := db.NewIterator(lo, hi)
+	it, err := db.newIterator(lo, hi, sp)
 	if err != nil {
 		return err
 	}
-	it.setSpan(sp)
 	for {
 		sp.To(obs.PhaseKWayMerge)
 		ok := it.Next()

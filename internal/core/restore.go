@@ -31,10 +31,11 @@ func (v *View) Export() ExportedState {
 	for i := range v.levels {
 		st.Runs[i] = v.levels[i].Runs
 	}
-	v.mem.Ascend(0, ^block.Key(0), func(r block.Record) bool {
+	c := v.mem.Cursor(0, ^block.Key(0))
+	for r, ok := c.Peek(); ok; r, ok = c.Peek() {
 		st.Memtable = append(st.Memtable, r)
-		return true
-	})
+		c.Advance()
+	}
 	return st
 }
 

@@ -355,7 +355,7 @@ func findBlock(metas []btree.BlockMeta, k block.Key) (btree.BlockMeta, bool) {
 // Scan calls fn for every live record with key in [lo, hi] as of the
 // snapshot, in key order, stopping early when fn returns false.
 func (v *View) Scan(lo, hi block.Key, fn func(k block.Key, payload []byte) bool) error {
-	it := v.Iter(lo, hi)
+	it := v.Iter(lo, hi, nil)
 	for it.Next() {
 		if !fn(it.Key(), it.Value()) {
 			return nil
@@ -365,28 +365,33 @@ func (v *View) Scan(lo, hi block.Key, fn func(k block.Key, payload []byte) bool)
 }
 
 // Iter returns an iterator over the live records with key in [lo, hi] as
-// of the snapshot. The iterator does not own a view reference; the caller
-// must keep the view acquired for the iterator's lifetime (the public
-// lsmssd.Iterator wrapper does exactly that).
-func (v *View) Iter(lo, hi block.Key) *Iter {
+// of the snapshot. Every stream is lazy: L0 is a cursor over the memtable
+// snapshot and each run loads its blocks on demand, so an iteration costs
+// O(log n) to seek plus what it returns, not what [lo, hi] spans. The
+// iterator does not own a view reference; the caller must keep the view
+// acquired for the iterator's lifetime (the public lsmssd.Iterator wrapper
+// does exactly that).
+//
+// When sp is non-nil the L0 seek is attributed to PhaseMemtable and every
+// block load to PhaseCacheRead or PhaseDevRead, each returning to
+// PhaseKWayMerge, the phase the caller runs the iteration in. A nil span
+// keeps iteration untraced.
+func (v *View) Iter(lo, hi block.Key, sp *obs.Span) *Iter {
 	v.tree.cnt.scans.Add(1)
 	// One stream per sorted run (plus L0); each is a key-ordered record
 	// sequence. At every step the smallest key wins, the uppermost
 	// stream's record is authoritative, and all streams advance past it.
 	// Stream order — L0, then each level's runs newest first — is exactly
 	// the shadowing precedence.
-	streams := make([]*iterStream, 0, len(v.levels)+1)
-	var memRecs []block.Record
-	v.mem.Ascend(lo, hi, func(r block.Record) bool {
-		memRecs = append(memRecs, r)
-		return true
-	})
-	streams = append(streams, &iterStream{recs: memRecs})
+	streams := make([]iterStream, 0, len(v.levels)+1)
+	sp.To(obs.PhaseMemtable)
+	streams = append(streams, iterStream{mem: v.mem.Cursor(lo, hi)})
+	sp.To(obs.PhaseKWayMerge)
 	for i := range v.levels {
 		for _, metas := range v.levels[i].Runs {
 			start, end := btree.OverlapIn(metas, lo, hi)
-			streams = append(streams, &iterStream{
-				dev: v.tree.dev, cache: v.tree.cache, metas: metas,
+			streams = append(streams, iterStream{
+				dev: v.tree.dev, cache: v.tree.cache, sp: sp, metas: metas,
 				blk: start, blkEnd: end, lo: lo, hi: hi,
 			})
 		}
@@ -394,22 +399,11 @@ func (v *View) Iter(lo, hi block.Key) *Iter {
 	return &Iter{streams: streams}
 }
 
-// SetSpan attaches a latency-attribution span to the iterator: block
-// loads triggered by Next are then classified as cache hits or device
-// preads against the span, with the surrounding heap work attributed to
-// the k-way merge phase by the caller. A nil span (the default) keeps
-// iteration untraced.
-func (it *Iter) SetSpan(sp *obs.Span) {
-	for _, s := range it.streams {
-		s.sp = sp
-	}
-}
-
 // Iter streams the live records of one snapshot in ascending key order.
 // Records in upper levels shadow same-key records below; tombstones hide
 // matches without being reported.
 type Iter struct {
-	streams []*iterStream
+	streams []iterStream
 	key     block.Key
 	val     []byte
 	err     error
@@ -423,32 +417,28 @@ func (it *Iter) Next() bool {
 		return false
 	}
 	for {
-		best := -1
-		var bestKey block.Key
-		for i, s := range it.streams {
-			r, ok, err := s.peek()
+		found := false
+		var best block.Record
+		for i := range it.streams {
+			r, ok, err := it.streams[i].peek()
 			if err != nil {
 				it.err = err
 				it.done = true
 				return false
 			}
-			if !ok {
-				continue
-			}
-			if best == -1 || r.Key < bestKey {
-				best, bestKey = i, r.Key
+			if ok && (!found || r.Key < best.Key) {
+				found, best = true, r
 			}
 		}
-		if best == -1 {
+		if !found {
 			it.done = true
 			return false
 		}
-		r, _, _ := it.streams[best].peek()
-		for _, s := range it.streams {
-			s.skipKey(bestKey)
+		for i := range it.streams {
+			it.streams[i].skipKey(best.Key)
 		}
-		if !r.Tombstone {
-			it.key, it.val = r.Key, r.Payload
+		if !best.Tombstone {
+			it.key, it.val = best.Key, best.Payload
 			return true
 		}
 	}
@@ -464,12 +454,11 @@ func (it *Iter) Value() []byte { return it.val }
 // Err returns the first error the iteration hit, if any.
 func (it *Iter) Err() error { return it.err }
 
-// iterStream streams records of one level (or L0 when dev is nil) within
-// the iteration bounds.
+// iterStream streams records of one sorted run (or L0 when mem is set)
+// within the iteration bounds.
 type iterStream struct {
-	// L0 mode: pre-collected records.
-	recs []block.Record
-	pos  int
+	// L0 mode: a cursor over the memtable snapshot, bounded to [lo, hi].
+	mem *memtable.Cursor
 	// Level mode: walk metas[blk:blkEnd), loading lazily; reads count.
 	dev         storage.Device
 	cache       *cache.Cache // classification only; may be nil
@@ -482,11 +471,9 @@ type iterStream struct {
 }
 
 func (s *iterStream) peek() (block.Record, bool, error) {
-	if s.dev == nil {
-		if s.pos < len(s.recs) {
-			return s.recs[s.pos], true, nil
-		}
-		return block.Record{}, false, nil
+	if s.mem != nil {
+		r, ok := s.mem.Peek()
+		return r, ok, nil
 	}
 	for {
 		if s.cur != nil && s.curPos < len(s.cur) {
@@ -523,9 +510,9 @@ func (s *iterStream) peek() (block.Record, bool, error) {
 }
 
 func (s *iterStream) skipKey(k block.Key) {
-	if s.dev == nil {
-		if s.pos < len(s.recs) && s.recs[s.pos].Key == k {
-			s.pos++
+	if s.mem != nil {
+		if r, ok := s.mem.Peek(); ok && r.Key == k {
+			s.mem.Advance()
 		}
 		return
 	}

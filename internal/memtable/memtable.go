@@ -14,8 +14,10 @@
 // roots intact. Snapshot therefore costs O(1) and returns an immutable
 // view that can be read without synchronization while the table keeps
 // changing — the property the engine's snapshot-isolated read path is
-// built on. A Table itself is single-writer (the tree serializes
-// mutations); Snapshots are safe for any number of concurrent readers.
+// built on. A snapshot's Cursor seeks in O(log n) and then steps in O(1)
+// amortised, so a range scan over L0 costs what it returns. A Table itself
+// is single-writer (the tree serializes mutations); Snapshots are safe for
+// any number of concurrent readers.
 package memtable
 
 import (
@@ -318,8 +320,60 @@ func (s *Snapshot) Get(k block.Key) (block.Record, bool) {
 	return get(s.root, k)
 }
 
-// Ascend calls fn for each captured record with key in [lo, hi] in key
-// order, stopping early if fn returns false.
-func (s *Snapshot) Ascend(lo, hi block.Key, fn func(block.Record) bool) {
-	ascend(s.root, lo, hi, fn)
+// Cursor returns a cursor positioned at the first captured record with key
+// >= lo that yields records up to hi. The seek costs O(log n) and copies no
+// records.
+func (s *Snapshot) Cursor(lo, hi block.Key) *Cursor {
+	c := &Cursor{hi: hi}
+	c.stack = c.buf[:0]
+	for n := s.root; n != nil; {
+		if n.rec.Key >= lo {
+			c.stack = append(c.stack, n)
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	c.clip()
+	return c
+}
+
+// Cursor walks a snapshot's records in key order. It holds the ancestors
+// still to be visited on a stack whose top is the current record, so each
+// Advance costs O(1) amortised. Snapshot nodes are never modified, so a
+// cursor needs no lock; a single cursor is not safe for concurrent use.
+type Cursor struct {
+	hi    block.Key
+	stack []*node
+	buf   [32]*node // backs stack up to depth 32, so a seek allocates once
+}
+
+// Peek returns the current record, or false once the cursor has passed hi
+// or run out of records.
+func (c *Cursor) Peek() (block.Record, bool) {
+	if len(c.stack) == 0 {
+		return block.Record{}, false
+	}
+	return c.stack[len(c.stack)-1].rec, true
+}
+
+// Advance moves the cursor to the next record in key order.
+func (c *Cursor) Advance() {
+	if len(c.stack) == 0 {
+		return
+	}
+	n := c.stack[len(c.stack)-1]
+	c.stack = c.stack[:len(c.stack)-1]
+	for n = n.right; n != nil; n = n.left {
+		c.stack = append(c.stack, n)
+	}
+	c.clip()
+}
+
+// clip empties the stack once its top is past hi, so a finished cursor
+// answers Peek with one length check.
+func (c *Cursor) clip() {
+	if len(c.stack) > 0 && c.stack[len(c.stack)-1].rec.Key > c.hi {
+		c.stack = c.stack[:0]
+	}
 }

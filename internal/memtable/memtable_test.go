@@ -1,6 +1,7 @@
 package memtable
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
@@ -230,4 +231,176 @@ func TestQuickVirtualBlocksPartition(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// cursorRecs drains a fresh cursor over [lo, hi].
+func cursorRecs(s *Snapshot, lo, hi block.Key) []block.Record {
+	var out []block.Record
+	c := s.Cursor(lo, hi)
+	for r, ok := c.Peek(); ok; r, ok = c.Peek() {
+		out = append(out, r)
+		c.Advance()
+	}
+	return out
+}
+
+func ascendRecs(m *Table, lo, hi block.Key) []block.Record {
+	var out []block.Record
+	m.Ascend(lo, hi, func(r block.Record) bool {
+		out = append(out, r)
+		return true
+	})
+	return out
+}
+
+func sameRecs(a, b []block.Record) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Key != b[i].Key || a[i].Tombstone != b[i].Tombstone || !bytes.Equal(a[i].Payload, b[i].Payload) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCursorMatchesAscend: on random tables, a cursor yields exactly what
+// Ascend visits, for random ranges and the edge ranges.
+func TestCursorMatchesAscend(t *testing.T) {
+	const max = ^block.Key(0)
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 2, 10, 100, 5000} {
+		m := New(int64(n))
+		for i := 0; i < n; i++ {
+			k := block.Key(rng.Intn(4 * n))
+			m.Put(block.Record{Key: k, Payload: []byte{byte(i)}, Tombstone: i%7 == 0})
+		}
+		if n > 0 {
+			m.Put(rec(max)) // the largest key is reachable
+		}
+		s := m.Snapshot()
+		all := m.All()
+		ranges := [][2]block.Key{
+			{0, max}, {1, 0}, {max, 0}, {5, 5}, {max, max}, {0, 0},
+			{block.Key(4*n + 1), max - 1}, {block.Key(n), max},
+		}
+		if len(all) > 0 {
+			k := all[len(all)/2].Key
+			ranges = append(ranges, [2]block.Key{k, k}, [2]block.Key{k, k - 1})
+		}
+		for i := 0; i < 50; i++ {
+			lo, hi := block.Key(rng.Intn(4*n+2)), block.Key(rng.Intn(4*n+2))
+			ranges = append(ranges, [2]block.Key{lo, hi})
+		}
+		for _, r := range ranges {
+			got, want := cursorRecs(s, r[0], r[1]), ascendRecs(m, r[0], r[1])
+			if !sameRecs(got, want) {
+				t.Fatalf("n=%d [%d, %d]: cursor yields %d records, Ascend %d", n, r[0], r[1], len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestCursorFrozenAcrossMutations: a cursor opened on a Snapshot keeps
+// yielding the captured sequence while the Table takes Put, Delete and
+// TakeRange between its steps.
+func TestCursorFrozenAcrossMutations(t *testing.T) {
+	m := New(9)
+	for k := block.Key(0); k < 400; k += 2 {
+		m.Put(rec(k))
+	}
+	want := ascendRecs(m, 50, 350)
+	c := m.Snapshot().Cursor(50, 350)
+	var got []block.Record
+	for i := 0; ; i++ {
+		r, ok := c.Peek()
+		if !ok {
+			break
+		}
+		got = append(got, r)
+		c.Advance()
+		k := block.Key(i * 3)
+		switch i % 3 {
+		case 0:
+			m.Put(block.Record{Key: k, Payload: []byte("new"), Tombstone: true})
+		case 1:
+			m.Delete(r.Key + 2)
+		case 2:
+			m.TakeRange(r.Key, r.Key+20)
+		}
+	}
+	if !sameRecs(got, want) {
+		t.Fatalf("cursor yielded %d records across mutations, the snapshot held %d", len(got), len(want))
+	}
+	if sameRecs(ascendRecs(m, 50, 350), want) {
+		t.Fatal("the table never changed; the test checks nothing")
+	}
+}
+
+// FuzzMemtableCursor decodes the input into puts, deletes and TakeRanges,
+// snapshots mid-stream, and checks each snapshot's Cursor(lo, hi) against
+// a sorted-map model frozen at the same point. hi == 255 stands for the
+// largest key.
+func FuzzMemtableCursor(f *testing.F) {
+	f.Add([]byte{0, 5, 1, 9, 4, 0, 2, 5, 3, 0, 0, 7}, uint8(0), uint8(255))
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 4, 0, 13, 1, 0, 200}, uint8(2), uint8(2))
+	f.Add([]byte{}, uint8(9), uint8(3))
+	f.Fuzz(func(t *testing.T, ops []byte, lo, hi uint8) {
+		m := New(int64(len(ops)))
+		model := map[block.Key]block.Record{}
+		type frozen struct {
+			snap  *Snapshot
+			model []block.Record
+		}
+		sorted := func() []block.Record {
+			out := make([]block.Record, 0, len(model))
+			for _, r := range model {
+				out = append(out, r)
+			}
+			sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+			return out
+		}
+		var snaps []frozen
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, k := ops[i], block.Key(ops[i+1])
+			switch op % 5 {
+			case 0, 1:
+				r := block.Record{Key: k, Payload: []byte{byte(i)}, Tombstone: op%5 == 1}
+				m.Put(r)
+				model[k] = r
+			case 2:
+				m.Delete(k)
+				delete(model, k)
+			case 3:
+				end := k + block.Key(op/5%16)
+				m.TakeRange(k, end)
+				for mk := range model {
+					if mk >= k && mk <= end {
+						delete(model, mk)
+					}
+				}
+			case 4:
+				if len(snaps) < 4 {
+					snaps = append(snaps, frozen{m.Snapshot(), sorted()})
+				}
+			}
+		}
+		snaps = append(snaps, frozen{m.Snapshot(), sorted()})
+		lk, hk := block.Key(lo), block.Key(hi)
+		if hi == 255 {
+			hk = ^block.Key(0)
+		}
+		for i, s := range snaps {
+			var want []block.Record
+			for _, r := range s.model {
+				if r.Key >= lk && r.Key <= hk {
+					want = append(want, r)
+				}
+			}
+			if got := cursorRecs(s.snap, lk, hk); !sameRecs(got, want) {
+				t.Fatalf("snapshot %d, [%d, %d]: cursor %v, model %v", i, lk, hk, got, want)
+			}
+		}
+	})
 }

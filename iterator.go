@@ -11,7 +11,11 @@ import (
 // that complete during the iteration do not change what it returns. On a
 // sharded DB the per-shard snapshots are acquired together and merged into
 // one globally ordered stream; the hash partition guarantees the streams
-// are disjoint, so the merge is a pure k-way interleave.
+// are disjoint, so the merge is a pure k-way interleave. Every per-shard
+// stream is lazy, L0 included: opening an iterator seeks each sorted run —
+// the memtable snapshot in O(log n) — and Next loads blocks only as it
+// reaches them, so an iteration that stops early costs what it returned,
+// not what [lo, hi] spans.
 //
 // The usage pattern is the standard one:
 //
@@ -50,6 +54,14 @@ type shardCursor struct {
 // NewIterator returns an iterator over the keys in [lo, hi] as of the
 // current snapshot. The full key space is [0, ^uint64(0)].
 func (db *DB) NewIterator(lo, hi uint64) (*Iterator, error) {
+	return db.newIterator(lo, hi, nil)
+}
+
+// newIterator is NewIterator with latency attribution: a non-nil sp is
+// handed to every shard's stream before it is primed, so the L0 seeks land
+// in PhaseMemtable and every block load — the priming ones included — in
+// PhaseCacheRead or PhaseDevRead. It returns with sp in PhaseKWayMerge.
+func (db *DB) newIterator(lo, hi uint64, sp *obs.Span) (*Iterator, error) {
 	it := &Iterator{db: db, views: make([]*core.View, 0, len(db.shards))}
 	for _, s := range db.shards {
 		v, err := s.acquireView()
@@ -61,8 +73,9 @@ func (db *DB) NewIterator(lo, hi uint64) (*Iterator, error) {
 		}
 		it.views = append(it.views, v)
 	}
+	sp.To(obs.PhaseKWayMerge)
 	for _, v := range it.views {
-		c := &shardCursor{it: v.Iter(block.Key(lo), block.Key(hi))}
+		c := &shardCursor{it: v.Iter(block.Key(lo), block.Key(hi), sp)}
 		if c.advance() {
 			it.push(c)
 		} else if err := c.it.Err(); err != nil && it.err == nil {
@@ -70,23 +83,6 @@ func (db *DB) NewIterator(lo, hi uint64) (*Iterator, error) {
 		}
 	}
 	return it, nil
-}
-
-// setSpan attaches a phase span to every shard cursor, so block fetches
-// performed while the iterator advances are attributed to
-// PhaseCacheRead/PhaseDevRead and the surrounding heap work to
-// PhaseKWayMerge. Scan installs it right after NewIterator; the priming
-// reads inside NewIterator itself stay unattributed (PhaseOther).
-func (it *Iterator) setSpan(sp *obs.Span) {
-	if sp == nil {
-		return
-	}
-	for _, c := range it.heap {
-		c.it.SetSpan(sp)
-	}
-	if it.cur != nil {
-		it.cur.it.SetSpan(sp)
-	}
 }
 
 // advance moves the cursor to its stream's next entry, reporting whether

@@ -103,6 +103,45 @@ func TestSpanSumEqualsLatencyAtDB(t *testing.T) {
 	}
 }
 
+// TestScanSpanCoversPriming: Scan attaches its span before the iterator
+// primes its streams, so the first block a scan loads is charged to
+// PhaseDevRead on a cache-less store, even when the scan stops after one
+// key and never loads another.
+func TestScanSpanCoversPriming(t *testing.T) {
+	db, err := Open(traceOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	// Ascending puts leave only the newest keys in L0 (2 blocks of 8), so
+	// the keys below 100 all live on the device.
+	for i := uint64(0); i < 400; i++ {
+		if err := db.Put(i, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	if err := db.Scan(0, 99, func(uint64, []byte) bool { n++; return false }); err != nil || n != 1 {
+		t.Fatalf("scan: %d keys, err %v", n, err)
+	}
+	var scans int
+	for _, ev := range db.SlowOps() {
+		if ev.Op != obs.OpScan {
+			continue
+		}
+		scans++
+		if ev.PhaseSum() != ev.Total {
+			t.Errorf("scan span: phase sum %v != total %v (phases %v)", ev.PhaseSum(), ev.Total, ev.Phases)
+		}
+		if ev.Phases[obs.PhaseDevRead] <= 0 {
+			t.Errorf("scan span charges no device read for its priming block load: %v", ev.Phases)
+		}
+	}
+	if scans != 1 {
+		t.Fatalf("captured %d scan spans, want 1", scans)
+	}
+}
+
 // TestLockWaitPhaseAttributed: time a write spends between admission and
 // getting the shard's writer lock — behind a merge step, under background
 // compaction — lands in PhaseLockWait, not in the unattributed remainder.
