@@ -62,9 +62,6 @@ crash:
 	$(GO) run ./cmd/crashloop -iters 50 -ops 100 -sync every -shards 4
 	$(GO) run ./cmd/crashloop -iters 30 -ops 100 -sync every -layout tiering -tier-runs 3
 	$(GO) run ./cmd/crashloop -iters 30 -ops 100 -sync every -layout lazy -tier-runs 3
-	$(GO) run ./cmd/crashloop -iters 60 -ops 100 -sync every -compaction background
-	$(GO) run ./cmd/crashloop -iters 30 -ops 100 -sync interval -interval 1ms -compaction background
-	$(GO) run ./cmd/crashloop -iters 50 -ops 100 -sync every -shards 4 -compaction background
 
 # Fault-domain isolation soak (internal/crashloop chaos mode via
 # cmd/crashloop -chaos): seeded device-fault scenarios — bit rot, ENOSPC,

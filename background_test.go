@@ -8,14 +8,11 @@ import (
 	"lsmssd"
 )
 
-// TestBackgroundCompactionBasic is the API-level smoke test for
-// Options.CompactionMode: background writes land, reads see them, the
-// scheduler reports its mode and step count through Stats, and Close
-// drains cleanly.
+// TestBackgroundCompactionBasic is the API-level smoke test for the
+// compaction goroutine: writes land, reads see them, the scheduler reports
+// its step count through Stats, and Close drains cleanly.
 func TestBackgroundCompactionBasic(t *testing.T) {
-	opts := smallOptions()
-	opts.CompactionMode = lsmssd.BackgroundCompaction
-	db, err := lsmssd.Open(opts)
+	db, err := lsmssd.Open(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,10 +26,6 @@ func TestBackgroundCompactionBasic(t *testing.T) {
 		if err != nil || !ok || string(v) != fmt.Sprint(k) {
 			t.Fatalf("Get(%d) = %q, %v, %v", k, v, ok, err)
 		}
-	}
-	st := db.Stats()
-	if st.Compaction.Mode != "background" {
-		t.Fatalf("Stats.Compaction.Mode = %q, want background", st.Compaction.Mode)
 	}
 	// 1000 records over a 16-record L0 forces merges; the background
 	// goroutine is the only thing allowed to run them.
@@ -53,7 +46,6 @@ func TestBackgroundCompactionBasic(t *testing.T) {
 // checks the stalls are counted and timed.
 func TestStallBackpressure(t *testing.T) {
 	opts := smallOptions()
-	opts.CompactionMode = lsmssd.BackgroundCompaction
 	opts.MemtableBlocks = 1
 	db, err := lsmssd.Open(opts)
 	if err != nil {
@@ -79,23 +71,5 @@ func TestStallBackpressure(t *testing.T) {
 	}
 	if c.Stops > 0 && c.StopTime == 0 {
 		t.Fatal("stop stalls counted but no stall time recorded")
-	}
-
-	// Sync mode must never stall, on the same L0: only the writer drains L0
-	// there, so there is no gate.
-	sopts := smallOptions()
-	sopts.MemtableBlocks = opts.MemtableBlocks
-	sdb, err := lsmssd.Open(sopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sdb.Close()
-	for k := uint64(0); k < 5000; k++ {
-		if err := sdb.Put(k, []byte{byte(k)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c := sdb.Stats().Compaction; c.Mode != "sync" || c.Slowdowns+c.Stops != 0 {
-		t.Fatalf("sync DB reported mode=%q stalls=%d", c.Mode, c.Slowdowns+c.Stops)
 	}
 }

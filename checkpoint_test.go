@@ -57,26 +57,16 @@ func (g *syncGate) Sync() error {
 
 // gatedOpts is a single-shard store small enough that a few hundred puts
 // flush, merge and (with the given segment size) rotate the log.
-func gatedOpts(t *testing.T, g *syncGate, segmentBytes int64, mode lsmssd.CompactionMode) lsmssd.Options {
+func gatedOpts(t *testing.T, g *syncGate, segmentBytes int64) lsmssd.Options {
 	t.Helper()
 	return lsmssd.Options{
 		Path:            t.TempDir() + "/store.db",
 		RecordsPerBlock: 16,
-		MemtableBlocks:  8, // background: slowdown at 256 records, stop at 512 — room for the puts a test issues while the scheduler is blocked
+		MemtableBlocks:  8, // slowdown at 256 records, stop at 512 — room for the puts a test issues while the scheduler is blocked
 		Gamma:           4,
 		CacheBlocks:     -1, // every level read is a device read
-		CompactionMode:  mode,
 		WAL:             lsmssd.WALOptions{Enabled: true, Sync: lsmssd.SyncEvery, SegmentBytes: segmentBytes},
 		DeviceWrap:      g.wrap,
-	}
-}
-
-// bothModes runs test once per compaction mode. The mode decides who runs
-// a merge step; the checkpoint a sealed WAL segment requests runs on the
-// shard's scheduler goroutine in either.
-func bothModes(t *testing.T, test func(t *testing.T, mode lsmssd.CompactionMode)) {
-	for _, mode := range []lsmssd.CompactionMode{lsmssd.SyncCompaction, lsmssd.BackgroundCompaction} {
-		t.Run(mode.String(), func(t *testing.T) { test(t, mode) })
 	}
 }
 
@@ -130,8 +120,12 @@ func awaitEntered(t *testing.T, g *syncGate, what string) {
 	}
 }
 
-func drained(db *lsmssd.DB) func() bool {
-	return func() bool { return db.Stats().Compaction.QueueDepth == 0 }
+// mustDrain waits for merges and checkpoints to finish (DrainCompaction).
+func mustDrain(t *testing.T, db *lsmssd.DB) {
+	t.Helper()
+	if err := lsmssd.DrainCompaction(db); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // checkpointEvents subscribes to the bus and returns a snapshot function
@@ -210,7 +204,7 @@ func preload(t *testing.T, db *lsmssd.DB, n int, model map[uint64]int, next *uin
 		t.Fatal(err)
 	}
 	*next += uint64(n)
-	waitFor(t, "preload to drain", drained(db))
+	mustDrain(t, db)
 }
 
 // putUntilBackgroundCheckpoint arms the gate and writes fresh keys until one
@@ -243,14 +237,14 @@ func putUntilBackgroundCheckpoint(t *testing.T, db *lsmssd.DB, g *syncGate, mode
 // returned, later Puts still return and Gets that go to the device are
 // served; the sealed segment waits, and QueueDepth says so. Released, the
 // checkpoint finishes, the merges queued behind it on the same goroutine
-// (background mode) run, and the log shrinks to its active segment.
+// run, and the log shrinks to its active segment.
 func TestBackgroundCheckpointDoesNotBlockWrites(t *testing.T) {
-	bothModes(t, testCheckpointDoesNotBlockWrites)
+	t.Run("background", testCheckpointDoesNotBlockWrites)
 }
 
-func testCheckpointDoesNotBlockWrites(t *testing.T, mode lsmssd.CompactionMode) {
+func testCheckpointDoesNotBlockWrites(t *testing.T) {
 	g := newSyncGate()
-	opts := gatedOpts(t, g, 8<<10, mode)
+	opts := gatedOpts(t, g, 8<<10)
 	db, err := lsmssd.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +282,7 @@ func testCheckpointDoesNotBlockWrites(t *testing.T, mode lsmssd.CompactionMode) 
 
 	g.armed.Store(false)
 	g.release <- nil
-	waitFor(t, "checkpoint and queued merges to drain", drained(db))
+	mustDrain(t, db)
 	if segs, _ := wal.SegmentFiles(opts.Path + ".wal"); len(segs) != 1 {
 		t.Fatalf("%d WAL segments after the drain, want only the active one", len(segs))
 	}
@@ -304,7 +298,7 @@ func testCheckpointDoesNotBlockWrites(t *testing.T, mode lsmssd.CompactionMode) 
 // complete while its device sync is blocked.
 func TestExplicitCheckpointDoesNotBlockWritesOrMerges(t *testing.T) {
 	g := newSyncGate()
-	db, err := lsmssd.Open(gatedOpts(t, g, 4<<20, lsmssd.BackgroundCompaction)) // no rotation: the only checkpoint is the explicit one
+	db, err := lsmssd.Open(gatedOpts(t, g, 4<<20)) // no rotation: the only checkpoint is the explicit one
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,9 +316,12 @@ func TestExplicitCheckpointDoesNotBlockWritesOrMerges(t *testing.T) {
 		if err := putRange(db, 0, 400, 1, model); err != nil {
 			return err
 		}
-		return poll("merge steps to run while the checkpoint is blocked", func() bool {
-			return db.Stats().Merges > mergesBefore && drained(db)()
-		})
+		if err := poll("merge steps to run while the checkpoint is blocked", func() bool {
+			return db.Stats().Merges > mergesBefore
+		}); err != nil {
+			return err
+		}
+		return lsmssd.DrainCompaction(db)
 	})
 	readsBefore := db.Stats().BlocksRead
 	within(t, "device-reading Gets during a blocked checkpoint", func() error { return contents(db, model) })
@@ -350,12 +347,12 @@ func TestExplicitCheckpointDoesNotBlockWritesOrMerges(t *testing.T) {
 // they recover every acknowledged write — including those acknowledged
 // while the checkpoint was running.
 func TestCrashDuringBackgroundCheckpoint(t *testing.T) {
-	bothModes(t, testCrashDuringCheckpoint)
+	t.Run("background", testCrashDuringBackgroundCheckpoint)
 }
 
-func testCrashDuringCheckpoint(t *testing.T, mode lsmssd.CompactionMode) {
+func testCrashDuringBackgroundCheckpoint(t *testing.T) {
 	g := newSyncGate()
-	opts := gatedOpts(t, g, 8<<10, mode)
+	opts := gatedOpts(t, g, 8<<10)
 	db, err := lsmssd.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -417,7 +414,7 @@ func testCrashDuringCheckpoint(t *testing.T, mode lsmssd.CompactionMode) {
 // recovery's frame count pins it exactly.
 func TestCheckpointWALSeqMatchesView(t *testing.T) {
 	g := newSyncGate()
-	opts := gatedOpts(t, g, 8<<10, lsmssd.BackgroundCompaction)
+	opts := gatedOpts(t, g, 8<<10)
 	db, err := lsmssd.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -432,7 +429,7 @@ func TestCheckpointWALSeqMatchesView(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.release <- nil
-	waitFor(t, "the checkpoint to finish", drained(db))
+	mustDrain(t, db)
 
 	st, err := manifest.Load(opts.Path + ".manifest")
 	if err != nil {
@@ -473,7 +470,7 @@ func TestCheckpointWALSeqMatchesView(t *testing.T) {
 // blocks hold other records.
 func TestCheckpointKeepsSlotsFreedAfterCapture(t *testing.T) {
 	g := newSyncGate()
-	opts := gatedOpts(t, g, 4<<20, lsmssd.BackgroundCompaction) // no rotation: checkpoints happen only where the test puts them
+	opts := gatedOpts(t, g, 4<<20) // no rotation: checkpoints happen only where the test puts them
 	db, err := lsmssd.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -485,7 +482,7 @@ func TestCheckpointKeepsSlotsFreedAfterCapture(t *testing.T) {
 		if err := putRange(db, 0, keys, r, model); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "merges to drain", drained(db))
+		mustDrain(t, db)
 	}
 	round(0)
 	if err := db.Checkpoint(); err != nil { // empties the limbo list
@@ -532,12 +529,12 @@ func TestCheckpointKeepsSlotsFreedAfterCapture(t *testing.T) {
 // checkpoint is running coalesce into exactly one more checkpoint, whose
 // cutoff covers the last of them.
 func TestRotationDuringCheckpointIsNotLost(t *testing.T) {
-	bothModes(t, testRotationDuringCheckpointIsNotLost)
+	t.Run("background", testRotationDuringCheckpointIsNotLost)
 }
 
-func testRotationDuringCheckpointIsNotLost(t *testing.T, mode lsmssd.CompactionMode) {
+func testRotationDuringCheckpointIsNotLost(t *testing.T) {
 	g := newSyncGate()
-	opts := gatedOpts(t, g, 4<<10, mode)
+	opts := gatedOpts(t, g, 4<<10)
 	db, err := lsmssd.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -558,7 +555,7 @@ func testRotationDuringCheckpointIsNotLost(t *testing.T, mode lsmssd.CompactionM
 	awaitEntered(t, g, "the checkpoint the later rotations requested")
 	g.armed.Store(false)
 	g.release <- nil
-	waitFor(t, "the second checkpoint to finish", drained(db))
+	mustDrain(t, db)
 
 	waitFor(t, "both checkpoints' events", func() bool { return len(events()) >= 2 })
 	evs := events()
@@ -580,12 +577,12 @@ func testRotationDuringCheckpointIsNotLost(t *testing.T, mode lsmssd.CompactionM
 // sealed the segment was acknowledged and, like every other acknowledged
 // write, survives in the log.
 func TestFailedBackgroundCheckpointDemotesShard(t *testing.T) {
-	bothModes(t, testFailedCheckpointDemotesShard)
+	t.Run("background", testFailedBackgroundCheckpointDemotesShard)
 }
 
-func testFailedCheckpointDemotesShard(t *testing.T, mode lsmssd.CompactionMode) {
+func testFailedBackgroundCheckpointDemotesShard(t *testing.T) {
 	g := newSyncGate()
-	opts := gatedOpts(t, g, 8<<10, mode)
+	opts := gatedOpts(t, g, 8<<10)
 	db, err := lsmssd.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -623,42 +620,43 @@ func testFailedCheckpointDemotesShard(t *testing.T, mode lsmssd.CompactionMode) 
 }
 
 // TestIdleWALTailIsSynced: under SyncInterval a write followed by silence is
-// durable within about an interval, in either compaction mode — the
-// shard's background goroutine syncs the tail the next append never came
+// durable within about an interval — the shard's background goroutine
+// syncs the tail the next append never came
 // to sync.
 func TestIdleWALTailIsSynced(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode lsmssd.CompactionMode) {
-		opts := lsmssd.Options{
-			Path:           t.TempDir() + "/store.db",
-			CompactionMode: mode,
-			WAL:            lsmssd.WALOptions{Enabled: true, Sync: lsmssd.SyncInterval, Interval: 50 * time.Millisecond},
-		}
-		db, err := lsmssd.Open(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Put(42, []byte("written, then silence")); err != nil {
-			t.Fatal(err)
-		}
-		// The append normally finds the last sync (Open's) younger than
-		// the interval and leaves its frame unsynced; the tick then syncs
-		// it and the counter moves. Should the append have synced inline
-		// (a stalled machine), nothing is left to sync: give up after ten
-		// intervals and let the crash below decide either way.
-		synced := db.Stats().WAL.Syncs
-		for deadline := time.Now().Add(10 * opts.WAL.Interval); db.Stats().WAL.Syncs == synced && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-		}
-		if err := db.Crash(); err != nil {
-			t.Fatal(err)
-		}
-		rdb, err := lsmssd.Open(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rdb.Close()
-		if v, ok, err := rdb.Get(42); err != nil || !ok || string(v) != "written, then silence" {
-			t.Fatalf("after the crash: %q, found %v, err %v; the idle tail was never synced", v, ok, err)
-		}
-	})
+	t.Run("background", testIdleWALTailIsSynced)
+}
+
+func testIdleWALTailIsSynced(t *testing.T) {
+	opts := lsmssd.Options{
+		Path: t.TempDir() + "/store.db",
+		WAL:  lsmssd.WALOptions{Enabled: true, Sync: lsmssd.SyncInterval, Interval: 50 * time.Millisecond},
+	}
+	db, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put(42, []byte("written, then silence")); err != nil {
+		t.Fatal(err)
+	}
+	// The append normally finds the last sync (Open's) younger than
+	// the interval and leaves its frame unsynced; the tick then syncs
+	// it and the counter moves. Should the append have synced inline
+	// (a stalled machine), nothing is left to sync: give up after ten
+	// intervals and let the crash below decide either way.
+	synced := db.Stats().WAL.Syncs
+	for deadline := time.Now().Add(10 * opts.WAL.Interval); db.Stats().WAL.Syncs == synced && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if err := db.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	rdb, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdb.Close()
+	if v, ok, err := rdb.Get(42); err != nil || !ok || string(v) != "written, then silence" {
+		t.Fatalf("after the crash: %q, found %v, err %v; the idle tail was never synced", v, ok, err)
+	}
 }

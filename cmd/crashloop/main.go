@@ -8,7 +8,7 @@
 //	crashloop [-dir DIR] [-iters 50] [-ops 200] [-seed 1] \
 //	          [-sync every|interval|never] [-interval 2ms] \
 //	          [-keyspace 512] [-shards 1] [-layout leveling|tiering|lazy] \
-//	          [-tier-runs 4] [-compaction sync|background] [-torn] \
+//	          [-tier-runs 4] [-torn] \
 //	          [-paranoid] [-v]
 //
 // The process exits non-zero if any recovery violates the durability
@@ -49,7 +49,6 @@ func main() {
 		paranoid = flag.Bool("paranoid", false, "run the store with Options.Paranoid")
 		layout   = flag.String("layout", "leveling", "level layout: leveling, tiering, or lazy")
 		tierRuns = flag.Int("tier-runs", 0, "run budget T for tiered layouts (0 = default)")
-		compact  = flag.String("compaction", "sync", "merge scheduling: sync, or background (merges on the scheduler goroutine, which runs rotation checkpoints in both modes)")
 		chaos    = flag.Bool("chaos", false, "run the fault-domain isolation soak instead of the crash loop")
 		scenario = flag.String("scenario", "", "chaos scenario to run: bitflip, enospc, stickysync, latency, or transient (default: all)")
 		verbose  = flag.Bool("v", false, "log each cycle")
@@ -71,17 +70,6 @@ func main() {
 		lay = lsmssd.LazyLeveling
 	default:
 		fmt.Fprintf(os.Stderr, "crashloop: unknown -layout %q (want leveling, tiering, or lazy)\n", *layout)
-		os.Exit(2)
-	}
-
-	var mode lsmssd.CompactionMode
-	switch *compact {
-	case "sync":
-		mode = lsmssd.SyncCompaction
-	case "background":
-		mode = lsmssd.BackgroundCompaction
-	default:
-		fmt.Fprintf(os.Stderr, "crashloop: unknown -compaction %q (want sync or background)\n", *compact)
 		os.Exit(2)
 	}
 
@@ -122,8 +110,6 @@ func main() {
 		Paranoid: *paranoid,
 		Layout:   lay,
 		TierRuns: *tierRuns,
-
-		Compaction: mode,
 	}
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) {

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	lsmkv [-path file.blk] [-shards 1] [-policy ChooseBest] [-preserve=true] [-compaction sync] [-wal] [-sync every] [-metrics 127.0.0.1:8080]
+//	lsmkv [-path file.blk] [-shards 1] [-policy ChooseBest] [-preserve=true] [-wal] [-sync every] [-metrics 127.0.0.1:8080]
 //
 // Commands (one per line on stdin):
 //
@@ -44,17 +44,16 @@ import (
 
 func main() {
 	var (
-		path       = flag.String("path", "", "file-backed device path (default: in-memory)")
-		shards     = flag.Int("shards", 1, "split the key space across this many independent trees (power of two)")
-		policy     = flag.String("policy", "ChooseBest", "merge policy: Full, RR, ChooseBest, TestMixed, Mixed")
-		preserve   = flag.Bool("preserve", true, "enable block-preserving merges")
-		k0         = flag.Int("k0", 64, "memtable capacity in blocks")
-		delta      = flag.Float64("delta", 0.07, "partial merge rate")
-		metrics    = flag.String("metrics", "", "serve /metrics and /debug on this address (e.g. 127.0.0.1:8080)")
-		compaction = flag.String("compaction", "sync", "merge scheduling: sync (cascades run inline) or background (scheduler goroutine with write stalls)")
-		walOn      = flag.Bool("wal", false, "enable the write-ahead log for crash durability (requires -path)")
-		walSync    = flag.String("sync", "every", "WAL sync policy: every, interval, or never")
-		scrub      = flag.Duration("scrub", 0, "background corruption-scrub interval per shard (0 disables), e.g. 5s")
+		path     = flag.String("path", "", "file-backed device path (default: in-memory)")
+		shards   = flag.Int("shards", 1, "split the key space across this many independent trees (power of two)")
+		policy   = flag.String("policy", "ChooseBest", "merge policy: Full, RR, ChooseBest, TestMixed, Mixed")
+		preserve = flag.Bool("preserve", true, "enable block-preserving merges")
+		k0       = flag.Int("k0", 64, "memtable capacity in blocks")
+		delta    = flag.Float64("delta", 0.07, "partial merge rate")
+		metrics  = flag.String("metrics", "", "serve /metrics and /debug on this address (e.g. 127.0.0.1:8080)")
+		walOn    = flag.Bool("wal", false, "enable the write-ahead log for crash durability (requires -path)")
+		walSync  = flag.String("sync", "every", "WAL sync policy: every, interval, or never")
+		scrub    = flag.Duration("scrub", 0, "background corruption-scrub interval per shard (0 disables), e.g. 5s")
 	)
 	flag.Parse()
 
@@ -64,13 +63,6 @@ func main() {
 	}[*policy]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "lsmkv: unknown policy %q\n", *policy)
-		os.Exit(1)
-	}
-	mode, ok := map[string]lsmssd.CompactionMode{
-		"sync": lsmssd.SyncCompaction, "background": lsmssd.BackgroundCompaction,
-	}[*compaction]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "lsmkv: unknown compaction mode %q (sync or background)\n", *compaction)
 		os.Exit(1)
 	}
 	sync, ok := map[string]lsmssd.SyncPolicy{
@@ -88,7 +80,6 @@ func main() {
 		MemtableBlocks:  *k0,
 		Delta:           *delta,
 		MetricsAddr:     *metrics,
-		CompactionMode:  mode,
 		WAL:             lsmssd.WALOptions{Enabled: *walOn, Sync: sync},
 		ScrubInterval:   *scrub,
 	})

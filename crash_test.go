@@ -377,18 +377,27 @@ func TestCorruptBlockSurfacesErrCorrupt(t *testing.T) {
 
 // TestWALKeepsBlocksWrittenIdentical pins the paper-fidelity guarantee:
 // the WAL lives entirely outside the block device, so enabling it must
-// not change the experiment's primary metric by a single block.
+// not change the experiment's primary metric by a single block. Both
+// stores drain compaction after every write, so their merge sequences are
+// the paper's.
 func TestWALKeepsBlocksWrittenIdentical(t *testing.T) {
 	workload := func(db *lsmssd.DB) {
 		t.Helper()
+		drain := func() {
+			if err := lsmssd.DrainCompaction(db); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for i := uint64(0); i < 3000; i++ {
 			if err := db.Put(i*7%1024, []byte("workload-value")); err != nil {
 				t.Fatal(err)
 			}
+			drain()
 			if i%5 == 4 {
 				if err := db.Delete(i % 512); err != nil {
 					t.Fatal(err)
 				}
+				drain()
 			}
 		}
 	}
@@ -417,4 +426,53 @@ func TestWALKeepsBlocksWrittenIdentical(t *testing.T) {
 	if memWrites != walWrites {
 		t.Fatalf("BlocksWritten diverged: %d without WAL, %d with WAL", memWrites, walWrites)
 	}
+}
+
+// TestWALOffCrashRefusesRecycledBlocks: without the WAL a checkpoint does
+// not sync the device and freed block slots are reused at once, so merges
+// after the last checkpoint may overwrite slots its manifest names. A crash
+// then leaves a manifest that points at other blocks' records. Open must
+// refuse such a store with ErrCorrupt rather than serve it: before the check
+// it opened, failed Validate on a stale fence pointer and answered "not
+// found", with no error, for most of the checkpointed keys.
+func TestWALOffCrashRefusesRecycledBlocks(t *testing.T) {
+	opts := lsmssd.Options{
+		Path:            filepath.Join(t.TempDir(), "store.db"),
+		RecordsPerBlock: 16,
+		MemtableBlocks:  4,
+		Gamma:           4,
+	}
+	db, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(lo, hi uint64) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			if err := db.Put(i*2654435761%(1<<32), []byte(fmt.Sprintf("v%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lsmssd.DrainCompaction(db); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(0, 4000)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	put(4000, 8000) // merges free the checkpointed blocks and reuse their slots
+	if err := db.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	rdb, err := lsmssd.Open(opts)
+	if err == nil {
+		rdb.Close()
+		t.Fatal("Open served a store whose manifest names overwritten blocks")
+	}
+	if !errors.Is(err, lsmssd.ErrCorrupt) {
+		t.Fatalf("Open = %v, want an error wrapping ErrCorrupt", err)
+	}
+	t.Log(err)
 }

@@ -45,12 +45,17 @@ var ErrCorrupt = storage.ErrCorrupt
 //
 // Merge scheduling: mutations land records in the owning shard's L0 and
 // hand overflow work to that shard's compaction scheduler
-// (internal/compaction) — inline in the mutating call under
-// SyncCompaction (the default), or on that scheduler's goroutine under
-// BackgroundCompaction, with write-stall backpressure when compaction
-// falls behind. The goroutine runs in both modes and also writes the
-// checkpoint a sealed WAL segment calls for. No merge is ever initiated
-// from this layer directly.
+// (internal/compaction), whose goroutine is the only thing that runs the
+// shard's merges; it also writes the checkpoint a sealed WAL segment calls
+// for. Writes pay only the L0 insertion, subject to LevelDB-style
+// backpressure when compaction falls behind: a 1 ms pacing sleep per write
+// once the shard's L0 holds 2×MemtableBlocks blocks, and a hard stall from
+// 4×MemtableBlocks until the goroutine drains it. Merge errors surface on
+// a subsequent write or at Close. Stats().Compaction.QueueDepth is zero
+// once the cascade and any requested checkpoint have finished; a caller
+// that waits for that after every write gets exactly the paper's inline
+// merge sequence, and its BlocksWritten. No merge is ever initiated from
+// this layer directly.
 type DB struct {
 	closed atomic.Bool
 	opts   Options
@@ -93,9 +98,12 @@ type DB struct {
 // by a power cut is truncated at the first bad frame, and the recovered
 // state is checkpointed before Open returns (Stats reports what the
 // replay did). With the WAL disabled the manifest alone provides clean-
-// shutdown persistence — a crash loses the requests since the last
-// checkpoint — and Open refuses to run if it finds unreplayed WAL frames
-// from an earlier WAL-enabled incarnation, rather than silently dropping
+// shutdown persistence. A crash loses at least the requests since the last
+// checkpoint, and may lose the store: merges after that checkpoint can
+// overwrite device slots it names, and Open then fails with an error
+// wrapping ErrCorrupt that names the block, rather than serving wrong
+// answers. Open also refuses to run if it finds unreplayed WAL frames from
+// an earlier WAL-enabled incarnation, rather than silently dropping
 // acknowledged writes.
 //
 // With Shards > 1, every per-shard step above runs once per shard over
@@ -178,11 +186,10 @@ func (db *DB) Checkpoint() error {
 	return nil
 }
 
-// Put inserts or updates the value stored for key. Under background
-// compaction Put may pace or stall when the owning shard's L0 reaches 2× or
-// 4× MemtableBlocks blocks. In either mode it reports any error that shard's
-// scheduler goroutine parked since the previous write (a failed merge
-// step, checkpoint or idle WAL sync).
+// Put inserts or updates the value stored for key. It may pace or stall
+// when the owning shard's L0 reaches 2× or 4× MemtableBlocks blocks, and
+// it reports any error that shard's scheduler goroutine parked since the
+// previous write (a failed merge step, checkpoint or idle WAL sync).
 func (db *DB) Put(key uint64, value []byte) error {
 	return db.write(db.shardFor(key), obs.OpPut, []block.Op{{Key: key, Value: value}})
 }

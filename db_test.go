@@ -126,7 +126,9 @@ func TestAllPoliciesAgree(t *testing.T) {
 				opts.DisablePreserve = disableP
 				// Paranoid audits the paper's invariants after every
 				// merge; a policy violating a waste constraint fails the
-				// offending request, not just the final Validate.
+				// request after it, not just the final Validate. Draining
+				// after every write makes the audited merges the paper's
+				// inline sequence.
 				opts.Paranoid = true
 				db, err := lsmssd.Open(opts)
 				if err != nil {
@@ -148,6 +150,9 @@ func TestAllPoliciesAgree(t *testing.T) {
 							t.Fatal(err)
 						}
 						model[k] = v
+					}
+					if err := lsmssd.DrainCompaction(db); err != nil {
+						t.Fatal(err)
 					}
 				}
 				if err := db.Validate(); err != nil {
@@ -173,6 +178,10 @@ func TestStatsAndReset(t *testing.T) {
 	defer db.Close()
 	for k := uint64(0); k < 200; k++ {
 		db.Put(k, []byte("v"))
+	}
+	// No merge may run between the counters read below, or after the reset.
+	if err := lsmssd.DrainCompaction(db); err != nil {
+		t.Fatal(err)
 	}
 	s := db.Stats()
 	if s.BlocksWritten == 0 || s.Inserts != 200 || s.Height < 2 {
@@ -352,7 +361,7 @@ func TestPolicyStrings(t *testing.T) {
 }
 
 // Property: the public API matches a map model under random operations and
-// random (valid) option combinations.
+// random (valid) option combinations, compaction drained after each write.
 func TestQuickDBModel(t *testing.T) {
 	f := func(seed int64, polRaw uint8, bloom bool) bool {
 		opts := smallOptions()
@@ -381,6 +390,9 @@ func TestQuickDBModel(t *testing.T) {
 					return false
 				}
 				model[k] = v
+			}
+			if lsmssd.DrainCompaction(db) != nil {
+				return false
 			}
 		}
 		if db.Validate() != nil {

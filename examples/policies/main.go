@@ -3,12 +3,19 @@
 //
 // Expected shape: the partial policies (RR, ChooseBest) and Mixed write
 // fewer blocks than Full; disabling block preservation (-P) never helps.
+//
+// Merges run on the store's compaction goroutine. The paper's cost model
+// runs each request's merges before the next request, so the example waits
+// for that goroutine's queue to empty after every write: the counts are
+// then the paper's exact merge sequence, and the measurement window opens
+// and closes with no merge in flight.
 package main
 
 import (
 	"fmt"
 	"log"
 	"math/rand"
+	"runtime"
 
 	"lsmssd"
 )
@@ -94,6 +101,7 @@ func run(pol lsmssd.Policy, noPreserve bool) (written int64, perMB float64, heig
 				}
 				bytes += 8 + payload
 			}
+			settle(db)
 		}
 		return bytes
 	}
@@ -103,4 +111,13 @@ func run(pol lsmssd.Policy, noPreserve bool) (written int64, perMB float64, heig
 	bytes := apply(requests / 2) // measure
 	s := db.Stats()
 	return s.BlocksWritten, float64(s.BlocksWritten) / (float64(bytes) / (1 << 20)), s.Height
+}
+
+// settle waits until the compaction goroutine has run every merge the
+// writes so far queued. It yields rather than sleeps: it runs after every
+// write.
+func settle(db *lsmssd.DB) {
+	for db.Stats().Compaction.QueueDepth > 0 {
+		runtime.Gosched()
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"time"
 
 	"lsmssd"
 )
@@ -70,8 +71,11 @@ func main() {
 	}
 }
 
-// measure drives n steady requests and returns blocks written per MB.
+// measure drives n steady requests and returns blocks written per MB. The
+// window opens and closes with the compaction goroutine's queue empty, so
+// it charges exactly the merges these requests caused.
 func measure(db *lsmssd.DB, g *steadyGen, n int) float64 {
+	settle(db)
 	db.ResetIOStats()
 	var bytes int64
 	for i := 0; i < n; i++ {
@@ -88,7 +92,16 @@ func measure(db *lsmssd.DB, g *steadyGen, n int) float64 {
 			bytes += 8 + int64(len(r.Value))
 		}
 	}
+	settle(db)
 	return float64(db.Stats().BlocksWritten) / (float64(bytes) / (1 << 20))
+}
+
+// settle waits until the compaction goroutine has run every merge the
+// writes so far queued.
+func settle(db *lsmssd.DB) {
+	for db.Stats().Compaction.QueueDepth > 0 {
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // steadyGen is a uniform insert/delete stream pinned near targetKeys.

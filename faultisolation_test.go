@@ -47,13 +47,19 @@ func isoValue(op int) []byte {
 }
 
 // isoWorkload puts sequence-numbered keys (key & 3 is the shard). Writes
-// may fail only on shard tolerate; acknowledged writes are returned.
+// may fail only on shard tolerate; acknowledged writes are returned. Every
+// other shard's compaction is drained after each write, so its merge
+// sequence, and with it its device write count, is deterministic; shard
+// tolerate is left alone, since its scheduler stops at the fault.
 func isoWorkload(t *testing.T, db *lsmssd.DB, tolerate int) map[uint64][]byte {
 	t.Helper()
 	acked := make(map[uint64][]byte, isoOps)
 	for op := 0; op < isoOps; op++ {
 		key := uint64(op)
 		err := db.Put(key, isoValue(op))
+		if derr := lsmssd.DrainCompaction(db, tolerate); derr != nil {
+			t.Fatal(derr)
+		}
 		if err == nil {
 			acked[key] = isoValue(op)
 			continue

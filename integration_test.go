@@ -145,7 +145,8 @@ func TestIntegrationUpdateHeavy(t *testing.T) {
 
 // TestIntegrationSequentialInsert covers the classic time-series pattern:
 // monotonically increasing keys, where block preservation should shine
-// (new data never interleaves with old).
+// (new data never interleaves with old). Compaction is drained after each
+// write, so both runs perform the paper's merge sequence.
 func TestIntegrationSequentialInsert(t *testing.T) {
 	run := func(disableP bool) int64 {
 		db, err := lsmssd.Open(lsmssd.Options{
@@ -162,6 +163,9 @@ func TestIntegrationSequentialInsert(t *testing.T) {
 		defer db.Close()
 		for k := uint64(0); k < 50_000; k++ {
 			if err := db.Put(k, []byte("tick")); err != nil {
+				t.Fatal(err)
+			}
+			if err := lsmssd.DrainCompaction(db); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,31 +1,34 @@
 // Package compaction owns merge scheduling: it is the only non-test code
 // allowed to drive core.Tree's overflow cascade (CompactionStep /
 // RunCascade — the lsmlint compaction-step rule enforces the boundary).
-// Writers land records in L0, then hand the cascade to a Scheduler. The
-// mode decides only who runs a merge step:
+// There are two executors:
 //
-//   - Sync: the writer runs the cascade to completion inline in Notify,
-//     step order identical to the original engine — the paper's cost
-//     model, and the mode experiments use so BlocksWritten accounting
-//     stays byte-identical;
-//   - Background: the scheduler goroutine drains the cascade one step at a
-//     time under the writer lock, so writes only pay L0 insertion and
-//     readers keep consuming published snapshots. Writers are paced by
-//     LevelDB-style backpressure on L0's size, derived from the tree's K0:
-//     from 2·K0 blocks each admission sleeps 1 ms; from 4·K0 (StopBlocks)
-//     it blocks until the scheduler catches up (the hard stall gate).
+//   - Scheduler, the DB's: writers land records in L0 and Notify it; its
+//     goroutine — the only thing that runs CompactionStep on a DB's tree —
+//     drains the cascade one step at a time under the writer lock, so
+//     writes only pay L0 insertion and readers keep consuming published
+//     snapshots. Writers are paced by LevelDB-style backpressure on L0's
+//     size, derived from the tree's K0: from 2·K0 blocks each admission
+//     sleeps 1 ms; from 4·K0 (StopBlocks) it blocks until the goroutine
+//     catches up (the hard stall gate).
+//   - Driver, for bare trees (the figures, the parameter learner): every
+//     mutation runs the cascade to completion before returning.
 //
-// Every Scheduler runs one goroutine, in both modes, and it carries the
-// shard's other background work, so the engine has one background
-// protocol per shard, not several:
+// CompactionStep replays the inline cascade's step order, so a Scheduler
+// whose QueueDepth is waited down to zero after every write performs
+// exactly Driver's merge sequence: the paper's cost model, and its
+// BlocksWritten accounting byte for byte, are reproduced through a DB by
+// draining, not by a second executor.
+//
+// The goroutine also carries the shard's other background work, so the
+// engine has one background protocol per shard, not several:
 //
 //   - checkpoints: a writer whose WAL append sealed a segment calls
 //     RequestCheckpoint and returns; the goroutine runs Config.Checkpoint
-//     (between merge steps in Background mode), without the writer lock
-//     held across it. Requests coalesce, and one arriving while a
-//     checkpoint runs yields one more run. A requested-or-running
-//     checkpoint counts one unit of QueueDepth, so "drained" means "and
-//     checkpointed";
+//     between merge steps, without the writer lock held across it.
+//     Requests coalesce, and one arriving while a checkpoint runs yields
+//     one more run. A requested-or-running checkpoint counts one unit of
+//     QueueDepth, so "drained" means "and checkpointed";
 //   - the idle tick (when Config.Tick is set): called every TickInterval —
 //     the DB uses it to fsync a WAL tail that went idle under the interval
 //     sync policy.
@@ -47,27 +50,9 @@ import (
 	"lsmssd/internal/obs"
 )
 
-// Mode selects who runs a merge step.
-type Mode int
-
-const (
-	// Sync runs the cascade inline in the mutating call.
-	Sync Mode = iota
-	// Background runs the cascade on the scheduler goroutine.
-	Background
-)
-
-// String returns the mode's display name.
-func (m Mode) String() string {
-	if m == Background {
-		return "background"
-	}
-	return "sync"
-}
-
-// Background admission is LevelDB's two-threshold gate on L0's size, in
-// multiples of the tree's L0 capacity K0 (blocks): from slowdownK0·K0 each
-// admission pays pacingSleep, from stopK0·K0 it blocks.
+// Admission is LevelDB's two-threshold gate on L0's size, in multiples of
+// the tree's L0 capacity K0 (blocks): from slowdownK0·K0 each admission
+// pays pacingSleep, from stopK0·K0 it blocks.
 const (
 	slowdownK0  = 2
 	stopK0      = 4
@@ -75,15 +60,9 @@ const (
 )
 
 // StopBlocks is the L0 size, in blocks, at which Admit blocks writers to a
-// tree whose L0 holds k0 blocks: 4·k0 under Background, and zero — no gate
-// at all — under Sync, where only the writer drains L0, so a closed gate
-// would never open. The DB's Paranoid auditor takes its L0 bound from here.
-func StopBlocks(m Mode, k0 int) int {
-	if m != Background {
-		return 0
-	}
-	return stopK0 * k0
-}
+// tree whose L0 holds k0 blocks: 4·k0. The DB's Paranoid auditor takes its
+// L0 bound from here.
+func StopBlocks(k0 int) int { return stopK0 * k0 }
 
 // Config parameterizes a Scheduler.
 type Config struct {
@@ -93,9 +72,6 @@ type Config struct {
 	// the DB's writer lock. Required; the goroutine acquires it per step,
 	// never across steps, so writers interleave with a draining cascade.
 	Mu sync.Locker
-	// Mode selects who runs a merge step and whether admission is gated;
-	// see the package comment.
-	Mode Mode
 	// Bus receives StallEvents; may be nil (events are gated on
 	// subscription as everywhere else).
 	Bus *obs.Bus
@@ -116,11 +92,10 @@ type Config struct {
 type Scheduler struct {
 	cfg Config
 
-	// The stall gate's thresholds in L0 blocks, fixed at New; both zero
-	// (no gate) in Sync mode.
+	// The stall gate's thresholds in L0 blocks, fixed at New.
 	slowdown, stop int
 
-	// Background machinery. wake is buffered so Notify never blocks;
+	// Goroutine machinery. wake is buffered so Notify never blocks;
 	// stopping gates new work, stopCh interrupts the run loop, done
 	// closes when the goroutine exits.
 	wake     chan struct{}
@@ -159,15 +134,14 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.Tree == nil || cfg.Mu == nil {
 		return nil, errors.New("compaction: Config.Tree and Config.Mu are required")
 	}
+	k0 := cfg.Tree.CapacityBlocks(0)
 	s := &Scheduler{
-		cfg:    cfg,
-		wake:   make(chan struct{}, 1),
-		stopCh: make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	if cfg.Mode == Background {
-		k0 := cfg.Tree.CapacityBlocks(0)
-		s.slowdown, s.stop = slowdownK0*k0, StopBlocks(cfg.Mode, k0)
+		cfg:      cfg,
+		slowdown: slowdownK0 * k0,
+		stop:     StopBlocks(k0),
+		wake:     make(chan struct{}, 1),
+		stopCh:   make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	s.gate = sync.NewCond(&s.gateMu)
 	// Seed the gauges from the tree so a scheduler built over an existing
@@ -187,8 +161,6 @@ func (s *Scheduler) Admit() error {
 		return err
 	}
 	switch l0 := int(s.l0Blocks.Load()); {
-	case s.stop == 0:
-		return nil
 	case l0 >= s.stop:
 		return s.waitBelowStop()
 	case l0 >= s.slowdown:
@@ -229,17 +201,10 @@ func (s *Scheduler) recordStall(kind string, trigger int, n, nanos *atomic.Int64
 }
 
 // Notify hands the scheduler the overflow work a mutation may have
-// created. The caller holds the writer lock. In Sync mode the caller runs
-// the cascade to completion here and gets its error, so no merge work is
-// ever left for the goroutine; in Background mode the goroutine is woken
-// to run it. Either way Notify refreshes the gauges and returns any
-// parked background error.
+// created. The caller holds the writer lock. Notify refreshes the gauges,
+// wakes the goroutine if merge work is pending, and returns any parked
+// background error.
 func (s *Scheduler) Notify() error {
-	if s.cfg.Mode == Sync {
-		if err := s.cfg.Tree.RunCascade(); err != nil {
-			return err
-		}
-	}
 	s.refreshLocked()
 	if s.pendingWork.Load() {
 		s.signal()
@@ -282,8 +247,7 @@ func (s *Scheduler) refreshLocked() {
 // what is due — a requested checkpoint, then the pending cascade one step
 // at a time, taking the writer lock per step so writers and the cascade
 // interleave, with a checkpoint requested mid-drain served between steps.
-// Merge work is pending only in Background mode (a Sync Notify drains it
-// before returning). The first failure parks and ends the goroutine.
+// The first failure parks and ends the goroutine.
 func (s *Scheduler) run() {
 	defer close(s.done)
 	var tick <-chan time.Time
@@ -355,7 +319,7 @@ func (s *Scheduler) Err() error {
 
 // Pending reports whether merge work is outstanding as of the last
 // refresh; the DB keys its mid-cascade-vs-steady invariant audits off
-// this. A Sync Notify that returned nil leaves it false.
+// this.
 func (s *Scheduler) Pending() bool { return s.pendingWork.Load() }
 
 // Stop halts the scheduler: no further step, checkpoint or tick starts,
@@ -376,10 +340,9 @@ func (s *Scheduler) Stop() {
 
 // Stats is a point-in-time snapshot of the scheduler's accounting.
 type Stats struct {
-	Mode         Mode
 	QueueDepth   int   // overflowing merge sources awaiting work, plus one for a requested-or-running checkpoint
 	L0Blocks     int   // L0 size at the last refresh, in blocks
-	Steps        int64 // cascade steps executed by the background goroutine
+	Steps        int64 // cascade steps executed by the goroutine
 	Slowdowns    int64 // admissions that paid the pacing sleep
 	Stops        int64 // admissions that blocked on the hard gate
 	SlowdownTime time.Duration
@@ -389,7 +352,6 @@ type Stats struct {
 // Snapshot returns the current Stats. Lock-free.
 func (s *Scheduler) Snapshot() Stats {
 	return Stats{
-		Mode:         s.cfg.Mode,
 		QueueDepth:   int(s.queueDepth.Load()) + s.checkpointPending(),
 		L0Blocks:     int(s.l0Blocks.Load()),
 		Steps:        s.steps.Load(),
@@ -419,13 +381,14 @@ func (s *Scheduler) ResetCounters() {
 	s.stopNanos.Store(0)
 }
 
-// Driver adapts a Tree to the synchronous request semantics the paper's
-// cost model assumes: every mutation runs the overflow cascade to
-// completion before returning, exactly as the engine behaved when ops
-// cascaded inline. The experiment harness and the parameter learner
-// drive trees through it (it satisfies workload.Store), keeping their
-// BlocksWritten accounting byte-identical while the cascade entry points
-// stay confined to this package. Single-writer, like the Tree itself.
+// Driver is the bare-tree executor: it adapts a Tree without a DB around
+// it to the synchronous request semantics the paper's cost model assumes —
+// every mutation runs the overflow cascade to completion before returning.
+// The experiment harness, the parameter learner and the benchmark's layer
+// probes drive trees through it (it satisfies workload.Store), while the
+// cascade entry points stay confined to this package. A Scheduler drained
+// after every write performs the same merge sequence. Single-writer, like
+// the Tree itself.
 type Driver struct {
 	Tree *core.Tree
 }

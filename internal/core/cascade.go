@@ -2,8 +2,8 @@ package core
 
 // Overflow-cascade stepping. Mutations (ops.go) only land records in L0;
 // the cascade that restores every level's capacity bound runs through the
-// resumable steps below, driven by internal/compaction — synchronously
-// inside the mutating call (the paper's cost model) or from the scheduler
+// resumable steps below, driven by internal/compaction — inline by Driver
+// for a bare tree (the paper's cost model) or from a DB's scheduler
 // goroutine. The lsmlint compaction-step rule keeps these entry points
 // out of foreground packages so merges cannot creep back into the write
 // path.

@@ -35,7 +35,8 @@ func TestWriteFaultsSurface(t *testing.T) {
 				t.Fatal(err)
 			}
 			var sawErr error
-			for k := block.Key(0); k < 2000; k++ {
+			k := block.Key(0)
+			for ; k < 2000; k++ {
 				if err := putC(tr, k, []byte{1}); err != nil {
 					sawErr = err
 					break
@@ -46,6 +47,18 @@ func TestWriteFaultsSurface(t *testing.T) {
 			}
 			if !errors.Is(sawErr, faultdev.ErrInjected) {
 				t.Errorf("error lost provenance: %v", sawErr)
+			}
+			// The failed merge must lose nothing: every record written before
+			// it is still served once a later write publishes a new view (a
+			// merge out of L0 takes its window from the memtable before it
+			// writes a block).
+			if err := tr.Put(k+1, []byte{1}); err != nil {
+				t.Fatal(err)
+			}
+			for j := block.Key(0); j <= k+1; j++ {
+				if _, ok, err := tr.Get(j); err != nil || !ok {
+					t.Fatalf("Get(%d) after the failed merge: ok=%v err=%v", j, ok, err)
+				}
 			}
 		})
 	}

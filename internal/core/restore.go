@@ -5,6 +5,7 @@ import (
 
 	"lsmssd/internal/block"
 	"lsmssd/internal/btree"
+	"lsmssd/internal/storage"
 )
 
 // ExportedState is the tree's reconstructible in-memory state: the block
@@ -78,17 +79,28 @@ func Restore(cfg Config, st ExportedState) (*Tree, error) {
 	for _, r := range st.Memtable {
 		t.mem.Put(r)
 	}
-	if t.blooms != nil {
-		// Filters are not persisted: rebuild one per live block from an
-		// uncounted Peek of the uncached device, before the cascade below so
-		// the blocks it preserves keep theirs. A block that fails its
-		// checksum gets none; a Get then reads it and surfaces the error.
-		for _, runs := range st.Runs {
-			for _, metas := range runs {
-				for _, m := range metas {
-					if blk, err := cfg.Device.Peek(m.ID); err == nil {
-						t.blooms.Add(m.ID, blk)
-					}
+	// Read every live block back with an uncounted Peek of the uncached
+	// device, before the cascade below. Each must still hold what the state
+	// says it does: without a write-ahead log a checkpoint neither syncs
+	// the device nor parks freed slots, so after a crash a slot the state
+	// names may hold a later merge's block, and serving it would return
+	// wrong answers with no error. Filters are not persisted, so the same
+	// read rebuilds each block's, before the cascade so the blocks it
+	// preserves keep theirs. A block that fails its checksum is left to the
+	// read path: it gets no filter, and a Get reads it and surfaces the error.
+	for i, runs := range st.Runs {
+		for j, metas := range runs {
+			for _, m := range metas {
+				blk, err := cfg.Device.Peek(m.ID)
+				if err != nil {
+					continue
+				}
+				if got := btree.MetaFor(m.ID, blk); got != m {
+					return nil, fmt.Errorf("core: restore L%d run %d: block %d holds keys [%d, %d] in %d records, the state names [%d, %d] in %d: %w",
+						i+1, j, m.ID, got.Min, got.Max, got.Count, m.Min, m.Max, m.Count, storage.ErrCorrupt)
+				}
+				if t.blooms != nil {
+					t.blooms.Add(m.ID, blk)
 				}
 			}
 		}

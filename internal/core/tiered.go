@@ -145,6 +145,7 @@ func (t *Tree) flushMemToRun() error {
 	if len(recs) > 0 {
 		run, written, err := t.buildRun(1, recs)
 		if err != nil {
+			t.untake(recs)
 			return err
 		}
 		s.prepend(run)

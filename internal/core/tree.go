@@ -371,6 +371,7 @@ func (t *Tree) mergeFromMem() error {
 		DropTombstones: t.bottom(1),
 	})
 	if err != nil {
+		t.untake(recs)
 		return err
 	}
 	t.emitMerge(0, 1, full, src.NumBlocks(), res, 0, 0, tr)
@@ -384,6 +385,18 @@ func (t *Tree) mergeFromMem() error {
 		})
 	}
 	return t.audit()
+}
+
+// untake puts back the records a failed merge took from L0. The merge has
+// installed nothing in the level below by the time a block write fails, so
+// without this the records would be in no level at all, and the next
+// published view would answer not-found for them. A failure after the
+// target was rewritten (a repair or compaction write) leaves the records in
+// both places, which reads resolve to the same values.
+func (t *Tree) untake(recs []block.Record) {
+	for _, r := range recs {
+		t.mem.Put(r)
+	}
 }
 
 // mergeFromLevel merges a window of L_i into L_{i+1} per the policy.

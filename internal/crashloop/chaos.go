@@ -132,12 +132,9 @@ func chaosScenarios() []chaosScenario {
 			expectReadOnly: true,
 		},
 		{
-			name:  "stickysync",
-			about: "permanently failing device syncs on one shard under background compaction: the first checkpoint, run off the write path, demotes it to read-only (fsyncgate semantics) after the Put that sealed the segment was acknowledged",
-			fault: faultdev.Options{SyncFailProb: 1, SyncFailSticky: true},
-			tune: func(o *lsmssd.Options) {
-				o.CompactionMode = lsmssd.BackgroundCompaction
-			},
+			name:           "stickysync",
+			about:          "permanently failing device syncs on one shard: the first checkpoint, run off the write path, demotes it to read-only (fsyncgate semantics) after the Put that sealed the segment was acknowledged",
+			fault:          faultdev.Options{SyncFailProb: 1, SyncFailSticky: true},
 			expectReadOnly: true,
 			expectCause:    "sync-failed",
 			ackedUntilRO:   true,
@@ -382,30 +379,27 @@ func runChaosInstance(dir string, sc chaosScenario, target int, cfg ChaosConfig)
 		return nil, fmt.Errorf(format, args...)
 	}
 
-	// Under background compaction merges run when the scheduler gets to
-	// them, and which records a merge finds in L0 decides what it writes; to
-	// keep the paired runs' write counts comparable the workload lets every
-	// unfaulted shard's queue (merges and checkpoints) empty after each op.
-	// The faulted shard is left out: once demoted its queue never empties.
-	settle := func() error { return nil }
-	if opts.CompactionMode == lsmssd.BackgroundCompaction {
-		settle = func() error {
-			deadline := time.Now().Add(30 * time.Second)
-			for {
-				busy := -1
-				for i, ss := range db.Stats().Shards {
-					if i != target && ss.Compaction.QueueDepth > 0 {
-						busy = i
-					}
+	// Merges run when the scheduler goroutine gets to them, and which
+	// records a merge finds in L0 decides what it writes; to keep the paired
+	// runs' write counts comparable the workload lets every unfaulted
+	// shard's queue (merges and checkpoints) empty after each op. The
+	// faulted shard is left out: once demoted its queue never empties.
+	settle := func() error {
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			busy := -1
+			for i, ss := range db.Stats().Shards {
+				if i != target && ss.Compaction.QueueDepth > 0 {
+					busy = i
 				}
-				if busy < 0 {
-					return nil
-				}
-				if time.Now().After(deadline) {
-					return fmt.Errorf("shard %d's compaction queue did not empty within 30s", busy)
-				}
-				time.Sleep(50 * time.Microsecond)
 			}
+			if busy < 0 {
+				return nil
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("shard %d's compaction queue did not empty within 30s", busy)
+			}
+			time.Sleep(50 * time.Microsecond)
 		}
 	}
 

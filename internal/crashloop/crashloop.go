@@ -57,13 +57,6 @@ type Config struct {
 	Layout   lsmssd.Layout // level layout under test (default Leveling)
 	TierRuns int           // run budget T for tiered layouts (0 = default)
 
-	// Compaction selects the merge scheduling under test (default
-	// SyncCompaction). In either mode the checkpoint a sealed WAL segment
-	// calls for runs on the shard's scheduler goroutine, concurrently with
-	// the cycle's remaining mutations, and a crash may find it requested but
-	// not yet started; BackgroundCompaction moves the merges there too.
-	Compaction lsmssd.CompactionMode
-
 	Logf func(format string, args ...any) // optional progress logger
 }
 
@@ -154,7 +147,6 @@ func Run(cfg Config) (Report, error) {
 		// verifyState's point reads go through those filters.
 		MemtableBlocks:  2,
 		BloomBitsPerKey: 10,
-		CompactionMode:  cfg.Compaction,
 		WAL: lsmssd.WALOptions{
 			Enabled:  true,
 			Sync:     cfg.Sync,

@@ -50,8 +50,8 @@ type Options struct {
 	// scheduler state (is a cascade outstanding?), not call position.
 	MidCascade bool
 	// L0CapacityBlocks overrides the memtable capacity the audit assumes,
-	// in blocks; zero means K0. Background compaction admits writes into
-	// L0 past K0 up to the stall gate's stop threshold, 4·K0, so
+	// in blocks; zero means K0. The DB's compaction scheduler admits writes
+	// into L0 past K0 up to the stall gate's stop threshold, 4·K0, so
 	// scheduler-keyed audits pass compaction.StopBlocks here. A nonzero
 	// value together with MidCascade also waives the per-level size bound:
 	// with writers admitted concurrently, the inflow a level accumulates

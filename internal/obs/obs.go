@@ -153,8 +153,8 @@ type WarnEvent struct {
 
 func (WarnEvent) event() {}
 
-// StallEvent records write-path backpressure in background compaction
-// mode: an admission paid the pacing sleep (Kind "slowdown") or blocked
+// StallEvent records write-path backpressure: an admission paid the
+// pacing sleep (Kind "slowdown") or blocked
 // on the hard stall gate (Kind "stop") because L0 reached the
 // corresponding trigger. Duration is what the write actually waited.
 type StallEvent struct {

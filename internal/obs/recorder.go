@@ -64,7 +64,7 @@ type TimelineSample struct {
 	WALSyncMeanNS int64 `json:"wal_sync_mean_ns"`
 
 	// Checkpoints completed during the tick and the time they took end to
-	// end (mostly off the write path under background compaction), so a
+	// end (mostly off the write path, on the scheduler goroutine), so a
 	// latency bump can be lined up against the checkpoint that overlapped it.
 	Checkpoints     int64 `json:"checkpoints"`
 	CheckpointNanos int64 `json:"checkpoint_nanos"`

@@ -23,7 +23,7 @@ const (
 	PhaseWALAppend              // WAL frame encode + write, excluding the fsync
 	PhaseWALSync                // group-commit fsync wait inside the append
 	PhaseMemtable               // memtable insert (writes) or probe (reads)
-	PhaseCascade                // inline compaction work triggered by this op (sync mode)
+	PhaseCascade                // cascade notification: gauge refresh and scheduler wake-up
 	PhaseBloom                  // Bloom-filter membership checks
 	PhaseCacheRead              // block fetch served by the cache
 	PhaseDevRead                // block fetch that went to the device

@@ -34,8 +34,8 @@
 // replay time and disk held by the log. The checkpoint need not run inside
 // the append that rotated: the sealed segment simply stays on disk until a
 // checkpoint whose WALSeq covers it has been written and GC is called with
-// that sequence — under background compaction that happens on the shard's
-// scheduler goroutine, off the write path.
+// that sequence — the shard's scheduler goroutine does that, off the write
+// path.
 //
 // Concurrency. Append is serialized by the caller (the DB's writer lock);
 // Sync and GC may be called from another goroutine while appends run (the

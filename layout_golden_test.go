@@ -7,9 +7,9 @@ import (
 
 // driveGolden runs the fixed deterministic workload of the golden table:
 // 6000 seeded operations (~1/6 deletes) over a small key space against an
-// in-memory single-shard engine with SyncCompaction, so every merge the
-// cascade runs — and therefore every device write — is a pure function of
-// the options.
+// in-memory single-shard engine, draining the compaction queue after every
+// write, so every merge the cascade runs — and therefore every device
+// write — is a pure function of the options.
 func driveGolden(t *testing.T, opts Options) int64 {
 	t.Helper()
 	db, err := Open(opts)
@@ -29,10 +29,11 @@ func driveGolden(t *testing.T, opts Options) int64 {
 			if err := db.Delete(k); err != nil {
 				t.Fatalf("Delete: %v", err)
 			}
-			continue
-		}
-		if err := db.Put(k, payload); err != nil {
+		} else if err := db.Put(k, payload); err != nil {
 			t.Fatalf("Put: %v", err)
+		}
+		if err := DrainCompaction(db); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := db.Validate(); err != nil {

@@ -39,8 +39,9 @@ type (
 	WarnEvent = obs.WarnEvent
 	// RunEvent marks measurement-window boundaries in recorded traces.
 	RunEvent = obs.RunEvent
-	// StallEvent records a write that hit compaction backpressure (the
-	// pacing sleep or the hard stall gate) under BackgroundCompaction.
+	// StallEvent records a write that hit compaction backpressure: the
+	// pacing sleep from an L0 of 2×MemtableBlocks blocks, or the hard stall
+	// gate from 4×MemtableBlocks.
 	StallEvent = obs.StallEvent
 	// WALEvent reports a write-ahead-log segment rotation or a
 	// checkpoint-driven segment garbage collection.
@@ -338,7 +339,7 @@ func (db *DB) metricFamilies() []obs.Family {
 // plus what this endpoint alone shows — the policy and shard count, the
 // snapshot machinery's live views and deferred frees, the bus's drops, the
 // shards' health detail once any is unhealthy — and the flat spellings of
-// three Compaction values that scrapers of the old dump read.
+// two Compaction values that scrapers of the old dump read.
 func (db *DB) debugLSM() any {
 	d := struct {
 		Policy     string `json:"policy"`
@@ -347,7 +348,6 @@ func (db *DB) debugLSM() any {
 		LiveViews       int           `json:"live_views"`
 		DeferredFrees   int64         `json:"deferred_frees"`
 		EventDrops      int64         `json:"event_drops"`
-		CompactionMode  string        `json:"compaction_mode"`
 		CompactionQueue int           `json:"compaction_queue_depth"`
 		WriteStalls     int64         `json:"write_stalls"`
 		ShardHealth     []ShardHealth `json:"shard_health,omitempty"`
@@ -356,7 +356,7 @@ func (db *DB) debugLSM() any {
 		d.LiveViews += sh.tree.LiveViews()
 		d.DeferredFrees += sh.tree.DeferredFrees()
 	}
-	d.CompactionMode, d.CompactionQueue = d.Compaction.Mode, d.Compaction.QueueDepth
+	d.CompactionQueue = d.Compaction.QueueDepth
 	d.WriteStalls = d.Compaction.Slowdowns + d.Compaction.Stops
 	if d.Health != health.Healthy.String() {
 		d.ShardHealth = db.Health().Shards

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // obsOptions mirrors the external tests' smallOptions: tiny levels so a
@@ -75,6 +74,9 @@ func TestTraceSumsToDeviceWrites(t *testing.T) {
 		if err := db.Put(k, []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := DrainCompaction(db); err != nil {
+		t.Fatal(err)
 	}
 
 	s := db.Stats()
@@ -142,8 +144,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"lsmssd_op_duration_seconds_bucket{op=\"put\",le=",
 		"lsmssd_op_duration_seconds_count{op=\"get\"}",
 		"lsmssd_event_drops_total",
-		// Scheduler families are exported in sync mode too (as zeros), so
-		// dashboards need no mode-conditional queries.
+		// Scheduler families are exported before any stall (as zeros), so
+		// dashboards need no conditional queries.
 		"lsmssd_compaction_queue_depth",
 		"lsmssd_compaction_steps_total",
 		"lsmssd_write_stalls_total{kind=\"stop\"} 0",
@@ -217,13 +219,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Error("endpoint still serving after Close")
 	}
 
-	// Under background compaction the stall families must be live, not just
-	// declared: drive a store with a one-block L0 (a 2-block slowdown and a
-	// 4-block stop threshold) until admission stalls.
+	// The stall families must be live, not just declared: drive a store
+	// with a one-block L0 (a 2-block slowdown and a 4-block stop threshold)
+	// until admission stalls.
 	t.Run("background stalls", func(t *testing.T) {
 		opts := obsOptions()
 		opts.MetricsAddr = "127.0.0.1:0"
-		opts.CompactionMode = BackgroundCompaction
 		opts.MemtableBlocks = 1
 		db, err := Open(opts)
 		if err != nil {
@@ -342,6 +343,11 @@ func TestResetIOStatsUniformWindow(t *testing.T) {
 	if err := db.Delete(3); err != nil {
 		t.Fatal(err)
 	}
+	// Let the merges finish before reads start failing: the injected
+	// faults are for the Gets below, not for a merge step.
+	if err := DrainCompaction(db); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.Scan(0, 50, func(uint64, []byte) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
@@ -356,11 +362,8 @@ func TestResetIOStatsUniformWindow(t *testing.T) {
 	}
 	// The rotations' checkpoints run on the scheduler goroutine: let them
 	// finish, or one may move a counter between the two snapshots.
-	for deadline := time.Now().Add(10 * time.Second); db.Stats().Compaction.QueueDepth > 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("the rotation checkpoints never finished")
-		}
-		time.Sleep(time.Millisecond)
+	if err := DrainCompaction(db); err != nil {
+		t.Fatal(err)
 	}
 
 	s1 := db.Stats()

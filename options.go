@@ -64,7 +64,6 @@ import (
 	"time"
 
 	"lsmssd/internal/block"
-	"lsmssd/internal/compaction"
 	"lsmssd/internal/policy"
 	"lsmssd/internal/storage"
 	"lsmssd/internal/wal"
@@ -136,36 +135,19 @@ func (l Layout) String() string {
 	return policy.LayoutKind(l).String()
 }
 
-// CompactionMode selects who drives merge cascades (Options.CompactionMode).
+// CompactionMode is the type of the ignored Options.CompactionMode.
+//
+// Deprecated: every merge runs on the shard's compaction goroutine; see
+// DB. The type and its two constants remain only because the benchmark
+// module sets them, and will be removed with that use.
 type CompactionMode int
 
 const (
-	// SyncCompaction runs the overflow cascade inline in the mutating
-	// call, exactly as the paper's cost model assumes: a Put that
-	// overflows L0 pays for the whole cascade before returning. The
-	// default, and what the experiment harness uses so BlocksWritten
-	// accounting is reproducible.
+	// Deprecated: ignored; see CompactionMode.
 	SyncCompaction CompactionMode = iota
-	// BackgroundCompaction moves merge cascades to the shard's scheduler
-	// goroutine: writes pay only the L0 insertion, subject to LevelDB-style
-	// backpressure when compaction falls behind — a 1 ms pacing sleep per
-	// write once the shard's L0 holds 2×MemtableBlocks blocks, and a hard
-	// stall from 4×MemtableBlocks until the scheduler drains it. Merge
-	// errors surface on a subsequent write or at Close;
-	// Stats().Compaction.QueueDepth is zero once both the cascade and a
-	// requested checkpoint have finished. (In either mode that goroutine
-	// also writes the checkpoint a sealed WAL segment calls for; see
-	// WALOptions.SegmentBytes.)
+	// Deprecated: ignored; see CompactionMode.
 	BackgroundCompaction
 )
-
-// String returns "sync" or "background".
-func (m CompactionMode) String() string {
-	if m == BackgroundCompaction {
-		return "background"
-	}
-	return "sync"
-}
 
 // SyncPolicy selects when the write-ahead log fsyncs (Options.WAL.Sync).
 // The policy trades write latency for the amount of acknowledged data a
@@ -195,8 +177,9 @@ const (
 func (p SyncPolicy) String() string { return wal.SyncPolicy(p).String() }
 
 // WALOptions configures the write-ahead log (Options.WAL). The zero value
-// disables it, preserving the paper's original durability model
-// (checkpoint-only) and its exact BlocksWritten accounting.
+// disables it: the store is then durable only across Close and Checkpoint,
+// and after a crash Open may refuse it (see Open). The log lives outside
+// the block device, so BlocksWritten is the same with it on or off.
 type WALOptions struct {
 	// Enabled turns the log on. Requires Options.Path; log segments are
 	// stored alongside the device file as Path + ".wal.NNNNNNNN".
@@ -224,8 +207,10 @@ type WALOptions struct {
 type Options struct {
 	// Path, when set, stores data blocks in a file at this location,
 	// checkpointed through a manifest at Path + ".manifest". On its own
-	// this persists clean shutdowns only (L0 lives in memory); enable WAL
-	// for crash durability of every acknowledged write. With Shards > 1,
+	// this persists clean shutdowns only: L0 lives in memory, and merges
+	// after the last checkpoint may overwrite blocks its manifest names, so
+	// after a crash Open may fail with ErrCorrupt. Enable WAL for crash
+	// durability of every acknowledged write. With Shards > 1,
 	// shard 0 keeps this exact layout and shard i adds ".shard<i>" to
 	// every file it owns (device, manifest, WAL segments).
 	Path string
@@ -296,8 +281,10 @@ type Options struct {
 	// Seed fixes all internal randomness; runs with equal options and
 	// inputs are reproducible (default 1).
 	Seed int64
-	// CompactionMode selects synchronous (default) or background merge
-	// scheduling; see the constants.
+	// CompactionMode is ignored: every merge runs on the shard's compaction
+	// goroutine.
+	//
+	// Deprecated: remove the assignment; see CompactionMode.
 	CompactionMode CompactionMode
 	// MetricsAddr, when set, serves the observability endpoint on this TCP
 	// address: Prometheus-text /metrics, an engine-state JSON dump at
@@ -467,11 +454,6 @@ func (o Options) Validate() error {
 	if o.TierRuns < 0 || o.TierRuns == 1 {
 		return fmt.Errorf("lsmssd: Options.TierRuns %d invalid: a tiered level needs a run budget of at least 2 (0 means the default)", o.TierRuns)
 	}
-	switch o.CompactionMode {
-	case SyncCompaction, BackgroundCompaction:
-	default:
-		return fmt.Errorf("lsmssd: Options.CompactionMode %d is not SyncCompaction or BackgroundCompaction", o.CompactionMode)
-	}
 	if o.ReadRetries < 0 {
 		return fmt.Errorf("lsmssd: Options.ReadRetries %d is negative; use 1 to disable retries", o.ReadRetries)
 	}
@@ -526,12 +508,4 @@ func (o Options) buildPolicy() *policy.Policy {
 		p = p.WithLayout(policy.Layout{Kind: policy.LayoutKind(o.Layout), TierRuns: o.TierRuns})
 	}
 	return p
-}
-
-// schedMode is the compaction scheduler's mode for the options.
-func (o Options) schedMode() compaction.Mode {
-	if o.CompactionMode == BackgroundCompaction {
-		return compaction.Background
-	}
-	return compaction.Sync
 }

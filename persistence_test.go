@@ -219,8 +219,7 @@ func TestBackgroundCloseMidCascade(t *testing.T) {
 	// finishes the in-flight step and abandons the rest. Reopen must
 	// complete the interrupted cascade (Restore drains it) and hand back
 	// a tree that validates with every record intact.
-	opts := fileOptions(t)
-	opts.CompactionMode = lsmssd.BackgroundCompaction // 2-block L0: stalls from 4 and 8 blocks
+	opts := fileOptions(t) // 2-block L0: stalls from 4 and 8 blocks
 
 	model := map[uint64]string{}
 	db, err := lsmssd.Open(opts)

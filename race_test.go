@@ -293,8 +293,8 @@ func TestRaceIteratorSnapshot(t *testing.T) {
 	}
 }
 
-// TestRaceBackgroundCompaction hammers a background-compaction DB with
-// concurrent writers, readers, and iterators while Close fires mid-flight.
+// TestRaceBackgroundCompaction hammers a small-L0 DB with concurrent
+// writers, readers, and iterators while Close fires mid-flight.
 // The scheduler goroutine takes the writer lock per step, so every
 // interleaving of admission gate, cascade step, snapshot read, and
 // shutdown is in play here for the race detector; workers treat ErrClosed
@@ -308,7 +308,6 @@ func TestRaceBackgroundCompaction(t *testing.T) {
 		Delta:           0.2,
 		CacheBlocks:     64,
 		BloomBitsPerKey: 8,
-		CompactionMode:  lsmssd.BackgroundCompaction,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -156,7 +156,6 @@ func (db *DB) openShard(id int) (*shard, error) {
 	ccfg := compaction.Config{
 		Tree:       s.tree,
 		Mu:         &s.writerMu,
-		Mode:       opts.schedMode(),
 		Bus:        db.bus,
 		Lat:        s.lat,
 		Checkpoint: s.checkpoint,
@@ -581,18 +580,16 @@ func (s *shard) logMutation(ops []block.Op, sp *obs.Span) (rotated bool, err err
 // memtable apply → cascade notification → checkpoint request if the append
 // sealed a segment → paranoid audit. It is a single atomic writer step:
 // one admission, one lock acquisition, one WAL frame (group commit), one
-// batched apply; the checkpoint runs on the scheduler goroutine in either
-// compaction mode, and its failure surfaces on the next write's admission.
-// A mutation-path error is classified against the shard's health after
-// the writer lock is released.
+// batched apply; merges and the checkpoint run on the scheduler goroutine,
+// and their failures surface on the next write's admission. A
+// mutation-path error is classified against the shard's health after the
+// writer lock is released.
 //
 // The span (nil when tracing is off) attributes the op's time: admission
 // under PhaseStallWait (the pacing sleep and stall gate live inside
 // Admit), the WAL frame under PhaseWALAppend/WALSync (logMutation), the
-// memtable insert under PhaseMemtable, and the cascade notification under
-// PhaseCascade — in sync compaction mode the whole inline merge cascade
-// runs inside Notify, which is exactly the write-amplification time the
-// phase names.
+// memtable insert under PhaseMemtable, and the cascade notification — a
+// gauge refresh and a wakeup, no merge work — under PhaseCascade.
 func (s *shard) write(ops []block.Op, sp *obs.Span) (err error) {
 	if err := s.writable(); err != nil {
 		return err
@@ -661,12 +658,11 @@ func (s *shard) paranoidSteadyCheck() error {
 
 // midCascadeAudit is the Paranoid audit for a shard whose cascade may be
 // unfinished. A merge may land in a level whose own overflow the cascade
-// has not reached yet, and under background compaction the audit runs on
-// the scheduler goroutine between concurrently admitted writes, so L0's
-// bound is the scheduler's stall gate, compaction.StopBlocks; under sync
-// compaction that is zero, which the audit reads as K0.
+// has not reached yet, and the audit runs on the scheduler goroutine
+// between concurrently admitted writes, so L0's bound is the scheduler's
+// stall gate, compaction.StopBlocks.
 func midCascadeAudit(o Options) invariant.Options {
-	return invariant.Options{MidCascade: true, L0CapacityBlocks: compaction.StopBlocks(o.schedMode(), o.MemtableBlocks)}
+	return invariant.Options{MidCascade: true, L0CapacityBlocks: compaction.StopBlocks(o.MemtableBlocks)}
 }
 
 // acquireView pins the shard's current read snapshot, translating a

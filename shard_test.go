@@ -260,7 +260,8 @@ func TestShardCountPersisted(t *testing.T) {
 
 // TestShardsOneMatchesDefault is the compatibility gate: Shards=1 must be
 // the same engine as the pre-sharding default — same BlocksWritten, same
-// bytes on the device file, no extra shard files.
+// bytes on the device file, no extra shard files. Both drain compaction
+// after every write, so their merge sequences are deterministic.
 func TestShardsOneMatchesDefault(t *testing.T) {
 	run := func(dir string, shards int) int64 {
 		o := fileOpts(filepath.Join(dir, "store.blk"))
@@ -271,6 +272,9 @@ func TestShardsOneMatchesDefault(t *testing.T) {
 		}
 		for k := uint64(0); k < 2000; k++ {
 			if err := db.Put(k*2654435761%4096, []byte(fmt.Sprintf("v%d", k))); err != nil {
+				t.Fatal(err)
+			}
+			if err := lsmssd.DrainCompaction(db); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -123,7 +123,7 @@ type Counters struct {
 	// Checkpoints counts completed checkpoints (manifest made durable, WAL
 	// segments and freed block slots reclaimed); CheckpointTime is their
 	// cumulative capture-plus-persist time, nearly all of it off the write
-	// path under BackgroundCompaction.
+	// path.
 	Checkpoints    int64         `json:"checkpoints"`
 	CheckpointTime time.Duration `json:"checkpoint_time"`
 
@@ -172,18 +172,16 @@ type WALRecoveryStats struct {
 	TornBytes int64 // bytes truncated from the torn tail
 }
 
-// CompactionStats describes the compaction scheduler (see
-// Options.CompactionMode); on a sharded DB the counters sum over the
-// per-shard schedulers. In sync mode the cascade completes inside each
-// mutating call, so no merge ever waits in the queue, Steps stays zero and
-// no write ever stalls. In background mode a shard's writes pace from an
-// L0 of 2×MemtableBlocks blocks and stop from 4×MemtableBlocks.
+// CompactionStats describes the compaction scheduler (see DB); on a
+// sharded DB the counters sum over the per-shard schedulers. A shard's
+// writes pace from an L0 of 2×MemtableBlocks blocks and stop from
+// 4×MemtableBlocks.
 type CompactionStats struct {
-	Mode string // "sync" or "background"
 	// QueueDepth counts overflowing merge sources awaiting background work,
 	// plus one per shard whose background checkpoint (requested when a WAL
 	// segment is sealed) has not finished — so QueueDepth == 0 means drained
-	// and checkpointed: the sealed segment is covered and removed.
+	// and checkpointed: the sealed segment is covered and removed. Waiting
+	// for it after every write reproduces the paper's inline merge sequence.
 	QueueDepth int
 	L0Blocks   int   // L0 size at the last scheduler refresh, in blocks
 	Steps      int64 // cascade steps executed by the background scheduler
@@ -330,8 +328,7 @@ var metricTable = []metric{
 }
 
 // add folds another shard's counters into c: every row sums (an onoff ORs),
-// except that Height is the maximum. Compaction.Mode is the same on every
-// shard and stays as it is.
+// except that Height is the maximum.
 func (c *Counters) add(o *Counters) {
 	height := max(c.Height, o.Height)
 	for i := range metricTable {
@@ -412,33 +409,23 @@ func (s *shard) stats() (ShardStats, bool) {
 	defer v.Release()
 	ts := s.tree.Stats()
 	dc := s.tree.Device().Counters()
-	cs := s.sched.Snapshot()
 	rs := s.rdev.RetryStats()
 	ss := ShardStats{Shard: s.id, Health: s.health.State().String(), Counters: Counters{
-		BlocksWritten:   dc.Writes,
-		BlocksRead:      dc.Reads,
-		LiveBlocks:      dc.Live,
-		Requests:        ts.Requests,
-		Inserts:         ts.Inserts,
-		Deletes:         ts.Deletes,
-		Lookups:         ts.Lookups,
-		Scans:           ts.Scans,
-		RequestBytes:    ts.RequestBytes,
-		Height:          v.Height(),
-		Records:         v.Records(),
-		MemtableRecords: v.MemLen(),
-		Merges:          ts.Merges,
-		FullMerges:      ts.FullMerges,
-		Compaction: CompactionStats{
-			Mode:         cs.Mode.String(),
-			QueueDepth:   cs.QueueDepth,
-			L0Blocks:     cs.L0Blocks,
-			Steps:        cs.Steps,
-			Slowdowns:    cs.Slowdowns,
-			Stops:        cs.Stops,
-			SlowdownTime: cs.SlowdownTime,
-			StopTime:     cs.StopTime,
-		},
+		BlocksWritten:    dc.Writes,
+		BlocksRead:       dc.Reads,
+		LiveBlocks:       dc.Live,
+		Requests:         ts.Requests,
+		Inserts:          ts.Inserts,
+		Deletes:          ts.Deletes,
+		Lookups:          ts.Lookups,
+		Scans:            ts.Scans,
+		RequestBytes:     ts.RequestBytes,
+		Height:           v.Height(),
+		Records:          v.Records(),
+		MemtableRecords:  v.MemLen(),
+		Merges:           ts.Merges,
+		FullMerges:       ts.FullMerges,
+		Compaction:       CompactionStats(s.sched.Snapshot()),
 		Checkpoints:      s.ckpts.Load(),
 		CheckpointTime:   time.Duration(s.ckptNanos.Load()),
 		Quarantined:      s.tree.QuarantinedCount(),

@@ -8,14 +8,13 @@ import (
 )
 
 // statsStore builds what the benchmark polls Stats on: a file-backed store
-// of 200k keys under background compaction with the WAL, Bloom filters and
+// of 200k keys with the WAL, Bloom filters and
 // latency recording on (the traced runs' configuration), drained.
 func statsStore(tb testing.TB, shards int) *DB {
 	tb.Helper()
 	db, err := Open(Options{
 		Path:            filepath.Join(tb.TempDir(), "store.blk"),
 		Shards:          shards,
-		CompactionMode:  BackgroundCompaction,
 		WAL:             WALOptions{Enabled: true, Sync: SyncNever},
 		BloomBitsPerKey: 10,
 		Metrics:         true,
