@@ -60,6 +60,8 @@ crash:
 	$(GO) run ./cmd/crashloop -iters 30 -ops 100 -sync interval -interval 1ms
 	$(GO) run ./cmd/crashloop -iters 30 -ops 100 -sync never
 	$(GO) run ./cmd/crashloop -iters 50 -ops 100 -sync every -shards 4
+	$(GO) run ./cmd/crashloop -iters 30 -ops 100 -sync interval -interval 1ms -shards 4
+	$(GO) run ./cmd/crashloop -iters 30 -ops 100 -sync never -shards 4
 	$(GO) run ./cmd/crashloop -iters 30 -ops 100 -sync every -layout tiering -tier-runs 3
 	$(GO) run ./cmd/crashloop -iters 30 -ops 100 -sync every -layout lazy -tier-runs 3
 

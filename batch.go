@@ -1,147 +1,99 @@
 package lsmssd
 
 import (
-	"errors"
+	"cmp"
+	"slices"
 
 	"lsmssd/internal/block"
 	"lsmssd/internal/obs"
 )
 
-// ErrBatchDB is returned by Apply when a batch created by one DB's
-// NewBatch is applied to a different DB. A batch partitions its
-// operations by the creating DB's shard layout at append time, so
-// applying it elsewhere would route keys to the wrong trees.
-var ErrBatchDB = errors.New("lsmssd: batch was created by a different DB")
-
 // WriteBatch collects Put and Delete operations to be applied in one call.
-// Batching amortizes the per-request overhead — one writer-lock
-// acquisition, one merge-cascade check, and one snapshot publication per
-// touched shard for the whole batch instead of one per record — and gives
-// readers per-shard atomicity: no snapshot observes a prefix of a shard's
-// slice of an applied batch. With Shards = 1 (the default) the whole
-// batch is atomic; with more shards, each shard's portion commits as a
-// unit but a concurrent reader may observe one shard's portion before
-// another's.
+// Apply commits the whole batch as one mutation: one frame in the
+// write-ahead log (group commit: under SyncEvery a thousand-record batch
+// costs one fsync), one writer-lock acquisition, one merge-cascade check
+// and one snapshot publication per touched shard. It is atomic on every
+// count, however many shards its keys span: no reader observes part of it,
+// and a power cut keeps all of it or none.
+//
+// A batch holds no reference to a DB: it may be applied to any DB, which
+// routes its operations by its own shard layout at Apply.
 //
 // A WriteBatch is not safe for concurrent use. It may be reused after
 // Apply via Reset.
 type WriteBatch struct {
-	// db is the DB this batch was created by; Apply rejects any other.
-	// A zero-value &WriteBatch{} has no binding and partitions at Apply.
-	db *DB
+	// ops holds the queued operations in append order: the logged frame.
+	ops []block.Op
 
-	// perShard holds the queued operations pre-partitioned by owning
-	// shard, each slice in append order. Unbound batches use a single
-	// slice. n is the total across slices.
-	perShard [][]block.Op
-	n        int
+	// byShard and shards are Apply's scratch, kept for the next Apply: the
+	// operations grouped by owning shard (append order within a shard) and
+	// the shards they touch, ascending.
+	byShard []block.Op
+	shards  []*shard
 }
 
-// NewBatch returns an empty write batch for use with this DB's Apply.
-// The batch is bound to db: its operations are partitioned by db's shard
-// layout as they are appended, and applying it to a different DB fails
-// with ErrBatchDB.
-func (db *DB) NewBatch() *WriteBatch {
-	return &WriteBatch{db: db, perShard: make([][]block.Op, len(db.shards))}
-}
-
-// bucket returns the partition that should receive key's operation.
-func (b *WriteBatch) bucket(key uint64) *[]block.Op {
-	if b.db == nil {
-		// Unbound (zero-value) batch: single staging slice, partitioned by
-		// the receiving DB at Apply.
-		if b.perShard == nil {
-			b.perShard = make([][]block.Op, 1)
-		}
-		return &b.perShard[0]
-	}
-	return &b.perShard[key&b.db.mask]
-}
+// NewBatch returns an empty write batch. The zero WriteBatch is equally
+// usable.
+func (db *DB) NewBatch() *WriteBatch { return &WriteBatch{} }
 
 // Put queues an insert or update of the value stored for key. The value
 // slice is retained until Apply; the caller must not modify it before
 // then.
 func (b *WriteBatch) Put(key uint64, value []byte) {
-	ops := b.bucket(key)
-	*ops = append(*ops, block.Op{Key: key, Value: value})
-	b.n++
+	b.ops = append(b.ops, block.Op{Key: key, Value: value})
 }
 
 // Delete queues a removal of key.
 func (b *WriteBatch) Delete(key uint64) {
-	ops := b.bucket(key)
-	*ops = append(*ops, block.Op{Key: key, Delete: true})
-	b.n++
+	b.ops = append(b.ops, block.Op{Key: key, Delete: true})
 }
 
 // Len returns the number of queued operations.
-func (b *WriteBatch) Len() int { return b.n }
+func (b *WriteBatch) Len() int { return len(b.ops) }
 
-// Reset empties the batch for reuse, retaining its capacity and DB
-// binding.
-func (b *WriteBatch) Reset() {
-	for i := range b.perShard {
-		b.perShard[i] = b.perShard[i][:0]
-	}
-	b.n = 0
-}
+// Reset empties the batch for reuse, retaining its capacity.
+func (b *WriteBatch) Reset() { b.ops = b.ops[:0] }
 
-// Apply executes the batch's operations as a single atomic writer step
-// per touched shard, shards in ascending order. Within a shard the
-// operations run in append order, so later operations on the same key
-// win, exactly as if issued sequentially; request statistics count each
-// operation individually. The batch itself is not consumed — Reset it to
-// reuse, or Apply it again to re-run the same operations. Like Put,
-// Apply is subject to write-stall backpressure under background
-// compaction (one admission per touched shard).
+// Apply executes the batch's operations as one atomic mutation, in append
+// order, so later operations on the same key win, exactly as if issued
+// sequentially; request statistics count each operation individually. The
+// batch itself is not consumed — Reset it to reuse, or Apply it again to
+// re-run the same operations.
 //
-// With the WAL enabled each touched shard's slice is logged as one frame
-// on that shard's log — group commit: under SyncEvery a thousand-record
-// batch costs one fsync per touched shard, not a thousand — and replay
-// re-applies each frame atomically.
-//
-// Across shards Apply is not atomic, on either count:
-//   - It stops at the first shard whose write fails and returns that
-//     error. The portions of the shards before it stay applied, the shards
-//     after it are not attempted, and the failing shard's own portion is
-//     applied only if its write failed after the apply (a merge or audit
-//     error, not admission or the WAL append).
-//   - Each portion is its own frame on its own shard's log, so a power cut
-//     keeps or loses each portion independently.
+// Every shard the batch touches admits it first (write-stall
+// backpressure, as for Put); a batch that touches a read-only shard is
+// refused whole, before anything is logged. The batch is then logged as
+// one frame, and applied to every touched shard while their writer locks
+// are held together. An error from after the apply — a merge failure a
+// shard's scheduler parked, or a Paranoid audit — is reported once the
+// whole batch is applied.
 func (db *DB) Apply(b *WriteBatch) error {
-	if b.db != nil && b.db != db {
-		return ErrBatchDB
-	}
-	if b.db == nil && b.n > 0 && len(db.shards) > 1 {
-		// Unbound batch against a sharded DB: partition its staging slice
-		// now, exactly as NewBatch would have at append time.
-		staged := b.perShard[0]
-		b.db = db
-		b.perShard = make([][]block.Op, len(db.shards))
-		b.n = 0
-		for _, op := range staged {
-			ops := b.bucket(op.Key)
-			*ops = append(*ops, op)
-			b.n++
-		}
-	}
-	if b.n == 0 {
+	if len(b.ops) == 0 {
 		// An empty batch still goes through one shard's admission and
 		// cascade check, preserving the pre-sharding semantics (a stalled
 		// or failed engine reports it).
-		return db.write(db.shards[0], obs.OpApply, nil)
+		return db.write(obs.OpApply, nil, nil, db.shards[:1])
 	}
-	for i, ops := range b.perShard {
-		if len(ops) == 0 {
-			continue
-		}
-		s := db.shards[0]
-		if b.db != nil {
-			s = db.shards[i]
-		}
-		if err := db.write(s, obs.OpApply, ops); err != nil {
-			return err
+	b.byShard, b.shards = db.split(b.ops, b.byShard[:0], b.shards[:0])
+	return db.write(obs.OpApply, b.ops, b.byShard, b.shards)
+}
+
+// split groups ops by owning shard for the write path: it returns them
+// with each shard's operations contiguous, shards ascending and append
+// order kept within a shard, and the touched shards in the same order.
+// ops that all belong to one shard come back as they are; otherwise the
+// grouped copy is built in byShard's storage. shards is appended to.
+func (db *DB) split(ops, byShard []block.Op, shards []*shard) ([]block.Op, []*shard) {
+	first := ops[0].Key & db.mask
+	if !slices.ContainsFunc(ops[1:], func(op block.Op) bool { return op.Key&db.mask != first }) {
+		return ops, append(shards, db.shards[first])
+	}
+	byShard = append(byShard, ops...)
+	slices.SortStableFunc(byShard, func(a, b block.Op) int { return cmp.Compare(a.Key&db.mask, b.Key&db.mask) })
+	for i, op := range byShard {
+		if i == 0 || op.Key&db.mask != byShard[i-1].Key&db.mask {
+			shards = append(shards, db.shards[op.Key&db.mask])
 		}
 	}
-	return nil
+	return byShard, shards
 }

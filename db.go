@@ -10,6 +10,7 @@ import (
 	"lsmssd/internal/histogram"
 	"lsmssd/internal/obs"
 	"lsmssd/internal/storage"
+	"lsmssd/internal/wal"
 )
 
 // ErrClosed is returned by every DB operation issued after Close.
@@ -28,20 +29,26 @@ var ErrCorrupt = storage.ErrCorrupt
 // Sharding: with Options.Shards = N > 1 the DB is a router over N
 // independent LSM trees. Each key belongs to exactly one shard — chosen
 // by key & (N-1) — which owns its own memtable, storage levels, device
-// file, write-ahead log, and compaction scheduler. Point operations touch
-// only the owning shard; Scan and NewIterator merge per-shard snapshots
-// into one globally ordered stream; Stats, Validate, Checkpoint, Close
-// fan out and aggregate. With the default Shards = 1 the DB is exactly
-// the single-tree engine, byte-for-byte on disk.
+// file, manifest, and compaction scheduler. The write-ahead log is the
+// DB's, one for all shards: every mutation (a Put, a Delete, a whole
+// Apply) is one frame in it, whichever shards its keys belong to. Point
+// operations touch only the owning shard; Scan and NewIterator merge
+// per-shard snapshots into one globally ordered stream; Stats, Validate,
+// Checkpoint, Close fan out and aggregate. With the default Shards = 1 the
+// DB is exactly the single-tree engine, byte-for-byte on disk.
 //
-// Concurrency model: mutations (Put, Delete, Apply, Checkpoint, TuneMixed)
-// are serialized by a per-shard writer lock — writes to different shards
-// proceed in parallel — while reads (Get, Scan, NewIterator, Stats,
-// Histogram, Validate) run lock-free against immutable per-shard
-// snapshots published after every mutation and every merge. Readers
-// therefore never wait for a merge cascade, and an in-progress Scan or
-// Iterator observes a frozen, consistent state no matter how many merges
-// complete meanwhile.
+// Concurrency model: a mutation holds the writer locks of the shards it
+// touches — one for Put and Delete, every touched shard's for Apply, taken
+// in ascending shard order — so writes to different shards proceed in
+// parallel, and concurrent writers share the log's fsyncs (group commit).
+// Reads (Get, Scan, NewIterator, Stats, Histogram, Validate) run lock-free
+// against immutable per-shard snapshots published after every mutation
+// and every merge. Readers therefore never wait for a merge cascade, and
+// an in-progress Scan or Iterator observes a frozen, consistent state no
+// matter how many merges complete meanwhile: a multi-shard Apply publishes
+// its shards' snapshots as one step, and NewIterator acquires its
+// snapshots between such steps, so an iterator sees all of a batch or
+// none of it.
 //
 // Merge scheduling: mutations land records in the owning shard's L0 and
 // hand overflow work to that shard's compaction scheduler
@@ -64,6 +71,19 @@ type DB struct {
 	// of two and mask is len(shards)-1, so shardFor is a single AND.
 	shards []*shard
 	mask   uint64
+
+	// The write-ahead log (nil unless Options.WAL.Enabled), what Open's
+	// replay of it did, and gcMu, which serializes the shards' checkpoints'
+	// calls to its GC (commit.go).
+	wal      *wal.Log
+	recovery WALRecoveryStats
+	gcMu     sync.Mutex
+
+	// pubMu makes a multi-shard Apply's publication one step for readers:
+	// the writer publishes its shards' snapshots holding it exclusively,
+	// and newIterator acquires its snapshots holding it shared. Get and
+	// single-shard writes never take it.
+	pubMu sync.RWMutex
 
 	// Observability (see metrics.go), shared by every shard so one bus
 	// subscription and one metrics endpoint observe the whole DB (events
@@ -93,12 +113,14 @@ type DB struct {
 // With Path set, Open looks for a manifest (Path + ".manifest") written by
 // a previous Close or Checkpoint and, if present, restores the store from
 // it; otherwise the file is created fresh. With Options.WAL enabled, Open
-// then replays the write-ahead log over the restored state: every frame
-// beyond the manifest's recorded sequence is re-applied, a torn tail left
-// by a power cut is truncated at the first bad frame, and the recovered
-// state is checkpointed before Open returns (Stats reports what the
-// replay did). With the WAL disabled the manifest alone provides clean-
-// shutdown persistence. A crash loses at least the requests since the last
+// then replays the write-ahead log (Path + ".wal.*") over the restored
+// state: every operation in a frame beyond its shard's manifest sequence
+// is re-applied to that shard, a torn tail left by a power cut is
+// truncated at the first bad frame, and every shard that replayed
+// anything is checkpointed before Open returns (Stats reports what the
+// replay did). A frame is recovered whole or not at all, so a power cut
+// never keeps part of an Apply. With the WAL disabled the manifest alone
+// provides clean-shutdown persistence. A crash loses at least the requests since the last
 // checkpoint, and may lose the store: merges after that checkpoint can
 // overwrite device slots it names, and Open then fails with an error
 // wrapping ErrCorrupt that names the block, rather than serving wrong
@@ -106,11 +128,14 @@ type DB struct {
 // an earlier WAL-enabled incarnation, rather than silently dropping
 // acknowledged writes.
 //
-// With Shards > 1, every per-shard step above runs once per shard over
-// that shard's files (shard 0 owns the Path-named files, shard i the
-// ".shard<i>" variants). The shard count is recorded in each manifest;
-// reopening an existing store with a different Options.Shards fails
-// rather than routing keys to the wrong trees.
+// With Shards > 1, each shard restores from its own device file and
+// manifest (shard 0 owns the Path-named files, shard i the ".shard<i>"
+// variants), and the one log serves them all. The shard count is recorded
+// in each manifest; reopening an existing store with a different
+// Options.Shards fails rather than routing keys to the wrong trees. Open
+// also refuses a store that still has per-shard log files
+// (Path + ".shard<i>.wal.*"), which this version no longer reads, and
+// names the file.
 func Open(opts Options) (*DB, error) {
 	if err := opts.Validate(); err != nil { // before the defaults: it tells a derived B from a given one
 		return nil, err
@@ -129,6 +154,9 @@ func Open(opts Options) (*DB, error) {
 			return nil, errors.Join(shardErr(i, err), db.shutdown(true))
 		}
 		db.shards = append(db.shards, s)
+	}
+	if err := db.openWAL(); err != nil {
+		return nil, errors.Join(err, db.shutdown(true))
 	}
 	return db.startObs()
 }
@@ -153,27 +181,28 @@ func (db *DB) shardFor(key uint64) *shard {
 	return db.shards[key&db.mask]
 }
 
-// lockAllShards acquires every shard's writer lock in ascending shard
-// order — the one sanctioned way to hold more than one (the
-// shard-lock-order lint rule enforces both the ordering here and the
-// absence of nesting everywhere else). The returned unlock releases them
-// all; callers must not interleave other lock acquisitions.
-func (db *DB) lockAllShards() (unlock func()) {
-	unlocks := make([]func(), len(db.shards))
-	for i, s := range db.shards {
+// lockShards acquires the writer locks of shards, which must be in
+// ascending shard order — the one sanctioned way to hold more than one
+// (the shard-lock-order lint rule enforces both the ordering here and the
+// absence of nesting everywhere else). unlockShards releases them; callers
+// must not interleave other lock acquisitions.
+func lockShards(shards []*shard) {
+	for _, s := range shards {
 		s.writerMu.Lock()
-		unlocks[i] = s.writerMu.Unlock
 	}
-	return func() {
-		for _, u := range unlocks {
-			u()
-		}
+}
+
+// unlockShards releases the locks lockShards took.
+func unlockShards(shards []*shard) {
+	for _, s := range shards {
+		s.writerMu.Unlock()
 	}
 }
 
 // Checkpoint atomically persists the store's metadata (level indexes and
 // memtable contents) to the per-shard manifests, so a subsequent Open
-// restores the current state. Shards checkpoint one at a time — each
+// restores the current state, and lets the log drop the segments every
+// shard's checkpoint now covers. Shards checkpoint one at a time — each
 // shard's checkpoint is atomic for its own keys, and WAL replay covers
 // any shard that crashes between its siblings' checkpoints. Only
 // meaningful for file-backed stores; a no-op without Path.
@@ -191,28 +220,15 @@ func (db *DB) Checkpoint() error {
 // it reports any error that shard's scheduler goroutine parked since the
 // previous write (a failed merge step, checkpoint or idle WAL sync).
 func (db *DB) Put(key uint64, value []byte) error {
-	return db.write(db.shardFor(key), obs.OpPut, []block.Op{{Key: key, Value: value}})
+	ops := []block.Op{{Key: key, Value: value}}
+	return db.write(obs.OpPut, ops, ops, []*shard{db.shardFor(key)})
 }
 
 // Delete removes key. Deleting an absent key is a no-op that still costs a
 // logged tombstone, as in any LSM store.
 func (db *DB) Delete(key uint64) error {
-	return db.write(db.shardFor(key), obs.OpDelete, []block.Op{{Key: key, Delete: true}})
-}
-
-// write runs ops through s's write path under the op's latency series and
-// phase span. Put, Delete and each touched shard of an Apply are each one
-// call: every atomic writer step gets its own observation — a stall on
-// shard 2 shows up on shard 2's timeline, not smeared across a batch. The
-// ops slice is not retained, so Put and Delete's one-element ops stay on
-// the caller's stack.
-func (db *DB) write(s *shard, op obs.Op, ops []block.Op) error {
-	start := s.lat.Start()
-	sp := db.tracer.Start(op, s.id)
-	err := s.write(ops, sp)
-	sp.Finish()
-	s.lat.Done(op, start)
-	return err
+	ops := []block.Op{{Key: key, Delete: true}}
+	return db.write(obs.OpDelete, ops, ops, []*shard{db.shardFor(key)})
 }
 
 // Get returns the value stored for key. It runs against the owning
@@ -283,15 +299,16 @@ func (db *DB) Close() error { return db.shutdown(false) }
 // Crash abandons the DB as a power cut would: no checkpoint, no device
 // sync, and write-ahead log frames buffered past the last policy-driven
 // fsync are truncated, exactly as an OS page cache would lose them. A
-// subsequent Open performs crash recovery from the last checkpoint plus
-// the surviving WAL prefix, shard by shard. Crash exists for durability
-// testing (the crash-loop harness drives it); production code wants
-// Close. The returned error reports teardown problems only.
+// subsequent Open performs crash recovery from each shard's last
+// checkpoint plus the surviving prefix of the log. Crash exists for
+// durability testing (the crash-loop harness drives it); production code
+// wants Close. The returned error reports teardown problems only.
 func (db *DB) Crash() error { return db.shutdown(true) }
 
 // shutdown is the DB's one teardown, shared by Close, Crash and a failed
 // Open; they differ only in the last step applied to each shard under its
-// writer lock (shard.releaseLocked: clean close, or crash).
+// writer lock (shard.releaseLocked: clean close, or crash) and to the log
+// after every shard (close, or drop the unsynced tail).
 //
 // Ordering: every shard's compaction scheduler and scrubber is stopped
 // first, before any writer lock is taken — their goroutines need their
@@ -306,8 +323,8 @@ func (db *DB) shutdown(crash bool) error {
 		s.stopScrub()
 	}
 	db.recOnce.Do(func() { db.recorder.Close() })
-	unlock := db.lockAllShards()
-	defer unlock()
+	lockShards(db.shards)
+	defer unlockShards(db.shards)
 	if db.closed.Load() {
 		return ErrClosed
 	}
@@ -320,6 +337,13 @@ func (db *DB) shutdown(crash bool) error {
 	db.closed.Store(true)
 	for _, s := range db.shards {
 		errs = append(errs, shardErr(s.id, s.releaseLocked(crash)))
+	}
+	if db.wal != nil {
+		if crash {
+			errs = append(errs, db.wal.Crash())
+		} else {
+			errs = append(errs, db.wal.Close())
+		}
 	}
 	return errors.Join(errs...)
 }

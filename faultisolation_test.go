@@ -71,12 +71,11 @@ func isoWorkload(t *testing.T, db *lsmssd.DB, tolerate int) map[uint64][]byte {
 	return acked
 }
 
-// TestApplyAcrossShardsFailsPerShard pins Apply's documented cross-shard
-// semantics on a 2-shard store whose shard 1 is read-only: a batch touching
-// both shards returns ErrShardReadOnly with shard 0's portion applied, and
-// since that portion is its own frame on shard 0's log, it alone survives
-// a power cut.
-func TestApplyAcrossShardsFailsPerShard(t *testing.T) {
+// TestApplyAcrossShardsIsAllOrNothing pins Apply's cross-shard atomicity
+// on a 2-shard store whose shard 1 is read-only: a batch touching both
+// shards returns ErrShardReadOnly, logs nothing, and applies nothing —
+// neither shard's portion is present, before or after a power cut.
+func TestApplyAcrossShardsIsAllOrNothing(t *testing.T) {
 	opts := isoOptions(t.TempDir())
 	opts.Shards = 2
 	opts.DeviceWrap = func(shard int, dev storage.Device) storage.Device {
@@ -99,18 +98,21 @@ func TestApplyAcrossShardsFailsPerShard(t *testing.T) {
 
 	const healthy, readOnly = 1 << 20, 1<<20 + 1 // shard 0, shard 1
 	b := db.NewBatch()
-	b.Put(healthy, []byte("applied"))
+	b.Put(healthy, []byte("refused"))
 	b.Put(readOnly, []byte("refused"))
+	appends := db.Stats().WAL.Appends
 	if err := db.Apply(b); !errors.Is(err, lsmssd.ErrShardReadOnly) {
 		t.Fatalf("Apply over a read-only shard = %v, want ErrShardReadOnly", err)
 	}
+	if got := db.Stats().WAL.Appends; got != appends {
+		t.Fatalf("refused Apply logged %d frames, want none", got-appends)
+	}
 	portions := func(db *lsmssd.DB, when string) {
 		t.Helper()
-		if v, ok, err := db.Get(healthy); err != nil || !ok || string(v) != "applied" {
-			t.Fatalf("%s: shard 0's portion = %q, found %v, err %v; want it applied", when, v, ok, err)
-		}
-		if v, ok, err := db.Get(readOnly); err != nil || ok {
-			t.Fatalf("%s: shard 1's portion = %q, found %v, err %v; want it absent", when, v, ok, err)
+		for _, key := range []uint64{healthy, readOnly} {
+			if v, ok, err := db.Get(key); err != nil || ok {
+				t.Fatalf("%s: shard %d's portion = %q, found %v, err %v; want it absent", when, key&1, v, ok, err)
+			}
 		}
 	}
 	portions(db, "after Apply")

@@ -24,8 +24,9 @@
 // engine has one background protocol per shard, not several:
 //
 //   - checkpoints: a writer whose WAL append sealed a segment calls
-//     RequestCheckpoint and returns; the goroutine runs Config.Checkpoint
-//     between merge steps, without the writer lock held across it.
+//     RequestCheckpoint on each shard due one and returns; the goroutine
+//     runs Config.Checkpoint between merge steps, without the writer lock
+//     held across it.
 //     Requests coalesce, and one arriving while a checkpoint runs yields
 //     one more run. A requested-or-running checkpoint counts one unit of
 //     QueueDepth, so "drained" means "and checkpointed";

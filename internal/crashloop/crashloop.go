@@ -12,16 +12,14 @@
 //   - Validate passes after every reopen.
 //
 // The prefix check is exact, not probabilistic: each acknowledged request
-// is one WAL frame per touched shard, so the recovered frame count K_i of
-// every shard (read back from Stats().Shards[i].WAL.LastSeq) pins down
-// precisely which per-shard history prefix must equal the reopened
-// store's contents. On a sharded store (Config.Shards > 1) the contract
-// holds shard-wise: each shard recovers a consistent prefix of the frames
-// routed to it — the hash partition makes the per-shard key sets
-// disjoint, so the shard prefixes compose into one well-defined model
-// state. A torn tail can optionally be simulated by appending garbage to
-// a random shard's last segment after a crash; the harness then requires
-// recovery to truncate it.
+// is one frame in the DB's one write-ahead log, whichever shards its keys
+// route to, so the recovered frame count K (read back from
+// Stats().WAL.LastSeq) pins down precisely which prefix of the acked
+// history must equal the reopened store's contents. On a sharded store
+// (Config.Shards > 1) that is one prefix across all shards: a batch that
+// spans shards is recovered whole or not at all. A torn tail can
+// optionally be simulated by appending garbage to the log's last segment
+// after a crash; the harness then requires recovery to truncate it.
 package crashloop
 
 import (
@@ -92,7 +90,7 @@ type Report struct {
 	CleanCloses int // cycles ended by Close
 
 	Acked       int // mutations acknowledged across all cycles
-	Frames      int // WAL frames those mutations produced
+	Frames      int // WAL frames those mutations produced (one per request)
 	LostFrames  int // acked frames dropped by recovery (legal only below SyncEvery)
 	Recoveries  int // reopens that actually replayed frames
 	ReplayedOps int // operations re-applied by recovery
@@ -156,23 +154,21 @@ func Run(cfg Config) (Report, error) {
 			SegmentBytes: 4 << 10,
 		},
 	}
-	mask := uint64(cfg.Shards - 1)
 
 	// model is the durable state at the last verification; history the
-	// acknowledged per-shard frames since (a batch that touches several
-	// shards contributes one frame to each, mirroring the DB's per-shard
-	// group commit). wantAll forces every K_i == len(history_i) at the
+	// acknowledged requests since, one frame each, and seqBase the log
+	// sequence the model reflects. wantAll forces K == len(history) at the
 	// next verification (clean close, or SyncEvery always).
 	model := make(map[uint64][]byte)
-	history := make([][]frame, cfg.Shards)
-	seqBase := make([]uint64, cfg.Shards)
-	minFrames := make([]int, cfg.Shards) // checkpoint floors: recovery may not land below
+	var history []frame
+	var seqBase uint64
+	minFrames := 0 // checkpoint floor: recovery may not land below
 	wantAll := false
 
-	// verify checks one reopened store against the acked history: every
-	// shard's recovered frame count K_i must sit inside [floor_i, acked_i],
-	// and the store contents must equal the model advanced by exactly
-	// those per-shard prefixes. On success the history windows reset.
+	// verify checks one reopened store against the acked history: the
+	// recovered frame count K must sit inside [floor, acked], and the store
+	// contents must equal the model advanced by exactly that prefix. On
+	// success the history window resets.
 	verify := func(db *lsmssd.DB, it int) error {
 		s := db.Stats()
 		if s.WAL.Recovery.Recovered {
@@ -183,45 +179,33 @@ func Run(cfg Config) (Report, error) {
 		if len(s.Shards) != cfg.Shards {
 			return fmt.Errorf("crashloop: cycle %d: store reports %d shards, config has %d", it, len(s.Shards), cfg.Shards)
 		}
-		kept := 0
-		for i, ss := range s.Shards {
-			k := int(ss.WAL.LastSeq - seqBase[i])
-			if k < 0 || k > len(history[i]) {
-				return fmt.Errorf("crashloop: cycle %d: shard %d recovered sequence %d is outside the acked window [%d, %d]",
-					it, i, ss.WAL.LastSeq, seqBase[i], seqBase[i]+uint64(len(history[i])))
-			}
-			if k < minFrames[i] {
-				return fmt.Errorf("crashloop: cycle %d: shard %d recovery kept %d of %d acked frames, below the checkpoint floor %d",
-					it, i, k, len(history[i]), minFrames[i])
-			}
-			if (wantAll || cfg.Sync == lsmssd.SyncEvery) && k != len(history[i]) {
-				return fmt.Errorf("crashloop: cycle %d: ACKED WRITE LOSS: shard %d recovery kept %d of %d acked frames (sync policy %v)",
-					it, i, k, len(history[i]), cfg.Sync)
-			}
-			r.LostFrames += len(history[i]) - k
-			// Disjoint key sets: per-shard prefixes apply in any order.
-			for _, fr := range history[i][:k] {
-				applyFrame(model, fr)
-			}
-			kept += k
+		k := int(s.WAL.LastSeq) - int(seqBase)
+		if k < 0 || k > len(history) {
+			return fmt.Errorf("crashloop: cycle %d: recovered sequence %d is outside the acked window [%d, %d]",
+				it, s.WAL.LastSeq, seqBase, seqBase+uint64(len(history)))
+		}
+		if k < minFrames {
+			return fmt.Errorf("crashloop: cycle %d: recovery kept %d of %d acked frames, below the checkpoint floor %d",
+				it, k, len(history), minFrames)
+		}
+		if (wantAll || cfg.Sync == lsmssd.SyncEvery) && k != len(history) {
+			return fmt.Errorf("crashloop: cycle %d: ACKED WRITE LOSS: recovery kept %d of %d acked frames (sync policy %v)",
+				it, k, len(history), cfg.Sync)
+		}
+		r.LostFrames += len(history) - k
+		for _, fr := range history[:k] {
+			applyFrame(model, fr)
 		}
 		if err := verifyState(db, model, cfg.KeySpace); err != nil {
-			return fmt.Errorf("crashloop: cycle %d: recovered state does not match the acked per-shard prefixes (%d frames kept): %w", it, kept, err)
+			return fmt.Errorf("crashloop: cycle %d: recovered state does not match the acked prefix (%d of %d frames kept): %w", it, k, len(history), err)
 		}
 		r.FilterSkips += db.Stats().BloomSkipped - s.BloomSkipped
 		if err := db.Validate(); err != nil {
 			return fmt.Errorf("crashloop: cycle %d: validate after recovery: %w", it, err)
 		}
-		acked := 0
-		for i, ss := range s.Shards {
-			acked += len(history[i])
-			history[i] = history[i][:0]
-			seqBase[i] = ss.WAL.LastSeq
-			minFrames[i] = 0
-		}
-		wantAll = false
 		logf("cycle %d: recovered %d/%d frames across %d shards, state verified (%d keys)",
-			it, kept, acked, cfg.Shards, len(model))
+			it, k, len(history), cfg.Shards, len(model))
+		history, seqBase, minFrames, wantAll = history[:0], s.WAL.LastSeq, 0, false
 		return nil
 	}
 
@@ -249,24 +233,15 @@ func Run(cfg Config) (Report, error) {
 					return r, fmt.Errorf("crashloop: cycle %d: checkpoint: %w", it, err)
 				}
 				r.Checkpoints++
-				for sh := range minFrames {
-					minFrames[sh] = len(history[sh])
-				}
+				minFrames = len(history)
 			}
 			fr := randFrame(rng, cfg.KeySpace)
 			if err := applyToDB(db, fr); err != nil {
 				_ = db.Close()
 				return r, fmt.Errorf("crashloop: cycle %d: mutation %d: %w", it, i, err)
 			}
-			// Split the request into the per-shard frames the DB logged:
-			// one frame per touched shard, ops in request order.
-			for sh, sub := range splitFrame(fr, mask, cfg.Shards) {
-				if len(sub) == 0 {
-					continue
-				}
-				history[sh] = append(history[sh], sub)
-				r.Frames++
-			}
+			history = append(history, fr)
+			r.Frames++
 			r.Acked += len(fr)
 		}
 
@@ -277,7 +252,7 @@ func Run(cfg Config) (Report, error) {
 			}
 			r.Crashes++
 			if cfg.TornTail && rng.Intn(2) == 0 {
-				n, err := tearTail(shardFilePath(path, rng.Intn(cfg.Shards)), rng)
+				n, err := tearTail(path, rng)
 				if err != nil {
 					return r, fmt.Errorf("crashloop: cycle %d: injecting torn tail: %w", it, err)
 				}
@@ -305,26 +280,6 @@ func Run(cfg Config) (Report, error) {
 		return r, fmt.Errorf("crashloop: final reopen: %w", err)
 	}
 	return r, nil
-}
-
-// splitFrame partitions a request's ops by owning shard, preserving
-// order, mirroring WriteBatch's routing (key & mask).
-func splitFrame(fr frame, mask uint64, shards int) []frame {
-	out := make([]frame, shards)
-	for _, op := range fr {
-		sh := op.key & mask
-		out[sh] = append(out[sh], op)
-	}
-	return out
-}
-
-// shardFilePath mirrors the DB's per-shard file layout: shard 0 owns the
-// base path, shard i the ".shard<i>" variant.
-func shardFilePath(path string, id int) string {
-	if id == 0 {
-		return path
-	}
-	return fmt.Sprintf("%s.shard%d", path, id)
 }
 
 // randFrame draws one request: usually a single put or delete, sometimes
@@ -426,8 +381,9 @@ func verifyState(db *lsmssd.DB, model map[uint64][]byte, keySpace uint64) error 
 	return nil
 }
 
-// tearTail appends garbage to the store's last WAL segment, simulating a
-// frame torn mid-write by the power cut. Returns the bytes appended.
+// tearTail appends garbage to the last segment of the store's log (one for
+// all shards), simulating a frame torn mid-write by the power cut. Returns
+// the bytes appended.
 func tearTail(path string, rng *rand.Rand) (int, error) {
 	segs, err := wal.SegmentFiles(walBase(path))
 	if err != nil || len(segs) == 0 {

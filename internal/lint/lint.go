@@ -116,10 +116,15 @@ type Config struct {
 	LockCheckedPkgs []string
 	// LockName is the mutex field serializing tree mutations ("writerMu").
 	LockName string
-	// LockAcquireHelpers are functions returning (T, unlockFunc) that
-	// acquire LockName on the caller's behalf; calling or deferring the
-	// returned func counts as the unlock.
+	// LockAcquireHelpers are functions that acquire LockName on the
+	// caller's behalf. One returning (T, unlockFunc) hands back the
+	// release: calling or deferring the returned func counts as the
+	// unlock. One returning nothing is paired with a LockReleaseHelpers
+	// entry.
 	LockAcquireHelpers []string
+	// LockReleaseHelpers are functions that release what an acquire helper
+	// took; calling or deferring one counts as the unlock.
+	LockReleaseHelpers []string
 	// TreeMutateMethods are the mutating methods on TreePkg's Tree that
 	// the lock-discipline rule guards.
 	TreeMutateMethods []string
@@ -203,7 +208,7 @@ func DefaultConfig() Config {
 			},
 			Why: "go through compaction.Scheduler (or compaction.Driver) so backpressure and error parking see every step",
 		}, {
-			Rule: "wal-frame", Pkg: "lsmssd/internal/wal", Type: "Log", Methods: []string{"Append", "Sync", "GC", "Crash"},
+			Rule: "wal-frame", Pkg: "lsmssd/internal/wal", Type: "Log", Methods: []string{"Append", "Write", "Commit", "Sync", "GC", "Crash"},
 			Allowed: []string{
 				"lsmssd/internal/wal",
 				"lsmssd", // the DB layer owns the log-then-apply commit protocol
@@ -246,18 +251,21 @@ func DefaultConfig() Config {
 
 		LockCheckedPkgs:    []string{"lsmssd"},
 		LockName:           "writerMu",
-		LockAcquireHelpers: []string{"lockedTree", "lockAllShards"},
+		LockAcquireHelpers: []string{"lockedTree", "lockShards"},
+		LockReleaseHelpers: []string{"unlockShards"},
 		TreeMutateMethods: []string{
 			"Put", "Delete", "ApplyBatch", "ForceGrow",
 			"MarkClosed", "ResetStats",
 		},
-		// The checkpoint split: the capture reads lastSeq, the current view
-		// and the limbo mark as one instant, so it needs the writer lock;
-		// the persist half is shared by callers that hold it (Close) and
-		// callers that do not (the scheduler goroutine, DB.Checkpoint).
-		LockHeldFuncs:    []string{"captureLocked"},
+		// The checkpoint split: the capture reads the log's sequence, the
+		// current view and the limbo mark as one instant, so it needs the
+		// writer lock; the persist half is shared by callers that hold it
+		// (Close) and callers that do not (the scheduler goroutine,
+		// DB.Checkpoint). The write path's log and apply steps run under the
+		// locks of every shard the mutation touches.
+		LockHeldFuncs:    []string{"captureLocked", "logLocked", "applyLocked"},
 		LockFreeFuncs:    []string{"persist"},
-		ShardFanoutFuncs: []string{"lockAllShards"},
+		ShardFanoutFuncs: []string{"lockShards"},
 
 		SentinelPkgs: []string{
 			"lsmssd/internal/wal",

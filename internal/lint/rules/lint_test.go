@@ -36,8 +36,8 @@ func fixtureConfig() lint.Config {
 		}
 	}
 	// The fixture needs a second fan-out name so a failing fan-out shape
-	// can coexist with the fixed lockAllShards.
-	cfg.ShardFanoutFuncs = append(cfg.ShardFanoutFuncs, "lockAllShardsDesc")
+	// can coexist with the fixed lockShards.
+	cfg.ShardFanoutFuncs = append(cfg.ShardFanoutFuncs, "lockShardsDesc")
 	return cfg
 }
 

@@ -6,8 +6,8 @@ package rules
 // lock-discipline: every core.Tree mutation must be dominated by a
 // writerMu.Lock() (directly or via a lock-acquire helper like lockedTree),
 // and an acquired lock must be released on every exit path (an explicit
-// Unlock, a deferred Unlock, or the unlock func escaping to the caller, as
-// lockedTree itself does). Functions whose names end in "Locked" follow
+// Unlock or release helper, a deferred one, or the unlock func escaping to
+// the caller, as lockedTree itself does). Functions whose names end in "Locked" follow
 // the caller-holds-lock convention: their analysis starts locked and skips
 // the exit check. Calls to the ones listed in LockHeldFuncs are checked
 // like tree mutations, so the contract is verified at the call site too.
@@ -18,7 +18,7 @@ package rules
 // one may already be held — two goroutines nesting shard locks in
 // different orders is a deadlock, and the per-shard design never needs
 // it. The only exception is the fan-out helpers (Config.ShardFanoutFuncs,
-// i.e. lockAllShards), which skip the state machine and must instead take
+// i.e. lockShards), which skip the state machine and must instead take
 // every lock inside a `range` over the shard slice: ranging visits
 // ascending indices, so every multi-shard acquisition follows one global
 // order.
@@ -129,7 +129,7 @@ func (a *lockAnalysis) node(n ast.Node, mask uint8) uint8 {
 	// defer mu.Unlock() / defer unlock(): the release is guaranteed at
 	// every subsequent exit.
 	if ds, ok := n.(*ast.DeferStmt); ok {
-		if a.isUnlockCall(ds.Call) || a.isTokenCall(ds.Call) {
+		if a.isUnlockCall(ds.Call) || a.isTokenCall(ds.Call) || a.isReleaseCall(ds.Call) {
 			return mapStates(mask, onDeferUnlock)
 		}
 	}
@@ -169,7 +169,7 @@ func (a *lockAnalysis) node(n ast.Node, mask uint8) uint8 {
 						types.ExprString(x.Fun), strings.Join(cfgc.ShardFanoutFuncs, ", ")))
 				}
 				mask = mapStates(mask, onLock)
-			case a.isUnlockCall(x) || a.isTokenCall(x):
+			case a.isUnlockCall(x) || a.isTokenCall(x) || a.isReleaseCall(x):
 				mask = mapStates(mask, onUnlock)
 			case inList(finalName(x.Fun), cfgc.LockHeldFuncs):
 				if mask&lsUnlocked != 0 && a.report != nil {
@@ -225,6 +225,10 @@ func (a *lockAnalysis) isMuMethod(call *ast.CallExpr, method string) bool {
 
 func (a *lockAnalysis) isHelperCall(call *ast.CallExpr) bool {
 	return inList(finalName(call.Fun), a.ctx.Cfg.LockAcquireHelpers)
+}
+
+func (a *lockAnalysis) isReleaseCall(call *ast.CallExpr) bool {
+	return inList(finalName(call.Fun), a.ctx.Cfg.LockReleaseHelpers)
 }
 
 func (a *lockAnalysis) isTokenCall(call *ast.CallExpr) bool {

@@ -52,10 +52,10 @@ func accumulateInLoop(d *db) {
 	}
 }
 
-// lockAllShardsDesc is configured as a fan-out helper by the test, but
+// lockShardsDesc is configured as a fan-out helper by the test, but
 // takes the locks in a hand-rolled descending loop instead of ranging
 // over the shard slice: acquisition order is unspecified.
-func (d *db) lockAllShardsDesc() func() {
+func (d *db) lockShardsDesc() func() {
 	for i := len(d.shards) - 1; i >= 0; i-- {
 		d.shards[i].writerMu.Lock() // want shard-lock-order
 	}
@@ -93,20 +93,43 @@ func afterTokenRelease(d *db) {
 	d.shards[1].writerMu.Unlock()
 }
 
-// lockAllShards is the sanctioned fan-out shape: range over the shard
-// slice visits ascending indices, and the unlock closure escapes to the
-// caller.
-func (d *db) lockAllShards() func() {
-	unlocks := make([]func(), 0, len(d.shards))
-	for _, s := range d.shards {
+// lockShards is the sanctioned fan-out shape: ranging over the shard
+// slice, given in ascending order, visits ascending indices.
+func lockShards(shards []*shard) {
+	for _, s := range shards {
 		s.writerMu.Lock()
-		unlocks = append(unlocks, s.writerMu.Unlock)
 	}
-	return func() {
-		for _, u := range unlocks {
-			u()
-		}
+}
+
+// unlockShards is lockShards' release helper.
+func unlockShards(shards []*shard) {
+	for _, s := range shards {
+		s.writerMu.Unlock()
 	}
+}
+
+// writeAll holds every shard's lock through the sanctioned helpers: no
+// finding.
+func writeAll(d *db) {
+	lockShards(d.shards)
+	defer unlockShards(d.shards)
+}
+
+// lockAfterRelease: the release helper ends the hold, so the following
+// Lock does not nest.
+func lockAfterRelease(d *db) {
+	lockShards(d.shards)
+	unlockShards(d.shards)
+	d.shards[0].writerMu.Lock()
+	d.shards[0].writerMu.Unlock()
+}
+
+// lockWhileFannedOut: a Lock under the fan-out helper's hold nests.
+func lockWhileFannedOut(d *db) {
+	lockShards(d.shards)
+	d.shards[0].writerMu.Lock() // want shard-lock-order
+	d.shards[0].writerMu.Unlock()
+	unlockShards(d.shards)
 }
 
 // lockedTree mimics the production acquire helper: one shard's lock,

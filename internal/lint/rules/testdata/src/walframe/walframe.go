@@ -14,6 +14,14 @@ func appendDirectly(l *wal.Log, ops []wal.Op) error {
 	return err
 }
 
+func writeDirectly(l *wal.Log, ops []wal.Op) error {
+	seq, _, err := l.Write(ops) // want wal-frame
+	if err != nil {
+		return err
+	}
+	return l.Commit(seq) // want wal-frame
+}
+
 func syncDirectly(l *wal.Log) error {
 	return l.Sync() // want wal-frame
 }

@@ -189,7 +189,7 @@ type CheckpointEvent struct {
 	Shard  int
 	WALSeq uint64 // last WAL frame the manifest covers (0 with the WAL off)
 
-	Capture      time.Duration // writer lock held: pin the view, read lastSeq, mark limbo
+	Capture      time.Duration // writer lock held: pin the view, read the log sequence, mark limbo
 	DeviceSync   time.Duration // fsync of the device file
 	ManifestSave time.Duration // read the view out, encode, write, fsync, rename, directory sync
 	GC           time.Duration // slot reclamation and WAL segment removal

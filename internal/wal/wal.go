@@ -16,8 +16,17 @@
 //	    per op: u8 kind (0 put, 1 delete), u64 key, u32 vlen, value
 //
 // One frame holds one commit: a single Put or Delete, or a whole
-// WriteBatch. That is the group-commit unit — under SyncEvery a batch of
-// a thousand records pays one fsync, not a thousand.
+// WriteBatch, whichever of the DB's shards its operations belong to. That
+// is the commit unit — under SyncEvery a batch of a thousand records pays
+// one fsync, not a thousand.
+//
+// Group commit. Writing a frame and making it durable are two steps: Write
+// appends the frame under the log's mutex, and Commit applies the sync
+// policy outside it. Under SyncEvery, Commit waits until an fsync covers the
+// frame. One fsync covers every frame written before it started, so a
+// writer whose frame an fsync already running (or finished) covers issues
+// none of its own: concurrent writers share fsyncs. Append is Write plus
+// Commit.
 //
 // Torn tails. A power cut can leave a half-written frame at the end of
 // the active segment. Replay verifies every frame's length and CRC and
@@ -27,20 +36,24 @@
 // corruption, and Replay refuses it rather than silently dropping
 // acknowledged data.
 //
-// Checkpoint interaction. The manifest records the last frame sequence it
-// covers (manifest.State.WALSeq); replay skips frames at or below it, and
-// GC removes sealed segments whose frames are all covered. Rotating to a
-// new segment is the DB layer's cue to checkpoint, which bounds both
-// replay time and disk held by the log. The checkpoint need not run inside
-// the append that rotated: the sealed segment simply stays on disk until a
-// checkpoint whose WALSeq covers it has been written and GC is called with
-// that sequence — the shard's scheduler goroutine does that, off the write
-// path.
+// Checkpoint interaction. Each of the DB's shards records in its manifest
+// the last frame sequence its checkpoint covers (manifest.State.WALSeq);
+// replay skips that shard's operations in frames at or below it, and GC
+// removes the sealed segments below a sequence the DB layer computes from
+// every shard's. Rotating to a new segment is the DB layer's cue to
+// checkpoint, which bounds both replay time and disk held by the log. The
+// checkpoint need not run inside the append that rotated: the sealed
+// segment simply stays on disk until the checkpoints covering it have been
+// written and GC is called — the shards' scheduler goroutines do that, off
+// the write path.
 //
-// Concurrency. Append is serialized by the caller (the DB's writer lock);
-// Sync and GC may be called from another goroutine while appends run (the
-// idle-tail sync and the background checkpoint), and Stats from metrics
-// scrapes. The log's own mutex orders them all.
+// Concurrency. Every method is safe for concurrent use: writers append
+// from several goroutines at once (the DB's writers to different shards),
+// while Sync and GC run from background goroutines (the idle-tail sync and
+// the checkpoints) and Stats from metrics scrapes. The log's mutex orders
+// the frame writes; a second mutex orders the fsyncs, which run outside the
+// first so appends continue while one is in flight. GC expects one caller
+// at a time.
 //
 // The frame format is private to this package: frames are constructed and
 // synced only here, and the lsmlint wal-frame rule keeps every commit
@@ -414,18 +427,23 @@ type Stats struct {
 	NextSeq   uint64 // sequence the next append will be assigned
 }
 
-// Log is an open write-ahead log positioned for appending. Append and
-// Close are serialized by the caller (the DB's writer lock); Sync, GC and
-// Stats may be called concurrently with appends.
+// Log is an open write-ahead log positioned for appending. All methods
+// are safe for concurrent use.
 type Log struct {
 	base string
 	opts Options
 
+	// syncMu orders fsyncs: the one holding it runs the fsync that covers
+	// every frame written before it started, and writers queued behind it
+	// find their frame covered and return. Lock order: syncMu, then mu.
+	syncMu sync.Mutex
+
 	mu       sync.Mutex
 	f        *os.File
-	idx      int   // active segment index
-	size     int64 // active segment size, bytes
-	synced   int64 // prefix of the active segment known durable
+	idx      int    // active segment index
+	size     int64  // active segment size, bytes
+	synced   int64  // prefix of the active segment known durable
+	durable  uint64 // every frame at or below this sequence is known durable
 	segs     []segInfo
 	nextSeq  uint64
 	lastSync time.Time
@@ -484,6 +502,7 @@ func Open(base string, nextSeq uint64, o Options) (*Log, error) {
 	// durable prefix. Only bytes appended by this incarnation can be
 	// dropped by a simulated power cut.
 	l.synced = st.Size()
+	l.durable = nextSeq - 1
 	return l, nil
 }
 
@@ -529,21 +548,35 @@ func (l *Log) createSegment(idx int) error {
 	return nil
 }
 
-// Append commits ops as one frame: it assigns the next sequence, writes
-// the frame, and fsyncs per the sync policy. rotated reports that the
-// append sealed the previous segment and started a new one — the DB
-// layer's cue to checkpoint; it is meaningful even when err is non-nil,
+// Append commits ops as one frame: Write, then Commit. rotated reports
+// that the append sealed the previous segment and started a new one — the
+// DB layer's cue to checkpoint; it is meaningful even when err is non-nil,
 // because the rotation survives a failure of the subsequent write, and
 // the sealed segment still deserves its checkpoint. On error nothing was
 // acknowledged and the caller must not apply ops to the tree — though
 // after a failed fsync the frame's durability is indeterminate (it may
 // reach disk and be replayed), which is why that failure poisons the log
 // (ErrPoisoned) and forces recovery rather than letting writes continue.
+func (l *Log) Append(ops []Op) (seq uint64, rotated bool, err error) {
+	seq, rotated, err = l.Write(ops)
+	if err != nil {
+		return 0, rotated, err
+	}
+	if err := l.Commit(seq); err != nil {
+		return 0, rotated, err
+	}
+	return seq, rotated, nil
+}
+
+// Write appends ops as one frame without any policy fsync: it assigns the
+// next sequence, rotates if the frame would overflow the active segment,
+// and writes the frame. The frame is not acknowledged until Commit(seq)
+// returns nil. rotated is as for Append.
 //
 // A frame that replay would refuse — over maxFrameLen payload bytes or
 // maxFrameOps operations — is rejected up front with ErrTooLarge, before
 // anything is written or a sequence consumed.
-func (l *Log) Append(ops []Op) (seq uint64, rotated bool, err error) {
+func (l *Log) Write(ops []Op) (seq uint64, rotated bool, err error) {
 	if len(ops) == 0 {
 		return 0, false, fmt.Errorf("wal: empty append")
 	}
@@ -578,19 +611,82 @@ func (l *Log) Append(ops []Op) (seq uint64, rotated bool, err error) {
 	l.appends.Add(1)
 	l.ops.Add(int64(len(ops)))
 	l.bytes.Add(int64(len(frame)))
+	return seq, rotated, nil
+}
+
+// Commit applies the sync policy to the frame Write gave seq. Under
+// SyncEvery it returns once an fsync covers the frame, issuing one only if
+// no fsync that started after the frame was written has covered it; under
+// SyncInterval it does the same when the last fsync is at least Interval
+// old; under SyncNever it returns at once. Callers may commit concurrently:
+// that is how writers share fsyncs.
+func (l *Log) Commit(seq uint64) error {
 	switch l.opts.Policy {
 	case SyncEvery:
-		if err := l.syncLocked(); err != nil {
-			return 0, rotated, err
-		}
+		return l.syncTo(seq)
 	case SyncInterval:
-		if time.Since(l.lastSync) >= l.opts.Interval {
-			if err := l.syncLocked(); err != nil {
-				return 0, rotated, err
-			}
+		l.mu.Lock()
+		due := time.Since(l.lastSync) >= l.opts.Interval
+		l.mu.Unlock()
+		if due {
+			return l.syncTo(seq)
 		}
 	}
-	return seq, rotated, nil
+	return nil
+}
+
+// testHookBeforeSync, when set by a test, runs in syncTo between choosing
+// the file to fsync and fsyncing it.
+var testHookBeforeSync func()
+
+// syncTo returns once every frame up to seq is durable, running the fsync
+// itself unless one that started after the frame was written already
+// covered it. The fsync runs under syncMu but not mu, so frames keep being
+// written while it is in flight; it covers exactly the frames written
+// before it started.
+func (l *Log) syncTo(seq uint64) error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return errClosed
+	}
+	if l.poison != nil || l.durable >= seq {
+		err := l.poison
+		l.mu.Unlock()
+		return err
+	}
+	f, idx, size, upTo := l.f, l.idx, l.size, l.nextSeq-1
+	l.mu.Unlock()
+
+	if testHookBeforeSync != nil {
+		testHookBeforeSync()
+	}
+	start := time.Now()
+	err := f.Sync()
+	l.syncNanos.Add(int64(time.Since(start)))
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err != nil {
+		if errors.Is(err, os.ErrClosed) && l.idx != idx {
+			// A rotation sealed f — fsyncing it whole, under mu — and closed
+			// it before this fsync began: every frame this one was to cover
+			// is durable already.
+			return nil
+		}
+		return l.poisonLocked(err)
+	}
+	// A rotation may have sealed f meanwhile (fsyncing it again under mu);
+	// the byte offset describes the active segment only while it is f.
+	if l.idx == idx {
+		l.synced = max(l.synced, size)
+	}
+	l.durable = max(l.durable, upTo)
+	l.syncs.Add(1)
+	l.lastSync = time.Now()
+	return nil
 }
 
 // payloadLen is the encoded payload size of a frame carrying ops.
@@ -647,40 +743,56 @@ func (l *Log) rotateLocked() error {
 	return l.createSegment(l.idx + 1)
 }
 
+// syncLocked fsyncs the active segment with mu held: the rotation's seal
+// and Close, which must not let a frame in behind the fsync.
 func (l *Log) syncLocked() error {
 	if l.poison != nil {
 		return l.poison
 	}
 	if l.synced == l.size {
+		l.durable = l.nextSeq - 1
 		return nil
 	}
 	syncStart := time.Now()
 	err := l.f.Sync()
 	l.syncNanos.Add(int64(time.Since(syncStart)))
 	if err != nil {
-		// Never retry a failed fsync: the kernel may have discarded the
-		// dirty pages and cleared its error state, so a retry could
-		// "succeed" while the frame is gone. Poison the log so every later
-		// Append/Sync fails and the store reopens through crash recovery,
-		// which replays exactly what truly reached disk.
-		l.poison = fmt.Errorf("%w: %v", ErrPoisoned, err)
-		return l.poison
+		return l.poisonLocked(err)
 	}
 	l.synced = l.size
+	l.durable = l.nextSeq - 1
 	l.syncs.Add(1)
 	l.lastSync = time.Now()
 	return nil
 }
 
-// Sync fsyncs the active segment regardless of policy; a no-op when every
-// appended byte is already durable. Safe to call while appends run.
+// poisonLocked records a failed fsync. Never retry one: the kernel may
+// have discarded the dirty pages and cleared its error state, so a retry
+// could "succeed" while the frame is gone. Poison the log so every later
+// Write/Commit/Sync fails and the store reopens through crash recovery,
+// which replays exactly what truly reached disk.
+func (l *Log) poisonLocked(err error) error {
+	if l.poison == nil {
+		l.poison = fmt.Errorf("%w: %v", ErrPoisoned, err)
+	}
+	return l.poison
+}
+
+// Sync makes every frame written so far durable regardless of policy; a
+// no-op when they all are. Safe to call while appends run.
 func (l *Log) Sync() error {
 	l.mu.Lock()
+	upTo := l.nextSeq - 1
+	l.mu.Unlock()
+	return l.syncTo(upTo)
+}
+
+// LastSeq returns the sequence of the newest frame written (the one before
+// the first sequence of a fresh log when none has been).
+func (l *Log) LastSeq() uint64 {
+	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return errClosed
-	}
-	return l.syncLocked()
+	return l.nextSeq - 1
 }
 
 // GC removes sealed segments every frame of which has sequence at or
@@ -690,8 +802,8 @@ func (l *Log) Sync() error {
 // The files are unlinked without the log's mutex: removing a
 // multi-megabyte segment takes milliseconds, and appends need not wait for
 // it. That is safe because covered segments are a prefix of the list,
-// appends only ever add at its tail, and GC has one caller at a time
-// (checkpoints are serialized).
+// appends only ever add at its tail, and GC has one caller at a time (the
+// DB serializes its checkpoints' calls).
 func (l *Log) GC(upToSeq uint64) (removed int, err error) {
 	l.mu.Lock()
 	if l.closed {
@@ -738,12 +850,6 @@ func (l *Log) Stats() Stats {
 	return st
 }
 
-// SyncNanos returns the cumulative wall time spent inside fsync, in
-// nanoseconds. Lock-free; the DB's span instrumentation reads it before
-// and after an Append to attribute the group-commit fsync wait to its
-// own phase.
-func (l *Log) SyncNanos() int64 { return l.syncNanos.Load() }
-
 // ResetCounters zeroes the cumulative traffic counters (appends, ops,
 // bytes, syncs, rotations), aligning the WAL series with the DB's uniform
 // measurement window.
@@ -758,6 +864,8 @@ func (l *Log) ResetCounters() {
 
 // Close syncs the active segment and closes it.
 func (l *Log) Close() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -775,6 +883,8 @@ func (l *Log) Close() error {
 // drops exactly the unsynced tail, which is what a real power cut does to
 // the page cache.
 func (l *Log) Crash() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {

@@ -440,3 +440,71 @@ func TestStatsAndReset(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCommitSharesFsyncs: one fsync covers every frame written before it
+// started, so committing the newest of three written frames first leaves
+// the other two nothing to fsync — the group commit concurrent writers
+// share — and all three survive a power cut.
+func TestCommitSharesFsyncs(t *testing.T) {
+	base := testBase(t)
+	l := mustOpen(t, base, 1, Options{Policy: SyncEvery})
+	var seqs []uint64
+	for i := 0; i < 3; i++ {
+		seq, _, err := l.Write([]Op{{Key: uint64(i), Value: []byte("v")}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, seq)
+	}
+	if st := l.Stats(); st.Syncs != 0 {
+		t.Fatalf("Write fsynced: %+v", st)
+	}
+	for _, i := range []int{2, 0, 1} {
+		if err := l.Commit(seqs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := l.Stats(); st.Syncs != 1 || st.Appends != 3 {
+		t.Fatalf("three commits of frames written before one fsync: %+v, want 1 sync", st)
+	}
+	if err := l.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if info, ops := collect(t, base, 0); info.Frames != 3 || len(ops) != 3 {
+		t.Fatalf("after a power cut: %+v, want all 3 frames", info)
+	}
+}
+
+// TestCommitAfterRotationClosedItsSegment: a rotation that seals and
+// closes the segment an fsync had chosen, before that fsync runs, leaves
+// the fsync a closed file. The frames it was to cover are durable — the
+// rotation fsynced the segment whole — so the commit succeeds and the log
+// is not poisoned.
+func TestCommitAfterRotationClosedItsSegment(t *testing.T) {
+	base := testBase(t)
+	l := mustOpen(t, base, 1, Options{Policy: SyncEvery, SegmentBytes: 4096})
+	big := make([]byte, 3000)
+	seq, _, err := l.Write([]Op{{Key: 1, Value: big}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	testHookBeforeSync = func() {
+		testHookBeforeSync = nil
+		if _, rotated, err := l.Write([]Op{{Key: 2, Value: big}}); err != nil || !rotated {
+			t.Errorf("second frame: rotated=%v err=%v, want a rotation", rotated, err)
+		}
+	}
+	t.Cleanup(func() { testHookBeforeSync = nil })
+	if err := l.Commit(seq); err != nil {
+		t.Fatalf("commit of a frame its rotation sealed: %v", err)
+	}
+	if _, _, err := l.Append([]Op{{Key: 3}}); err != nil {
+		t.Fatalf("append after: %v (the log must not be poisoned)", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if info, _ := collect(t, base, 0); info.Frames != 3 {
+		t.Fatalf("replay: %+v, want 3 frames", info)
+	}
+}

@@ -9,8 +9,9 @@ import (
 // Iterator streams the keys in [lo, hi] in ascending order, pinned to the
 // snapshot that was current when NewIterator was called: writes and merges
 // that complete during the iteration do not change what it returns. On a
-// sharded DB the per-shard snapshots are acquired together and merged into
-// one globally ordered stream; the hash partition guarantees the streams
+// sharded DB the per-shard snapshots are acquired together — between two
+// multi-shard Applies, so an iterator sees all of a batch or none of it —
+// and merged into one globally ordered stream; the hash partition guarantees the streams
 // are disjoint, so the merge is a pure k-way interleave. Every per-shard
 // stream is lazy, L0 included: opening an iterator seeks each sorted run —
 // the memtable snapshot in O(log n) — and Next loads blocks only as it
@@ -63,9 +64,13 @@ func (db *DB) NewIterator(lo, hi uint64) (*Iterator, error) {
 // PhaseCacheRead or PhaseDevRead. It returns with sp in PhaseKWayMerge.
 func (db *DB) newIterator(lo, hi uint64, sp *obs.Span) (*Iterator, error) {
 	it := &Iterator{db: db, views: make([]*core.View, 0, len(db.shards))}
+	// Between two multi-shard Applies' publications, so the views hold all
+	// of each batch or none of it.
+	db.pubMu.RLock()
 	for _, s := range db.shards {
 		v, err := s.acquireView()
 		if err != nil {
+			db.pubMu.RUnlock()
 			for _, held := range it.views {
 				held.Release()
 			}
@@ -73,6 +78,7 @@ func (db *DB) newIterator(lo, hi uint64, sp *obs.Span) (*Iterator, error) {
 		}
 		it.views = append(it.views, v)
 	}
+	db.pubMu.RUnlock()
 	sp.To(obs.PhaseKWayMerge)
 	for _, v := range it.views {
 		c := &shardCursor{it: v.Iter(block.Key(lo), block.Key(hi), sp)}

@@ -41,7 +41,7 @@
 //
 // Reads (Get, Scan, NewIterator, Stats, Histogram) are lock-free and
 // safe from any number of goroutines concurrently with writers, which
-// serialize on an internal lock. After Close, every operation fails
+// serialize on the writer locks of the shards they touch. After Close, every operation fails
 // with ErrClosed.
 //
 // File-backed stores can opt into crash durability with a write-ahead
@@ -156,11 +156,15 @@ type SyncPolicy int
 
 const (
 	// SyncEvery fsyncs the log before acknowledging each mutation: zero
-	// acknowledged writes are lost on a crash. Group commit applies — a
-	// WriteBatch pays one fsync for the whole batch. The default.
+	// acknowledged writes are lost on a crash. Group commit applies twice:
+	// a WriteBatch pays one fsync for the whole batch, whichever shards it
+	// spans, and concurrent writers share fsyncs — one fsync covers every
+	// frame written before it started, so a writer whose frame is already
+	// covered waits for that fsync instead of issuing its own. The
+	// default.
 	SyncEvery SyncPolicy = iota
 	// SyncInterval fsyncs about once per WALOptions.Interval — inline in a
-	// write that finds the last fsync that old, and from the shard's
+	// write that finds the last fsync that old, and from shard 0's
 	// background goroutine every Interval, so the tail of a log that went
 	// idle is synced too. A crash loses at most about the final interval's
 	// writes (the goroutine's sync can be late by a merge step or a
@@ -176,13 +180,15 @@ const (
 // String returns "every", "interval", or "never".
 func (p SyncPolicy) String() string { return wal.SyncPolicy(p).String() }
 
-// WALOptions configures the write-ahead log (Options.WAL). The zero value
-// disables it: the store is then durable only across Close and Checkpoint,
-// and after a crash Open may refuse it (see Open). The log lives outside
-// the block device, so BlocksWritten is the same with it on or off.
+// WALOptions configures the write-ahead log (Options.WAL): one log per DB,
+// shared by every shard. The zero value disables it: the store is then
+// durable only across Close and Checkpoint, and after a crash Open may
+// refuse it (see Open). The log lives outside the block device, so
+// BlocksWritten is the same with it on or off.
 type WALOptions struct {
 	// Enabled turns the log on. Requires Options.Path; log segments are
-	// stored alongside the device file as Path + ".wal.NNNNNNNN".
+	// stored alongside the device file as Path + ".wal.NNNNNNNN", whatever
+	// the shard count.
 	Enabled bool
 	// Sync selects the fsync cadence (default SyncEvery).
 	Sync SyncPolicy
@@ -191,14 +197,18 @@ type WALOptions struct {
 	// whether or not more writes follow. Ignored by the other policies.
 	Interval time.Duration
 	// SegmentBytes caps a log segment (default 4 MiB). Filling a segment
-	// seals it and calls for an automatic checkpoint, which bounds both
-	// recovery replay time and the disk the log holds. The write that
-	// sealed the segment only requests the checkpoint: the shard's
+	// seals it. Each shard checkpoints once Shards segments have been
+	// sealed while it had frames its last checkpoint does not cover — every
+	// sealed segment with one shard, about every SegmentBytes of its own
+	// logged bytes with several — which bounds both recovery replay time
+	// and the disk the log holds: about Shards+1 segments. The write that
+	// sealed the segment only requests the checkpoints: each shard's
 	// background goroutine runs its fsyncs off the writer lock, so no Put
 	// waits for them, and a failure surfaces on the shard's next write or
-	// at Close. The sealed segment stays on disk until that checkpoint is
-	// durable, so the log briefly holds one segment more than SegmentBytes
-	// suggests.
+	// at Close. A sealed segment is deleted once every shard with frames
+	// in it has a durable checkpoint covering it, so a shard that stops
+	// writing does not keep the log growing; a shard that cannot
+	// checkpoint (read-only) does, until the store is reopened.
 	SegmentBytes int64
 }
 
@@ -210,14 +220,16 @@ type Options struct {
 	// this persists clean shutdowns only: L0 lives in memory, and merges
 	// after the last checkpoint may overwrite blocks its manifest names, so
 	// after a crash Open may fail with ErrCorrupt. Enable WAL for crash
-	// durability of every acknowledged write. With Shards > 1,
-	// shard 0 keeps this exact layout and shard i adds ".shard<i>" to
-	// every file it owns (device, manifest, WAL segments).
+	// durability of every acknowledged write; the log is Path +
+	// ".wal.NNNNNNNN" for the whole DB. With Shards > 1, shard 0 keeps this
+	// exact layout and shard i adds ".shard<i>" to the files it owns
+	// (device and manifest).
 	Path string
 	// Shards splits the key space across this many independent LSM trees
 	// (hash routing by key & (Shards-1)), each with its own memtable,
-	// levels, WAL, and compaction scheduler, so writers to different
-	// shards never contend on one writer lock. Must be a power of two;
+	// levels, manifest, and compaction scheduler, so writers to different
+	// shards never contend on one writer lock; they share the DB's one
+	// write-ahead log, and with it their fsyncs. Must be a power of two;
 	// default 1, which is byte-identical to the unsharded engine. The
 	// shard count is recorded in the manifest and a store must be
 	// reopened with the count it was created with. Note that MemtableBlocks

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lsmssd/internal/block"
 	"lsmssd/internal/compaction"
 	"lsmssd/internal/core"
 	"lsmssd/internal/health"
@@ -17,20 +16,20 @@ import (
 	"lsmssd/internal/policy"
 	"lsmssd/internal/retry"
 	"lsmssd/internal/storage"
-	"lsmssd/internal/wal"
 )
 
 // shard is one of the DB's independent LSM trees: its own memtable and
-// storage levels (core.Tree), device file, write-ahead log, compaction
-// scheduler, and writer lock. The router (db.go) hash-partitions the key
-// space across shards, so two shards never store the same key and their
-// writer locks are never needed together — except by the sanctioned
-// fan-out helper DB.lockAllShards, which acquires them in ascending shard
-// order (the shard-lock-order lint rule checks both properties).
+// storage levels (core.Tree), device file, manifest, compaction scheduler,
+// and writer lock. The router (db.go) hash-partitions the key space across
+// shards, so two shards never store the same key. The write-ahead log is
+// the DB's, shared by every shard (commit.go). A write holds the writer
+// locks of the shards it touches, taken by the sanctioned helper
+// lockShards in ascending shard order (the shard-lock-order lint rule
+// checks that no other code nests them).
 //
-// The durability protocol (log → apply → checkpoint-on-rotation) runs once
-// per shard over per-shard files, in exactly one place: shard.write; the
-// checkpoint itself is captureLocked + persist, whoever asks for it.
+// The shard's checkpoint is captureLocked + persist, whoever asks for it;
+// it covers the shard's keys in the shared log up to the sequence it
+// records.
 type shard struct {
 	id   int
 	db   *DB
@@ -75,13 +74,23 @@ type shard struct {
 	// multi-shard ops).
 	lat *obs.LatencySet
 
-	// Write-ahead log state (nil/zero unless Options.WAL.Enabled). lastSeq
-	// is the sequence of the newest frame logged by this shard, guarded by
-	// writerMu; the shard's checkpoint manifest records it as the replay
-	// cutoff. recovery captures what Open's replay did, for Stats.
-	wal      *wal.Log
-	lastSeq  uint64
-	recovery WALRecoveryStats
+	// The shard's place in the DB's log. ckptSeq is the log sequence the
+	// shard's newest checkpoint covers (from the manifest at Open, then
+	// from each capture), guarded by writerMu. sinceCapture and
+	// sinceDurable are lower bounds on the first sequence the shard logged
+	// after its newest capture and after its newest durable checkpoint (0:
+	// none): the first says whether a rotation counts toward the shard's
+	// next checkpoint, the second how far the log may be garbage-collected.
+	// Writers set them under writerMu, captures reset sinceCapture under
+	// writerMu, and persist copies it into sinceDurable; walMu makes each
+	// of those read-modify-writes atomic against the others. sealed counts
+	// the rotations since the capture that found sinceCapture set; at
+	// Shards the shard is asked to checkpoint (DB.rotated).
+	ckptSeq      uint64
+	walMu        sync.Mutex
+	sinceCapture atomic.Uint64
+	sinceDurable atomic.Uint64
+	sealed       atomic.Int64
 
 	// Completed checkpoints and their cumulative capture+persist time, for
 	// the flight recorder.
@@ -91,8 +100,9 @@ type shard struct {
 // shardPath derives shard id's device file path. Shard 0 keeps the
 // user-visible Options.Path byte-for-byte — a single-shard store's file
 // layout is exactly the unsharded engine's — and every further shard
-// appends its index. Manifest and WAL paths derive from this one as
-// before (path+".manifest", path+".wal.*").
+// appends its index. The manifest path derives from this one
+// (path+".manifest"); the DB's one log lives at Options.Path+".wal.*",
+// shard 0's name, whatever the shard count.
 func shardPath(path string, id int) string {
 	if path == "" || id == 0 {
 		return path
@@ -100,10 +110,10 @@ func shardPath(path string, id int) string {
 	return fmt.Sprintf("%s.shard%d", path, id)
 }
 
-// openShard builds one fully-operational shard: tree (fresh or restored
-// from its manifest), compaction scheduler, and recovered write-ahead
-// log. On error the shard's own resources are released; the caller
-// tears down previously opened shards.
+// openShard builds one shard: tree (fresh or restored from its manifest)
+// and compaction scheduler. Replaying the DB's log into it is Open's next
+// step (DB.openWAL). On error the shard's own resources are released; the
+// caller tears down previously opened shards.
 func (db *DB) openShard(id int) (*shard, error) {
 	opts := db.opts
 	s := &shard{id: id, db: db, path: shardPath(opts.Path, id), lat: &obs.LatencySet{}}
@@ -160,20 +170,17 @@ func (db *DB) openShard(id int) (*shard, error) {
 		Lat:        s.lat,
 		Checkpoint: s.checkpoint,
 	}
-	if s.path != "" && opts.WAL.Enabled && opts.WAL.Sync == SyncInterval {
+	if id == 0 && s.path != "" && opts.WAL.Enabled && opts.WAL.Sync == SyncInterval {
 		// Bound the unsynced tail of a log that goes idle: appends check the
-		// interval only when they happen.
-		ccfg.Tick, ccfg.TickInterval = s.syncIdleWAL, opts.WAL.Interval
+		// interval only when they happen. One shard's goroutine owns it.
+		ccfg.Tick = func() error { return db.syncIdleWAL(s) }
+		ccfg.TickInterval = opts.WAL.Interval
 	}
 	sched, err := compaction.New(ccfg)
 	if err != nil {
 		return nil, errors.Join(err, s.raw.Close())
 	}
 	s.sched = sched
-	if err := s.openWAL(); err != nil {
-		s.sched.Stop()
-		return nil, errors.Join(err, s.raw.Close())
-	}
 	s.startScrub()
 	return s, nil
 }
@@ -279,83 +286,7 @@ func (s *shard) restore(cfg core.Config, st manifest.State) error {
 			return errors.Join(fmt.Errorf("lsmssd: restored state: %w", err), fd.Close())
 		}
 	}
-	s.tree, s.raw, s.lastSeq = tree, fd, st.WALSeq
-	return nil
-}
-
-// openWAL performs crash recovery and positions the shard's log for
-// appending. With the WAL disabled it only verifies that no unreplayed
-// frames exist on disk — Open must never silently orphan acknowledged
-// writes.
-func (s *shard) openWAL() error {
-	if s.path == "" {
-		return nil
-	}
-	opts := s.db.opts
-	base := walBase(s.path)
-	if !opts.WAL.Enabled {
-		has, err := wal.HasFramesAfter(base, s.lastSeq)
-		if err != nil {
-			return fmt.Errorf("lsmssd: inspecting write-ahead log: %w", err)
-		}
-		if has {
-			return fmt.Errorf("lsmssd: %s holds write-ahead log frames beyond the last checkpoint, but Options.WAL is disabled; reopen with the WAL enabled to recover them (or delete the segment files to discard them)", base)
-		}
-		return nil
-	}
-
-	start := time.Now()
-	// Replay pushes each recovered frame through the normal write path, so
-	// recovery exercises exactly the machinery of live traffic. The log is
-	// not open yet (s.wal == nil), which is what makes write skip the append
-	// and the rotation checkpoint — the only two steps replay must not take.
-	info, err := wal.Replay(base, s.lastSeq, func(seq uint64, ops []wal.Op) error {
-		return s.write(ops, nil)
-	})
-	if err != nil {
-		return fmt.Errorf("lsmssd: write-ahead log replay: %w", err)
-	}
-	if info.LastSeq > s.lastSeq {
-		s.lastSeq = info.LastSeq
-	}
-	log, err := wal.Open(base, s.lastSeq+1, wal.Options{
-		Policy:       wal.SyncPolicy(opts.WAL.Sync),
-		Interval:     opts.WAL.Interval,
-		SegmentBytes: opts.WAL.SegmentBytes,
-	})
-	if err != nil {
-		return fmt.Errorf("lsmssd: write-ahead log open: %w", err)
-	}
-	s.writerMu.Lock() // the scheduler goroutine's tick may already be reading s.wal
-	s.wal = log
-	s.writerMu.Unlock()
-	s.recovery = WALRecoveryStats{
-		Recovered: info.Frames > 0 || info.TornBytes > 0,
-		Segments:  info.Segments,
-		Frames:    info.Frames,
-		Ops:       info.Ops,
-		TornBytes: info.TornBytes,
-	}
-	if info.Frames > 0 {
-		// Fold the replayed state into a fresh checkpoint immediately:
-		// recovery converges instead of replaying an ever-longer log, and
-		// the covered segments are garbage-collected.
-		s.writerMu.Lock()
-		err := s.checkpointLocked()
-		s.writerMu.Unlock()
-		if err != nil {
-			return errors.Join(fmt.Errorf("lsmssd: post-recovery checkpoint: %w", err), s.wal.Close())
-		}
-	}
-	if s.db.bus.Enabled() {
-		s.db.bus.Publish(obs.RecoveryEvent{
-			Segments:  info.Segments,
-			Frames:    info.Frames,
-			Ops:       info.Ops,
-			TornBytes: info.TornBytes,
-			Duration:  time.Since(start),
-		})
-	}
+	s.tree, s.raw, s.ckptSeq = tree, fd, st.WALSeq
 	return nil
 }
 
@@ -371,9 +302,13 @@ type checkpointImage struct {
 }
 
 // captureLocked freezes the state a checkpoint will persist. The caller
-// holds writerMu (so view, lastSeq and the limbo mark describe one instant)
-// and ckptMu. It costs microseconds: the view is the copy-on-write snapshot
-// readers already use, pinned until persist has read it out.
+// holds writerMu (so view, WAL sequence and the limbo mark describe one
+// instant) and ckptMu. It costs microseconds: the view is the copy-on-write
+// snapshot readers already use, pinned until persist has read it out.
+//
+// The sequence is the log's newest, read under writerMu: every frame at or
+// below it that touches this shard was written by a writer holding this
+// lock from its append to its apply, so the view includes all of them.
 func (s *shard) captureLocked() (checkpointImage, error) {
 	start := time.Now()
 	// The tree's own acquire, not s.acquireView: Close checkpoints after the
@@ -382,7 +317,14 @@ func (s *shard) captureLocked() (checkpointImage, error) {
 	if err != nil {
 		return checkpointImage{}, err
 	}
-	img := checkpointImage{view: v, walSeq: s.lastSeq}
+	if log := s.db.wal; log != nil {
+		s.ckptSeq = log.LastSeq()
+		s.walMu.Lock()
+		s.sinceCapture.Store(0)
+		s.walMu.Unlock()
+		s.sealed.Store(0)
+	}
+	img := checkpointImage{view: v, walSeq: s.ckptSeq}
 	if fd, ok := s.raw.(*storage.FileDevice); ok {
 		img.limbo = fd.LimboMark()
 	}
@@ -401,20 +343,25 @@ func (s *shard) captureLocked() (checkpointImage, error) {
 //
 //  1. device sync — the manifest must never reference a block the device
 //     could still lose (every block of the image was written before the
-//     capture, hence before this sync started);
+//     capture, hence before this sync started) — and log sync: the
+//     manifest must never cover a frame the log could still lose, or a
+//     power cut could keep a frame in this shard while losing it, or an
+//     earlier one, in another (a no-op under SyncEvery);
 //  2. manifest, recording the captured WAL sequence as the replay cutoff —
 //     exactly the frames the captured memtable and levels include;
 //  3. only now do block slots freed before the capture become reusable: no
 //     manifest on disk names them any more. Slots freed since stay parked
 //     until the next checkpoint, because this very manifest may name them;
-//  4. only now are WAL segments fully covered by the cutoff deleted.
+//  4. only now may the log drop the segments this checkpoint covers: those
+//     that every other shard's durable checkpoint covers too, as far as the
+//     other shard has frames in them (DB.gcWAL).
 func (s *shard) persist(img checkpointImage) error {
 	start := time.Now()
 	st := img.view.Export()
 	img.view.Release()
 	ev := obs.CheckpointEvent{Shard: s.id, WALSeq: img.walSeq, Capture: img.capture}
 	t0 := time.Now()
-	if s.wal != nil {
+	if s.db.wal != nil {
 		// Sync through the wrapped device, not s.raw, so injected sync
 		// faults are observed and demote the shard: a checkpoint whose
 		// sync failed must not advance the durability horizon, and a
@@ -425,6 +372,10 @@ func (s *shard) persist(img checkpointImage) error {
 				s.health.DemoteReadOnly("sync-failed", err)
 				return fmt.Errorf("lsmssd: syncing device before checkpoint: %w", err)
 			}
+		}
+		if err := s.db.wal.Sync(); err != nil {
+			s.db.noteLogError(err)
+			return fmt.Errorf("lsmssd: syncing write-ahead log before checkpoint: %w", err)
 		}
 	}
 	t1 := time.Now()
@@ -449,19 +400,18 @@ func (s *shard) persist(img checkpointImage) error {
 		return err
 	}
 	t2 := time.Now()
-	if s.wal != nil {
+	if s.db.wal != nil {
 		if fd, ok := s.raw.(*storage.FileDevice); ok {
 			ev.SlotsReclaimed = fd.ReclaimFreed(img.limbo)
 		}
-		removed, err := s.wal.GC(img.walSeq)
+		s.walMu.Lock()
+		s.sinceDurable.Store(s.sinceCapture.Load())
+		s.walMu.Unlock()
+		removed, err := s.db.gcWAL()
 		if err != nil {
 			return fmt.Errorf("lsmssd: write-ahead log gc: %w", err)
 		}
 		ev.SegmentsRemoved = removed
-		if removed > 0 && s.db.bus.Enabled() {
-			ws := s.wal.Stats()
-			s.db.bus.Publish(obs.WALEvent{Kind: "gc", Segments: ws.Segments, Removed: removed, LastSeq: img.walSeq})
-		}
 	}
 	t3 := time.Now()
 	s.ckpts.Add(1)
@@ -513,130 +463,6 @@ func (s *shard) checkpoint() error {
 		return err
 	}
 	return s.persist(img)
-}
-
-// syncIdleWAL is the scheduler goroutine's tick under SyncInterval: fsync
-// whatever the log holds unsynced, so the tail written before a pause is
-// durable within an interval instead of waiting for the next append.
-func (s *shard) syncIdleWAL() error {
-	s.writerMu.Lock() // orders this read against openWAL's assignment
-	log := s.wal
-	s.writerMu.Unlock()
-	if log == nil { // recovery has not opened the log yet
-		return nil
-	}
-	if err := log.Sync(); err != nil {
-		return fmt.Errorf("lsmssd: write-ahead log idle sync: %w", err)
-	}
-	return nil
-}
-
-// logMutation appends ops to the shard's write-ahead log as a single
-// frame — group commit: one frame, and under SyncEvery one fsync, per
-// request regardless of batch size. A logging failure means the request
-// was never made durable, so the caller must fail it without touching
-// the tree. When the append sealed a segment the caller requests a
-// checkpoint after applying the ops (after, because the checkpoint's
-// WALSeq covers this frame — the manifest state must include it). Caller
-// holds writerMu.
-//
-// Span attribution: the whole append is timed as PhaseWALAppend, then
-// the log's cumulative fsync-nanoseconds delta across the call is
-// shifted to PhaseWALSync — writerMu serializes this shard's appends,
-// so the delta is exactly this frame's group-commit fsync wait.
-func (s *shard) logMutation(ops []block.Op, sp *obs.Span) (rotated bool, err error) {
-	var syncBefore int64
-	if sp != nil {
-		syncBefore = s.wal.SyncNanos()
-		sp.To(obs.PhaseWALAppend)
-	}
-	start := s.lat.Start()
-	seq, rotated, err := s.wal.Append(ops)
-	s.lat.Done(obs.OpWALAppend, start)
-	if sp != nil {
-		sp.To(obs.PhaseOther)
-		sp.Shift(obs.PhaseWALAppend, obs.PhaseWALSync, time.Duration(s.wal.SyncNanos()-syncBefore))
-	}
-	if err != nil {
-		// rotated can be true even on error: the rotation succeeded before
-		// the frame write failed. Checkpoint anyway, so the sealed segment
-		// is covered and GC'd instead of lingering until the next rotation.
-		if rotated {
-			s.sched.RequestCheckpoint()
-		}
-		return false, fmt.Errorf("lsmssd: write-ahead log append: %w", err)
-	}
-	s.lastSeq = seq
-	if rotated && s.db.bus.Enabled() {
-		ws := s.wal.Stats()
-		s.db.bus.Publish(obs.WALEvent{Kind: "rotate", Segments: ws.Segments, LastSeq: seq})
-	}
-	return rotated, nil
-}
-
-// write is the shard's one durability protocol, carrying Put, Delete (a
-// one-element ops), each shard's slice of a WriteBatch, and WAL replay:
-// health gate → admission → writer lock → closed check → WAL frame →
-// memtable apply → cascade notification → checkpoint request if the append
-// sealed a segment → paranoid audit. It is a single atomic writer step:
-// one admission, one lock acquisition, one WAL frame (group commit), one
-// batched apply; merges and the checkpoint run on the scheduler goroutine,
-// and their failures surface on the next write's admission. A
-// mutation-path error is classified against the shard's health after the
-// writer lock is released.
-//
-// The span (nil when tracing is off) attributes the op's time: admission
-// under PhaseStallWait (the pacing sleep and stall gate live inside
-// Admit), the WAL frame under PhaseWALAppend/WALSync (logMutation), the
-// memtable insert under PhaseMemtable, and the cascade notification — a
-// gauge refresh and a wakeup, no merge work — under PhaseCascade.
-func (s *shard) write(ops []block.Op, sp *obs.Span) (err error) {
-	if err := s.writable(); err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			s.noteWriteError(err)
-		}
-	}()
-	sp.To(obs.PhaseStallWait)
-	if err := s.sched.Admit(); err != nil {
-		// A background checkpoint that failed has already demoted the shard;
-		// report that, as every later write will, rather than the raw cause.
-		if roErr := s.writable(); roErr != nil {
-			return roErr
-		}
-		return err
-	}
-	sp.To(obs.PhaseLockWait)
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	sp.To(obs.PhaseOther)
-	if s.db.closed.Load() {
-		return ErrClosed
-	}
-	var rotated bool
-	if s.wal != nil && len(ops) > 0 {
-		if rotated, err = s.logMutation(ops, sp); err != nil {
-			return err
-		}
-	}
-	sp.To(obs.PhaseMemtable)
-	err = s.tree.ApplyBatch(ops)
-	sp.To(obs.PhaseOther)
-	if err != nil {
-		return err
-	}
-	sp.To(obs.PhaseCascade)
-	err = s.sched.Notify()
-	sp.To(obs.PhaseOther)
-	if rotated {
-		s.sched.RequestCheckpoint()
-	}
-	if err != nil {
-		return err
-	}
-	return s.paranoidSteadyCheck()
 }
 
 // paranoidSteadyCheck asserts the strict (post-cascade) bounds after a
@@ -708,24 +534,16 @@ func (s *shard) forceGrow() {
 	s.tree.ForceGrow()
 }
 
-// releaseLocked is the last step of DB.shutdown, which holds the shard's
-// writer lock and has stopped its scheduler. A clean close folds in any
-// background merge error the scheduler parked, checkpoints, and closes the
-// log; crash abandons the shard as a power cut would — no checkpoint, no
-// device sync, the log's unsynced tail truncated. Either way snapshot
-// acquisition fails from here on and the device is closed.
+// releaseLocked is the last per-shard step of DB.shutdown, which holds the
+// shard's writer lock and has stopped its scheduler. A clean close folds in
+// any background merge error the scheduler parked and checkpoints; crash
+// abandons the shard as a power cut would — no checkpoint, no device sync.
+// Either way snapshot acquisition fails from here on and the device is
+// closed. The log outlives every shard's release: the checkpoints GC it.
 func (s *shard) releaseLocked(crash bool) error {
 	var errs []error
 	if !crash {
 		errs = append(errs, s.sched.Err(), s.checkpointLocked())
-	}
-	if s.wal != nil {
-		if crash {
-			errs = append(errs, s.wal.Crash())
-		} else {
-			errs = append(errs, s.wal.Close())
-		}
-		s.wal = nil
 	}
 	s.tree.MarkClosed()
 	return errors.Join(append(errs, s.raw.Close())...)

@@ -57,7 +57,8 @@ type Stats struct {
 
 // ShardStats is one shard's share of the Stats snapshot: the same
 // Counters and structure as the aggregate, scoped to the shard's own
-// tree, device, scheduler, and write-ahead log.
+// tree, device and scheduler. Its WAL is the exception: the DB has one
+// log, shared by every shard, so each ShardStats reports that log whole.
 type ShardStats struct {
 	Shard int `json:"shard"` // shard index; keys route here when key & (Shards-1) == Shard
 
@@ -114,10 +115,10 @@ type Counters struct {
 	// accounting.
 	Compaction CompactionStats `json:"compaction"`
 
-	// WAL reports write-ahead log traffic and the recovery Open performed,
-	// if any; in the aggregate LastSeq is the sum of the per-shard
-	// sequences (the total number of frames ever logged). Zero value when
-	// Options.WAL is disabled.
+	// WAL reports the DB's write-ahead log: its traffic and the recovery
+	// Open performed, if any. There is one log for all shards, so every
+	// ShardStats reports the same log and the aggregate counts it once.
+	// Zero value when Options.WAL is disabled.
 	WAL WALStats `json:"wal"`
 
 	// Checkpoints counts completed checkpoints (manifest made durable, WAL
@@ -146,14 +147,14 @@ type Counters struct {
 // WALStats describes the write-ahead log (see Options.WAL).
 type WALStats struct {
 	Enabled   bool
-	Appends   int64         // frames appended (one per Put/Delete, one per touched shard per Apply)
+	Appends   int64         // frames appended (one per Put, Delete or Apply)
 	Ops       int64         // operations inside appended frames
 	Bytes     int64         // frame bytes written, headers included
-	Syncs     int64         // fsyncs issued by the sync policy or Checkpoint
+	Syncs     int64         // fsyncs issued (one may cover many concurrent writers' frames)
 	SyncTime  time.Duration // cumulative wall time inside those fsyncs
 	Rotations int64         // segments sealed (each triggers a checkpoint)
 	Segments  int           // segment files currently on disk
-	LastSeq   uint64        // sequence of the newest logged frame (summed across shards)
+	LastSeq   uint64        // sequence of the newest logged frame
 
 	// Recovery is what Open's replay did for this DB instance; it never
 	// changes afterwards and does not reset.
@@ -161,9 +162,9 @@ type WALStats struct {
 }
 
 // WALRecoveryStats summarizes the crash recovery Open performed: the WAL
-// frames it replayed over the checkpoint manifests and any torn tails it
-// truncated. Recovered is false when every shard's log was already empty
-// beyond its checkpoint (a clean shutdown).
+// frames it replayed over the checkpoint manifests and any torn tail it
+// truncated. Recovered is false when the log was already empty beyond
+// every shard's checkpoint (a clean shutdown).
 type WALRecoveryStats struct {
 	Recovered bool
 	Segments  int   // segment files scanned
@@ -328,14 +329,14 @@ var metricTable = []metric{
 }
 
 // add folds another shard's counters into c: every row sums (an onoff ORs),
-// except that Height is the maximum.
+// except that Height is the maximum and WAL stays c's — every shard reports
+// the one log the DB has, which the aggregate counts once.
 func (c *Counters) add(o *Counters) {
-	height := max(c.Height, o.Height)
+	height, log := max(c.Height, o.Height), c.WAL
 	for i := range metricTable {
 		metricTable[i].add(c, o)
 	}
-	c.Height = height
-	c.WAL.Recovery.Recovered = c.WAL.Recovery.Recovered || o.WAL.Recovery.Recovered
+	c.Height, c.WAL = height, log
 }
 
 // Stats returns the current snapshot. It is lock-free: counters are read
@@ -458,8 +459,8 @@ func (s *shard) stats() (ShardStats, bool) {
 	if b := s.tree.Blooms(); b != nil {
 		ss.BloomSkipped, ss.BloomPassed = b.Counts()
 	}
-	if s.wal != nil {
-		ws := s.wal.Stats()
+	if log := s.db.wal; log != nil {
+		ws := log.Stats()
 		ss.WAL = WALStats{
 			Enabled:   true,
 			Appends:   ws.Appends,
@@ -470,7 +471,7 @@ func (s *shard) stats() (ShardStats, bool) {
 			Rotations: ws.Rotations,
 			Segments:  ws.Segments,
 			LastSeq:   ws.NextSeq - 1,
-			Recovery:  s.recovery,
+			Recovery:  s.db.recovery,
 		}
 	}
 	ss.Latencies = latencyRows(s.lat, nil)
@@ -513,14 +514,14 @@ func latencyRows(set *obs.LatencySet, shards []*shard) []LatencyStats {
 // latency histograms. Gauges and WAL.Recovery are unaffected. See the Stats
 // documentation for the uniform-window guarantee this provides.
 func (db *DB) ResetIOStats() {
-	unlock := db.lockAllShards()
-	defer unlock()
+	lockShards(db.shards)
+	defer unlockShards(db.shards)
+	if db.wal != nil {
+		db.wal.ResetCounters()
+	}
 	for _, s := range db.shards {
 		s.tree.ResetStats() // the device (with its retry layer) and s.lat too (the tree's Config.Lat)
 		s.sched.ResetCounters()
-		if s.wal != nil {
-			s.wal.ResetCounters()
-		}
 		for _, c := range []*atomic.Int64{&s.ckpts, &s.ckptNanos, &s.scrubPasses, &s.scrubChecked, &s.scrubCorrupt, &s.scrubRepaired} {
 			c.Store(0)
 		}

@@ -167,9 +167,9 @@ func TestSingleWritePathEquivalence(t *testing.T) {
 	}
 }
 
-// TestRefusedWALAppendLeavesTreeUntouched pins shard.write's log-then-apply
+// TestRefusedWALAppendLeavesTreeUntouched pins DB.commit's log-then-apply
 // order. A batch one op over the WAL's per-frame cap is refused by
-// wal.Log.Append with ErrTooLarge before anything is written, so the write
+// wal.Log.Write with ErrTooLarge before anything is written, so the write
 // must fail without touching the tree: no key of the batch is visible to
 // Get or an iterator, the shard stays healthy and keeps logging, and a
 // close and reopen brings none of the keys back.
