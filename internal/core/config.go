@@ -37,8 +37,10 @@ type Config struct {
 	// to cut lookup reads for absent keys. Filters live in memory only;
 	// Restore rebuilds them from the device.
 	BloomBitsPerKey float64
-	// Seed drives the memtable's skiplist randomness; runs with equal
-	// configs and workloads are bit-for-bit reproducible.
+	// Seed is recorded in the shard's manifest. It does not drive the
+	// memtable: L0 is a B+-tree whose shape depends only on the
+	// operations applied, so runs with equal configs and workloads are
+	// bit-for-bit reproducible whatever the seed.
 	Seed int64
 	// Shard is the index of the shard this tree serves in a sharded DB
 	// (0 for a single-tree engine). Purely descriptive: it is stamped on

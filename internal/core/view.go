@@ -17,7 +17,7 @@ import (
 var ErrClosed = errors.New("core: tree is closed")
 
 // View is an immutable snapshot of the tree's user-visible contents: the
-// memtable (a persistent-treap root) plus every storage level's frozen
+// memtable (a persistent B+-tree root) plus every storage level's frozen
 // block-metadata slice. Levels change only through merges, which install
 // freshly allocated metadata slices and never update data blocks in place,
 // so a View stays internally consistent for as long as it is held — reads

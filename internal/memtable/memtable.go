@@ -1,5 +1,5 @@
 // Package memtable implements L0, the memory-resident top level of the
-// LSM-tree, as a persistent (copy-on-write) treap.
+// LSM-tree, as a persistent (copy-on-write) B+-tree.
 //
 // L0 "logs" modifications: an insert stores an index record; a delete or
 // update for a key not present in L0 stores a tombstone/update record that
@@ -9,163 +9,336 @@
 // of B records each, with the same metadata (min key, max key, count) that
 // on-storage levels expose.
 //
-// The treap is persistent: every mutation path-copies the O(log n) nodes
-// between the root and the touched key, leaving all previously captured
-// roots intact. Snapshot therefore costs O(1) and returns an immutable
-// view that can be read without synchronization while the table keeps
-// changing — the property the engine's snapshot-isolated read path is
-// built on. A snapshot's Cursor seeks in O(log n) and then steps in O(1)
-// amortised, so a range scan over L0 costs what it returns. A Table itself
-// is single-writer (the tree serializes mutations); Snapshots are safe for
-// any number of concurrent readers.
+// Leaves hold sorted runs of up to leafCap records; inner nodes hold up to
+// innerCap children with each child's minimum key and record count. Nodes
+// are never modified once linked into a root: Put copies the one leaf it
+// changes and that leaf's ancestors (splitting a node that overflows in
+// two), and TakeRange copies at most the two root-to-leaf paths at the
+// window's edges, dropping every subtree the window covers whole. All
+// previously captured roots stay intact, so Snapshot costs O(1) and returns
+// an immutable view that can be read without synchronization while the
+// table keeps changing — the property the engine's snapshot-isolated read
+// path is built on.
+//
+// Fill rule and height bound: every node except the root holds at least a
+// quarter of its capacity (8 records or 8 children). Splits leave both
+// halves half full, TakeRange merges a node it leaves below the bound with
+// a sibling or moves entries over from one, and a root left with one child
+// is replaced by that child. So a tree of n records has height at most
+// 1 + log_8(n/2) (5 levels at 8,192 records, 14 at 2^40) through any
+// drain-and-refill cycle of L0 merges.
+//
+// A snapshot's Cursor seeks in O(height) and then steps in O(1) amortised,
+// so a range scan over L0 costs what it returns. A Table itself is
+// single-writer (the tree serializes mutations); Snapshots are safe for any
+// number of concurrent readers.
 package memtable
 
 import (
-	"math/rand"
+	"math/bits"
 
 	"lsmssd/internal/block"
 )
 
-// node is one immutable treap node. Nodes are never modified once linked
-// into a published root; mutations clone the search path.
+const (
+	leafCap  = 32 // records per leaf
+	innerCap = 32 // children per inner node
+	// maxHeight is the height bound at 2^46 records; a Cursor's frames
+	// fit in a fixed array up to it.
+	maxHeight = 16
+)
+
+// node is one immutable B+-tree node: a leaf when kids is nil. Nodes are
+// never modified once linked into a published root.
 type node struct {
-	rec   block.Record
-	prio  uint64
-	size  int // subtree record count (including this node)
-	left  *node
-	right *node
+	recs []block.Record // leaf: records in key order
+	kids []child        // inner: children in key order
 }
 
-func size(n *node) int {
-	if n == nil {
+// child is an inner node's entry for one subtree.
+type child struct {
+	min   block.Key // the subtree's first key
+	count int       // records in the subtree
+	n     *node
+}
+
+func (n *node) leaf() bool { return n.kids == nil }
+
+// fill is the node's entry count, the quantity the fill rule bounds.
+func (n *node) fill() int {
+	if n.leaf() {
+		return len(n.recs)
+	}
+	return len(n.kids)
+}
+
+func (n *node) capacity() int {
+	if n.leaf() {
+		return leafCap
+	}
+	return innerCap
+}
+
+// underfull reports whether n breaks the fill rule (unless it is the root).
+func (n *node) underfull() bool { return 4*n.fill() < n.capacity() }
+
+// entry returns n's entry in its parent.
+func (n *node) entry() child {
+	if n.leaf() {
+		return child{min: n.recs[0].Key, count: len(n.recs), n: n}
+	}
+	c := child{min: n.kids[0].min, n: n}
+	for _, k := range n.kids {
+		c.count += k.count
+	}
+	return c
+}
+
+// The searches below halve a window [base, base+n) without a branch on
+// the comparison: the borrow of a subtraction says which half to keep, so
+// a lookup pays no mispredictions.
+
+// less returns 1 if a < b and 0 otherwise.
+func less(a, b block.Key) int {
+	_, borrow := bits.Sub64(uint64(a), uint64(b), 0)
+	return int(borrow)
+}
+
+// lowerBound returns the index of the first record with key >= k.
+func lowerBound(recs []block.Record, k block.Key) int {
+	if len(recs) == 0 {
 		return 0
 	}
-	return n.size
+	base, n := 0, len(recs)
+	for n > 1 {
+		half := n >> 1
+		base += half & -less(recs[base+half].Key, k)
+		n -= half
+	}
+	return base + less(recs[base].Key, k)
 }
 
-// clone returns a private copy of n for path-copying mutations.
-func clone(n *node) *node {
-	c := *n
-	return &c
+// upperBound returns the index of the first record with key > k.
+func upperBound(recs []block.Record, k block.Key) int {
+	if k == ^block.Key(0) {
+		return len(recs)
+	}
+	return lowerBound(recs, k+1)
 }
 
-// update recomputes n's subtree size and returns n.
-func (n *node) update() *node {
-	n.size = size(n.left) + 1 + size(n.right)
-	return n
-}
-
-// split partitions n into keys < k, the node with key == k (if any), and
-// keys > k. The path to k is copied; mid is returned as-is and its child
-// pointers must be ignored by the caller.
-func split(n *node, k block.Key) (l, mid, r *node) {
-	if n == nil {
-		return nil, nil, nil
+// childFor returns the index of the child whose range holds k: the last
+// child with min <= k, or 0 when k sorts before every child.
+func childFor(kids []child, k block.Key) int {
+	base, n := 0, len(kids)
+	for n > 1 {
+		half := n >> 1
+		base += half &^ -less(k, kids[base+half].min)
+		n -= half
 	}
-	switch {
-	case n.rec.Key < k:
-		c := clone(n)
-		l2, mid, r := split(n.right, k)
-		c.right = l2
-		return c.update(), mid, r
-	case n.rec.Key > k:
-		c := clone(n)
-		l, mid, r2 := split(n.left, k)
-		c.left = r2
-		return l, mid, c.update()
-	default:
-		return n.left, n, n.right
-	}
-}
-
-// splitLE partitions n into keys <= k and keys > k, path-copying.
-func splitLE(n *node, k block.Key) (l, r *node) {
-	if n == nil {
-		return nil, nil
-	}
-	if n.rec.Key <= k {
-		c := clone(n)
-		l2, r2 := splitLE(n.right, k)
-		c.right = l2
-		return c.update(), r2
-	}
-	c := clone(n)
-	l2, r2 := splitLE(n.left, k)
-	c.left = r2
-	return l2, c.update()
-}
-
-// join concatenates two treaps whose key ranges satisfy l < r, preserving
-// the heap order on priorities. Both inputs are left intact.
-func join(l, r *node) *node {
-	if l == nil {
-		return r
-	}
-	if r == nil {
-		return l
-	}
-	if l.prio >= r.prio {
-		c := clone(l)
-		c.right = join(l.right, r)
-		return c.update()
-	}
-	c := clone(r)
-	c.left = join(l, c.left)
-	return c.update()
+	return base
 }
 
 // get returns the record for k in the subtree rooted at n.
 func get(n *node, k block.Key) (block.Record, bool) {
-	for n != nil {
-		switch {
-		case k < n.rec.Key:
-			n = n.left
-		case k > n.rec.Key:
-			n = n.right
-		default:
-			return n.rec, true
-		}
+	if n == nil {
+		return block.Record{}, false
+	}
+	for !n.leaf() {
+		n = n.kids[childFor(n.kids, k)].n
+	}
+	if i := lowerBound(n.recs, k); i < len(n.recs) && n.recs[i].Key == k {
+		return n.recs[i], true
 	}
 	return block.Record{}, false
+}
+
+// put returns a copy of n with r stored, in one descent. When the copy
+// overflows it is split and right is its upper half. old and replaced
+// report the record r overwrote.
+func put(n *node, r block.Record) (c, right *node, old block.Record, replaced bool) {
+	if n.leaf() {
+		i := lowerBound(n.recs, r.Key)
+		if i < len(n.recs) && n.recs[i].Key == r.Key {
+			recs := append([]block.Record(nil), n.recs...)
+			old, recs[i] = recs[i], r
+			return &node{recs: recs}, nil, old, true
+		}
+		recs := make([]block.Record, len(n.recs)+1)
+		copy(recs, n.recs[:i])
+		recs[i] = r
+		copy(recs[i+1:], n.recs[i:])
+		c, right = split(&node{recs: recs})
+		return c, right, old, false
+	}
+	i := childFor(n.kids, r.Key)
+	sub, subRight, old, replaced := put(n.kids[i].n, r)
+	kids := make([]child, len(n.kids), len(n.kids)+1)
+	copy(kids, n.kids)
+	if subRight == nil {
+		kids[i].n = sub
+		kids[i].min = min(kids[i].min, r.Key)
+		if !replaced {
+			kids[i].count++
+		}
+	} else {
+		kids = append(kids, child{})
+		copy(kids[i+2:], kids[i+1:])
+		kids[i], kids[i+1] = sub.entry(), subRight.entry()
+	}
+	c, right = split(&node{kids: kids})
+	return c, right, old, replaced
 }
 
 // ascend visits records with key in [lo, hi] in key order, returning false
 // if fn stopped the walk.
 func ascend(n *node, lo, hi block.Key, fn func(block.Record) bool) bool {
-	if n == nil {
+	if n.leaf() {
+		for i := lowerBound(n.recs, lo); i < len(n.recs) && n.recs[i].Key <= hi; i++ {
+			if !fn(n.recs[i]) {
+				return false
+			}
+		}
 		return true
 	}
-	if n.rec.Key >= lo {
-		if !ascend(n.left, lo, hi, fn) {
+	for i := childFor(n.kids, lo); i < len(n.kids) && n.kids[i].min <= hi; i++ {
+		if !ascend(n.kids[i].n, lo, hi, fn) {
 			return false
 		}
-		if n.rec.Key <= hi && !fn(n.rec) {
-			return false
-		}
-	}
-	if n.rec.Key <= hi {
-		return ascend(n.right, lo, hi, fn)
 	}
 	return true
+}
+
+// leaves calls fn with each leaf's records in key order.
+func leaves(n *node, fn func([]block.Record)) {
+	if n.leaf() {
+		fn(n.recs)
+		return
+	}
+	for _, k := range n.kids {
+		leaves(k.n, fn)
+	}
+}
+
+// take removes the records with key in [lo, hi] from the subtree rooted at
+// n, appending them to *out in key order. It returns n itself when nothing
+// is in the window, nil when everything is, and otherwise a copy whose
+// children meet the fill rule (the copy itself may be underfull; its
+// parent fixes that). Only the nodes on the paths to lo and hi are copied.
+func take(n *node, lo, hi block.Key, out *[]block.Record) *node {
+	if n.leaf() {
+		i, j := lowerBound(n.recs, lo), upperBound(n.recs, hi)
+		switch {
+		case i == j:
+			return n
+		case i == 0 && j == len(n.recs):
+			*out = append(*out, n.recs...)
+			return nil
+		}
+		*out = append(*out, n.recs[i:j]...)
+		recs := make([]block.Record, 0, len(n.recs)-(j-i))
+		return &node{recs: append(append(recs, n.recs[:i]...), n.recs[j:]...)}
+	}
+	a, b := childFor(n.kids, lo), childFor(n.kids, hi)
+	first := take(n.kids[a].n, lo, hi, out)
+	last := first
+	if b > a {
+		for _, k := range n.kids[a+1 : b] {
+			leaves(k.n, func(recs []block.Record) { *out = append(*out, recs...) })
+		}
+		last = take(n.kids[b].n, lo, hi, out)
+	}
+	if b <= a+1 && first == n.kids[a].n && last == n.kids[b].n {
+		return n // the window missed every record under n
+	}
+	kids := make([]child, 0, len(n.kids)-(b-a-1))
+	kids = append(kids, n.kids[:a]...)
+	if first != nil {
+		kids = append(kids, first.entry())
+	}
+	if b > a && last != nil {
+		kids = append(kids, last.entry())
+	}
+	kids = append(kids, n.kids[b+1:]...)
+	if len(kids) == 0 {
+		return nil
+	}
+	// The two copied children sit at a and a+1 at most; fix the later one
+	// first so the earlier index stays valid.
+	for i := min(a+1, len(kids)-1); i >= a; i-- {
+		kids = rebalance(kids, i)
+	}
+	return &node{kids: kids}
+}
+
+// rebalance restores the fill rule at kids[i] (a slice the caller owns) by
+// merging the child with a neighbour or, when the two hold more than one
+// node's capacity, splitting their entries evenly between two new nodes.
+// A merged node can itself be underfull when both inputs were; it is
+// rebalanced again.
+func rebalance(kids []child, i int) []child {
+	for i < len(kids) && len(kids) > 1 && kids[i].n.underfull() {
+		j := i + 1
+		if j == len(kids) {
+			i, j = i-1, i
+		}
+		l, r := split(merge(kids[i].n, kids[j].n))
+		if r == nil {
+			kids[i] = l.entry()
+			kids = append(kids[:j], kids[j+1:]...)
+			continue
+		}
+		kids[i], kids[j] = l.entry(), r.entry()
+	}
+	return kids
+}
+
+// merge returns a new node holding l's entries followed by r's; l and r
+// are siblings, so both are leaves or both are inner nodes. An inner node
+// that take left with one child may hold an underfull one, so the two
+// children that meet at the seam are rebalanced.
+func merge(l, r *node) *node {
+	if l.leaf() {
+		recs := make([]block.Record, 0, len(l.recs)+len(r.recs))
+		return &node{recs: append(append(recs, l.recs...), r.recs...)}
+	}
+	kids := make([]child, 0, len(l.kids)+len(r.kids))
+	kids = append(append(kids, l.kids...), r.kids...)
+	seam := len(l.kids)
+	kids = rebalance(kids, seam)
+	kids = rebalance(kids, seam-1)
+	return &node{kids: kids}
+}
+
+// split returns n unchanged (and a nil r) if it fits its capacity, and
+// otherwise its entries divided evenly between two nodes that share n's
+// backing array (nodes are immutable, so the sharing is safe).
+func split(n *node) (l, r *node) {
+	if n.fill() <= n.capacity() {
+		return n, nil
+	}
+	h := n.fill() / 2
+	if n.leaf() {
+		return &node{recs: n.recs[:h:h]}, &node{recs: n.recs[h:]}
+	}
+	return &node{kids: n.kids[:h:h]}, &node{kids: n.kids[h:]}
 }
 
 // Table is the L0 index. Mutations are single-writer (the tree serializes
 // them); captured Snapshots remain readable concurrently.
 type Table struct {
 	root    *node
+	count   int
 	bytes   int
 	version uint64 // bumped by every mutation; lets callers memoize views
-	rng     *rand.Rand
 }
 
-// New returns an empty memtable. The seed makes treap priorities — and
-// therefore all downstream experiment traces — deterministic.
-func New(seed int64) *Table {
-	return &Table{rng: rand.New(rand.NewSource(seed))}
-}
+// New returns an empty memtable. The seed is ignored: the tree's shape
+// depends only on the operations applied, so runs are reproducible
+// without one.
+func New(_ int64) *Table { return &Table{} }
 
 // Len returns the number of records (including tombstones) in the table.
-func (t *Table) Len() int { return size(t.root) }
+func (t *Table) Len() int { return t.count }
 
 // Version returns a counter that changes with every mutation, so derived
 // views (e.g. virtual-block metadata) can be cached until the table
@@ -178,30 +351,21 @@ func (t *Table) Bytes() int { return t.bytes }
 // Put inserts or overwrites the record for r.Key.
 func (t *Table) Put(r block.Record) {
 	t.version++
-	if old, ok := get(t.root, r.Key); ok {
-		t.bytes += r.Size() - old.Size()
-		t.root = replace(t.root, r)
-		return
+	root := t.root
+	if root == nil {
+		root = &node{} // an empty leaf
 	}
-	l, _, rt := split(t.root, r.Key)
-	n := &node{rec: r, prio: t.rng.Uint64(), size: 1}
-	t.root = join(join(l, n), rt)
+	c, right, old, replaced := put(root, r)
+	t.root = c
+	if right != nil {
+		t.root = &node{kids: []child{c.entry(), right.entry()}}
+	}
 	t.bytes += r.Size()
-}
-
-// replace path-copies down to the node holding r.Key (which must exist)
-// and swaps in the new record, keeping the tree shape.
-func replace(n *node, r block.Record) *node {
-	c := clone(n)
-	switch {
-	case r.Key < n.rec.Key:
-		c.left = replace(n.left, r)
-	case r.Key > n.rec.Key:
-		c.right = replace(n.right, r)
-	default:
-		c.rec = r
+	if replaced {
+		t.bytes -= old.Size()
+	} else {
+		t.count++
 	}
-	return c
 }
 
 // Get returns the record stored for k, if any. The caller must check
@@ -210,52 +374,31 @@ func (t *Table) Get(k block.Key) (block.Record, bool) {
 	return get(t.root, k)
 }
 
-// Delete removes the record for k, reporting whether it was present.
-// Note this is a physical removal used when draining merged ranges; a
-// logical delete request is a Put of a tombstone record.
-func (t *Table) Delete(k block.Key) bool {
-	t.version++
-	l, mid, r := split(t.root, k)
-	if mid == nil {
-		return false // split copied nothing the table keeps: root unchanged
-	}
-	t.bytes -= mid.rec.Size()
-	t.root = join(l, r)
-	return true
-}
-
 // Ascend calls fn for each record with key in [lo, hi] in key order,
 // stopping early if fn returns false.
 func (t *Table) Ascend(lo, hi block.Key, fn func(block.Record) bool) {
-	ascend(t.root, lo, hi, fn)
-}
-
-// All returns every record in key order. It allocates; use Ascend for
-// streaming access.
-func (t *Table) All() []block.Record {
-	out := make([]block.Record, 0, t.Len())
-	ascend(t.root, 0, ^block.Key(0), func(r block.Record) bool {
-		out = append(out, r)
-		return true
-	})
-	return out
+	if t.root != nil {
+		ascend(t.root, lo, hi, fn)
+	}
 }
 
 // TakeRange removes and returns all records with key in [lo, hi], in key
 // order. Merges from L0 call this to drain the merged window.
 func (t *Table) TakeRange(lo, hi block.Key) []block.Record {
 	var out []block.Record
-	t.Ascend(lo, hi, func(r block.Record) bool {
-		out = append(out, r)
-		return true
-	})
-	if len(out) == 0 {
+	if t.root == nil || lo > hi {
 		return out
 	}
+	root := take(t.root, lo, hi, &out)
+	if root == t.root {
+		return out
+	}
+	for root != nil && !root.leaf() && len(root.kids) == 1 {
+		root = root.kids[0].n
+	}
 	t.version++
-	left, _, rest := split(t.root, lo) // a node with key == lo is dropped here
-	_, right := splitLE(rest, hi)
-	t.root = join(left, right)
+	t.root = root
+	t.count -= len(out)
 	for _, r := range out {
 		t.bytes -= r.Size()
 	}
@@ -272,28 +415,31 @@ type VirtualMeta struct {
 }
 
 // VirtualBlocks chunks the table into virtual blocks of the given capacity
-// and returns their metadata.
+// (the records of rank [i·capacity, (i+1)·capacity) form block i) and
+// returns their metadata. It walks the leaves with a running rank and
+// reads each block's first and last record by index, in O(leaves + blocks).
 func (t *Table) VirtualBlocks(capacity int) []VirtualMeta {
 	if capacity < 1 {
 		panic("memtable: capacity must be >= 1")
 	}
-	var metas []VirtualMeta
-	var cur VirtualMeta
-	ascend(t.root, 0, ^block.Key(0), func(r block.Record) bool {
-		if cur.Count == 0 {
-			cur.Min = r.Key
-		}
-		cur.Max = r.Key
-		cur.Count++
-		if cur.Count == capacity {
-			metas = append(metas, cur)
-			cur = VirtualMeta{}
-		}
-		return true
-	})
-	if cur.Count > 0 {
-		metas = append(metas, cur)
+	if t.root == nil {
+		return nil
 	}
+	metas := make([]VirtualMeta, (t.count+capacity-1)/capacity)
+	base := 0 // rank of the leaf's first record
+	leaves(t.root, func(recs []block.Record) {
+		end := base + len(recs)
+		for b := base / capacity; b*capacity < end; b++ {
+			first, last := b*capacity, min((b+1)*capacity, t.count)-1
+			if first >= base {
+				metas[b].Min = recs[first-base].Key
+			}
+			if last < end {
+				metas[b].Max, metas[b].Count = recs[last-base].Key, last-first+1
+			}
+		}
+		base = end
+	})
 	return metas
 }
 
@@ -301,16 +447,17 @@ func (t *Table) VirtualBlocks(capacity int) []VirtualMeta {
 // concurrent readers while the table keeps mutating.
 type Snapshot struct {
 	root  *node
+	count int
 	bytes int
 }
 
 // Snapshot captures the current contents in O(1).
 func (t *Table) Snapshot() *Snapshot {
-	return &Snapshot{root: t.root, bytes: t.bytes}
+	return &Snapshot{root: t.root, count: t.count, bytes: t.bytes}
 }
 
 // Len returns the number of records (including tombstones) in the snapshot.
-func (s *Snapshot) Len() int { return size(s.root) }
+func (s *Snapshot) Len() int { return s.count }
 
 // Bytes returns the request-byte footprint at capture time.
 func (s *Snapshot) Bytes() int { return s.bytes }
@@ -321,31 +468,42 @@ func (s *Snapshot) Get(k block.Key) (block.Record, bool) {
 }
 
 // Cursor returns a cursor positioned at the first captured record with key
-// >= lo that yields records up to hi. The seek costs O(log n) and copies no
-// records.
+// >= lo that yields records up to hi. The seek costs O(height) and copies
+// no records.
 func (s *Snapshot) Cursor(lo, hi block.Key) *Cursor {
 	c := &Cursor{hi: hi}
 	c.stack = c.buf[:0]
-	for n := s.root; n != nil; {
-		if n.rec.Key >= lo {
-			c.stack = append(c.stack, n)
-			n = n.left
-		} else {
-			n = n.right
-		}
+	if s.root == nil {
+		return c
+	}
+	n := s.root
+	for !n.leaf() {
+		i := childFor(n.kids, lo)
+		c.stack = append(c.stack, frame{n, i})
+		n = n.kids[i].n
+	}
+	c.stack = append(c.stack, frame{n, lowerBound(n.recs, lo)})
+	if c.stack[len(c.stack)-1].i == len(n.recs) {
+		c.nextLeaf()
 	}
 	c.clip()
 	return c
 }
 
-// Cursor walks a snapshot's records in key order. It holds the ancestors
-// still to be visited on a stack whose top is the current record, so each
-// Advance costs O(1) amortised. Snapshot nodes are never modified, so a
-// cursor needs no lock; a single cursor is not safe for concurrent use.
+// Cursor walks a snapshot's records in key order. Its stack holds one
+// (node, index) frame per level, root first; the top frame is the current
+// leaf and the current record's index in it, so each Advance costs O(1)
+// amortised. Snapshot nodes are never modified, so a cursor needs no lock;
+// a single cursor is not safe for concurrent use.
 type Cursor struct {
 	hi    block.Key
-	stack []*node
-	buf   [32]*node // backs stack up to depth 32, so a seek allocates once
+	stack []frame
+	buf   [maxHeight]frame // backs stack, so a seek allocates once
+}
+
+type frame struct {
+	n *node
+	i int
 }
 
 // Peek returns the current record, or false once the cursor has passed hi
@@ -354,7 +512,8 @@ func (c *Cursor) Peek() (block.Record, bool) {
 	if len(c.stack) == 0 {
 		return block.Record{}, false
 	}
-	return c.stack[len(c.stack)-1].rec, true
+	f := &c.stack[len(c.stack)-1]
+	return f.n.recs[f.i], true
 }
 
 // Advance moves the cursor to the next record in key order.
@@ -362,18 +521,38 @@ func (c *Cursor) Advance() {
 	if len(c.stack) == 0 {
 		return
 	}
-	n := c.stack[len(c.stack)-1]
-	c.stack = c.stack[:len(c.stack)-1]
-	for n = n.right; n != nil; n = n.left {
-		c.stack = append(c.stack, n)
+	f := &c.stack[len(c.stack)-1]
+	if f.i++; f.i == len(f.n.recs) {
+		c.nextLeaf()
 	}
 	c.clip()
+}
+
+// nextLeaf replaces the exhausted top leaf with the first record of the
+// next leaf, or empties the stack when there is none.
+func (c *Cursor) nextLeaf() {
+	d := len(c.stack) - 2 // deepest inner frame
+	for d >= 0 && c.stack[d].i+1 == len(c.stack[d].n.kids) {
+		d--
+	}
+	if d < 0 {
+		c.stack = c.stack[:0]
+		return
+	}
+	c.stack[d].i++
+	for l := d + 1; l < len(c.stack); l++ {
+		p := c.stack[l-1]
+		c.stack[l] = frame{p.n.kids[p.i].n, 0}
+	}
 }
 
 // clip empties the stack once its top is past hi, so a finished cursor
 // answers Peek with one length check.
 func (c *Cursor) clip() {
-	if len(c.stack) > 0 && c.stack[len(c.stack)-1].rec.Key > c.hi {
-		c.stack = c.stack[:0]
+	if len(c.stack) > 0 {
+		f := &c.stack[len(c.stack)-1]
+		if f.n.recs[f.i].Key > c.hi {
+			c.stack = c.stack[:0]
+		}
 	}
 }

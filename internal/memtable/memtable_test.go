@@ -3,6 +3,7 @@ package memtable
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -50,24 +51,27 @@ func TestBytesAccounting(t *testing.T) {
 	if m.Bytes() != 12 {
 		t.Fatalf("Bytes after overwrite = %d, want 12", m.Bytes())
 	}
-	m.Delete(1)
+	m.TakeRange(1, 1)
 	if m.Bytes() != 0 {
-		t.Fatalf("Bytes after delete = %d, want 0", m.Bytes())
+		t.Fatalf("Bytes after TakeRange = %d, want 0", m.Bytes())
 	}
 }
 
+// TestDelete removes single keys with TakeRange(k, k), the physical
+// delete merges use; a logical delete is a Put of a tombstone.
 func TestDelete(t *testing.T) {
 	m := New(1)
 	for k := block.Key(0); k < 100; k++ {
 		m.Put(rec(k))
 	}
 	for k := block.Key(0); k < 100; k += 2 {
-		if !m.Delete(k) {
-			t.Fatalf("Delete(%d) = false", k)
+		if out := m.TakeRange(k, k); len(out) != 1 || out[0].Key != k {
+			t.Fatalf("TakeRange(%d, %d) = %v", k, k, out)
 		}
 	}
-	if m.Delete(2) {
-		t.Fatal("double delete succeeded")
+	v := m.Version()
+	if out := m.TakeRange(2, 2); len(out) != 0 || m.Version() != v {
+		t.Fatalf("second TakeRange(2, 2) = %v, version %d -> %d", out, v, m.Version())
 	}
 	if m.Len() != 50 {
 		t.Fatalf("Len = %d, want 50", m.Len())
@@ -76,6 +80,9 @@ func TestDelete(t *testing.T) {
 		if _, ok := m.Get(k); !ok {
 			t.Fatalf("odd key %d lost", k)
 		}
+	}
+	if err := m.check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -157,33 +164,49 @@ func TestAllSorted(t *testing.T) {
 		m.Put(rec(k))
 		want[k] = true
 	}
-	all := m.All()
+	all := ascendRecs(m, 0, ^block.Key(0))
 	if len(all) != len(want) {
-		t.Fatalf("All returned %d records, want %d", len(all), len(want))
+		t.Fatalf("Ascend returned %d records, want %d", len(all), len(want))
 	}
 	if !sort.SliceIsSorted(all, func(i, j int) bool { return all[i].Key < all[j].Key }) {
-		t.Fatal("All not sorted")
+		t.Fatal("Ascend not sorted")
 	}
 }
 
 // Property: the memtable behaves exactly like a map + sort under random
-// puts and deletes.
+// puts, single-key TakeRanges and window TakeRanges over 16-bit keys, deep
+// enough for three levels, and keeps its structure valid throughout.
 func TestQuickModelCheck(t *testing.T) {
-	f := func(ops []uint16, seed int64) bool {
-		m := New(seed)
+	f := func(ops []uint32) bool {
+		m := New(0)
 		model := map[block.Key][]byte{}
 		for _, op := range ops {
-			k := block.Key(op % 64)
-			if op%3 == 0 {
-				m.Delete(k)
+			k := block.Key(op >> 16)
+			switch op % 32 {
+			case 0:
+				m.TakeRange(k, k)
 				delete(model, k)
-			} else {
+			case 1:
+				hi := k + block.Key(op>>5%256)
+				out := m.TakeRange(k, hi)
+				for i, r := range out {
+					if _, ok := model[r.Key]; !ok || r.Key < k || r.Key > hi || i > 0 && out[i-1].Key >= r.Key {
+						return false
+					}
+					delete(model, r.Key)
+				}
+				for mk := k; mk <= hi; mk++ {
+					if _, ok := model[mk]; ok {
+						return false
+					}
+				}
+			default:
 				p := []byte{byte(op)}
 				m.Put(block.Record{Key: k, Payload: p})
 				model[k] = p
 			}
 		}
-		if m.Len() != len(model) {
+		if m.Len() != len(model) || m.check() != nil {
 			return false
 		}
 		for k, p := range model {
@@ -192,16 +215,65 @@ func TestQuickModelCheck(t *testing.T) {
 				return false
 			}
 		}
-		all := m.All()
-		for i := 1; i < len(all); i++ {
-			if all[i-1].Key >= all[i].Key {
-				return false
-			}
-		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	cfg := &quick.Config{MaxCount: 200, Values: func(v []reflect.Value, rng *rand.Rand) {
+		ops := make([]uint32, rng.Intn(8000))
+		for i := range ops {
+			ops[i] = rng.Uint32()
+		}
+		v[0] = reflect.ValueOf(ops)
+	}}
+	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDrainRefillKeepsHeight runs the L0 merge cycle: fill to 8,192
+// records, take a 7 % window out, refill. The fill rule must keep the
+// height and the leaf count where a freshly filled tree has them.
+func TestDrainRefillKeepsHeight(t *testing.T) {
+	const window = full * 7 / 100
+	m := New(0)
+	rng := rand.New(rand.NewSource(11))
+	tallest, widest := 0, 0
+	for cycle := 0; cycle < 200; cycle++ {
+		for m.Len() < full {
+			m.Put(rec(block.Key(rng.Uint64())))
+		}
+		if err := m.check(); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+		h, l := m.shape()
+		tallest, widest = max(tallest, h), max(widest, l)
+		keys := ascendRecs(m, 0, ^block.Key(0))
+		at := rng.Intn(full - window)
+		if out := m.TakeRange(keys[at].Key, keys[at+window-1].Key); len(out) != window {
+			t.Fatalf("cycle %d: took %d records, want %d", cycle, len(out), window)
+		}
+		if err := m.check(); err != nil {
+			t.Fatalf("cycle %d after TakeRange: %v", cycle, err)
+		}
+	}
+	if tallest > 3 || widest > full/(leafCap/2) {
+		t.Fatalf("after 200 cycles: height up to %d, leaves up to %d; want <= 3 and <= %d", tallest, widest, full/(leafCap/2))
+	}
+}
+
+// TestPutAllocsIndependentOfL0: a Put copies one root-to-leaf path, so its
+// allocations grow with the height, not with the table.
+func TestPutAllocsIndependentOfL0(t *testing.T) {
+	var allocs [2]float64
+	for i, n := range []int{1000, 8192} {
+		m := New(0)
+		rng := rand.New(rand.NewSource(int64(n)))
+		for m.Len() < n {
+			m.Put(rec(block.Key(rng.Uint64())))
+		}
+		allocs[i] = testing.AllocsPerRun(200, func() { m.Put(rec(block.Key(rng.Uint64()))) })
+	}
+	if allocs[1]-allocs[0] > 2 || allocs[1] > 10 {
+		t.Fatalf("Put allocs: %v at 1,000 records, %v at 8,192; want within one level's copy (2) and <= 10", allocs[0], allocs[1])
 	}
 }
 
@@ -280,7 +352,7 @@ func TestCursorMatchesAscend(t *testing.T) {
 			m.Put(rec(max)) // the largest key is reachable
 		}
 		s := m.Snapshot()
-		all := m.All()
+		all := ascendRecs(m, 0, max)
 		ranges := [][2]block.Key{
 			{0, max}, {1, 0}, {max, 0}, {5, 5}, {max, max}, {0, 0},
 			{block.Key(4*n + 1), max - 1}, {block.Key(n), max},
@@ -303,8 +375,8 @@ func TestCursorMatchesAscend(t *testing.T) {
 }
 
 // TestCursorFrozenAcrossMutations: a cursor opened on a Snapshot keeps
-// yielding the captured sequence while the Table takes Put, Delete and
-// TakeRange between its steps.
+// yielding the captured sequence while the Table takes Puts and single-key
+// and window TakeRanges between its steps.
 func TestCursorFrozenAcrossMutations(t *testing.T) {
 	m := New(9)
 	for k := block.Key(0); k < 400; k += 2 {
@@ -325,7 +397,7 @@ func TestCursorFrozenAcrossMutations(t *testing.T) {
 		case 0:
 			m.Put(block.Record{Key: k, Payload: []byte("new"), Tombstone: true})
 		case 1:
-			m.Delete(r.Key + 2)
+			m.TakeRange(r.Key+2, r.Key+2)
 		case 2:
 			m.TakeRange(r.Key, r.Key+20)
 		}
@@ -338,16 +410,17 @@ func TestCursorFrozenAcrossMutations(t *testing.T) {
 	}
 }
 
-// FuzzMemtableCursor decodes the input into puts, deletes and TakeRanges,
-// snapshots mid-stream, and checks each snapshot's Cursor(lo, hi) against
-// a sorted-map model frozen at the same point. hi == 255 stands for the
-// largest key.
+// FuzzMemtableCursor decodes the input into puts, single-key and window
+// TakeRanges over 16-bit keys, snapshots mid-stream, and checks each
+// snapshot's Cursor(lo, hi) against a sorted-map model frozen at the same
+// point, and the table's structure at each snapshot and at the end.
+// hi == 0xffff stands for the largest key.
 func FuzzMemtableCursor(f *testing.F) {
-	f.Add([]byte{0, 5, 1, 9, 4, 0, 2, 5, 3, 0, 0, 7}, uint8(0), uint8(255))
-	f.Add([]byte{0, 1, 0, 2, 0, 3, 4, 0, 13, 1, 0, 200}, uint8(2), uint8(2))
-	f.Add([]byte{}, uint8(9), uint8(3))
-	f.Fuzz(func(t *testing.T, ops []byte, lo, hi uint8) {
-		m := New(int64(len(ops)))
+	f.Add([]byte{0, 0, 5, 1, 0, 9, 4, 0, 0, 2, 0, 5, 3, 0, 0, 0, 0, 7}, uint16(0), uint16(0xffff))
+	f.Add([]byte{0, 0, 1, 0, 0, 2, 0, 0, 3, 4, 0, 0, 13, 0, 1, 0, 0, 200}, uint16(2), uint16(2))
+	f.Add([]byte{}, uint16(9), uint16(3))
+	f.Fuzz(func(t *testing.T, ops []byte, lo, hi uint16) {
+		m := New(0)
 		model := map[block.Key]block.Record{}
 		type frozen struct {
 			snap  *Snapshot
@@ -362,33 +435,37 @@ func FuzzMemtableCursor(f *testing.F) {
 			return out
 		}
 		var snaps []frozen
-		for i := 0; i+1 < len(ops); i += 2 {
-			op, k := ops[i], block.Key(ops[i+1])
+		for i := 0; i+2 < len(ops); i += 3 {
+			op, k := ops[i], block.Key(ops[i+1])<<8|block.Key(ops[i+2])
 			switch op % 5 {
 			case 0, 1:
 				r := block.Record{Key: k, Payload: []byte{byte(i)}, Tombstone: op%5 == 1}
 				m.Put(r)
 				model[k] = r
 			case 2:
-				m.Delete(k)
+				m.TakeRange(k, k)
 				delete(model, k)
 			case 3:
-				end := k + block.Key(op/5%16)
+				end := k + block.Key(op/5)<<6
 				m.TakeRange(k, end)
-				for mk := range model {
-					if mk >= k && mk <= end {
-						delete(model, mk)
-					}
+				for mk := k; mk <= end; mk++ {
+					delete(model, mk)
 				}
 			case 4:
 				if len(snaps) < 4 {
 					snaps = append(snaps, frozen{m.Snapshot(), sorted()})
+					if err := m.check(); err != nil {
+						t.Fatalf("op %d: %v", i/3, err)
+					}
 				}
 			}
 		}
+		if err := m.check(); err != nil {
+			t.Fatal(err)
+		}
 		snaps = append(snaps, frozen{m.Snapshot(), sorted()})
 		lk, hk := block.Key(lo), block.Key(hi)
-		if hi == 255 {
+		if hi == 0xffff {
 			hk = ^block.Key(0)
 		}
 		for i, s := range snaps {

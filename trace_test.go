@@ -313,7 +313,7 @@ func TestTracingDisabledAddsNoAllocs(t *testing.T) {
 	}
 
 	// Writes, with the WAL on so the whole path runs (admission, frame
-	// encode, apply, notify). The ceilings are what the treap path copy and
+	// encode, apply, notify). The ceilings are what the B+-tree path copy and
 	// the published View cost on this 8-key memtable; the op slice (Put and
 	// Delete's one-element one stays on the caller's stack, a batch's is
 	// logged and applied as staged, unconverted), the WAL frame (encoded
