@@ -7,6 +7,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"lsmssd"
 )
@@ -322,6 +323,10 @@ func TestOptionsValidate(t *testing.T) {
 		// derived B floors at 1 and the first flush could not be stored.
 		{"blocksize below one default record, file-backed", func(o *lsmssd.Options) { o.Path, o.BlockSize = "unused.blk", 64 }, "BlockSize 64"},
 		{"blocksize one byte short, file-backed", func(o *lsmssd.Options) { o.Path, o.BlockSize = "unused.blk", 114 }, "at least 115"},
+		// The WAL fields are checked whether or not the store has a Path.
+		{"wal sync unknown", func(o *lsmssd.Options) { o.WAL.Sync = 7 }, "WAL.Sync"},
+		{"wal interval negative", func(o *lsmssd.Options) { o.WAL.Interval = -time.Second }, "WAL.Interval"},
+		{"wal segment too small", func(o *lsmssd.Options) { o.WAL.SegmentBytes = 1024 }, "WAL.SegmentBytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

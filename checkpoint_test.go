@@ -65,7 +65,7 @@ func gatedOpts(t *testing.T, g *syncGate, segmentBytes int64) lsmssd.Options {
 		MemtableBlocks:  8, // slowdown at 256 records, stop at 512 — room for the puts a test issues while the scheduler is blocked
 		Gamma:           4,
 		CacheBlocks:     -1, // every level read is a device read
-		WAL:             lsmssd.WALOptions{Enabled: true, Sync: lsmssd.SyncEvery, SegmentBytes: segmentBytes},
+		WAL:             lsmssd.WALOptions{Sync: lsmssd.SyncEvery, SegmentBytes: segmentBytes},
 		DeviceWrap:      g.wrap,
 	}
 }
@@ -630,7 +630,7 @@ func TestIdleWALTailIsSynced(t *testing.T) {
 func testIdleWALTailIsSynced(t *testing.T) {
 	opts := lsmssd.Options{
 		Path: t.TempDir() + "/store.db",
-		WAL:  lsmssd.WALOptions{Enabled: true, Sync: lsmssd.SyncInterval, Interval: 50 * time.Millisecond},
+		WAL:  lsmssd.WALOptions{Sync: lsmssd.SyncInterval, Interval: 50 * time.Millisecond},
 	}
 	db, err := lsmssd.Open(opts)
 	if err != nil {

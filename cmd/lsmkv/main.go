@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	lsmkv [-path file.blk] [-shards 1] [-policy ChooseBest] [-preserve=true] [-wal] [-sync every] [-metrics 127.0.0.1:8080]
+//	lsmkv [-path file.blk] [-shards 1] [-policy ChooseBest] [-preserve=true] [-sync every] [-metrics 127.0.0.1:8080]
 //
 // Commands (one per line on stdin):
 //
@@ -51,8 +51,7 @@ func main() {
 		k0       = flag.Int("k0", 64, "memtable capacity in blocks")
 		delta    = flag.Float64("delta", 0.07, "partial merge rate")
 		metrics  = flag.String("metrics", "", "serve /metrics and /debug on this address (e.g. 127.0.0.1:8080)")
-		walOn    = flag.Bool("wal", false, "enable the write-ahead log for crash durability (requires -path)")
-		walSync  = flag.String("sync", "every", "WAL sync policy: every, interval, or never")
+		walSync  = flag.String("sync", "every", "write-ahead log sync policy of a -path store: every, interval, or never")
 		scrub    = flag.Duration("scrub", 0, "background corruption-scrub interval per shard (0 disables), e.g. 5s")
 	)
 	flag.Parse()
@@ -80,7 +79,7 @@ func main() {
 		MemtableBlocks:  *k0,
 		Delta:           *delta,
 		MetricsAddr:     *metrics,
-		WAL:             lsmssd.WALOptions{Enabled: *walOn, Sync: sync},
+		WAL:             lsmssd.WALOptions{Sync: sync},
 		ScrubInterval:   *scrub,
 	})
 	if err != nil {

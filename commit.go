@@ -274,9 +274,7 @@ func (db *DB) syncIdleWAL(s0 *shard) error {
 }
 
 // openWAL performs crash recovery and positions the DB's log for
-// appending. With the WAL disabled it only verifies that no unreplayed
-// frames exist on disk — Open must never silently orphan acknowledged
-// writes.
+// appending.
 //
 // Replay reads the log from the oldest shard checkpoint on and pushes each
 // frame's operations through commit, shard by shard, skipping a shard
@@ -297,17 +295,6 @@ func (db *DB) openWAL() error {
 	for _, s := range db.shards[1:] {
 		from, to = min(from, s.ckptSeq), max(to, s.ckptSeq)
 	}
-	if !db.opts.WAL.Enabled {
-		has, err := wal.HasFramesAfter(base, from)
-		if err != nil {
-			return fmt.Errorf("lsmssd: inspecting write-ahead log: %w", err)
-		}
-		if has {
-			return fmt.Errorf("lsmssd: %s holds write-ahead log frames beyond the last checkpoint, but Options.WAL is disabled; reopen with the WAL enabled to recover them (or delete the segment files to discard them)", base)
-		}
-		return nil
-	}
-
 	start := time.Now()
 	replayed := make([]bool, len(db.shards))
 	info, err := wal.Replay(base, from, func(seq uint64, ops []wal.Op) error {

@@ -21,7 +21,7 @@ func logOpts(dir string, shards int, sync lsmssd.SyncPolicy) lsmssd.Options {
 		Shards:          shards,
 		MemtableBlocks:  2,
 		RecordsPerBlock: 16,
-		WAL:             lsmssd.WALOptions{Enabled: true, Sync: sync, SegmentBytes: 4 << 10},
+		WAL:             lsmssd.WALOptions{Sync: sync, SegmentBytes: 4 << 10},
 	}
 }
 

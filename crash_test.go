@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -14,19 +13,21 @@ import (
 )
 
 // fileOpts returns file-backed options sized so records reach the
-// storage levels after a few dozen writes.
+// storage levels after a few dozen writes. Their log never fsyncs: the
+// tests using them reopen only after Close.
 func fileOpts(path string) lsmssd.Options {
 	return lsmssd.Options{
 		Path:            path,
 		RecordsPerBlock: 16,
 		MemtableBlocks:  4,
 		Gamma:           4,
+		WAL:             lsmssd.WALOptions{Sync: lsmssd.SyncNever},
 	}
 }
 
 func walOpts(path string, sync lsmssd.SyncPolicy) lsmssd.Options {
 	o := fileOpts(path)
-	o.WAL = lsmssd.WALOptions{Enabled: true, Sync: sync, SegmentBytes: 8 << 10}
+	o.WAL = lsmssd.WALOptions{Sync: sync, SegmentBytes: 8 << 10}
 	return o
 }
 
@@ -254,63 +255,6 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 }
 
-// TestWALDisabledLeftoverFramesRefused: opening with the WAL off while
-// unreplayed frames sit on disk must refuse loudly instead of silently
-// dropping acked writes.
-func TestWALDisabledLeftoverFramesRefused(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.db")
-	db, err := lsmssd.Open(walOpts(path, lsmssd.SyncEvery))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 20; i++ {
-		if err := db.Put(i, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Crash(); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := lsmssd.Open(fileOpts(path)); err == nil {
-		t.Fatal("open with WAL disabled succeeded despite unreplayed frames")
-	} else if !strings.Contains(err.Error(), "write-ahead log") {
-		t.Fatalf("refusal does not name the WAL: %v", err)
-	}
-
-	// With the WAL enabled the same store recovers fine.
-	db, err = lsmssd.Open(walOpts(path, lsmssd.SyncEvery))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// After a clean close (checkpoint covers everything) the WAL-off open
-	// still refuses while segment files remain, and works once they are
-	// gone.
-	segs, err := filepath.Glob(path + ".wal.*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range segs {
-		if err := os.Remove(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db, err = lsmssd.Open(fileOpts(path))
-	if err != nil {
-		t.Fatalf("open with WAL disabled after removing segments: %v", err)
-	}
-	if _, ok, err := db.Get(3); err != nil || !ok {
-		t.Fatalf("checkpointed key lost (ok=%v, err=%v)", ok, err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCorruptBlockSurfacesErrCorrupt: a bit flip in the device file is
 // detected by the per-block checksum and surfaces as lsmssd.ErrCorrupt
 // through the public read path, never as silently wrong data.
@@ -428,14 +372,13 @@ func TestWALKeepsBlocksWrittenIdentical(t *testing.T) {
 	}
 }
 
-// TestWALOffCrashRefusesRecycledBlocks: without the WAL a checkpoint does
-// not sync the device and freed block slots are reused at once, so merges
-// after the last checkpoint may overwrite slots its manifest names. A crash
-// then leaves a manifest that points at other blocks' records. Open must
-// refuse such a store with ErrCorrupt rather than serve it: before the check
-// it opened, failed Validate on a stale fence pointer and answered "not
-// found", with no error, for most of the checkpointed keys.
-func TestWALOffCrashRefusesRecycledBlocks(t *testing.T) {
+// TestZeroWALOptionsCrashReopens: a store opened with nothing but its
+// shape and Path logs every write with SyncEvery, and a checkpoint syncs the
+// device before its manifest while freed slots wait for the next one. So
+// merges after the last checkpoint cannot overwrite a block its manifest
+// names, and a crash after them loses nothing: the store reopens, validates
+// and serves every key written before the crash.
+func TestZeroWALOptionsCrashReopens(t *testing.T) {
 	opts := lsmssd.Options{
 		Path:            filepath.Join(t.TempDir(), "store.db"),
 		RecordsPerBlock: 16,
@@ -446,10 +389,11 @@ func TestWALOffCrashRefusesRecycledBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	key := func(i uint64) uint64 { return i * 2654435761 % (1 << 32) }
 	put := func(lo, hi uint64) {
 		t.Helper()
 		for i := lo; i < hi; i++ {
-			if err := db.Put(i*2654435761%(1<<32), []byte(fmt.Sprintf("v%d", i))); err != nil {
+			if err := db.Put(key(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -461,18 +405,23 @@ func TestWALOffCrashRefusesRecycledBlocks(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	put(4000, 8000) // merges free the checkpointed blocks and reuse their slots
+	put(4000, 8000) // merges free the checkpointed blocks
 	if err := db.Crash(); err != nil {
 		t.Fatal(err)
 	}
 
-	rdb, err := lsmssd.Open(opts)
-	if err == nil {
-		rdb.Close()
-		t.Fatal("Open served a store whose manifest names overwritten blocks")
+	db, err = lsmssd.Open(opts)
+	if err != nil {
+		t.Fatalf("reopen after crash: %v", err)
 	}
-	if !errors.Is(err, lsmssd.ErrCorrupt) {
-		t.Fatalf("Open = %v, want an error wrapping ErrCorrupt", err)
+	defer db.Close()
+	if err := db.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	t.Log(err)
+	for i := uint64(0); i < 8000; i++ {
+		v, ok, err := db.Get(key(i))
+		if err != nil || !ok || string(v) != fmt.Sprintf("v%d", i) {
+			t.Fatalf("key of write %d after the crash: %q, found=%v, err=%v", i, v, ok, err)
+		}
+	}
 }

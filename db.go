@@ -72,7 +72,7 @@ type DB struct {
 	shards []*shard
 	mask   uint64
 
-	// The write-ahead log (nil unless Options.WAL.Enabled), what Open's
+	// The write-ahead log (nil for an in-memory store), what Open's
 	// replay of it did, and gcMu, which serializes the shards' checkpoints'
 	// calls to its GC (commit.go).
 	wal      *wal.Log
@@ -112,21 +112,18 @@ type DB struct {
 //
 // With Path set, Open looks for a manifest (Path + ".manifest") written by
 // a previous Close or Checkpoint and, if present, restores the store from
-// it; otherwise the file is created fresh. With Options.WAL enabled, Open
-// then replays the write-ahead log (Path + ".wal.*") over the restored
-// state: every operation in a frame beyond its shard's manifest sequence
-// is re-applied to that shard, a torn tail left by a power cut is
-// truncated at the first bad frame, and every shard that replayed
-// anything is checkpointed before Open returns (Stats reports what the
-// replay did). A frame is recovered whole or not at all, so a power cut
-// never keeps part of an Apply. With the WAL disabled the manifest alone
-// provides clean-shutdown persistence. A crash loses at least the requests since the last
-// checkpoint, and may lose the store: merges after that checkpoint can
-// overwrite device slots it names, and Open then fails with an error
-// wrapping ErrCorrupt that names the block, rather than serving wrong
-// answers. Open also refuses to run if it finds unreplayed WAL frames from
-// an earlier WAL-enabled incarnation, rather than silently dropping
-// acknowledged writes.
+// it; otherwise the file is created fresh. Open then replays the
+// write-ahead log (Path + ".wal.*") over the restored state: every
+// operation in a frame beyond its shard's manifest sequence is re-applied
+// to that shard, a torn tail left by a power cut is truncated at the first
+// bad frame, and every shard that replayed anything is checkpointed before
+// Open returns (Stats reports what the replay did). A frame is recovered
+// whole or not at all, so a power cut never keeps part of an Apply, and
+// after a crash the store holds every write the sync policy made durable.
+// A live block that does not hold what its manifest names — a bug or bit
+// rot, since a checkpoint syncs the device first and freed slots are not
+// reused until a later checkpoint — fails Open with an error wrapping
+// ErrCorrupt that names the block, rather than serving wrong answers.
 //
 // With Shards > 1, each shard restores from its own device file and
 // manifest (shard 0 owns the Path-named files, shard i the ".shard<i>"

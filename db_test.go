@@ -89,6 +89,7 @@ func TestPutGetDeleteScan(t *testing.T) {
 func TestFileBackedDB(t *testing.T) {
 	opts := smallOptions()
 	opts.Path = filepath.Join(t.TempDir(), "db.blk")
+	opts.WAL.Sync = lsmssd.SyncNever
 	db, err := lsmssd.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -249,6 +250,63 @@ func TestTuneMixedRequiresMixed(t *testing.T) {
 	}
 }
 
+// tuneStream is TuneMixed's sample workload in these tests, a steady-state
+// uniform one: it fills to ~200 live keys, then alternates inserts of new
+// keys with deletes of live ones. keys holds every key it issued and live
+// those it left present.
+type tuneStream struct {
+	rng  *rand.Rand
+	live map[uint64]bool
+	keys []uint64
+}
+
+func newTuneStream(seed int64) *tuneStream {
+	return &tuneStream{rng: rand.New(rand.NewSource(seed)), live: map[uint64]bool{}}
+}
+
+func (g *tuneStream) next() (lsmssd.Request, bool) {
+	if len(g.live) < 200 || g.rng.Intn(2) == 0 {
+		for {
+			k := g.rng.Uint64() % (1 << 40)
+			if g.live[k] {
+				continue
+			}
+			g.live[k] = true
+			g.keys = append(g.keys, k)
+			return lsmssd.Request{Key: k, Value: []byte("tune-payload-xx")}, true
+		}
+	}
+	for {
+		k := g.keys[g.rng.Intn(len(g.keys))]
+		if !g.live[k] {
+			continue
+		}
+		delete(g.live, k)
+		return lsmssd.Request{Delete: true, Key: k}, true
+	}
+}
+
+// tuneMixed preloads db from the stream, then tunes it on the same stream.
+func tuneMixed(t *testing.T, db *lsmssd.DB, g *tuneStream) lsmssd.TuneResult {
+	t.Helper()
+	for i := 0; i < 400; i++ {
+		r, _ := g.next()
+		if r.Delete {
+			db.Delete(r.Key)
+		} else {
+			db.Put(r.Key, r.Value)
+		}
+	}
+	res, err := db.TuneMixed(g.next, lsmssd.TuneOptions{
+		BetaWindowBytes:  1 << 17,
+		MaxBytesPerCycle: 1 << 26,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestTuneMixedLearnsParameters(t *testing.T) {
 	opts := smallOptions()
 	opts.MergePolicy = lsmssd.Mixed
@@ -258,47 +316,7 @@ func TestTuneMixedLearnsParameters(t *testing.T) {
 	}
 	defer db.Close()
 
-	// A steady-state uniform workload: fill to ~200 keys, then hold.
-	rng := rand.New(rand.NewSource(3))
-	live := map[uint64]bool{}
-	var keys []uint64
-	next := func() (lsmssd.Request, bool) {
-		if len(live) < 200 || rng.Intn(2) == 0 {
-			for {
-				k := rng.Uint64() % (1 << 40)
-				if live[k] {
-					continue
-				}
-				live[k] = true
-				keys = append(keys, k)
-				return lsmssd.Request{Key: k, Value: []byte("tune-payload-xx")}, true
-			}
-		}
-		for {
-			k := keys[rng.Intn(len(keys))]
-			if !live[k] {
-				continue
-			}
-			delete(live, k)
-			return lsmssd.Request{Delete: true, Key: k}, true
-		}
-	}
-	// Preload via the same stream.
-	for i := 0; i < 400; i++ {
-		r, _ := next()
-		if r.Delete {
-			db.Delete(r.Key)
-		} else {
-			db.Put(r.Key, r.Value)
-		}
-	}
-	res, err := db.TuneMixed(next, lsmssd.TuneOptions{
-		BetaWindowBytes:  1 << 17,
-		MaxBytesPerCycle: 1 << 26,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := tuneMixed(t, db, newTuneStream(3))
 	taus, beta, ok := db.MixedParams()
 	if !ok {
 		t.Fatal("MixedParams not available")
@@ -315,6 +333,47 @@ func TestTuneMixedLearnsParameters(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("tuned: taus=%v beta=%v in %d measurements", res.Taus, res.Beta, res.Measurements)
+}
+
+// TestTuneMixedWritesSurviveCrashReopen: TuneMixed drives its sample
+// requests into the tree without the log, so it checkpoints them before it
+// returns. After a crash every put of the stream is present and every
+// delete holds.
+func TestTuneMixedWritesSurviveCrashReopen(t *testing.T) {
+	opts := smallOptions()
+	opts.MergePolicy = lsmssd.Mixed
+	opts.Path = filepath.Join(t.TempDir(), "db.blk")
+	db, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newTuneStream(3)
+	tuneMixed(t, db, g)
+	if err := db.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	lost := 0
+	for _, k := range g.keys {
+		_, ok, err := db.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != g.live[k] {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d keys the stream wrote or deleted read wrong after the crash", lost, len(g.keys))
+	}
 }
 
 func TestConcurrentAccess(t *testing.T) {

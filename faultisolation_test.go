@@ -35,7 +35,6 @@ func isoOptions(dir string) lsmssd.Options {
 		MemtableBlocks:  2,
 		RecordsPerBlock: 16,
 		WAL: lsmssd.WALOptions{
-			Enabled:      true,
 			Sync:         lsmssd.SyncEvery,
 			SegmentBytes: 8 << 10,
 		},

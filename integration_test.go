@@ -18,6 +18,7 @@ func TestIntegrationFileDeviceChurn(t *testing.T) {
 	}
 	opts := lsmssd.Options{
 		Path:            filepath.Join(t.TempDir(), "churn.blk"),
+		WAL:             lsmssd.WALOptions{Sync: lsmssd.SyncNever},
 		RecordsPerBlock: 16,
 		MemtableBlocks:  4,
 		Gamma:           4,

@@ -320,7 +320,6 @@ func chaosOptions(cfg ChaosConfig, sc chaosScenario, path string) lsmssd.Options
 		Seed:           cfg.Seed + 1, // nonzero so both runs share the exact seed
 		MemtableBlocks: 2,            // small L0 so flushes and merges happen within the soak
 		WAL: lsmssd.WALOptions{
-			Enabled:      true,
 			Sync:         lsmssd.SyncEvery, // zero acked-write loss is part of the contract
 			SegmentBytes: 8 << 10,          // rotate often so checkpoints (and their device syncs) fire
 		},

@@ -146,7 +146,6 @@ func Run(cfg Config) (Report, error) {
 		MemtableBlocks:  2,
 		BloomBitsPerKey: 10,
 		WAL: lsmssd.WALOptions{
-			Enabled:  true,
 			Sync:     cfg.Sync,
 			Interval: cfg.Interval,
 			// Small enough that most cycles seal a segment, so crashes land

@@ -38,8 +38,8 @@ func cutPowerDirectly(l *wal.Log) error {
 func readingIsFine(l *wal.Log) int64 {
 	// Inspecting the log carries no durability authority; only mutating
 	// it is restricted. Replay and segment listing are likewise free.
-	has, err := wal.HasFramesAfter("db.wal", 0)
-	if err != nil || has {
+	segs, err := wal.SegmentFiles("db.wal")
+	if err != nil || len(segs) > 0 {
 		return l.Stats().Appends
 	}
 	return l.Stats().Appends

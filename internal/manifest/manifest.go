@@ -8,10 +8,7 @@
 // log sequence it covers (State.WALSeq). Crash recovery restores the
 // checkpoint and then replays WAL frames with sequence greater than
 // WALSeq (see internal/wal); the DB layer garbage-collects fully covered
-// WAL segments after each checkpoint. With the WAL disabled the manifest
-// alone still provides clean-shutdown persistence — a crash between
-// checkpoints then loses the requests since the last one, exactly the
-// paper's original model.
+// WAL segments after each checkpoint.
 package manifest
 
 import (

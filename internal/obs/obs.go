@@ -187,7 +187,7 @@ func (WALEvent) event() {}
 // HealthEvent of its demotion).
 type CheckpointEvent struct {
 	Shard  int
-	WALSeq uint64 // last WAL frame the manifest covers (0 with the WAL off)
+	WALSeq uint64 // last WAL frame the manifest covers (0 before any frame)
 
 	Capture      time.Duration // writer lock held: pin the view, read the log sequence, mark limbo
 	DeviceSync   time.Duration // fsync of the device file

@@ -24,10 +24,10 @@ const slotTrailer = 8
 // encoded block, and every read verifies it, returning ErrCorrupt on
 // mismatch — a torn block write or bit rot is detected loudly rather than
 // decoded into garbage. Freed slots are recycled through a free list,
-// mirroring an FTL's logical block map; under a write-ahead log the DB
-// layer defers recycling to checkpoint boundaries (SetDeferRecycle) so
-// crash recovery never reads a slot rewritten after the checkpoint it is
-// recovering to.
+// mirroring an FTL's logical block map, but only at checkpoint boundaries:
+// Free parks a slot in a limbo list and ReclaimFreed releases it once a
+// manifest that no longer names it is durable, so crash recovery never
+// reads a slot rewritten after the checkpoint it is recovering to.
 //
 // FileDevice exercises the real serialization and I/O path. On its own it
 // provides detection, not durability — crash durability comes from the
@@ -41,13 +41,12 @@ const slotTrailer = 8
 // lookups from the snapshot-isolated read path scale with the file
 // descriptor rather than serializing on one device mutex.
 type FileDevice struct {
-	mu        sync.RWMutex // guards next, free, limbo, deferRecycle, written, syncErr
+	mu        sync.RWMutex // guards next, free, limbo, written, syncErr
 	f         *os.File
 	blockSize int
 	next      BlockID
 	free      []BlockID
-	limbo     []BlockID // freed slots awaiting ReclaimFreed (deferred mode), oldest first
-	deferred  bool      // deferRecycle: Free parks slots in limbo
+	limbo     []BlockID // freed slots awaiting ReclaimFreed, oldest first
 	written   map[BlockID]bool
 	syncErr   error // sticky after a failed fsync (never retried)
 	cnt       atomicCounters
@@ -206,8 +205,11 @@ func (d *FileDevice) load(id BlockID) (*block.Block, error) {
 	return block.Decode(body)
 }
 
-// Free recycles id's slot — immediately by default, or into the limbo
-// list when deferred recycling is on.
+// Free releases id and parks its slot in the limbo list, which only
+// ReclaimFreed returns to the allocator: the last checkpoint manifest may
+// still name the block, and recovery must be able to read its original
+// contents, so the slot is not reused until the next checkpoint has durably
+// stopped naming it.
 func (d *FileDevice) Free(id BlockID) error {
 	d.mu.Lock()
 	if !d.written[id] {
@@ -215,31 +217,11 @@ func (d *FileDevice) Free(id BlockID) error {
 		return fmt.Errorf("storage: free block %d: %w", id, ErrNotFound)
 	}
 	delete(d.written, id)
-	if d.deferred {
-		d.limbo = append(d.limbo, id)
-	} else {
-		d.free = append(d.free, id)
-	}
+	d.limbo = append(d.limbo, id)
 	d.mu.Unlock()
 	d.cnt.frees.Add(1)
 	d.cnt.live.Add(-1)
 	return nil
-}
-
-// SetDeferRecycle switches freed slots into a limbo list that only
-// ReclaimFreed returns to the allocator. The DB layer enables this when a
-// write-ahead log is active: the last checkpoint manifest may still
-// reference a freed slot, and recovery must be able to read its original
-// contents, so a slot is not reused until the next checkpoint has durably
-// stopped referencing it.
-func (d *FileDevice) SetDeferRecycle(on bool) {
-	d.mu.Lock()
-	d.deferred = on
-	if !on {
-		d.free = append(d.free, d.limbo...)
-		d.limbo = nil
-	}
-	d.mu.Unlock()
 }
 
 // LimboMark returns the current length of the limbo list: the slots

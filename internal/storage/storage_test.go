@@ -143,6 +143,7 @@ func TestFileDeviceRecyclesSlots(t *testing.T) {
 	if err := fd.Free(id1); err != nil {
 		t.Fatal(err)
 	}
+	fd.ReclaimFreed(fd.LimboMark()) // a checkpoint made the free durable
 	id2 := fd.Alloc()
 	if id2 != id1 {
 		t.Errorf("freed slot not recycled: got %d, want %d", id2, id1)
@@ -156,16 +157,15 @@ func TestFileDeviceRecyclesSlots(t *testing.T) {
 	}
 }
 
-// TestFileDeviceReclaimUpToMark: in deferred mode a freed slot is reusable
-// only after a ReclaimFreed whose mark was taken after the free — the
-// checkpoint that captured its state before the free may still name it.
+// TestFileDeviceReclaimUpToMark: a freed slot is reusable only after a
+// ReclaimFreed whose mark was taken after the free — the checkpoint that
+// captured its state before the free may still name it.
 func TestFileDeviceReclaimUpToMark(t *testing.T) {
 	fd, err := OpenFileDevice(filepath.Join(t.TempDir(), "dev.blk"), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fd.Close()
-	fd.SetDeferRecycle(true)
 	var ids [3]BlockID
 	for i := range ids {
 		ids[i] = fd.Alloc()

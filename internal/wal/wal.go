@@ -246,23 +246,6 @@ type ReplayInfo struct {
 // are synced at creation, so a torn header means no frame in it was ever
 // acknowledged.
 func Replay(base string, afterSeq uint64, fn func(seq uint64, ops []Op) error) (ReplayInfo, error) {
-	return scan(base, afterSeq, fn, true)
-}
-
-// HasFramesAfter reports whether the log holds any intact frame with
-// sequence greater than afterSeq. Read-only: torn tails are ignored, not
-// truncated. The DB layer uses it to refuse opening with the WAL disabled
-// while unreplayed frames exist.
-func HasFramesAfter(base string, afterSeq uint64) (bool, error) {
-	found := false
-	_, err := scan(base, afterSeq, func(uint64, []Op) error {
-		found = true
-		return nil
-	}, false)
-	return found, err
-}
-
-func scan(base string, afterSeq uint64, fn func(seq uint64, ops []Op) error, repair bool) (ReplayInfo, error) {
 	var info ReplayInfo
 	paths, err := SegmentFiles(base)
 	if err != nil {
@@ -282,10 +265,8 @@ func scan(base string, afterSeq uint64, fn func(seq uint64, ops []Op) error, rep
 			}
 			// Torn creation: header sync never completed, so the segment
 			// holds no acknowledged frame.
-			if repair {
-				if err := os.Remove(path); err != nil {
-					return info, fmt.Errorf("wal: drop torn segment: %w", err)
-				}
+			if err := os.Remove(path); err != nil {
+				return info, fmt.Errorf("wal: drop torn segment: %w", err)
 			}
 			info.TornBytes += int64(len(data))
 			break
@@ -301,10 +282,8 @@ func scan(base string, afterSeq uint64, fn func(seq uint64, ops []Op) error, rep
 					return info, fmt.Errorf("%w: bad frame at %s offset %d (not the final segment)", ErrCorrupt, path, off)
 				}
 				torn := int64(len(data) - off)
-				if repair {
-					if err := os.Truncate(path, int64(off)); err != nil {
-						return info, fmt.Errorf("wal: truncate torn tail: %w", err)
-					}
+				if err := os.Truncate(path, int64(off)); err != nil {
+					return info, fmt.Errorf("wal: truncate torn tail: %w", err)
 				}
 				info.TornBytes += torn
 				off = len(data)
@@ -316,10 +295,8 @@ func scan(base string, afterSeq uint64, fn func(seq uint64, ops []Op) error, rep
 					return info, fmt.Errorf("%w: %s offset %d: %v", ErrCorrupt, path, off, err)
 				}
 				torn := int64(len(data) - off)
-				if repair {
-					if err := os.Truncate(path, int64(off)); err != nil {
-						return info, fmt.Errorf("wal: truncate torn tail: %w", err)
-					}
+				if err := os.Truncate(path, int64(off)); err != nil {
+					return info, fmt.Errorf("wal: truncate torn tail: %w", err)
 				}
 				info.TornBytes += torn
 				off = len(data)

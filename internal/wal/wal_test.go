@@ -294,28 +294,6 @@ func TestTornSegmentHeaderRemoved(t *testing.T) {
 	}
 }
 
-func TestHasFramesAfter(t *testing.T) {
-	base := testBase(t)
-	if has, err := HasFramesAfter(base, 0); err != nil || has {
-		t.Fatalf("empty log: has=%v err=%v", has, err)
-	}
-	l := mustOpen(t, base, 1, Options{Policy: SyncEvery})
-	for i := 0; i < 3; i++ {
-		if _, _, err := l.Append([]Op{{Key: uint64(i)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if has, err := HasFramesAfter(base, 2); err != nil || !has {
-		t.Fatalf("after=2: has=%v err=%v", has, err)
-	}
-	if has, err := HasFramesAfter(base, 3); err != nil || has {
-		t.Fatalf("after=3: has=%v err=%v", has, err)
-	}
-}
-
 func TestAppendValidation(t *testing.T) {
 	base := testBase(t)
 	l := mustOpen(t, base, 1, Options{})

@@ -187,6 +187,7 @@ func TestTieringPersistence(t *testing.T) {
 		t.Run(lc.name, func(t *testing.T) {
 			opts := layoutOptions(lc.layout, 3)
 			opts.Path = filepath.Join(t.TempDir(), "db.blk")
+			opts.WAL.Sync = lsmssd.SyncNever
 			db, err := lsmssd.Open(opts)
 			if err != nil {
 				t.Fatal(err)

@@ -328,7 +328,7 @@ func TestLatenciesOffByDefault(t *testing.T) {
 func TestResetIOStatsUniformWindow(t *testing.T) {
 	opts := obsOptions()
 	opts.Path = filepath.Join(t.TempDir(), "store.blk")
-	opts.WAL = WALOptions{Enabled: true, Sync: SyncEvery, SegmentBytes: 8 << 10}
+	opts.WAL = WALOptions{Sync: SyncEvery, SegmentBytes: 8 << 10}
 	opts.Metrics = true
 	opts.CacheBlocks = 8
 	opts.BloomBitsPerKey = 8

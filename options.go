@@ -44,17 +44,18 @@
 // serialize on the writer locks of the shards they touch. After Close, every operation fails
 // with ErrClosed.
 //
-// File-backed stores can opt into crash durability with a write-ahead
-// log: every acknowledged write is replayed on Open after a crash, with
-// the fsync cadence chosen by the sync policy:
+// A file-backed store writes every mutation to a write-ahead log before
+// applying it, and Open replays the log after a crash. The sync policy
+// picks the fsync cadence, and with it what a power cut may lose: nothing
+// acknowledged under the default SyncEvery, an unsynced tail under
+// SyncInterval or SyncNever:
 //
 //	db, err := lsmssd.Open(lsmssd.Options{
 //		Path: "/data/store.blk",
-//		WAL:  lsmssd.WALOptions{Enabled: true, Sync: lsmssd.SyncEvery},
+//		WAL:  lsmssd.WALOptions{Sync: lsmssd.SyncNever},
 //	})
 //
-// Without the WAL, a file-backed store still persists across clean
-// shutdowns via its checkpoint manifest, and its device write counts stay
+// The log lives outside the block device, so the device write counts stay
 // byte-identical to the paper's cost model (see DESIGN.md §11).
 package lsmssd
 
@@ -181,14 +182,15 @@ const (
 func (p SyncPolicy) String() string { return wal.SyncPolicy(p).String() }
 
 // WALOptions configures the write-ahead log (Options.WAL): one log per DB,
-// shared by every shard. The zero value disables it: the store is then
-// durable only across Close and Checkpoint, and after a crash Open may
-// refuse it (see Open). The log lives outside the block device, so
-// BlocksWritten is the same with it on or off.
+// shared by every shard, which every file-backed store keeps alongside its
+// device file as Path + ".wal.NNNNNNNN", whatever the shard count. An
+// in-memory store has no log; Validate checks these fields all the same.
+// The zero value logs with SyncEvery. The log lives outside the block
+// device, so it adds nothing to BlocksWritten.
 type WALOptions struct {
-	// Enabled turns the log on. Requires Options.Path; log segments are
-	// stored alongside the device file as Path + ".wal.NNNNNNNN", whatever
-	// the shard count.
+	// Enabled is ignored: every file-backed store has a log.
+	//
+	// Deprecated: remove the assignment.
 	Enabled bool
 	// Sync selects the fsync cadence (default SyncEvery).
 	Sync SyncPolicy
@@ -216,14 +218,11 @@ type WALOptions struct {
 // with the paper's default parameters scaled to library use.
 type Options struct {
 	// Path, when set, stores data blocks in a file at this location,
-	// checkpointed through a manifest at Path + ".manifest". On its own
-	// this persists clean shutdowns only: L0 lives in memory, and merges
-	// after the last checkpoint may overwrite blocks its manifest names, so
-	// after a crash Open may fail with ErrCorrupt. Enable WAL for crash
-	// durability of every acknowledged write; the log is Path +
-	// ".wal.NNNNNNNN" for the whole DB. With Shards > 1, shard 0 keeps this
-	// exact layout and shard i adds ".shard<i>" to the files it owns
-	// (device and manifest).
+	// checkpointed through a manifest at Path + ".manifest", and logs every
+	// mutation to a write-ahead log at Path + ".wal.NNNNNNNN" (one for the
+	// whole DB; see WAL), so a crash loses no write the sync policy made
+	// durable. With Shards > 1, shard 0 keeps this exact layout and shard i
+	// adds ".shard<i>" to the files it owns (device and manifest).
 	Path string
 	// Shards splits the key space across this many independent LSM trees
 	// (hash routing by key & (Shards-1)), each with its own memtable,
@@ -235,9 +234,8 @@ type Options struct {
 	// reopened with the count it was created with. Note that MemtableBlocks
 	// is per shard: total memtable memory scales with Shards.
 	Shards int
-	// WAL configures the write-ahead log; see WALOptions. Disabled by
-	// default, which keeps the engine's device write counts byte-identical
-	// to the paper's cost model.
+	// WAL configures the write-ahead log of a file-backed store; see
+	// WALOptions.
 	WAL WALOptions
 	// BlockSize is the storage block size in bytes (default 4096).
 	BlockSize int
@@ -404,13 +402,11 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.WAL.Enabled {
-		if o.WAL.Interval == 0 {
-			o.WAL.Interval = 100 * time.Millisecond
-		}
-		if o.WAL.SegmentBytes == 0 {
-			o.WAL.SegmentBytes = 4 << 20
-		}
+	if o.WAL.Interval == 0 {
+		o.WAL.Interval = 100 * time.Millisecond
+	}
+	if o.WAL.SegmentBytes == 0 {
+		o.WAL.SegmentBytes = 4 << 20
 	}
 	if o.ReadRetries == 0 {
 		o.ReadRetries = 3
@@ -478,21 +474,16 @@ func (o Options) Validate() error {
 	if o.SlowOpThreshold < 0 {
 		return fmt.Errorf("lsmssd: Options.SlowOpThreshold %v is negative; use 0 to disable slow-op capture", o.SlowOpThreshold)
 	}
-	if o.WAL.Enabled {
-		if o.Path == "" {
-			return fmt.Errorf("lsmssd: Options.WAL.Enabled requires Options.Path: the log lives alongside the device file")
-		}
-		switch o.WAL.Sync {
-		case SyncEvery, SyncInterval, SyncNever:
-		default:
-			return fmt.Errorf("lsmssd: Options.WAL.Sync %d is not SyncEvery, SyncInterval, or SyncNever", o.WAL.Sync)
-		}
-		if o.WAL.Interval < 0 {
-			return fmt.Errorf("lsmssd: Options.WAL.Interval %v is negative", o.WAL.Interval)
-		}
-		if o.WAL.SegmentBytes < 4096 {
-			return fmt.Errorf("lsmssd: Options.WAL.SegmentBytes %d below 4096: segments must hold at least a few frames", o.WAL.SegmentBytes)
-		}
+	switch o.WAL.Sync {
+	case SyncEvery, SyncInterval, SyncNever:
+	default:
+		return fmt.Errorf("lsmssd: Options.WAL.Sync %d is not SyncEvery, SyncInterval, or SyncNever", o.WAL.Sync)
+	}
+	if o.WAL.Interval < 0 {
+		return fmt.Errorf("lsmssd: Options.WAL.Interval %v is negative", o.WAL.Interval)
+	}
+	if o.WAL.SegmentBytes < 4096 {
+		return fmt.Errorf("lsmssd: Options.WAL.SegmentBytes %d below 4096: segments must hold at least a few frames", o.WAL.SegmentBytes)
 	}
 	return nil
 }

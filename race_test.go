@@ -20,6 +20,7 @@ import (
 func TestRaceStress(t *testing.T) {
 	raceStress(t, lsmssd.Options{
 		Path:            filepath.Join(t.TempDir(), "race.blk"),
+		WAL:             lsmssd.WALOptions{Sync: lsmssd.SyncNever},
 		RecordsPerBlock: 16,
 		MemtableBlocks:  4,
 		Gamma:           4,
@@ -36,6 +37,7 @@ func TestRaceStress(t *testing.T) {
 func TestRaceStressTiering(t *testing.T) {
 	raceStress(t, lsmssd.Options{
 		Path:            filepath.Join(t.TempDir(), "race.blk"),
+		WAL:             lsmssd.WALOptions{Sync: lsmssd.SyncNever},
 		RecordsPerBlock: 16,
 		MemtableBlocks:  4,
 		Gamma:           4,
@@ -50,6 +52,7 @@ func TestRaceStressTiering(t *testing.T) {
 func TestRaceStressLazy(t *testing.T) {
 	raceStress(t, lsmssd.Options{
 		Path:            filepath.Join(t.TempDir(), "race.blk"),
+		WAL:             lsmssd.WALOptions{Sync: lsmssd.SyncNever},
 		RecordsPerBlock: 16,
 		MemtableBlocks:  4,
 		Gamma:           4,
@@ -187,6 +190,7 @@ func raceStress(t *testing.T, opts lsmssd.Options) {
 func TestRaceIteratorSnapshot(t *testing.T) {
 	db, err := lsmssd.Open(lsmssd.Options{
 		Path:            filepath.Join(t.TempDir(), "iter.blk"),
+		WAL:             lsmssd.WALOptions{Sync: lsmssd.SyncNever},
 		RecordsPerBlock: 16,
 		MemtableBlocks:  4,
 		Gamma:           4,
@@ -302,6 +306,7 @@ func TestRaceIteratorSnapshot(t *testing.T) {
 func TestRaceBackgroundCompaction(t *testing.T) {
 	db, err := lsmssd.Open(lsmssd.Options{
 		Path:            filepath.Join(t.TempDir(), "bg.blk"),
+		WAL:             lsmssd.WALOptions{Sync: lsmssd.SyncNever},
 		RecordsPerBlock: 16,
 		MemtableBlocks:  3, // stalls from 6 and 12 L0 blocks
 		Gamma:           4,

@@ -170,7 +170,7 @@ func (db *DB) openShard(id int) (*shard, error) {
 		Lat:        s.lat,
 		Checkpoint: s.checkpoint,
 	}
-	if id == 0 && s.path != "" && opts.WAL.Enabled && opts.WAL.Sync == SyncInterval {
+	if id == 0 && s.path != "" && opts.WAL.Sync == SyncInterval {
 		// Bound the unsynced tail of a log that goes idle: appends check the
 		// interval only when they happen. One shard's goroutine owns it.
 		ccfg.Tick = func() error { return db.syncIdleWAL(s) }
@@ -212,9 +212,6 @@ func (s *shard) create(cfg core.Config) error {
 		fd, err := storage.OpenFileDevice(s.path, s.db.opts.BlockSize)
 		if err != nil {
 			return err
-		}
-		if s.db.opts.WAL.Enabled {
-			fd.SetDeferRecycle(true)
 		}
 		dev = fd
 	} else {
@@ -273,9 +270,6 @@ func (s *shard) restore(cfg core.Config, st manifest.State) error {
 	if err != nil {
 		return err
 	}
-	if opts.WAL.Enabled {
-		fd.SetDeferRecycle(true)
-	}
 	cfg.Device = s.wrapDevice(fd)
 	tree, err := core.Restore(cfg, core.ExportedState{Runs: st.Runs, Memtable: st.Memtable})
 	if err != nil {
@@ -303,8 +297,10 @@ type checkpointImage struct {
 
 // captureLocked freezes the state a checkpoint will persist. The caller
 // holds writerMu (so view, WAL sequence and the limbo mark describe one
-// instant) and ckptMu. It costs microseconds: the view is the copy-on-write
-// snapshot readers already use, pinned until persist has read it out.
+// instant) and ckptMu. Only a file-backed shard checkpoints, so its device
+// is a FileDevice and the DB has a log. It costs microseconds: the view is
+// the copy-on-write snapshot readers already use, pinned until persist has
+// read it out.
 //
 // The sequence is the log's newest, read under writerMu: every frame at or
 // below it that touches this shard was written by a writer holding this
@@ -317,17 +313,12 @@ func (s *shard) captureLocked() (checkpointImage, error) {
 	if err != nil {
 		return checkpointImage{}, err
 	}
-	if log := s.db.wal; log != nil {
-		s.ckptSeq = log.LastSeq()
-		s.walMu.Lock()
-		s.sinceCapture.Store(0)
-		s.walMu.Unlock()
-		s.sealed.Store(0)
-	}
-	img := checkpointImage{view: v, walSeq: s.ckptSeq}
-	if fd, ok := s.raw.(*storage.FileDevice); ok {
-		img.limbo = fd.LimboMark()
-	}
+	s.ckptSeq = s.db.wal.LastSeq()
+	s.walMu.Lock()
+	s.sinceCapture.Store(0)
+	s.walMu.Unlock()
+	s.sealed.Store(0)
+	img := checkpointImage{view: v, walSeq: s.ckptSeq, limbo: s.raw.(*storage.FileDevice).LimboMark()}
 	img.capture = time.Since(start)
 	return img, nil
 }
@@ -338,8 +329,8 @@ func (s *shard) captureLocked() (checkpointImage, error) {
 // scheduler goroutine or DB.Checkpoint runs it. The view is read out and
 // released first: from then on merges may free blocks the image names,
 // and the limbo mark, not the pin, is what keeps their slots from being
-// reused. With the WAL enabled the durability horizon then advances in a
-// fixed order, each step relying on the one before:
+// reused. The durability horizon then advances in a fixed order, each step
+// relying on the one before:
 //
 //  1. device sync — the manifest must never reference a block the device
 //     could still lose (every block of the image was written before the
@@ -361,22 +352,19 @@ func (s *shard) persist(img checkpointImage) error {
 	img.view.Release()
 	ev := obs.CheckpointEvent{Shard: s.id, WALSeq: img.walSeq, Capture: img.capture}
 	t0 := time.Now()
-	if s.db.wal != nil {
-		// Sync through the wrapped device, not s.raw, so injected sync
-		// faults are observed and demote the shard: a checkpoint whose
-		// sync failed must not advance the durability horizon, and a
-		// device that cannot sync cannot promise durability for further
-		// writes either.
-		if sy, ok := s.dev.(storage.Syncer); ok {
-			if err := sy.Sync(); err != nil {
-				s.health.DemoteReadOnly("sync-failed", err)
-				return fmt.Errorf("lsmssd: syncing device before checkpoint: %w", err)
-			}
+	// Sync through the wrapped device, not s.raw, so injected sync faults
+	// are observed and demote the shard: a checkpoint whose sync failed
+	// must not advance the durability horizon, and a device that cannot
+	// sync cannot promise durability for further writes either.
+	if sy, ok := s.dev.(storage.Syncer); ok {
+		if err := sy.Sync(); err != nil {
+			s.health.DemoteReadOnly("sync-failed", err)
+			return fmt.Errorf("lsmssd: syncing device before checkpoint: %w", err)
 		}
-		if err := s.db.wal.Sync(); err != nil {
-			s.db.noteLogError(err)
-			return fmt.Errorf("lsmssd: syncing write-ahead log before checkpoint: %w", err)
-		}
+	}
+	if err := s.db.wal.Sync(); err != nil {
+		s.db.noteLogError(err)
+		return fmt.Errorf("lsmssd: syncing write-ahead log before checkpoint: %w", err)
 	}
 	t1 := time.Now()
 	cfg := s.tree.Config()
@@ -400,19 +388,15 @@ func (s *shard) persist(img checkpointImage) error {
 		return err
 	}
 	t2 := time.Now()
-	if s.db.wal != nil {
-		if fd, ok := s.raw.(*storage.FileDevice); ok {
-			ev.SlotsReclaimed = fd.ReclaimFreed(img.limbo)
-		}
-		s.walMu.Lock()
-		s.sinceDurable.Store(s.sinceCapture.Load())
-		s.walMu.Unlock()
-		removed, err := s.db.gcWAL()
-		if err != nil {
-			return fmt.Errorf("lsmssd: write-ahead log gc: %w", err)
-		}
-		ev.SegmentsRemoved = removed
+	ev.SlotsReclaimed = s.raw.(*storage.FileDevice).ReclaimFreed(img.limbo)
+	s.walMu.Lock()
+	s.sinceDurable.Store(s.sinceCapture.Load())
+	s.walMu.Unlock()
+	removed, err := s.db.gcWAL()
+	if err != nil {
+		return fmt.Errorf("lsmssd: write-ahead log gc: %w", err)
 	}
+	ev.SegmentsRemoved = removed
 	t3 := time.Now()
 	s.ckpts.Add(1)
 	s.ckptNanos.Add(int64(img.capture + t3.Sub(start)))

@@ -118,7 +118,7 @@ type Counters struct {
 	// WAL reports the DB's write-ahead log: its traffic and the recovery
 	// Open performed, if any. There is one log for all shards, so every
 	// ShardStats reports the same log and the aggregate counts it once.
-	// Zero value when Options.WAL is disabled.
+	// Zero value for an in-memory store, which has no log.
 	WAL WALStats `json:"wal"`
 
 	// Checkpoints counts completed checkpoints (manifest made durable, WAL
@@ -146,7 +146,6 @@ type Counters struct {
 
 // WALStats describes the write-ahead log (see Options.WAL).
 type WALStats struct {
-	Enabled   bool
 	Appends   int64         // frames appended (one per Put, Delete or Apply)
 	Ops       int64         // operations inside appended frames
 	Bytes     int64         // frame bytes written, headers included
@@ -244,8 +243,8 @@ type metric struct {
 }
 
 // field is a row's access to its Counters field: get reads it as a sample,
-// add folds another shard's value into c's. Built by num, secs or onoff from
-// one pointer-returning accessor, so a row names its field once.
+// add folds another shard's value into c's. Built by num or secs from one
+// pointer-returning accessor, so a row names its field once.
 type field struct {
 	get func(c *Counters) float64
 	add func(c, o *Counters)
@@ -258,16 +257,6 @@ func num[T int | int64 | uint64](p func(*Counters) *T) field {
 // secs is num for a duration, sampled in seconds.
 func secs(p func(*Counters) *time.Duration) field {
 	return field{func(c *Counters) float64 { return p(c).Seconds() }, func(c, o *Counters) { *p(c) += *p(o) }}
-}
-
-// onoff samples a bool as 0 or 1; any shard sets the aggregate.
-func onoff(p func(*Counters) *bool) field {
-	return field{func(c *Counters) float64 {
-		if *p(c) {
-			return 1
-		}
-		return 0
-	}, func(c, o *Counters) { *p(c) = *p(c) || *p(o) }}
 }
 
 // metricTable is the one list of the engine's counters. DB.Stats sums the
@@ -303,7 +292,6 @@ var metricTable = []metric{
 	{typ: counter, name: "lsmssd_write_stall_seconds_total", help: "Cumulative time writes spent stalled, by kind.", kind: "slowdown", field: secs(func(c *Counters) *time.Duration { return &c.Compaction.SlowdownTime })},
 	{typ: counter, name: "lsmssd_write_stall_seconds_total", kind: "stop", field: secs(func(c *Counters) *time.Duration { return &c.Compaction.StopTime })},
 
-	{typ: gauge, name: "lsmssd_wal_enabled", help: "1 when the write-ahead log is on.", field: onoff(func(c *Counters) *bool { return &c.WAL.Enabled })},
 	{typ: counter, name: "lsmssd_wal_appends_total", help: "WAL frames appended (one per Put/Delete/Apply).", field: num(func(c *Counters) *int64 { return &c.WAL.Appends })},
 	{typ: counter, name: "lsmssd_wal_ops_total", help: "Operations inside appended WAL frames.", field: num(func(c *Counters) *int64 { return &c.WAL.Ops })},
 	{typ: counter, name: "lsmssd_wal_bytes_total", help: "WAL frame bytes written, headers included.", field: num(func(c *Counters) *int64 { return &c.WAL.Bytes })},
@@ -328,9 +316,9 @@ var metricTable = []metric{
 	{typ: counter, name: "lsmssd_scrub_repaired_total", help: "Corrupt blocks the scrubber repaired from a surviving cached copy.", field: num(func(c *Counters) *int64 { return &c.ScrubRepaired })},
 }
 
-// add folds another shard's counters into c: every row sums (an onoff ORs),
-// except that Height is the maximum and WAL stays c's — every shard reports
-// the one log the DB has, which the aggregate counts once.
+// add folds another shard's counters into c: every row sums, except that
+// Height is the maximum and WAL stays c's — every shard reports the one log
+// the DB has, which the aggregate counts once.
 func (c *Counters) add(o *Counters) {
 	height, log := max(c.Height, o.Height), c.WAL
 	for i := range metricTable {
@@ -462,7 +450,6 @@ func (s *shard) stats() (ShardStats, bool) {
 	if log := s.db.wal; log != nil {
 		ws := log.Stats()
 		ss.WAL = WALStats{
-			Enabled:   true,
 			Appends:   ws.Appends,
 			Ops:       ws.Ops,
 			Bytes:     ws.Bytes,

@@ -15,7 +15,7 @@ func statsStore(tb testing.TB, shards int) *DB {
 	db, err := Open(Options{
 		Path:            filepath.Join(tb.TempDir(), "store.blk"),
 		Shards:          shards,
-		WAL:             WALOptions{Enabled: true, Sync: SyncNever},
+		WAL:             WALOptions{Sync: SyncNever},
 		BloomBitsPerKey: 10,
 		Metrics:         true,
 	})

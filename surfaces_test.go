@@ -22,7 +22,7 @@ func surfaceDB(t *testing.T, shards int) *DB {
 	opts := traceOptions()
 	opts.Shards = shards
 	opts.Path = filepath.Join(t.TempDir(), "store.blk")
-	opts.WAL = WALOptions{Enabled: true, Sync: SyncNever}
+	opts.WAL = WALOptions{Sync: SyncNever}
 	opts.MetricsAddr = "127.0.0.1:0"
 	db, err := Open(opts)
 	if err != nil {
@@ -215,8 +215,7 @@ func TestEveryCounterOnEverySurface(t *testing.T) {
 		}
 	}
 	for i, hits := range rowHits {
-		// wal_enabled reads a bool, which is not a counter to lose track of.
-		if m := metricTable[i]; hits != 1 && m.name != "lsmssd_wal_enabled" {
+		if m := metricTable[i]; hits != 1 {
 			t.Errorf("row %s{%s} reads no numeric Counters field", m.name, m.kind)
 		}
 	}

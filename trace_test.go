@@ -31,7 +31,7 @@ func traceOptions() Options {
 func TestSpanSumEqualsLatencyAtDB(t *testing.T) {
 	opts := traceOptions()
 	opts.Path = filepath.Join(t.TempDir(), "store.blk")
-	opts.WAL = WALOptions{Enabled: true, Sync: SyncEvery}
+	opts.WAL = WALOptions{Sync: SyncEvery}
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestLockWaitPhaseAttributed(t *testing.T) {
 func TestCheckpointOnBusAndTimeline(t *testing.T) {
 	opts := traceOptions()
 	opts.Path = filepath.Join(t.TempDir(), "store.blk")
-	opts.WAL = WALOptions{Enabled: true, Sync: SyncEvery}
+	opts.WAL = WALOptions{Sync: SyncEvery}
 	fastTimeline(t, 5*time.Millisecond)
 	db, err := Open(opts)
 	if err != nil {
@@ -321,7 +321,7 @@ func TestTracingDisabledAddsNoAllocs(t *testing.T) {
 	wdb, err := Open(Options{
 		Path:            filepath.Join(t.TempDir(), "db.blk"),
 		RecordsPerBlock: 32,
-		WAL:             WALOptions{Enabled: true, Sync: SyncNever},
+		WAL:             WALOptions{Sync: SyncNever},
 	})
 	if err != nil {
 		t.Fatal(err)

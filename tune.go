@@ -71,7 +71,8 @@ func (db *DB) TuneMixed(next func() (Request, bool), opts TuneOptions) (TuneResu
 	if len(db.shards) > 1 {
 		return TuneResult{}, ErrSharded
 	}
-	tree, unlock := db.shards[0].lockedTree()
+	s := db.shards[0]
+	tree, unlock := s.lockedTree()
 	defer unlock()
 	m, ok := tree.Policy().Mixed()
 	if !ok {
@@ -83,6 +84,12 @@ func (db *DB) TuneMixed(next func() (Request, bool), opts TuneOptions) (TuneResu
 		MaxBytesPerCycle: opts.MaxBytesPerCycle,
 		BetaWindowBytes:  opts.BetaWindowBytes,
 	})
+	// The sample requests went into the tree without the log, so only a
+	// checkpoint makes them survive a crash; take it whether or not
+	// learning finished, since the requests driven so far stay either way.
+	if cerr := s.checkpointLocked(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return TuneResult{}, err
 	}
