@@ -37,8 +37,8 @@ type WriteBatch struct {
 func (db *DB) NewBatch() *WriteBatch { return &WriteBatch{} }
 
 // Put queues an insert or update of the value stored for key. The value
-// slice is retained until Apply; the caller must not modify it before
-// then.
+// slice is retained — by the batch, then by the memtable once Apply lands
+// it — so the caller must not modify it afterwards.
 func (b *WriteBatch) Put(key uint64, value []byte) {
 	b.ops = append(b.ops, block.Op{Key: key, Value: value})
 }

@@ -215,7 +215,9 @@ func (db *DB) Checkpoint() error {
 // Put inserts or updates the value stored for key. It may pace or stall
 // when the owning shard's L0 reaches 2× or 4× MemtableBlocks blocks, and
 // it reports any error that shard's scheduler goroutine parked since the
-// previous write (a failed merge step, checkpoint or idle WAL sync).
+// previous write (a failed merge step, checkpoint or idle WAL sync). The
+// memtable keeps value itself, not a copy: the caller must not modify it
+// afterwards.
 func (db *DB) Put(key uint64, value []byte) error {
 	ops := []block.Op{{Key: key, Value: value}}
 	return db.write(obs.OpPut, ops, ops, []*shard{db.shardFor(key)})
@@ -230,7 +232,9 @@ func (db *DB) Delete(key uint64) error {
 
 // Get returns the value stored for key. It runs against the owning
 // shard's current snapshot without taking any writer lock, so concurrent
-// Gets scale across cores even while merges run.
+// Gets scale across cores even while merges run. The returned slice is
+// shared with the engine (the memtable or a cached block holds it) and must
+// not be modified.
 func (db *DB) Get(key uint64) (value []byte, found bool, err error) {
 	s := db.shardFor(key)
 	start := s.lat.Start()
@@ -257,7 +261,9 @@ func (db *DB) Get(key uint64) (value []byte, found bool, err error) {
 // returns false. The whole scan observes one snapshot per shard, acquired
 // together up front: a merge or write that completes mid-scan does not
 // change what the scan sees. Scan is a thin wrapper over the Iterator
-// API, which merges the per-shard snapshots into one ordered stream.
+// API, which merges the per-shard snapshots into one ordered stream. The
+// value passed to fn is shared with the engine, as Get's is: fn must not
+// modify it, and must copy it to keep it.
 func (db *DB) Scan(lo, hi uint64, fn func(key uint64, value []byte) bool) error {
 	start := db.lat.Start()
 	defer db.lat.Done(obs.OpScan, start)
@@ -348,7 +354,7 @@ func (db *DB) shutdown(crash bool) error {
 // Validate checks every internal invariant of every shard (level
 // ordering, waste constraints, storage accounting). The structural checks
 // run lock-free against each shard's current snapshot; only the
-// device-accounting cross-check briefly takes that shard's writer lock.
+// device-accounting cross-check briefly takes that shard's merge lock.
 // It does not perturb the I/O statistics.
 func (db *DB) Validate() error {
 	for _, s := range db.shards {

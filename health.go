@@ -252,8 +252,8 @@ type scrubEntry struct {
 // through Peek — below the buffer cache, uncounted, unretried — so the
 // pass observes the device's real state and perturbs no I/O statistics.
 //
-// A corrupt block is quarantined and a repair attempted under the writer
-// lock: when the cache still holds a surviving copy the block is
+// A corrupt block is quarantined and a repair attempted under the merge
+// and writer locks: when the cache still holds a surviving copy the block is
 // rewritten fresh and the quarantine lifts; otherwise it stays
 // quarantined and the shard demotes to Degraded. A pass that finds
 // nothing corrupt, with an empty quarantine, promotes a Degraded shard
@@ -291,9 +291,9 @@ func (s *shard) scrubPass() {
 			}
 			corrupt++
 			s.tree.Quarantine(e.id, e.level, perr.Error())
-			s.writerMu.Lock()
-			ok, rerr := s.tree.RepairBlock(e.id)
-			s.writerMu.Unlock()
+			tree, unlock := s.lockedTree()
+			ok, rerr := tree.RepairBlock(e.id)
+			unlock()
 			switch {
 			case rerr != nil:
 				s.health.Degrade("scrub-repair-failed", rerr)

@@ -97,6 +97,58 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// fullBlock encodes 32 records with 100-byte payloads, a block of the
+// shape the benchmark's workloads write, into a 4 KiB buffer.
+func fullBlock(tb testing.TB) []byte {
+	rs := make([]Record, 32)
+	for i := range rs {
+		rs[i] = Record{Key: Key(i * 1000), Payload: bytes.Repeat([]byte{byte(i)}, 100)}
+	}
+	buf := make([]byte, 4096)
+	if err := New(rs).Encode(buf, 4096); err != nil {
+		tb.Fatal(err)
+	}
+	return buf
+}
+
+// TestDecodeSharesPayloads: Decode points each payload into src instead of
+// copying it, clipped to its length so an append cannot run into the next
+// record, and allocates only the record slice and the block.
+func TestDecodeSharesPayloads(t *testing.T) {
+	buf := fullBlock(t)
+	b, err := Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range b.Records() {
+		if cap(r.Payload) != len(r.Payload) {
+			t.Fatalf("record %d: payload cap %d beyond its length %d", i, cap(r.Payload), len(r.Payload))
+		}
+	}
+	first := b.Records()[0].Payload
+	buf[4+8+1+2] ^= 0xFF // the first payload byte
+	if first[0] != buf[4+8+1+2] {
+		t.Fatal("payload is a copy, not a view of src")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Decode(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Fatalf("Decode allocates %.0f times per block, want at most 2", n)
+	}
+}
+
+func BenchmarkDecode(b *testing.B) {
+	buf := fullBlock(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestEncodeTooLarge(t *testing.T) {
 	b := New([]Record{{Key: 1, Payload: bytes.Repeat([]byte{1}, 5000)}})
 	buf := make([]byte, 4096)

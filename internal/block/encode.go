@@ -70,7 +70,9 @@ func (b *Block) Encode(dst []byte, blockSize int) error {
 	return nil
 }
 
-// Decode parses a block previously produced by Encode.
+// Decode parses a block previously produced by Encode. The records'
+// payloads are sub-slices of src, clipped to their length, not copies: the
+// block owns src from here on, and the caller must not reuse it.
 func Decode(src []byte) (*Block, error) {
 	if len(src) < headerSize {
 		return nil, fmt.Errorf("block: short buffer: %d bytes", len(src))
@@ -97,8 +99,7 @@ func Decode(src []byte) (*Block, error) {
 			return nil, fmt.Errorf("block: truncated payload in record %d", i)
 		}
 		if plen > 0 {
-			r.Payload = make([]byte, plen)
-			copy(r.Payload, src[off:off+plen])
+			r.Payload = src[off : off+plen : off+plen]
 		}
 		off += plen
 		records = append(records, r)

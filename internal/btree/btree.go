@@ -21,6 +21,7 @@ package btree
 
 import (
 	"fmt"
+	"sort"
 
 	"lsmssd/internal/block"
 	"lsmssd/internal/storage"
@@ -128,10 +129,10 @@ func lowerBound(metas []BlockMeta, k block.Key) int {
 // Index.Overlap for snapshot readers.
 func OverlapIn(metas []BlockMeta, lo, hi block.Key) (start, end int) {
 	start = lowerBound(metas, lo) // first block with Max >= lo
-	end = start
-	for end < len(metas) && metas[end].Min <= hi {
-		end++
-	}
+	// The first block from start on with Min > hi: Min ascends, since the
+	// ranges are disjoint and in key order. A binary search, so an open
+	// range's bound costs O(log n), not a walk to the end of the run.
+	end = start + sort.Search(len(metas)-start, func(i int) bool { return metas[start+i].Min > hi })
 	return start, end
 }
 

@@ -4,17 +4,19 @@
 // There are two executors:
 //
 //   - Scheduler, the DB's: writers land records in L0 and Notify it; its
-//     goroutine — the only thing that runs CompactionStep on a DB's tree —
-//     drains the cascade one step at a time under the writer lock, so
-//     writes only pay L0 insertion and readers keep consuming published
-//     snapshots. Writers are paced by LevelDB-style backpressure on L0's
-//     size, derived from the tree's K0: from 2·K0 blocks each admission
-//     sleeps 1 ms; from 4·K0 (StopBlocks) it blocks until the goroutine
-//     catches up (the hard stall gate).
+//     goroutine — the only thing that runs cascade steps on a DB's tree —
+//     drains the cascade one step at a time. Each step holds the shard's
+//     merge lock throughout and its writer lock only to plan and to
+//     install (core.Tree.PlanStep, InstallStep): the block I/O in between
+//     (ExecuteStep) runs while writers land records in L0 and readers
+//     consume published snapshots. Writers are paced by LevelDB-style
+//     backpressure on L0's size, derived from the tree's K0: from 2·K0
+//     blocks each admission sleeps 1 ms; from 4·K0 (StopBlocks) it blocks
+//     until the goroutine catches up (the hard stall gate).
 //   - Driver, for bare trees (the figures, the parameter learner): every
 //     mutation runs the cascade to completion before returning.
 //
-// CompactionStep replays the inline cascade's step order, so a Scheduler
+// Both run the same three phases in the same step order, so a Scheduler
 // whose QueueDepth is waited down to zero after every write performs
 // exactly Driver's merge sequence: the paper's cost model, and its
 // BlocksWritten accounting byte for byte, are reproduced through a DB by
@@ -25,8 +27,8 @@
 //
 //   - checkpoints: a writer whose WAL append sealed a segment calls
 //     RequestCheckpoint on each shard due one and returns; the goroutine
-//     runs Config.Checkpoint between merge steps, without the writer lock
-//     held across it.
+//     runs Config.Checkpoint between merge steps, with neither lock held
+//     across it.
 //     Requests coalesce, and one arriving while a checkpoint runs yields
 //     one more run. A requested-or-running checkpoint counts one unit of
 //     QueueDepth, so "drained" means "and checkpointed";
@@ -69,10 +71,15 @@ func StopBlocks(k0 int) int { return stopK0 * k0 }
 type Config struct {
 	// Tree is the engine to compact. Required.
 	Tree *core.Tree
-	// Mu serializes cascade steps against the engine's other mutations —
-	// the DB's writer lock. Required; the goroutine acquires it per step,
-	// never across steps, so writers interleave with a draining cascade.
+	// Mu is the DB's writer lock, which guards L0 and the installed level
+	// image. Required; the goroutine takes it to plan a step and again to
+	// install it, never across the step's block I/O, so writers interleave
+	// with a step and with a draining cascade.
 	Mu sync.Locker
+	// MergeMu is the shard's merge lock, which guards the storage levels.
+	// Required; the goroutine holds it for each whole step, and takes it
+	// before Mu.
+	MergeMu sync.Locker
 	// Bus receives StallEvents; may be nil (events are gated on
 	// subscription as everywhere else).
 	Bus *obs.Bus
@@ -132,8 +139,8 @@ type Scheduler struct {
 
 // New builds a scheduler and starts its goroutine.
 func New(cfg Config) (*Scheduler, error) {
-	if cfg.Tree == nil || cfg.Mu == nil {
-		return nil, errors.New("compaction: Config.Tree and Config.Mu are required")
+	if cfg.Tree == nil || cfg.Mu == nil || cfg.MergeMu == nil {
+		return nil, errors.New("compaction: Config.Tree, Config.Mu and Config.MergeMu are required")
 	}
 	k0 := cfg.Tree.CapacityBlocks(0)
 	s := &Scheduler{
@@ -155,7 +162,7 @@ func New(cfg Config) (*Scheduler, error) {
 
 // Admit applies write-path backpressure; writers call it before taking
 // the writer lock (it may sleep or block, and the scheduler needs the
-// lock to make the progress being waited for). It returns any parked
+// lock to install the progress being waited for). It returns any parked
 // background error; below the gate that is all it does.
 func (s *Scheduler) Admit() error {
 	if err := s.Err(); err != nil {
@@ -229,11 +236,11 @@ func (s *Scheduler) signal() {
 	}
 }
 
-// refreshLocked recomputes the gauges from live tree state and pokes the
-// stall gate. The caller holds the writer lock (tree state is only
-// stable under it).
+// refreshLocked recomputes the gauges from L0 and the installed level
+// image and pokes the stall gate. The caller holds the writer lock (that
+// state is only stable under it).
 func (s *Scheduler) refreshLocked() {
-	l0 := s.cfg.Tree.SizeBlocks(0)
+	l0 := s.cfg.Tree.L0Blocks()
 	depth := s.cfg.Tree.CompactionBacklog()
 	s.l0Blocks.Store(int64(l0))
 	s.queueDepth.Store(int64(depth))
@@ -246,9 +253,8 @@ func (s *Scheduler) refreshLocked() {
 
 // run is the scheduler goroutine: sleep until woken or ticked, then run
 // what is due — a requested checkpoint, then the pending cascade one step
-// at a time, taking the writer lock per step so writers and the cascade
-// interleave, with a checkpoint requested mid-drain served between steps.
-// The first failure parks and ends the goroutine.
+// at a time (step), with a checkpoint requested mid-drain served between
+// steps. The first failure parks and ends the goroutine.
 func (s *Scheduler) run() {
 	defer close(s.done)
 	var tick <-chan time.Time
@@ -284,19 +290,38 @@ func (s *Scheduler) run() {
 			if !s.pendingWork.Load() {
 				break
 			}
-			s.cfg.Mu.Lock()
-			acted, err := s.cfg.Tree.CompactionStep()
-			if acted {
-				s.steps.Add(1)
-			}
-			s.refreshLocked()
-			s.cfg.Mu.Unlock()
-			if err != nil {
+			if err := s.step(); err != nil {
 				s.fail(err)
 				return
 			}
 		}
 	}
+}
+
+// step runs one cascade step under the merge lock: plan under the writer
+// lock, execute (the policy's window choice and the block I/O) without it,
+// install under it again. A step that fails to execute leaves the tree as
+// it was, so the gauges need no refresh.
+func (s *Scheduler) step() error {
+	s.cfg.MergeMu.Lock()
+	defer s.cfg.MergeMu.Unlock()
+	s.cfg.Mu.Lock()
+	st := s.cfg.Tree.PlanStep()
+	if st == nil {
+		s.refreshLocked()
+		s.cfg.Mu.Unlock()
+		return nil
+	}
+	s.cfg.Mu.Unlock()
+	if err := s.cfg.Tree.ExecuteStep(st); err != nil {
+		return err
+	}
+	s.cfg.Mu.Lock()
+	defer s.cfg.Mu.Unlock()
+	err := s.cfg.Tree.InstallStep(st)
+	s.steps.Add(1)
+	s.refreshLocked()
+	return err
 }
 
 // fail parks the first background error and releases any gated writers.
@@ -326,7 +351,7 @@ func (s *Scheduler) Pending() bool { return s.pendingWork.Load() }
 // Stop halts the scheduler: no further step, checkpoint or tick starts,
 // the one in flight (if any) completes, gated writers are released, and
 // Stop returns once the goroutine has exited. Callers must NOT hold the
-// writer lock — the goroutine may need it to finish. Idempotent. A
+// writer or merge lock — the goroutine may need them to finish. Idempotent. A
 // checkpoint request still pending is dropped (a clean Close checkpoints
 // inline afterwards), and an interrupted cascade is completed by Restore
 // on reopen.

@@ -121,7 +121,7 @@ type drained struct {
 func drainedScheduler(t *testing.T, tr *core.Tree) *drained {
 	t.Helper()
 	mu := &sync.Mutex{}
-	s, err := compaction.New(compaction.Config{Tree: tr, Mu: mu, Checkpoint: func() error { return nil }})
+	s, err := compaction.New(compaction.Config{Tree: tr, Mu: mu, MergeMu: new(sync.Mutex), Checkpoint: func() error { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestDriverLeavesNoBacklog(t *testing.T) {
 func TestBackgroundDrainsAndStops(t *testing.T) {
 	tr := newTree(t, storage.NewMemDevice())
 	var mu sync.Mutex
-	s, err := compaction.New(compaction.Config{Tree: tr, Mu: &mu})
+	s, err := compaction.New(compaction.Config{Tree: tr, Mu: &mu, MergeMu: new(sync.Mutex)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestBackgroundErrorParksAndSurfaces(t *testing.T) {
 	dev := &faultDevice{MemDevice: storage.NewMemDevice()}
 	tr := newTree(t, dev)
 	var mu sync.Mutex
-	s, err := compaction.New(compaction.Config{Tree: tr, Mu: &mu})
+	s, err := compaction.New(compaction.Config{Tree: tr, Mu: &mu, MergeMu: new(sync.Mutex)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestStopReleasesGatedWriter(t *testing.T) {
 		}
 	}
 	var mu sync.Mutex
-	s, err := compaction.New(compaction.Config{Tree: tr, Mu: &mu})
+	s, err := compaction.New(compaction.Config{Tree: tr, Mu: &mu, MergeMu: new(sync.Mutex)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestDerivedStallGate(t *testing.T) {
 			}
 		}
 		var mu sync.Mutex
-		s, err := compaction.New(compaction.Config{Tree: tr, Mu: &mu})
+		s, err := compaction.New(compaction.Config{Tree: tr, Mu: &mu, MergeMu: new(sync.Mutex)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,8 +391,9 @@ func TestCheckpointRequestsCoalesce(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	runs := 0
 	s, err := compaction.New(compaction.Config{
-		Tree: newTree(t, storage.NewMemDevice()),
-		Mu:   &mu,
+		Tree:    newTree(t, storage.NewMemDevice()),
+		Mu:      &mu,
+		MergeMu: new(sync.Mutex),
 		Checkpoint: func() error {
 			if !mu.TryLock() {
 				t.Error("Checkpoint called with the writer lock held")
@@ -439,6 +440,7 @@ func TestCheckpointErrorParks(t *testing.T) {
 	s, err := compaction.New(compaction.Config{
 		Tree:       newTree(t, storage.NewMemDevice()),
 		Mu:         &mu,
+		MergeMu:    new(sync.Mutex),
 		Checkpoint: func() error { return boom },
 	})
 	if err != nil {
@@ -471,6 +473,7 @@ func testTickRuns(t *testing.T) {
 	s, err := compaction.New(compaction.Config{
 		Tree:         newTree(t, storage.NewMemDevice()),
 		Mu:           &mu,
+		MergeMu:      new(sync.Mutex),
 		TickInterval: time.Millisecond,
 		Tick: func() error {
 			select {

@@ -78,11 +78,8 @@ func TestLevelOverflowTrigger(t *testing.T) {
 			}
 			budgetFired = budgetFired || (want && size < 8)
 			if tr.fires(0) {
-				drain := tr.mergeFromMem
-				if tr.tiered(1) {
-					drain = tr.flushMemToRun
-				}
-				if err := drain(); err != nil {
+				// L0 fires, so the step is L0's merge or flush.
+				if _, err := tr.CompactionStep(); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -142,8 +142,8 @@ func (t *Tree) locateBlock(id storage.BlockID) (run *level.Level, levelNo, pos i
 // the quarantine lifts. Returns repaired=true when the quarantine was
 // resolved — including the degenerate case where the tree no longer
 // references the block at all — and false when the block stays
-// quarantined. Callers hold the writer lock (the repair mutates a level
-// and publishes a new view).
+// quarantined. Callers hold the merge lock (the repair mutates a level)
+// and the writer lock (it installs and publishes the new level image).
 func (t *Tree) RepairBlock(id storage.BlockID) (repaired bool, err error) {
 	run, _, pos, ok := t.locateBlock(id)
 	if !ok {
@@ -174,6 +174,6 @@ func (t *Tree) RepairBlock(id storage.BlockID) (repaired bool, err error) {
 		return false, fmt.Errorf("core: repair of block %d: %w", id, rerr)
 	}
 	t.Unquarantine(id)
-	t.publish()
+	t.installLevels(t.levelImage())
 	return true, t.audit()
 }

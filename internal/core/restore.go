@@ -113,6 +113,6 @@ func Restore(cfg Config, st ExportedState) (*Tree, error) {
 	if err := t.RunCascade(); err != nil {
 		return nil, err
 	}
-	t.publish() // expose the restored levels and memtable to readers
+	t.installLevels(t.levelImage()) // expose the restored levels and memtable to readers
 	return t, nil
 }

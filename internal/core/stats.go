@@ -52,9 +52,9 @@ func (c *counters) reset() {
 // merge counters, the device traffic counters, every level's cumulative
 // write series, cache hit/miss counts, Bloom skip statistics, and the
 // latency histograms. Structural state (levels, blocks, snapshots,
-// deferred frees) is untouched. A new snapshot is published so per-level
-// numbers served from the current view reset along with the live ones.
-// Writer-side: callers serialize with mutations.
+// deferred frees) is untouched. The level image is reinstalled so
+// per-level numbers served from the current view reset along with the live
+// ones. Writer and merge locks.
 func (t *Tree) ResetStats() {
 	t.cnt.reset()
 	t.dev.ResetCounters()
@@ -72,7 +72,7 @@ func (t *Tree) ResetStats() {
 		t.blooms.ResetCounts()
 	}
 	t.lat.Reset()
-	t.publish()
+	t.installLevels(t.levelImage())
 }
 
 // Stats materializes the tree's request/merge counters.

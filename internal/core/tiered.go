@@ -17,13 +17,11 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"lsmssd/internal/block"
 	"lsmssd/internal/btree"
 	"lsmssd/internal/level"
 	"lsmssd/internal/merge"
-	"lsmssd/internal/obs"
 )
 
 // buildRun packs recs (key-ordered, shadowing already resolved) into a
@@ -112,21 +110,18 @@ func (t *Tree) drainSlot(i int) error {
 		}
 		s.retiredWrites += r.BlocksWritten
 		s.retiredCompactions += r.Compactions
-		delete(t.warned, r)
 	}
 	s.runs = []*level.Level{t.newLevel(i)}
 	return nil
 }
 
-// flushMemToRun writes the whole memtable out as a fresh sorted run of a
-// tiered L1. Unlike mergeFromMem there is no policy window: whole-level
-// movement is what the tiered layout buys, and no resident data is read
-// or rewritten. Tombstones are dropped only when L1 is an empty bottom —
-// then nothing exists for them to shadow.
-func (t *Tree) flushMemToRun() error {
-	tr := t.beginMergeTrace()
-	xBlocks := len(t.SourceMetas(0)) // L0's virtual blocks, for the event
-	recs := t.mem.TakeRange(0, ^block.Key(0))
+// flushMemToRun writes the whole memtable, as the snapshot holds it, out
+// as a fresh sorted run of a tiered L1. Unlike mergeFromMem there is no
+// policy window: whole-level movement is what the tiered layout buys, and
+// no resident data is read or rewritten. Tombstones are dropped only when
+// L1 is an empty bottom — then nothing exists for them to shadow.
+func (t *Tree) flushMemToRun(st *Step) error {
+	recs := st.window()
 	if len(recs) == 0 {
 		return fmt.Errorf("core: empty flush from L0")
 	}
@@ -140,49 +135,44 @@ func (t *Tree) flushMemToRun() error {
 		}
 		recs = live
 	}
-	tr.xFrom, tr.xTo = 0, xBlocks
 	var res merge.Result
 	if len(recs) > 0 {
 		run, written, err := t.buildRun(1, recs)
 		if err != nil {
-			t.untake(recs)
 			return err
 		}
 		s.prepend(run)
 		res = merge.Result{BlocksWritten: written, RecordsIn: len(recs)}
 	}
-	t.emitMerge(0, 1, true, xBlocks, res, 0, 0, tr)
-	if tr.traced && t.bus.Enabled() {
-		t.bus.Publish(obs.FlushEvent{
-			Shard:        t.cfg.Shard,
-			Records:      res.RecordsIn,
-			RecordsAfter: t.mem.Len(),
-			Full:         true,
-			Duration:     time.Since(tr.start),
-		})
-	}
-	return t.audit()
+	st.records = res.RecordsIn
+	st.setMerged(1, st.tr.xTo, res, 0, 0)
+	return nil
 }
 
-// mergeTieredLevel folds all runs of tiered level i into the level below:
-// one new run when the target is itself tiered, a proper merge.Merge into
-// the resident run when the target is the leveled bottom of lazy leveling.
-// The source level is left with one fresh empty run.
-func (t *Tree) mergeTieredLevel(i int) error {
-	s := t.slots[i-1]
-	// Quarantine gate: the fold reads every source-run block and may
-	// rewrite the leveled target, so any quarantined block in either
-	// refuses the merge.
-	checked := append([]*level.Level{}, s.runs...)
+// chooseMergeTieredLevel gates the fold of tiered level i on the quarantine:
+// the fold reads every source-run block and may rewrite the leveled
+// target, so any quarantined block in either refuses the merge.
+func (t *Tree) chooseMergeTieredLevel(st *Step) error {
+	i := st.from
+	checked := append([]*level.Level{}, t.slots[i-1].runs...)
 	if !t.tiered(i + 1) {
 		checked = append(checked, t.slots[i].newest())
 	}
 	if err := t.quarantineCheck(i, checked...); err != nil {
 		return err
 	}
-	tr := t.beginMergeTrace()
+	st.tr.xTo = t.slots[i-1].blocks()
+	return nil
+}
+
+// mergeTieredLevel folds all runs of tiered level i into the level below:
+// one new run when the target is itself tiered, a proper merge.Merge into
+// the resident run when the target is the leveled bottom of lazy leveling.
+// The source level is left with one fresh empty run.
+func (t *Tree) mergeTieredLevel(st *Step) error {
+	i := st.from
+	s := t.slots[i-1]
 	xBlocks := s.blocks()
-	tr.xFrom, tr.xTo = 0, xBlocks
 	tgt := t.slots[i]
 	var res merge.Result
 	if t.tiered(i + 1) {
@@ -219,8 +209,22 @@ func (t *Tree) mergeTieredLevel(i int) error {
 	if err := t.drainSlot(i); err != nil {
 		return err
 	}
-	t.emitMerge(i, i+1, true, xBlocks, res, 0, 0, tr)
-	return t.audit()
+	st.setMerged(i+1, xBlocks, res, 0, 0)
+	return nil
+}
+
+// chooseConsolidateBottom gates the fold of the tiered bottom's runs.
+func (t *Tree) chooseConsolidateBottom(st *Step) error {
+	n := st.from
+	s := t.slots[n-1]
+	if err := t.quarantineCheck(n, s.runs...); err != nil {
+		return err
+	}
+	if len(s.runs) < 2 {
+		return fmt.Errorf("core: consolidating bottom L%d with %d run(s)", n, len(s.runs))
+	}
+	st.tr.xTo = s.blocks()
+	return nil
 }
 
 // consolidateBottom folds the tiered bottom's runs into one: the move the
@@ -228,18 +232,10 @@ func (t *Tree) mergeTieredLevel(i int) error {
 // still fit the level. After consolidation no older run remains for a
 // tombstone to shadow, so tombstones are dropped — the tiered analogue of
 // a full merge into the bottom. Counted as a compaction of the level.
-func (t *Tree) consolidateBottom() error {
-	n := len(t.slots)
+func (t *Tree) consolidateBottom(st *Step) error {
+	n := st.from
 	s := t.slots[n-1]
-	if err := t.quarantineCheck(n, s.runs...); err != nil {
-		return err
-	}
-	tr := t.beginMergeTrace()
-	if len(s.runs) < 2 {
-		return fmt.Errorf("core: consolidating bottom L%d with %d run(s)", n, len(s.runs))
-	}
 	xBlocks := s.blocks()
-	tr.xFrom, tr.xTo = 0, xBlocks
 	recs, err := mergedRunRecords(s.runs, true)
 	if err != nil {
 		return err
@@ -257,6 +253,6 @@ func (t *Tree) consolidateBottom() error {
 		s.prepend(run)
 		res = merge.Result{BlocksWritten: written, RecordsIn: len(recs), CompactionWrites: written}
 	}
-	t.emitMerge(n, n, true, xBlocks, res, 0, 0, tr)
-	return t.audit()
+	st.setMerged(n, xBlocks, res, 0, 0)
+	return nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"sync"
 
-	"lsmssd/internal/block"
 	"lsmssd/internal/bloom"
 	"lsmssd/internal/btree"
 	"lsmssd/internal/cache"
@@ -18,18 +17,33 @@ import (
 	"lsmssd/internal/storage"
 )
 
-// Tree is the LSM-tree engine. Mutations (Put, Delete, ApplyBatch,
-// ForceGrow, Restore) must be serialized by the caller — they belong to a
-// single writer. Reads are snapshot-isolated: Get, Scan, and Iter run
-// against an acquired View and may proceed concurrently with the writer
-// and with each other (see view.go and the public lsmssd package).
+// Tree is the LSM-tree engine. Its state divides between two locks the
+// caller holds (cascade.go): the writer lock serializes L0 mutations (Put,
+// Delete, ApplyBatch) and guards the installed level image they publish
+// with; the merge lock serializes storage-level mutations (the cascade
+// steps, RepairBlock, ForceGrow, ResetStats). Reads are snapshot-isolated:
+// Get, Scan, and Iter run against an acquired View and may proceed
+// concurrently with both (see view.go and the public lsmssd package).
 type Tree struct {
 	cfg    Config
 	dev    storage.Device // Config.Device, possibly behind a cache
 	cache  *cache.Cache   // non-nil when CacheBlocks > 0
 	blooms *bloom.Registry
-	mem    *memtable.Table
-	slots  []*slot // slots[i] is level L_{i+1}
+	mem    *memtable.Table // writer lock
+	slots  []*slot         // slots[i] is level L_{i+1}; merge lock
+
+	// The level image of the last install (writer lock): every published
+	// View shares it, so a write publishes without reading the levels,
+	// and levelBacklog, the storage levels firing in it, answers
+	// CompactionBacklog.
+	levels       []LevelView
+	levelBacklog int
+
+	// Blocks written and blocks freed by the storage-level mutation in
+	// progress (merge lock). Install hands the frees to the snapshot
+	// protocol; a failed step frees the writes.
+	written []storage.BlockID
+	pending []storage.BlockID
 
 	// Layout axis, resolved from the policy once at New: how many sorted
 	// runs each level may hold.
@@ -43,20 +57,18 @@ type Tree struct {
 	quar quarantineSet
 
 	// Observability (internal/obs). bus and lat come from Config and may be
-	// nil; both are nil-safe. warned latches the per-level waste warning
-	// (keyed by level identity, which survives relabelling on growth);
-	// lastCacheHits/lastCacheMisses anchor the CacheEvent deltas.
+	// nil; both are nil-safe. lastCacheHits/lastCacheMisses anchor the
+	// CacheEvent deltas.
 	bus             *obs.Bus
 	lat             *obs.LatencySet
-	warned          map[*level.Level]bool
 	lastCacheHits   int64
 	lastCacheMisses int64
 
-	// Memoized L0 virtual-block metadata: policies consult it several
-	// times per merge decision and rebuilding it walks the whole
-	// memtable.
-	memMetas    []btree.BlockMeta
-	memMetasVer uint64
+	// L0's virtual-block metadata as the step in flight sees it — its
+	// memtable snapshot's — which SourceMetas(0) serves to the policy
+	// (merge lock). Built once per step: policies consult it several times
+	// per decision.
+	memMetas []btree.BlockMeta
 
 	// Snapshot state (view.go). viewMu guards only the pointer swap and
 	// reference counts — a few instructions per acquire/release — never
@@ -65,7 +77,6 @@ type Tree struct {
 	cur        *View
 	liveViews  []*View // acquired views, ascending seq
 	seq        uint64
-	pending    []storage.BlockID // frees deferred during the current mutation
 	zombies    []zombieBatch
 	zombieN    int64
 	closed     bool
@@ -171,8 +182,7 @@ func New(cfg Config) (*Tree, error) {
 		return nil, err
 	}
 	t := &Tree{cfg: cfg, dev: cfg.Device, bus: cfg.Bus, lat: cfg.Lat,
-		layout: cfg.Policy.Layout(),
-		warned: make(map[*level.Level]bool)}
+		layout: cfg.Policy.Layout()}
 	if cfg.CacheBlocks > 0 {
 		t.cache = cache.New(cfg.Device, cfg.CacheBlocks)
 		t.dev = t.cache
@@ -182,7 +192,7 @@ func New(cfg Config) (*Tree, error) {
 	}
 	t.mem = memtable.New(cfg.Seed)
 	t.slots = append(t.slots, newSlot(t.newLevel(1)))
-	t.publish()
+	t.installLevels(t.levelImage())
 	return t, nil
 }
 
@@ -213,6 +223,13 @@ func (t *Tree) Level(i int) *level.Level { return t.slots[i-1].newest() }
 // Runs returns the sorted runs of the i-th storage level, newest first. A
 // leveled level holds exactly one run. Treat as read-only.
 func (t *Tree) Runs(i int) []*level.Level { return t.slots[i-1].runs }
+
+// LevelImage returns the storage levels as a View would capture them now.
+// Merge lock; treat as read-only.
+func (t *Tree) LevelImage() []LevelView {
+	levels, _ := t.levelImage()
+	return levels
+}
 
 // Layout returns the layout axis the tree runs under.
 func (t *Tree) Layout() policy.Layout { return t.layout }
@@ -257,20 +274,22 @@ func (t *Tree) Config() Config { return t.cfg }
 
 // --- policy.View implementation ----------------------------------------
 
-// SourceMetas implements policy.View.
+// SourceMetas implements policy.View. L0's are those of the memtable
+// snapshot the step in flight planned from.
 func (t *Tree) SourceMetas(from int) []btree.BlockMeta {
 	if from == 0 {
-		if ver := t.mem.Version(); t.memMetas == nil || ver != t.memMetasVer {
-			vms := t.mem.VirtualBlocks(t.cfg.BlockCapacity)
-			metas := make([]btree.BlockMeta, len(vms))
-			for i, vm := range vms {
-				metas[i] = btree.BlockMeta{Min: vm.Min, Max: vm.Max, Count: vm.Count}
-			}
-			t.memMetas, t.memMetasVer = metas, ver
-		}
 		return t.memMetas
 	}
 	return t.slots[from-1].newest().Index().All()
+}
+
+// setMemMetas makes snap's virtual blocks what SourceMetas(0) serves.
+func (t *Tree) setMemMetas(snap *memtable.Snapshot) {
+	vms := snap.VirtualBlocks(t.cfg.BlockCapacity)
+	t.memMetas = make([]btree.BlockMeta, len(vms))
+	for i, vm := range vms {
+		t.memMetas[i] = btree.BlockMeta{Min: vm.Min, Max: vm.Max, Count: vm.Count}
+	}
 }
 
 // TargetMetas implements policy.View.
@@ -285,15 +304,22 @@ func (t *Tree) TargetMetas(from int) []btree.BlockMeta {
 func (t *Tree) CapacityBlocks(level int) int { return t.cfg.capacityBlocks(level) }
 
 // SizeBlocks implements policy.View: S(L_i) in required blocks, summed
-// over the level's runs.
+// over the level's runs. L0's is that of the step's memtable snapshot: one
+// virtual block per B records.
 func (t *Tree) SizeBlocks(level int) int {
 	if level == 0 {
-		return (t.mem.Len() + t.cfg.BlockCapacity - 1) / t.cfg.BlockCapacity
+		return len(t.memMetas)
 	}
 	if level > len(t.slots) {
 		return 0
 	}
 	return t.slots[level-1].requiredBlocks()
+}
+
+// L0Blocks returns L0's size in blocks now, the quantity the write stall
+// gate watches. Writer lock.
+func (t *Tree) L0Blocks() int {
+	return (t.mem.Len() + t.cfg.BlockCapacity - 1) / t.cfg.BlockCapacity
 }
 
 // --- overflow handling ---------------------------------------------------
@@ -303,10 +329,10 @@ func (t *Tree) SizeBlocks(level int) int {
 // bottom level are very cost-effective and asks "whether we can increase
 // the number of levels strategically to gain performance in certain
 // situations"; this hook makes that experiment possible (see
-// BenchmarkExtensionForcedGrowth).
+// BenchmarkExtensionForcedGrowth). Writer and merge locks.
 func (t *Tree) ForceGrow() {
 	t.grow()
-	t.publish()
+	t.installLevels(t.levelImage())
 }
 
 // grow relabels the overflowing bottom level L_{h−1} as L_h and inserts a
@@ -332,79 +358,56 @@ func (t *Tree) grow() {
 	}
 }
 
-// mergeFromMem merges records out of L0 into L1 per the policy's decision.
-func (t *Tree) mergeFromMem() error {
-	// Quarantine gate before TakeRange: once records leave the memtable
-	// they are committed to this merge, so a blocked target must refuse
-	// up front.
+// chooseMergeFromMem asks the policy which window of L0, as the step's
+// snapshot holds it, to merge into L1.
+func (t *Tree) chooseMergeFromMem(st *Step) error {
+	// Quarantine gate before the merge: a blocked target refuses the step
+	// before any block is read.
 	if err := t.quarantineCheck(1, t.slots[0].newest()); err != nil {
 		return err
 	}
-	tr := t.beginMergeTrace()
 	d := t.cfg.Policy.Decide(t, 0)
-	var recs []block.Record
-	full := d.Full
+	metas := t.SourceMetas(0)
 	if d.Full {
-		if tr.traced {
-			tr.xFrom, tr.xTo = 0, len(t.SourceMetas(0))
-		}
-		recs = t.mem.TakeRange(0, ^block.Key(0))
-	} else {
-		metas := t.SourceMetas(0)
-		if d.From < 0 || d.To > len(metas) || d.From >= d.To {
-			return fmt.Errorf("core: policy %s returned bad L0 window [%d,%d) of %d",
-				t.cfg.Policy.Name(), d.From, d.To, len(metas))
-		}
-		if d.From == 0 && d.To == len(metas) {
-			full = true
-		}
-		tr.xFrom, tr.xTo = d.From, d.To
-		recs = t.mem.TakeRange(metas[d.From].Min, metas[d.To-1].Max)
+		st.tr.xTo = len(metas)
+		return nil
 	}
+	if d.From < 0 || d.To > len(metas) || d.From >= d.To {
+		return fmt.Errorf("core: policy %s returned bad L0 window [%d,%d) of %d",
+			t.cfg.Policy.Name(), d.From, d.To, len(metas))
+	}
+	st.full = d.From == 0 && d.To == len(metas)
+	st.tr.xFrom, st.tr.xTo = d.From, d.To
+	st.lo, st.hi = metas[d.From].Min, metas[d.To-1].Max
+	return nil
+}
+
+// mergeFromMem merges the planned L0 window, as the snapshot holds it,
+// into L1.
+func (t *Tree) mergeFromMem(st *Step) error {
+	recs := st.window()
 	if len(recs) == 0 {
 		return fmt.Errorf("core: empty merge window from L0")
 	}
 	src := merge.NewRecordSource(recs, t.cfg.BlockCapacity)
-	tgt := t.slots[0].newest()
-	res, err := merge.Merge(src, 0, src.NumBlocks(), tgt, merge.Options{
+	res, err := merge.Merge(src, 0, src.NumBlocks(), t.slots[0].newest(), merge.Options{
 		Preserve:       t.cfg.Policy.Preserve(),
 		DropTombstones: t.bottom(1),
 	})
 	if err != nil {
-		t.untake(recs)
 		return err
 	}
-	t.emitMerge(0, 1, full, src.NumBlocks(), res, 0, 0, tr)
-	if tr.traced && t.bus.Enabled() {
-		t.bus.Publish(obs.FlushEvent{
-			Shard:        t.cfg.Shard,
-			Records:      len(recs),
-			RecordsAfter: t.mem.Len(),
-			Full:         full,
-			Duration:     time.Since(tr.start),
-		})
-	}
-	return t.audit()
+	st.records = len(recs)
+	st.setMerged(1, src.NumBlocks(), res, 0, 0)
+	return nil
 }
 
-// untake puts back the records a failed merge took from L0. The merge has
-// installed nothing in the level below by the time a block write fails, so
-// without this the records would be in no level at all, and the next
-// published view would answer not-found for them. A failure after the
-// target was rewritten (a repair or compaction write) leaves the records in
-// both places, which reads resolve to the same values.
-func (t *Tree) untake(recs []block.Record) {
-	for _, r := range recs {
-		t.mem.Put(r)
-	}
-}
-
-// mergeFromLevel merges a window of L_i into L_{i+1} per the policy.
-func (t *Tree) mergeFromLevel(i int) error {
-	tr := t.beginMergeTrace()
+// chooseMergeFromLevel asks the policy which window of L_i to merge into
+// L_{i+1}.
+func (t *Tree) chooseMergeFromLevel(st *Step) error {
+	i := st.from
 	src := t.slots[i-1].newest()
-	tgt := t.slots[i].newest()
-	if err := t.quarantineCheck(i, src, tgt); err != nil {
+	if err := t.quarantineCheck(i, src, t.slots[i].newest()); err != nil {
 		return err
 	}
 	d := t.cfg.Policy.Decide(t, i)
@@ -416,29 +419,37 @@ func (t *Tree) mergeFromLevel(i int) error {
 		return fmt.Errorf("core: policy %s returned bad window [%d,%d) of %d blocks at L%d",
 			t.cfg.Policy.Name(), from, to, src.Blocks(), i)
 	}
-	full := d.Full || (from == 0 && to == src.Blocks())
-	tr.xFrom, tr.xTo = from, to
-	res, err := merge.Merge(merge.LevelSource{Level: src}, from, to, tgt, merge.Options{
+	st.full = d.Full || (from == 0 && to == src.Blocks())
+	st.xFrom, st.xTo = from, to
+	st.tr.xFrom, st.tr.xTo = from, to
+	return nil
+}
+
+// mergeFromLevel merges the planned window of L_i into L_{i+1}.
+func (t *Tree) mergeFromLevel(st *Step) error {
+	i := st.from
+	src := t.slots[i-1].newest()
+	res, err := merge.Merge(merge.LevelSource{Level: src}, st.xFrom, st.xTo, t.slots[i].newest(), merge.Options{
 		Preserve:       t.cfg.Policy.Preserve(),
 		DropTombstones: t.bottom(i + 1),
 	})
 	if err != nil {
 		return err
 	}
-	repairW, compW, err := merge.RemoveSourceWindow(src, from, to, res.KeepSource)
+	repairW, compW, err := merge.RemoveSourceWindow(src, st.xFrom, st.xTo, res.KeepSource)
 	if err != nil {
 		return err
 	}
-	t.emitMerge(i, i+1, full, to-from, res, repairW, compW, tr)
-	return t.audit()
+	st.setMerged(i+1, st.xTo-st.xFrom, res, repairW, compW)
+	return nil
 }
 
 // bottom reports whether level number i is the bottom level.
 func (t *Tree) bottom(i int) bool { return i == len(t.slots) }
 
-// audit runs the configured Auditor, if any. Merges and level growths
-// call it so a paranoid tree verifies its constraints after every
-// structural change, mid-cascade included.
+// audit runs the configured Auditor, if any. Every step's install calls
+// it, so a paranoid tree verifies its constraints after every structural
+// change, mid-cascade included.
 func (t *Tree) audit() error {
 	if t.cfg.Auditor == nil {
 		return nil
@@ -467,27 +478,33 @@ func (t *Tree) beginMergeTrace() mergeTrace {
 	return mergeTrace{traced: true, start: time.Now(), readsBefore: t.dev.Counters().Reads}
 }
 
-func (t *Tree) emitMerge(from, to int, full bool, xBlocks int, res merge.Result, srcRepairW, srcCompW int, tr mergeTrace) {
+// emitMerge counts an installed merge step and reports it: to the OnMerge
+// hook, the merge latency series, and — with a subscriber — the bus, as a
+// MergeEvent (plus the FlushEvent of a step out of L0) carrying the time
+// the step held the writer lock.
+func (t *Tree) emitMerge(st *Step) {
+	res := st.res
 	t.cnt.merges.Add(1)
-	if full {
+	if st.full {
 		t.cnt.fullMerges.Add(1)
 	}
 	ev := MergeEvent{
-		From:             from,
-		To:               to,
-		Full:             full,
-		XBlocks:          xBlocks,
+		From:             st.from,
+		To:               st.to,
+		Full:             st.full,
+		XBlocks:          st.xBlocks,
 		YBlocks:          res.YBlocks,
 		BlocksWritten:    res.BlocksWritten,
 		PreservedX:       res.PreservedX,
 		PreservedY:       res.PreservedY,
-		RepairWrites:     res.RepairWrites + srcRepairW,
-		CompactionWrites: res.CompactionWrites + srcCompW,
+		RepairWrites:     res.RepairWrites + st.srcRepairW,
+		CompactionWrites: res.CompactionWrites + st.srcCompW,
 		RecordsIn:        res.RecordsIn,
 	}
 	if t.onMerge != nil {
 		t.onMerge(ev)
 	}
+	tr := st.tr
 	if !tr.traced {
 		return
 	}
@@ -496,6 +513,7 @@ func (t *Tree) emitMerge(from, to int, full bool, xBlocks int, res merge.Result,
 	if !t.bus.Enabled() {
 		return
 	}
+	srcRepairW, srcCompW := st.srcRepairW, st.srcCompW
 	var cases obs.RepairCases
 	if srcRepairW > 0 {
 		cases |= obs.Case(1)
@@ -511,13 +529,13 @@ func (t *Tree) emitMerge(from, to int, full bool, xBlocks int, res merge.Result,
 	}
 	t.bus.Publish(obs.MergeEvent{
 		Shard:               t.cfg.Shard,
-		From:                from,
-		To:                  to,
+		From:                st.from,
+		To:                  st.to,
 		Policy:              t.cfg.Policy.Name(),
-		Full:                full,
+		Full:                st.full,
 		XFrom:               tr.xFrom,
 		XTo:                 tr.xTo,
-		XBlocks:             xBlocks,
+		XBlocks:             st.xBlocks,
 		YBlocks:             res.YBlocks,
 		BlocksRead:          t.dev.Counters().Reads - tr.readsBefore,
 		BlocksWritten:       res.BlocksWritten,
@@ -531,9 +549,19 @@ func (t *Tree) emitMerge(from, to int, full bool, xBlocks int, res merge.Result,
 		Compaction:          srcCompW > 0 || res.CompactionWrites > 0,
 		RecordsIn:           res.RecordsIn,
 		Duration:            d,
+		LockHold:            st.hold,
 	})
 	t.emitCacheDelta()
 	t.checkWasteWarnings()
+	if st.snap != nil {
+		t.bus.Publish(obs.FlushEvent{
+			Shard:        t.cfg.Shard,
+			Records:      st.records,
+			RecordsAfter: t.mem.Len(),
+			Full:         st.full,
+			Duration:     d,
+		})
+	}
 }
 
 // emitCacheDelta publishes buffer-cache traffic accumulated since the last
@@ -566,13 +594,13 @@ func (t *Tree) checkWasteWarnings() {
 		for _, l := range s.runs {
 			wf := l.WasteFactor()
 			if wf <= thresh {
-				delete(t.warned, l)
+				l.Warned = false
 				continue
 			}
-			if t.warned[l] {
+			if l.Warned {
 				continue
 			}
-			t.warned[l] = true
+			l.Warned = true
 			t.bus.Publish(obs.WarnEvent{
 				Level:       i + 1,
 				WasteFactor: wf,
@@ -586,10 +614,10 @@ func (t *Tree) checkWasteWarnings() {
 
 // Validate checks every invariant of every level plus cross-level block
 // accounting; tests and the harness call it between phases. It uses Peek
-// throughout, leaving the experiment counters untouched. It runs in the
-// writer's context: what only the live levels know (index aggregates, every
-// run's capacity label) is checked here, the rest by the current snapshot's
-// View.Validate and by ValidateAccounting — the pair concurrent readers use.
+// throughout, leaving the experiment counters untouched. It runs under the
+// merge lock: what only the live levels know (index aggregates, every run's
+// capacity label) is checked here, the rest by the current snapshot's
+// View.Validate and by ValidateAccounting — the pair the public DB uses.
 func (t *Tree) Validate() error {
 	for i, s := range t.slots {
 		for j, l := range s.runs {
@@ -615,8 +643,8 @@ func (t *Tree) Validate() error {
 // ValidateAccounting checks the device's live-block count against the
 // levels' references: every live block is referenced by exactly one level,
 // except blocks whose free is deferred until snapshot readers release them.
-// The public DB pairs it (under the writer lock) with a lock-free
-// View.Validate.
+// The public DB pairs it (under the merge lock, which keeps steps from
+// allocating meanwhile) with a lock-free View.Validate.
 func (t *Tree) ValidateAccounting() error {
 	if err := t.reclaimError(); err != nil {
 		return err
@@ -625,8 +653,12 @@ func (t *Tree) ValidateAccounting() error {
 	for _, s := range t.slots {
 		liveWant += int64(s.blocks())
 	}
-	deferred := t.DeferredFrees()
-	if got := t.dev.Counters().Live; got != liveWant+deferred {
+	// Read both counts under viewMu: a reader releasing a view frees
+	// deferred blocks under it, which moves both at once.
+	t.viewMu.Lock()
+	got, deferred := t.dev.Counters().Live, t.zombieN
+	t.viewMu.Unlock()
+	if got != liveWant+deferred {
 		return fmt.Errorf("core: device has %d live blocks, levels reference %d (+%d deferred frees)",
 			got, liveWant, deferred)
 	}

@@ -9,6 +9,7 @@ import (
 	"lsmssd/internal/cache"
 	"lsmssd/internal/memtable"
 	"lsmssd/internal/obs"
+	"lsmssd/internal/policy"
 	"lsmssd/internal/storage"
 )
 
@@ -25,7 +26,7 @@ var ErrClosed = errors.New("core: tree is closed")
 //
 // Views are reference-counted. Blocks a merge removes from the tree are
 // not freed on the device until every View that might reference them has
-// been released; see Tree.publish and Tree.reclaimLocked. Always pair
+// been released; see Tree.installLevels and Tree.reclaimLocked. Always pair
 // AcquireView with Release.
 type View struct {
 	tree   *Tree
@@ -97,39 +98,33 @@ func (v *View) Release() {
 	t.viewMu.Unlock()
 }
 
-// publish captures the tree's current state as a new View and installs it
-// as the snapshot subsequent readers acquire. The writer calls it after
-// every structural change (request, merge, growth, restore), so a reader
-// always sees a state the invariant auditor has accepted.
-func (t *Tree) publish() {
-	nv := &View{tree: t, mem: t.mem.Snapshot(), refs: 1}
-	nv.levels = make([]LevelView, len(t.slots))
-	for i, s := range t.slots {
-		runs := make([][]btree.BlockMeta, len(s.runs))
-		blocks := 0
-		for j, r := range s.runs {
-			runs[j] = r.Index().All() // immutable: ReplaceRange swaps slices
-			blocks += r.Blocks()
-		}
-		records := s.records()
-		nv.levels[i] = LevelView{
-			Number:        i + 1,
-			Runs:          runs,
-			Records:       records,
-			Capacity:      s.newest().Capacity(),
-			WasteFactor:   btree.WasteFactor(blocks, records, t.cfg.BlockCapacity),
-			BlocksWritten: s.blocksWritten(),
-			Compactions:   s.compactions(),
-		}
-	}
+// publish makes a new View of the memtable's current contents and the
+// installed level image the snapshot subsequent readers acquire. Writers
+// call it under the writer lock after every request; it reads no storage
+// level, so a write never waits on a merge step's level state.
+func (t *Tree) publish() { t.publishFreeing(nil) }
+
+// installLevels makes levels (and backlog, the storage levels firing in
+// it) the installed level image and publishes it. The blocks the
+// storage-level mutation freed become deferred frees: the views published
+// before this one may still read them. Writer and merge locks.
+func (t *Tree) installLevels(levels []LevelView, backlog int) {
+	t.levels, t.levelBacklog = levels, backlog
+	t.publishFreeing(t.pending)
+	t.pending, t.written = nil, nil
+}
+
+// publishFreeing publishes a new View and queues freed, the blocks that
+// only views up to the previous one can reach, for reclamation.
+func (t *Tree) publishFreeing(freed []storage.BlockID) {
+	nv := &View{tree: t, mem: t.mem.Snapshot(), levels: t.levels, refs: 1}
 	t.viewMu.Lock()
 	t.seq++
 	nv.seq = t.seq
 	old := t.cur
-	if len(t.pending) > 0 && old != nil {
-		t.zombies = append(t.zombies, zombieBatch{seq: old.seq, ids: t.pending})
-		t.zombieN += int64(len(t.pending))
-		t.pending = nil
+	if len(freed) > 0 && old != nil {
+		t.zombies = append(t.zombies, zombieBatch{seq: old.seq, ids: freed})
+		t.zombieN += int64(len(freed))
 	}
 	t.cur = nv
 	t.liveViews = append(t.liveViews, nv)
@@ -141,6 +136,37 @@ func (t *Tree) publish() {
 	}
 	t.reclaimLocked()
 	t.viewMu.Unlock()
+}
+
+// levelImage captures the storage levels as the LevelViews a View holds,
+// and counts the storage levels the overflow rule fires on. Merge lock.
+func (t *Tree) levelImage() ([]LevelView, int) {
+	levels := make([]LevelView, len(t.slots))
+	for i, s := range t.slots {
+		runs := make([][]btree.BlockMeta, len(s.runs))
+		blocks := 0
+		for j, r := range s.runs {
+			runs[j] = r.Index().All() // immutable: ReplaceRange swaps slices
+			blocks += r.Blocks()
+		}
+		records := s.records()
+		levels[i] = LevelView{
+			Number:        i + 1,
+			Runs:          runs,
+			Records:       records,
+			Capacity:      s.newest().Capacity(),
+			WasteFactor:   btree.WasteFactor(blocks, records, t.cfg.BlockCapacity),
+			BlocksWritten: s.blocksWritten(),
+			Compactions:   s.compactions(),
+		}
+	}
+	backlog := 0
+	for i := 1; i <= len(t.slots); i++ {
+		if t.fires(i) {
+			backlog++
+		}
+	}
+	return levels, backlog
 }
 
 // removeLiveLocked drops v from the acquired-view list. Callers hold viewMu.
@@ -167,6 +193,11 @@ func (t *Tree) reclaimLocked() {
 			t.zombieN--
 			if t.closed {
 				continue // device is being torn down; nothing to recycle
+			}
+			// The filter goes first: once freed, the slot may be
+			// reallocated to a merge step that registers its own.
+			if t.blooms != nil {
+				t.blooms.Drop(id)
 			}
 			if err := t.dev.Free(id); err != nil && t.reclaimErr == nil {
 				t.reclaimErr = fmt.Errorf("core: deferred free of block %d: %w", id, err)
@@ -200,12 +231,12 @@ func (t *Tree) LiveViews() int {
 
 // DeferredFrees returns the number of device blocks logically removed from
 // the tree but not yet physically freed because a snapshot may still read
-// them (plus any accumulated in the current mutation). The paper's
-// live-block accounting must add this to the levels' references.
+// them. The paper's live-block accounting must add this to the levels'
+// references.
 func (t *Tree) DeferredFrees() int64 {
 	t.viewMu.Lock()
 	defer t.viewMu.Unlock()
-	return int64(len(t.pending)) + t.zombieN
+	return t.zombieN
 }
 
 // reclaimError surfaces the first error a deferred free produced, if any.
@@ -215,29 +246,28 @@ func (t *Tree) reclaimError() error {
 	return t.reclaimErr
 }
 
-// deferFree queues id for release once no acquired snapshot can reference
-// it. Levels call this (through the treeDevice wrapper) instead of freeing
-// eagerly.
-func (t *Tree) deferFree(id storage.BlockID) {
-	t.pending = append(t.pending, id)
-}
-
 // treeDevice is the device handed to the tree's levels: block I/O passes
-// through to the (possibly cached) device, but Free is deferred through
-// the snapshot reclamation protocol so lock-free readers never observe a
-// recycled block.
+// through to the (possibly cached) device, but Free only queues the block
+// in pending, which the next install hands to the snapshot reclamation
+// protocol, so lock-free readers never observe a recycled block. Writes
+// are noted in written, so a failed merge step can free what it wrote.
+// Both lists belong to the storage-level mutation in progress (merge lock).
 type treeDevice struct {
 	t *Tree
 }
 
 func (d treeDevice) Alloc() storage.BlockID { return d.t.dev.Alloc() }
 func (d treeDevice) Write(id storage.BlockID, b *block.Block) error {
-	return d.t.dev.Write(id, b)
+	if err := d.t.dev.Write(id, b); err != nil {
+		return err
+	}
+	d.t.written = append(d.t.written, id)
+	return nil
 }
 func (d treeDevice) Read(id storage.BlockID) (*block.Block, error) { return d.t.dev.Read(id) }
 func (d treeDevice) Peek(id storage.BlockID) (*block.Block, error) { return d.t.dev.Peek(id) }
 func (d treeDevice) Free(id storage.BlockID) error {
-	d.t.deferFree(id)
+	d.t.pending = append(d.t.pending, id)
 	return nil
 }
 func (d treeDevice) Counters() storage.Counters { return d.t.dev.Counters() }
@@ -260,6 +290,12 @@ func (v *View) MemBytes() int { return v.mem.Bytes() }
 
 // Levels returns the frozen per-level metadata. Treat as read-only.
 func (v *View) Levels() []LevelView { return v.levels }
+
+// Config returns the configuration of the tree the view was taken from.
+func (v *View) Config() Config { return v.tree.cfg }
+
+// Layout returns the layout axis of the tree the view was taken from.
+func (v *View) Layout() policy.Layout { return v.tree.layout }
 
 // Records returns the records stored at capture time, including shadowed
 // versions and tombstones.

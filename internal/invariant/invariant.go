@@ -37,7 +37,9 @@ package invariant
 import (
 	"fmt"
 
+	"lsmssd/internal/btree"
 	"lsmssd/internal/core"
+	"lsmssd/internal/policy"
 )
 
 // Options selects the audit strictness.
@@ -69,10 +71,63 @@ type Options struct {
 // contents. Use between operations (never mid-cascade).
 func CheckTree(t *core.Tree) error { return Check(t, Options{}) }
 
-// Check audits every level of the tree under the given options. The
-// returned error names the first violated constraint.
+// Check audits every level of the live tree under the given options: the
+// level image the tree would install now, then what only the live levels
+// know (index aggregates and, unless skipped, block contents), then the
+// device's live-block accounting. The returned error names the first
+// violated constraint. The caller holds the tree's merge lock, and its
+// writer lock too unless MidCascade is set (the strict L0 bound reads the
+// memtable).
 func Check(t *core.Tree, o Options) error {
-	cfg := t.Config()
+	memLen := 0
+	if !o.MidCascade {
+		memLen = t.Memtable().Len()
+	}
+	if err := checkLevels(t.Config(), t.Layout(), memLen, t.LevelImage(), o); err != nil {
+		return err
+	}
+	for i := 1; i < t.Height(); i++ {
+		runs := t.Runs(i)
+		for ri, l := range runs {
+			// The index aggregates and — unless skipped — every stored
+			// block against its fence.
+			validate := l.ValidateContents
+			if o.SkipContents {
+				validate = l.Validate
+			}
+			if err := validate(); err != nil {
+				return fmt.Errorf("invariant: %s: %w", runName(i, ri, len(runs)), err)
+			}
+		}
+	}
+	// Blocks removed by a merge stay live on the device until no read
+	// snapshot can reference them; the deferred-free backlog is therefore
+	// part of the accounting identity, not a leak.
+	if err := t.ValidateAccounting(); err != nil {
+		return fmt.Errorf("invariant: %w", err)
+	}
+	return nil
+}
+
+// CheckView audits a published snapshot's metadata: the level image and
+// the memtable a writer sees, with no lock beyond the view's reference.
+// Block contents and device accounting are the live audit's (Check); o's
+// SkipContents is implied.
+func CheckView(v *core.View, o Options) error {
+	return checkLevels(v.Config(), v.Layout(), v.MemLen(), v.Levels(), o)
+}
+
+func runName(level, run, runs int) string {
+	if runs > 1 {
+		return fmt.Sprintf("L%d run %d", level, run)
+	}
+	return fmt.Sprintf("L%d", level)
+}
+
+// checkLevels audits a level image: the L0 bound (unless MidCascade), and
+// per level the layout's run count, each run's Section II constraints, its
+// capacity label, fence search, bottom tombstones, and the size bound.
+func checkLevels(cfg core.Config, lay policy.Layout, memLen int, levels []core.LevelView, o Options) error {
 	b := cfg.BlockCapacity
 	eps := cfg.Epsilon
 
@@ -84,16 +139,21 @@ func Check(t *core.Tree, o Options) error {
 			// the gate by their in-flight records.
 			k0 = o.L0CapacityBlocks + 1
 		}
-		if n, cap := t.Memtable().Len(), k0*b; n > cap {
-			return fmt.Errorf("invariant: L0 holds %d records, capacity %d blocks × B = %d", n, k0, cap)
+		if cap := k0 * b; memLen > cap {
+			return fmt.Errorf("invariant: L0 holds %d records, capacity %d blocks × B = %d", memLen, k0, cap)
 		}
 	}
 
-	height := t.Height()
-	lay := cfg.Policy.Layout()
-	liveWant := int64(0)
-	for i := 1; i <= height-1; i++ {
-		runs := t.Runs(i)
+	height := len(levels) + 1
+	capacity := func(i int) int { // K_i = K0·Γ^i
+		k := cfg.K0
+		for ; i > 0; i-- {
+			k *= cfg.Gamma
+		}
+		return k
+	}
+	for _, lv := range levels {
+		i, runs := lv.Number, lv.Runs
 		tiered := lay.Tiered(i, height)
 		maxRuns := lay.MaxRuns(i, height)
 
@@ -109,30 +169,17 @@ func Check(t *core.Tree, o Options) error {
 				i, len(runs), maxRuns)
 		}
 
-		capBlocks := t.CapacityBlocks(i)
-		levelRecords := 0
-		for ri, l := range runs {
-			at := fmt.Sprintf("L%d", i)
-			if len(runs) > 1 {
-				at = fmt.Sprintf("L%d run %d", i, ri)
-			}
-			// The paper's per-run constraints (fences, block capacity,
-			// pairwise and level-wise waste), the index aggregates, and
-			// — unless skipped — every stored block against its fence.
-			validate := l.ValidateContents
-			if o.SkipContents {
-				validate = l.Validate
-			}
-			if err := validate(); err != nil {
+		capBlocks := capacity(i)
+		if lv.Capacity != capBlocks {
+			return fmt.Errorf("invariant: L%d capacity labelled %d blocks, want K%d = K0·Γ^%d = %d",
+				i, lv.Capacity, i, i, capBlocks)
+		}
+		for ri, metas := range runs {
+			at := runName(i, ri, len(runs))
+			// The paper's per-run constraints: fences, block capacity,
+			// pairwise and level-wise waste.
+			if err := btree.ValidateMetas(metas, b, eps); err != nil {
 				return fmt.Errorf("invariant: %s: %w", at, err)
-			}
-			idx := l.Index()
-			liveWant += int64(idx.Len())
-			levelRecords += l.Records()
-
-			if got := l.Capacity(); got != capBlocks {
-				return fmt.Errorf("invariant: %s capacity labelled %d blocks, want K%d = K0·Γ^%d = %d",
-					at, got, i, i, capBlocks)
 			}
 
 			// Bottom-level tombstones: only a leveled bottom guarantees
@@ -140,20 +187,19 @@ func Check(t *core.Tree, o Options) error {
 			// that shadow runs below them until consolidation folds the
 			// level into one run.
 			if i == height-1 && !tiered {
-				for j := 0; j < idx.Len(); j++ {
-					if tb := idx.Meta(j).Tombstones; tb > 0 {
-						return fmt.Errorf("invariant: bottom level %s block %d carries %d tombstone(s)", at, j, tb)
+				for j, m := range metas {
+					if m.Tombstones > 0 {
+						return fmt.Errorf("invariant: bottom level %s block %d carries %d tombstone(s)", at, j, m.Tombstones)
 					}
 				}
 			}
 
-			for j := 0; j < idx.Len(); j++ {
-				m := idx.Meta(j)
-				if pos, ok := idx.Find(m.Min); !ok || pos != j {
+			for j, m := range metas {
+				if pos, ok := btree.FindIn(metas, m.Min); !ok || pos != j {
 					return fmt.Errorf("invariant: %s fence search for block %d min key %d landed at (%d, %v)",
 						at, j, m.Min, pos, ok)
 				}
-				if pos, ok := idx.Find(m.Max); !ok || pos != j {
+				if pos, ok := btree.FindIn(metas, m.Max); !ok || pos != j {
 					return fmt.Errorf("invariant: %s fence search for block %d max key %d landed at (%d, %v)",
 						at, j, m.Max, pos, ok)
 				}
@@ -175,22 +221,13 @@ func Check(t *core.Tree, o Options) error {
 				if tiered {
 					slack = maxRuns
 				}
-				bound += slack * t.CapacityBlocks(i-1) * b
+				bound += slack * capacity(i-1) * b
 			}
-			if levelRecords > bound {
+			if lv.Records > bound {
 				return fmt.Errorf("invariant: L%d holds %d records, exceeding (1+ε)·K%d·B = %d",
-					i, levelRecords, i, bound)
+					i, lv.Records, i, bound)
 			}
 		}
-	}
-
-	// Blocks removed by a merge stay live on the device until no read
-	// snapshot can reference them; the deferred-free backlog is therefore
-	// part of the accounting identity, not a leak.
-	deferred := t.DeferredFrees()
-	if got := t.Device().Counters().Live; got != liveWant+deferred {
-		return fmt.Errorf("invariant: device reports %d live blocks, levels reference %d (+%d deferred frees)",
-			got, liveWant, deferred)
 	}
 	return nil
 }

@@ -46,6 +46,10 @@ type Level struct {
 	// plotted per level in the paper's Figures 3 and 4.
 	BlocksWritten int64
 	Compactions   int64
+
+	// Warned latches the tree's early waste warning for this level: set
+	// when the warning fires, cleared once the waste factor drops back.
+	Warned bool
 }
 
 // Config carries the immutable parameters of a level.
@@ -72,6 +76,18 @@ func New(cfg Config) *Level {
 		capacity: cfg.Capacity,
 		blooms:   cfg.Blooms,
 	}
+}
+
+// Clone returns a copy of the level that changes independently of l: the
+// tree runs a merge step against copies, so the levels it started from stay
+// intact until the step installs, and stay as they were if it fails. The
+// copy shares l's device, filters and metadata slice, which ReplaceRange
+// never modifies in place.
+func (l *Level) Clone() *Level {
+	c := *l
+	idx := *l.idx
+	c.idx = &idx
+	return &c
 }
 
 // Index exposes the level's block index (read-only use by policies).
@@ -158,6 +174,8 @@ func (l *Level) WriteNew(b *block.Block) (btree.BlockMeta, error) {
 // ReplaceRange performs the bulk-delete of positions [i, j) and bulk-insert
 // of repl, freeing the removed device blocks except those whose IDs appear
 // in keep (blocks preserved by a block-preserving merge keep their storage).
+// A removed block's Bloom filter stays registered: whoever frees the block
+// for good drops it, since snapshot readers may still consult it.
 func (l *Level) ReplaceRange(i, j int, repl []btree.BlockMeta, keep map[storage.BlockID]bool) error {
 	for _, m := range l.idx.All()[i:j] {
 		if keep[m.ID] {
@@ -165,9 +183,6 @@ func (l *Level) ReplaceRange(i, j int, repl []btree.BlockMeta, keep map[storage.
 		}
 		if err := l.dev.Free(m.ID); err != nil {
 			return err
-		}
-		if l.blooms != nil {
-			l.blooms.Drop(m.ID)
 		}
 	}
 	l.idx.ReplaceRange(i, j, repl)

@@ -192,16 +192,16 @@ func DefaultConfig() Config {
 			},
 			Why: "raw device I/O breaks write-cost accounting; route it through level/merge/core",
 		}, {
-			Rule: "tree-state", Pkg: "lsmssd/internal/core", Type: "Tree", Methods: []string{"Level", "Memtable"},
+			Rule: "tree-state", Pkg: "lsmssd/internal/core", Type: "Tree", Methods: []string{"Level", "Runs", "LevelImage", "Memtable"},
 			Allowed: []string{
 				"lsmssd/internal/core",
 				"lsmssd/internal/invariant",   // runs as the writer's auditor hook
 				"lsmssd/internal/learn",       // drives the tree single-threaded
 				"lsmssd/internal/experiments", // single-threaded harness
 			},
-			Why: "live level state mutates under concurrent merges; acquire a snapshot with Tree.AcquireView instead",
+			Why: "live level state mutates under a merge step's merge lock; acquire a snapshot with Tree.AcquireView instead",
 		}, {
-			Rule: "compaction-step", Pkg: "lsmssd/internal/core", Type: "Tree", Methods: []string{"CompactionStep", "RunCascade"},
+			Rule: "compaction-step", Pkg: "lsmssd/internal/core", Type: "Tree", Methods: []string{"CompactionStep", "RunCascade", "PlanStep", "ExecuteStep", "InstallStep"},
 			Allowed: []string{
 				"lsmssd/internal/core",       // Restore completes an interrupted cascade
 				"lsmssd/internal/compaction", // the scheduler and the sync Driver
@@ -254,7 +254,7 @@ func DefaultConfig() Config {
 		LockAcquireHelpers: []string{"lockedTree", "lockShards"},
 		LockReleaseHelpers: []string{"unlockShards"},
 		TreeMutateMethods: []string{
-			"Put", "Delete", "ApplyBatch", "ForceGrow",
+			"Put", "Delete", "ApplyBatch", "ForceGrow", "RepairBlock",
 			"MarkClosed", "ResetStats",
 		},
 		// The checkpoint split: the capture reads the log's sequence, the

@@ -13,8 +13,8 @@
 // innerCap children with each child's minimum key and record count. Nodes
 // are never modified once linked into a root: Put copies the one leaf it
 // changes and that leaf's ancestors (splitting a node that overflows in
-// two), and TakeRange copies at most the two root-to-leaf paths at the
-// window's edges, dropping every subtree the window covers whole. All
+// two), and a removal (TakeRange, RemoveUnchanged) copies the paths to the
+// leaves it changes, dropping every subtree it empties. All
 // previously captured roots stay intact, so Snapshot costs O(1) and returns
 // an immutable view that can be read without synchronization while the
 // table keeps changing — the property the engine's snapshot-isolated read
@@ -22,7 +22,7 @@
 //
 // Fill rule and height bound: every node except the root holds at least a
 // quarter of its capacity (8 records or 8 children). Splits leave both
-// halves half full, TakeRange merges a node it leaves below the bound with
+// halves half full, a removal merges a node it leaves below the bound with
 // a sibling or moves entries over from one, and a root left with one child
 // is replaced by that child. So a tree of n records has height at most
 // 1 + log_8(n/2) (5 levels at 8,192 records, 14 at 2^40) through any
@@ -219,53 +219,65 @@ func leaves(n *node, fn func([]block.Record)) {
 	}
 }
 
-// take removes the records with key in [lo, hi] from the subtree rooted at
-// n, appending them to *out in key order. It returns n itself when nothing
-// is in the window, nil when everything is, and otherwise a copy whose
-// children meet the fill rule (the copy itself may be underfull; its
-// parent fixes that). Only the nodes on the paths to lo and hi are copied.
-func take(n *node, lo, hi block.Key, out *[]block.Record) *node {
+// filter removes the records with key in [lo, hi] for which rm returns
+// true, calling rm once on each such record, in key order. It returns n
+// itself when nothing is removed, nil when everything under n is, and
+// otherwise a copy whose children meet the fill rule (the copy itself may
+// be underfull; its parent fixes that). Only the nodes on the paths to
+// removed records are copied.
+func filter(n *node, lo, hi block.Key, rm func(block.Record) bool) *node {
 	if n.leaf() {
 		i, j := lowerBound(n.recs, lo), upperBound(n.recs, hi)
-		switch {
-		case i == j:
+		x := i
+		for x < j && !rm(n.recs[x]) {
+			x++
+		}
+		if x == j {
 			return n
-		case i == 0 && j == len(n.recs):
-			*out = append(*out, n.recs...)
+		}
+		var kept []block.Record // the records of (x, j) that stay
+		for y := x + 1; y < j; y++ {
+			if !rm(n.recs[y]) {
+				kept = append(kept, n.recs[y])
+			}
+		}
+		if x == 0 && len(kept) == 0 && j == len(n.recs) {
 			return nil
 		}
-		*out = append(*out, n.recs[i:j]...)
-		recs := make([]block.Record, 0, len(n.recs)-(j-i))
-		return &node{recs: append(append(recs, n.recs[:i]...), n.recs[j:]...)}
+		recs := make([]block.Record, 0, x+len(kept)+len(n.recs)-j)
+		return &node{recs: append(append(append(recs, n.recs[:x]...), kept...), n.recs[j:]...)}
 	}
 	a, b := childFor(n.kids, lo), childFor(n.kids, hi)
-	first := take(n.kids[a].n, lo, hi, out)
-	last := first
-	if b > a {
-		for _, k := range n.kids[a+1 : b] {
-			leaves(k.n, func(recs []block.Record) { *out = append(*out, recs...) })
+	var kids []child
+	var copied []int // positions in kids of the copied children
+	for c := a; c <= b; c++ {
+		sub := filter(n.kids[c].n, lo, hi, rm)
+		switch {
+		case sub == n.kids[c].n:
+			if kids != nil {
+				kids = append(kids, n.kids[c])
+			}
+			continue
+		case kids == nil:
+			kids = append(make([]child, 0, len(n.kids)), n.kids[:c]...)
 		}
-		last = take(n.kids[b].n, lo, hi, out)
+		if sub != nil {
+			copied = append(copied, len(kids))
+			kids = append(kids, sub.entry())
+		}
 	}
-	if b <= a+1 && first == n.kids[a].n && last == n.kids[b].n {
-		return n // the window missed every record under n
-	}
-	kids := make([]child, 0, len(n.kids)-(b-a-1))
-	kids = append(kids, n.kids[:a]...)
-	if first != nil {
-		kids = append(kids, first.entry())
-	}
-	if b > a && last != nil {
-		kids = append(kids, last.entry())
+	if kids == nil {
+		return n // the window removed no record under n
 	}
 	kids = append(kids, n.kids[b+1:]...)
 	if len(kids) == 0 {
 		return nil
 	}
-	// The two copied children sit at a and a+1 at most; fix the later one
-	// first so the earlier index stays valid.
-	for i := min(a+1, len(kids)-1); i >= a; i-- {
-		kids = rebalance(kids, i)
+	// Fix the copied children from the right: rebalancing one merges it
+	// with a neighbour at most one position to its left, so the positions
+	// still to visit stay valid.
+	for x := len(copied) - 1; x >= 0; x-- {
+		kids = rebalance(kids, copied[x])
 	}
 	return &node{kids: kids}
 }
@@ -294,7 +306,7 @@ func rebalance(kids []child, i int) []child {
 
 // merge returns a new node holding l's entries followed by r's; l and r
 // are siblings, so both are leaves or both are inner nodes. An inner node
-// that take left with one child may hold an underfull one, so the two
+// that a removal left with one child may hold an underfull one, so the two
 // children that meet at the seam are rebalanced.
 func merge(l, r *node) *node {
 	if l.leaf() {
@@ -383,26 +395,70 @@ func (t *Table) Ascend(lo, hi block.Key, fn func(block.Record) bool) {
 }
 
 // TakeRange removes and returns all records with key in [lo, hi], in key
-// order. Merges from L0 call this to drain the merged window.
+// order.
 func (t *Table) TakeRange(lo, hi block.Key) []block.Record {
 	var out []block.Record
-	if t.root == nil || lo > hi {
-		return out
+	t.remove(lo, hi, func(r block.Record) bool {
+		out = append(out, r)
+		return true
+	})
+	return out
+}
+
+// RemoveUnchanged removes the records with key in [lo, hi] that old holds
+// unchanged — the same key, tombstone flag and payload slice — and keeps
+// every record of the window written since old was captured. It returns
+// the number of records removed. An L0 merge installs with it: the merge
+// copied old's window into the level below, so a record old still holds
+// has that copy, while one rewritten or deleted mid-merge is newer than
+// the copy and must stay to shadow it. Payloads are compared by identity,
+// not contents: an unchanged record is the very one old captured.
+func (t *Table) RemoveUnchanged(lo, hi block.Key, old *Snapshot) int {
+	c := old.Cursor(lo, hi)
+	return t.remove(lo, hi, func(r block.Record) bool {
+		p, ok := c.Peek()
+		for ok && p.Key < r.Key {
+			c.Advance()
+			p, ok = c.Peek()
+		}
+		return ok && p.Key == r.Key && same(p, r)
+	})
+}
+
+// same reports whether a and b are one record: equal keys and tombstone
+// flags, and the same payload bytes in memory.
+func same(a, b block.Record) bool {
+	if a.Key != b.Key || a.Tombstone != b.Tombstone || len(a.Payload) != len(b.Payload) {
+		return false
 	}
-	root := take(t.root, lo, hi, &out)
+	return len(a.Payload) == 0 || &a.Payload[0] == &b.Payload[0]
+}
+
+// remove drops the records with key in [lo, hi] that rm selects and
+// returns how many it dropped.
+func (t *Table) remove(lo, hi block.Key, rm func(block.Record) bool) int {
+	if t.root == nil || lo > hi {
+		return 0
+	}
+	n, bytes := 0, 0
+	root := filter(t.root, lo, hi, func(r block.Record) bool {
+		if !rm(r) {
+			return false
+		}
+		n, bytes = n+1, bytes+r.Size()
+		return true
+	})
 	if root == t.root {
-		return out
+		return 0
 	}
 	for root != nil && !root.leaf() && len(root.kids) == 1 {
 		root = root.kids[0].n
 	}
 	t.version++
 	t.root = root
-	t.count -= len(out)
-	for _, r := range out {
-		t.bytes -= r.Size()
-	}
-	return out
+	t.count -= n
+	t.bytes -= bytes
+	return n
 }
 
 // VirtualMeta describes one virtual block of the memtable: a run of up to
@@ -414,33 +470,10 @@ type VirtualMeta struct {
 	Count    int
 }
 
-// VirtualBlocks chunks the table into virtual blocks of the given capacity
-// (the records of rank [i·capacity, (i+1)·capacity) form block i) and
-// returns their metadata. It walks the leaves with a running rank and
-// reads each block's first and last record by index, in O(leaves + blocks).
+// VirtualBlocks chunks the table into virtual blocks of the given capacity;
+// see Snapshot.VirtualBlocks.
 func (t *Table) VirtualBlocks(capacity int) []VirtualMeta {
-	if capacity < 1 {
-		panic("memtable: capacity must be >= 1")
-	}
-	if t.root == nil {
-		return nil
-	}
-	metas := make([]VirtualMeta, (t.count+capacity-1)/capacity)
-	base := 0 // rank of the leaf's first record
-	leaves(t.root, func(recs []block.Record) {
-		end := base + len(recs)
-		for b := base / capacity; b*capacity < end; b++ {
-			first, last := b*capacity, min((b+1)*capacity, t.count)-1
-			if first >= base {
-				metas[b].Min = recs[first-base].Key
-			}
-			if last < end {
-				metas[b].Max, metas[b].Count = recs[last-base].Key, last-first+1
-			}
-		}
-		base = end
-	})
-	return metas
+	return t.Snapshot().VirtualBlocks(capacity)
 }
 
 // Snapshot is an immutable point-in-time view of the table, safe for
@@ -465,6 +498,35 @@ func (s *Snapshot) Bytes() int { return s.bytes }
 // Get returns the record stored for k at capture time, if any.
 func (s *Snapshot) Get(k block.Key) (block.Record, bool) {
 	return get(s.root, k)
+}
+
+// VirtualBlocks chunks the snapshot into virtual blocks of the given
+// capacity (the records of rank [i·capacity, (i+1)·capacity) form block i)
+// and returns their metadata. It walks the leaves with a running rank and
+// reads each block's first and last record by index, in O(leaves + blocks).
+func (s *Snapshot) VirtualBlocks(capacity int) []VirtualMeta {
+	if capacity < 1 {
+		panic("memtable: capacity must be >= 1")
+	}
+	if s.root == nil {
+		return nil
+	}
+	metas := make([]VirtualMeta, (s.count+capacity-1)/capacity)
+	base := 0 // rank of the leaf's first record
+	leaves(s.root, func(recs []block.Record) {
+		end := base + len(recs)
+		for b := base / capacity; b*capacity < end; b++ {
+			first, last := b*capacity, min((b+1)*capacity, s.count)-1
+			if first >= base {
+				metas[b].Min = recs[first-base].Key
+			}
+			if last < end {
+				metas[b].Max, metas[b].Count = recs[last-base].Key, last-first+1
+			}
+		}
+		base = end
+	})
+	return metas
 }
 
 // Cursor returns a cursor positioned at the first captured record with key

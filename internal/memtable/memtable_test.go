@@ -2,6 +2,7 @@ package memtable
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -174,18 +175,38 @@ func TestAllSorted(t *testing.T) {
 }
 
 // Property: the memtable behaves exactly like a map + sort under random
-// puts, single-key TakeRanges and window TakeRanges over 16-bit keys, deep
-// enough for three levels, and keeps its structure valid throughout.
+// puts, single-key TakeRanges, window TakeRanges and window
+// RemoveUnchanged against an older snapshot over 16-bit keys, deep enough
+// for three levels, and keeps its structure valid throughout.
 func TestQuickModelCheck(t *testing.T) {
 	f := func(ops []uint32) bool {
 		m := New(0)
 		model := map[block.Key][]byte{}
+		var snap *Snapshot
+		var frozen map[block.Key][]byte
 		for _, op := range ops {
 			k := block.Key(op >> 16)
 			switch op % 32 {
 			case 0:
 				m.TakeRange(k, k)
 				delete(model, k)
+			case 2:
+				snap, frozen = m.Snapshot(), maps.Clone(model)
+			case 3:
+				if snap == nil {
+					continue
+				}
+				hi := k + block.Key(op>>5%1024)
+				want := 0
+				for mk, p := range model {
+					if old, ok := frozen[mk]; ok && mk >= k && mk <= hi && &old[0] == &p[0] {
+						delete(model, mk)
+						want++
+					}
+				}
+				if m.RemoveUnchanged(k, hi, snap) != want {
+					return false
+				}
 			case 1:
 				hi := k + block.Key(op>>5%256)
 				out := m.TakeRange(k, hi)
@@ -411,7 +432,8 @@ func TestCursorFrozenAcrossMutations(t *testing.T) {
 }
 
 // FuzzMemtableCursor decodes the input into puts, single-key and window
-// TakeRanges over 16-bit keys, snapshots mid-stream, and checks each
+// TakeRanges, window RemoveUnchanged against the newest snapshot over
+// 16-bit keys, snapshots mid-stream, and checks each
 // snapshot's Cursor(lo, hi) against a sorted-map model frozen at the same
 // point, and the table's structure at each snapshot and at the end.
 // hi == 0xffff stands for the largest key.
@@ -437,19 +459,36 @@ func FuzzMemtableCursor(f *testing.F) {
 		var snaps []frozen
 		for i := 0; i+2 < len(ops); i += 3 {
 			op, k := ops[i], block.Key(ops[i+1])<<8|block.Key(ops[i+2])
-			switch op % 5 {
+			switch op % 6 {
 			case 0, 1:
-				r := block.Record{Key: k, Payload: []byte{byte(i)}, Tombstone: op%5 == 1}
+				r := block.Record{Key: k, Payload: []byte{byte(i)}, Tombstone: op%6 == 1}
 				m.Put(r)
 				model[k] = r
 			case 2:
 				m.TakeRange(k, k)
 				delete(model, k)
 			case 3:
-				end := k + block.Key(op/5)<<6
+				end := k + block.Key(op/6)<<6
 				m.TakeRange(k, end)
 				for mk := k; mk <= end; mk++ {
 					delete(model, mk)
+				}
+			case 5:
+				// Remove what the newest snapshot still holds unchanged.
+				if len(snaps) == 0 {
+					continue
+				}
+				old := snaps[len(snaps)-1]
+				end := k + block.Key(op/6)<<6
+				want := 0
+				for _, r := range old.model {
+					if cur, ok := model[r.Key]; ok && r.Key >= k && r.Key <= end && &cur.Payload[0] == &r.Payload[0] {
+						delete(model, r.Key)
+						want++
+					}
+				}
+				if got := m.RemoveUnchanged(k, end, old.snap); got != want {
+					t.Fatalf("op %d: RemoveUnchanged(%d, %d) removed %d, model %d", i/3, k, end, got, want)
 				}
 			case 4:
 				if len(snaps) < 4 {

@@ -94,7 +94,12 @@ type MergeEvent struct {
 	Compaction             bool // a level compaction (case 2 or 4) fired
 
 	RecordsIn int // records that entered the target level
-	Duration  time.Duration
+
+	// Duration is the step's wall-clock time, plan to install. LockHold is
+	// the part of it spent holding the shard's writer lock: planning and
+	// installing. The block I/O in between runs without it.
+	Duration time.Duration
+	LockHold time.Duration
 }
 
 func (MergeEvent) event() {}

@@ -24,10 +24,13 @@ const slotTrailer = 8
 // encoded block, and every read verifies it, returning ErrCorrupt on
 // mismatch — a torn block write or bit rot is detected loudly rather than
 // decoded into garbage. Freed slots are recycled through a free list,
-// mirroring an FTL's logical block map, but only at checkpoint boundaries:
-// Free parks a slot in a limbo list and ReclaimFreed releases it once a
-// manifest that no longer names it is durable, so crash recovery never
-// reads a slot rewritten after the checkpoint it is recovering to.
+// mirroring an FTL's logical block map. A slot that a checkpoint may name
+// is recycled only at a checkpoint boundary: Free parks it in a limbo list
+// and ReclaimFreed releases it once a manifest that no longer names it is
+// durable, so crash recovery never reads a slot rewritten after the
+// checkpoint it is recovering to. A slot written after the newest
+// checkpoint capture (LimboMark) is named by no manifest, durable or in
+// flight, so Free returns it to the free list at once.
 //
 // FileDevice exercises the real serialization and I/O path. On its own it
 // provides detection, not durability — crash durability comes from the
@@ -37,20 +40,26 @@ const slotTrailer = 8
 //
 // The device is safe for concurrent use. Reads take only a brief RLock to
 // consult the allocator map, then issue an independent pread (os.File.ReadAt
-// is safe for concurrent callers) into a pooled per-call buffer, so parallel
-// lookups from the snapshot-isolated read path scale with the file
-// descriptor rather than serializing on one device mutex.
+// is safe for concurrent callers) into a fresh slot buffer that the decoded
+// block keeps (its payloads point into it), so parallel lookups from the
+// snapshot-isolated read path scale with the file descriptor rather than
+// serializing on one device mutex. Writes encode into pooled buffers and
+// pwrite outside the mutex too, so a merge's writes never hold up reads.
 type FileDevice struct {
-	mu        sync.RWMutex // guards next, free, limbo, written, syncErr
+	mu        sync.RWMutex // guards next, free, limbo, written, marks, syncErr
 	f         *os.File
 	blockSize int
 	next      BlockID
 	free      []BlockID
 	limbo     []BlockID // freed slots awaiting ReclaimFreed, oldest first
-	written   map[BlockID]bool
-	syncErr   error // sticky after a failed fsync (never retried)
-	cnt       atomicCounters
-	bufs      sync.Pool // *[]byte of slot size, for encode/decode scratch
+	// written maps each written slot to the number of LimboMark calls
+	// before its write; marks is that count now (starting at 1, so the
+	// live slots a reopen inherits, at 0, predate every mark).
+	written map[BlockID]uint64
+	marks   uint64
+	syncErr error // sticky after a failed fsync (never retried)
+	cnt     atomicCounters
+	bufs    sync.Pool // *[]byte of slot size, for encode scratch
 }
 
 func newFileDevice(f *os.File, blockSize int) *FileDevice {
@@ -58,7 +67,8 @@ func newFileDevice(f *os.File, blockSize int) *FileDevice {
 		f:         f,
 		blockSize: blockSize,
 		next:      1,
-		written:   make(map[BlockID]bool),
+		written:   make(map[BlockID]uint64),
+		marks:     1,
 	}
 	d.bufs.New = func() any {
 		b := make([]byte, blockSize+slotTrailer)
@@ -97,16 +107,16 @@ func ReopenFileDevice(path string, blockSize int, live []BlockID) (*FileDevice, 
 		if id == 0 {
 			return nil, errors.Join(fmt.Errorf("storage: invalid live block id 0"), f.Close())
 		}
-		if d.written[id] {
+		if _, dup := d.written[id]; dup {
 			return nil, errors.Join(fmt.Errorf("storage: duplicate live block id %d", id), f.Close())
 		}
-		d.written[id] = true
+		d.written[id] = 0 // the manifest being recovered names it
 		if id >= d.next {
 			d.next = id + 1
 		}
 	}
 	for id := BlockID(1); id < d.next; id++ {
-		if !d.written[id] {
+		if _, ok := d.written[id]; !ok {
 			d.free = append(d.free, id)
 		}
 	}
@@ -151,16 +161,20 @@ func (d *FileDevice) Write(id BlockID, b *block.Block) error {
 	}
 	binary.LittleEndian.PutUint32((*buf)[d.blockSize:], crc32.ChecksumIEEE(body))
 	binary.LittleEndian.PutUint32((*buf)[d.blockSize+4:], 0)
-	d.mu.Lock()
-	if d.written[id] {
-		d.mu.Unlock()
+	d.mu.RLock()
+	_, ok := d.written[id]
+	d.mu.RUnlock()
+	if ok {
 		return fmt.Errorf("storage: block %d rewritten in place", id)
 	}
+	// The pwrite runs without the mutex, as reads' preads do: the slot is
+	// this caller's since Alloc handed it out, and no reader asks for it
+	// before the write returns and the block is published.
 	if _, err := d.f.WriteAt(*buf, d.offset(id)); err != nil {
-		d.mu.Unlock()
 		return fmt.Errorf("storage: write block %d: %w", id, err)
 	}
-	d.written[id] = true
+	d.mu.Lock()
+	d.written[id] = d.marks
 	d.mu.Unlock()
 	d.cnt.writes.Add(1)
 	return nil
@@ -183,7 +197,7 @@ func (d *FileDevice) Peek(id BlockID) (*block.Block, error) {
 
 func (d *FileDevice) load(id BlockID) (*block.Block, error) {
 	d.mu.RLock()
-	ok := d.written[id]
+	_, ok := d.written[id]
 	d.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("storage: read block %d: %w", id, ErrNotFound)
@@ -191,13 +205,12 @@ func (d *FileDevice) load(id BlockID) (*block.Block, error) {
 	// The slot cannot be recycled mid-read: the engine defers frees until
 	// no snapshot references the block, so a readable id stays stable for
 	// the duration of this pread.
-	buf := d.bufs.Get().(*[]byte)
-	defer d.bufs.Put(buf)
-	if _, err := d.f.ReadAt(*buf, d.offset(id)); err != nil {
+	buf := make([]byte, d.blockSize+slotTrailer)
+	if _, err := d.f.ReadAt(buf, d.offset(id)); err != nil {
 		return nil, fmt.Errorf("storage: read block %d: %w", id, err)
 	}
-	body := (*buf)[:d.blockSize]
-	want := binary.LittleEndian.Uint32((*buf)[d.blockSize:])
+	body := buf[:d.blockSize]
+	want := binary.LittleEndian.Uint32(buf[d.blockSize:])
 	if got := crc32.ChecksumIEEE(body); got != want {
 		return nil, fmt.Errorf("storage: read block %d: checksum mismatch (stored %08x, computed %08x): %w",
 			id, want, got, ErrCorrupt)
@@ -205,19 +218,25 @@ func (d *FileDevice) load(id BlockID) (*block.Block, error) {
 	return block.Decode(body)
 }
 
-// Free releases id and parks its slot in the limbo list, which only
-// ReclaimFreed returns to the allocator: the last checkpoint manifest may
-// still name the block, and recovery must be able to read its original
-// contents, so the slot is not reused until the next checkpoint has durably
-// stopped naming it.
+// Free releases id. A slot written before the newest LimboMark parks in the
+// limbo list, which only ReclaimFreed returns to the allocator: a
+// checkpoint manifest, durable or in flight, may still name the block, and
+// recovery must be able to read its original contents, so the slot is not
+// reused until the next checkpoint has durably stopped naming it. A slot
+// written since was captured by no checkpoint and is reusable at once.
 func (d *FileDevice) Free(id BlockID) error {
 	d.mu.Lock()
-	if !d.written[id] {
+	gen, ok := d.written[id]
+	if !ok {
 		d.mu.Unlock()
 		return fmt.Errorf("storage: free block %d: %w", id, ErrNotFound)
 	}
 	delete(d.written, id)
-	d.limbo = append(d.limbo, id)
+	if gen == d.marks {
+		d.free = append(d.free, id)
+	} else {
+		d.limbo = append(d.limbo, id)
+	}
 	d.mu.Unlock()
 	d.cnt.frees.Add(1)
 	d.cnt.live.Add(-1)
@@ -227,10 +246,12 @@ func (d *FileDevice) Free(id BlockID) error {
 // LimboMark returns the current length of the limbo list: the slots
 // freed so far and not yet reclaimed. A checkpoint records it when it
 // captures the state its manifest will describe and passes it back to
-// ReclaimFreed once that manifest is durable.
+// ReclaimFreed once that manifest is durable. From the mark on, every slot
+// written before it counts as one a manifest may name.
 func (d *FileDevice) LimboMark() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.marks++
 	return len(d.limbo)
 }
 

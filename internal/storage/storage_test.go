@@ -173,6 +173,7 @@ func TestFileDeviceReclaimUpToMark(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	fd.LimboMark() // an earlier checkpoint captured all three blocks
 	if err := fd.Free(ids[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -197,6 +198,69 @@ func TestFileDeviceReclaimUpToMark(t *testing.T) {
 	}
 	if got := fd.Alloc(); got != ids[1] {
 		t.Fatalf("allocated slot %d after the second reclaim, want %d", got, ids[1])
+	}
+}
+
+// TestFileDeviceFreesUncapturedSlotsAtOnce: a slot written after the newest
+// LimboMark is named by no checkpoint, so its free makes it reusable at
+// once; a slot written before the mark waits in limbo for a reclaim.
+func TestFileDeviceFreesUncapturedSlotsAtOnce(t *testing.T) {
+	fd, err := OpenFileDevice(filepath.Join(t.TempDir(), "dev.blk"), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fd.Close()
+	old := fd.Alloc()
+	if err := fd.Write(old, testBlock(1)); err != nil {
+		t.Fatal(err)
+	}
+	mark := fd.LimboMark() // a checkpoint captures old
+	fresh := fd.Alloc()
+	if err := fd.Write(fresh, testBlock(2)); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []BlockID{old, fresh} {
+		if err := fd.Free(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fd.LimboMark(); got != 1 {
+		t.Fatalf("limbo holds %d slots, want 1 (only the captured one)", got)
+	}
+	if got := fd.Alloc(); got != fresh {
+		t.Fatalf("allocated slot %d, want %d (freed uncaptured)", got, fresh)
+	}
+	if got := fd.Alloc(); got == old {
+		t.Fatalf("slot %d reused before the reclaim of the checkpoint that captured it", got)
+	}
+	if n := fd.ReclaimFreed(mark); n != 0 {
+		t.Fatalf("reclaim up to the first mark released %d slots, want 0 (old was freed after it)", n)
+	}
+
+	// A reopened device inherits live slots a durable manifest names:
+	// their frees wait for a reclaim even before any mark.
+	path := filepath.Join(t.TempDir(), "reopen.blk")
+	fd2, err := OpenFileDevice(path, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := fd2.Alloc()
+	if err := fd2.Write(id, testBlock(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fd2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fd3, err := ReopenFileDevice(path, 4096, []BlockID{id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fd3.Close()
+	if err := fd3.Free(id); err != nil {
+		t.Fatal(err)
+	}
+	if got := fd3.Alloc(); got == id {
+		t.Fatalf("slot %d named by the recovered manifest reused before a reclaim", got)
 	}
 }
 

@@ -174,8 +174,9 @@ func (it *Iterator) Next() bool {
 // Key returns the current key. Valid only after Next returned true.
 func (it *Iterator) Key() uint64 { return uint64(it.cur.key) }
 
-// Value returns the current value. Valid only after Next returned true;
-// the slice must not be modified.
+// Value returns the current value. Valid only after Next returned true.
+// The slice is shared with the engine (the memtable or a cached block
+// holds it) and must not be modified.
 func (it *Iterator) Value() []byte { return it.cur.val }
 
 // Err returns the first error the iteration hit, if any. Exhausting the

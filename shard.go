@@ -35,15 +35,22 @@ type shard struct {
 	db   *DB
 	path string // device file path; "" for an in-memory shard
 
-	writerMu sync.Mutex // serializes this shard's mutations, checkpoint captures, tuning
-	// ckptMu serializes checkpoints from capture to the end of persist, so
-	// manifests reach the disk in capture order. It is always taken with
-	// writerMu held (lock order writerMu → ckptMu); the background
+	// Three locks, always taken in the order mergeMu → writerMu → ckptMu.
+	// mergeMu serializes storage-level mutations: the scheduler goroutine
+	// holds it for each whole merge step, and the scrubber's repairs,
+	// forceGrow, tuning, ResetIOStats and validate take it too. writerMu
+	// serializes L0 mutations and checkpoint captures, and guards the
+	// installed level image; a merge step holds it only to plan and to
+	// install, never across its block I/O. ckptMu serializes checkpoints
+	// from capture to the end of persist, so manifests reach the disk in
+	// capture order. It is always taken with writerMu held; the background
 	// checkpoint then drops writerMu and persists under ckptMu alone.
-	ckptMu sync.Mutex
-	tree   *core.Tree
-	sched  *compaction.Scheduler
-	raw    storage.Device // the base device (FileDevice/MemDevice), for Close and reclaim
+	mergeMu  sync.Mutex
+	writerMu sync.Mutex
+	ckptMu   sync.Mutex
+	tree     *core.Tree
+	sched    *compaction.Scheduler
+	raw      storage.Device // the base device (FileDevice/MemDevice), for Close and reclaim
 	// dev is what the tree reads and writes through: raw, behind the
 	// optional Options.DeviceWrap decoration (the fault-injection seam)
 	// and the transient-read retry layer. rdev is the same object typed
@@ -166,6 +173,7 @@ func (db *DB) openShard(id int) (*shard, error) {
 	ccfg := compaction.Config{
 		Tree:       s.tree,
 		Mu:         &s.writerMu,
+		MergeMu:    &s.mergeMu,
 		Bus:        db.bus,
 		Lat:        s.lat,
 		Checkpoint: s.checkpoint,
@@ -450,8 +458,10 @@ func (s *shard) checkpoint() error {
 }
 
 // paranoidSteadyCheck asserts the strict (post-cascade) bounds after a
-// mutating request when Paranoid is set. Metadata only: the per-merge
-// auditor already verified block contents. The strictness is keyed off
+// mutating request when Paranoid is set. It audits the snapshot the request
+// just published — L0 and the installed level image — so it reads no live
+// level a merge step may be changing. Metadata only: the per-merge auditor
+// already verified block contents and device accounting. The strictness is keyed off
 // the scheduler's state, not the call position: with the background
 // cascade still draining, the relaxed mid-cascade bounds apply.
 func (s *shard) paranoidSteadyCheck() error {
@@ -462,8 +472,12 @@ func (s *shard) paranoidSteadyCheck() error {
 	if s.sched.Pending() {
 		o = midCascadeAudit(s.db.opts)
 	}
-	o.SkipContents = true
-	return invariant.Check(s.tree, o)
+	v, err := s.tree.AcquireView()
+	if err != nil {
+		return err
+	}
+	defer v.Release()
+	return invariant.CheckView(v, o)
 }
 
 // midCascadeAudit is the Paranoid audit for a shard whose cascade may be
@@ -490,7 +504,8 @@ func (s *shard) acquireView() (*core.View, error) {
 }
 
 // validate checks the shard's structural invariants against its current
-// snapshot, then the device-accounting cross-check under its writer lock.
+// snapshot, then the device-accounting cross-check under its merge lock,
+// which keeps merge steps from allocating meanwhile.
 func (s *shard) validate() error {
 	v, err := s.acquireView()
 	if err != nil {
@@ -500,8 +515,8 @@ func (s *shard) validate() error {
 	if err := v.Validate(); err != nil {
 		return err
 	}
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
+	s.mergeMu.Lock()
+	defer s.mergeMu.Unlock()
 	if s.db.closed.Load() {
 		return ErrClosed
 	}
@@ -510,12 +525,12 @@ func (s *shard) validate() error {
 
 // forceGrow adds a storage level to this shard's tree.
 func (s *shard) forceGrow() {
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
+	tree, unlock := s.lockedTree()
+	defer unlock()
 	if s.db.closed.Load() {
 		return
 	}
-	s.tree.ForceGrow()
+	tree.ForceGrow()
 }
 
 // releaseLocked is the last per-shard step of DB.shutdown, which holds the
@@ -533,9 +548,15 @@ func (s *shard) releaseLocked(crash bool) error {
 	return errors.Join(append(errs, s.raw.Close())...)
 }
 
-// lockedTree exposes the shard's engine under its writer lock to sibling
-// files (tuning — operations that drive the live tree).
+// lockedTree exposes the shard's engine under its merge and writer locks
+// to the operations that change its storage levels outside a merge step
+// (tuning, scrub repairs, forceGrow); the returned func releases both.
 func (s *shard) lockedTree() (*core.Tree, func()) {
+	s.mergeMu.Lock()
 	s.writerMu.Lock()
-	return s.tree, s.writerMu.Unlock
+	unlock := s.writerMu.Unlock
+	return s.tree, func() {
+		unlock()
+		s.mergeMu.Unlock()
+	}
 }

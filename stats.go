@@ -501,6 +501,13 @@ func latencyRows(set *obs.LatencySet, shards []*shard) []LatencyStats {
 // latency histograms. Gauges and WAL.Recovery are unaffected. See the Stats
 // documentation for the uniform-window guarantee this provides.
 func (db *DB) ResetIOStats() {
+	// The levels' write series live on the storage levels, which only the
+	// merge lock holds still; take every shard's, ascending, before the
+	// writer locks.
+	for _, s := range db.shards {
+		s.mergeMu.Lock()
+		defer s.mergeMu.Unlock()
+	}
 	lockShards(db.shards)
 	defer unlockShards(db.shards)
 	if db.wal != nil {

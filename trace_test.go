@@ -314,7 +314,9 @@ func TestTracingDisabledAddsNoAllocs(t *testing.T) {
 
 	// Writes, with the WAL on so the whole path runs (admission, frame
 	// encode, apply, notify). The ceilings are what the B+-tree path copy and
-	// the published View cost on this 8-key memtable; the op slice (Put and
+	// the published View cost on this 8-key memtable (the View shares the
+	// installed level image, so a write builds no per-level metadata); the
+	// op slice (Put and
 	// Delete's one-element one stays on the caller's stack, a batch's is
 	// logged and applied as staged, unconverted), the WAL frame (encoded
 	// into the log's scratch buffer) and the span plumbing add nothing.
@@ -340,9 +342,9 @@ func TestTracingDisabledAddsNoAllocs(t *testing.T) {
 		max  float64
 		fn   func() error
 	}{
-		{"Put", 6, func() error { return wdb.Put(3, val) }},
-		{"Delete", 4, func() error { return wdb.Delete(3) }},
-		{"Apply of a reused 8-op batch", 30, func() error { return wdb.Apply(batch) }},
+		{"Put", 4, func() error { return wdb.Put(3, val) }},
+		{"Delete", 2, func() error { return wdb.Delete(3) }},
+		{"Apply of a reused 8-op batch", 18, func() error { return wdb.Apply(batch) }},
 	} {
 		got := testing.AllocsPerRun(1000, func() {
 			if err := tc.fn(); err != nil {
