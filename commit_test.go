@@ -110,6 +110,111 @@ func TestCrossShardApplyIsAtomic(t *testing.T) {
 	}
 }
 
+// TestBatchAtomicToConcurrentReaders: a writer applies batches that set
+// keys 0..63 to one version each, and concurrent Scans and iterators over
+// [0, 63] must see all 64 keys at one version. On one shard nothing but
+// the tree's L0 mutex keeps a reader's capture out of the middle of a
+// batch; on four, pubMu keeps iterators between two batches' shards. L0
+// holds 16 records, so merge installs race the captures throughout.
+func TestBatchAtomicToConcurrentReaders(t *testing.T) {
+	const keys, batches = 64, 300
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("Shards%d", shards), func(t *testing.T) {
+			opts := smallOptions()
+			opts.Shards = shards
+			db, err := lsmssd.Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			b := db.NewBatch()
+			apply := func(version int) error {
+				b.Reset()
+				v := []byte(fmt.Sprint(version))
+				for k := uint64(0); k < keys; k++ {
+					b.Put(k, v)
+				}
+				return db.Apply(b)
+			}
+			if err := apply(0); err != nil {
+				t.Fatal(err)
+			}
+			// whole reads [0, keys) through each and fails unless it yields
+			// every key in order, all at one version.
+			whole := func(each func(fn func(k uint64, v []byte)) error) error {
+				var n uint64
+				var first string
+				var bad error
+				err := each(func(k uint64, v []byte) {
+					switch {
+					case bad != nil:
+					case k != n:
+						bad = fmt.Errorf("key %d where %d was due", k, n)
+					case n == 0:
+						first = string(v)
+					case string(v) != first:
+						bad = fmt.Errorf("key 0 at version %s, key %d at version %s", first, k, v)
+					}
+					n++
+				})
+				if err != nil {
+					return err
+				}
+				if bad == nil && n != keys {
+					bad = fmt.Errorf("%d keys, want %d", n, keys)
+				}
+				return bad
+			}
+			scan := func(fn func(k uint64, v []byte)) error {
+				return db.Scan(0, keys-1, func(k uint64, v []byte) bool {
+					fn(k, v)
+					return true
+				})
+			}
+			iterate := func(fn func(k uint64, v []byte)) error {
+				it, err := db.NewIterator(0, keys-1)
+				if err != nil {
+					return err
+				}
+				for it.Next() {
+					fn(it.Key(), it.Value())
+				}
+				return it.Close()
+			}
+			var done atomic.Bool
+			var reads atomic.Int64
+			var readers sync.WaitGroup
+			errc := make(chan error, 2)
+			for name, each := range map[string]func(func(uint64, []byte)) error{"Scan": scan, "iterator": iterate} {
+				readers.Add(1)
+				go func(name string, each func(func(uint64, []byte)) error) {
+					defer readers.Done()
+					for !done.Load() {
+						if err := whole(each); err != nil {
+							errc <- fmt.Errorf("%s: %w", name, err)
+							return
+						}
+						reads.Add(1)
+					}
+				}(name, each)
+			}
+			for v := 1; v <= batches; v++ {
+				if err := apply(v); err != nil {
+					t.Error(err)
+					break
+				}
+			}
+			done.Store(true)
+			readers.Wait()
+			close(errc)
+			for err := range errc {
+				t.Error(err)
+			}
+			t.Logf("%d reads", reads.Load())
+		})
+	}
+}
+
 // checkBatches scans db and fails unless every batch it holds is whole:
 // all shards keys of it, each with the batch's value. With all > 0, that
 // many batches — every one the test wrote — must be there.

@@ -41,14 +41,15 @@ var ErrCorrupt = storage.ErrCorrupt
 // touches — one for Put and Delete, every touched shard's for Apply, taken
 // in ascending shard order — so writes to different shards proceed in
 // parallel, and concurrent writers share the log's fsyncs (group commit).
-// Reads (Get, Scan, NewIterator, Stats, Histogram, Validate) run lock-free
-// against immutable per-shard snapshots published after every mutation
-// and every merge. Readers therefore never wait for a merge cascade, and
-// an in-progress Scan or Iterator observes a frozen, consistent state no
-// matter how many merges complete meanwhile: a multi-shard Apply publishes
-// its shards' snapshots as one step, and NewIterator acquires its
-// snapshots between such steps, so an iterator sees all of a batch or
-// none of it.
+// Reads (Get, Scan, NewIterator, Stats, Histogram, Validate) run against
+// immutable per-shard snapshots: every merge publishes one, and a read
+// that follows a mutation captures L0 anew in O(1), waiting at most for a
+// batch in flight to land. Readers therefore never wait for a merge
+// cascade, and an in-progress Scan or Iterator observes a frozen,
+// consistent state no matter how many merges complete meanwhile: a
+// multi-shard Apply changes its shards' L0s as one step, and NewIterator
+// acquires its snapshots between such steps, so an iterator sees all of a
+// batch or none of it.
 //
 // Merge scheduling: mutations land records in the owning shard's L0 and
 // hand overflow work to that shard's compaction scheduler
@@ -79,10 +80,10 @@ type DB struct {
 	recovery WALRecoveryStats
 	gcMu     sync.Mutex
 
-	// pubMu makes a multi-shard Apply's publication one step for readers:
-	// the writer publishes its shards' snapshots holding it exclusively,
-	// and newIterator acquires its snapshots holding it shared. Get and
-	// single-shard writes never take it.
+	// pubMu makes a multi-shard Apply one step for readers: the writer
+	// applies its shards' slices holding it exclusively, and newIterator
+	// acquires its snapshots holding it shared. Get and single-shard
+	// writes never take it.
 	pubMu sync.RWMutex
 
 	// Observability (see metrics.go), shared by every shard so one bus

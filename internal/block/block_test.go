@@ -111,6 +111,31 @@ func fullBlock(tb testing.TB) []byte {
 	return buf
 }
 
+// TestEncodedLen: the bytes an encoded block occupies are what
+// EncodedSize computed, a truncated buffer reports its whole length, and
+// the occupied prefix alone decodes to the same block.
+func TestEncodedLen(t *testing.T) {
+	buf := fullBlock(t)
+	b, err := Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := EncodedLen(buf)
+	if n != b.EncodedSize() {
+		t.Fatalf("EncodedLen = %d, EncodedSize = %d", n, b.EncodedSize())
+	}
+	if got := EncodedLen(buf[:n-1]); got != n-1 {
+		t.Fatalf("EncodedLen of a truncated block = %d, want %d", got, n-1)
+	}
+	c, err := Decode(buf[:n])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != b.Len() || c.MaxKey() != b.MaxKey() {
+		t.Fatalf("the occupied prefix decodes to %d records up to key %d, want %d up to %d", c.Len(), c.MaxKey(), b.Len(), b.MaxKey())
+	}
+}
+
 // TestDecodeSharesPayloads: Decode points each payload into src instead of
 // copying it, clipped to its length so an append cannot run into the next
 // record, and allocates only the record slice and the block.

@@ -70,6 +70,24 @@ func (b *Block) Encode(dst []byte, blockSize int) error {
 	return nil
 }
 
+// EncodedLen returns how many leading bytes of src the block encoded in it
+// occupies: the header and every record, not the zeroed tail Encode pads
+// the device block with. For a src that does not parse it returns
+// len(src), and Decode reports what is wrong.
+func EncodedLen(src []byte) int {
+	if len(src) < headerSize {
+		return len(src)
+	}
+	off := headerSize
+	for i := int(binary.LittleEndian.Uint16(src[2:4])); i > 0; i-- {
+		if off+encodedRecordSize(0) > len(src) {
+			return len(src)
+		}
+		off += encodedRecordSize(int(binary.LittleEndian.Uint16(src[off+9:])))
+	}
+	return min(off, len(src))
+}
+
 // Decode parses a block previously produced by Encode. The records'
 // payloads are sub-slices of src, clipped to their length, not copies: the
 // block owns src from here on, and the caller must not reuse it.

@@ -16,17 +16,20 @@ package core
 //     level image. It changes nothing a reader or writer sees: it works on
 //     copies of the levels, and the blocks it frees wait for the install.
 //   - InstallStep removes from L0 the window's records no writer has
-//     rewritten since the snapshot, swaps in the new level image,
-//     publishes a snapshot and queues the inputs as deferred frees.
+//     rewritten since the snapshot, swaps in the new level image and
+//     publishes a snapshot, all in one critical section against readers'
+//     captures, and queues the inputs as deferred frees.
 //
 // The caller holds two locks. The writer lock guards L0 and the installed
-// level image: ApplyBatch and snapshot publication run under it, and so do
-// PlanStep and InstallStep. The merge lock guards the storage levels, the
-// policy and the step in flight: every phase runs under it, and so does
-// every other storage-level operation (RepairBlock, ForceGrow, ResetStats,
-// Validate, ValidateAccounting). ExecuteStep holds only the merge lock, so
-// writes and reads proceed during a step's block I/O. Lock order: merge
-// lock, then writer lock. A tree driven from one goroutine needs neither.
+// level image: ApplyBatch runs under it, and so do PlanStep and
+// InstallStep. The merge lock guards the storage levels, the policy and
+// the step in flight: every phase runs under it, and so does every other
+// storage-level operation (RepairBlock, ForceGrow, ResetStats, Validate,
+// ValidateAccounting). ExecuteStep holds only the merge lock, so writes
+// and reads proceed during a step's block I/O. Lock order: merge lock,
+// then writer lock. A tree driven from one goroutine needs neither. The
+// tree's own viewMu and L0 mutex (view.go) order readers' captures
+// against ApplyBatch, PlanStep's snapshot and InstallStep.
 
 import (
 	"errors"
@@ -171,7 +174,10 @@ func (t *Tree) plan() *Step {
 		return st
 	}
 	if t.fires(0) {
-		st := &Step{tr: tr, kind: stepMergeMem, snap: t.mem.Snapshot(), hi: ^block.Key(0), full: true}
+		t.memMu.Lock()
+		snap := t.mem.Snapshot()
+		t.memMu.Unlock()
+		st := &Step{tr: tr, kind: stepMergeMem, snap: snap, hi: ^block.Key(0), full: true}
 		if t.tiered(1) {
 			st.kind = stepFlushMem
 		}
@@ -260,10 +266,7 @@ func (t *Tree) InstallStep(st *Step) error {
 	if st.tr.traced {
 		start = time.Now()
 	}
-	if st.snap != nil {
-		t.mem.RemoveUnchanged(st.lo, st.hi, st.snap)
-	}
-	t.installLevels(st.levels, st.backlog)
+	t.install(st)
 	if st.tr.traced {
 		st.hold += time.Since(start)
 	}

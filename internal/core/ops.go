@@ -19,19 +19,23 @@ func (t *Tree) Delete(k block.Key) error {
 }
 
 // ApplyBatch is the tree's one mutation entry: it lands ops in L0 in order
-// as a single writer step and publishes one new snapshot covering them all
-// — so no reader observes a prefix of the batch, and the per-request
-// overhead (snapshot capture, and the caller's one overflow check) is paid
-// once rather than len(ops) times. Storage levels change only through
+// under L0's mutex and marks L0 changed. It publishes nothing: the next
+// AcquireView captures L0 (publish), and since a capture takes the same
+// mutex, no reader observes a prefix of the batch. A run of writes with no
+// reader between them therefore changes L0's nodes in place, and the
+// per-request overhead (the caller's one overflow check) is paid once per
+// batch rather than len(ops) times. Storage levels change only through
 // merges, which ApplyBatch does not drive: after the mutation the caller
 // (internal/compaction) runs or schedules the overflow cascade via
 // CompactionStep/RunCascade. The error return is reserved for future L0
-// failure modes; today ApplyBatch always succeeds.
+// failure modes; today ApplyBatch always succeeds. Writer lock.
 //
 // Request statistics count each op individually, keeping a batched
 // workload's Stats comparable to the same workload issued record by
 // record.
 func (t *Tree) ApplyBatch(ops []block.Op) error {
+	t.memMu.Lock()
+	defer t.memMu.Unlock()
 	for _, op := range ops {
 		k := block.Key(op.Key)
 		t.cnt.requests.Add(1)
@@ -49,7 +53,7 @@ func (t *Tree) ApplyBatch(ops []block.Op) error {
 		t.cnt.inserts.Add(1)
 		t.cnt.requestBytes.Add(int64(r.Size()))
 	}
-	t.publish()
+	t.memDirty.Store(true)
 	return nil
 }
 

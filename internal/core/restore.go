@@ -76,9 +76,11 @@ func Restore(cfg Config, st ExportedState) (*Tree, error) {
 			}
 		}
 	}
+	t.memMu.Lock()
 	for _, r := range st.Memtable {
 		t.mem.Put(r)
 	}
+	t.memMu.Unlock()
 	// Read every live block back with an uncounted Peek of the uncached
 	// device, before the cascade below. Each must still hold what the state
 	// says it does: without a write-ahead log a checkpoint neither syncs

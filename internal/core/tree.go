@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"time"
-
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"lsmssd/internal/bloom"
 	"lsmssd/internal/btree"
@@ -19,24 +19,32 @@ import (
 
 // Tree is the LSM-tree engine. Its state divides between two locks the
 // caller holds (cascade.go): the writer lock serializes L0 mutations (Put,
-// Delete, ApplyBatch) and guards the installed level image they publish
-// with; the merge lock serializes storage-level mutations (the cascade
-// steps, RepairBlock, ForceGrow, ResetStats). Reads are snapshot-isolated:
-// Get, Scan, and Iter run against an acquired View and may proceed
-// concurrently with both (see view.go and the public lsmssd package).
+// Delete, ApplyBatch) and the installed level image; the merge lock
+// serializes storage-level mutations (the cascade steps, RepairBlock,
+// ForceGrow, ResetStats). Reads are snapshot-isolated: Get, Scan, and Iter
+// run against an acquired View and may proceed concurrently with both (see
+// view.go and the public lsmssd package).
 type Tree struct {
 	cfg    Config
 	dev    storage.Device // Config.Device, possibly behind a cache
 	cache  *cache.Cache   // non-nil when CacheBlocks > 0
 	blooms *bloom.Registry
-	mem    *memtable.Table // writer lock
-	slots  []*slot         // slots[i] is level L_{i+1}; merge lock
+	mem    *memtable.Table // see memMu
 
-	// The level image of the last install (writer lock): every published
-	// View shares it, so a write publishes without reading the levels,
-	// and levelBacklog, the storage levels firing in it, answers
-	// CompactionBacklog.
-	levels       []LevelView
+	slots []*slot // slots[i] is level L_{i+1}; merge lock
+
+	// memMu, L0's mutex, orders L0's changes (a whole batch, a step's
+	// install) and its snapshots, which advance its generation, against a
+	// reader's capture in AcquireView, which holds no writer lock. L0's
+	// contents change under the writer lock and memMu, so either suffices
+	// to read them; a snapshot needs memMu. memDirty says L0 changed since
+	// the current View captured it. Lock order: viewMu, then memMu.
+	memMu    sync.Mutex
+	memDirty atomic.Bool
+
+	// The storage levels firing in the installed level image (writer
+	// lock), which answers CompactionBacklog. The image itself is the
+	// current View's: every install publishes one.
 	levelBacklog int
 
 	// Blocks written and blocks freed by the storage-level mutation in
@@ -70,9 +78,10 @@ type Tree struct {
 	// per decision.
 	memMetas []btree.BlockMeta
 
-	// Snapshot state (view.go). viewMu guards only the pointer swap and
-	// reference counts — a few instructions per acquire/release — never
-	// any I/O, so readers cannot stall behind a merge.
+	// Snapshot state (view.go). viewMu guards the current view, the
+	// reference counts and the captures and installs that replace the
+	// view — never any block I/O, so readers cannot stall behind a
+	// merge's reads and writes.
 	viewMu     sync.Mutex
 	cur        *View
 	liveViews  []*View // acquired views, ascending seq

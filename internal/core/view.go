@@ -26,7 +26,7 @@ var ErrClosed = errors.New("core: tree is closed")
 //
 // Views are reference-counted. Blocks a merge removes from the tree are
 // not freed on the device until every View that might reference them has
-// been released; see Tree.installLevels and Tree.reclaimLocked. Always pair
+// been released; see Tree.install and Tree.reclaimLocked. Always pair
 // AcquireView with Release.
 type View struct {
 	tree   *Tree
@@ -71,14 +71,20 @@ type zombieBatch struct {
 // --- acquisition and reclamation ----------------------------------------
 
 // AcquireView returns the current snapshot with its reference count
-// raised, or an error if the tree is closed. The only lock involved is a
-// few-instruction bookkeeping mutex — readers never wait on the writer's
-// merge work. Callers must Release the view when done.
+// raised, or an error if the tree is closed. When a write has changed L0
+// since the current snapshot captured it, it first publishes a new one
+// (publish), an O(1) capture. The locks involved are held for a few
+// instructions: viewMu, and L0's mutex for the capture, which a writer
+// holds for one batch — readers never wait on a merge's work. Callers must
+// Release the view when done.
 func (t *Tree) AcquireView() (*View, error) {
 	t.viewMu.Lock()
 	defer t.viewMu.Unlock()
 	if t.closed || t.cur == nil {
 		return nil, ErrClosed
+	}
+	if t.memDirty.Load() {
+		t.publish()
 	}
 	t.cur.refs++
 	return t.cur, nil
@@ -98,27 +104,55 @@ func (v *View) Release() {
 	t.viewMu.Unlock()
 }
 
-// publish makes a new View of the memtable's current contents and the
-// installed level image the snapshot subsequent readers acquire. Writers
-// call it under the writer lock after every request; it reads no storage
-// level, so a write never waits on a merge step's level state.
-func (t *Tree) publish() { t.publishFreeing(nil) }
+// publish makes a View of L0 as it stands, with the current view's level
+// image, the snapshot readers acquire. Writers do not call it: ApplyBatch
+// only marks L0 changed, and the next AcquireView publishes, so writes with
+// no reader between them freeze nothing and each reader pays one O(1)
+// capture after a write. The caller holds viewMu; publish takes L0's mutex
+// for the capture (lock order: viewMu, then memMu).
+func (t *Tree) publish() {
+	t.memMu.Lock()
+	t.memDirty.Store(false)
+	mem := t.mem.Snapshot()
+	t.memMu.Unlock()
+	t.publishFreeing(mem, t.cur.levels, nil)
+}
 
 // installLevels makes levels (and backlog, the storage levels firing in
-// it) the installed level image and publishes it. The blocks the
-// storage-level mutation freed become deferred frees: the views published
-// before this one may still read them. Writer and merge locks.
+// it) the installed level image and publishes it: an install of a step
+// that moved nothing out of L0. Writer and merge locks.
 func (t *Tree) installLevels(levels []LevelView, backlog int) {
-	t.levels, t.levelBacklog = levels, backlog
-	t.publishFreeing(t.pending)
+	t.install(&Step{levels: levels, backlog: backlog})
+}
+
+// install makes st's level image the installed one and publishes it with
+// L0, after removing from L0 the records of st's window that no write has
+// replaced since st's snapshot (a step out of L0). The removal, the swap
+// and the publish are one critical section under viewMu and L0's mutex, so
+// no reader captures L0 without the window and the levels without its
+// merged copy, or the reverse. The blocks the step freed become deferred
+// frees: the views published before this one may still read them. Writer
+// and merge locks.
+func (t *Tree) install(st *Step) {
+	t.viewMu.Lock()
+	t.memMu.Lock()
+	if st.snap != nil {
+		t.mem.RemoveUnchanged(st.lo, st.hi, st.snap)
+	}
+	t.memDirty.Store(false)
+	mem := t.mem.Snapshot()
+	t.memMu.Unlock()
+	t.levelBacklog = st.backlog
+	t.publishFreeing(mem, st.levels, t.pending)
+	t.viewMu.Unlock()
 	t.pending, t.written = nil, nil
 }
 
-// publishFreeing publishes a new View and queues freed, the blocks that
-// only views up to the previous one can reach, for reclamation.
-func (t *Tree) publishFreeing(freed []storage.BlockID) {
-	nv := &View{tree: t, mem: t.mem.Snapshot(), levels: t.levels, refs: 1}
-	t.viewMu.Lock()
+// publishFreeing makes a View of mem and levels the current snapshot and
+// queues freed, the blocks that only views up to the previous one can
+// reach, for reclamation. The caller holds viewMu.
+func (t *Tree) publishFreeing(mem *memtable.Snapshot, levels []LevelView, freed []storage.BlockID) {
+	nv := &View{tree: t, mem: mem, levels: levels, refs: 1}
 	t.seq++
 	nv.seq = t.seq
 	old := t.cur
@@ -135,7 +169,6 @@ func (t *Tree) publishFreeing(freed []storage.BlockID) {
 		}
 	}
 	t.reclaimLocked()
-	t.viewMu.Unlock()
 }
 
 // levelImage captures the storage levels as the LevelViews a View holds,

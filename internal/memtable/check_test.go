@@ -21,13 +21,17 @@ func heightBound(n int) int {
 // leaves, every inner entry's min and count equal to its subtree's first
 // key and record count, Len and Bytes equal to the records held, no empty
 // node, no node but the root below the fill rule, every leaf at the same
-// depth, and the height within heightBound.
+// depth, the height within heightBound, and no node newer than its parent
+// or the table (a node a snapshot froze reaches only frozen nodes).
 func (t *Table) check() error {
 	if t.root == nil {
 		if t.count != 0 || t.bytes != 0 {
 			return fmt.Errorf("empty tree with Len %d, Bytes %d", t.count, t.bytes)
 		}
 		return nil
+	}
+	if t.root.gen > t.gen {
+		return fmt.Errorf("root of generation %d in a table of generation %d", t.root.gen, t.gen)
 	}
 	c := checker{leafDepth: -1}
 	if err := c.walk(t.root, 0, true); err != nil {
@@ -86,6 +90,9 @@ func (c *checker) walk(n *node, depth int, root bool) error {
 		return nil
 	}
 	for _, k := range n.kids {
+		if k.n.gen > n.gen {
+			return fmt.Errorf("node of generation %d under one of generation %d at depth %d", k.n.gen, n.gen, depth)
+		}
 		before := c.count
 		if err := c.walk(k.n, depth+1, false); err != nil {
 			return err

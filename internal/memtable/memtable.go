@@ -10,15 +10,21 @@
 // on-storage levels expose.
 //
 // Leaves hold sorted runs of up to leafCap records; inner nodes hold up to
-// innerCap children with each child's minimum key and record count. Nodes
-// are never modified once linked into a root: Put copies the one leaf it
-// changes and that leaf's ancestors (splitting a node that overflows in
-// two), and a removal (TakeRange, RemoveUnchanged) copies the paths to the
-// leaves it changes, dropping every subtree it empties. All
-// previously captured roots stay intact, so Snapshot costs O(1) and returns
-// an immutable view that can be read without synchronization while the
-// table keeps changing — the property the engine's snapshot-isolated read
-// path is built on.
+// innerCap children with each child's minimum key and record count. Every
+// node records the generation of the table that created it, and Snapshot
+// advances the generation: a node a snapshot can reach is of an older
+// generation than the table's, and no operation changes such a node. Put
+// changes nodes of the current generation in place — a leaf insert shifts
+// records within the leaf's spare capacity, and a split gives each half an
+// array of its own with room to grow — and copies only the older, frozen
+// nodes on its path. So a Put with no Snapshot since the previous one
+// allocates nothing (bar a split), and the first Put after a Snapshot
+// copies one root-to-leaf path. A removal (TakeRange, RemoveUnchanged)
+// copies the paths to the leaves it changes, dropping every subtree it
+// empties. Every captured root stays intact, so Snapshot costs O(1) and
+// returns an immutable view that can be read without synchronization while
+// the table keeps changing — the property the engine's snapshot-isolated
+// read path is built on.
 //
 // Fill rule and height bound: every node except the root holds at least a
 // quarter of its capacity (8 records or 8 children). Splits leave both
@@ -30,12 +36,14 @@
 //
 // A snapshot's Cursor seeks in O(height) and then steps in O(1) amortised,
 // so a range scan over L0 costs what it returns. A Table itself is
-// single-writer (the tree serializes mutations); Snapshots are safe for any
+// single-writer, and Snapshot counts as a write (it advances the
+// generation): the caller serializes both. Snapshots are safe for any
 // number of concurrent readers.
 package memtable
 
 import (
 	"math/bits"
+	"slices"
 
 	"lsmssd/internal/block"
 )
@@ -48,9 +56,11 @@ const (
 	maxHeight = 16
 )
 
-// node is one immutable B+-tree node: a leaf when kids is nil. Nodes are
-// never modified once linked into a published root.
+// node is one B+-tree node: a leaf when kids is nil. Only a node of the
+// table's current generation is ever modified; its arrays belong to it
+// alone.
 type node struct {
+	gen  uint64         // the table generation that created the node
 	recs []block.Record // leaf: records in key order
 	kids []child        // inner: children in key order
 }
@@ -152,41 +162,74 @@ func get(n *node, k block.Key) (block.Record, bool) {
 	return block.Record{}, false
 }
 
-// put returns a copy of n with r stored, in one descent. When the copy
+// own returns n if the table may change it — it is of the current
+// generation — and otherwise a copy of it of the current generation.
+func (t *Table) own(n *node) *node {
+	if n.gen == t.gen {
+		return n
+	}
+	if n.leaf() {
+		return t.newLeaf(n.recs)
+	}
+	return t.newInner(n.kids)
+}
+
+// newLeaf returns a leaf of the current generation holding the records of
+// parts in order.
+func (t *Table) newLeaf(parts ...[]block.Record) *node {
+	return &node{gen: t.gen, recs: grown(leafCap, parts...)}
+}
+
+// newInner returns an inner node of the current generation holding the
+// children of parts in order.
+func (t *Table) newInner(parts ...[]child) *node {
+	return &node{gen: t.gen, kids: grown(innerCap, parts...)}
+}
+
+// grown returns the concatenation of parts in a new array with room for at
+// least capacity+1 entries, so the insert that overflows a node shifts in
+// place before the node splits.
+func grown[T any](capacity int, parts ...[]T) []T {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	out := make([]T, 0, max(n, capacity+1))
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// put stores r in the subtree rooted at n, a node of the current
+// generation, in one descent. Nodes of the current generation change in
+// place; a frozen child on the path is replaced by its copy first. When n
 // overflows it is split and right is its upper half. old and replaced
 // report the record r overwrote.
-func put(n *node, r block.Record) (c, right *node, old block.Record, replaced bool) {
+func (t *Table) put(n *node, r block.Record) (right *node, old block.Record, replaced bool) {
 	if n.leaf() {
 		i := lowerBound(n.recs, r.Key)
 		if i < len(n.recs) && n.recs[i].Key == r.Key {
-			recs := append([]block.Record(nil), n.recs...)
-			old, recs[i] = recs[i], r
-			return &node{recs: recs}, nil, old, true
+			old, n.recs[i] = n.recs[i], r
+			return nil, old, true
 		}
-		recs := make([]block.Record, len(n.recs)+1)
-		copy(recs, n.recs[:i])
-		recs[i] = r
-		copy(recs[i+1:], n.recs[i:])
-		c, right = split(&node{recs: recs})
-		return c, right, old, false
+		n.recs = slices.Insert(n.recs, i, r)
+		return t.split(n), old, false
 	}
 	i := childFor(n.kids, r.Key)
-	sub, subRight, old, replaced := put(n.kids[i].n, r)
-	kids := make([]child, len(n.kids), len(n.kids)+1)
-	copy(kids, n.kids)
+	sub := t.own(n.kids[i].n)
+	subRight, old, replaced := t.put(sub, r)
 	if subRight == nil {
-		kids[i].n = sub
-		kids[i].min = min(kids[i].min, r.Key)
+		k := &n.kids[i]
+		k.n, k.min = sub, min(k.min, r.Key)
 		if !replaced {
-			kids[i].count++
+			k.count++
 		}
-	} else {
-		kids = append(kids, child{})
-		copy(kids[i+2:], kids[i+1:])
-		kids[i], kids[i+1] = sub.entry(), subRight.entry()
+		return nil, old, replaced
 	}
-	c, right = split(&node{kids: kids})
-	return c, right, old, replaced
+	n.kids = slices.Insert(n.kids, i+1, subRight.entry())
+	n.kids[i] = sub.entry()
+	return t.split(n), old, replaced
 }
 
 // ascend visits records with key in [lo, hi] in key order, returning false
@@ -222,10 +265,11 @@ func leaves(n *node, fn func([]block.Record)) {
 // filter removes the records with key in [lo, hi] for which rm returns
 // true, calling rm once on each such record, in key order. It returns n
 // itself when nothing is removed, nil when everything under n is, and
-// otherwise a copy whose children meet the fill rule (the copy itself may
-// be underfull; its parent fixes that). Only the nodes on the paths to
-// removed records are copied.
-func filter(n *node, lo, hi block.Key, rm func(block.Record) bool) *node {
+// otherwise a new node of the current generation whose children meet the
+// fill rule (the node itself may be underfull; its parent fixes that).
+// Only the nodes on the paths to removed records are copied; filter
+// changes no existing node.
+func (t *Table) filter(n *node, lo, hi block.Key, rm func(block.Record) bool) *node {
 	if n.leaf() {
 		i, j := lowerBound(n.recs, lo), upperBound(n.recs, hi)
 		x := i
@@ -244,42 +288,41 @@ func filter(n *node, lo, hi block.Key, rm func(block.Record) bool) *node {
 		if x == 0 && len(kept) == 0 && j == len(n.recs) {
 			return nil
 		}
-		recs := make([]block.Record, 0, x+len(kept)+len(n.recs)-j)
-		return &node{recs: append(append(append(recs, n.recs[:x]...), kept...), n.recs[j:]...)}
+		return t.newLeaf(n.recs[:x], kept, n.recs[j:])
 	}
 	a, b := childFor(n.kids, lo), childFor(n.kids, hi)
-	var kids []child
-	var copied []int // positions in kids of the copied children
-	for c := a; c <= b; c++ {
-		sub := filter(n.kids[c].n, lo, hi, rm)
+	var c *node
+	var copied []int // positions in c.kids of the copied children
+	for x := a; x <= b; x++ {
+		sub := t.filter(n.kids[x].n, lo, hi, rm)
 		switch {
-		case sub == n.kids[c].n:
-			if kids != nil {
-				kids = append(kids, n.kids[c])
+		case sub == n.kids[x].n:
+			if c != nil {
+				c.kids = append(c.kids, n.kids[x])
 			}
 			continue
-		case kids == nil:
-			kids = append(make([]child, 0, len(n.kids)), n.kids[:c]...)
+		case c == nil:
+			c = t.newInner(n.kids[:x])
 		}
 		if sub != nil {
-			copied = append(copied, len(kids))
-			kids = append(kids, sub.entry())
+			copied = append(copied, len(c.kids))
+			c.kids = append(c.kids, sub.entry())
 		}
 	}
-	if kids == nil {
+	if c == nil {
 		return n // the window removed no record under n
 	}
-	kids = append(kids, n.kids[b+1:]...)
-	if len(kids) == 0 {
+	c.kids = append(c.kids, n.kids[b+1:]...)
+	if len(c.kids) == 0 {
 		return nil
 	}
 	// Fix the copied children from the right: rebalancing one merges it
 	// with a neighbour at most one position to its left, so the positions
 	// still to visit stay valid.
 	for x := len(copied) - 1; x >= 0; x-- {
-		kids = rebalance(kids, copied[x])
+		c.kids = t.rebalance(c.kids, copied[x])
 	}
-	return &node{kids: kids}
+	return c
 }
 
 // rebalance restores the fill rule at kids[i] (a slice the caller owns) by
@@ -287,13 +330,14 @@ func filter(n *node, lo, hi block.Key, rm func(block.Record) bool) *node {
 // node's capacity, splitting their entries evenly between two new nodes.
 // A merged node can itself be underfull when both inputs were; it is
 // rebalanced again.
-func rebalance(kids []child, i int) []child {
+func (t *Table) rebalance(kids []child, i int) []child {
 	for i < len(kids) && len(kids) > 1 && kids[i].n.underfull() {
 		j := i + 1
 		if j == len(kids) {
 			i, j = i-1, i
 		}
-		l, r := split(merge(kids[i].n, kids[j].n))
+		l := t.merge(kids[i].n, kids[j].n)
+		r := t.split(l)
 		if r == nil {
 			kids[i] = l.entry()
 			kids = append(kids[:j], kids[j+1:]...)
@@ -304,44 +348,49 @@ func rebalance(kids []child, i int) []child {
 	return kids
 }
 
-// merge returns a new node holding l's entries followed by r's; l and r
-// are siblings, so both are leaves or both are inner nodes. An inner node
-// that a removal left with one child may hold an underfull one, so the two
-// children that meet at the seam are rebalanced.
-func merge(l, r *node) *node {
+// merge returns a new node of the current generation holding l's entries
+// followed by r's; l and r are siblings, so both are leaves or both are
+// inner nodes. An inner node that a removal left with one child may hold
+// an underfull one, so the two children that meet at the seam are
+// rebalanced.
+func (t *Table) merge(l, r *node) *node {
 	if l.leaf() {
-		recs := make([]block.Record, 0, len(l.recs)+len(r.recs))
-		return &node{recs: append(append(recs, l.recs...), r.recs...)}
+		return t.newLeaf(l.recs, r.recs)
 	}
-	kids := make([]child, 0, len(l.kids)+len(r.kids))
-	kids = append(append(kids, l.kids...), r.kids...)
+	c := t.newInner(l.kids, r.kids)
 	seam := len(l.kids)
-	kids = rebalance(kids, seam)
-	kids = rebalance(kids, seam-1)
-	return &node{kids: kids}
+	c.kids = t.rebalance(c.kids, seam)
+	c.kids = t.rebalance(c.kids, seam-1)
+	return c
 }
 
-// split returns n unchanged (and a nil r) if it fits its capacity, and
-// otherwise its entries divided evenly between two nodes that share n's
-// backing array (nodes are immutable, so the sharing is safe).
-func split(n *node) (l, r *node) {
+// split leaves n, a node of the current generation, alone and returns nil
+// if it fits its capacity. Otherwise it moves the upper half of n's
+// entries to a new node with an array of its own and returns that node.
+func (t *Table) split(n *node) (right *node) {
 	if n.fill() <= n.capacity() {
-		return n, nil
+		return nil
 	}
 	h := n.fill() / 2
 	if n.leaf() {
-		return &node{recs: n.recs[:h:h]}, &node{recs: n.recs[h:]}
+		right = t.newLeaf(n.recs[h:])
+		clear(n.recs[h:]) // drop the moved payloads' references
+		n.recs = n.recs[:h]
+		return right
 	}
-	return &node{kids: n.kids[:h:h]}, &node{kids: n.kids[h:]}
+	right = t.newInner(n.kids[h:])
+	clear(n.kids[h:])
+	n.kids = n.kids[:h]
+	return right
 }
 
-// Table is the L0 index. Mutations are single-writer (the tree serializes
-// them); captured Snapshots remain readable concurrently.
+// Table is the L0 index. Mutations and Snapshot are single-writer (the
+// tree serializes them); captured Snapshots remain readable concurrently.
 type Table struct {
-	root    *node
-	count   int
-	bytes   int
-	version uint64 // bumped by every mutation; lets callers memoize views
+	root  *node
+	count int
+	bytes int
+	gen   uint64 // the generation nodes created now get; Snapshot advances it
 }
 
 // New returns an empty memtable. The seed is ignored: the tree's shape
@@ -352,25 +401,19 @@ func New(_ int64) *Table { return &Table{} }
 // Len returns the number of records (including tombstones) in the table.
 func (t *Table) Len() int { return t.count }
 
-// Version returns a counter that changes with every mutation, so derived
-// views (e.g. virtual-block metadata) can be cached until the table
-// changes.
-func (t *Table) Version() uint64 { return t.version }
-
 // Bytes returns the total request-byte footprint of the stored records.
 func (t *Table) Bytes() int { return t.bytes }
 
-// Put inserts or overwrites the record for r.Key.
+// Put inserts or overwrites the record for r.Key. It changes nodes created
+// since the last Snapshot in place and copies the frozen ones on its path.
 func (t *Table) Put(r block.Record) {
-	t.version++
-	root := t.root
-	if root == nil {
-		root = &node{} // an empty leaf
+	if t.root == nil {
+		t.root = t.newLeaf()
 	}
-	c, right, old, replaced := put(root, r)
-	t.root = c
+	t.root = t.own(t.root)
+	right, old, replaced := t.put(t.root, r)
 	if right != nil {
-		t.root = &node{kids: []child{c.entry(), right.entry()}}
+		t.root = t.newInner([]child{t.root.entry(), right.entry()})
 	}
 	t.bytes += r.Size()
 	if replaced {
@@ -441,7 +484,7 @@ func (t *Table) remove(lo, hi block.Key, rm func(block.Record) bool) int {
 		return 0
 	}
 	n, bytes := 0, 0
-	root := filter(t.root, lo, hi, func(r block.Record) bool {
+	root := t.filter(t.root, lo, hi, func(r block.Record) bool {
 		if !rm(r) {
 			return false
 		}
@@ -454,7 +497,6 @@ func (t *Table) remove(lo, hi block.Key, rm func(block.Record) bool) int {
 	for root != nil && !root.leaf() && len(root.kids) == 1 {
 		root = root.kids[0].n
 	}
-	t.version++
 	t.root = root
 	t.count -= n
 	t.bytes -= bytes
@@ -471,9 +513,11 @@ type VirtualMeta struct {
 }
 
 // VirtualBlocks chunks the table into virtual blocks of the given capacity;
-// see Snapshot.VirtualBlocks.
+// see Snapshot.VirtualBlocks. It reads the table as it stands and freezes
+// nothing.
 func (t *Table) VirtualBlocks(capacity int) []VirtualMeta {
-	return t.Snapshot().VirtualBlocks(capacity)
+	s := Snapshot{root: t.root, count: t.count, bytes: t.bytes}
+	return s.VirtualBlocks(capacity)
 }
 
 // Snapshot is an immutable point-in-time view of the table, safe for
@@ -484,8 +528,12 @@ type Snapshot struct {
 	bytes int
 }
 
-// Snapshot captures the current contents in O(1).
+// Snapshot captures the current contents in O(1). It advances the
+// generation, which freezes every node the snapshot can reach: the next
+// Put copies the path it changes, once, and the Puts after it change those
+// copies in place.
 func (t *Table) Snapshot() *Snapshot {
+	t.gen++
 	return &Snapshot{root: t.root, count: t.count, bytes: t.bytes}
 }
 

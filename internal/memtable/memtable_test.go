@@ -70,9 +70,9 @@ func TestDelete(t *testing.T) {
 			t.Fatalf("TakeRange(%d, %d) = %v", k, k, out)
 		}
 	}
-	v := m.Version()
-	if out := m.TakeRange(2, 2); len(out) != 0 || m.Version() != v {
-		t.Fatalf("second TakeRange(2, 2) = %v, version %d -> %d", out, v, m.Version())
+	before := ascendRecs(m, 0, ^block.Key(0))
+	if out := m.TakeRange(2, 2); len(out) != 0 || m.Len() != len(before) || !sameRecs(ascendRecs(m, 0, ^block.Key(0)), before) {
+		t.Fatalf("second TakeRange(2, 2) = %v, Len %d -> %d", out, len(before), m.Len())
 	}
 	if m.Len() != 50 {
 		t.Fatalf("Len = %d, want 50", m.Len())
@@ -281,20 +281,34 @@ func TestDrainRefillKeepsHeight(t *testing.T) {
 	}
 }
 
-// TestPutAllocsIndependentOfL0: a Put copies one root-to-leaf path, so its
-// allocations grow with the height, not with the table.
+// TestPutAllocsIndependentOfL0: a Put with no Snapshot since the previous
+// one changes its nodes in place and allocates nothing but the occasional
+// split; the first Put after a Snapshot copies one root-to-leaf path, so
+// its allocations grow with the height, not with the table.
 func TestPutAllocsIndependentOfL0(t *testing.T) {
-	var allocs [2]float64
+	var inPlace, afterSnap [2]float64
 	for i, n := range []int{1000, 8192} {
 		m := New(0)
 		rng := rand.New(rand.NewSource(int64(n)))
 		for m.Len() < n {
 			m.Put(rec(block.Key(rng.Uint64())))
 		}
-		allocs[i] = testing.AllocsPerRun(200, func() { m.Put(rec(block.Key(rng.Uint64()))) })
+		r := rec(0)
+		inPlace[i] = testing.AllocsPerRun(200, func() {
+			r.Key = block.Key(rng.Uint64())
+			m.Put(r)
+		})
+		afterSnap[i] = testing.AllocsPerRun(200, func() {
+			m.Snapshot()
+			r.Key = block.Key(rng.Uint64())
+			m.Put(r)
+		})
 	}
-	if allocs[1]-allocs[0] > 2 || allocs[1] > 10 {
-		t.Fatalf("Put allocs: %v at 1,000 records, %v at 8,192; want within one level's copy (2) and <= 10", allocs[0], allocs[1])
+	if inPlace[0] != 0 || inPlace[1] != 0 {
+		t.Errorf("Put allocs with no Snapshot between: %v at 1,000 records, %v at 8,192; want 0", inPlace[0], inPlace[1])
+	}
+	if afterSnap[1]-afterSnap[0] > 2 || afterSnap[1] > 10 {
+		t.Errorf("Put allocs after a Snapshot: %v at 1,000 records, %v at 8,192; want within one level's copy (2) and <= 10", afterSnap[0], afterSnap[1])
 	}
 }
 

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -40,11 +41,13 @@ const slotTrailer = 8
 //
 // The device is safe for concurrent use. Reads take only a brief RLock to
 // consult the allocator map, then issue an independent pread (os.File.ReadAt
-// is safe for concurrent callers) into a fresh slot buffer that the decoded
-// block keeps (its payloads point into it), so parallel lookups from the
-// snapshot-isolated read path scale with the file descriptor rather than
-// serializing on one device mutex. Writes encode into pooled buffers and
-// pwrite outside the mutex too, so a merge's writes never hold up reads.
+// is safe for concurrent callers) into a pooled slot buffer, verify it, and
+// hand the decoder an exact-size copy of the encoded bytes, which the
+// decoded block keeps (its payloads point into it). So parallel lookups
+// from the snapshot-isolated read path scale with the file descriptor
+// rather than serializing on one device mutex, and a cached block holds
+// only the bytes it uses. Writes encode into pooled buffers and pwrite
+// outside the mutex too, so a merge's writes never hold up reads.
 type FileDevice struct {
 	mu        sync.RWMutex // guards next, free, limbo, written, marks, syncErr
 	f         *os.File
@@ -59,7 +62,7 @@ type FileDevice struct {
 	marks   uint64
 	syncErr error // sticky after a failed fsync (never retried)
 	cnt     atomicCounters
-	bufs    sync.Pool // *[]byte of slot size, for encode scratch
+	bufs    sync.Pool // *[]byte of slot size: encode and read scratch
 }
 
 func newFileDevice(f *os.File, blockSize int) *FileDevice {
@@ -205,17 +208,21 @@ func (d *FileDevice) load(id BlockID) (*block.Block, error) {
 	// The slot cannot be recycled mid-read: the engine defers frees until
 	// no snapshot references the block, so a readable id stays stable for
 	// the duration of this pread.
-	buf := make([]byte, d.blockSize+slotTrailer)
-	if _, err := d.f.ReadAt(buf, d.offset(id)); err != nil {
+	buf := d.bufs.Get().(*[]byte)
+	defer d.bufs.Put(buf)
+	if _, err := d.f.ReadAt(*buf, d.offset(id)); err != nil {
 		return nil, fmt.Errorf("storage: read block %d: %w", id, err)
 	}
-	body := buf[:d.blockSize]
-	want := binary.LittleEndian.Uint32(buf[d.blockSize:])
+	body := (*buf)[:d.blockSize]
+	want := binary.LittleEndian.Uint32((*buf)[d.blockSize:])
 	if got := crc32.ChecksumIEEE(body); got != want {
 		return nil, fmt.Errorf("storage: read block %d: checksum mismatch (stored %08x, computed %08x): %w",
 			id, want, got, ErrCorrupt)
 	}
-	return block.Decode(body)
+	// The decoded block's payloads point into its source, which outlives
+	// this call in the cache: give it an exact-size copy of the bytes the
+	// block occupies, not the pooled slot buffer.
+	return block.Decode(bytes.Clone(body[:block.EncodedLen(body)]))
 }
 
 // Free releases id. A slot written before the newest LimboMark parks in the

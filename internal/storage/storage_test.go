@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -29,6 +31,48 @@ func devices(t *testing.T) map[string]Device {
 	md := NewMemDevice()
 	t.Cleanup(func() { md.Close() })
 	return map[string]Device{"mem": md, "file": fd}
+}
+
+// TestFileDeviceReadKeepsOnlyUsedBytes: a Read reads the slot into a
+// pooled buffer and the decoded block keeps an exact-size copy of the
+// bytes it occupies, so what a Read allocates follows the block's
+// contents. A fresh 4,104-byte slot buffer per Read alone costs 4,864
+// bytes (its size class); this half-full block's Read must cost less in
+// all.
+func TestFileDeviceReadKeepsOnlyUsedBytes(t *testing.T) {
+	d, err := OpenFileDevice(filepath.Join(t.TempDir(), "dev.blk"), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	rs := make([]block.Record, 16)
+	for i := range rs {
+		rs[i] = block.Record{Key: block.Key(i), Payload: bytes.Repeat([]byte{byte(i)}, 100)}
+	}
+	id := d.Alloc()
+	if err := d.Write(id, block.New(rs)); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		b, err := d.Read(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.Records(); len(got) != len(rs) || !bytes.Equal(got[15].Payload, rs[15].Payload) {
+			t.Fatalf("read back %d records", len(got))
+		}
+	}
+	read() // fill the buffer pool
+	const reads = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reads; per >= 4864 {
+		t.Fatalf("a Read of a %d-byte block allocates %d bytes, want < 4864", block.New(rs).EncodedSize(), per)
+	}
 }
 
 func TestDeviceWriteReadFree(t *testing.T) {

@@ -458,8 +458,8 @@ func (s *shard) checkpoint() error {
 }
 
 // paranoidSteadyCheck asserts the strict (post-cascade) bounds after a
-// mutating request when Paranoid is set. It audits the snapshot the request
-// just published — L0 and the installed level image — so it reads no live
+// mutating request when Paranoid is set. It audits a snapshot acquired
+// right after the request — L0 and the installed level image — so it reads no live
 // level a merge step may be changing. Metadata only: the per-merge auditor
 // already verified block contents and device accounting. The strictness is keyed off
 // the scheduler's state, not the call position: with the background
