@@ -302,7 +302,7 @@ func (db *DB) Close() error { return db.shutdown(false) }
 
 // Crash abandons the DB as a power cut would: no checkpoint, no device
 // sync, and write-ahead log frames buffered past the last policy-driven
-// fsync are truncated, exactly as an OS page cache would lose them. A
+// fsync are dropped (zeroed), exactly as an OS page cache would lose them. A
 // subsequent Open performs crash recovery from each shard's last
 // checkpoint plus the surviving prefix of the log. Crash exists for
 // durability testing (the crash-loop harness drives it); production code

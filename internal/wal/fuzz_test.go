@@ -51,8 +51,15 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(corrupt)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // implausible length field
+	// Zero tails: the end of a segment's frames.
+	zeros := make([]byte, 64)
+	f.Add(append(append([]byte(nil), valid...), zeros...))                       // frame, then the fill
+	f.Add(zeros[:3])                                                             // a fill shorter than a frame header
+	f.Add(append(append([]byte(nil), zeros[:frameHeader]...), 0x5A))             // zero header, then a stray byte
+	f.Add(append(append(append([]byte(nil), valid...), valid[:5]...), zeros...)) // torn frame inside the fill
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSegmentScan(t, data)
 		frameLen, payload, ok := parseFrame(data)
 		if !ok {
 			// Rejected at the frame layer. The payload decoder only ever
@@ -83,4 +90,32 @@ func FuzzWALDecode(f *testing.F) {
 			t.Fatalf("decode/encode round trip diverged:\n in: %x\nout: %x", data[:frameLen], re)
 		}
 	})
+}
+
+// checkSegmentScan runs the segment-level scan over data as the body of a
+// segment: the frames end on a whole-frame boundary, and the tail counts
+// as the zero fill only if every byte of it is zero.
+func checkSegmentScan(t *testing.T, data []byte) {
+	seg := append(make([]byte, segHeaderSize), data...)
+	end, clean := frameEnd(seg)
+	if end < segHeaderSize || end > len(seg) {
+		t.Fatalf("frame end %d outside [%d, %d]", end, segHeaderSize, len(seg))
+	}
+	zero := true
+	for _, c := range seg[end:] {
+		zero = zero && c == 0
+	}
+	if clean != zero {
+		t.Fatalf("tail after offset %d called clean=%v, but all-zero=%v", end, clean, zero)
+	}
+	if span := nonZeroSpan(seg[end:]); (span == 0) != zero || span > int64(len(seg)-end) {
+		t.Fatalf("non-zero span %d of a %d-byte tail (all-zero=%v)", span, len(seg)-end, zero)
+	}
+	for off := segHeaderSize; off < end; {
+		n, _, ok := parseFrame(seg[off:])
+		if !ok {
+			t.Fatalf("frame end %d passes a bad frame at %d", end, off)
+		}
+		off += n
+	}
 }

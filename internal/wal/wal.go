@@ -28,13 +28,32 @@
 // none of its own: concurrent writers share fsyncs. Append is Write plus
 // Commit.
 //
+// Zero-filled tail. The active segment is kept zero-filled a little ahead
+// of its append offset: when a frame would end past the filled end, Write
+// zero-fills the next 256 KiB (in 64 KiB writes, never past SegmentBytes
+// unless one frame is larger). A commit therefore overwrites blocks the
+// file system has already allocated and written, and the file's size does
+// not change, so the commit's sync is an fdatasync: it flushes the frame's
+// data blocks and no file-system metadata. Only the first sync after a
+// fill also commits the grown size — fdatasync flushes whatever metadata
+// reading the data back needs, which is why it is enough for durability.
+// Segment creation writes and syncs only the header, so opening a log costs
+// no fill.
+//
+// End of frames. A frame's length field is never zero, so an all-zero frame
+// header marks the end of a segment's frames; Open appends there, not at
+// the file size, and every byte after it must be zero.
+//
 // Torn tails. A power cut can leave a half-written frame at the end of
-// the active segment. Replay verifies every frame's length and CRC and
-// truncates the segment at the first bad frame — by construction nothing
-// at or past a torn frame was ever acknowledged under SyncEvery. A bad
-// frame in any segment but the last is not a crash artifact but real
-// corruption, and Replay refuses it rather than silently dropping
-// acknowledged data.
+// the active segment, or bytes of one past the end of its frames. Replay
+// verifies every frame's length and CRC, checks that only zeros follow the
+// last good frame, and otherwise truncates the segment there — by
+// construction nothing at or past a torn frame was ever acknowledged under
+// SyncEvery. Damage in any segment but the last is not a crash artifact but
+// real corruption, and Replay refuses it rather than silently dropping
+// acknowledged data: a bad frame, non-zero bytes after the last frame, or
+// a segment whose first sequence does not follow the previous segment's
+// last frame (a sealed segment cut short, its lost tail read as zeros).
 //
 // Checkpoint interaction. Each of the DB's shards records in its manifest
 // the last frame sequence its checkpoint covers (manifest.State.WALSeq);
@@ -61,6 +80,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -81,8 +101,10 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncEvery fsyncs after every append: an acknowledged write is
-	// durable before the call returns. The default.
+	// SyncEvery syncs after every append: an acknowledged write is durable
+	// before the call returns. The frame lands in the segment's zero-filled
+	// tail, so the sync (fdatasync on Linux) flushes its data blocks only,
+	// with no file-system metadata. The default.
 	SyncEvery SyncPolicy = iota
 	// SyncInterval fsyncs about once per Options.Interval: an append that
 	// finds the last fsync at least Interval old syncs inline, and the
@@ -176,7 +198,18 @@ const (
 	maxFrameOps   = 1 << 20   // per-frame op cap, enforced by Append and decodePayload
 	opPut         = 0
 	opDelete      = 1
+
+	// fillChunk is how far one zero-fill reaches past the filled end, and
+	// fillPiece the largest single zero write. One write of 256 KiB or more
+	// leaves the range in large page-cache folios, which makes every later
+	// small frame overwrite there several times dearer.
+	fillChunk = 256 << 10
+	fillPiece = 64 << 10
 )
+
+// zeros is the source of every zero-fill write and the reference the
+// end-of-frames checks compare against; never written.
+var zeros [fillPiece]byte
 
 // segPath renders the segment file name for index idx.
 func segPath(base string, idx int) string {
@@ -235,16 +268,17 @@ type ReplayInfo struct {
 	Frames    int    // frames delivered to the callback (seq > afterSeq)
 	Ops       int    // operations inside delivered frames
 	LastSeq   uint64 // highest frame sequence seen, delivered or skipped
-	TornBytes int64  // bytes truncated from the final segment's torn tail
+	TornBytes int64  // non-zero bytes truncated from the final segment's torn tail (never its zero fill)
 }
 
 // Replay scans the log at base in order, delivering every frame with
 // sequence greater than afterSeq to fn. A torn tail in the final segment
 // is truncated on disk (so a subsequent Open appends after the last good
-// frame); a bad frame anywhere else fails with ErrCorrupt. A final
-// segment whose header never made it to disk is removed — segment headers
-// are synced at creation, so a torn header means no frame in it was ever
-// acknowledged.
+// frame); a bad frame, non-zero bytes after the last frame, or a gap in
+// the sequence between two segments fails with ErrCorrupt. A final
+// segment whose header never made it to disk is removed — a header is
+// written before any frame and made durable by the first sync of its
+// segment, so a torn header means no frame in it was ever acknowledged.
 func Replay(base string, afterSeq uint64, fn func(seq uint64, ops []Op) error) (ReplayInfo, error) {
 	var info ReplayInfo
 	paths, err := SegmentFiles(base)
@@ -253,6 +287,7 @@ func Replay(base string, afterSeq uint64, fn func(seq uint64, ops []Op) error) (
 	}
 	info.Segments = len(paths)
 	lastSeq := afterSeq
+	var next uint64 // sequence the next segment must start at
 	for si, path := range paths {
 		last := si == len(paths)-1
 		data, err := os.ReadFile(path)
@@ -263,51 +298,40 @@ func Replay(base string, afterSeq uint64, fn func(seq uint64, ops []Op) error) (
 			if !last {
 				return info, fmt.Errorf("%w: segment %s has a bad header", ErrCorrupt, path)
 			}
-			// Torn creation: header sync never completed, so the segment
+			// Torn creation: no sync of the segment ever completed, so it
 			// holds no acknowledged frame.
 			if err := os.Remove(path); err != nil {
 				return info, fmt.Errorf("wal: drop torn segment: %w", err)
 			}
-			info.TornBytes += int64(len(data))
+			info.TornBytes += nonZeroSpan(data)
 			break
 		}
 		if v := binary.LittleEndian.Uint32(data[4:8]); v != segVersion {
 			return info, fmt.Errorf("%w: segment %s has unsupported version %d", ErrCorrupt, path, v)
 		}
+		// Sequences are contiguous across segments: one that does not start
+		// where the previous one ended means frames went missing — in a
+		// sealed segment cut short, its lost tail reads as the zero fill.
+		first := binary.LittleEndian.Uint64(data[8:16])
+		if si > 0 && first != next {
+			return info, fmt.Errorf("%w: segment %s starts at sequence %d, want %d (the previous segment's last frame + 1)", ErrCorrupt, path, first, next)
+		}
+		next = first
 		off := segHeaderSize
-		for off < len(data) {
+		for off < len(data) && !zeroHeader(data[off:]) {
 			frameLen, payload, ok := parseFrame(data[off:])
 			if !ok {
-				if !last {
-					return info, fmt.Errorf("%w: bad frame at %s offset %d (not the final segment)", ErrCorrupt, path, off)
-				}
-				torn := int64(len(data) - off)
-				if err := os.Truncate(path, int64(off)); err != nil {
-					return info, fmt.Errorf("wal: truncate torn tail: %w", err)
-				}
-				info.TornBytes += torn
-				off = len(data)
 				break
 			}
 			seq, ops, err := decodePayload(payload)
 			if err != nil {
-				if !last {
-					return info, fmt.Errorf("%w: %s offset %d: %v", ErrCorrupt, path, off, err)
-				}
-				torn := int64(len(data) - off)
-				if err := os.Truncate(path, int64(off)); err != nil {
-					return info, fmt.Errorf("wal: truncate torn tail: %w", err)
-				}
-				info.TornBytes += torn
-				off = len(data)
-				break
+				break // CRC-valid yet undecodable: no better than torn
 			}
 			if seq <= lastSeq && seq > afterSeq {
 				return info, fmt.Errorf("%w: %s offset %d: sequence %d not increasing", ErrCorrupt, path, off, seq)
 			}
-			if seq > lastSeq {
-				lastSeq = seq
-			}
+			lastSeq = max(lastSeq, seq)
+			next = seq + 1
 			if seq > afterSeq {
 				info.Frames++
 				info.Ops += len(ops)
@@ -319,9 +343,65 @@ func Replay(base string, afterSeq uint64, fn func(seq uint64, ops []Op) error) (
 			}
 			off += frameLen
 		}
+		if allZero(data[off:]) {
+			continue // the frames end in the segment's zero fill, or at its end
+		}
+		if !last {
+			return info, fmt.Errorf("%w: bad frame or non-zero bytes after the last frame at %s offset %d (not the final segment)", ErrCorrupt, path, off)
+		}
+		if err := os.Truncate(path, int64(off)); err != nil {
+			return info, fmt.Errorf("wal: truncate torn tail: %w", err)
+		}
+		info.TornBytes += nonZeroSpan(data[off:])
 	}
 	info.LastSeq = lastSeq
 	return info, nil
+}
+
+// zeroHeader reports whether the frame header at the start of b (or what
+// is left of one) is all zero: the end of a segment's frames, since a
+// frame's length field is never zero.
+func zeroHeader(b []byte) bool {
+	return allZero(b[:min(len(b), frameHeader)])
+}
+
+// allZero reports whether b holds only zero bytes.
+func allZero(b []byte) bool {
+	for len(b) > 0 {
+		n := min(len(b), len(zeros))
+		if !bytes.Equal(b[:n], zeros[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
+}
+
+// nonZeroSpan is the length of b from its first non-zero byte through its
+// last: the bytes of a torn frame, without the zero fill around them.
+func nonZeroSpan(b []byte) int64 {
+	i, j := 0, len(b)
+	for i < j && b[i] == 0 {
+		i++
+	}
+	for j > i && b[j-1] == 0 {
+		j--
+	}
+	return int64(j - i)
+}
+
+// frameEnd returns the offset just past the last whole frame of the
+// segment file data, and whether only zeros follow it.
+func frameEnd(data []byte) (end int, clean bool) {
+	end = segHeaderSize
+	for end < len(data) && !zeroHeader(data[end:]) {
+		n, _, ok := parseFrame(data[end:])
+		if !ok {
+			break
+		}
+		end += n
+	}
+	return end, allZero(data[end:])
 }
 
 // parseFrame validates the frame at the start of data, returning its total
@@ -399,6 +479,7 @@ type Stats struct {
 	Bytes     int64  // frame bytes written (headers included)
 	Syncs     int64  // explicit fsyncs issued
 	SyncNanos int64  // cumulative wall time spent inside fsync
+	FillBytes int64  // zero bytes written ahead of the append offset
 	Rotations int64  // segments sealed
 	Segments  int    // segment files currently on disk
 	NextSeq   uint64 // sequence the next append will be assigned
@@ -418,7 +499,8 @@ type Log struct {
 	mu       sync.Mutex
 	f        *os.File
 	idx      int    // active segment index
-	size     int64  // active segment size, bytes
+	size     int64  // append offset: the end of the active segment's frames
+	filled   int64  // the active segment holds only zeros from size to here
 	synced   int64  // prefix of the active segment known durable
 	durable  uint64 // every frame at or below this sequence is known durable
 	segs     []segInfo
@@ -429,7 +511,7 @@ type Log struct {
 	poison   error // sticky ErrPoisoned after a failed fsync
 
 	appends, ops, bytes, syncs, rotations atomic.Int64
-	syncNanos                             atomic.Int64
+	syncNanos, fillBytes                  atomic.Int64
 }
 
 type segInfo struct {
@@ -438,9 +520,11 @@ type segInfo struct {
 }
 
 // Open positions the log at base for appending, continuing the last
-// segment left by a previous incarnation (after Replay has truncated any
-// torn tail) or creating the first one. nextSeq is the sequence the next
-// append will carry — the caller derives it from ReplayInfo.LastSeq.
+// segment left by a previous incarnation at the end of its last whole
+// frame (after Replay has truncated any torn tail; Open refuses a segment
+// with non-zero bytes after its frames) or creating the first one. nextSeq
+// is the sequence the next append will carry — the caller derives it from
+// ReplayInfo.LastSeq.
 func Open(base string, nextSeq uint64, o Options) (*Log, error) {
 	if nextSeq == 0 {
 		return nil, fmt.Errorf("wal: next sequence must be positive")
@@ -464,21 +548,26 @@ func Open(base string, nextSeq uint64, o Options) (*Log, error) {
 		return l, nil
 	}
 	last := paths[len(paths)-1]
+	data, err := os.ReadFile(last)
+	if err != nil {
+		return nil, fmt.Errorf("wal: read segment: %w", err)
+	}
+	end, clean := frameEnd(data)
+	if !clean {
+		return nil, fmt.Errorf("%w: segment %s has non-zero bytes after its last frame at offset %d (Replay truncates a torn tail)", ErrCorrupt, last, end)
+	}
 	f, err := os.OpenFile(last, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open segment: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		return nil, errors.Join(fmt.Errorf("wal: stat segment: %w", err), f.Close())
-	}
 	l.f = f
 	l.idx = segIndex(last)
-	l.size = st.Size()
+	l.size = int64(end)
+	l.filled = int64(len(data))
 	// Everything Replay could read back is on disk; treat it as the
 	// durable prefix. Only bytes appended by this incarnation can be
 	// dropped by a simulated power cut.
-	l.synced = st.Size()
+	l.synced = l.size
 	l.durable = nextSeq - 1
 	return l, nil
 }
@@ -499,11 +588,18 @@ func readHeader(path string) (firstSeq uint64, err error) {
 	return binary.LittleEndian.Uint64(h[8:16]), nil
 }
 
-// createSegment starts segment idx with a synced header, making the
-// segment's existence and first sequence durable before any frame lands
-// in it.
+// testHookDirSynced, when set by a test, runs after each directory sync.
+var testHookDirSynced func(dir string)
+
+// createSegment starts segment idx: it writes the header and syncs the
+// directory, so the segment's name is durable before any frame lands in
+// it. The header itself is left to the segment's first sync (synced
+// starts at 0), which every acknowledged frame in it waits for — one
+// flush at creation, not two. It writes no zero fill: the first Write does
+// (see fillLocked).
 func (l *Log) createSegment(idx int) error {
-	f, err := os.OpenFile(segPath(l.base, idx), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	path := segPath(l.base, idx)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
@@ -514,14 +610,34 @@ func (l *Log) createSegment(idx int) error {
 	if _, err := f.WriteAt(h[:], 0); err != nil {
 		return errors.Join(fmt.Errorf("wal: write segment header: %w", err), f.Close())
 	}
-	if err := f.Sync(); err != nil {
-		return errors.Join(fmt.Errorf("wal: sync segment header: %w", err), f.Close())
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return errors.Join(err, f.Close())
 	}
 	l.f = f
 	l.idx = idx
 	l.size = segHeaderSize
-	l.synced = segHeaderSize
+	l.filled = segHeaderSize
+	l.synced = 0
 	l.segs = append(l.segs, segInfo{idx: idx, first: l.nextSeq})
+	return nil
+}
+
+// syncDir fsyncs directory dir, making the names created in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("wal: sync dir: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("wal: sync dir: %w", err)
+	}
+	if testHookDirSynced != nil {
+		testHookDirSynced(dir)
+	}
 	return nil
 }
 
@@ -580,15 +696,42 @@ func (l *Log) Write(ops []Op) (seq uint64, rotated bool, err error) {
 		}
 		rotated = true
 	}
-	if _, err := l.f.WriteAt(frame, l.size); err != nil {
-		return 0, rotated, fmt.Errorf("wal: append frame: %w", err)
+	end := l.size + int64(len(frame))
+	if _, err = l.f.WriteAt(frame, l.size); err != nil {
+		err = fmt.Errorf("wal: append frame: %w", err)
+	} else if end > l.filled {
+		err = l.fillLocked(end)
 	}
-	l.size += int64(len(frame))
+	if err != nil {
+		l.filled = l.size // what follows size is unknown now; the next fill rewrites it
+		return 0, rotated, err
+	}
+	l.size = end
 	l.nextSeq++
 	l.appends.Add(1)
 	l.ops.Add(int64(len(ops)))
 	l.bytes.Add(int64(len(frame)))
 	return seq, rotated, nil
+}
+
+// fillLocked zero-fills the active segment past a frame that has just been
+// written up to end, beyond the filled end: through the fillChunk bytes
+// from the fillPiece boundary at or below the filled end, capped at
+// SegmentBytes (and so nothing when the frame alone reaches that far). The
+// frame is written first, so the file never has a hole under it. The zeros
+// go in aligned pieces of at most fillPiece bytes (see fillChunk).
+func (l *Log) fillLocked(end int64) error {
+	to := min(l.filled/fillPiece*fillPiece+fillChunk, l.opts.SegmentBytes)
+	for off := end; off < to; {
+		n := min(to, (off/fillPiece+1)*fillPiece) - off
+		if _, err := l.f.WriteAt(zeros[:n], off); err != nil {
+			return fmt.Errorf("wal: zero-fill segment: %w", err)
+		}
+		l.fillBytes.Add(n)
+		off += n
+	}
+	l.filled = max(to, end)
+	return nil
 }
 
 // Commit applies the sync policy to the frame Write gave seq. Under
@@ -641,7 +784,7 @@ func (l *Log) syncTo(seq uint64) error {
 		testHookBeforeSync()
 	}
 	start := time.Now()
-	err := f.Sync()
+	err := datasync(f)
 	l.syncNanos.Add(int64(time.Since(start)))
 
 	l.mu.Lock()
@@ -731,7 +874,7 @@ func (l *Log) syncLocked() error {
 		return nil
 	}
 	syncStart := time.Now()
-	err := l.f.Sync()
+	err := datasync(l.f)
 	l.syncNanos.Add(int64(time.Since(syncStart)))
 	if err != nil {
 		return l.poisonLocked(err)
@@ -818,6 +961,7 @@ func (l *Log) Stats() Stats {
 		Bytes:     l.bytes.Load(),
 		Syncs:     l.syncs.Load(),
 		SyncNanos: l.syncNanos.Load(),
+		FillBytes: l.fillBytes.Load(),
 		Rotations: l.rotations.Load(),
 	}
 	l.mu.Lock()
@@ -828,14 +972,15 @@ func (l *Log) Stats() Stats {
 }
 
 // ResetCounters zeroes the cumulative traffic counters (appends, ops,
-// bytes, syncs, rotations), aligning the WAL series with the DB's uniform
-// measurement window.
+// bytes, syncs, fill bytes, rotations), aligning the WAL series with the
+// DB's uniform measurement window.
 func (l *Log) ResetCounters() {
 	l.appends.Store(0)
 	l.ops.Store(0)
 	l.bytes.Store(0)
 	l.syncs.Store(0)
 	l.syncNanos.Store(0)
+	l.fillBytes.Store(0)
 	l.rotations.Store(0)
 }
 
@@ -853,12 +998,12 @@ func (l *Log) Close() error {
 	return errors.Join(err, l.f.Close())
 }
 
-// Crash simulates a power failure for crash testing: every byte appended
-// since the last fsync is dropped — the active segment is truncated back
-// to its durable prefix — and the log is closed without a final sync.
-// Under SyncEvery this loses nothing; under SyncInterval/SyncNever it
-// drops exactly the unsynced tail, which is what a real power cut does to
-// the page cache.
+// Crash simulates a power failure for crash testing: every frame byte
+// appended since the last fsync is dropped — overwritten with zeros, so the
+// active segment keeps its zero-filled tail as the disk would — and the log
+// is closed without a final sync. Under SyncEvery this loses nothing; under
+// SyncInterval/SyncNever it drops exactly the unsynced tail, which is what
+// a real power cut does to the page cache.
 func (l *Log) Crash() error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -868,6 +1013,9 @@ func (l *Log) Crash() error {
 		return nil
 	}
 	l.closed = true
-	err := l.f.Truncate(l.synced)
+	var err error
+	if l.size > l.synced {
+		_, err = l.f.WriteAt(make([]byte, l.size-l.synced), l.synced)
+	}
 	return errors.Join(err, l.f.Close())
 }

@@ -486,3 +486,289 @@ func TestCommitAfterRotationClosedItsSegment(t *testing.T) {
 		t.Fatalf("replay: %+v, want 3 frames", info)
 	}
 }
+
+// fileSize returns the size of the file at path.
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size()
+}
+
+// TestZeroFillAheadOfAppends: the first frame of a segment zero-fills the
+// next fillChunk bytes, later frames overwrite that fill without growing
+// the file, the fill is counted, and Close leaves it in place — Open then
+// appends at the end of the frames, not at the file size.
+func TestZeroFillAheadOfAppends(t *testing.T) {
+	base := testBase(t)
+	l := mustOpen(t, base, 1, Options{Policy: SyncEvery})
+	seg := segPath(base, 1)
+	if got := fileSize(t, seg); got != segHeaderSize {
+		t.Fatalf("new segment is %d bytes, want just its %d-byte header (no fill at creation)", got, segHeaderSize)
+	}
+	if _, _, err := l.Append([]Op{{Key: 1, Value: []byte("first")}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileSize(t, seg); got != fillChunk {
+		t.Fatalf("after the first frame the segment is %d bytes, want %d", got, fillChunk)
+	}
+	for i := 2; i <= 100; i++ {
+		if _, _, err := l.Append([]Op{{Key: uint64(i), Value: []byte("later")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := l.Stats()
+	if got := fileSize(t, seg); got != fillChunk {
+		t.Fatalf("frames inside the fill grew the segment to %d bytes", got)
+	}
+	if want := fillChunk - segHeaderSize - (st.Bytes / 100); st.FillBytes != want {
+		t.Fatalf("FillBytes = %d, want %d (the chunk less the header and the first frame)", st.FillBytes, want)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileSize(t, seg); got != fillChunk {
+		t.Fatalf("Close changed the segment to %d bytes", got)
+	}
+
+	info, _ := collect(t, base, 0)
+	if info.Frames != 100 || info.TornBytes != 0 {
+		t.Fatalf("replay over the fill: %+v", info)
+	}
+	l = mustOpen(t, base, info.LastSeq+1, Options{Policy: SyncEvery})
+	if seq, _, err := l.Append([]Op{{Key: 101, Value: []byte("resumed")}}); err != nil || seq != 101 {
+		t.Fatalf("append after reopen: seq %d, err %v", seq, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if info, _ := collect(t, base, 0); info.Frames != 101 || info.LastSeq != 101 {
+		t.Fatalf("replay after reopen: %+v, want 101 frames", info)
+	}
+}
+
+// TestZeroFillStopsAtSegmentBytes: the fill never passes SegmentBytes,
+// except under a single frame larger than that, which it does not fill
+// past at all.
+func TestZeroFillStopsAtSegmentBytes(t *testing.T) {
+	base := testBase(t)
+	l := mustOpen(t, base, 1, Options{Policy: SyncNever, SegmentBytes: 4096})
+	if _, _, err := l.Append([]Op{{Key: 1, Value: []byte("x")}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileSize(t, segPath(base, 1)); got != 4096 {
+		t.Fatalf("segment is %d bytes, want the 4096-byte SegmentBytes", got)
+	}
+	big := make([]byte, 10000)
+	for i := range big {
+		big[i] = 0xA5
+	}
+	if _, rotated, err := l.Append([]Op{{Key: 2, Value: big}}); err != nil || !rotated {
+		t.Fatalf("oversized frame: rotated=%v err=%v", rotated, err)
+	}
+	if got, want := fileSize(t, segPath(base, 2)), int64(segHeaderSize+frameHeader+25+len(big)); got != want {
+		t.Fatalf("segment under one oversized frame is %d bytes, want exactly its %d", got, want)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if info, _ := collect(t, base, 0); info.Frames != 2 {
+		t.Fatalf("replay: %+v", info)
+	}
+}
+
+// TestZeroTailRules: after the last frame a segment may hold only zeros.
+// Non-zero bytes there are a torn tail in the final segment — truncated,
+// counting only those bytes, never the fill before them — and ErrCorrupt
+// in a sealed one. Open refuses such a tail rather than appending before
+// it.
+func TestZeroTailRules(t *testing.T) {
+	base := testBase(t)
+	l := mustOpen(t, base, 1, Options{Policy: SyncEvery})
+	for i := 0; i < 5; i++ {
+		if _, _, err := l.Append([]Op{{Key: uint64(i), Value: []byte("v")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end := l.size
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := segPath(base, 1)
+	f, err := os.OpenFile(seg, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stray := []byte{0x01, 0x00, 0x02}
+	if _, err := f.WriteAt(stray, end+1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(base, 6, Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open over a non-zero tail: err = %v, want ErrCorrupt", err)
+	}
+	info, ops := collect(t, base, 0)
+	if info.Frames != 5 || len(ops) != 5 || info.TornBytes != int64(len(stray)) {
+		t.Fatalf("replay with stray bytes in the fill: %+v, want 5 frames and %d torn bytes", info, len(stray))
+	}
+	if got := fileSize(t, seg); got != end {
+		t.Fatalf("torn tail truncated to %d bytes, want the end of the frames at %d", got, end)
+	}
+
+	// The same bytes in a sealed segment are corruption.
+	base = testBase(t)
+	l = mustOpen(t, base, 1, Options{Policy: SyncEvery, SegmentBytes: 1024})
+	for i := 0; i < 40; i++ {
+		if _, _, err := l.Append([]Op{{Key: uint64(i), Value: []byte("0123456789")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(segPath(base, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw[len(raw)-1] != 0 {
+		t.Fatalf("sealed segment does not end in its zero fill")
+	}
+	raw[len(raw)-1] = 0x7F
+	if err := os.WriteFile(segPath(base, 1), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(base, 0, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Replay over a sealed segment's non-zero tail: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestReplayRejectsGapBetweenSegments: a sealed segment cut short at a frame
+// boundary, its lost frames read back as zeros, parses cleanly on its own;
+// only the next segment's first sequence shows the frames are missing.
+func TestReplayRejectsGapBetweenSegments(t *testing.T) {
+	base := testBase(t)
+	l := mustOpen(t, base, 1, Options{Policy: SyncEvery, SegmentBytes: 1024})
+	var ends []int64 // end of each frame in segment 1
+	for i := 0; i < 40; i++ {
+		if _, _, err := l.Append([]Op{{Key: uint64(i), Value: []byte("0123456789")}}); err != nil {
+			t.Fatal(err)
+		}
+		if l.idx == 1 {
+			ends = append(ends, l.size)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if info, _ := collect(t, base, 0); info.Frames != 40 {
+		t.Fatalf("intact log: %+v", info)
+	}
+	raw, err := os.ReadFile(segPath(base, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := ends[len(ends)-2] // drop segment 1's last frame
+	for i := cut; i < int64(len(raw)); i++ {
+		raw[i] = 0
+	}
+	if err := os.WriteFile(segPath(base, 1), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Replay(base, 0, nil)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Replay over a gap between segments: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestCreateSegmentSyncsDirectory: a segment's directory entry is made
+// durable before the segment takes frames — at Open of a fresh log and at
+// every rotation.
+func TestCreateSegmentSyncsDirectory(t *testing.T) {
+	base := testBase(t)
+	var synced []string
+	testHookDirSynced = func(dir string) { synced = append(synced, dir) }
+	t.Cleanup(func() { testHookDirSynced = nil })
+
+	l := mustOpen(t, base, 1, Options{Policy: SyncEvery, SegmentBytes: 256})
+	if len(synced) != 1 || synced[0] != filepath.Dir(base) {
+		t.Fatalf("directory syncs after creating the first segment: %v, want [%s]", synced, filepath.Dir(base))
+	}
+	for i := 0; i < 30; i++ {
+		if _, _, err := l.Append([]Op{{Key: uint64(i), Value: []byte("0123456789")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := l.Stats()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Rotations == 0 || int64(len(synced)) != 1+st.Rotations {
+		t.Fatalf("%d directory syncs for %d rotations, want one per segment created", len(synced), st.Rotations)
+	}
+}
+
+// TestCrashInsideZeroFillRecovers: a power cut inside a zero-filled chunk
+// leaves the acknowledged frames followed by zeros (and here a torn frame
+// among them); recovery keeps every acknowledged frame, the reopened log
+// appends after them, and a second power cut inside the same chunk loses
+// nothing acknowledged either.
+func TestCrashInsideZeroFillRecovers(t *testing.T) {
+	base := testBase(t)
+	seg := segPath(base, 1)
+	l := mustOpen(t, base, 1, Options{Policy: SyncEvery})
+	for i := 0; i < 20; i++ {
+		if _, _, err := l.Append([]Op{{Key: uint64(i), Value: []byte("acked")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A frame written but never committed, then the power cut: Crash drops
+	// it to zeros; tear the next frame's first bytes in by hand, as a
+	// write the cut interrupted would leave them.
+	if _, _, err := l.Write([]Op{{Key: 999, Value: []byte("unacked")}}); err != nil {
+		t.Fatal(err)
+	}
+	end := l.synced
+	if err := l.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileSize(t, seg); got <= end {
+		t.Fatalf("crash left %d bytes, want the zero fill past the frames' end at %d", got, end)
+	}
+	f, err := os.OpenFile(seg, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0x21, 0, 0, 0, 0xAB}, end); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	info, ops := collect(t, base, 0)
+	if info.Frames != 20 || len(ops) != 20 || info.TornBytes != 5 {
+		t.Fatalf("first recovery: %+v, want 20 frames and 5 torn bytes", info)
+	}
+	l = mustOpen(t, base, info.LastSeq+1, Options{Policy: SyncEvery})
+	for i := 20; i < 30; i++ {
+		if _, _, err := l.Append([]Op{{Key: uint64(i), Value: []byte("acked")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	info, ops = collect(t, base, 0)
+	if info.Frames != 30 || len(ops) != 30 || info.TornBytes != 0 {
+		t.Fatalf("second recovery: %+v, want all 30 acknowledged frames", info)
+	}
+	for i, op := range ops {
+		if op.Key != uint64(i) || string(op.Value) != "acked" {
+			t.Fatalf("op %d = %+v", i, op)
+		}
+	}
+}

@@ -161,8 +161,10 @@ const (
 	// a WriteBatch pays one fsync for the whole batch, whichever shards it
 	// spans, and concurrent writers share fsyncs — one fsync covers every
 	// frame written before it started, so a writer whose frame is already
-	// covered waits for that fsync instead of issuing its own. The
-	// default.
+	// covered waits for that fsync instead of issuing its own. A frame
+	// lands in the log's zero-filled tail, so the sync is an fdatasync on
+	// Linux that flushes the frame's data and no file-system metadata
+	// (DESIGN.md §11.1). The default.
 	SyncEvery SyncPolicy = iota
 	// SyncInterval fsyncs about once per WALOptions.Interval — inline in a
 	// write that finds the last fsync that old, and from shard 0's

@@ -151,6 +151,7 @@ type WALStats struct {
 	Bytes     int64         // frame bytes written, headers included
 	Syncs     int64         // fsyncs issued (one may cover many concurrent writers' frames)
 	SyncTime  time.Duration // cumulative wall time inside those fsyncs
+	FillBytes int64         // zeros written ahead of the append offset, so a commit overwrites written blocks
 	Rotations int64         // segments sealed (each triggers a checkpoint)
 	Segments  int           // segment files currently on disk
 	LastSeq   uint64        // sequence of the newest logged frame
@@ -297,6 +298,7 @@ var metricTable = []metric{
 	{typ: counter, name: "lsmssd_wal_bytes_total", help: "WAL frame bytes written, headers included.", field: num(func(c *Counters) *int64 { return &c.WAL.Bytes })},
 	{typ: counter, name: "lsmssd_wal_syncs_total", help: "WAL fsyncs issued by the sync policy or checkpoints.", field: num(func(c *Counters) *int64 { return &c.WAL.Syncs })},
 	{typ: counter, name: "lsmssd_wal_sync_seconds_total", help: "Cumulative time spent inside WAL fsyncs.", field: secs(func(c *Counters) *time.Duration { return &c.WAL.SyncTime })},
+	{typ: counter, name: "lsmssd_wal_fill_bytes_total", help: "Zero bytes written ahead of the WAL's append offset, so commits overwrite allocated blocks.", field: num(func(c *Counters) *int64 { return &c.WAL.FillBytes })},
 	{typ: counter, name: "lsmssd_wal_rotations_total", help: "WAL segments sealed (each seals a checkpoint).", field: num(func(c *Counters) *int64 { return &c.WAL.Rotations })},
 	{typ: gauge, name: "lsmssd_wal_segments", help: "WAL segment files currently on disk.", field: num(func(c *Counters) *int { return &c.WAL.Segments })},
 	{typ: gauge, name: "lsmssd_wal_last_seq", help: "Sequence of the newest logged frame.", field: num(func(c *Counters) *uint64 { return &c.WAL.LastSeq })},
@@ -455,6 +457,7 @@ func (s *shard) stats() (ShardStats, bool) {
 			Bytes:     ws.Bytes,
 			Syncs:     ws.Syncs,
 			SyncTime:  time.Duration(ws.SyncNanos),
+			FillBytes: ws.FillBytes,
 			Rotations: ws.Rotations,
 			Segments:  ws.Segments,
 			LastSeq:   ws.NextSeq - 1,
