@@ -2,6 +2,7 @@ package lsmssd_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -251,21 +252,22 @@ func TestTuneMixedRequiresMixed(t *testing.T) {
 }
 
 // tuneStream is TuneMixed's sample workload in these tests, a steady-state
-// uniform one: it fills to ~200 live keys, then alternates inserts of new
-// keys with deletes of live ones. keys holds every key it issued and live
-// those it left present.
+// uniform one: it fills to size (200 unless set) live keys, then alternates
+// inserts of new keys with deletes of live ones. keys holds every key it
+// issued and live those it left present.
 type tuneStream struct {
 	rng  *rand.Rand
+	size int
 	live map[uint64]bool
 	keys []uint64
 }
 
 func newTuneStream(seed int64) *tuneStream {
-	return &tuneStream{rng: rand.New(rand.NewSource(seed)), live: map[uint64]bool{}}
+	return &tuneStream{rng: rand.New(rand.NewSource(seed)), size: 200, live: map[uint64]bool{}}
 }
 
 func (g *tuneStream) next() (lsmssd.Request, bool) {
-	if len(g.live) < 200 || g.rng.Intn(2) == 0 {
+	if len(g.live) < g.size || g.rng.Intn(2) == 0 {
 		for {
 			k := g.rng.Uint64() % (1 << 40)
 			if g.live[k] {
@@ -283,6 +285,27 @@ func (g *tuneStream) next() (lsmssd.Request, bool) {
 		}
 		delete(g.live, k)
 		return lsmssd.Request{Delete: true, Key: k}, true
+	}
+}
+
+// preloadDrained writes n requests of the stream to db, draining its
+// compaction after each, so the shards' shapes do not depend on timing.
+func preloadDrained(t *testing.T, db *lsmssd.DB, g *tuneStream, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		r, _ := g.next()
+		var err error
+		if r.Delete {
+			err = db.Delete(r.Key)
+		} else {
+			err = db.Put(r.Key, r.Value)
+		}
+		if err == nil {
+			err = lsmssd.DrainCompaction(db)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -336,9 +359,9 @@ func TestTuneMixedLearnsParameters(t *testing.T) {
 }
 
 // TestTuneMixedWritesSurviveCrashReopen: TuneMixed drives its sample
-// requests into the tree without the log, so it checkpoints them before it
-// returns. After a crash every put of the stream is present and every
-// delete holds.
+// requests through the write path, so the log holds them like any other
+// write. After a crash every put of the stream is present and every delete
+// holds.
 func TestTuneMixedWritesSurviveCrashReopen(t *testing.T) {
 	opts := smallOptions()
 	opts.MergePolicy = lsmssd.Mixed
@@ -373,6 +396,110 @@ func TestTuneMixedWritesSurviveCrashReopen(t *testing.T) {
 	}
 	if lost > 0 {
 		t.Fatalf("%d of %d keys the stream wrote or deleted read wrong after the crash", lost, len(g.keys))
+	}
+}
+
+// TestTuneMixedShardedWritesSurviveReopen: a 4-shard store under SyncEvery
+// learns one (τ, β) from its pooled level cycles and sets it on every
+// shard. Each sample request is one logged frame, and after a crash the
+// reopened store holds what the stream wrote.
+func TestTuneMixedShardedWritesSurviveReopen(t *testing.T) {
+	opts := smallOptions()
+	opts.Gamma = 3
+	opts.Shards = 4
+	opts.MergePolicy = lsmssd.Mixed
+	opts.Path = filepath.Join(t.TempDir(), "db.blk")
+	db, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newTuneStream(5)
+	g.size = 1400
+	preloadDrained(t, db, g, 2000)
+	if h := db.Stats().Height; h != 4 {
+		t.Fatalf("height %d after the preload, want 4", h)
+	}
+	appends := db.Stats().WAL.Appends
+	supplied := 0
+	res, err := db.TuneMixed(func() (lsmssd.Request, bool) {
+		supplied++
+		return g.next()
+	}, lsmssd.TuneOptions{
+		TauGrid:          []float64{0, 0.5, 1},
+		BetaWindowBytes:  1 << 14,
+		MaxBytesPerCycle: 1 << 18,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("tuned: taus=%v beta=%v in %d measurements over %d requests", res.Taus, res.Beta, res.Measurements, supplied)
+	if _, ok := res.Taus[2]; !ok {
+		t.Errorf("no τ2 learned: %+v", res)
+	}
+	for i := 0; i < opts.Shards; i++ {
+		taus, beta, _ := lsmssd.ShardMixedParams(db, i)
+		if beta != res.Beta || !maps.Equal(taus, res.Taus) {
+			t.Errorf("shard %d holds taus=%v beta=%v, TuneMixed returned taus=%v beta=%v", i, taus, beta, res.Taus, res.Beta)
+		}
+	}
+	if got := db.Stats().WAL.Appends - appends; got != int64(supplied) {
+		t.Errorf("%d frames logged for %d sample requests", got, supplied)
+	}
+	if err := db.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range g.keys {
+		_, ok, err := db.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != g.live[k] {
+			t.Fatalf("key %d: present %v after the crash, the stream left it %v", k, ok, g.live[k])
+		}
+	}
+}
+
+// TestTuneMixedConcurrentWriter: another goroutine may write while
+// TuneMixed learns — its merges perturb the measurements, but the learner's
+// hooks, which run on the shards' scheduler goroutines, race with nothing.
+// Run it under -race.
+func TestTuneMixedConcurrentWriter(t *testing.T) {
+	opts := smallOptions()
+	opts.Shards = 2
+	opts.MergePolicy = lsmssd.Mixed
+	db, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	g := newTuneStream(7)
+	preloadDrained(t, db, g, 400)
+	done := make(chan error)
+	go func() {
+		var err error
+		for k := uint64(0); k < 3000 && err == nil; k++ {
+			err = db.Put(1<<41+k, []byte("concurrent"))
+		}
+		done <- err
+	}()
+	_, err = db.TuneMixed(g.next, lsmssd.TuneOptions{BetaWindowBytes: 1 << 14, MaxBytesPerCycle: 1 << 22})
+	if werr := <-done; werr != nil {
+		t.Fatal(werr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -511,11 +638,16 @@ func TestTuneMixedStalledGenerator(t *testing.T) {
 	for k := uint64(0); k < 300; k++ {
 		db.Put(k, []byte("v"))
 	}
+	calls := 0
 	_, err = db.TuneMixed(func() (lsmssd.Request, bool) {
+		calls++
 		return lsmssd.Request{}, false // immediately exhausted
 	}, lsmssd.TuneOptions{BetaWindowBytes: 1 << 16})
 	if err == nil {
 		t.Error("tuning with a stalled generator succeeded")
+	}
+	if calls != 1 {
+		t.Errorf("next called %d times after it said it was exhausted, want once", calls)
 	}
 }
 

@@ -17,10 +17,10 @@
 //     mutation runs the cascade to completion before returning.
 //
 // Both run the same three phases in the same step order, so a Scheduler
-// whose QueueDepth is waited down to zero after every write performs
-// exactly Driver's merge sequence: the paper's cost model, and its
-// BlocksWritten accounting byte for byte, are reproduced through a DB by
-// draining, not by a second executor.
+// waited idle (WaitIdle) after every write performs exactly Driver's merge
+// sequence: the paper's cost model, and its BlocksWritten accounting byte
+// for byte, are reproduced through a DB by draining, not by a second
+// executor.
 //
 // The goroutine also carries the shard's other background work, so the
 // engine has one background protocol per shard, not several:
@@ -251,6 +251,15 @@ func (s *Scheduler) refreshLocked() {
 	s.gate.Broadcast()
 }
 
+// broadcast wakes every goroutine parked on the gate after a change of
+// state it waits on. The caller changed that state before the call; taking
+// gateMu orders the change before a waiter's next check.
+func (s *Scheduler) broadcast() {
+	s.gateMu.Lock()
+	s.gateMu.Unlock()
+	s.gate.Broadcast()
+}
+
 // run is the scheduler goroutine: sleep until woken or ticked, then run
 // what is due — a requested checkpoint, then the pending cascade one step
 // at a time (step), with a checkpoint requested mid-drain served between
@@ -285,6 +294,7 @@ func (s *Scheduler) run() {
 					return
 				}
 				s.ckptDone.Store(want)
+				s.broadcast()
 				continue
 			}
 			if !s.pendingWork.Load() {
@@ -343,6 +353,32 @@ func (s *Scheduler) Err() error {
 	return s.err
 }
 
+// errStopped is WaitIdle's report that the scheduler stopped with work
+// still queued.
+var errStopped = errors.New("compaction: scheduler stopped")
+
+// WaitIdle returns once the scheduler is idle: no merge step and no
+// checkpoint outstanding (Snapshot's QueueDepth is zero). It returns the
+// parked error if a step, checkpoint or tick fails first, and an error if
+// the scheduler stops first. The caller must hold neither the writer nor
+// the merge lock. Idle is a moment, not a state: the next write may queue
+// work again. Called after every write, it makes a DB perform exactly
+// Driver's merge sequence.
+func (s *Scheduler) WaitIdle() error {
+	s.gateMu.Lock()
+	defer s.gateMu.Unlock()
+	for s.queueDepth.Load() != 0 || s.checkpointPending() != 0 {
+		if s.err != nil {
+			return s.err
+		}
+		if s.stopping.Load() {
+			return errStopped
+		}
+		s.gate.Wait()
+	}
+	return nil
+}
+
 // Pending reports whether merge work is outstanding as of the last
 // refresh; the DB keys its mid-cascade-vs-steady invariant audits off
 // this.
@@ -358,7 +394,7 @@ func (s *Scheduler) Pending() bool { return s.pendingWork.Load() }
 func (s *Scheduler) Stop() {
 	s.stopOnce.Do(func() {
 		s.stopping.Store(true)
-		s.gate.Broadcast()
+		s.broadcast()
 		close(s.stopCh)
 		<-s.done
 	})

@@ -290,6 +290,9 @@ func TestBackgroundErrorParksAndSurfaces(t *testing.T) {
 	if err := s.Admit(); !errors.Is(err, errInjected) {
 		t.Fatalf("Admit after failure = %v, want wrapped errInjected", err)
 	}
+	if err := s.WaitIdle(); !errors.Is(err, errInjected) {
+		t.Fatalf("WaitIdle after failure = %v, want wrapped errInjected", err)
+	}
 	mu.Lock()
 	err = s.Notify()
 	mu.Unlock()
@@ -298,8 +301,9 @@ func TestBackgroundErrorParksAndSurfaces(t *testing.T) {
 	}
 }
 
-// TestStopReleasesGatedWriter: a writer parked on the hard stall gate must
-// not deadlock Stop — shutdown broadcasts and the writer returns.
+// TestStopReleasesGatedWriter: a writer parked on the hard stall gate, and
+// a caller waiting for the scheduler to go idle, must not deadlock Stop —
+// shutdown broadcasts, the writer returns, and the waiter returns an error.
 func TestStopReleasesGatedWriter(t *testing.T) {
 	tr := newTree(t, storage.NewMemDevice())
 	// Fill L0 to 16 blocks, past the stop threshold 4·K0 = 8, before
@@ -315,11 +319,14 @@ func TestStopReleasesGatedWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	admitted := make(chan error, 1)
+	admitted, idle := make(chan error, 1), make(chan error, 1)
 	go func() { admitted <- s.Admit() }()
+	go func() { idle <- s.WaitIdle() }()
 	select {
 	case err := <-admitted:
 		t.Fatalf("Admit returned %v before Stop; the gate should have parked it", err)
+	case err := <-idle:
+		t.Fatalf("WaitIdle returned %v before Stop with merge work queued", err)
 	case <-time.After(50 * time.Millisecond):
 	}
 	s.Stop()
@@ -327,6 +334,14 @@ func TestStopReleasesGatedWriter(t *testing.T) {
 	case <-admitted:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Stop did not release the gated writer")
+	}
+	select {
+	case err := <-idle:
+		if err == nil {
+			t.Fatal("WaitIdle reported idle with merge work still queued")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop did not release the idle waiter")
 	}
 }
 

@@ -196,7 +196,7 @@ func (p Params) Fig5(kind WorkloadKind) (*Table, error) {
 		return nil, fmt.Errorf("fig5: tree has %d levels, need 4 (increase dataset or scale)", h)
 	}
 	winBytes := int64(2 * run.tree.CapacityBlocks(run.tree.Height()-2) * p.BlockSize)
-	curve, err := learn.Curve(run.tree, run.mixed, run.gen, 2, learn.Options{
+	curve, err := learn.Curve(learn.Tree(run.tree, run.mixed), run.gen, 2, learn.Options{
 		MaxBytesPerCycle: 1024 * winBytes,
 	})
 	if err != nil {

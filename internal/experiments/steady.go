@@ -90,7 +90,7 @@ func (p Params) buildSteady(spec SteadySpec) (*steadyRun, error) {
 		} else {
 			h := tree.Height()
 			winBytes := int64(2 * tree.CapacityBlocks(h-2) * p.BlockSize)
-			if _, err := learn.Learn(tree, m, gen, learn.Options{
+			if _, err := learn.Learn(learn.Tree(tree, m), gen, learn.Options{
 				BetaWindowBytes:  winBytes,
 				MaxBytesPerCycle: 512 * winBytes,
 			}); err != nil {

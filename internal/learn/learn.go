@@ -7,21 +7,66 @@
 // domain — or, as the paper does in practice, a linear scan that stops
 // when C(τ) starts to increase.
 //
-// Learning is performed online on a live tree: the learner drives the
-// provided workload through the tree, watches merge events to detect the
-// level cycles that delimit measurements, and mutates the Mixed policy's
-// parameters in place.
+// Learning is performed online on a Target — a bare tree (Tree) or a
+// running DB: the learner drives the provided workload through it, watches
+// merge events to detect the level cycles that delimit measurements, and
+// sets the Mixed policy's parameters in place. A Target of several shards
+// learns one (τ, β) from their pooled costs.
 package learn
 
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"lsmssd/internal/compaction"
 	"lsmssd/internal/core"
 	"lsmssd/internal/policy"
 	"lsmssd/internal/workload"
 )
+
+// Target is what the learner drives: one or more shards, each a tree under
+// a Mixed policy, taking requests in the paper's synchronous model.
+type Target interface {
+	// Put and Delete apply one request and return only after the merge
+	// cascade it set off has run.
+	workload.Store
+	// Heights reports each shard's height (the paper's h, L0 included),
+	// indexed by shard.
+	Heights() []int
+	// OnMerge replaces the merge hook (nil removes it); ev is a merge
+	// installed on the given shard. Calls come one at a time, possibly on
+	// another goroutine. Every call for a merge a Put or Delete set off
+	// happens before that Put or Delete returns, and no call of a replaced
+	// hook happens after OnMerge returns.
+	OnMerge(fn func(shard int, ev core.MergeEvent))
+	// SetTau and SetBeta set the threshold of a level and the bottom-level
+	// decision on every shard's policy.
+	SetTau(level int, tau float64)
+	SetBeta(beta bool)
+}
+
+// Tree is the Target of one bare tree built with m as its policy: requests
+// run the cascade inline (compaction.Driver). Single-threaded, like the
+// tree.
+func Tree(t *core.Tree, m *policy.Mixed) Target { return treeTarget{compaction.Driver{Tree: t}, m} }
+
+type treeTarget struct {
+	compaction.Driver
+	m *policy.Mixed
+}
+
+func (t treeTarget) Heights() []int                { return []int{t.Tree.Height()} }
+func (t treeTarget) SetTau(level int, tau float64) { t.m.SetTau(level, tau) }
+func (t treeTarget) SetBeta(beta bool)             { t.m.SetBeta(beta) }
+
+func (t treeTarget) OnMerge(fn func(int, core.MergeEvent)) {
+	if fn == nil {
+		t.Tree.OnMerge(nil)
+		return
+	}
+	t.Tree.OnMerge(func(ev core.MergeEvent) { fn(0, ev) })
+}
 
 // SearchKind selects the threshold search strategy.
 type SearchKind int
@@ -46,15 +91,17 @@ type Options struct {
 	// Search selects the strategy (default LinearEarlyStop).
 	Search SearchKind
 	// MaxBytesPerCycle caps the workload bytes driven while waiting for
-	// a single cycle to complete, to bound runaway measurements.
-	// Default: 256 MB.
+	// a single cycle to complete, to bound runaway measurements. It is per
+	// shard: a Target of N shards may drive N times as much. Default:
+	// 256 MB.
 	MaxBytesPerCycle int64
 	// BetaWindowBytes is the measurement window for the bottom-level
-	// decision β. Default: 64 × K0 blocks worth of requests.
+	// decision β, per shard like MaxBytesPerCycle. Required by Learn on
+	// trees of three or more levels.
 	BetaWindowBytes int64
 }
 
-func (o Options) withDefaults(t *core.Tree) Options {
+func (o Options) withDefaults() Options {
 	if o.TauGrid == nil {
 		for i := 0; i <= 10; i++ {
 			o.TauGrid = append(o.TauGrid, float64(i)/10)
@@ -62,10 +109,6 @@ func (o Options) withDefaults(t *core.Tree) Options {
 	}
 	if o.MaxBytesPerCycle == 0 {
 		o.MaxBytesPerCycle = 256 << 20
-	}
-	if o.BetaWindowBytes == 0 {
-		cfg := t.Config()
-		o.BetaWindowBytes = int64(64 * cfg.K0 * cfg.BlockCapacity * 16)
 	}
 	return o
 }
@@ -78,17 +121,18 @@ type Result struct {
 	BytesDriven  int64
 }
 
-// Learn tunes m's parameters in place by driving gen through tree. The
-// tree must have been built with m as its policy and should be in (or
-// near) a steady state. The tree's OnMerge hook is used during learning
-// and released afterwards.
-func Learn(tree *core.Tree, m *policy.Mixed, gen workload.Generator, o Options) (Result, error) {
-	o = o.withDefaults(tree)
-	lr := &learner{tree: tree, m: m, gen: gen, o: o}
-	defer tree.OnMerge(nil)
-
+// Learn tunes t's Mixed parameters in place by driving gen through it. t
+// should be in (or near) a steady state, and its shards of one height. Its
+// OnMerge hook is used during each measurement and released after it.
+func Learn(t Target, gen workload.Generator, o Options) (Result, error) {
+	lr, h, err := newLearner(t, gen, o)
+	if err != nil {
+		return Result{}, err
+	}
+	if h >= 3 && o.BetaWindowBytes <= 0 {
+		return Result{}, fmt.Errorf("learn: BetaWindowBytes must be positive")
+	}
 	res := Result{Taus: make(map[int]float64)}
-	h := tree.Height()
 
 	// Top-down: internal levels 2..h-2.
 	for target := 2; target <= h-2; target++ {
@@ -96,7 +140,7 @@ func Learn(tree *core.Tree, m *policy.Mixed, gen workload.Generator, o Options) 
 		if err != nil {
 			return res, err
 		}
-		m.SetTau(target, tau)
+		t.SetTau(target, tau)
 		res.Taus[target] = tau
 	}
 
@@ -111,7 +155,7 @@ func Learn(tree *core.Tree, m *policy.Mixed, gen workload.Generator, o Options) 
 		if err != nil {
 			return res, err
 		}
-		m.SetBeta(cTrue < cFalse)
+		t.SetBeta(cTrue < cFalse)
 		res.Beta = cTrue < cFalse
 	}
 	res.Measurements = lr.measurements
@@ -122,13 +166,14 @@ func Learn(tree *core.Tree, m *policy.Mixed, gen workload.Generator, o Options) 
 // Curve measures C(τ) for every grid point at the given target level,
 // regenerating the paper's Figure 5. The Mixed policy's τ for that level
 // is left at the final grid value.
-func Curve(tree *core.Tree, m *policy.Mixed, gen workload.Generator, target int, o Options) ([]float64, error) {
-	o = o.withDefaults(tree)
-	lr := &learner{tree: tree, m: m, gen: gen, o: o}
-	defer tree.OnMerge(nil)
+func Curve(t Target, gen workload.Generator, target int, o Options) ([]float64, error) {
+	lr, _, err := newLearner(t, gen, o)
+	if err != nil {
+		return nil, err
+	}
 	lr.prepare(target)
-	out := make([]float64, len(o.TauGrid))
-	for i, tau := range o.TauGrid {
+	out := make([]float64, len(lr.o.TauGrid))
+	for i, tau := range lr.o.TauGrid {
 		c, err := lr.measureTau(target, tau)
 		if err != nil {
 			return nil, err
@@ -139,30 +184,42 @@ func Curve(tree *core.Tree, m *policy.Mixed, gen workload.Generator, target int,
 }
 
 type learner struct {
-	tree *core.Tree
-	m    *policy.Mixed
-	gen  workload.Generator
-	o    Options
+	t      Target
+	shards int
+	gen    workload.Generator
+	o      Options
 
 	measurements int
 	bytes        int64
+}
+
+// newLearner builds the learner for t and returns t's height, which every
+// shard must share.
+func newLearner(t Target, gen workload.Generator, o Options) (*learner, int, error) {
+	hs := t.Heights()
+	for _, h := range hs[1:] {
+		if h != hs[0] {
+			return nil, 0, fmt.Errorf("learn: shard heights %v differ; learning one set of parameters needs one tree shape", hs)
+		}
+	}
+	return &learner{t: t, shards: len(hs), gen: gen, o: o.withDefaults()}, hs[0], nil
 }
 
 // prepare configures the policy around a τ measurement at `target`: the
 // already-learned thresholds above stay; merges from L_target into
 // L_target+1 are forced Full; everything below runs ChooseBest.
 func (lr *learner) prepare(target int) {
-	h := lr.tree.Height()
+	h := lr.t.Heights()[0]
 	if target+1 == h-1 {
-		lr.m.SetBeta(true)
+		lr.t.SetBeta(true)
 	} else {
-		lr.m.SetTau(target+1, 2.0) // S < 2K always: forced Full
+		lr.t.SetTau(target+1, 2.0) // S < 2K always: forced Full
 	}
 	for j := target + 2; j <= h-2; j++ {
-		lr.m.SetTau(j, 0)
+		lr.t.SetTau(j, 0)
 	}
 	if target+1 != h-1 {
-		lr.m.SetBeta(false)
+		lr.t.SetBeta(false)
 	}
 }
 
@@ -222,30 +279,46 @@ func (lr *learner) searchTau(target int) (float64, error) {
 
 // measureTau measures C(τ…, τ_target=tau): writes into L1..L_target per
 // record merged into L1, over one full cycle of L_target (from empty,
-// right after a full merge into L_target+1, until the next one).
+// right after a full merge into L_target+1, until the next one). Each
+// shard's window opens at its own full merge into L_target+1 and closes at
+// its next one; the measurement pools the windows and ends once every
+// shard has closed one.
 func (lr *learner) measureTau(target int, tau float64) (float64, error) {
-	lr.m.SetTau(target, tau)
+	lr.t.SetTau(target, tau)
 	lr.measurements++
 
-	// Skip to a cycle boundary.
-	if err := lr.driveUntilFullMergeInto(target + 1); err != nil {
-		return 0, err
-	}
-	// Measure one cycle.
+	// Full merges into L_target+1 per shard: 0 before its window, 1 in it,
+	// 2 after. Hook calls may run on other goroutines, so the counts the
+	// drive loop reads are atomic; the sums are read once the hook is gone.
+	seen := make([]int, lr.shards)
+	var opened, closed atomic.Int64
 	var writes, records int64
-	done := false
-	lr.tree.OnMerge(func(ev core.MergeEvent) {
-		if ev.To <= target {
-			writes += int64(ev.BlocksWritten + ev.RepairWrites + ev.CompactionWrites)
-		}
-		if ev.To == 1 {
-			records += int64(ev.RecordsIn)
-		}
-		if ev.To == target+1 && ev.Full {
-			done = true
+	lr.t.OnMerge(func(shard int, ev core.MergeEvent) {
+		switch {
+		case seen[shard] < 2 && ev.To == target+1 && ev.Full:
+			seen[shard]++
+			if seen[shard] == 1 {
+				opened.Add(1)
+			} else {
+				closed.Add(1)
+			}
+		case seen[shard] == 1:
+			if ev.To <= target {
+				writes += int64(ev.BlocksWritten + ev.RepairWrites + ev.CompactionWrites)
+			}
+			if ev.To == 1 {
+				records += int64(ev.RecordsIn)
+			}
 		}
 	})
-	if err := lr.driveWhile(func() bool { return !done }); err != nil {
+	all := int64(lr.shards)
+	// Skip to a cycle boundary, then measure one cycle.
+	err := lr.driveWhile(func() bool { return opened.Load() < all })
+	if err == nil {
+		err = lr.driveWhile(func() bool { return closed.Load() < all })
+	}
+	lr.t.OnMerge(nil)
+	if err != nil {
 		return 0, err
 	}
 	if records == 0 {
@@ -257,49 +330,42 @@ func (lr *learner) measureTau(target int, tau float64) (float64, error) {
 // measureBeta measures the total merge cost per record merged into L1 over
 // a fixed window, under the given bottom-level decision.
 func (lr *learner) measureBeta(beta bool) (float64, error) {
-	lr.m.SetBeta(beta)
+	lr.t.SetBeta(beta)
 	lr.measurements++
+	window := lr.o.BetaWindowBytes * int64(lr.shards)
 	// Warm up for a fraction of the window so the bottom settles under
 	// the new regime.
-	if err := lr.driveBytes(lr.o.BetaWindowBytes / 2); err != nil {
+	if err := lr.driveBytes(window / 2); err != nil {
 		return 0, err
 	}
 	var writes, records int64
-	lr.tree.OnMerge(func(ev core.MergeEvent) {
+	lr.t.OnMerge(func(_ int, ev core.MergeEvent) {
 		writes += int64(ev.BlocksWritten + ev.RepairWrites + ev.CompactionWrites)
 		if ev.To == 1 {
 			records += int64(ev.RecordsIn)
 		}
 	})
-	if err := lr.driveBytes(lr.o.BetaWindowBytes); err != nil {
+	err := lr.driveBytes(window)
+	lr.t.OnMerge(nil)
+	if err != nil {
 		return 0, err
 	}
-	lr.tree.OnMerge(nil)
 	if records == 0 {
 		return math.Inf(1), nil
 	}
 	return float64(writes) / float64(records), nil
 }
 
-func (lr *learner) driveUntilFullMergeInto(target int) error {
-	seen := false
-	lr.tree.OnMerge(func(ev core.MergeEvent) {
-		if ev.To == target && ev.Full {
-			seen = true
-		}
-	})
-	return lr.driveWhile(func() bool { return !seen })
-}
-
 // driveWhile issues requests while cond holds, within the per-cycle byte
-// cap.
+// cap (per shard).
 func (lr *learner) driveWhile(cond func() bool) error {
+	limit := lr.o.MaxBytesPerCycle * int64(lr.shards)
 	var driven int64
 	for cond() {
-		if driven >= lr.o.MaxBytesPerCycle {
-			return fmt.Errorf("learn: cycle did not close within %d bytes", lr.o.MaxBytesPerCycle)
+		if driven >= limit {
+			return fmt.Errorf("learn: cycle did not close within %d bytes", limit)
 		}
-		n, err := workload.DriveN(lr.gen, compaction.Driver{Tree: lr.tree}, 1)
+		n, err := workload.DriveN(lr.gen, lr.t, 1)
 		if err != nil {
 			return err
 		}
@@ -313,7 +379,7 @@ func (lr *learner) driveWhile(cond func() bool) error {
 }
 
 func (lr *learner) driveBytes(budget int64) error {
-	n, err := workload.Drive(lr.gen, compaction.Driver{Tree: lr.tree}, budget)
+	n, err := workload.Drive(lr.gen, lr.t, budget)
 	lr.bytes += n
 	return err
 }

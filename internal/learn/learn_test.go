@@ -2,6 +2,7 @@ package learn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"lsmssd/internal/compaction"
@@ -49,7 +50,7 @@ func TestLearnBetaOnThreeLevelTree(t *testing.T) {
 	if tree.Height() != 3 {
 		t.Fatalf("height = %d, want 3", tree.Height())
 	}
-	res, err := Learn(tree, m, gen, Options{BetaWindowBytes: 1 << 18, MaxBytesPerCycle: 1 << 24})
+	res, err := Learn(Tree(tree, m), gen, Options{BetaWindowBytes: 1 << 18, MaxBytesPerCycle: 1 << 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestLearnFourLevelTreeFindsTau(t *testing.T) {
 	if tree.Height() != 4 {
 		t.Fatalf("height = %d, want 4", tree.Height())
 	}
-	res, err := Learn(tree, m, gen, Options{
+	res, err := Learn(Tree(tree, m), gen, Options{
 		TauGrid:          []float64{0, 0.25, 0.5, 0.75, 1.0},
 		BetaWindowBytes:  1 << 18,
 		MaxBytesPerCycle: 1 << 26,
@@ -138,7 +139,7 @@ func TestCurveShape(t *testing.T) {
 	if tree.Height() != 4 {
 		t.Fatalf("height = %d, want 4", tree.Height())
 	}
-	curve, err := Curve(tree, m, gen, 2, Options{
+	curve, err := Curve(Tree(tree, m), gen, 2, Options{
 		TauGrid:          []float64{0, 0.5, 1.0},
 		MaxBytesPerCycle: 1 << 26,
 	})
@@ -212,7 +213,7 @@ func TestLearnGoldenSectionOnTree(t *testing.T) {
 	if tree.Height() != 4 {
 		t.Fatalf("height = %d, want 4", tree.Height())
 	}
-	res, err := Learn(tree, m, gen, Options{
+	res, err := Learn(Tree(tree, m), gen, Options{
 		Search:           GoldenSection,
 		TauGrid:          []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0},
 		BetaWindowBytes:  1 << 18,
@@ -249,7 +250,7 @@ func TestLearnExhaustiveOnTree(t *testing.T) {
 	if _, err := workload.DriveN(gen, compaction.Driver{Tree: tree}, 900); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Learn(tree, m, gen, Options{
+	res, err := Learn(Tree(tree, m), gen, Options{
 		Search:           Exhaustive,
 		TauGrid:          []float64{0, 0.5, 1.0},
 		BetaWindowBytes:  1 << 18,
@@ -261,5 +262,25 @@ func TestLearnExhaustiveOnTree(t *testing.T) {
 	// Exhaustive measures every grid point for τ2, plus 2 β windows.
 	if res.Measurements != 3+2 {
 		t.Errorf("measurements = %d, want 5", res.Measurements)
+	}
+}
+
+// unequal reports two shards of different heights.
+type unequal struct{ Target }
+
+func (unequal) Heights() []int { return []int{3, 4} }
+
+func TestLearnRefusesUnequalShardHeights(t *testing.T) {
+	pol, m := newMixed(t)
+	tree, err := core.New(core.Config{
+		Device: storage.NewMemDevice(), Policy: pol, BlockCapacity: 8, K0: 2, Gamma: 4, Epsilon: 0.2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := workload.NewUniform(workload.UniformConfig{PayloadSize: 20, InsertRatio: 1, Seed: 9})
+	_, err = Learn(unequal{Tree(tree, m)}, gen, Options{BetaWindowBytes: 1 << 10})
+	if err == nil || !strings.Contains(err.Error(), "[3 4]") {
+		t.Errorf("Learn over shards of heights 3 and 4: %v, want an error naming them", err)
 	}
 }

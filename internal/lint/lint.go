@@ -196,7 +196,6 @@ func DefaultConfig() Config {
 			Allowed: []string{
 				"lsmssd/internal/core",
 				"lsmssd/internal/invariant",   // runs as the writer's auditor hook
-				"lsmssd/internal/learn",       // drives the tree single-threaded
 				"lsmssd/internal/experiments", // single-threaded harness
 			},
 			Why: "live level state mutates under a merge step's merge lock; acquire a snapshot with Tree.AcquireView instead",

@@ -2,8 +2,16 @@
 
 package wal
 
-import "os"
+import (
+	"os"
+	"syscall"
+)
 
-// datasync makes f's written data durable. Outside Linux it is a full
-// fsync ((*os.File).Sync).
-func datasync(f *os.File) error { return f.Sync() }
+// datasyncer makes a segment's written data durable. Outside Linux it is a
+// full fsync ((*os.File).Sync), and the cached RawConn goes unused.
+type datasyncer struct{}
+
+func newDatasyncer() *datasyncer { return &datasyncer{} }
+
+// sync fsyncs f.
+func (*datasyncer) sync(f *os.File, _ syscall.RawConn) error { return f.Sync() }

@@ -92,6 +92,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"lsmssd/internal/block"
@@ -496,8 +497,14 @@ type Log struct {
 	// find their frame covered and return. Lock order: syncMu, then mu.
 	syncMu sync.Mutex
 
+	// The fdatasync of syncTo, under syncMu, and of syncLocked, under mu:
+	// they may run at once, so each has its own. Both run on rc, the active
+	// segment's RawConn, cached when it opens.
+	commitSync, sealSync *datasyncer
+
 	mu       sync.Mutex
 	f        *os.File
+	rc       syscall.RawConn
 	idx      int    // active segment index
 	size     int64  // append offset: the end of the active segment's frames
 	filled   int64  // the active segment holds only zeros from size to here
@@ -529,7 +536,8 @@ func Open(base string, nextSeq uint64, o Options) (*Log, error) {
 	if nextSeq == 0 {
 		return nil, fmt.Errorf("wal: next sequence must be positive")
 	}
-	l := &Log{base: base, opts: o.withDefaults(), nextSeq: nextSeq, lastSync: time.Now()}
+	l := &Log{base: base, opts: o.withDefaults(), nextSeq: nextSeq, lastSync: time.Now(),
+		commitSync: newDatasyncer(), sealSync: newDatasyncer()}
 	paths, err := SegmentFiles(base)
 	if err != nil {
 		return nil, err
@@ -560,7 +568,11 @@ func Open(base string, nextSeq uint64, o Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: open segment: %w", err)
 	}
-	l.f = f
+	rc, err := f.SyscallConn()
+	if err != nil {
+		return nil, errors.Join(fmt.Errorf("wal: open segment: %w", err), f.Close())
+	}
+	l.f, l.rc = f, rc
 	l.idx = segIndex(last)
 	l.size = int64(end)
 	l.filled = int64(len(data))
@@ -610,10 +622,14 @@ func (l *Log) createSegment(idx int) error {
 	if _, err := f.WriteAt(h[:], 0); err != nil {
 		return errors.Join(fmt.Errorf("wal: write segment header: %w", err), f.Close())
 	}
+	rc, err := f.SyscallConn()
+	if err != nil {
+		return errors.Join(fmt.Errorf("wal: create segment: %w", err), f.Close())
+	}
 	if err := syncDir(filepath.Dir(path)); err != nil {
 		return errors.Join(err, f.Close())
 	}
-	l.f = f
+	l.f, l.rc = f, rc
 	l.idx = idx
 	l.size = segHeaderSize
 	l.filled = segHeaderSize
@@ -777,14 +793,14 @@ func (l *Log) syncTo(seq uint64) error {
 		l.mu.Unlock()
 		return err
 	}
-	f, idx, size, upTo := l.f, l.idx, l.size, l.nextSeq-1
+	f, rc, idx, size, upTo := l.f, l.rc, l.idx, l.size, l.nextSeq-1
 	l.mu.Unlock()
 
 	if testHookBeforeSync != nil {
 		testHookBeforeSync()
 	}
 	start := time.Now()
-	err := datasync(f)
+	err := l.commitSync.sync(f, rc)
 	l.syncNanos.Add(int64(time.Since(start)))
 
 	l.mu.Lock()
@@ -874,7 +890,7 @@ func (l *Log) syncLocked() error {
 		return nil
 	}
 	syncStart := time.Now()
-	err := datasync(l.f)
+	err := l.sealSync.sync(l.f, l.rc)
 	l.syncNanos.Add(int64(time.Since(syncStart)))
 	if err != nil {
 		return l.poisonLocked(err)

@@ -453,6 +453,32 @@ func TestCommitSharesFsyncs(t *testing.T) {
 	}
 }
 
+// TestSyncedCommitAllocatesNothing: a frame written and committed under
+// SyncEvery allocates nothing — the frame encodes into reused scratch, and
+// the sync reuses the segment's cached RawConn and the log's bound
+// fdatasync callback. The frames stay within one segment: a rotation
+// opens a file.
+func TestSyncedCommitAllocatesNothing(t *testing.T) {
+	l := mustOpen(t, testBase(t), 1, Options{Policy: SyncEvery})
+	defer l.Close()
+	ops := []Op{{Key: 1, Value: make([]byte, 100)}}
+	allocs := testing.AllocsPerRun(50, func() {
+		seq, _, err := l.Write(ops)
+		if err == nil {
+			err = l.Commit(seq)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Write + Commit under SyncEvery: %v allocs, want 0", allocs)
+	}
+	if st := l.Stats(); st.Syncs < 50 {
+		t.Fatalf("%d syncs for 51 committed frames", st.Syncs)
+	}
+}
+
 // TestCommitAfterRotationClosedItsSegment: a rotation that seals and
 // closes the segment an fsync had chosen, before that fsync runs, leaves
 // the fsync a closed file. The frames it was to cover are durable — the

@@ -38,10 +38,11 @@ type shard struct {
 	// Three locks, always taken in the order mergeMu → writerMu → ckptMu.
 	// mergeMu serializes storage-level mutations: the scheduler goroutine
 	// holds it for each whole merge step, and the scrubber's repairs,
-	// forceGrow, tuning, ResetIOStats and validate take it too. writerMu
-	// serializes L0 mutations and checkpoint captures, and guards the
-	// installed level image; a merge step holds it only to plan and to
-	// install, never across its block I/O. ckptMu serializes checkpoints
+	// forceGrow, TuneMixed's hook and parameter setters, ResetIOStats and
+	// validate take it too. writerMu serializes L0 mutations and
+	// checkpoint captures, and guards the installed level image; a merge
+	// step holds it only to plan and to install, never across its block
+	// I/O. ckptMu serializes checkpoints
 	// from capture to the end of persist, so manifests reach the disk in
 	// capture order. It is always taken with writerMu held; the background
 	// checkpoint then drops writerMu and persists under ckptMu alone.
@@ -550,7 +551,7 @@ func (s *shard) releaseLocked(crash bool) error {
 
 // lockedTree exposes the shard's engine under its merge and writer locks
 // to the operations that change its storage levels outside a merge step
-// (tuning, scrub repairs, forceGrow); the returned func releases both.
+// (scrub repairs, forceGrow); the returned func releases both.
 func (s *shard) lockedTree() (*core.Tree, func()) {
 	s.mergeMu.Lock()
 	s.writerMu.Lock()
