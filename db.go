@@ -301,10 +301,11 @@ func (db *DB) Scan(lo, hi uint64, fn func(key uint64, value []byte) bool) error 
 func (db *DB) Close() error { return db.shutdown(false) }
 
 // Crash abandons the DB as a power cut would: no checkpoint, no device
-// sync, and write-ahead log frames buffered past the last policy-driven
-// fsync are dropped (zeroed), exactly as an OS page cache would lose them. A
-// subsequent Open performs crash recovery from each shard's last
-// checkpoint plus the surviving prefix of the log. Crash exists for
+// sync, and every write-ahead log frame past the last policy-driven fsync
+// is lost — the frames the log still held in memory are never written, and
+// those already in its file are zeroed, exactly as an OS page cache would
+// lose them. A subsequent Open performs crash recovery from each shard's
+// last checkpoint plus the surviving prefix of the log. Crash exists for
 // durability testing (the crash-loop harness drives it); production code
 // wants Close. The returned error reports teardown problems only.
 func (db *DB) Crash() error { return db.shutdown(true) }

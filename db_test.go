@@ -309,8 +309,9 @@ func preloadDrained(t *testing.T, db *lsmssd.DB, g *tuneStream, n int) {
 	}
 }
 
-// tuneMixed preloads db from the stream, then tunes it on the same stream.
-func tuneMixed(t *testing.T, db *lsmssd.DB, g *tuneStream) lsmssd.TuneResult {
+// tuneMixed preloads db from the stream, then tunes it on the same stream
+// with a β measurement window of betaWindow bytes.
+func tuneMixed(t *testing.T, db *lsmssd.DB, g *tuneStream, betaWindow int64) lsmssd.TuneResult {
 	t.Helper()
 	for i := 0; i < 400; i++ {
 		r, _ := g.next()
@@ -321,7 +322,7 @@ func tuneMixed(t *testing.T, db *lsmssd.DB, g *tuneStream) lsmssd.TuneResult {
 		}
 	}
 	res, err := db.TuneMixed(g.next, lsmssd.TuneOptions{
-		BetaWindowBytes:  1 << 17,
+		BetaWindowBytes:  betaWindow,
 		MaxBytesPerCycle: 1 << 26,
 	})
 	if err != nil {
@@ -339,7 +340,7 @@ func TestTuneMixedLearnsParameters(t *testing.T) {
 	}
 	defer db.Close()
 
-	res := tuneMixed(t, db, newTuneStream(3))
+	res := tuneMixed(t, db, newTuneStream(3), 1<<17)
 	taus, beta, ok := db.MixedParams()
 	if !ok {
 		t.Fatal("MixedParams not available")
@@ -361,7 +362,8 @@ func TestTuneMixedLearnsParameters(t *testing.T) {
 // TestTuneMixedWritesSurviveCrashReopen: TuneMixed drives its sample
 // requests through the write path, so the log holds them like any other
 // write. After a crash every put of the stream is present and every delete
-// holds.
+// holds. Each sample write is a SyncEvery commit, so a 4 KiB β window
+// keeps the stream short.
 func TestTuneMixedWritesSurviveCrashReopen(t *testing.T) {
 	opts := smallOptions()
 	opts.MergePolicy = lsmssd.Mixed
@@ -371,7 +373,7 @@ func TestTuneMixedWritesSurviveCrashReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := newTuneStream(3)
-	tuneMixed(t, db, g)
+	tuneMixed(t, db, g, 4<<10)
 	if err := db.Crash(); err != nil {
 		t.Fatal(err)
 	}

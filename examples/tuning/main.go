@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"time"
+	"runtime"
 
 	"lsmssd"
 )
@@ -37,17 +37,11 @@ func main() {
 	gen := newSteadyGen(1)
 
 	// Fill to the target size and settle.
-	applied := 0
 	for gen.indexed() < targetKeys {
-		if err := gen.apply(db); err != nil {
-			log.Fatal(err)
-		}
-		applied++
+		gen.apply(db)
 	}
 	for i := 0; i < 100_000; i++ {
-		if err := gen.apply(db); err != nil {
-			log.Fatal(err)
-		}
+		gen.apply(db)
 	}
 
 	// Baseline cost with the untuned policy (pure ChooseBest behaviour).
@@ -71,36 +65,24 @@ func main() {
 	}
 }
 
-// measure drives n steady requests and returns blocks written per MB. The
-// window opens and closes with the compaction goroutine's queue empty, so
-// it charges exactly the merges these requests caused.
+// measure drives n steady requests and returns blocks written per MB. Every
+// request settles, so the window charges exactly the merges these requests
+// caused.
 func measure(db *lsmssd.DB, g *steadyGen, n int) float64 {
-	settle(db)
 	db.ResetIOStats()
 	var bytes int64
 	for i := 0; i < n; i++ {
-		r := g.next()
-		if r.Delete {
-			if err := db.Delete(r.Key); err != nil {
-				log.Fatal(err)
-			}
-			bytes += 8
-		} else {
-			if err := db.Put(r.Key, r.Value); err != nil {
-				log.Fatal(err)
-			}
-			bytes += 8 + int64(len(r.Value))
-		}
+		bytes += g.apply(db)
 	}
-	settle(db)
 	return float64(db.Stats().BlocksWritten) / (float64(bytes) / (1 << 20))
 }
 
 // settle waits until the compaction goroutine has run every merge the
-// writes so far queued.
+// writes so far queued. It yields rather than sleeps: it runs after every
+// write.
 func settle(db *lsmssd.DB) {
 	for db.Stats().Compaction.QueueDepth > 0 {
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 }
 
@@ -144,10 +126,22 @@ func (g *steadyGen) next() lsmssd.Request {
 	return lsmssd.Request{Delete: true, Key: k}
 }
 
-func (g *steadyGen) apply(db *lsmssd.DB) error {
+// apply writes the stream's next request and settles, so the store's shape,
+// and every count taken from it, depends on the requests alone and not on
+// when the compaction goroutine ran. It returns the request's bytes.
+func (g *steadyGen) apply(db *lsmssd.DB) int64 {
 	r := g.next()
+	var err error
+	bytes := int64(8)
 	if r.Delete {
-		return db.Delete(r.Key)
+		err = db.Delete(r.Key)
+	} else {
+		err = db.Put(r.Key, r.Value)
+		bytes += int64(len(r.Value))
 	}
-	return db.Put(r.Key, r.Value)
+	if err != nil {
+		log.Fatal(err)
+	}
+	settle(db)
+	return bytes
 }

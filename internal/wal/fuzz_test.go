@@ -2,37 +2,13 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"testing"
 )
 
-// encodeRawFrame renders a frame the way Log.encodeFrame does, for
-// seeding the fuzzer and for the round-trip check below.
+// encodeRawFrame renders one frame as Log.Write encodes it, for seeding
+// the fuzzer and for the round-trip check below.
 func encodeRawFrame(seq uint64, ops []Op) []byte {
-	n := payloadLen(ops)
-	buf := make([]byte, frameHeader+n)
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(n))
-	p := buf[frameHeader:]
-	binary.LittleEndian.PutUint64(p[0:8], seq)
-	binary.LittleEndian.PutUint32(p[8:12], uint32(len(ops)))
-	off := 12
-	for _, op := range ops {
-		kind, val := byte(opPut), op.Value
-		if op.Delete {
-			kind, val = opDelete, nil
-		}
-		p[off] = kind
-		off++
-		binary.LittleEndian.PutUint64(p[off:], op.Key)
-		off += 8
-		binary.LittleEndian.PutUint32(p[off:], uint32(len(val)))
-		off += 4
-		copy(p[off:], val)
-		off += len(val)
-	}
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(p))
-	return buf
+	return appendFrame(nil, seq, payloadLen(ops), ops)
 }
 
 // FuzzWALDecode throws arbitrary bytes at the replay-side frame decoder.

@@ -21,24 +21,27 @@
 // one fsync, not a thousand.
 //
 // Group commit. Writing a frame and making it durable are two steps: Write
-// appends the frame under the log's mutex, and Commit applies the sync
-// policy outside it. Under SyncEvery, Commit waits until an fsync covers the
-// frame. One fsync covers every frame written before it started, so a
-// writer whose frame an fsync already running (or finished) covers issues
-// none of its own: concurrent writers share fsyncs. Append is Write plus
-// Commit.
+// encodes the frame into an in-memory buffer under the log's mutex, and
+// Commit applies the sync policy outside it. The buffer reaches the file in
+// one write before every sync, at rotation and Close, and whenever it holds
+// 64 KiB; so under SyncInterval and SyncNever a commit that does not sync
+// makes no system call. Under SyncEvery, Commit waits until an fsync covers
+// the frame. One fsync covers every frame written before it started (the
+// write that precedes it carries all of them), so a writer whose frame an
+// fsync already running (or finished) covers issues none of its own:
+// concurrent writers share writes and fsyncs. Append is Write plus Commit.
 //
 // Zero-filled tail. The active segment is kept zero-filled a little ahead
-// of its append offset: when a frame would end past the filled end, Write
-// zero-fills the next 256 KiB (in 64 KiB writes, never past SegmentBytes
-// unless one frame is larger). A commit therefore overwrites blocks the
-// file system has already allocated and written, and the file's size does
-// not change, so the commit's sync is an fdatasync: it flushes the frame's
-// data blocks and no file-system metadata. Only the first sync after a
-// fill also commits the grown size — fdatasync flushes whatever metadata
-// reading the data back needs, which is why it is enough for durability.
-// Segment creation writes and syncs only the header, so opening a log costs
-// no fill.
+// of its frames in the file: when a write of buffered frames ends past the
+// filled end, it is followed by a zero fill of the next 256 KiB (in 64 KiB
+// writes, never past SegmentBytes unless one frame is larger). A commit
+// therefore overwrites blocks the file system has already allocated and
+// written, and the file's size does not change, so the commit's sync is an
+// fdatasync: it flushes the frames' data blocks and no file-system
+// metadata. Only the first sync after a fill also commits the grown size —
+// fdatasync flushes whatever metadata reading the data back needs, which is
+// why it is enough for durability. Segment creation writes and syncs only
+// the header, so opening a log costs no fill.
 //
 // End of frames. A frame's length field is never zero, so an all-zero frame
 // header marks the end of a segment's frames; Open appends there, not at
@@ -87,6 +90,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -110,14 +114,18 @@ const (
 	// SyncInterval fsyncs about once per Options.Interval: an append that
 	// finds the last fsync at least Interval old syncs inline, and the
 	// owner calls Sync once per Interval from a background goroutine so the
-	// tail of a log that went idle is synced too. A crash therefore loses
-	// at most about the last interval's writes (plus however long that
-	// goroutine was busy), and the surviving log is always a prefix of what
-	// was acknowledged. Without the periodic Sync call the tail written
-	// before a pause stays unsynced until the next append or Close.
+	// tail of a log that went idle is synced too. A power cut therefore
+	// loses at most about the last interval's writes (plus however long
+	// that goroutine was busy), and the surviving log is always a prefix of
+	// what was acknowledged. A process crash loses the buffered frames: at
+	// most 64 KiB of them, and at most the same interval. Without the
+	// periodic Sync call the tail written before a pause stays unsynced
+	// (and buffered) until the next append that syncs, or Close.
 	SyncInterval
-	// SyncNever issues no explicit fsync until Close; the OS decides when
-	// dirty pages reach the platter.
+	// SyncNever issues no explicit fsync until rotation or Close; the OS
+	// decides when dirty pages reach the platter. Frames reach the file 64
+	// KiB at a time, so a process crash, not only a power cut, loses the
+	// acknowledged frames still buffered: at most 64 KiB of them.
 	SyncNever
 )
 
@@ -178,14 +186,15 @@ var ErrCorrupt = errors.New("wal: log corrupt")
 // when ErrTooLarge is returned; the caller can split the batch and retry.
 var ErrTooLarge = errors.New("wal: frame exceeds replay limits")
 
-// ErrPoisoned reports that a previous fsync failed and the log has
-// permanently refused further appends. On Linux a failed fsync can
-// discard the dirty pages and clear the kernel's error state, so a
-// retried fsync would falsely report the lost frame durable (the
-// "fsyncgate" anomaly). Once poisoned, every Append and Sync fails; the
-// store must be closed and reopened so recovery replays exactly what
-// truly reached disk.
-var ErrPoisoned = errors.New("wal: log poisoned by failed sync")
+// ErrPoisoned reports that a previous fsync, or write of buffered frames,
+// failed and the log has permanently refused further appends. On Linux a
+// failed fsync can discard the dirty pages and clear the kernel's error
+// state, so a retried fsync would falsely report the lost frame durable
+// (the "fsyncgate" anomaly); a failed write leaves frames that may already
+// be acknowledged partly in the file. Once poisoned, every Append and Sync
+// fails; the store must be closed and reopened so recovery replays exactly
+// what truly reached disk.
+var ErrPoisoned = errors.New("wal: log poisoned by failed sync or write")
 
 // errClosed guards use-after-close inside the package.
 var errClosed = errors.New("wal: log closed")
@@ -477,10 +486,10 @@ func decodePayload(p []byte) (seq uint64, ops []Op, err error) {
 type Stats struct {
 	Appends   int64  // frames appended
 	Ops       int64  // operations inside appended frames
-	Bytes     int64  // frame bytes written (headers included)
+	Bytes     int64  // frame bytes appended (headers included)
 	Syncs     int64  // explicit fsyncs issued
 	SyncNanos int64  // cumulative wall time spent inside fsync
-	FillBytes int64  // zero bytes written ahead of the append offset
+	FillBytes int64  // zero bytes written ahead of the frames in the file
 	Rotations int64  // segments sealed
 	Segments  int    // segment files currently on disk
 	NextSeq   uint64 // sequence the next append will be assigned
@@ -506,16 +515,17 @@ type Log struct {
 	f        *os.File
 	rc       syscall.RawConn
 	idx      int    // active segment index
-	size     int64  // append offset: the end of the active segment's frames
-	filled   int64  // the active segment holds only zeros from size to here
+	size     int64  // append offset: the end of the active segment's frames, buffered ones included
+	written  int64  // end of the frames in the file; buf holds the rest, up to size
+	filled   int64  // the file holds only zeros from written to here
 	synced   int64  // prefix of the active segment known durable
 	durable  uint64 // every frame at or below this sequence is known durable
+	buf      []byte // frames written since the last file write (flushLocked)
 	segs     []segInfo
 	nextSeq  uint64
 	lastSync time.Time
-	scratch  []byte
 	closed   bool
-	poison   error // sticky ErrPoisoned after a failed fsync
+	poison   error // sticky ErrPoisoned after a failed fsync or file write
 
 	appends, ops, bytes, syncs, rotations atomic.Int64
 	syncNanos, fillBytes                  atomic.Int64
@@ -537,7 +547,7 @@ func Open(base string, nextSeq uint64, o Options) (*Log, error) {
 		return nil, fmt.Errorf("wal: next sequence must be positive")
 	}
 	l := &Log{base: base, opts: o.withDefaults(), nextSeq: nextSeq, lastSync: time.Now(),
-		commitSync: newDatasyncer(), sealSync: newDatasyncer()}
+		buf: make([]byte, 0, 2*fillPiece), commitSync: newDatasyncer(), sealSync: newDatasyncer()}
 	paths, err := SegmentFiles(base)
 	if err != nil {
 		return nil, err
@@ -574,7 +584,7 @@ func Open(base string, nextSeq uint64, o Options) (*Log, error) {
 	}
 	l.f, l.rc = f, rc
 	l.idx = segIndex(last)
-	l.size = int64(end)
+	l.size, l.written = int64(end), int64(end)
 	l.filled = int64(len(data))
 	// Everything Replay could read back is on disk; treat it as the
 	// durable prefix. Only bytes appended by this incarnation can be
@@ -631,7 +641,7 @@ func (l *Log) createSegment(idx int) error {
 	}
 	l.f, l.rc = f, rc
 	l.idx = idx
-	l.size = segHeaderSize
+	l.size, l.written = segHeaderSize, segHeaderSize
 	l.filled = segHeaderSize
 	l.synced = 0
 	l.segs = append(l.segs, segInfo{idx: idx, first: l.nextSeq})
@@ -679,8 +689,10 @@ func (l *Log) Append(ops []Op) (seq uint64, rotated bool, err error) {
 
 // Write appends ops as one frame without any policy fsync: it assigns the
 // next sequence, rotates if the frame would overflow the active segment,
-// and writes the frame. The frame is not acknowledged until Commit(seq)
-// returns nil. rotated is as for Append.
+// and encodes the frame into the log's buffer. The buffer reaches the file
+// when it holds fillPiece bytes, and before every sync (see flushLocked),
+// so a Write below that makes no system call. The frame is not
+// acknowledged until Commit(seq) returns nil. rotated is as for Append.
 //
 // A frame that replay would refuse — over maxFrameLen payload bytes or
 // maxFrameOps operations — is rejected up front with ErrTooLarge, before
@@ -704,38 +716,56 @@ func (l *Log) Write(ops []Op) (seq uint64, rotated bool, err error) {
 	if l.poison != nil {
 		return 0, false, l.poison
 	}
-	seq = l.nextSeq
-	frame := l.encodeFrame(seq, n, ops)
-	if l.size+int64(len(frame)) > l.opts.SegmentBytes && l.size > segHeaderSize {
+	total := int64(frameHeader + n)
+	if l.size+total > l.opts.SegmentBytes && l.size > segHeaderSize {
 		if err := l.rotateLocked(); err != nil {
 			return 0, false, err
 		}
 		rotated = true
 	}
-	end := l.size + int64(len(frame))
-	if _, err = l.f.WriteAt(frame, l.size); err != nil {
-		err = fmt.Errorf("wal: append frame: %w", err)
-	} else if end > l.filled {
-		err = l.fillLocked(end)
-	}
-	if err != nil {
-		l.filled = l.size // what follows size is unknown now; the next fill rewrites it
-		return 0, rotated, err
-	}
-	l.size = end
+	seq = l.nextSeq
+	l.buf = appendFrame(l.buf, seq, n, ops)
+	l.size += total
 	l.nextSeq++
+	if len(l.buf) >= fillPiece {
+		if err := l.flushLocked(); err != nil {
+			return 0, rotated, err
+		}
+	}
 	l.appends.Add(1)
 	l.ops.Add(int64(len(ops)))
-	l.bytes.Add(int64(len(frame)))
+	l.bytes.Add(total)
 	return seq, rotated, nil
 }
 
-// fillLocked zero-fills the active segment past a frame that has just been
+// flushLocked writes the buffered frames to the file in one write at
+// written, then zero-fills past them if they ended beyond the filled end.
+// A failure poisons the log as a failed fsync does: under SyncInterval and
+// SyncNever the buffer may hold frames already acknowledged, and how much
+// of it reached the file is unknown.
+func (l *Log) flushLocked() error {
+	if len(l.buf) == 0 {
+		return nil
+	}
+	if _, err := l.f.WriteAt(l.buf, l.written); err != nil {
+		return l.poisonLocked(fmt.Errorf("wal: write frames: %w", err))
+	}
+	l.written += int64(len(l.buf))
+	l.buf = l.buf[:0]
+	if l.written > l.filled {
+		if err := l.fillLocked(l.written); err != nil {
+			return l.poisonLocked(err)
+		}
+	}
+	return nil
+}
+
+// fillLocked zero-fills the active segment past frames that have just been
 // written up to end, beyond the filled end: through the fillChunk bytes
 // from the fillPiece boundary at or below the filled end, capped at
-// SegmentBytes (and so nothing when the frame alone reaches that far). The
-// frame is written first, so the file never has a hole under it. The zeros
-// go in aligned pieces of at most fillPiece bytes (see fillChunk).
+// SegmentBytes (and so nothing when the frames alone reach that far). The
+// frames are written first, so the file never has a hole under them. The
+// zeros go in aligned pieces of at most fillPiece bytes (see fillChunk).
 func (l *Log) fillLocked(end int64) error {
 	to := min(l.filled/fillPiece*fillPiece+fillChunk, l.opts.SegmentBytes)
 	for off := end; off < to; {
@@ -777,7 +807,8 @@ var testHookBeforeSync func()
 
 // syncTo returns once every frame up to seq is durable, running the fsync
 // itself unless one that started after the frame was written already
-// covered it. The fsync runs under syncMu but not mu, so frames keep being
+// covered it. It first writes the buffered frames to the file under mu;
+// the fsync then runs under syncMu but not mu, so frames keep being
 // written while it is in flight; it covers exactly the frames written
 // before it started.
 func (l *Log) syncTo(seq uint64) error {
@@ -793,7 +824,11 @@ func (l *Log) syncTo(seq uint64) error {
 		l.mu.Unlock()
 		return err
 	}
-	f, rc, idx, size, upTo := l.f, l.rc, l.idx, l.size, l.nextSeq-1
+	if err := l.flushLocked(); err != nil {
+		l.mu.Unlock()
+		return err
+	}
+	f, rc, idx, written, upTo := l.f, l.rc, l.idx, l.written, l.nextSeq-1
 	l.mu.Unlock()
 
 	if testHookBeforeSync != nil {
@@ -817,7 +852,7 @@ func (l *Log) syncTo(seq uint64) error {
 	// A rotation may have sealed f meanwhile (fsyncing it again under mu);
 	// the byte offset describes the active segment only while it is f.
 	if l.idx == idx {
-		l.synced = max(l.synced, size)
+		l.synced = max(l.synced, written)
 	}
 	l.durable = max(l.durable, upTo)
 	l.syncs.Add(1)
@@ -834,17 +869,15 @@ func payloadLen(ops []Op) int {
 	return n
 }
 
-// encodeFrame renders the frame for seq into the scratch buffer; n must
-// be payloadLen(ops), pre-validated against maxFrameLen so the uint32
-// length field cannot overflow.
-func (l *Log) encodeFrame(seq uint64, n int, ops []Op) []byte {
-	total := frameHeader + n
-	if cap(l.scratch) < total {
-		l.scratch = make([]byte, total)
-	}
-	buf := l.scratch[:total]
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(n))
-	p := buf[frameHeader:]
+// appendFrame appends the frame for seq to buf; n must be payloadLen(ops),
+// pre-validated against maxFrameLen so the uint32 length field cannot
+// overflow.
+func appendFrame(buf []byte, seq uint64, n int, ops []Op) []byte {
+	start := len(buf)
+	buf = slices.Grow(buf, frameHeader+n)[:start+frameHeader+n]
+	frame := buf[start:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(n))
+	p := frame[frameHeader:]
 	binary.LittleEndian.PutUint64(p[0:8], seq)
 	binary.LittleEndian.PutUint32(p[8:12], uint32(len(ops)))
 	off := 12
@@ -862,7 +895,7 @@ func (l *Log) encodeFrame(seq uint64, n int, ops []Op) []byte {
 		copy(p[off:], val)
 		off += len(val)
 	}
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(p))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(p))
 	return buf
 }
 
@@ -879,13 +912,17 @@ func (l *Log) rotateLocked() error {
 	return l.createSegment(l.idx + 1)
 }
 
-// syncLocked fsyncs the active segment with mu held: the rotation's seal
-// and Close, which must not let a frame in behind the fsync.
+// syncLocked writes the buffered frames and fsyncs the active segment with
+// mu held: the rotation's seal and Close, which must not let a frame in
+// behind the fsync.
 func (l *Log) syncLocked() error {
 	if l.poison != nil {
 		return l.poison
 	}
-	if l.synced == l.size {
+	if err := l.flushLocked(); err != nil {
+		return err
+	}
+	if l.synced == l.written {
 		l.durable = l.nextSeq - 1
 		return nil
 	}
@@ -895,18 +932,18 @@ func (l *Log) syncLocked() error {
 	if err != nil {
 		return l.poisonLocked(err)
 	}
-	l.synced = l.size
+	l.synced = l.written
 	l.durable = l.nextSeq - 1
 	l.syncs.Add(1)
 	l.lastSync = time.Now()
 	return nil
 }
 
-// poisonLocked records a failed fsync. Never retry one: the kernel may
-// have discarded the dirty pages and cleared its error state, so a retry
-// could "succeed" while the frame is gone. Poison the log so every later
-// Write/Commit/Sync fails and the store reopens through crash recovery,
-// which replays exactly what truly reached disk.
+// poisonLocked records a failed fsync or frame write. Never retry an fsync:
+// the kernel may have discarded the dirty pages and cleared its error
+// state, so a retry could "succeed" while the frame is gone. Poison the log
+// so every later Write/Commit/Sync fails and the store reopens through
+// crash recovery, which replays exactly what truly reached disk.
 func (l *Log) poisonLocked(err error) error {
 	if l.poison == nil {
 		l.poison = fmt.Errorf("%w: %v", ErrPoisoned, err)
@@ -1000,7 +1037,7 @@ func (l *Log) ResetCounters() {
 	l.rotations.Store(0)
 }
 
-// Close syncs the active segment and closes it.
+// Close writes the buffered frames, syncs the active segment and closes it.
 func (l *Log) Close() error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -1014,12 +1051,14 @@ func (l *Log) Close() error {
 	return errors.Join(err, l.f.Close())
 }
 
-// Crash simulates a power failure for crash testing: every frame byte
-// appended since the last fsync is dropped — overwritten with zeros, so the
-// active segment keeps its zero-filled tail as the disk would — and the log
-// is closed without a final sync. Under SyncEvery this loses nothing; under
-// SyncInterval/SyncNever it drops exactly the unsynced tail, which is what
-// a real power cut does to the page cache.
+// Crash simulates a power failure for crash testing: the buffered frames
+// are never written, as the process's memory would be lost, and every
+// frame byte written to the file since the last fsync is overwritten with
+// zeros, so the active segment keeps its zero-filled tail as the disk
+// would; the log is closed without a final sync. Under SyncEvery this
+// loses nothing; under SyncInterval/SyncNever it drops exactly the
+// unsynced tail, which is what a real power cut does to the process and
+// the page cache.
 func (l *Log) Crash() error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -1030,8 +1069,8 @@ func (l *Log) Crash() error {
 	}
 	l.closed = true
 	var err error
-	if l.size > l.synced {
-		_, err = l.f.WriteAt(make([]byte, l.size-l.synced), l.synced)
+	if l.written > l.synced {
+		_, err = l.f.WriteAt(make([]byte, l.written-l.synced), l.synced)
 	}
 	return errors.Join(err, l.f.Close())
 }

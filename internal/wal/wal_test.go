@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -454,7 +455,7 @@ func TestCommitSharesFsyncs(t *testing.T) {
 }
 
 // TestSyncedCommitAllocatesNothing: a frame written and committed under
-// SyncEvery allocates nothing — the frame encodes into reused scratch, and
+// SyncEvery allocates nothing — the frame encodes into the log's buffer, and
 // the sync reuses the segment's cached RawConn and the log's bound
 // fdatasync callback. The frames stay within one segment: a rotation
 // opens a file.
@@ -584,6 +585,9 @@ func TestZeroFillStopsAtSegmentBytes(t *testing.T) {
 	if _, _, err := l.Append([]Op{{Key: 1, Value: []byte("x")}}); err != nil {
 		t.Fatal(err)
 	}
+	if err := l.Sync(); err != nil { // the frame and its fill reach the file
+		t.Fatal(err)
+	}
 	if got := fileSize(t, segPath(base, 1)); got != 4096 {
 		t.Fatalf("segment is %d bytes, want the 4096-byte SegmentBytes", got)
 	}
@@ -593,6 +597,9 @@ func TestZeroFillStopsAtSegmentBytes(t *testing.T) {
 	}
 	if _, rotated, err := l.Append([]Op{{Key: 2, Value: big}}); err != nil || !rotated {
 		t.Fatalf("oversized frame: rotated=%v err=%v", rotated, err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
 	}
 	if got, want := fileSize(t, segPath(base, 2)), int64(segHeaderSize+frameHeader+25+len(big)); got != want {
 		t.Fatalf("segment under one oversized frame is %d bytes, want exactly its %d", got, want)
@@ -796,5 +803,197 @@ func TestCrashInsideZeroFillRecovers(t *testing.T) {
 		if op.Key != uint64(i) || string(op.Value) != "acked" {
 			t.Fatalf("op %d = %+v", i, op)
 		}
+	}
+}
+
+// copyLog copies the log's segment files into dir as they are on disk now,
+// frames still buffered in the Log excluded, and returns the copy's base:
+// what a process killed at this instant leaves, since the page cache
+// survives a process crash and the Log's memory does not.
+func copyLog(t *testing.T, base, dir string) string {
+	t.Helper()
+	segs, err := SegmentFiles(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range segs {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(p)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return filepath.Join(dir, filepath.Base(base))
+}
+
+// checkPrefix replays the log at base and fails unless it holds exactly
+// frames 1..n of one put each, frame i carrying key i-1; it returns n.
+func checkPrefix(t *testing.T, base string) int {
+	t.Helper()
+	n := 0
+	_, err := Replay(base, 0, func(seq uint64, ops []Op) error {
+		n++
+		if seq != uint64(n) || len(ops) != 1 || ops[0].Key != seq-1 {
+			return fmt.Errorf("frame %d: seq %d, ops %+v", n, seq, ops)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestWALBufferProcessCrash: under SyncNever frames reach the file a
+// fillPiece at a time, so a process killed after writing well past that
+// leaves a prefix of the log that misses fewer than fillPiece bytes of
+// frames. After a Sync it misses none.
+func TestWALBufferProcessCrash(t *testing.T) {
+	base := testBase(t)
+	l := mustOpen(t, base, 1, Options{Policy: SyncNever})
+	defer l.Close()
+	const frames = 1500 // 1500 × 133 bytes: three fillPieces and some
+	ops := benchFrame(133)
+	for i := 0; i < frames; i++ {
+		ops[0].Key = uint64(i)
+		if _, _, err := l.Append(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := checkPrefix(t, copyLog(t, base, t.TempDir()))
+	if n == 0 || (frames-n)*133 >= fillPiece {
+		t.Fatalf("a process crash kept %d of %d frames: %d bytes lost, want fewer than %d", n, frames, (frames-n)*133, fillPiece)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := checkPrefix(t, copyLog(t, base, t.TempDir())); n != frames {
+		t.Fatalf("after Sync a process crash kept %d of %d frames", n, frames)
+	}
+}
+
+// TestWALBufferFlushFailurePoisonsLog: a failed write of the buffer may
+// lose frames SyncNever already acknowledged, so it poisons the log as a
+// failed fsync does. The Write that fills the buffer reports it, and every
+// later Write, Sync and Close fails the same way.
+func TestWALBufferFlushFailurePoisonsLog(t *testing.T) {
+	l := mustOpen(t, testBase(t), 1, Options{Policy: SyncNever})
+	ops := benchFrame(133)
+	for len(l.buf)+133 < fillPiece {
+		if _, _, err := l.Write(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.f.Close(); err != nil { // see TestFailedSyncPoisonsLog
+		t.Fatal(err)
+	}
+	if _, _, err := l.Write(ops); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("Write that fills the buffer: err = %v, want ErrPoisoned", err)
+	}
+	if _, _, err := l.Write(ops); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("later Write: err = %v, want ErrPoisoned", err)
+	}
+	if err := l.Sync(); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("Sync: err = %v, want ErrPoisoned", err)
+	}
+	if err := l.Close(); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("Close: err = %v, want ErrPoisoned", err)
+	}
+}
+
+// TestWALBufferConcurrentCrash: writers append from several goroutines
+// while another syncs in a loop, across segment rotations; then the power
+// fails. Recovery returns a gap-free prefix of the sequences that holds
+// every frame a finished Sync covered, and each writer's frames in the
+// order it wrote them. Run it under -race.
+func TestWALBufferConcurrentCrash(t *testing.T) {
+	base := testBase(t)
+	l := mustOpen(t, base, 1, Options{Policy: SyncNever, SegmentBytes: 96 << 10})
+	const writers, perWriter = 4, 1000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ops := benchFrame(133)
+			for i := 0; i < perWriter; i++ {
+				ops[0].Key = uint64(w)<<32 | uint64(i)
+				if _, _, err := l.Append(ops); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	synced := make(chan uint64)
+	go func() {
+		var covered uint64 // every frame at or below it is durable
+		defer func() { synced <- covered }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			upTo := l.LastSeq()
+			if err := l.Sync(); err != nil {
+				t.Error(err)
+				return
+			}
+			covered = upTo
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	covered := <-synced
+	if err := l.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	var n uint64
+	next := make([]uint64, writers)
+	_, err := Replay(base, 0, func(seq uint64, ops []Op) error {
+		n++
+		if seq != n {
+			return fmt.Errorf("frame %d carries sequence %d", n, seq)
+		}
+		w, i := ops[0].Key>>32, ops[0].Key&(1<<32-1)
+		if i != next[w] {
+			return fmt.Errorf("writer %d: frame %d recovered after frame %d", w, i, next[w])
+		}
+		next[w]++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n < covered {
+		t.Fatalf("recovered %d frames, but a finished Sync covered %d", n, covered)
+	}
+	if st := l.Stats(); st.Rotations == 0 {
+		t.Fatalf("no rotation: %+v", st)
+	}
+}
+
+// TestWALBufferWriteAllocatesNothing: a Write under SyncNever encodes into
+// the log's buffer and, once a fillPiece of frames is there, writes it and
+// the zero fill ahead of it, with no allocation either way.
+func TestWALBufferWriteAllocatesNothing(t *testing.T) {
+	l := mustOpen(t, testBase(t), 1, Options{Policy: SyncNever})
+	defer l.Close()
+	ops := benchFrame(133)
+	allocs := testing.AllocsPerRun(2000, func() {
+		if _, _, err := l.Write(ops); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Write under SyncNever: %v allocs, want 0", allocs)
+	}
+	if l.written < 3*fillPiece {
+		t.Fatalf("2001 frames wrote %d bytes to the file, want the buffer written at least three times", l.written)
 	}
 }

@@ -46,9 +46,10 @@
 //
 // A file-backed store writes every mutation to a write-ahead log before
 // applying it, and Open replays the log after a crash. The sync policy
-// picks the fsync cadence, and with it what a power cut may lose: nothing
+// picks the fsync cadence, and with it what a crash may lose: nothing
 // acknowledged under the default SyncEvery, an unsynced tail under
-// SyncInterval or SyncNever:
+// SyncInterval or SyncNever (after a process crash, the at most 64 KiB of
+// frames the log still buffered; after a power cut, everything unsynced):
 //
 //	db, err := lsmssd.Open(lsmssd.Options{
 //		Path: "/data/store.blk",
@@ -169,14 +170,22 @@ const (
 	// SyncInterval fsyncs about once per WALOptions.Interval — inline in a
 	// write that finds the last fsync that old, and from shard 0's
 	// background goroutine every Interval, so the tail of a log that went
-	// idle is synced too. A crash loses at most about the final interval's
-	// writes (the goroutine's sync can be late by a merge step or a
-	// checkpoint in progress), and recovery always yields a prefix of the
-	// acknowledged history (never a gap).
+	// idle is synced too. A power cut loses at most about the final
+	// interval's writes (the goroutine's sync can be late by a merge step
+	// or a checkpoint in progress), and recovery always yields a prefix of
+	// the acknowledged history (never a gap). Between syncs the log keeps
+	// frames in memory and writes them to its file once 64 KiB have
+	// collected, so a process crash, not only a power cut, loses
+	// acknowledged writes: at most 64 KiB of frames, and at most the same
+	// interval.
 	SyncInterval
 	// SyncNever leaves fsync timing to the operating system: fastest, and
-	// a crash may lose everything since the last checkpoint or natural
-	// write-back. Recovery still yields an acknowledged-prefix state.
+	// a power cut may lose everything since the last checkpoint or natural
+	// write-back. The log writes its file once 64 KiB of frames have
+	// collected in memory (and at rotation and Close), so a write makes no
+	// system call, and a process crash loses at most those 64 KiB of
+	// acknowledged frames. Recovery still yields an acknowledged-prefix
+	// state.
 	SyncNever
 )
 
