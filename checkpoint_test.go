@@ -341,6 +341,43 @@ func TestExplicitCheckpointDoesNotBlockWritesOrMerges(t *testing.T) {
 	}
 }
 
+// TestQueuedCheckpointDoesNotBlockWrites: a DB.Checkpoint that arrives
+// while the rotation-requested checkpoint is blocked in its device sync
+// waits for it without holding the shard's writer lock, so a Put to that
+// shard still completes. Released, both checkpoints finish.
+func TestQueuedCheckpointDoesNotBlockWrites(t *testing.T) {
+	g := newSyncGate()
+	db, err := lsmssd.Open(gatedOpts(t, g, 8<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	model, next := map[uint64]int{}, uint64(0)
+	preload(t, db, 400, model, &next)
+
+	putUntilBackgroundCheckpoint(t, db, g, model, &next)
+	ckptErr := make(chan error, 1)
+	go func() { ckptErr <- db.Checkpoint() }()
+	time.Sleep(100 * time.Millisecond) // DB.Checkpoint queues behind the blocked one
+	within(t, "a Put while DB.Checkpoint waits for the blocked checkpoint", func() error {
+		return putRange(db, next, next+1, 0, model)
+	})
+	next++
+	select {
+	case err := <-ckptErr:
+		t.Fatalf("Checkpoint returned (%v) while the checkpoint ahead of it was still blocked", err)
+	default:
+	}
+
+	g.armed.Store(false)
+	g.release <- nil
+	if err := <-ckptErr; err != nil {
+		t.Fatal(err)
+	}
+	mustDrain(t, db)
+	mustHave(t, db, model)
+}
+
 // TestCrashDuringBackgroundCheckpoint: a power cut that lands while the
 // background checkpoint is between capture and manifest rename leaves the
 // previous manifest and every WAL segment in place, and under SyncEvery

@@ -85,8 +85,8 @@ func (db *DB) commit(frame, byShard []block.Op, shards []*shard, lat *obs.Latenc
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	if db.wal != nil && len(frame) > 0 {
-		if err := db.logLocked(frame, shards, lat, sp); err != nil {
+	if log := db.wal.Load(); log != nil && len(frame) > 0 {
+		if err := db.logLocked(log, frame, shards, lat, sp); err != nil {
 			return err
 		}
 	}
@@ -103,16 +103,16 @@ func (db *DB) commit(frame, byShard []block.Op, shards []*shard, lat *obs.Latenc
 // the log's GC can miss it. A frame that sealed a segment asks for
 // checkpoints (rotated) even when its own write then failed, so the sealed
 // segment is still covered and collected.
-func (db *DB) logLocked(frame []block.Op, shards []*shard, lat *obs.LatencySet, sp *obs.Span) error {
+func (db *DB) logLocked(log *wal.Log, frame []block.Op, shards []*shard, lat *obs.LatencySet, sp *obs.Span) error {
 	for _, s := range shards {
-		s.markLoggingLocked()
+		s.markLoggingLocked(log)
 	}
 	sp.To(obs.PhaseWALAppend)
 	start := lat.Start()
-	seq, rotated, err := db.wal.Write(frame)
+	seq, rotated, err := log.Write(frame)
 	if err == nil {
 		sp.To(obs.PhaseWALSync)
-		err = db.wal.Commit(seq)
+		err = log.Commit(seq)
 	}
 	lat.Done(obs.OpWALAppend, start)
 	sp.To(obs.PhaseOther)
@@ -184,11 +184,11 @@ func (db *DB) cut(byShard []block.Op, s *shard) (ops, rest []block.Op) {
 // It precedes the write, so a rotation the frame causes counts for it.
 // Only the first frame after a capture pays for it. The caller holds
 // writerMu, which orders this against the capture that resets it.
-func (s *shard) markLoggingLocked() {
+func (s *shard) markLoggingLocked(log *wal.Log) {
 	if s.sinceCapture.Load() != 0 {
 		return
 	}
-	s.markLogged(s.db.wal.LastSeq() + 1)
+	s.markLogged(log.LastSeq() + 1)
 }
 
 // markLogged notes that the shard has operations at sequence seq or later
@@ -213,7 +213,7 @@ func (s *shard) markLogged(seq uint64) {
 // idle shard does not pin the log. The log holds about Shards+1 segments.
 func (db *DB) rotated() {
 	if db.bus.Enabled() {
-		ws := db.wal.Stats()
+		ws := db.wal.Load().Stats()
 		db.bus.Publish(obs.WALEvent{Kind: "rotate", Segments: ws.Segments, LastSeq: ws.NextSeq - 1})
 	}
 	for _, s := range db.shards {
@@ -233,15 +233,16 @@ func (db *DB) rotated() {
 func (db *DB) gcWAL() (removed int, err error) {
 	db.gcMu.Lock()
 	defer db.gcMu.Unlock()
-	upTo := db.wal.LastSeq()
+	log := db.wal.Load()
+	upTo := log.LastSeq()
 	for _, s := range db.shards {
 		if n := s.sinceDurable.Load(); n != 0 {
 			upTo = min(upTo, n-1)
 		}
 	}
-	removed, err = db.wal.GC(upTo)
+	removed, err = log.GC(upTo)
 	if removed > 0 && db.bus.Enabled() {
-		db.bus.Publish(obs.WALEvent{Kind: "gc", Segments: db.wal.Stats().Segments, Removed: removed, LastSeq: upTo})
+		db.bus.Publish(obs.WALEvent{Kind: "gc", Segments: log.Stats().Segments, Removed: removed, LastSeq: upTo})
 	}
 	return removed, err
 }
@@ -259,10 +260,8 @@ func (db *DB) noteLogError(err error) {
 // whatever the log holds unsynced, so the tail written before a pause is
 // durable within an interval instead of waiting for the next append. One
 // goroutine owns it for the whole DB.
-func (db *DB) syncIdleWAL(s0 *shard) error {
-	s0.writerMu.Lock() // orders this read against openWAL's assignment
-	log := db.wal
-	s0.writerMu.Unlock()
+func (db *DB) syncIdleWAL() error {
+	log := db.wal.Load()
 	if log == nil { // recovery has not opened the log yet
 		return nil
 	}
@@ -278,8 +277,8 @@ func (db *DB) syncIdleWAL(s0 *shard) error {
 //
 // Replay reads the log from the oldest shard checkpoint on and pushes each
 // frame's operations through commit, shard by shard, skipping a shard
-// whose checkpoint already covers the frame. The log is not open yet
-// (db.wal == nil), which is what makes commit skip the append. Every shard
+// whose checkpoint already covers the frame. The log is not published yet
+// (db.wal holds nil), which is what makes commit skip the append. Every shard
 // that replayed anything is then checkpointed, so recovery converges
 // instead of replaying an ever-longer log.
 func (db *DB) openWAL() error {
@@ -324,10 +323,7 @@ func (db *DB) openWAL() error {
 	if err != nil {
 		return fmt.Errorf("lsmssd: write-ahead log open: %w", err)
 	}
-	s0 := db.shards[0]
-	s0.writerMu.Lock() // shard 0's idle-sync tick may already be reading db.wal
-	db.wal = log
-	s0.writerMu.Unlock()
+	db.wal.Store(log)
 	db.recovery = WALRecoveryStats{
 		Recovered: info.Frames > 0 || info.TornBytes > 0,
 		Segments:  info.Segments,
@@ -339,9 +335,11 @@ func (db *DB) openWAL() error {
 		if !replayed[s.id] {
 			continue
 		}
+		s.ckptMu.Lock()
 		s.writerMu.Lock()
 		err := s.checkpointLocked()
 		s.writerMu.Unlock()
+		s.ckptMu.Unlock()
 		if err != nil {
 			return fmt.Errorf("lsmssd: post-recovery checkpoint: %w", shardErr(s.id, err))
 		}

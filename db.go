@@ -73,10 +73,11 @@ type DB struct {
 	shards []*shard
 	mask   uint64
 
-	// The write-ahead log (nil for an in-memory store), what Open's
-	// replay of it did, and gcMu, which serializes the shards' checkpoints'
-	// calls to its GC (commit.go).
-	wal      *wal.Log
+	// The write-ahead log (nil for an in-memory store, and until Open's
+	// replay of it is done; published atomically for shard 0's idle-sync
+	// tick, which may already be running), what the replay did, and gcMu,
+	// which serializes the shards' checkpoints' calls to its GC (commit.go).
+	wal      atomic.Pointer[wal.Log]
 	recovery WALRecoveryStats
 	gcMu     sync.Mutex
 
@@ -316,18 +317,25 @@ func (db *DB) Crash() error { return db.shutdown(true) }
 // after every shard (close, or drop the unsynced tail).
 //
 // Ordering: every shard's compaction scheduler and scrubber is stopped
-// first, before any writer lock is taken — their goroutines need their
-// shard's lock to finish an in-flight step, and they must be quiescent
-// before the devices and event bus go away. The flight recorder stops next
-// (its collector reads per-shard state the release step frees), then all
-// writer locks are taken, the metrics endpoint and the bus close, the DB is
-// marked closed, and each shard is released.
+// first, before any lock is taken — a scheduler's in-flight checkpoint
+// needs its shard's locks to finish, and both must be quiescent before the
+// devices and event bus go away. The flight recorder stops next (its
+// collector reads per-shard state the release step frees), then every
+// checkpoint lock and every writer lock is taken (DESIGN.md §13.4), the
+// metrics endpoint and the bus close, the DB is marked closed, and each
+// shard is released.
 func (db *DB) shutdown(crash bool) error {
 	for _, s := range db.shards {
 		s.sched.Stop()
 		s.stopScrub()
 	}
 	db.recOnce.Do(func() { db.recorder.Close() })
+	// Checkpoint locks before writer locks (DESIGN.md §13.4): a
+	// DB.Checkpoint in flight finishes its persist first.
+	for _, s := range db.shards {
+		s.ckptMu.Lock()
+		defer s.ckptMu.Unlock()
+	}
 	lockShards(db.shards)
 	defer unlockShards(db.shards)
 	if db.closed.Load() {
@@ -343,11 +351,11 @@ func (db *DB) shutdown(crash bool) error {
 	for _, s := range db.shards {
 		errs = append(errs, shardErr(s.id, s.releaseLocked(crash)))
 	}
-	if db.wal != nil {
+	if log := db.wal.Load(); log != nil {
 		if crash {
-			errs = append(errs, db.wal.Crash())
+			errs = append(errs, log.Crash())
 		} else {
-			errs = append(errs, db.wal.Close())
+			errs = append(errs, log.Close())
 		}
 	}
 	return errors.Join(errs...)

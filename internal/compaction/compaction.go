@@ -5,30 +5,27 @@
 //
 //   - Scheduler, the DB's: writers land records in L0 and Notify it; its
 //     goroutine — the only thing that runs cascade steps on a DB's tree —
-//     drains the cascade one step at a time. Each step holds the shard's
-//     merge lock throughout and its writer lock only to plan and to
-//     install (core.Tree.PlanStep, InstallStep): the block I/O in between
-//     (ExecuteStep) runs while writers land records in L0 and readers
-//     consume published snapshots. Writers are paced by LevelDB-style
-//     backpressure on L0's size, derived from the tree's K0: from 2·K0
-//     blocks each admission sleeps 1 ms; from 4·K0 (StopBlocks) it blocks
-//     until the goroutine catches up (the hard stall gate).
+//     drains the cascade one core.Tree.CompactionStep at a time under the
+//     shard's merge lock alone, while writers land records in L0 and
+//     readers consume published snapshots (DESIGN.md §13.4 is the lock
+//     table). Writers are paced by LevelDB-style backpressure on L0's
+//     size, derived from the tree's K0: from 2·K0 blocks each admission
+//     sleeps 1 ms; from 4·K0 (StopBlocks) it blocks until the goroutine
+//     catches up (the hard stall gate).
 //   - Driver, for bare trees (the figures, the parameter learner): every
 //     mutation runs the cascade to completion before returning.
 //
-// Both run the same three phases in the same step order, so a Scheduler
-// waited idle (WaitIdle) after every write performs exactly Driver's merge
-// sequence: the paper's cost model, and its BlocksWritten accounting byte
-// for byte, are reproduced through a DB by draining, not by a second
-// executor.
+// Both run CompactionStep, so a Scheduler waited idle (WaitIdle) after
+// every write performs exactly Driver's merge sequence: the paper's cost
+// model, and its BlocksWritten accounting byte for byte, are reproduced
+// through a DB by draining, not by a second executor.
 //
 // The goroutine also carries the shard's other background work, so the
 // engine has one background protocol per shard, not several:
 //
 //   - checkpoints: a writer whose WAL append sealed a segment calls
 //     RequestCheckpoint on each shard due one and returns; the goroutine
-//     runs Config.Checkpoint between merge steps, with neither lock held
-//     across it.
+//     runs Config.Checkpoint between merge steps, without the merge lock.
 //     Requests coalesce, and one arriving while a checkpoint runs yields
 //     one more run. A requested-or-running checkpoint counts one unit of
 //     QueueDepth, so "drained" means "and checkpointed";
@@ -71,14 +68,9 @@ func StopBlocks(k0 int) int { return stopK0 * k0 }
 type Config struct {
 	// Tree is the engine to compact. Required.
 	Tree *core.Tree
-	// Mu is the DB's writer lock, which guards L0 and the installed level
-	// image. Required; the goroutine takes it to plan a step and again to
-	// install it, never across the step's block I/O, so writers interleave
-	// with a step and with a draining cascade.
-	Mu sync.Locker
 	// MergeMu is the shard's merge lock, which guards the storage levels.
-	// Required; the goroutine holds it for each whole step, and takes it
-	// before Mu.
+	// Required; the goroutine holds it for each whole step and for nothing
+	// else.
 	MergeMu sync.Locker
 	// Bus receives StallEvents; may be nil (events are gated on
 	// subscription as everywhere else).
@@ -86,8 +78,8 @@ type Config struct {
 	// Lat records stall durations under obs.OpStall; may be nil.
 	Lat *obs.LatencySet
 	// Checkpoint persists the engine's state; the goroutine calls it once
-	// per coalesced RequestCheckpoint, with Mu not held (the callback takes
-	// it briefly itself). Required if RequestCheckpoint is ever called.
+	// per coalesced RequestCheckpoint, with MergeMu not held. Required if
+	// RequestCheckpoint is ever called.
 	Checkpoint func() error
 	// Tick, when set with a positive TickInterval, is called from the
 	// goroutine every TickInterval between other work.
@@ -112,9 +104,10 @@ type Scheduler struct {
 	stopOnce sync.Once
 	stopping atomic.Bool
 
-	// Stall gate. gateMu guards l0Gate and err; the condition variable
-	// wakes writers parked at the stop trigger when the scheduler drains
-	// L0, fails, or shuts down (atomics alone would lose wakeups).
+	// Stall gate. gateMu guards l0Gate and err, and orders the gauge
+	// refreshes; the condition variable wakes writers parked at the stop
+	// trigger when the scheduler drains L0, fails, or shuts down (atomics
+	// alone would lose wakeups).
 	gateMu sync.Mutex
 	gate   *sync.Cond
 	l0Gate int
@@ -139,8 +132,8 @@ type Scheduler struct {
 
 // New builds a scheduler and starts its goroutine.
 func New(cfg Config) (*Scheduler, error) {
-	if cfg.Tree == nil || cfg.Mu == nil || cfg.MergeMu == nil {
-		return nil, errors.New("compaction: Config.Tree, Config.Mu and Config.MergeMu are required")
+	if cfg.Tree == nil || cfg.MergeMu == nil {
+		return nil, errors.New("compaction: Config.Tree and Config.MergeMu are required")
 	}
 	k0 := cfg.Tree.CapacityBlocks(0)
 	s := &Scheduler{
@@ -153,16 +146,14 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	s.gate = sync.NewCond(&s.gateMu)
 	// Seed the gauges from the tree so a scheduler built over an existing
-	// backlog gates admissions correctly from the first write. New runs
-	// before any concurrency, so reading the tree here is safe without Mu.
-	s.refreshLocked()
+	// backlog gates admissions correctly from the first write.
+	s.refresh()
 	go s.run()
 	return s, nil
 }
 
 // Admit applies write-path backpressure; writers call it before taking
-// the writer lock (it may sleep or block, and the scheduler needs the
-// lock to install the progress being waited for). It returns any parked
+// their own locks (it may sleep or block). It returns any parked
 // background error; below the gate that is all it does.
 func (s *Scheduler) Admit() error {
 	if err := s.Err(); err != nil {
@@ -209,11 +200,10 @@ func (s *Scheduler) recordStall(kind string, trigger int, n, nanos *atomic.Int64
 }
 
 // Notify hands the scheduler the overflow work a mutation may have
-// created. The caller holds the writer lock. Notify refreshes the gauges,
-// wakes the goroutine if merge work is pending, and returns any parked
-// background error.
+// created: it refreshes the gauges, wakes the goroutine if merge work is
+// pending, and returns any parked background error.
 func (s *Scheduler) Notify() error {
-	s.refreshLocked()
+	s.refresh()
 	if s.pendingWork.Load() {
 		s.signal()
 	}
@@ -236,16 +226,18 @@ func (s *Scheduler) signal() {
 	}
 }
 
-// refreshLocked recomputes the gauges from L0 and the installed level
-// image and pokes the stall gate. The caller holds the writer lock (that
-// state is only stable under it).
-func (s *Scheduler) refreshLocked() {
-	l0 := s.cfg.Tree.L0Blocks()
-	depth := s.cfg.Tree.CompactionBacklog()
+// refresh recomputes the gauges from L0 and the installed level image and
+// pokes the stall gate. A writer's Notify and the goroutine's refresh
+// after a step race; reading the tree and storing the gauges in one gateMu
+// critical section makes the last store the one that read the newest
+// state, so a stale zero queue depth never outlives a write that queued
+// work (WaitIdle would return early, and the goroutine would sleep on it).
+func (s *Scheduler) refresh() {
+	s.gateMu.Lock()
+	depth, l0 := s.cfg.Tree.CompactionBacklog()
 	s.l0Blocks.Store(int64(l0))
 	s.queueDepth.Store(int64(depth))
 	s.pendingWork.Store(depth > 0)
-	s.gateMu.Lock()
 	s.l0Gate = l0
 	s.gateMu.Unlock()
 	s.gate.Broadcast()
@@ -308,29 +300,16 @@ func (s *Scheduler) run() {
 	}
 }
 
-// step runs one cascade step under the merge lock: plan under the writer
-// lock, execute (the policy's window choice and the block I/O) without it,
-// install under it again. A step that fails to execute leaves the tree as
-// it was, so the gauges need no refresh.
+// step runs one cascade step under the merge lock, then refreshes the
+// gauges.
 func (s *Scheduler) step() error {
 	s.cfg.MergeMu.Lock()
 	defer s.cfg.MergeMu.Unlock()
-	s.cfg.Mu.Lock()
-	st := s.cfg.Tree.PlanStep()
-	if st == nil {
-		s.refreshLocked()
-		s.cfg.Mu.Unlock()
-		return nil
+	acted, err := s.cfg.Tree.CompactionStep()
+	if acted {
+		s.steps.Add(1)
 	}
-	s.cfg.Mu.Unlock()
-	if err := s.cfg.Tree.ExecuteStep(st); err != nil {
-		return err
-	}
-	s.cfg.Mu.Lock()
-	defer s.cfg.Mu.Unlock()
-	err := s.cfg.Tree.InstallStep(st)
-	s.steps.Add(1)
-	s.refreshLocked()
+	s.refresh()
 	return err
 }
 
@@ -360,8 +339,8 @@ var errStopped = errors.New("compaction: scheduler stopped")
 // WaitIdle returns once the scheduler is idle: no merge step and no
 // checkpoint outstanding (Snapshot's QueueDepth is zero). It returns the
 // parked error if a step, checkpoint or tick fails first, and an error if
-// the scheduler stops first. The caller must hold neither the writer nor
-// the merge lock. Idle is a moment, not a state: the next write may queue
+// the scheduler stops first. The caller must not hold the merge lock. Idle
+// is a moment, not a state: the next write may queue
 // work again. Called after every write, it makes a DB perform exactly
 // Driver's merge sequence.
 func (s *Scheduler) WaitIdle() error {
@@ -387,7 +366,8 @@ func (s *Scheduler) Pending() bool { return s.pendingWork.Load() }
 // Stop halts the scheduler: no further step, checkpoint or tick starts,
 // the one in flight (if any) completes, gated writers are released, and
 // Stop returns once the goroutine has exited. Callers must NOT hold the
-// writer or merge lock — the goroutine may need them to finish. Idempotent. A
+// merge lock — the goroutine may need it to finish — nor anything
+// Config.Checkpoint takes. Idempotent. A
 // checkpoint request still pending is dropped (a clean Close checkpoints
 // inline afterwards), and an interrupted cascade is completed by Restore
 // on reopen.

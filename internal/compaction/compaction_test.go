@@ -121,7 +121,7 @@ type drained struct {
 func drainedScheduler(t *testing.T, tr *core.Tree) *drained {
 	t.Helper()
 	mu := &sync.Mutex{}
-	s, err := compaction.New(compaction.Config{Tree: tr, Mu: mu, MergeMu: new(sync.Mutex), Checkpoint: func() error { return nil }})
+	s, err := compaction.New(compaction.Config{Tree: tr, MergeMu: new(sync.Mutex), Checkpoint: func() error { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +157,14 @@ func TestDriverLeavesNoBacklog(t *testing.T) {
 		if err := drv.Put(k, []byte{byte(k)}); err != nil {
 			t.Fatal(err)
 		}
-		if tr.CompactionBacklog() > 0 {
+		if n, _ := tr.CompactionBacklog(); n > 0 {
 			t.Fatalf("backlog after Driver.Put(%d): the Driver must drain inline", k)
 		}
 	}
 	if err := drv.Delete(7); err != nil {
 		t.Fatal(err)
 	}
-	if tr.CompactionBacklog() > 0 {
+	if n, _ := tr.CompactionBacklog(); n > 0 {
 		t.Fatal("backlog after Driver.Delete")
 	}
 	if err := tr.Validate(); err != nil {
@@ -178,7 +178,7 @@ func TestDriverLeavesNoBacklog(t *testing.T) {
 func TestBackgroundDrainsAndStops(t *testing.T) {
 	tr := newTree(t, storage.NewMemDevice())
 	var mu sync.Mutex
-	s, err := compaction.New(compaction.Config{Tree: tr, Mu: &mu, MergeMu: new(sync.Mutex)})
+	s, err := compaction.New(compaction.Config{Tree: tr, MergeMu: new(sync.Mutex)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,8 @@ func TestBackgroundDrainsAndStops(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		mu.Lock()
-		pending := tr.CompactionBacklog() > 0
+		n, _ := tr.CompactionBacklog()
+		pending := n > 0
 		mu.Unlock()
 		if !pending {
 			break
@@ -257,7 +258,7 @@ func TestBackgroundErrorParksAndSurfaces(t *testing.T) {
 	dev := &faultDevice{MemDevice: storage.NewMemDevice()}
 	tr := newTree(t, dev)
 	var mu sync.Mutex
-	s, err := compaction.New(compaction.Config{Tree: tr, Mu: &mu, MergeMu: new(sync.Mutex)})
+	s, err := compaction.New(compaction.Config{Tree: tr, MergeMu: new(sync.Mutex)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +315,7 @@ func TestStopReleasesGatedWriter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var mu sync.Mutex
-	s, err := compaction.New(compaction.Config{Tree: tr, Mu: &mu, MergeMu: new(sync.Mutex)})
+	s, err := compaction.New(compaction.Config{Tree: tr, MergeMu: new(sync.Mutex)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,8 +358,7 @@ func TestDerivedStallGate(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var mu sync.Mutex
-		s, err := compaction.New(compaction.Config{Tree: tr, Mu: &mu, MergeMu: new(sync.Mutex)})
+		s, err := compaction.New(compaction.Config{Tree: tr, MergeMu: new(sync.Mutex)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,7 +397,7 @@ func TestDerivedStallGate(t *testing.T) {
 }
 
 // TestCheckpointRequestsCoalesce: the goroutine runs Config.Checkpoint off
-// the writer lock, once for any number of requests made before a run
+// the merge lock, once for any number of requests made before a run
 // starts and once more for requests made while one is running; QueueDepth
 // counts the requested-or-running checkpoint so a drain waits for it.
 func TestCheckpointRequestsCoalesce(t *testing.T) {
@@ -407,11 +406,10 @@ func TestCheckpointRequestsCoalesce(t *testing.T) {
 	runs := 0
 	s, err := compaction.New(compaction.Config{
 		Tree:    newTree(t, storage.NewMemDevice()),
-		Mu:      &mu,
-		MergeMu: new(sync.Mutex),
+		MergeMu: &mu,
 		Checkpoint: func() error {
 			if !mu.TryLock() {
-				t.Error("Checkpoint called with the writer lock held")
+				t.Error("Checkpoint called with the merge lock held")
 			} else {
 				mu.Unlock()
 			}
@@ -450,11 +448,9 @@ func TestCheckpointRequestsCoalesce(t *testing.T) {
 // TestCheckpointErrorParks: a failed checkpoint is a failed background
 // step — parked, returned by the next Admit, the goroutine gone.
 func TestCheckpointErrorParks(t *testing.T) {
-	var mu sync.Mutex
 	boom := errors.New("checkpoint failed")
 	s, err := compaction.New(compaction.Config{
 		Tree:       newTree(t, storage.NewMemDevice()),
-		Mu:         &mu,
 		MergeMu:    new(sync.Mutex),
 		Checkpoint: func() error { return boom },
 	})
@@ -483,11 +479,9 @@ func TestTickRunsInBothModes(t *testing.T) {
 }
 
 func testTickRuns(t *testing.T) {
-	var mu sync.Mutex
 	ticks := make(chan struct{}, 1)
 	s, err := compaction.New(compaction.Config{
 		Tree:         newTree(t, storage.NewMemDevice()),
-		Mu:           &mu,
 		MergeMu:      new(sync.Mutex),
 		TickInterval: time.Millisecond,
 		Tick: func() error {

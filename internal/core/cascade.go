@@ -7,29 +7,21 @@ package core
 // compaction-step rule keeps these entry points out of foreground packages
 // so merges cannot creep back into the write path.
 //
-// A step runs in three phases:
+// CompactionStep runs a step in three phases:
 //
-//   - PlanStep picks the firing level. A step out of L0 captures the
-//     memtable snapshot its window will be chosen from, in O(1).
-//   - ExecuteStep lets the policy choose the window, reads the inputs,
+//   - plan picks the firing level. A step out of L0 captures the memtable
+//     snapshot its window will be chosen from, in O(1).
+//   - execute lets the policy choose the window, reads the inputs,
 //     merges, writes and filters the output blocks, and builds the new
 //     level image. It changes nothing a reader or writer sees: it works on
 //     copies of the levels, and the blocks it frees wait for the install.
-//   - InstallStep removes from L0 the window's records no writer has
+//   - install removes from L0 the window's records no writer has
 //     rewritten since the snapshot, swaps in the new level image and
 //     publishes a snapshot, all in one critical section against readers'
 //     captures, and queues the inputs as deferred frees.
 //
-// The caller holds two locks. The writer lock guards L0 and the installed
-// level image: ApplyBatch runs under it, and so do PlanStep and
-// InstallStep. The merge lock guards the storage levels, the policy and
-// the step in flight: every phase runs under it, and so does every other
-// storage-level operation (RepairBlock, ForceGrow, ResetStats, Validate,
-// ValidateAccounting). ExecuteStep holds only the merge lock, so writes
-// and reads proceed during a step's block I/O. Lock order: merge lock,
-// then writer lock. A tree driven from one goroutine needs neither. The
-// tree's own viewMu and L0 mutex (view.go) order readers' captures
-// against ApplyBatch, PlanStep's snapshot and InstallStep.
+// The caller holds the merge lock for the whole step; the locks the tree
+// takes itself, and the order of all of them, are DESIGN.md §13.4's table.
 
 import (
 	"errors"
@@ -45,13 +37,17 @@ import (
 // CompactionBacklog counts the merge sources the overflow rule fires on
 // (L0 plus every firing storage level; see fires): the scheduler's queue
 // depth and its wake predicate — zero means a cascade step would be a
-// no-op. It reads L0 and the installed level image: writer lock.
-func (t *Tree) CompactionBacklog() int {
-	n := t.levelBacklog
+// no-op. It also returns L0's size in blocks, the quantity the write stall
+// gate watches. Both are read from L0 and the installed level image in one
+// critical section under L0's mutex.
+func (t *Tree) CompactionBacklog() (sources, l0Blocks int) {
+	t.memMu.Lock()
+	defer t.memMu.Unlock()
+	sources = t.levelBacklog
 	if t.fires(0) {
-		n++
+		sources++
 	}
-	return n
+	return sources, (t.mem.Len() + t.cfg.BlockCapacity - 1) / t.cfg.BlockCapacity
 }
 
 // stepKind is what a step does; the layout axis decides it per level:
@@ -74,9 +70,9 @@ const (
 	stepGrow                        // a fresh level above the bottom
 )
 
-// Step is one cascade step between its phases: PlanStep returns it,
-// ExecuteStep and then InstallStep consume it.
-type Step struct {
+// step is one cascade step between its phases: plan returns it, execute
+// and then install consume it.
+type step struct {
 	kind stepKind
 	from int // source level, 0 = L0
 	full bool
@@ -90,11 +86,11 @@ type Step struct {
 	xFrom, xTo int
 
 	tr   mergeTrace
-	hold time.Duration // time spent in PlanStep and InstallStep, when traced
+	hold time.Duration // time spent in plan and install, when traced
 
-	// Filled by ExecuteStep.
+	// Filled by execute.
 	saved                []*slot     // the levels before the step, restored if it fails
-	levels               []LevelView // the image InstallStep installs
+	levels               []LevelView // the image install installs
 	backlog              int         // storage levels firing in that image
 	merged               bool        // the step merged (every kind but stepGrow)
 	to                   int         // target level
@@ -117,15 +113,36 @@ type Step struct {
 // (under leveling) its BlocksWritten, byte for byte. Each completed (and
 // audited) step publishes a fresh read snapshot, so concurrent readers
 // observe every intermediate cascade state but never a half-applied merge.
+//
+// The caller holds the merge lock. A step that fails to execute leaves the
+// tree as it was and reports acted false; one whose audit fails after the
+// install reports acted true with the error. Records of the L0 window that
+// a write replaced while the step executed stay in L0, where they shadow
+// the merged copies. A traced step's MergeEvent.LockHold is the time it
+// spent in plan and install.
 func (t *Tree) CompactionStep() (acted bool, err error) {
-	st := t.PlanStep()
+	st := t.plan()
 	if st == nil {
 		return false, nil
 	}
-	if err := t.ExecuteStep(st); err != nil {
+	if st.tr.traced {
+		st.hold = time.Since(st.tr.start)
+	}
+	if err := t.execute(st); err != nil {
 		return false, err
 	}
-	return true, t.InstallStep(st)
+	var start time.Time
+	if st.tr.traced {
+		start = time.Now()
+	}
+	t.install(st)
+	if st.tr.traced {
+		st.hold += time.Since(start)
+	}
+	if st.merged {
+		t.emitMerge(st)
+	}
+	return true, t.audit()
 }
 
 // RunCascade drives CompactionStep until the tree is quiescent or a step
@@ -140,24 +157,15 @@ func (t *Tree) RunCascade() error {
 	}
 }
 
-// PlanStep chooses the next cascade step, or returns nil when no level
-// fires. Writer and merge locks, for O(levels): the policy's window choice
-// waits for ExecuteStep.
-func (t *Tree) PlanStep() *Step {
-	st := t.plan()
-	if st != nil && st.tr.traced {
-		st.hold = time.Since(st.tr.start)
-	}
-	return st
-}
-
-func (t *Tree) plan() *Step {
+// plan chooses the next cascade step, or returns nil when no level fires.
+// O(levels): the policy's window choice waits for execute.
+func (t *Tree) plan() *step {
 	tr := t.beginMergeTrace()
 	for i := 1; i <= len(t.slots); i++ {
 		if !t.fires(i) {
 			continue
 		}
-		st := &Step{tr: tr, from: i, full: true}
+		st := &step{tr: tr, from: i, full: true}
 		switch {
 		case i == len(t.slots):
 			st.kind = stepGrow
@@ -173,22 +181,25 @@ func (t *Tree) plan() *Step {
 		}
 		return st
 	}
+	t.memMu.Lock()
+	var snap *memtable.Snapshot
 	if t.fires(0) {
-		t.memMu.Lock()
-		snap := t.mem.Snapshot()
-		t.memMu.Unlock()
-		st := &Step{tr: tr, kind: stepMergeMem, snap: snap, hi: ^block.Key(0), full: true}
-		if t.tiered(1) {
-			st.kind = stepFlushMem
-		}
-		return st
+		snap = t.mem.Snapshot()
 	}
-	return nil
+	t.memMu.Unlock()
+	if snap == nil {
+		return nil
+	}
+	st := &step{tr: tr, kind: stepMergeMem, snap: snap, hi: ^block.Key(0), full: true}
+	if t.tiered(1) {
+		st.kind = stepFlushMem
+	}
+	return st
 }
 
 // choose lets the policy pick the step's window and gates it on the
-// quarantine, before ExecuteStep copies anything.
-func (t *Tree) choose(st *Step) error {
+// quarantine, before execute copies anything.
+func (t *Tree) choose(st *step) error {
 	if st.snap != nil {
 		t.setMemMetas(st.snap)
 	}
@@ -207,11 +218,11 @@ func (t *Tree) choose(st *Step) error {
 	return nil
 }
 
-// ExecuteStep does the step's block I/O against copies of the levels.
-// Merge lock only: writers and readers run meanwhile. On failure the levels
-// are left as they were, the blocks the step wrote are freed, and L0 was
-// never touched.
-func (t *Tree) ExecuteStep(st *Step) error {
+// execute does the step's block I/O against copies of the levels, with
+// no lock but the caller's merge lock: writers and readers run meanwhile.
+// On failure the levels are left as they were, the blocks the step wrote
+// are freed, and L0 was never touched.
+func (t *Tree) execute(st *step) error {
 	if err := t.choose(st); err != nil {
 		return err
 	}
@@ -239,11 +250,11 @@ func (t *Tree) ExecuteStep(st *Step) error {
 	return nil
 }
 
-// abort undoes a failed ExecuteStep: the levels it copied are dropped, the
+// abort undoes a failed execute: the levels it copied are dropped, the
 // blocks it wrote are freed at once (no snapshot ever referenced them), and
 // the frees it queued are forgotten — those blocks still belong to the
 // levels.
-func (t *Tree) abort(st *Step) error {
+func (t *Tree) abort(st *step) error {
 	t.slots = st.saved
 	var errs []error
 	for _, id := range t.written {
@@ -258,26 +269,8 @@ func (t *Tree) abort(st *Step) error {
 	return errors.Join(errs...)
 }
 
-// InstallStep makes an executed step visible. Writer and merge locks.
-// Records of the L0 window that a write replaced while the step executed
-// stay in L0, where they shadow the merged copies.
-func (t *Tree) InstallStep(st *Step) error {
-	var start time.Time
-	if st.tr.traced {
-		start = time.Now()
-	}
-	t.install(st)
-	if st.tr.traced {
-		st.hold += time.Since(start)
-	}
-	if st.merged {
-		t.emitMerge(st)
-	}
-	return t.audit()
-}
-
 // window returns the step's L0 records, as the snapshot holds them.
-func (st *Step) window() []block.Record {
+func (st *step) window() []block.Record {
 	var recs []block.Record
 	if st.full {
 		recs = make([]block.Record, 0, st.snap.Len())
@@ -290,9 +283,9 @@ func (st *Step) window() []block.Record {
 	return recs
 }
 
-// setMerged records what the step's merge did, for the events InstallStep
-// emits.
-func (st *Step) setMerged(to, xBlocks int, res merge.Result, srcRepairW, srcCompW int) {
+// setMerged records what the step's merge did, for the events
+// CompactionStep emits after the install.
+func (st *step) setMerged(to, xBlocks int, res merge.Result, srcRepairW, srcCompW int) {
 	st.merged, st.to, st.xBlocks, st.res = true, to, xBlocks, res
 	st.srcRepairW, st.srcCompW = srcRepairW, srcCompW
 }

@@ -4,8 +4,7 @@ import (
 	"lsmssd/internal/block"
 )
 
-// Put inserts or updates the record for k: a one-op ApplyBatch. Writer-side:
-// callers serialize.
+// Put inserts or updates the record for k: a one-op ApplyBatch.
 func (t *Tree) Put(k block.Key, payload []byte) error {
 	return t.ApplyBatch([]block.Op{{Key: uint64(k), Value: payload}})
 }
@@ -28,7 +27,8 @@ func (t *Tree) Delete(k block.Key) error {
 // merges, which ApplyBatch does not drive: after the mutation the caller
 // (internal/compaction) runs or schedules the overflow cascade via
 // CompactionStep/RunCascade. The error return is reserved for future L0
-// failure modes; today ApplyBatch always succeeds. Writer lock.
+// failure modes; today ApplyBatch always succeeds. It needs no lock of the
+// caller's: concurrent batches are each atomic, in memMu's order.
 //
 // Request statistics count each op individually, keeping a batched
 // workload's Stats comparable to the same workload issued record by

@@ -44,7 +44,7 @@ type QuarantineRecord struct {
 }
 
 // quarantineSet is the Tree's quarantine state. Its own mutex (not the
-// writer lock) so the scrubber goroutine can add entries while reads and
+// merge lock) so the scrubber goroutine can add entries while reads and
 // stats enumerate them; n mirrors len(m) atomically for the merge fast
 // path.
 type quarantineSet struct {
@@ -142,8 +142,7 @@ func (t *Tree) locateBlock(id storage.BlockID) (run *level.Level, levelNo, pos i
 // the quarantine lifts. Returns repaired=true when the quarantine was
 // resolved — including the degenerate case where the tree no longer
 // references the block at all — and false when the block stays
-// quarantined. Callers hold the merge lock (the repair mutates a level)
-// and the writer lock (it installs and publishes the new level image).
+// quarantined. Callers hold the merge lock (the repair mutates a level).
 func (t *Tree) RepairBlock(id storage.BlockID) (repaired bool, err error) {
 	run, _, pos, ok := t.locateBlock(id)
 	if !ok {

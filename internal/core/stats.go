@@ -33,7 +33,7 @@ type counters struct {
 	grows        atomic.Int64
 }
 
-// reset zeroes every counter. Writer-side: the caller quiesces mutations;
+// reset zeroes every counter. The caller quiesces mutations;
 // concurrent snapshot readers may lose a handful of in-flight lookup/scan
 // increments at the window boundary, which is inherent to any reset.
 func (c *counters) reset() {
@@ -54,7 +54,7 @@ func (c *counters) reset() {
 // latency histograms. Structural state (levels, blocks, snapshots,
 // deferred frees) is untouched. The level image is reinstalled so
 // per-level numbers served from the current view reset along with the live
-// ones. Writer and merge locks.
+// ones. Merge lock.
 func (t *Tree) ResetStats() {
 	t.cnt.reset()
 	t.dev.ResetCounters()

@@ -120,7 +120,7 @@ func (t *Tree) drainSlot(i int) error {
 // policy window: whole-level movement is what the tiered layout buys, and
 // no resident data is read or rewritten. Tombstones are dropped only when
 // L1 is an empty bottom — then nothing exists for them to shadow.
-func (t *Tree) flushMemToRun(st *Step) error {
+func (t *Tree) flushMemToRun(st *step) error {
 	recs := st.window()
 	if len(recs) == 0 {
 		return fmt.Errorf("core: empty flush from L0")
@@ -152,7 +152,7 @@ func (t *Tree) flushMemToRun(st *Step) error {
 // chooseMergeTieredLevel gates the fold of tiered level i on the quarantine:
 // the fold reads every source-run block and may rewrite the leveled
 // target, so any quarantined block in either refuses the merge.
-func (t *Tree) chooseMergeTieredLevel(st *Step) error {
+func (t *Tree) chooseMergeTieredLevel(st *step) error {
 	i := st.from
 	checked := append([]*level.Level{}, t.slots[i-1].runs...)
 	if !t.tiered(i + 1) {
@@ -169,7 +169,7 @@ func (t *Tree) chooseMergeTieredLevel(st *Step) error {
 // one new run when the target is itself tiered, a proper merge.Merge into
 // the resident run when the target is the leveled bottom of lazy leveling.
 // The source level is left with one fresh empty run.
-func (t *Tree) mergeTieredLevel(st *Step) error {
+func (t *Tree) mergeTieredLevel(st *step) error {
 	i := st.from
 	s := t.slots[i-1]
 	xBlocks := s.blocks()
@@ -214,7 +214,7 @@ func (t *Tree) mergeTieredLevel(st *Step) error {
 }
 
 // chooseConsolidateBottom gates the fold of the tiered bottom's runs.
-func (t *Tree) chooseConsolidateBottom(st *Step) error {
+func (t *Tree) chooseConsolidateBottom(st *step) error {
 	n := st.from
 	s := t.slots[n-1]
 	if err := t.quarantineCheck(n, s.runs...); err != nil {
@@ -232,7 +232,7 @@ func (t *Tree) chooseConsolidateBottom(st *Step) error {
 // still fit the level. After consolidation no older run remains for a
 // tombstone to shadow, so tombstones are dropped — the tiered analogue of
 // a full merge into the bottom. Counted as a compaction of the level.
-func (t *Tree) consolidateBottom(st *Step) error {
+func (t *Tree) consolidateBottom(st *step) error {
 	n := st.from
 	s := t.slots[n-1]
 	xBlocks := s.blocks()

@@ -17,13 +17,13 @@ import (
 	"lsmssd/internal/storage"
 )
 
-// Tree is the LSM-tree engine. Its state divides between two locks the
-// caller holds (cascade.go): the writer lock serializes L0 mutations (Put,
-// Delete, ApplyBatch) and the installed level image; the merge lock
-// serializes storage-level mutations (the cascade steps, RepairBlock,
-// ForceGrow, ResetStats). Reads are snapshot-isolated: Get, Scan, and Iter
-// run against an acquired View and may proceed concurrently with both (see
-// view.go and the public lsmssd package).
+// Tree is the LSM-tree engine. L0 is guarded by the tree's own memMu, so
+// mutations (Put, Delete, ApplyBatch) need no caller lock beyond the
+// log-ordering one the DB keeps; the storage levels change only under the
+// merge lock the caller holds (the cascade steps, RepairBlock, ForceGrow,
+// ResetStats). Reads are snapshot-isolated: Get, Scan, and Iter run
+// against an acquired View and may proceed concurrently with both (see
+// view.go). DESIGN.md §13.4 is the lock table.
 type Tree struct {
 	cfg    Config
 	dev    storage.Device // Config.Device, possibly behind a cache
@@ -33,18 +33,17 @@ type Tree struct {
 
 	slots []*slot // slots[i] is level L_{i+1}; merge lock
 
-	// memMu, L0's mutex, orders L0's changes (a whole batch, a step's
-	// install) and its snapshots, which advance its generation, against a
-	// reader's capture in AcquireView, which holds no writer lock. L0's
-	// contents change under the writer lock and memMu, so either suffices
-	// to read them; a snapshot needs memMu. memDirty says L0 changed since
-	// the current View captured it. Lock order: viewMu, then memMu.
+	// memMu, L0's mutex, guards L0 and levelBacklog: every change (a whole
+	// batch, a step's install), every read outside a View (the overflow
+	// check, the gauges) and every snapshot, which advances L0's
+	// generation. memDirty says L0 changed since the current View captured
+	// it. Lock order: viewMu, then memMu.
 	memMu    sync.Mutex
 	memDirty atomic.Bool
 
-	// The storage levels firing in the installed level image (writer
-	// lock), which answers CompactionBacklog. The image itself is the
-	// current View's: every install publishes one.
+	// The storage levels firing in the installed level image (memMu),
+	// which answers CompactionBacklog. The image itself is the current
+	// View's: every install publishes one.
 	levelBacklog int
 
 	// Blocks written and blocks freed by the storage-level mutation in
@@ -325,12 +324,6 @@ func (t *Tree) SizeBlocks(level int) int {
 	return t.slots[level-1].requiredBlocks()
 }
 
-// L0Blocks returns L0's size in blocks now, the quantity the write stall
-// gate watches. Writer lock.
-func (t *Tree) L0Blocks() int {
-	return (t.mem.Len() + t.cfg.BlockCapacity - 1) / t.cfg.BlockCapacity
-}
-
 // --- overflow handling ---------------------------------------------------
 
 // ForceGrow adds a level ahead of the bottom level's overflow. The paper
@@ -338,7 +331,7 @@ func (t *Tree) L0Blocks() int {
 // bottom level are very cost-effective and asks "whether we can increase
 // the number of levels strategically to gain performance in certain
 // situations"; this hook makes that experiment possible (see
-// BenchmarkExtensionForcedGrowth). Writer and merge locks.
+// BenchmarkExtensionForcedGrowth). Merge lock.
 func (t *Tree) ForceGrow() {
 	t.grow()
 	t.installLevels(t.levelImage())
@@ -369,7 +362,7 @@ func (t *Tree) grow() {
 
 // chooseMergeFromMem asks the policy which window of L0, as the step's
 // snapshot holds it, to merge into L1.
-func (t *Tree) chooseMergeFromMem(st *Step) error {
+func (t *Tree) chooseMergeFromMem(st *step) error {
 	// Quarantine gate before the merge: a blocked target refuses the step
 	// before any block is read.
 	if err := t.quarantineCheck(1, t.slots[0].newest()); err != nil {
@@ -393,7 +386,7 @@ func (t *Tree) chooseMergeFromMem(st *Step) error {
 
 // mergeFromMem merges the planned L0 window, as the snapshot holds it,
 // into L1.
-func (t *Tree) mergeFromMem(st *Step) error {
+func (t *Tree) mergeFromMem(st *step) error {
 	recs := st.window()
 	if len(recs) == 0 {
 		return fmt.Errorf("core: empty merge window from L0")
@@ -413,7 +406,7 @@ func (t *Tree) mergeFromMem(st *Step) error {
 
 // chooseMergeFromLevel asks the policy which window of L_i to merge into
 // L_{i+1}.
-func (t *Tree) chooseMergeFromLevel(st *Step) error {
+func (t *Tree) chooseMergeFromLevel(st *step) error {
 	i := st.from
 	src := t.slots[i-1].newest()
 	if err := t.quarantineCheck(i, src, t.slots[i].newest()); err != nil {
@@ -435,7 +428,7 @@ func (t *Tree) chooseMergeFromLevel(st *Step) error {
 }
 
 // mergeFromLevel merges the planned window of L_i into L_{i+1}.
-func (t *Tree) mergeFromLevel(st *Step) error {
+func (t *Tree) mergeFromLevel(st *step) error {
 	i := st.from
 	src := t.slots[i-1].newest()
 	res, err := merge.Merge(merge.LevelSource{Level: src}, st.xFrom, st.xTo, t.slots[i].newest(), merge.Options{
@@ -490,8 +483,8 @@ func (t *Tree) beginMergeTrace() mergeTrace {
 // emitMerge counts an installed merge step and reports it: to the OnMerge
 // hook, the merge latency series, and — with a subscriber — the bus, as a
 // MergeEvent (plus the FlushEvent of a step out of L0) carrying the time
-// the step held the writer lock.
-func (t *Tree) emitMerge(st *Step) {
+// the step spent in plan and install.
+func (t *Tree) emitMerge(st *step) {
 	res := st.res
 	t.cnt.merges.Add(1)
 	if st.full {
@@ -563,10 +556,13 @@ func (t *Tree) emitMerge(st *Step) {
 	t.emitCacheDelta()
 	t.checkWasteWarnings()
 	if st.snap != nil {
+		t.memMu.Lock()
+		after := t.mem.Len()
+		t.memMu.Unlock()
 		t.bus.Publish(obs.FlushEvent{
 			Shard:        t.cfg.Shard,
 			Records:      st.records,
-			RecordsAfter: t.mem.Len(),
+			RecordsAfter: after,
 			Full:         st.full,
 			Duration:     d,
 		})

@@ -120,9 +120,9 @@ func (t *Tree) publish() {
 
 // installLevels makes levels (and backlog, the storage levels firing in
 // it) the installed level image and publishes it: an install of a step
-// that moved nothing out of L0. Writer and merge locks.
+// that moved nothing out of L0. Merge lock.
 func (t *Tree) installLevels(levels []LevelView, backlog int) {
-	t.install(&Step{levels: levels, backlog: backlog})
+	t.install(&step{levels: levels, backlog: backlog})
 }
 
 // install makes st's level image the installed one and publishes it with
@@ -131,9 +131,9 @@ func (t *Tree) installLevels(levels []LevelView, backlog int) {
 // and the publish are one critical section under viewMu and L0's mutex, so
 // no reader captures L0 without the window and the levels without its
 // merged copy, or the reverse. The blocks the step freed become deferred
-// frees: the views published before this one may still read them. Writer
-// and merge locks.
-func (t *Tree) install(st *Step) {
+// frees: the views published before this one may still read them. Merge
+// lock.
+func (t *Tree) install(st *step) {
 	t.viewMu.Lock()
 	t.memMu.Lock()
 	if st.snap != nil {
@@ -141,8 +141,8 @@ func (t *Tree) install(st *Step) {
 	}
 	t.memDirty.Store(false)
 	mem := t.mem.Snapshot()
-	t.memMu.Unlock()
 	t.levelBacklog = st.backlog
+	t.memMu.Unlock()
 	t.publishFreeing(mem, st.levels, t.pending)
 	t.viewMu.Unlock()
 	t.pending, t.written = nil, nil

@@ -75,9 +75,9 @@ func CheckTree(t *core.Tree) error { return Check(t, Options{}) }
 // level image the tree would install now, then what only the live levels
 // know (index aggregates and, unless skipped, block contents), then the
 // device's live-block accounting. The returned error names the first
-// violated constraint. The caller holds the tree's merge lock, and its
-// writer lock too unless MidCascade is set (the strict L0 bound reads the
-// memtable).
+// violated constraint. The caller holds the tree's merge lock; unless
+// MidCascade is set, no write may run either (the strict L0 bound reads
+// the live memtable).
 func Check(t *core.Tree, o Options) error {
 	memLen := 0
 	if !o.MidCascade {
@@ -135,8 +135,8 @@ func checkLevels(cfg core.Config, lay policy.Layout, memLen int, levels []core.L
 		k0 := cfg.K0
 		if o.L0CapacityBlocks > k0 {
 			// One extra block of slack: admission checks L0's size before
-			// taking the writer lock, so concurrent writers can overshoot
-			// the gate by their in-flight records.
+			// the write lands, so concurrent writers can overshoot the gate
+			// by their in-flight records.
 			k0 = o.L0CapacityBlocks + 1
 		}
 		if cap := k0 * b; memLen > cap {

@@ -114,13 +114,10 @@ type Config struct {
 	// (core, compaction) mutate under a caller-holds-lock contract and are
 	// excluded.
 	LockCheckedPkgs []string
-	// LockName is the mutex field serializing tree mutations ("writerMu").
+	// LockName is the mutex field ordering commits ("writerMu").
 	LockName string
 	// LockAcquireHelpers are functions that acquire LockName on the
-	// caller's behalf. One returning (T, unlockFunc) hands back the
-	// release: calling or deferring the returned func counts as the
-	// unlock. One returning nothing is paired with a LockReleaseHelpers
-	// entry.
+	// caller's behalf, each paired with a LockReleaseHelpers entry.
 	LockAcquireHelpers []string
 	// LockReleaseHelpers are functions that release what an acquire helper
 	// took; calling or deferring one counts as the unlock.
@@ -200,7 +197,15 @@ func DefaultConfig() Config {
 			},
 			Why: "live level state mutates under a merge step's merge lock; acquire a snapshot with Tree.AcquireView instead",
 		}, {
-			Rule: "compaction-step", Pkg: "lsmssd/internal/core", Type: "Tree", Methods: []string{"CompactionStep", "RunCascade", "PlanStep", "ExecuteStep", "InstallStep"},
+			Rule: "tree-state", Pkg: "lsmssd/internal/core", Type: "Tree", Methods: []string{"Put", "Delete", "ApplyBatch"},
+			Allowed: []string{
+				"lsmssd/internal/core",
+				"lsmssd/internal/compaction", // Driver, the bare-tree executor
+				"lsmssd",                     // the DB's write path logs before it applies
+			},
+			Why: "L0 changes under its own mutex alone, so only the write path, which logs first, may make them",
+		}, {
+			Rule: "compaction-step", Pkg: "lsmssd/internal/core", Type: "Tree", Methods: []string{"CompactionStep", "RunCascade"},
 			Allowed: []string{
 				"lsmssd/internal/core",       // Restore completes an interrupted cascade
 				"lsmssd/internal/compaction", // the scheduler and the sync Driver
@@ -250,12 +255,9 @@ func DefaultConfig() Config {
 
 		LockCheckedPkgs:    []string{"lsmssd"},
 		LockName:           "writerMu",
-		LockAcquireHelpers: []string{"lockedTree", "lockShards"},
+		LockAcquireHelpers: []string{"lockShards"},
 		LockReleaseHelpers: []string{"unlockShards"},
-		TreeMutateMethods: []string{
-			"Put", "Delete", "ApplyBatch", "ForceGrow", "RepairBlock",
-			"MarkClosed", "ResetStats",
-		},
+		TreeMutateMethods:  []string{"Put", "Delete", "ApplyBatch", "MarkClosed", "ResetStats"},
 		// The checkpoint split: the capture reads the log's sequence, the
 		// current view and the limbo mark as one instant, so it needs the
 		// writer lock; the persist half is shared by callers that hold it

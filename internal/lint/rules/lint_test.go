@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,11 +29,15 @@ func fixtureConfig() lint.Config {
 	}
 	cfg.LockCheckedPkgs = []string{fixturePrefix + "lockdiscipline", fixturePrefix + "shardlockorder"}
 	cfg.GoShutdownPkgs = []string{fixturePrefix + "goshutdown"}
-	// The retry-bounded fixture calls Device.Read/Write directly; exempt it
-	// from device-io so only the rule under test fires.
+	// The retry-bounded fixture calls Device.Read/Write directly, and the
+	// lock-discipline fixture mutates L0; exempt each from the confinement
+	// row it would trip, so only the rule under test fires.
 	for i, c := range cfg.Confined {
-		if c.Rule == "device-io" {
+		switch {
+		case c.Rule == "device-io":
 			cfg.Confined[i].Allowed = append(c.Allowed, fixturePrefix+"retrybounded")
+		case c.Rule == "tree-state" && slices.Contains(c.Methods, "ApplyBatch"):
+			cfg.Confined[i].Allowed = append(c.Allowed, fixturePrefix+"lockdiscipline")
 		}
 	}
 	// The fixture needs a second fan-out name so a failing fan-out shape

@@ -4,10 +4,10 @@ package rules
 // layer (Config.LockCheckedPkgs).
 //
 // lock-discipline: every core.Tree mutation must be dominated by a
-// writerMu.Lock() (directly or via a lock-acquire helper like lockedTree),
+// writerMu.Lock() (directly or via a lock-acquire helper like lockShards),
 // and an acquired lock must be released on every exit path (an explicit
-// Unlock or release helper, a deferred one, or the unlock func escaping to
-// the caller, as lockedTree itself does). Functions whose names end in "Locked" follow
+// Unlock or release helper, a deferred one, or a `mu.Unlock` method value
+// escaping to the caller). Functions whose names end in "Locked" follow
 // the caller-holds-lock convention: their analysis starts locked and skips
 // the exit check. Calls to the ones listed in LockHeldFuncs are checked
 // like tree mutations, so the contract is verified at the call site too.
@@ -63,7 +63,6 @@ const (
 // from the stable facts.
 type lockAnalysis struct {
 	ctx     *lint.Context
-	tokens  map[types.Object]bool // unlock funcs bound from acquire helpers
 	report  func(pos token.Pos, msg string)
 	nesting func(pos token.Pos, msg string)
 
@@ -126,28 +125,20 @@ func onDeferUnlock(s uint8) uint8 {
 func (a *lockAnalysis) node(n ast.Node, mask uint8) uint8 {
 	cfgc := a.ctx.Cfg
 
-	// defer mu.Unlock() / defer unlock(): the release is guaranteed at
-	// every subsequent exit.
+	// defer mu.Unlock() / defer unlockShards(...): the release is
+	// guaranteed at every subsequent exit.
 	if ds, ok := n.(*ast.DeferStmt); ok {
-		if a.isUnlockCall(ds.Call) || a.isTokenCall(ds.Call) || a.isReleaseCall(ds.Call) {
+		if a.isUnlockCall(ds.Call) || a.isReleaseCall(ds.Call) {
 			return mapStates(mask, onDeferUnlock)
 		}
 	}
 
 	// funExprs marks expressions appearing as a call's Fun, so a bare
-	// `mu.Unlock` or unlock-token mention elsewhere reads as an escape.
+	// `mu.Unlock` elsewhere reads as an escape.
 	funExprs := map[ast.Expr]bool{}
-	boundIdents := map[*ast.Ident]bool{}
 	inspectShallow(n, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.CallExpr:
-			funExprs[x.Fun] = true
-		case *ast.AssignStmt:
-			for _, lhs := range x.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok {
-					boundIdents[id] = true
-				}
-			}
+		if c, ok := x.(*ast.CallExpr); ok {
+			funExprs[c.Fun] = true
 		}
 		return true
 	})
@@ -169,7 +160,7 @@ func (a *lockAnalysis) node(n ast.Node, mask uint8) uint8 {
 						types.ExprString(x.Fun), strings.Join(cfgc.ShardFanoutFuncs, ", ")))
 				}
 				mask = mapStates(mask, onLock)
-			case a.isUnlockCall(x) || a.isTokenCall(x) || a.isReleaseCall(x):
+			case a.isUnlockCall(x) || a.isReleaseCall(x):
 				mask = mapStates(mask, onUnlock)
 			case inList(finalName(x.Fun), cfgc.LockHeldFuncs):
 				if mask&lsUnlocked != 0 && a.report != nil {
@@ -190,13 +181,6 @@ func (a *lockAnalysis) node(n ast.Node, mask uint8) uint8 {
 			// `mu.Unlock` used as a value (returned, stored): the release
 			// obligation transfers to whoever receives it.
 			if !funExprs[x] && x.Sel.Name == "Unlock" && finalName(x.X) == cfgc.LockName {
-				escaped = true
-			}
-		case *ast.Ident:
-			// Unlock token mentioned outside a call position and not as an
-			// assignment target: it escapes, the receiver releases.
-			if obj := a.ctx.Pkg.Info.Uses[x]; obj != nil && a.tokens[obj] &&
-				!boundIdents[x] && !funExprs[x] {
 				escaped = true
 			}
 		}
@@ -229,47 +213,6 @@ func (a *lockAnalysis) isHelperCall(call *ast.CallExpr) bool {
 
 func (a *lockAnalysis) isReleaseCall(call *ast.CallExpr) bool {
 	return inList(finalName(call.Fun), a.ctx.Cfg.LockReleaseHelpers)
-}
-
-func (a *lockAnalysis) isTokenCall(call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	obj := a.ctx.Pkg.Info.Uses[id]
-	return obj != nil && a.tokens[obj]
-}
-
-// lockTokens pre-scans a body for `x, unlock := helper()` bindings and
-// returns the function-typed objects that stand for the pending unlock.
-func lockTokens(ctx *lint.Context, body *ast.BlockStmt) map[types.Object]bool {
-	tokens := map[types.Object]bool{}
-	helperNames := ctx.Cfg.LockAcquireHelpers
-	inspectShallow(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
-			return true
-		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok || !inList(finalName(call.Fun), helperNames) {
-			return true
-		}
-		for _, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok || id.Name == "_" {
-				continue
-			}
-			obj := identObj(ctx.Pkg.Info, id)
-			if obj == nil {
-				continue
-			}
-			if _, isSig := obj.Type().Underlying().(*types.Signature); isSig {
-				tokens[obj] = true
-			}
-		}
-		return true
-	})
-	return tokens
 }
 
 // fanoutFindings checks a sanctioned fan-out helper: every writerMu.Lock
@@ -319,7 +262,7 @@ func lockFindings(ctx *lint.Context, rule string) []lint.Finding {
 		}
 		callerHolds := strings.HasSuffix(fn.name, "Locked")
 		g := cfg.Build(fn.body)
-		a := &lockAnalysis{ctx: ctx, tokens: lockTokens(ctx, fn.body), entry: lsUnlocked,
+		a := &lockAnalysis{ctx: ctx, entry: lsUnlocked,
 			fnName: fn.name, lockFree: inList(fn.name, ctx.Cfg.LockFreeFuncs)}
 		if callerHolds {
 			a.entry = lsLocked

@@ -1,7 +1,8 @@
 // Package lockdiscipline seeds violations of the lock-discipline rule:
 // core.Tree mutations not dominated by writerMu.Lock, and exit paths
-// that keep the lock. The fixed shapes (defer, helper with unlock token,
-// Locked-suffix convention, escaping unlock) ride along as negatives.
+// that keep the lock. The fixed shapes (defer, acquire and release
+// helpers, Locked-suffix convention, escaping unlock, storage-level
+// changes under the merge lock alone) ride along as negatives.
 package lockdiscipline
 
 import (
@@ -11,12 +12,32 @@ import (
 )
 
 type store struct {
+	mergeMu  sync.Mutex
 	writerMu sync.Mutex
 	tree     *core.Tree
 }
 
 func unguarded(s *store) error {
 	return s.tree.Put(1, nil) // want lock-discipline
+}
+
+func unguardedBatch(s *store) error {
+	return s.tree.ApplyBatch(nil) // want lock-discipline
+}
+
+func unguardedResetAndClose(s *store) {
+	s.tree.ResetStats() // want lock-discipline
+	s.tree.MarkClosed() // want lock-discipline
+}
+
+// Merge steps, growth and repairs change the storage levels, which the
+// merge lock guards; they take no writer lock.
+func growAndRepair(s *store) error {
+	s.mergeMu.Lock()
+	defer s.mergeMu.Unlock()
+	s.tree.ForceGrow()
+	_, err := s.tree.RepairBlock(1)
+	return err
 }
 
 func unguardedOnOnePath(s *store, fast bool) error {
@@ -55,16 +76,30 @@ func unlockOnEveryPath(s *store, n int) error {
 }
 
 func throughHelper(s *store) error {
-	tree, unlock := s.lockedTree()
-	defer unlock()
-	return tree.Put(6, nil)
+	shards := []*store{s}
+	lockShards(shards)
+	defer unlockShards(shards)
+	return s.tree.Put(6, nil)
 }
 
-// lockedTree hands the caller the tree plus the release obligation; the
-// escaping unlock waives the exit check here.
-func (s *store) lockedTree() (*core.Tree, func()) {
+// lockShards and unlockShards are the acquire and release helpers.
+func lockShards(shards []*store) {
+	for _, s := range shards {
+		s.writerMu.Lock()
+	}
+}
+
+func unlockShards(shards []*store) {
+	for _, s := range shards {
+		s.writerMu.Unlock()
+	}
+}
+
+// handBack hands the caller the release obligation; the escaping unlock
+// waives the exit check here.
+func (s *store) handBack() func() {
 	s.writerMu.Lock()
-	return s.tree, s.writerMu.Unlock
+	return s.writerMu.Unlock
 }
 
 // applyLocked follows the caller-holds-lock suffix convention.

@@ -2,7 +2,7 @@
 // nested shard writer locks outside the sanctioned fan-out helpers, and
 // a fan-out helper that accumulates locks without ranging over the shard
 // slice. The fixed shapes (sequential per-shard lock/unlock, the
-// range-based fan-out storing escaping unlocks) ride along as negatives.
+// range-based fan-out and its release helper) ride along as negatives.
 package shardlockorder
 
 import "sync"
@@ -33,11 +33,12 @@ func heldThroughDefer(d *db) {
 	d.shards[1].writerMu.Unlock()
 }
 
-// helperWhileHeld: lock-acquire helpers take a shard writer lock too,
-// so calling one under a held lock nests just the same.
+// helperWhileHeld: lock-acquire helpers take shard writer locks too, so
+// calling one under a held lock nests just the same.
 func helperWhileHeld(d *db) {
 	d.shards[0].writerMu.Lock()
-	_ = d.lockedTree() // want shard-lock-order
+	lockShards(d.shards) // want shard-lock-order
+	unlockShards(d.shards)
 	d.shards[0].writerMu.Unlock()
 }
 
@@ -84,15 +85,6 @@ func relockAfterExplicitUnlock(d *db) {
 	d.shards[1].writerMu.Unlock()
 }
 
-// afterTokenRelease: calling the helper's unlock token releases the
-// lock, so the following Lock does not nest.
-func afterTokenRelease(d *db) {
-	unlock := d.lockedTree()
-	unlock()
-	d.shards[1].writerMu.Lock()
-	d.shards[1].writerMu.Unlock()
-}
-
 // lockShards is the sanctioned fan-out shape: ranging over the shard
 // slice, given in ascending order, visits ascending indices.
 func lockShards(shards []*shard) {
@@ -130,14 +122,6 @@ func lockWhileFannedOut(d *db) {
 	d.shards[0].writerMu.Lock() // want shard-lock-order
 	d.shards[0].writerMu.Unlock()
 	unlockShards(d.shards)
-}
-
-// lockedTree mimics the production acquire helper: one shard's lock,
-// release obligation escaping to the caller.
-func (d *db) lockedTree() func() {
-	s := d.shards[0]
-	s.writerMu.Lock()
-	return s.writerMu.Unlock
 }
 
 // relockLocked follows the caller-holds-lock convention, so any lock it

@@ -1,6 +1,7 @@
 // Package treestate seeds violations of the tree-state rule: reading
-// core.Tree's live level state from a package outside the writer-side
-// allowlist instead of going through an acquired snapshot.
+// core.Tree's live level state from a package outside the allowlist
+// instead of going through an acquired snapshot, and changing L0 from
+// outside the write path that logs first.
 package treestate
 
 import (
@@ -15,6 +16,16 @@ func liveLevelRead(t *core.Tree) int {
 
 func liveMemtableRead(t *core.Tree) int {
 	return t.Memtable().Len() // want tree-state
+}
+
+func writeAroundTheLog(t *core.Tree) error {
+	if err := t.Put(1, nil); err != nil { // want tree-state
+		return err
+	}
+	if err := t.Delete(2); err != nil { // want tree-state
+		return err
+	}
+	return t.ApplyBatch(nil) // want tree-state
 }
 
 func throughSnapshot(t *core.Tree) (int, error) {

@@ -96,8 +96,8 @@ type MergeEvent struct {
 	RecordsIn int // records that entered the target level
 
 	// Duration is the step's wall-clock time, plan to install. LockHold is
-	// the part of it spent holding the shard's writer lock: planning and
-	// installing. The block I/O in between runs without it.
+	// the part of it spent in plan and install, the phases that take L0's
+	// and the snapshot's mutexes; the block I/O in between takes neither.
 	Duration time.Duration
 	LockHold time.Duration
 }

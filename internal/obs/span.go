@@ -28,7 +28,7 @@ const (
 	PhaseCacheRead              // block fetch served by the cache
 	PhaseDevRead                // block fetch that went to the device
 	PhaseKWayMerge              // iterator heap work merging per-shard cursors
-	PhaseLockWait               // admitted, waiting for the shard's writer lock (behind a merge step or another writer)
+	PhaseLockWait               // admitted, waiting for the shard's writer lock (behind another writer or a checkpoint capture)
 	NumPhases
 )
 

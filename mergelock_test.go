@@ -244,8 +244,9 @@ func TestWindowRewrittenDuringMerge(t *testing.T) {
 }
 
 // TestMergeLockHoldExcludesBlockIO: with 25 ms added to every device
-// write, a merge step takes tens of milliseconds, yet it holds the writer
-// lock for under one: only planning and installing run under it.
+// write, a merge step takes tens of milliseconds, yet its plan and install,
+// the time MergeEvent.LockHold reports, take under one: the block I/O runs
+// between them.
 func TestMergeLockHoldExcludesBlockIO(t *testing.T) {
 	opts := gateOptions(newWriteGate())
 	opts.DeviceWrap = func(_ int, dev storage.Device) storage.Device {
@@ -279,7 +280,7 @@ func TestMergeLockHoldExcludesBlockIO(t *testing.T) {
 			t.Errorf("merge L%d→L%d took %v; the injected latency should make it at least 20ms", me.From, me.To, me.Duration)
 		}
 		if me.LockHold <= 0 || me.LockHold >= time.Millisecond {
-			t.Errorf("merge L%d→L%d held the writer lock %v of its %v; want under 1ms", me.From, me.To, me.LockHold, me.Duration)
+			t.Errorf("merge L%d→L%d spent %v of its %v in plan and install; want under 1ms", me.From, me.To, me.LockHold, me.Duration)
 		}
 	case <-time.After(testWait):
 		t.Fatal("no MergeEvent delivered")

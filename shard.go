@@ -20,12 +20,9 @@ import (
 
 // shard is one of the DB's independent LSM trees: its own memtable and
 // storage levels (core.Tree), device file, manifest, compaction scheduler,
-// and writer lock. The router (db.go) hash-partitions the key space across
+// and locks. The router (db.go) hash-partitions the key space across
 // shards, so two shards never store the same key. The write-ahead log is
-// the DB's, shared by every shard (commit.go). A write holds the writer
-// locks of the shards it touches, taken by the sanctioned helper
-// lockShards in ascending shard order (the shard-lock-order lint rule
-// checks that no other code nests them).
+// the DB's, shared by every shard (commit.go).
 //
 // The shard's checkpoint is captureLocked + persist, whoever asks for it;
 // it covers the shard's keys in the shared log up to the sequence it
@@ -35,17 +32,9 @@ type shard struct {
 	db   *DB
 	path string // device file path; "" for an in-memory shard
 
-	// Three locks, always taken in the order mergeMu → writerMu → ckptMu.
-	// mergeMu serializes storage-level mutations: the scheduler goroutine
-	// holds it for each whole merge step, and the scrubber's repairs,
-	// forceGrow, TuneMixed's hook and parameter setters, ResetIOStats and
-	// validate take it too. writerMu serializes L0 mutations and
-	// checkpoint captures, and guards the installed level image; a merge
-	// step holds it only to plan and to install, never across its block
-	// I/O. ckptMu serializes checkpoints
-	// from capture to the end of persist, so manifests reach the disk in
-	// capture order. It is always taken with writerMu held; the background
-	// checkpoint then drops writerMu and persists under ckptMu alone.
+	// mergeMu guards the storage levels, writerMu orders commits (and the
+	// checkpoint captures between them), ckptMu orders checkpoints; who
+	// takes each, and in what order, is DESIGN.md §13.4's lock table.
 	mergeMu  sync.Mutex
 	writerMu sync.Mutex
 	ckptMu   sync.Mutex
@@ -173,7 +162,6 @@ func (db *DB) openShard(id int) (*shard, error) {
 
 	ccfg := compaction.Config{
 		Tree:       s.tree,
-		Mu:         &s.writerMu,
 		MergeMu:    &s.mergeMu,
 		Bus:        db.bus,
 		Lat:        s.lat,
@@ -182,7 +170,7 @@ func (db *DB) openShard(id int) (*shard, error) {
 	if id == 0 && s.path != "" && opts.WAL.Sync == SyncInterval {
 		// Bound the unsynced tail of a log that goes idle: appends check the
 		// interval only when they happen. One shard's goroutine owns it.
-		ccfg.Tick = func() error { return db.syncIdleWAL(s) }
+		ccfg.Tick = db.syncIdleWAL
 		ccfg.TickInterval = opts.WAL.Interval
 	}
 	sched, err := compaction.New(ccfg)
@@ -322,7 +310,7 @@ func (s *shard) captureLocked() (checkpointImage, error) {
 	if err != nil {
 		return checkpointImage{}, err
 	}
-	s.ckptSeq = s.db.wal.LastSeq()
+	s.ckptSeq = s.db.wal.Load().LastSeq()
 	s.walMu.Lock()
 	s.sinceCapture.Store(0)
 	s.walMu.Unlock()
@@ -371,7 +359,7 @@ func (s *shard) persist(img checkpointImage) error {
 			return fmt.Errorf("lsmssd: syncing device before checkpoint: %w", err)
 		}
 	}
-	if err := s.db.wal.Sync(); err != nil {
+	if err := s.db.wal.Load().Sync(); err != nil {
 		s.db.noteLogError(err)
 		return fmt.Errorf("lsmssd: syncing write-ahead log before checkpoint: %w", err)
 	}
@@ -419,15 +407,13 @@ func (s *shard) persist(img checkpointImage) error {
 // checkpointLocked checkpoints inline: capture and persist with the writer
 // lock held throughout, so the checkpoint is durable before the caller's
 // next step. Only Close and the post-recovery checkpoint use it — callers
-// that hold the lock anyway and that no writer can be waiting on. It waits
-// out a checkpoint in flight (ckptMu), which is what keeps manifests in
-// capture order.
+// that hold the lock anyway and that no writer can be waiting on. The
+// caller holds ckptMu too, taken before writerMu: a checkpoint in flight
+// finishes first, which keeps manifests in capture order.
 func (s *shard) checkpointLocked() error {
 	if s.path == "" {
 		return nil
 	}
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
 	img, err := s.captureLocked()
 	if err != nil {
 		return err
@@ -438,7 +424,11 @@ func (s *shard) checkpointLocked() error {
 // checkpoint holds the writer lock for the capture only; the fsyncs happen
 // after it is dropped. It serves DB.Checkpoint and, as compaction.Config.
 // Checkpoint, the scheduler goroutine when a WAL rotation requested one.
+// It waits out a checkpoint in flight (ckptMu) before it takes the writer
+// lock, so two racing checkpoints never stall the shard's writes.
 func (s *shard) checkpoint() error {
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
 	s.writerMu.Lock()
 	if s.db.closed.Load() {
 		s.writerMu.Unlock()
@@ -448,8 +438,6 @@ func (s *shard) checkpoint() error {
 		s.writerMu.Unlock()
 		return nil
 	}
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
 	img, err := s.captureLocked()
 	s.writerMu.Unlock()
 	if err != nil {
@@ -526,17 +514,18 @@ func (s *shard) validate() error {
 
 // forceGrow adds a storage level to this shard's tree.
 func (s *shard) forceGrow() {
-	tree, unlock := s.lockedTree()
-	defer unlock()
+	s.mergeMu.Lock()
+	defer s.mergeMu.Unlock()
 	if s.db.closed.Load() {
 		return
 	}
-	tree.ForceGrow()
+	s.tree.ForceGrow()
 }
 
 // releaseLocked is the last per-shard step of DB.shutdown, which holds the
-// shard's writer lock and has stopped its scheduler. A clean close folds in
-// any background merge error the scheduler parked and checkpoints; crash
+// shard's checkpoint and writer locks and has stopped its scheduler. A
+// clean close folds in any background merge error the scheduler parked and
+// checkpoints; crash
 // abandons the shard as a power cut would — no checkpoint, no device sync.
 // Either way snapshot acquisition fails from here on and the device is
 // closed. The log outlives every shard's release: the checkpoints GC it.
@@ -547,17 +536,4 @@ func (s *shard) releaseLocked(crash bool) error {
 	}
 	s.tree.MarkClosed()
 	return errors.Join(append(errs, s.raw.Close())...)
-}
-
-// lockedTree exposes the shard's engine under its merge and writer locks
-// to the operations that change its storage levels outside a merge step
-// (scrub repairs, forceGrow); the returned func releases both.
-func (s *shard) lockedTree() (*core.Tree, func()) {
-	s.mergeMu.Lock()
-	s.writerMu.Lock()
-	unlock := s.writerMu.Unlock
-	return s.tree, func() {
-		unlock()
-		s.mergeMu.Unlock()
-	}
 }

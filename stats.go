@@ -449,7 +449,7 @@ func (s *shard) stats() (ShardStats, bool) {
 	if b := s.tree.Blooms(); b != nil {
 		ss.BloomSkipped, ss.BloomPassed = b.Counts()
 	}
-	if log := s.db.wal; log != nil {
+	if log := s.db.wal.Load(); log != nil {
 		ws := log.Stats()
 		ss.WAL = WALStats{
 			Appends:   ws.Appends,
@@ -506,15 +506,16 @@ func latencyRows(set *obs.LatencySet, shards []*shard) []LatencyStats {
 func (db *DB) ResetIOStats() {
 	// The levels' write series live on the storage levels, which only the
 	// merge lock holds still; take every shard's, ascending, before the
-	// writer locks.
+	// writer locks. This stop-the-world fan-out is the one place a merge
+	// lock is held across a writer lock (DESIGN.md §13.4).
 	for _, s := range db.shards {
 		s.mergeMu.Lock()
 		defer s.mergeMu.Unlock()
 	}
 	lockShards(db.shards)
 	defer unlockShards(db.shards)
-	if db.wal != nil {
-		db.wal.ResetCounters()
+	if log := db.wal.Load(); log != nil {
+		log.ResetCounters()
 	}
 	for _, s := range db.shards {
 		s.tree.ResetStats() // the device (with its retry layer) and s.lat too (the tree's Config.Lat)
