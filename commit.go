@@ -25,6 +25,11 @@ import (
 // Neither slice is retained, so Put and Delete's one-element ops stay on
 // the caller's stack.
 func (db *DB) write(op obs.Op, frame, byShard []block.Op, shards []*shard) error {
+	for _, o := range frame {
+		if len(o.Value) > block.MaxPayload {
+			return fmt.Errorf("lsmssd: a %d-byte value for key %d exceeds the %d-byte limit of the block format", len(o.Value), o.Key, block.MaxPayload)
+		}
+	}
 	lat, id := db.lat, -1
 	if len(shards) == 1 {
 		lat, id = shards[0].lat, shards[0].id

@@ -234,9 +234,10 @@ func (db *DB) Delete(key uint64) error {
 
 // Get returns the value stored for key. It runs against the owning
 // shard's current snapshot without taking any writer lock, so concurrent
-// Gets scale across cores even while merges run. The returned slice is
-// shared with the engine (the memtable or a cached block holds it) and must
-// not be modified.
+// Gets scale across cores even while merges run. A value found in the
+// memtable is shared with the engine and must not be modified; a value
+// found in a storage level is a private copy, taken out of the cached
+// block under the cache's lock — the one allocation such a Get makes.
 func (db *DB) Get(key uint64) (value []byte, found bool, err error) {
 	s := db.shardFor(key)
 	start := s.lat.Start()
@@ -264,8 +265,9 @@ func (db *DB) Get(key uint64) (value []byte, found bool, err error) {
 // together up front: a merge or write that completes mid-scan does not
 // change what the scan sees. Scan is a thin wrapper over the Iterator
 // API, which merges the per-shard snapshots into one ordered stream. The
-// value passed to fn is shared with the engine, as Get's is: fn must not
-// modify it, and must copy it to keep it.
+// value passed to fn is valid only until fn returns — it points into a
+// block buffer the scan reuses — so fn must not modify it, and must copy
+// it to keep it.
 func (db *DB) Scan(lo, hi uint64, fn func(key uint64, value []byte) bool) error {
 	start := db.lat.Start()
 	defer db.lat.Done(obs.OpScan, start)
@@ -277,7 +279,7 @@ func (db *DB) Scan(lo, hi uint64, fn func(key uint64, value []byte) bool) error 
 	// PhaseOther.
 	sp := db.tracer.Start(obs.OpScan, -1)
 	defer sp.Finish()
-	it, err := db.newIterator(lo, hi, sp)
+	it, err := db.newIterator(lo, hi, sp, true)
 	if err != nil {
 		return err
 	}

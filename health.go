@@ -17,6 +17,7 @@ package lsmssd
 import (
 	"errors"
 	"fmt"
+	"lsmssd/internal/block"
 	"syscall"
 	"time"
 
@@ -249,8 +250,10 @@ type scrubEntry struct {
 // bound on its read pressure). Holding the view
 // for the whole pass pins its blocks (frees defer through the snapshot
 // protocol), so every enumerated ID stays readable. Verification goes
-// through Peek — below the buffer cache, uncounted, unretried — so the
-// pass observes the device's real state and perturbs no I/O statistics.
+// through Peek — below the buffer cache, uncounted, unretried — into one
+// buffer the pass reuses for every block, so the pass observes the
+// device's real state, perturbs no I/O statistics and allocates nothing
+// per block.
 //
 // A corrupt block is quarantined and a repair attempted under the merge
 // lock: when the cache still holds a surviving copy the block is
@@ -278,6 +281,7 @@ func (s *shard) scrubPass() {
 		pace = min(pace, s.db.opts.ScrubInterval/time.Duration(n))
 	}
 	checked, corrupt, repaired := 0, 0, 0
+	var blk block.Block
 	for _, e := range entries {
 		select {
 		case <-s.scrubQuit:
@@ -285,7 +289,7 @@ func (s *shard) scrubPass() {
 		default:
 		}
 		checked++
-		if _, perr := s.dev.Peek(e.id); perr != nil {
+		if perr := s.dev.Peek(e.id, &blk); perr != nil {
 			if !errors.Is(perr, storage.ErrCorrupt) {
 				continue // transient; the retry layer owns these on real reads
 			}

@@ -2,6 +2,7 @@ package block
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -66,10 +67,20 @@ func TestBlockFind(t *testing.T) {
 func TestBlockClone(t *testing.T) {
 	b := New(recs(1, 2))
 	c := b.Clone()
-	c.records[0].Key = 99
-	if b.records[0].Key != 1 {
-		t.Error("Clone shares record storage with original")
+	c.buf[headerSize] = 99
+	if b.MinKey() != 1 {
+		t.Error("Clone shares its bytes with the original")
 	}
+}
+
+// records collects b's records through its cursor.
+func records(b *Block) []Record {
+	var rs []Record
+	c := b.Cursor()
+	for r, ok := c.Next(); ok; r, ok = c.Next() {
+		rs = append(rs, r)
+	}
+	return rs
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -89,8 +100,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if got.Len() != b.Len() {
 		t.Fatalf("round trip length %d, want %d", got.Len(), b.Len())
 	}
-	for i, r := range got.Records() {
-		want := b.Records()[i]
+	for i, r := range records(got) {
+		want := records(b)[i]
 		if r.Key != want.Key || r.Tombstone != want.Tombstone || !bytes.Equal(r.Payload, want.Payload) {
 			t.Errorf("record %d = %+v, want %+v", i, r, want)
 		}
@@ -136,21 +147,21 @@ func TestEncodedLen(t *testing.T) {
 	}
 }
 
-// TestDecodeSharesPayloads: Decode points each payload into src instead of
-// copying it, clipped to its length so an append cannot run into the next
-// record, and allocates only the record slice and the block.
+// TestDecodeSharesPayloads: Decode makes the block src itself, without a
+// copy — each payload points into src, clipped to its length so an append
+// cannot run into the next record — and allocates only the Block header.
 func TestDecodeSharesPayloads(t *testing.T) {
 	buf := fullBlock(t)
 	b, err := Decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range b.Records() {
+	for i, r := range records(b) {
 		if cap(r.Payload) != len(r.Payload) {
 			t.Fatalf("record %d: payload cap %d beyond its length %d", i, cap(r.Payload), len(r.Payload))
 		}
 	}
-	first := b.Records()[0].Payload
+	first := records(b)[0].Payload
 	buf[4+8+1+2] ^= 0xFF // the first payload byte
 	if first[0] != buf[4+8+1+2] {
 		t.Fatal("payload is a copy, not a view of src")
@@ -159,8 +170,82 @@ func TestDecodeSharesPayloads(t *testing.T) {
 		if _, err := Decode(buf); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 2 {
-		t.Fatalf("Decode allocates %.0f times per block, want at most 2", n)
+	}); n > 1 {
+		t.Fatalf("Decode allocates %.0f times per block, want at most 1", n)
+	}
+}
+
+// TestParseAndSearchInPlace: validating a block, searching it and walking
+// it read the encoded bytes where they lie and allocate nothing, and Load
+// into a reused block allocates nothing once the block has held one as
+// large.
+func TestParseAndSearchInPlace(t *testing.T) {
+	buf := fullBlock(t)
+	var b, c Block
+	if n := testing.AllocsPerRun(100, func() {
+		if err := b.Parse(buf); err != nil {
+			t.Fatal(err)
+		}
+		if r, ok := b.Find(17000); !ok || r.Key != 17000 || r.Payload[0] != 17 {
+			t.Fatalf("Find(17000) = %v, %v", r, ok)
+		}
+		if _, ok := b.Find(17001); ok {
+			t.Fatal("Find found an absent key")
+		}
+		if err := c.Load(buf); err != nil {
+			t.Fatal(err)
+		}
+		if c.MaxKey() != 31000 {
+			t.Fatalf("MaxKey = %d", c.MaxKey())
+		}
+	}); n != 0 {
+		t.Fatalf("Parse, Find, Load and MaxKey allocate %.1f times, want 0", n)
+	}
+	if &b.Encoded()[0] != &buf[0] {
+		t.Fatal("Parse copied the bytes")
+	}
+	if &c.Encoded()[0] == &buf[0] {
+		t.Fatal("Load aliased the bytes")
+	}
+}
+
+// TestParseRejectsDisorder: a block whose keys do not strictly increase
+// is refused where it lies, as a truncated one is.
+func TestParseRejectsDisorder(t *testing.T) {
+	buf := make([]byte, 64)
+	if err := New(recs(1, 2)).Encode(buf, 64); err != nil {
+		t.Fatal(err)
+	}
+	buf[headerSize+recordHeader+1] = 1 // second key := first key
+	var b Block
+	if err := b.Parse(buf); err == nil {
+		t.Fatal("duplicate keys parsed")
+	}
+	if b.Len() != 0 {
+		t.Fatalf("a refused block holds %d records", b.Len())
+	}
+}
+
+// TestAppendMatchesEncode: a block built record by record holds the bytes
+// Encode writes for the same records, and Reset keeps its memory.
+func TestAppendMatchesEncode(t *testing.T) {
+	rs := []Record{{Key: 1, Payload: []byte("a")}, {Key: 2, Tombstone: true}, {Key: 9, Payload: []byte("xyz")}}
+	var b Block
+	for _, r := range rs {
+		b.Append(r)
+	}
+	want := make([]byte, 64)
+	if err := New(rs).Encode(want, 64); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.Encoded(), want[:EncodedLen(want)]) {
+		t.Fatalf("appended bytes %x, encoded %x", b.Encoded(), want)
+	}
+	p := &b.Encoded()[0]
+	b.Reset()
+	b.Append(rs[0])
+	if b.Len() != 1 || &b.Encoded()[0] != p {
+		t.Fatal("Reset did not keep the block's memory")
 	}
 }
 
@@ -308,7 +393,7 @@ func TestQuickEncodeRoundTrip(t *testing.T) {
 			return false
 		}
 		for i := range rs {
-			g := got.Records()[i]
+			g := records(got)[i]
 			if g.Key != rs[i].Key || g.Tombstone != rs[i].Tombstone || !bytes.Equal(g.Payload, rs[i].Payload) {
 				return false
 			}
@@ -336,7 +421,7 @@ func TestQuickBuilderInvariants(t *testing.T) {
 			if b.Len() == 0 || b.Len() > capacity {
 				return false
 			}
-			for _, r := range b.Records() {
+			for _, r := range records(b) {
 				if r.Key != next {
 					return false
 				}
@@ -347,5 +432,39 @@ func TestQuickBuilderInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCopyRange: a clipped copy holds exactly the records in [lo, hi],
+// in order and byte for byte, and an empty range gives an empty block.
+func TestCopyRange(t *testing.T) {
+	src := New(recs(10, 20, 30, 40, 50))
+	var b Block
+	for _, tc := range []struct {
+		lo, hi Key
+		want   []Key
+	}{
+		{0, 100, []Key{10, 20, 30, 40, 50}},
+		{20, 40, []Key{20, 30, 40}},
+		{21, 39, []Key{30}},
+		{11, 19, nil},
+		{51, 60, nil},
+		{0, 10, []Key{10}},
+		{50, ^Key(0), []Key{50}},
+	} {
+		b.CopyRange(src, tc.lo, tc.hi)
+		var got []Key
+		for _, r := range records(&b) {
+			if want, _ := src.Find(r.Key); !bytes.Equal(r.Payload, want.Payload) {
+				t.Errorf("[%d, %d]: key %d payload %x, want %x", tc.lo, tc.hi, r.Key, r.Payload, want.Payload)
+			}
+			got = append(got, r.Key)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) || b.Len() != len(tc.want) {
+			t.Errorf("CopyRange(%d, %d) = %v (Len %d), want %v", tc.lo, tc.hi, got, b.Len(), tc.want)
+		}
+		if _, err := check(b.Encoded()); err != nil {
+			t.Errorf("CopyRange(%d, %d) is not a valid block: %v", tc.lo, tc.hi, err)
+		}
 	}
 }

@@ -1,11 +1,12 @@
 package block
 
 // Builder packs a key-ordered stream of records into blocks of at most
-// capacity records each. Merges and compactions feed records through a
-// Builder and collect the finished blocks.
+// capacity records each, encoding each record into the pending block as it
+// arrives. Compactions and run builds feed records through a Builder and
+// collect the finished blocks.
 type Builder struct {
 	capacity int
-	buf      []Record
+	cur      Block // the pending block, reused across flushes
 	out      []*Block
 }
 
@@ -18,28 +19,30 @@ func NewBuilder(capacity int) *Builder {
 }
 
 // Add appends a record, flushing a full block when the buffer reaches
-// capacity. Keys must arrive in strictly increasing order.
+// capacity. Keys must arrive in strictly increasing order. The record's
+// payload is copied.
 func (bb *Builder) Add(r Record) {
-	bb.buf = append(bb.buf, r)
-	if len(bb.buf) == bb.capacity {
+	if bb.cur.buf == nil {
+		// Size the pending block once, for capacity records like the
+		// first (up to 64 KiB), instead of growing it record by record.
+		bb.cur.buf = make([]byte, 0, min(headerSize+bb.capacity*encodedRecordSize(len(r.Payload)), 64<<10))
+	}
+	bb.cur.Append(r)
+	if bb.cur.Len() == bb.capacity {
 		bb.flush()
 	}
 }
 
 // Buffered returns the number of records currently buffered (not yet in a
 // finished block).
-func (bb *Builder) Buffered() int { return len(bb.buf) }
-
-// BufferedRecords exposes the current buffer (read-only), used by the
-// block-preserving merge to run its waste checks against the pending block.
-func (bb *Builder) BufferedRecords() []Record { return bb.buf }
+func (bb *Builder) Buffered() int { return bb.cur.Len() }
 
 // FlushPartial finishes the current buffer into a (possibly non-full)
-// block. It is a no-op when the buffer is empty. The block-preserving merge
+// block. It is a no-op when the buffer is empty. A block-preserving caller
 // calls this before reusing an input block, so that preserved blocks keep
 // their position in key order.
 func (bb *Builder) FlushPartial() {
-	if len(bb.buf) > 0 {
+	if bb.cur.Len() > 0 {
 		bb.flush()
 	}
 }
@@ -47,7 +50,7 @@ func (bb *Builder) FlushPartial() {
 // AppendExisting places an already-built block (a preserved input block)
 // after everything emitted so far. The caller guarantees key order.
 func (bb *Builder) AppendExisting(b *Block) {
-	if len(bb.buf) > 0 {
+	if bb.cur.Len() > 0 {
 		panic("block: AppendExisting with non-empty buffer; call FlushPartial first")
 	}
 	bb.out = append(bb.out, b)
@@ -68,9 +71,9 @@ func (bb *Builder) Finish() []*Block {
 	return bb.out
 }
 
+// flush hands the pending block's memory to the finished block; the next
+// Add sizes a fresh one.
 func (bb *Builder) flush() {
-	rs := make([]Record, len(bb.buf))
-	copy(rs, bb.buf)
-	bb.out = append(bb.out, New(rs))
-	bb.buf = bb.buf[:0]
+	bb.out = append(bb.out, &Block{buf: bb.cur.buf})
+	bb.cur.buf = nil
 }

@@ -5,7 +5,8 @@ import (
 	"fmt"
 )
 
-// Binary block format (little endian), used by the file-backed device:
+// Binary block format (little endian), the bytes a Block is and the bytes
+// the file-backed device stores:
 //
 //	offset 0: magic (2 bytes) = 0x4C53 ("LS")
 //	offset 2: record count (uint16)
@@ -19,19 +20,21 @@ import (
 // would not.
 
 const (
-	headerSize = 4
-	magic      = 0x4C53
+	headerSize   = 4
+	recordHeader = 8 + 1 + 2 // key, flags, payload length
+	magic        = 0x4C53
 
 	flagTombstone = 1 << 0
+
+	// MaxRecords is the most records one block's uint16 count holds.
+	MaxRecords = 0xFFFF
+	// MaxPayload is the longest payload a record's uint16 length holds.
+	MaxPayload = 0xFFFF
 )
 
 // EncodedSize returns the number of bytes Encode would produce.
 func (b *Block) EncodedSize() int {
-	n := headerSize
-	for _, r := range b.records {
-		n += encodedRecordSize(len(r.Payload))
-	}
-	return n
+	return max(len(b.buf), headerSize)
 }
 
 // Encode serializes the block into dst, which must be at least blockSize
@@ -42,31 +45,15 @@ func (b *Block) Encode(dst []byte, blockSize int) error {
 		return fmt.Errorf("block: encode buffer %d < block size %d", len(dst), blockSize)
 	}
 	if n := b.EncodedSize(); n > blockSize {
-		return fmt.Errorf("block: %d records (%d bytes) exceed block size %d", len(b.records), n, blockSize)
+		return fmt.Errorf("block: %d records (%d bytes) exceed block size %d", b.Len(), n, blockSize)
 	}
-	if len(b.records) > 0xFFFF {
-		return fmt.Errorf("block: too many records: %d", len(b.records))
+	n := copy(dst, b.buf)
+	if n == 0 {
+		binary.LittleEndian.PutUint16(dst[0:2], magic)
+		binary.LittleEndian.PutUint16(dst[2:4], 0)
+		n = headerSize
 	}
-	binary.LittleEndian.PutUint16(dst[0:2], magic)
-	binary.LittleEndian.PutUint16(dst[2:4], uint16(len(b.records)))
-	off := headerSize
-	for _, r := range b.records {
-		binary.LittleEndian.PutUint64(dst[off:], uint64(r.Key))
-		off += 8
-		var flags byte
-		if r.Tombstone {
-			flags |= flagTombstone
-		}
-		dst[off] = flags
-		off++
-		binary.LittleEndian.PutUint16(dst[off:], uint16(len(r.Payload)))
-		off += 2
-		copy(dst[off:], r.Payload)
-		off += len(r.Payload)
-	}
-	for i := off; i < blockSize; i++ {
-		dst[i] = 0
-	}
+	clear(dst[n:blockSize])
 	return nil
 }
 
@@ -80,7 +67,7 @@ func EncodedLen(src []byte) int {
 	}
 	off := headerSize
 	for i := int(binary.LittleEndian.Uint16(src[2:4])); i > 0; i-- {
-		if off+encodedRecordSize(0) > len(src) {
+		if off+recordHeader > len(src) {
 			return len(src)
 		}
 		off += encodedRecordSize(int(binary.LittleEndian.Uint16(src[off+9:])))
@@ -88,39 +75,69 @@ func EncodedLen(src []byte) int {
 	return min(off, len(src))
 }
 
-// Decode parses a block previously produced by Encode. The records'
-// payloads are sub-slices of src, clipped to their length, not copies: the
-// block owns src from here on, and the caller must not reuse it.
+// Decode returns the block encoded at the start of src, validated by
+// Parse. The block is src itself (its occupied prefix), not a copy: it
+// owns src from here on, and the caller must not reuse it.
 func Decode(src []byte) (*Block, error) {
-	if len(src) < headerSize {
-		return nil, fmt.Errorf("block: short buffer: %d bytes", len(src))
+	b := new(Block)
+	if err := b.Parse(src); err != nil {
+		return nil, err
 	}
-	if binary.LittleEndian.Uint16(src[0:2]) != magic {
-		return nil, fmt.Errorf("block: bad magic %#x", binary.LittleEndian.Uint16(src[0:2]))
+	return b, nil
+}
+
+// Parse validates the block encoded at the start of src in place — magic,
+// record bounds, strictly increasing keys — and makes b that prefix of
+// src, without copying or allocating. b aliases src afterwards. On error b
+// is left empty.
+func (b *Block) Parse(src []byte) error {
+	n, err := check(src)
+	if err != nil {
+		b.buf = nil
+		return err
+	}
+	b.buf = src[:n:n]
+	return nil
+}
+
+// Load validates the block encoded at the start of src, as Parse does, and
+// copies it into b's own memory: a caller-owned block refilled by every
+// read allocates only when it meets a larger block than it held before.
+func (b *Block) Load(src []byte) error {
+	n, err := check(src)
+	if err != nil {
+		b.buf = b.buf[:0]
+		return err
+	}
+	b.buf = append(b.buf[:0], src[:n]...)
+	return nil
+}
+
+// check validates the encoded block at the start of src and returns the
+// number of bytes it occupies.
+func check(src []byte) (int, error) {
+	if len(src) < headerSize {
+		return 0, fmt.Errorf("block: short buffer: %d bytes", len(src))
+	}
+	if m := binary.LittleEndian.Uint16(src[0:2]); m != magic {
+		return 0, fmt.Errorf("block: bad magic %#x", m)
 	}
 	count := int(binary.LittleEndian.Uint16(src[2:4]))
-	records := make([]Record, 0, count)
 	off := headerSize
+	var prev Key
 	for i := 0; i < count; i++ {
-		if off+11 > len(src) {
-			return nil, fmt.Errorf("block: truncated record %d", i)
+		if off+recordHeader > len(src) {
+			return 0, fmt.Errorf("block: truncated record %d", i)
 		}
-		var r Record
-		r.Key = Key(binary.LittleEndian.Uint64(src[off:]))
-		off += 8
-		flags := src[off]
-		off++
-		r.Tombstone = flags&flagTombstone != 0
-		plen := int(binary.LittleEndian.Uint16(src[off:]))
-		off += 2
-		if off+plen > len(src) {
-			return nil, fmt.Errorf("block: truncated payload in record %d", i)
+		k := Key(binary.LittleEndian.Uint64(src[off:]))
+		if i > 0 && k <= prev {
+			return 0, fmt.Errorf("block: records out of order at %d: %d >= %d", i, prev, k)
 		}
-		if plen > 0 {
-			r.Payload = src[off : off+plen : off+plen]
+		prev = k
+		off += encodedRecordSize(int(binary.LittleEndian.Uint16(src[off+9:])))
+		if off > len(src) {
+			return 0, fmt.Errorf("block: truncated payload in record %d", i)
 		}
-		off += plen
-		records = append(records, r)
 	}
-	return NewChecked(records)
+	return off, nil
 }

@@ -62,7 +62,7 @@ func RecordSize(payloadLen int) int {
 // encodedRecordSize is the number of bytes Encode writes for one record:
 // RecordSize plus the uint16 payload-length prefix.
 func encodedRecordSize(payloadLen int) int {
-	return RecordSize(payloadLen) + 2
+	return recordHeader + payloadLen
 }
 
 // MinSizeFor returns the smallest storage block size that holds one encoded

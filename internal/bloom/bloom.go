@@ -25,7 +25,16 @@ type Filter struct {
 // bitsPerKey bits per key. The number of hash functions is fixed at the
 // conventional bitsPerKey·ln2 (capped to [1, 8]).
 func NewFilter(keys []block.Key, bitsPerKey float64) *Filter {
-	n := len(keys)
+	f := newFilter(len(keys), bitsPerKey)
+	for _, k := range keys {
+		f.add(k)
+	}
+	return &f
+}
+
+// newFilter returns an empty filter sized for n keys. The registry keeps
+// filters by value, so a block's filter is one allocation, its bits.
+func newFilter(n int, bitsPerKey float64) Filter {
 	if n == 0 {
 		n = 1
 	}
@@ -41,15 +50,16 @@ func NewFilter(keys []block.Key, bitsPerKey float64) *Filter {
 	if hashes > 8 {
 		hashes = 8
 	}
-	f := &Filter{bits: make([]uint64, nbits/64), nbits: nbits, hashes: hashes}
-	for _, k := range keys {
-		h1, h2 := hash2(uint64(k))
-		for i := 0; i < hashes; i++ {
-			pos := (h1 + uint64(i)*h2) % nbits
-			f.bits[pos/64] |= 1 << (pos % 64)
-		}
+	return Filter{bits: make([]uint64, nbits/64), nbits: nbits, hashes: hashes}
+}
+
+// add sets k's bits.
+func (f *Filter) add(k block.Key) {
+	h1, h2 := hash2(uint64(k))
+	for i := 0; i < f.hashes; i++ {
+		pos := (h1 + uint64(i)*h2) % f.nbits
+		f.bits[pos/64] |= 1 << (pos % 64)
 	}
-	return f
 }
 
 // MayContain reports whether k may be in the filter's key set. False

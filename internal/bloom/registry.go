@@ -21,7 +21,7 @@ import (
 type Registry struct {
 	bitsPerKey float64
 	mu         sync.RWMutex
-	filters    map[storage.BlockID]*Filter
+	filters    map[storage.BlockID]Filter
 	skipped    atomic.Int64 // lookups answered "absent" without a block read
 	passed     atomic.Int64 // lookups that had to read the block
 }
@@ -30,18 +30,18 @@ type Registry struct {
 func NewRegistry(bitsPerKey float64) *Registry {
 	return &Registry{
 		bitsPerKey: bitsPerKey,
-		filters:    make(map[storage.BlockID]*Filter),
+		filters:    make(map[storage.BlockID]Filter),
 	}
 }
 
 // Add builds and stores the filter for a freshly written block, or for a
 // live block read back when a tree is restored.
 func (r *Registry) Add(id storage.BlockID, b *block.Block) {
-	keys := make([]block.Key, b.Len())
-	for i, rec := range b.Records() {
-		keys[i] = rec.Key
+	f := newFilter(b.Len(), r.bitsPerKey)
+	c := b.Cursor()
+	for rec, ok := c.Next(); ok; rec, ok = c.Next() {
+		f.add(rec.Key)
 	}
-	f := NewFilter(keys, r.bitsPerKey)
 	r.mu.Lock()
 	r.filters[id] = f
 	r.mu.Unlock()

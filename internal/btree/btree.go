@@ -40,13 +40,21 @@ type BlockMeta struct {
 
 // MetaFor builds the BlockMeta describing b stored under id.
 func MetaFor(id storage.BlockID, b *block.Block) BlockMeta {
-	m := BlockMeta{ID: id, Min: b.MinKey(), Max: b.MaxKey(), Count: b.Len()}
-	for _, r := range b.Records() {
+	m := BlockMeta{ID: id, Count: b.Len()}
+	c := b.Cursor()
+	for i := 0; ; i++ {
+		r, ok := c.Next()
+		if !ok {
+			return m
+		}
+		if i == 0 {
+			m.Min = r.Key
+		}
+		m.Max = r.Key
 		if r.Tombstone {
 			m.Tombstones++
 		}
 	}
-	return m
 }
 
 // Index is the in-memory block index of one level. The zero value is an

@@ -7,6 +7,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"lsmssd/internal/block"
 
 	"lsmssd/internal/obs"
 	"lsmssd/internal/policy"
@@ -68,8 +69,8 @@ func (c *Config) validate() error {
 	if c.Policy == nil {
 		return errors.New("core: Config.Policy is required")
 	}
-	if c.BlockCapacity < 1 {
-		return fmt.Errorf("core: BlockCapacity %d < 1", c.BlockCapacity)
+	if c.BlockCapacity < 1 || c.BlockCapacity > block.MaxRecords {
+		return fmt.Errorf("core: BlockCapacity %d outside [1, %d]", c.BlockCapacity, block.MaxRecords)
 	}
 	if c.K0 < 1 {
 		return fmt.Errorf("core: K0 %d < 1", c.K0)

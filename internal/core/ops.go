@@ -71,7 +71,8 @@ func (t *Tree) Get(k block.Key) ([]byte, bool, error) {
 
 // Scan calls fn for every live record with key in [lo, hi], in key order,
 // stopping early when fn returns false. The whole scan runs against one
-// snapshot: merges that complete mid-scan do not change what it sees.
+// snapshot: merges that complete mid-scan do not change what it sees. The
+// payload is valid only until fn returns.
 func (t *Tree) Scan(lo, hi block.Key, fn func(k block.Key, payload []byte) bool) error {
 	v, err := t.AcquireView()
 	if err != nil {

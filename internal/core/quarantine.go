@@ -22,6 +22,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"lsmssd/internal/block"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -155,8 +156,8 @@ func (t *Tree) RepairBlock(id storage.BlockID) (repaired bool, err error) {
 	// t.dev is the cache when one is configured: Peek serves the cached
 	// copy without touching the damaged device block, and falls through
 	// to the device (surfacing ErrCorrupt) when the block is not cached.
-	blk, perr := t.dev.Peek(id)
-	if perr != nil {
+	blk := new(block.Block)
+	if perr := t.dev.Peek(id, blk); perr != nil {
 		return false, nil
 	}
 	if blk.Len() != m.Count || blk.MinKey() != m.Min || blk.MaxKey() != m.Max {

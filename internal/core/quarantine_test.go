@@ -84,7 +84,7 @@ func TestRepairFromCacheCopy(t *testing.T) {
 	id := firstLevelBlock(t, tr)
 	// Warm the cache with the block's content, then damage the device
 	// copy underneath it.
-	if _, err := tr.Level(1).ReadAt(0); err != nil {
+	if _, err := tr.Cache().Load(id, 0, ^block.Key(0), new(block.Block)); err != nil {
 		t.Fatal(err)
 	}
 	dev.Corrupt(id)

@@ -82,7 +82,7 @@ func Restore(cfg Config, st ExportedState) (*Tree, error) {
 	}
 	t.memMu.Unlock()
 	// Read every live block back with an uncounted Peek of the uncached
-	// device, before the cascade below. Each must still hold what the state
+	// device into one reused buffer, before the cascade below. Each must still hold what the state
 	// says it does: without a write-ahead log a checkpoint neither syncs
 	// the device nor parks freed slots, so after a crash a slot the state
 	// names may hold a later merge's block, and serving it would return
@@ -90,19 +90,19 @@ func Restore(cfg Config, st ExportedState) (*Tree, error) {
 	// read rebuilds each block's, before the cascade so the blocks it
 	// preserves keep theirs. A block that fails its checksum is left to the
 	// read path: it gets no filter, and a Get reads it and surfaces the error.
+	var blk block.Block
 	for i, runs := range st.Runs {
 		for j, metas := range runs {
 			for _, m := range metas {
-				blk, err := cfg.Device.Peek(m.ID)
-				if err != nil {
+				if err := cfg.Device.Peek(m.ID, &blk); err != nil {
 					continue
 				}
-				if got := btree.MetaFor(m.ID, blk); got != m {
+				if got := btree.MetaFor(m.ID, &blk); got != m {
 					return nil, fmt.Errorf("core: restore L%d run %d: block %d holds keys [%d, %d] in %d records, the state names [%d, %d] in %d: %w",
 						i+1, j, m.ID, got.Min, got.Max, got.Count, m.Min, m.Max, m.Count, storage.ErrCorrupt)
 				}
 				if t.blooms != nil {
-					t.blooms.Add(m.ID, blk)
+					t.blooms.Add(m.ID, &blk)
 				}
 			}
 		}

@@ -64,10 +64,8 @@ func (t *Tree) ResetStats() {
 		}
 		s.retiredWrites, s.retiredCompactions = 0, 0
 	}
-	if t.cache != nil {
-		t.cache.ResetStats()
-		t.lastCacheHits, t.lastCacheMisses = 0, 0
-	}
+	t.cache.ResetStats()
+	t.lastCacheHits, t.lastCacheMisses = 0, 0
 	if t.blooms != nil {
 		t.blooms.ResetCounts()
 	}

@@ -24,17 +24,13 @@ import (
 	"lsmssd/internal/merge"
 )
 
-// buildRun packs recs (key-ordered, shadowing already resolved) into a
-// fresh run for level number, returning the run and the number of blocks
-// written. All blocks are full except possibly the last, so the run
-// trivially satisfies the pairwise and level-wise waste constraints.
-func (t *Tree) buildRun(number int, recs []block.Record) (*level.Level, int, error) {
+// buildRun writes blocks (packed by a Builder: key-ordered, shadowing
+// already resolved) as a fresh run for level number, returning the run and
+// the number of blocks written. All blocks are full except possibly the
+// last, so the run trivially satisfies the pairwise and level-wise waste
+// constraints.
+func (t *Tree) buildRun(number int, blocks []*block.Block) (*level.Level, int, error) {
 	run := t.newLevel(number)
-	builder := block.NewBuilder(t.cfg.BlockCapacity)
-	for _, r := range recs {
-		builder.Add(r)
-	}
-	blocks := builder.Finish()
 	metas := make([]btree.BlockMeta, 0, len(blocks))
 	for _, b := range blocks {
 		m, err := run.WriteNew(b)
@@ -49,54 +45,70 @@ func (t *Tree) buildRun(number int, recs []block.Record) (*level.Level, int, err
 	return run, len(blocks), nil
 }
 
-// mergedRunRecords k-way merges the records of runs in key order. The
-// runs arrive newest first, so on equal keys the earliest run wins — the
-// same shadowing order the read path's Iter applies. dropTombstones
-// removes delete markers from the output (legal only when nothing below
-// the target can still hold the deleted keys). Blocks are read through
+// mergedRunBlocks k-way merges the records of runs in key order and packs
+// them into in-memory blocks of the tree's capacity, returning the blocks
+// and the number of records in them. The runs arrive newest first, so on
+// equal keys the earliest run wins — the same shadowing order the read
+// path's Iter applies. dropTombstones removes delete markers from the
+// output (legal only when nothing below the target can still hold the
+// deleted keys). Each run streams through one reused buffer, read through
 // ReadAt, so the merge's device reads are counted like any other merge.
-func mergedRunRecords(runs []*level.Level, dropTombstones bool) ([]block.Record, error) {
-	seqs := make([][]block.Record, 0, len(runs))
-	total := 0
-	for _, r := range runs {
-		var recs []block.Record
-		for i := 0; i < r.Blocks(); i++ {
-			blk, err := r.ReadAt(i)
-			if err != nil {
-				return nil, err
-			}
-			recs = append(recs, blk.Records()...)
-		}
-		seqs = append(seqs, recs)
-		total += len(recs)
+func (t *Tree) mergedRunBlocks(runs []*level.Level, dropTombstones bool) ([]*block.Block, int, error) {
+	streams := make([]runStream, len(runs))
+	for i, r := range runs {
+		streams[i].run = r
 	}
-	out := make([]block.Record, 0, total)
-	idx := make([]int, len(seqs))
+	bb := block.NewBuilder(t.cfg.BlockCapacity)
+	n := 0
 	for {
 		best := -1
 		var bestKey block.Key
-		for s := range seqs {
-			if idx[s] >= len(seqs[s]) {
-				continue
+		for i := range streams {
+			s := &streams[i]
+			if err := s.fill(); err != nil {
+				return nil, 0, err
 			}
-			if k := seqs[s][idx[s]].Key; best == -1 || k < bestKey {
-				best, bestKey = s, k
+			if s.have && (best == -1 || s.rec.Key < bestKey) {
+				best, bestKey = i, s.rec.Key
 			}
 		}
 		if best == -1 {
-			return out, nil
+			return bb.Finish(), n, nil
 		}
-		r := seqs[best][idx[best]]
-		for s := range seqs {
-			if idx[s] < len(seqs[s]) && seqs[s][idx[s]].Key == bestKey {
-				idx[s]++
+		// The builder copies the record before any stream moves on.
+		if r := streams[best].rec; !dropTombstones || !r.Tombstone {
+			bb.Add(r)
+			n++
+		}
+		for i := range streams {
+			if s := &streams[i]; s.have && s.rec.Key == bestKey {
+				s.rec, s.have = s.cur.Next()
 			}
 		}
-		if dropTombstones && r.Tombstone {
-			continue
-		}
-		out = append(out, r)
 	}
+}
+
+// runStream walks one run's records block by block.
+type runStream struct {
+	run  *level.Level
+	next int // position of the next block to read
+	buf  block.Block
+	cur  block.Cursor
+	rec  block.Record // the record cur stands on, when have
+	have bool
+}
+
+// fill reads the run's next block once the current one is exhausted.
+func (s *runStream) fill() error {
+	for !s.have && s.next < s.run.Blocks() {
+		if err := s.run.ReadAt(s.next, &s.buf); err != nil {
+			return err
+		}
+		s.next++
+		s.cur = s.buf.Cursor()
+		s.rec, s.have = s.cur.Next()
+	}
+	return nil
 }
 
 // drainSlot frees every block of level i's runs (deferred through the
@@ -137,7 +149,11 @@ func (t *Tree) flushMemToRun(st *step) error {
 	}
 	var res merge.Result
 	if len(recs) > 0 {
-		run, written, err := t.buildRun(1, recs)
+		bb := block.NewBuilder(t.cfg.BlockCapacity)
+		for _, r := range recs {
+			bb.Add(r)
+		}
+		run, written, err := t.buildRun(1, bb.Finish())
 		if err != nil {
 			return err
 		}
@@ -178,25 +194,25 @@ func (t *Tree) mergeTieredLevel(st *step) error {
 	if t.tiered(i + 1) {
 		// Whole-run movement: tombstones drop only into an empty bottom.
 		drop := t.bottom(i+1) && tgt.records() == 0
-		recs, err := mergedRunRecords(s.runs, drop)
+		blocks, n, err := t.mergedRunBlocks(s.runs, drop)
 		if err != nil {
 			return err
 		}
-		if len(recs) > 0 {
-			run, written, err := t.buildRun(i+1, recs)
+		if n > 0 {
+			run, written, err := t.buildRun(i+1, blocks)
 			if err != nil {
 				return err
 			}
 			tgt.prepend(run)
-			res = merge.Result{BlocksWritten: written, RecordsIn: len(recs)}
+			res = merge.Result{BlocksWritten: written, RecordsIn: n}
 		}
 	} else {
-		recs, err := mergedRunRecords(s.runs, false)
+		blocks, n, err := t.mergedRunBlocks(s.runs, false)
 		if err != nil {
 			return err
 		}
-		if len(recs) > 0 {
-			src := merge.NewRecordSource(recs, t.cfg.BlockCapacity)
+		if n > 0 {
+			src := merge.NewBlockSource(blocks)
 			res, err = merge.Merge(src, 0, src.NumBlocks(), tgt.newest(), merge.Options{
 				Preserve:       t.cfg.Policy.Preserve(),
 				DropTombstones: t.bottom(i + 1),
@@ -236,7 +252,7 @@ func (t *Tree) consolidateBottom(st *step) error {
 	n := st.from
 	s := t.slots[n-1]
 	xBlocks := s.blocks()
-	recs, err := mergedRunRecords(s.runs, true)
+	blocks, records, err := t.mergedRunBlocks(s.runs, true)
 	if err != nil {
 		return err
 	}
@@ -244,14 +260,14 @@ func (t *Tree) consolidateBottom(st *step) error {
 		return err
 	}
 	var res merge.Result
-	if len(recs) > 0 {
-		run, written, err := t.buildRun(n, recs)
+	if records > 0 {
+		run, written, err := t.buildRun(n, blocks)
 		if err != nil {
 			return err
 		}
 		run.Compactions++
 		s.prepend(run)
-		res = merge.Result{BlocksWritten: written, RecordsIn: len(recs), CompactionWrites: written}
+		res = merge.Result{BlocksWritten: written, RecordsIn: records, CompactionWrites: written}
 	}
 	st.setMerged(n, xBlocks, res, 0, 0)
 	return nil

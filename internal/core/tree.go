@@ -27,7 +27,7 @@ import (
 type Tree struct {
 	cfg    Config
 	dev    storage.Device // Config.Device, possibly behind a cache
-	cache  *cache.Cache   // non-nil when CacheBlocks > 0
+	cache  *cache.Cache   // always set; capacity 0 when CacheBlocks <= 0
 	blooms *bloom.Registry
 	mem    *memtable.Table // see memMu
 
@@ -191,10 +191,10 @@ func New(cfg Config) (*Tree, error) {
 	}
 	t := &Tree{cfg: cfg, dev: cfg.Device, bus: cfg.Bus, lat: cfg.Lat,
 		layout: cfg.Policy.Layout()}
-	if cfg.CacheBlocks > 0 {
-		t.cache = cache.New(cfg.Device, cfg.CacheBlocks)
-		t.dev = t.cache
-	}
+	// Every read goes through the cache, which passes straight through
+	// to the device when it holds no frames.
+	t.cache = cache.New(cfg.Device, max(cfg.CacheBlocks, 0))
+	t.dev = t.cache
 	if cfg.BloomBitsPerKey > 0 {
 		t.blooms = bloom.NewRegistry(cfg.BloomBitsPerKey)
 	}
@@ -268,7 +268,8 @@ func (t *Tree) Memtable() *memtable.Table { return t.mem }
 // Device returns the device seen by the tree (after cache wrapping).
 func (t *Tree) Device() storage.Device { return t.dev }
 
-// Cache returns the tree-owned buffer cache, or nil.
+// Cache returns the tree-owned buffer cache (with no frames when
+// CacheBlocks <= 0).
 func (t *Tree) Cache() *cache.Cache { return t.cache }
 
 // Blooms returns the Bloom filter registry, or nil.
@@ -573,9 +574,6 @@ func (t *Tree) emitMerge(st *step) {
 // emission, aligning the cache series with the merge trace. Only called
 // with the bus enabled.
 func (t *Tree) emitCacheDelta() {
-	if t.cache == nil {
-		return
-	}
 	st := t.cache.Stats()
 	dh, dm := st.Hits-t.lastCacheHits, st.Misses-t.lastCacheMisses
 	t.lastCacheHits, t.lastCacheMisses = st.Hits, st.Misses

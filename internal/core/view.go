@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"lsmssd/internal/block"
 	"lsmssd/internal/btree"
@@ -297,8 +298,13 @@ func (d treeDevice) Write(id storage.BlockID, b *block.Block) error {
 	d.t.written = append(d.t.written, id)
 	return nil
 }
+func (d treeDevice) ReadInto(id storage.BlockID, dst *block.Block) error {
+	return d.t.dev.ReadInto(id, dst)
+}
 func (d treeDevice) Read(id storage.BlockID) (*block.Block, error) { return d.t.dev.Read(id) }
-func (d treeDevice) Peek(id storage.BlockID) (*block.Block, error) { return d.t.dev.Peek(id) }
+func (d treeDevice) Peek(id storage.BlockID, dst *block.Block) error {
+	return d.t.dev.Peek(id, dst)
+}
 func (d treeDevice) Free(id storage.BlockID) error {
 	d.t.pending = append(d.t.pending, id)
 	return nil
@@ -340,10 +346,10 @@ func (v *View) Records() int {
 	return n
 }
 
-// PeekBlock reads a data block referenced by this view without counting
-// device traffic (diagnostics: histograms, validation).
-func (v *View) PeekBlock(id storage.BlockID) (*block.Block, error) {
-	return v.tree.dev.Peek(id)
+// PeekBlock loads a data block referenced by this view into dst without
+// counting device traffic (diagnostics: histograms, validation).
+func (v *View) PeekBlock(id storage.BlockID, dst *block.Block) error {
+	return v.tree.dev.Peek(id, dst)
 }
 
 // Get returns the payload stored for k as of the snapshot. The lookup
@@ -355,10 +361,14 @@ func (v *View) Get(k block.Key) ([]byte, bool, error) {
 
 // GetTraced is Get with latency attribution: when sp is non-nil the
 // lookup's wall time is split into the memtable probe, Bloom checks, and
-// block fetches classified as cache hits or device preads (via a
-// non-promoting cache presence check). A nil span makes every
-// instrumentation point a no-op nil check, so the plain Get path stays
-// allocation-free.
+// block fetches, each labelled a cache hit or a device pread by what the
+// cache reports it did. A nil span makes every instrumentation point a
+// no-op nil check.
+//
+// A value found in L0 is the memtable's own, shared and immutable; a value
+// found in a storage level is a private copy, made under the cache shard's
+// lock (the frame it came from may be refilled once the lock is released),
+// and is the one allocation such a Get makes.
 func (v *View) GetTraced(k block.Key, sp *obs.Span) ([]byte, bool, error) {
 	t := v.tree
 	t.cnt.lookups.Add(1)
@@ -387,19 +397,15 @@ func (v *View) GetTraced(k block.Key, sp *obs.Span) ([]byte, bool, error) {
 					continue
 				}
 			}
-			if sp != nil {
-				if t.cache.Contains(m.ID) {
-					sp.To(obs.PhaseCacheRead)
-				} else {
-					sp.To(obs.PhaseDevRead)
-				}
+			sp.To(obs.PhaseDevRead)
+			r, ok, hit, err := t.cache.Get(m.ID, k)
+			if hit {
+				sp.Relabel(obs.PhaseCacheRead)
 			}
-			blk, err := t.dev.Read(m.ID)
 			sp.To(obs.PhaseOther)
 			if err != nil {
 				return nil, false, err
 			}
-			r, ok := blk.Find(k)
 			if !ok {
 				continue
 			}
@@ -422,9 +428,11 @@ func findBlock(metas []btree.BlockMeta, k block.Key) (btree.BlockMeta, bool) {
 }
 
 // Scan calls fn for every live record with key in [lo, hi] as of the
-// snapshot, in key order, stopping early when fn returns false.
+// snapshot, in key order, stopping early when fn returns false. The
+// payload is valid only until fn returns (see Iter.Value).
 func (v *View) Scan(lo, hi block.Key, fn func(k block.Key, payload []byte) bool) error {
 	it := v.Iter(lo, hi, nil)
+	defer it.Close()
 	for it.Next() {
 		if !fn(it.Key(), it.Value()) {
 			return nil
@@ -460,7 +468,7 @@ func (v *View) Iter(lo, hi block.Key, sp *obs.Span) *Iter {
 		for _, metas := range v.levels[i].Runs {
 			start, end := btree.OverlapIn(metas, lo, hi)
 			streams = append(streams, iterStream{
-				dev: v.tree.dev, cache: v.tree.cache, sp: sp, metas: metas,
+				cache: v.tree.cache, sp: sp, metas: metas,
 				blk: start, blkEnd: end, lo: lo, hi: hi,
 			})
 		}
@@ -517,25 +525,47 @@ func (it *Iter) Next() bool {
 func (it *Iter) Key() block.Key { return it.key }
 
 // Value returns the current record's payload. Valid after Next returned
-// true.
+// true, and only until the next call to Next: a value from a storage level
+// points into its run's block buffer, which the run refills with its next
+// block. A caller that keeps values copies them (the public Iterator does).
 func (it *Iter) Value() []byte { return it.val }
 
 // Err returns the first error the iteration hit, if any.
 func (it *Iter) Err() error { return it.err }
+
+// Close hands the runs' block buffers back for the next iteration to
+// reuse. No value Next returned may be used afterwards; Next returns
+// false. Closing twice is a no-op.
+func (it *Iter) Close() {
+	it.done = true
+	for i := range it.streams {
+		if b := it.streams[i].buf; b != nil {
+			it.streams[i].buf, it.streams[i].have = nil, false
+			runBuffers.Put(b)
+		}
+	}
+}
+
+// runBuffers recycles iterator runs' block buffers across iterations, so
+// a scan allocates none once buffers as large have been handed back.
+var runBuffers = sync.Pool{New: func() any { return new(block.Block) }}
 
 // iterStream streams records of one sorted run (or L0 when mem is set)
 // within the iteration bounds.
 type iterStream struct {
 	// L0 mode: a cursor over the memtable snapshot, bounded to [lo, hi].
 	mem *memtable.Cursor
-	// Level mode: walk metas[blk:blkEnd), loading lazily; reads count.
-	dev         storage.Device
-	cache       *cache.Cache // classification only; may be nil
-	sp          *obs.Span    // latency attribution; may be nil
+	// Level mode: walk metas[blk:blkEnd), loading each block on demand
+	// through the cache into buf (from runBuffers at the first load), which
+	// the stream reuses for every block; reads count.
+	cache       *cache.Cache
+	sp          *obs.Span // latency attribution; may be nil
 	metas       []btree.BlockMeta
 	blk, blkEnd int
-	cur         []block.Record
-	curPos      int
+	buf         *block.Block
+	cur         block.Cursor
+	rec         block.Record // the record cur stands on, when have
+	have        bool
 	lo, hi      block.Key
 }
 
@@ -545,36 +575,34 @@ func (s *iterStream) peek() (block.Record, bool, error) {
 		return r, ok, nil
 	}
 	for {
-		if s.cur != nil && s.curPos < len(s.cur) {
-			r := s.cur[s.curPos]
-			if r.Key > s.hi {
+		if s.have {
+			if s.rec.Key > s.hi {
 				return block.Record{}, false, nil
 			}
-			if r.Key < s.lo {
-				s.curPos++
-				continue
+			if s.rec.Key >= s.lo {
+				return s.rec, true, nil
 			}
-			return r, true, nil
+			s.rec, s.have = s.cur.Next()
+			continue
 		}
 		if s.blk >= s.blkEnd {
 			return block.Record{}, false, nil
 		}
-		if s.sp != nil {
-			if s.cache.Contains(s.metas[s.blk].ID) {
-				s.sp.To(obs.PhaseCacheRead)
-			} else {
-				s.sp.To(obs.PhaseDevRead)
-			}
+		if s.buf == nil {
+			s.buf = runBuffers.Get().(*block.Block)
 		}
-		b, err := s.dev.Read(s.metas[s.blk].ID)
-		if s.sp != nil {
-			s.sp.To(obs.PhaseKWayMerge)
+		s.sp.To(obs.PhaseDevRead)
+		hit, err := s.cache.Load(s.metas[s.blk].ID, s.lo, s.hi, s.buf)
+		if hit {
+			s.sp.Relabel(obs.PhaseCacheRead)
 		}
+		s.sp.To(obs.PhaseKWayMerge)
 		if err != nil {
 			return block.Record{}, false, err
 		}
 		s.blk++
-		s.cur, s.curPos = b.Records(), 0
+		s.cur = s.buf.Cursor()
+		s.rec, s.have = s.cur.Next()
 	}
 }
 
@@ -585,8 +613,8 @@ func (s *iterStream) skipKey(k block.Key) {
 		}
 		return
 	}
-	if s.cur != nil && s.curPos < len(s.cur) && s.cur[s.curPos].Key == k {
-		s.curPos++
+	if s.have && s.rec.Key == k {
+		s.rec, s.have = s.cur.Next()
 	}
 }
 
@@ -603,6 +631,7 @@ func (s *iterStream) skipKey(k block.Key) {
 func (v *View) Validate() error {
 	cfg := v.tree.cfg
 	layout := v.tree.layout
+	var blk block.Block
 	for _, lv := range v.levels {
 		if want := cfg.capacityBlocks(lv.Number); lv.Capacity != want {
 			return fmt.Errorf("core: L%d capacity %d, want %d", lv.Number, lv.Capacity, want)
@@ -623,11 +652,10 @@ func (v *View) Validate() error {
 				if lv.Number == len(v.levels) && !tiered && m.Tombstones > 0 {
 					return fmt.Errorf("core: tombstones in bottom level block %d", j)
 				}
-				blk, err := v.PeekBlock(m.ID)
-				if err != nil {
+				if err := v.PeekBlock(m.ID, &blk); err != nil {
 					return fmt.Errorf("core: L%d run %d block %d: %w", lv.Number, ri, j, err)
 				}
-				if got := btree.MetaFor(m.ID, blk); got != m {
+				if got := btree.MetaFor(m.ID, &blk); got != m {
 					return fmt.Errorf("core: L%d run %d block %d stale fence pointer: meta %+v vs contents %+v",
 						lv.Number, ri, j, m, got)
 				}

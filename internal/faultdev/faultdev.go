@@ -234,8 +234,8 @@ func (d *Device) Write(id storage.BlockID, b *block.Block) error {
 	return nil
 }
 
-// Read applies the read-side fault schedule, then delegates.
-func (d *Device) Read(id storage.BlockID) (*block.Block, error) {
+// ReadInto applies the read-side fault schedule, then delegates.
+func (d *Device) ReadInto(id storage.BlockID, dst *block.Block) error {
 	if d.opts.Latency > 0 {
 		time.Sleep(d.opts.Latency)
 	}
@@ -245,39 +245,52 @@ func (d *Device) Read(id storage.BlockID) (*block.Block, error) {
 	if d.failReadAt > 0 && n >= d.failReadAt {
 		d.injReadFails++
 		d.mu.Unlock()
-		return nil, fmt.Errorf("read %d: %w", n, ErrInjected)
+		return fmt.Errorf("read %d: %w", n, ErrInjected)
 	}
 	if d.opts.ReadFailProb > 0 && d.rng.Float64() < d.opts.ReadFailProb {
 		d.injReadFails++
 		d.mu.Unlock()
-		return nil, fmt.Errorf("read %d: %w", n, ErrInjected)
+		return fmt.Errorf("read %d: %w", n, ErrInjected)
 	}
-	bad := d.corrupt[id]
-	gone := d.pendingFree[id]
 	d.mu.Unlock()
-	if gone {
-		return nil, fmt.Errorf("faultdev: read block %d: %w", id, storage.ErrNotFound)
+	if err := d.damage(id, "read"); err != nil {
+		return err
 	}
-	if bad {
-		return nil, fmt.Errorf("faultdev: read block %d: damaged by torn write: %w", id, storage.ErrCorrupt)
+	return d.inner.ReadInto(id, dst)
+}
+
+// Read returns a copy of the block under id, through ReadInto's schedule.
+func (d *Device) Read(id storage.BlockID) (*block.Block, error) {
+	b := new(block.Block)
+	if err := d.ReadInto(id, b); err != nil {
+		return nil, err
 	}
-	return d.inner.Read(id)
+	return b, nil
 }
 
 // Peek bypasses the probabilistic schedule (diagnostics must not consume
 // RNG state) but still surfaces torn-write damage.
-func (d *Device) Peek(id storage.BlockID) (*block.Block, error) {
+func (d *Device) Peek(id storage.BlockID, dst *block.Block) error {
+	if err := d.damage(id, "peek"); err != nil {
+		return err
+	}
+	return d.inner.Peek(id, dst)
+}
+
+// damage reports a block freed under power-cut mode as missing and a
+// torn or bit-rotted block as corrupt.
+func (d *Device) damage(id storage.BlockID, op string) error {
 	d.mu.Lock()
 	bad := d.corrupt[id]
 	gone := d.pendingFree[id]
 	d.mu.Unlock()
 	if gone {
-		return nil, fmt.Errorf("faultdev: peek block %d: %w", id, storage.ErrNotFound)
+		return fmt.Errorf("faultdev: %s block %d: %w", op, id, storage.ErrNotFound)
 	}
 	if bad {
-		return nil, fmt.Errorf("faultdev: peek block %d: damaged by torn write: %w", id, storage.ErrCorrupt)
+		return fmt.Errorf("faultdev: %s block %d: damaged by torn write: %w", op, id, storage.ErrCorrupt)
 	}
-	return d.inner.Peek(id)
+	return nil
 }
 
 // Free releases id. In power-cut mode the release is deferred until the

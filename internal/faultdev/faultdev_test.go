@@ -93,7 +93,7 @@ func TestTornWriteSurfacesErrCorrupt(t *testing.T) {
 	if _, err := d.Read(id); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("read error = %v, want ErrCorrupt", err)
 	}
-	if _, err := d.Peek(id); !errors.Is(err, storage.ErrCorrupt) {
+	if err := d.Peek(id, new(block.Block)); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("peek error = %v, want ErrCorrupt", err)
 	}
 	if d.Injected().TornWrites != 1 {

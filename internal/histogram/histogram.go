@@ -21,13 +21,14 @@ func ViewLevel(v *core.View, level int, keySpace uint64, n int) ([]int, error) {
 	}
 	counts := make([]int, n)
 	lv := v.Levels()[level-1]
+	var blk block.Block
 	for _, metas := range lv.Runs {
 		for _, m := range metas {
-			blk, err := v.PeekBlock(m.ID)
-			if err != nil {
+			if err := v.PeekBlock(m.ID, &blk); err != nil {
 				return nil, err
 			}
-			for _, r := range blk.Records() {
+			c := blk.Cursor()
+			for r, ok := c.Next(); ok; r, ok = c.Next() {
 				counts[bucket(r.Key, keySpace, n)]++
 			}
 		}

@@ -147,18 +147,21 @@ func (l *Level) PairOK(i int) bool {
 	return btree.PairOK(l.idx.Meta(i).Count, l.idx.Meta(i+1).Count, l.b)
 }
 
-// ReadAt returns the data block at position i, counting a device read.
-func (l *Level) ReadAt(i int) (*block.Block, error) {
-	return l.dev.Read(l.idx.Meta(i).ID)
+// ReadAt loads the data block at position i into dst, counting a device
+// read.
+func (l *Level) ReadAt(i int, dst *block.Block) error {
+	return l.dev.ReadInto(l.idx.Meta(i).ID, dst)
 }
 
-// PeekAt returns the data block at position i without traffic accounting.
-func (l *Level) PeekAt(i int) (*block.Block, error) {
-	return l.dev.Peek(l.idx.Meta(i).ID)
+// PeekAt loads the data block at position i into dst without traffic
+// accounting.
+func (l *Level) PeekAt(i int, dst *block.Block) error {
+	return l.dev.Peek(l.idx.Meta(i).ID, dst)
 }
 
 // WriteNew allocates and writes a fresh data block, returning its metadata.
-// It counts one block write against this level.
+// It counts one block write against this level. Neither the device nor the
+// level keeps b, so a merge may refill it once WriteNew returns.
 func (l *Level) WriteNew(b *block.Block) (btree.BlockMeta, error) {
 	id := l.dev.Alloc()
 	if err := l.dev.Write(id, b); err != nil {
@@ -218,21 +221,21 @@ func (l *Level) RepairPair(i int) (bool, error) {
 	if i < 0 || i+1 >= l.idx.Len() || l.PairOK(i) {
 		return false, nil
 	}
-	a, err := l.ReadAt(i)
-	if err != nil {
-		return false, err
+	// The combined block fits in one block: the violated constraint says
+	// the counts sum to <= B. Each input is read into the same buffer and
+	// its records appended to the output before the next read.
+	var in, out block.Block
+	out.Reset()
+	for _, pos := range [2]int{i, i + 1} {
+		if err := l.ReadAt(pos, &in); err != nil {
+			return false, err
+		}
+		c := in.Cursor()
+		for r, ok := c.Next(); ok; r, ok = c.Next() {
+			out.Append(r)
+		}
 	}
-	b, err := l.ReadAt(i + 1)
-	if err != nil {
-		return false, err
-	}
-	combined := make([]block.Record, 0, a.Len()+b.Len())
-	combined = append(combined, a.Records()...)
-	combined = append(combined, b.Records()...)
-	// Combined fits in one block: the violated constraint says counts
-	// sum to <= B.
-	nb := block.New(combined)
-	meta, err := l.WriteNew(nb)
+	meta, err := l.WriteNew(&out)
 	if err != nil {
 		return false, err
 	}
@@ -284,12 +287,13 @@ func (l *Level) MaybeCompact() (int, error) {
 func (l *Level) Compact() (int, error) {
 	n := l.idx.Len()
 	builder := block.NewBuilder(l.b)
+	var blk block.Block
 	for i := 0; i < n; i++ {
-		blk, err := l.ReadAt(i)
-		if err != nil {
+		if err := l.ReadAt(i, &blk); err != nil {
 			return 0, err
 		}
-		for _, r := range blk.Records() {
+		c := blk.Cursor()
+		for r, ok := c.Next(); ok; r, ok = c.Next() {
 			builder.Add(r)
 		}
 	}
@@ -325,18 +329,24 @@ func (l *Level) ValidateContents() error {
 	if err := l.Validate(); err != nil {
 		return err
 	}
+	var blk block.Block
 	for i, m := range l.idx.All() {
-		blk, err := l.dev.Peek(m.ID)
-		if err != nil {
+		if err := l.dev.Peek(m.ID, &blk); err != nil {
 			return fmt.Errorf("level: block %d (id %d) unreadable: %w", i, m.ID, err)
 		}
-		recs := blk.Records()
-		for k := 1; k < len(recs); k++ {
-			if recs[k-1].Key >= recs[k].Key {
-				return fmt.Errorf("level: block %d records out of order at %d: %d >= %d", i, k, recs[k-1].Key, recs[k].Key)
+		c := blk.Cursor()
+		prev, _ := c.Next()
+		for k := 1; ; k++ {
+			r, ok := c.Next()
+			if !ok {
+				break
 			}
+			if prev.Key >= r.Key {
+				return fmt.Errorf("level: block %d records out of order at %d: %d >= %d", i, k, prev.Key, r.Key)
+			}
+			prev = r
 		}
-		if got := btree.MetaFor(m.ID, blk); got != m {
+		if got := btree.MetaFor(m.ID, &blk); got != m {
 			return fmt.Errorf("level: block %d stale fence pointer: meta %+v vs contents %+v", i, m, got)
 		}
 	}

@@ -215,7 +215,7 @@ func TestReplaceRangePreservesKeptBlocks(t *testing.T) {
 	if err := l.ReplaceRange(0, 3, []btree.BlockMeta{kept}, map[storage.BlockID]bool{keepID: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.Peek(keepID); err != nil {
+	if err := dev.Peek(keepID, new(block.Block)); err != nil {
 		t.Error("kept block was freed")
 	}
 	if dev.Counters().Live != 1 {

@@ -178,7 +178,7 @@ func DefaultConfig() Config {
 			"lsmssd",                      // WALEvent/RecoveryEvent at the DB's durability points
 		},
 		Confined: []Confinement{{
-			Rule: "device-io", Pkg: "lsmssd/internal/storage", Methods: []string{"Read", "Write"},
+			Rule: "device-io", Pkg: "lsmssd/internal/storage", Methods: []string{"Read", "ReadInto", "Write"},
 			Allowed: []string{
 				"lsmssd/internal/storage",
 				"lsmssd/internal/cache",

@@ -115,7 +115,7 @@ func confined(name, doc string) lint.Rule {
 }
 
 var (
-	deviceIO       = confined("device-io", "storage.Device.Read/Write confined to the block-I/O accounting layers")
+	deviceIO       = confined("device-io", "storage.Device.Read/ReadInto/Write confined to the block-I/O accounting layers")
 	treeState      = confined("tree-state", "live core.Tree level state readable only by writer-side packages")
 	compactionStep = confined("compaction-step", "merge cascades driven only from the compaction scheduling layer")
 	walFrame       = confined("wal-frame", "wal.Log mutations confined to the durability layer")

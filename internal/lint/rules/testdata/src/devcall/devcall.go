@@ -1,6 +1,6 @@
 // Package devcall seeds violations of the device-io rule: direct
-// storage.Device Read/Write calls from a package outside the sanctioned
-// block-I/O layers.
+// storage.Device Read/ReadInto/Write calls from a package outside the
+// sanctioned block-I/O layers.
 package devcall
 
 import (
@@ -15,10 +15,18 @@ func throughInterface(dev storage.Device, id storage.BlockID, b *block.Block) (*
 	return dev.Read(id) // want device-io
 }
 
+func intoCallerBlock(dev storage.Device, id storage.BlockID, dst *block.Block) error {
+	return dev.ReadInto(id, dst) // want device-io
+}
+
 func throughConcrete(d *storage.MemDevice, id storage.BlockID) (*block.Block, error) {
 	return d.Read(id) // want device-io
 }
 
-func peekIsDiagnostic(dev storage.Device, id storage.BlockID) (*block.Block, error) {
-	return dev.Peek(id) // allowed: Peek does not count traffic
+func intoCallerBlockConcrete(d *storage.FileDevice, id storage.BlockID, dst *block.Block) error {
+	return d.ReadInto(id, dst) // want device-io
+}
+
+func peekIsDiagnostic(dev storage.Device, id storage.BlockID, dst *block.Block) error {
+	return dev.Peek(id, dst) // allowed: Peek does not count traffic
 }

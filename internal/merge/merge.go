@@ -71,11 +71,12 @@ func Merge(src Source, xFrom, xTo int, tgt *level.Level, opts Options) (Result, 
 	var (
 		zMetas         []btree.BlockMeta
 		keepTgt        = make(map[storage.BlockID]bool)
-		buf            = make([]block.Record, 0, b)
-		emittedEmpty   int  // empty slots in output blocks emitted so far
-		consumedYEmpty int  // empty slots in Y blocks processed so far
-		prevCount      = -1 // record count of the block preceding the output; -1: none
+		out            block.Block // the pending output block, reused after each write
+		emittedEmpty   int         // empty slots in output blocks emitted so far
+		consumedYEmpty int         // empty slots in Y blocks processed so far
+		prevCount      = -1        // record count of the block preceding the output; -1: none
 	)
+	out.Reset()
 	if yStart > 0 {
 		prevCount = tgt.Index().Meta(yStart - 1).Count
 	}
@@ -84,29 +85,30 @@ func Merge(src Source, xFrom, xTo int, tgt *level.Level, opts Options) (Result, 
 	pairOK := func(a, c int) bool { return a < 0 || btree.PairOK(a, c, b) }
 
 	flush := func() error {
-		if len(buf) == 0 {
+		n := out.Len()
+		if n == 0 {
 			return nil
 		}
-		rs := make([]block.Record, len(buf))
-		copy(rs, buf)
-		meta, err := tgt.WriteNew(block.New(rs))
+		meta, err := tgt.WriteNew(&out)
 		if err != nil {
 			return err
 		}
 		zMetas = append(zMetas, meta)
-		emittedEmpty += b - len(buf)
-		prevCount = len(buf)
+		emittedEmpty += b - n
+		prevCount = n
 		res.BlocksWritten++
-		buf = buf[:0]
+		out.Reset()
 		return nil
 	}
 
+	// emit copies r into the output block, so the input buffer r points
+	// into may be refilled afterwards.
 	emit := func(r block.Record) error {
 		if r.Tombstone && opts.DropTombstones {
 			return nil
 		}
-		buf = append(buf, r)
-		if len(buf) == b {
+		out.Append(r)
+		if out.Len() == b {
 			return flush()
 		}
 		return nil
@@ -123,16 +125,17 @@ func Merge(src Source, xFrom, xTo int, tgt *level.Level, opts Options) (Result, 
 		if opts.DropTombstones && m.Tombstones > 0 {
 			return false, nil
 		}
-		if len(buf) > 0 {
-			if !pairOK(prevCount, len(buf)) || !pairOK(len(buf), m.Count) {
+		pending := out.Len()
+		if pending > 0 {
+			if !pairOK(prevCount, pending) || !pairOK(pending, m.Count) {
 				return false, nil
 			}
 		} else if !pairOK(prevCount, m.Count) {
 			return false, nil
 		}
 		hyp := wBase + emittedEmpty + (b - m.Count) - consumedYEmpty
-		if len(buf) > 0 {
-			hyp += b - len(buf)
+		if pending > 0 {
+			hyp += b - pending
 		}
 		if fromY {
 			// A preserved Y block's empty slots count on both sides of
@@ -159,42 +162,39 @@ func Merge(src Source, xFrom, xTo int, tgt *level.Level, opts Options) (Result, 
 		return true, nil
 	}
 
-	// Stream state: (xi, xRecs, xPos) over the source window and
-	// (yi, yRecs, yPos) over the overlapping target blocks. A nil record
-	// slice means the current block has not been loaded, leaving the
-	// preservation opportunity open.
+	// Stream state: block xi of the source window and block yi of the
+	// overlapping target blocks, each read into its side's reused buffer.
+	// A side that is not loaded has not read its current block, leaving
+	// the preservation opportunity open.
 	xi, yi := xFrom, yStart
-	var xRecs, yRecs []block.Record
-	xPos, yPos := 0, 0
+	var x, y input
 
 	loadY := func() error {
-		blk, err := tgt.ReadAt(yi)
-		if err != nil {
+		if err := tgt.ReadAt(yi, &y.blk); err != nil {
 			return err
 		}
-		yRecs, yPos = blk.Records(), 0
-		consumedYEmpty += b - len(yRecs)
+		y.start()
+		consumedYEmpty += b - y.blk.Len()
 		return nil
 	}
 	loadX := func() error {
-		rs, err := src.Records(xi)
-		if err != nil {
+		if err := src.Load(xi, &x.blk); err != nil {
 			return err
 		}
-		xRecs, xPos = rs, 0
+		x.start()
 		return nil
 	}
 
 	for {
 		var xk, yk block.Key
 		xok, yok := false, false
-		if xRecs != nil {
-			xk, xok = xRecs[xPos].Key, true
+		if x.loaded {
+			xk, xok = x.rec.Key, true
 		} else if xi < xTo {
 			xk, xok = src.Meta(xi).Min, true
 		}
-		if yRecs != nil {
-			yk, yok = yRecs[yPos].Key, true
+		if y.loaded {
+			yk, yok = y.rec.Key, true
 		} else if yi < yEnd {
 			yk, yok = tgt.Index().Meta(yi).Min, true
 		}
@@ -206,35 +206,31 @@ func Merge(src Source, xFrom, xTo int, tgt *level.Level, opts Options) (Result, 
 		case xok && yok && xk == yk:
 			// Consolidation: the newer record (from X) supersedes the
 			// one in Y. Both sides must be materialized.
-			if xRecs == nil {
+			if !x.loaded {
 				if err := loadX(); err != nil {
 					return res, err
 				}
 				continue
 			}
-			if yRecs == nil {
+			if !y.loaded {
 				if err := loadY(); err != nil {
 					return res, err
 				}
 				continue
 			}
-			if err := emit(xRecs[xPos]); err != nil {
+			if err := emit(x.rec); err != nil {
 				return res, err
 			}
 			res.RecordsIn++
-			xPos++
-			yPos++
-			if xPos == len(xRecs) {
-				xRecs = nil
+			if !x.next() {
 				xi++
 			}
-			if yPos == len(yRecs) {
-				yRecs = nil
+			if !y.next() {
 				yi++
 			}
 
 		case xok && (!yok || xk < yk):
-			if xRecs == nil {
+			if !x.loaded {
 				m := src.Meta(xi)
 				if !yok || m.Max < yk {
 					ok, err := tryPreserve(m, false)
@@ -252,18 +248,16 @@ func Merge(src Source, xFrom, xTo int, tgt *level.Level, opts Options) (Result, 
 				}
 				continue
 			}
-			if err := emit(xRecs[xPos]); err != nil {
+			if err := emit(x.rec); err != nil {
 				return res, err
 			}
 			res.RecordsIn++
-			xPos++
-			if xPos == len(xRecs) {
-				xRecs = nil
+			if !x.next() {
 				xi++
 			}
 
 		default: // Y side next
-			if yRecs == nil {
+			if !y.loaded {
 				m := tgt.Index().Meta(yi)
 				if !xok || m.Max < xk {
 					ok, err := tryPreserve(m, true)
@@ -280,12 +274,10 @@ func Merge(src Source, xFrom, xTo int, tgt *level.Level, opts Options) (Result, 
 				}
 				continue
 			}
-			if err := emit(yRecs[yPos]); err != nil {
+			if err := emit(y.rec); err != nil {
 				return res, err
 			}
-			yPos++
-			if yPos == len(yRecs) {
-				yRecs = nil
+			if !y.next() {
 				yi++
 			}
 		}
@@ -319,4 +311,27 @@ func Merge(src Source, xFrom, xTo int, tgt *level.Level, opts Options) (Result, 
 	}
 	res.CompactionWrites += cw
 	return res, nil
+}
+
+// input is one side of a merge: its current block, read into a buffer the
+// merge reuses for each of the side's blocks, and the record the side's
+// cursor stands on.
+type input struct {
+	blk    block.Block
+	cur    block.Cursor
+	rec    block.Record
+	loaded bool // rec is valid; false once the block is exhausted
+}
+
+// start positions the side on the first record of the block just read.
+func (in *input) start() {
+	in.cur = in.blk.Cursor()
+	in.rec, in.loaded = in.cur.Next()
+}
+
+// next advances past the current record, reporting whether the block has
+// another.
+func (in *input) next() bool {
+	in.rec, in.loaded = in.cur.Next()
+	return in.loaded
 }

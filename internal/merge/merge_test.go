@@ -345,9 +345,10 @@ func TestRecordSourceChunking(t *testing.T) {
 	if m.Min != 5 || m.Max != 5 || m.Count != 1 || m.ID != 0 {
 		t.Errorf("Meta(1) = %+v", m)
 	}
-	rs, err := src.Records(1)
-	if err != nil || len(rs) != 1 || rs[0].Key != 5 {
-		t.Errorf("Records(1) = %v, %v", rs, err)
+	var blk block.Block
+	err := src.Load(1, &blk)
+	if r, ok := blk.Find(5); err != nil || blk.Len() != 1 || !ok || r.Key != 5 {
+		t.Errorf("Load(1) = %d records, %v", blk.Len(), err)
 	}
 }
 
@@ -441,11 +442,14 @@ func TestQuickMergeModelCheck(t *testing.T) {
 		xTo := xFrom + 1 + rng.Intn(n-xFrom)
 		var windowRecs []block.Record
 		for i := xFrom; i < xTo; i++ {
-			blk, err := srcLvl.PeekAt(i)
-			if err != nil {
+			blk := new(block.Block) // windowRecs' payloads point into it
+			if err := srcLvl.PeekAt(i, blk); err != nil {
 				return false
 			}
-			windowRecs = append(windowRecs, blk.Records()...)
+			c := blk.Cursor()
+			for r, ok := c.Next(); ok; r, ok = c.Next() {
+				windowRecs = append(windowRecs, r)
+			}
 		}
 		res, err := Merge(LevelSource{srcLvl}, xFrom, xTo, tgt, Options{
 			Preserve:       preserve,

@@ -13,19 +13,20 @@ import (
 )
 
 // Source yields the X side of a merge: a sequence of key-ordered blocks
-// with pairwise-disjoint ranges. Two implementations exist: LevelSource
-// (a storage-resident level; reads count, blocks may be preserved) and
+// with pairwise-disjoint ranges. Three implementations exist: LevelSource
+// (a storage-resident level; reads count, blocks may be preserved),
 // RecordSource (records drained from the memory-resident L0, chunked into
-// virtual blocks; no I/O, nothing to preserve).
+// virtual blocks; no I/O, nothing to preserve) and BlockSource (blocks
+// packed in memory by a tiered fold; no I/O, nothing to preserve).
 type Source interface {
 	// NumBlocks returns the number of X blocks.
 	NumBlocks() int
 	// Meta returns the i-th block's metadata. A zero ID marks a virtual
 	// block that cannot be preserved.
 	Meta(i int) btree.BlockMeta
-	// Records loads the i-th block's records, counting a device read for
-	// storage-backed sources.
-	Records(i int) ([]block.Record, error)
+	// Load fills dst with the i-th block, counting a device read for
+	// storage-backed sources. dst is the merge's reused input buffer.
+	Load(i int, dst *block.Block) error
 }
 
 // LevelSource adapts a level as the X side of a merge, exposing the block
@@ -40,13 +41,9 @@ func (s LevelSource) NumBlocks() int { return s.Level.Blocks() }
 // Meta returns the i-th block's metadata.
 func (s LevelSource) Meta(i int) btree.BlockMeta { return s.Level.Index().Meta(i) }
 
-// Records reads the i-th block (counted).
-func (s LevelSource) Records(i int) ([]block.Record, error) {
-	blk, err := s.Level.ReadAt(i)
-	if err != nil {
-		return nil, err
-	}
-	return blk.Records(), nil
+// Load reads the i-th block into dst (counted).
+func (s LevelSource) Load(i int, dst *block.Block) error {
+	return s.Level.ReadAt(i, dst)
 }
 
 // RecordSource chunks a flat key-ordered record slice (drained from L0)
@@ -86,12 +83,42 @@ func (s *RecordSource) NumBlocks() int { return len(s.metas) }
 // Meta returns the i-th virtual block's metadata (ID 0: not preservable).
 func (s *RecordSource) Meta(i int) btree.BlockMeta { return s.metas[i] }
 
-// Records returns the i-th virtual block's records without any I/O.
-func (s *RecordSource) Records(i int) ([]block.Record, error) {
+// Load encodes the i-th virtual block's records into dst without any I/O.
+func (s *RecordSource) Load(i int, dst *block.Block) error {
 	off := i * s.capacity
-	end := off + s.capacity
-	if end > len(s.recs) {
-		end = len(s.recs)
+	end := min(off+s.capacity, len(s.recs))
+	dst.Reset()
+	for _, r := range s.recs[off:end] {
+		dst.Append(r)
 	}
-	return s.recs[off:end], nil
+	return nil
+}
+
+// BlockSource serves in-memory blocks that no device holds (a tiered
+// level's runs folded into one stream) as virtual blocks.
+type BlockSource struct {
+	blocks []*block.Block
+	metas  []btree.BlockMeta
+}
+
+// NewBlockSource builds a BlockSource over blocks, which must be in key
+// order with disjoint ranges.
+func NewBlockSource(blocks []*block.Block) *BlockSource {
+	s := &BlockSource{blocks: blocks, metas: make([]btree.BlockMeta, len(blocks))}
+	for i, b := range blocks {
+		s.metas[i] = btree.MetaFor(0, b)
+	}
+	return s
+}
+
+// NumBlocks returns the number of virtual blocks.
+func (s *BlockSource) NumBlocks() int { return len(s.blocks) }
+
+// Meta returns the i-th virtual block's metadata (ID 0: not preservable).
+func (s *BlockSource) Meta(i int) btree.BlockMeta { return s.metas[i] }
+
+// Load copies the i-th block into dst without any I/O.
+func (s *BlockSource) Load(i int, dst *block.Block) error {
+	dst.CopyFrom(s.blocks[i])
+	return nil
 }

@@ -129,6 +129,17 @@ func (s *Span) Shift(from, to Phase, d time.Duration) {
 	s.phases[to] += d
 }
 
+// Relabel renames the open phase: the time since the last To accrues to p
+// instead. A block fetch opens PhaseDevRead and relabels itself
+// PhaseCacheRead when the cache reports a hit, so each fetch lands in the
+// phase of what actually served it.
+func (s *Span) Relabel(p Phase) {
+	if s == nil {
+		return
+	}
+	s.cur = p
+}
+
 // Finish closes the span: the open phase is folded in, any residual
 // (clock skew guard; zero in practice) lands in PhaseOther so the phase
 // sum equals the total, and the event is routed — phase histograms

@@ -97,15 +97,24 @@ type Device interface {
 	// Alloc reserves a fresh block ID. The block is not readable until
 	// written.
 	Alloc() BlockID
-	// Write stores b under id and counts one block write. The device owns
-	// b afterwards; callers must not modify the block.
+	// Write stores b under id and counts one block write. The device does
+	// not retain b: it copies what it keeps, so the caller may refill b
+	// (a merge's reused output buffer) as soon as Write returns.
 	Write(id BlockID, b *block.Block) error
-	// Read returns the block stored under id and counts one block read.
+	// ReadInto loads the block stored under id into dst, reusing dst's
+	// memory, and counts one block read. It is the engine's one counted
+	// read: dst is the caller's, so a read allocates nothing once dst has
+	// held a block as large.
+	ReadInto(id BlockID, dst *block.Block) error
+	// Read returns a private copy of the block stored under id and counts
+	// one block read: ReadInto into a fresh block, for callers that keep
+	// the block (tests, tools).
 	Read(id BlockID) (*block.Block, error)
-	// Peek returns the block stored under id without counting a read. It
-	// exists for diagnostics (key-distribution histograms, invariant
-	// checks) that must not perturb the experiment's accounting.
-	Peek(id BlockID) (*block.Block, error)
+	// Peek loads the block stored under id into dst without counting a
+	// read. It exists for diagnostics (key-distribution histograms,
+	// invariant checks, the scrubber, reopen checks) that must not perturb
+	// the experiment's accounting.
+	Peek(id BlockID, dst *block.Block) error
 	// Free releases id; reading it afterwards fails.
 	Free(id BlockID) error
 	// Counters returns a snapshot of the accounting state.
@@ -116,4 +125,13 @@ type Device interface {
 	ResetCounters()
 	// Close releases any resources held by the device.
 	Close() error
+}
+
+// readCopy is every device's Read: ReadInto a fresh block.
+func readCopy(d Device, id BlockID) (*block.Block, error) {
+	b := new(block.Block)
+	if err := d.ReadInto(id, b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }

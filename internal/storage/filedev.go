@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -41,13 +40,13 @@ const slotTrailer = 8
 //
 // The device is safe for concurrent use. Reads take only a brief RLock to
 // consult the allocator map, then issue an independent pread (os.File.ReadAt
-// is safe for concurrent callers) into a pooled slot buffer, verify it, and
-// hand the decoder an exact-size copy of the encoded bytes, which the
-// decoded block keeps (its payloads point into it). So parallel lookups
-// from the snapshot-isolated read path scale with the file descriptor
-// rather than serializing on one device mutex, and a cached block holds
-// only the bytes it uses. Writes encode into pooled buffers and pwrite
-// outside the mutex too, so a merge's writes never hold up reads.
+// is safe for concurrent callers) into a pooled slot buffer, verify its
+// checksum, and copy the bytes the block occupies into the caller's block,
+// so a read into a reused block allocates nothing. Parallel lookups from
+// the snapshot-isolated read path scale with the file descriptor rather
+// than serializing on one device mutex. Writes encode into pooled buffers
+// and pwrite outside the mutex too, so a merge's writes never hold up
+// reads; Write copies the block into its slot buffer and keeps nothing.
 type FileDevice struct {
 	mu        sync.RWMutex // guards next, free, limbo, written, marks, syncErr
 	f         *os.File
@@ -148,7 +147,8 @@ func (d *FileDevice) Alloc() BlockID {
 	return id
 }
 
-// Write encodes and stores b at id's slot and counts one block write.
+// Write encodes b into a pooled slot buffer, stores it at id's slot and
+// counts one block write.
 func (d *FileDevice) Write(id BlockID, b *block.Block) error {
 	if id == 0 {
 		return fmt.Errorf("storage: write to invalid block id 0")
@@ -183,27 +183,29 @@ func (d *FileDevice) Write(id BlockID, b *block.Block) error {
 	return nil
 }
 
-// Read loads and decodes the block at id and counts one block read.
-func (d *FileDevice) Read(id BlockID) (*block.Block, error) {
-	b, err := d.load(id)
-	if err != nil {
-		return nil, err
+// ReadInto loads the block at id into dst and counts one block read.
+func (d *FileDevice) ReadInto(id BlockID, dst *block.Block) error {
+	if err := d.load(id, dst); err != nil {
+		return err
 	}
 	d.cnt.reads.Add(1)
-	return b, nil
+	return nil
 }
 
-// Peek loads the block at id without counting a read.
-func (d *FileDevice) Peek(id BlockID) (*block.Block, error) {
-	return d.load(id)
+// Read returns a copy of the block at id and counts one block read.
+func (d *FileDevice) Read(id BlockID) (*block.Block, error) { return readCopy(d, id) }
+
+// Peek loads the block at id into dst without counting a read.
+func (d *FileDevice) Peek(id BlockID, dst *block.Block) error {
+	return d.load(id, dst)
 }
 
-func (d *FileDevice) load(id BlockID) (*block.Block, error) {
+func (d *FileDevice) load(id BlockID, dst *block.Block) error {
 	d.mu.RLock()
 	_, ok := d.written[id]
 	d.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("storage: read block %d: %w", id, ErrNotFound)
+		return fmt.Errorf("storage: read block %d: %w", id, ErrNotFound)
 	}
 	// The slot cannot be recycled mid-read: the engine defers frees until
 	// no snapshot references the block, so a readable id stays stable for
@@ -211,18 +213,17 @@ func (d *FileDevice) load(id BlockID) (*block.Block, error) {
 	buf := d.bufs.Get().(*[]byte)
 	defer d.bufs.Put(buf)
 	if _, err := d.f.ReadAt(*buf, d.offset(id)); err != nil {
-		return nil, fmt.Errorf("storage: read block %d: %w", id, err)
+		return fmt.Errorf("storage: read block %d: %w", id, err)
 	}
 	body := (*buf)[:d.blockSize]
 	want := binary.LittleEndian.Uint32((*buf)[d.blockSize:])
 	if got := crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("storage: read block %d: checksum mismatch (stored %08x, computed %08x): %w",
+		return fmt.Errorf("storage: read block %d: checksum mismatch (stored %08x, computed %08x): %w",
 			id, want, got, ErrCorrupt)
 	}
-	// The decoded block's payloads point into its source, which outlives
-	// this call in the cache: give it an exact-size copy of the bytes the
-	// block occupies, not the pooled slot buffer.
-	return block.Decode(bytes.Clone(body[:block.EncodedLen(body)]))
+	// The pooled slot buffer goes back to the pool: dst gets a copy of the
+	// bytes the block occupies, in dst's own memory.
+	return dst.Load(body)
 }
 
 // Free releases id. A slot written before the newest LimboMark parks in the

@@ -96,11 +96,13 @@ func FuzzBlockChecksum(f *testing.F) {
 		if got == nil {
 			t.Fatal("Read returned nil block and nil error")
 		}
-		recs := got.Records()
-		for i := 1; i < len(recs); i++ {
-			if recs[i-1].Key >= recs[i].Key {
-				t.Fatalf("decoded block violates ordering at %d: %d >= %d", i, recs[i-1].Key, recs[i].Key)
+		c := got.Cursor()
+		prev, first := block.Key(0), true
+		for r, ok := c.Next(); ok; r, ok = c.Next() {
+			if !first && prev >= r.Key {
+				t.Fatalf("read block violates ordering: %d >= %d", prev, r.Key)
 			}
+			prev, first = r.Key, false
 		}
 	})
 }

@@ -11,7 +11,7 @@ import (
 // pass through immediately, so corruption stays loud and sentinel
 // classification upstream is undisturbed.
 //
-// Only Read retries: it is the path where flaky media and transient
+// Only reads (ReadInto) retry: it is the path where flaky media and transient
 // bus errors appear, and re-reading an immutable block is always safe.
 // Write, Free, and Sync forward unchanged — their errors carry
 // durability meaning (a retried failed fsync could falsely report lost
@@ -52,26 +52,21 @@ func (d *RetryDevice) Write(id BlockID, b *block.Block) error {
 	return d.inner.Write(id, b)
 }
 
-// Read returns the block under id, retrying transient failures within
-// the retry policy's attempt and deadline caps.
-func (d *RetryDevice) Read(id BlockID) (*block.Block, error) {
-	var b *block.Block
-	err := d.r.Do(func() error {
-		var rerr error
-		b, rerr = d.inner.Read(id)
-		return rerr
-	})
-	if err != nil {
-		if d.onExhausted != nil && Transient(err) {
-			d.onExhausted(err)
-		}
-		return nil, err
+// ReadInto loads the block under id into dst, retrying transient
+// failures within the retry policy's attempt and deadline caps.
+func (d *RetryDevice) ReadInto(id BlockID, dst *block.Block) error {
+	err := d.r.Do(func() error { return d.inner.ReadInto(id, dst) })
+	if err != nil && d.onExhausted != nil && Transient(err) {
+		d.onExhausted(err)
 	}
-	return b, nil
+	return err
 }
 
+// Read returns a copy of the block under id, retried as ReadInto is.
+func (d *RetryDevice) Read(id BlockID) (*block.Block, error) { return readCopy(d, id) }
+
 // Peek passes through without retries.
-func (d *RetryDevice) Peek(id BlockID) (*block.Block, error) { return d.inner.Peek(id) }
+func (d *RetryDevice) Peek(id BlockID, dst *block.Block) error { return d.inner.Peek(id, dst) }
 
 // Free passes through.
 func (d *RetryDevice) Free(id BlockID) error { return d.inner.Free(id) }

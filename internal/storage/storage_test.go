@@ -33,12 +33,12 @@ func devices(t *testing.T) map[string]Device {
 	return map[string]Device{"mem": md, "file": fd}
 }
 
-// TestFileDeviceReadKeepsOnlyUsedBytes: a Read reads the slot into a
-// pooled buffer and the decoded block keeps an exact-size copy of the
-// bytes it occupies, so what a Read allocates follows the block's
-// contents. A fresh 4,104-byte slot buffer per Read alone costs 4,864
-// bytes (its size class); this half-full block's Read must cost less in
-// all.
+// TestFileDeviceReadKeepsOnlyUsedBytes: ReadInto reads the slot into a
+// pooled buffer and copies only the bytes the block occupies into the
+// caller's block, so what a read into a fresh block allocates follows the
+// block's contents. A fresh 4,104-byte slot buffer per read alone costs
+// 4,864 bytes (its size class); this half-full block's read must cost less
+// in all.
 func TestFileDeviceReadKeepsOnlyUsedBytes(t *testing.T) {
 	d, err := OpenFileDevice(filepath.Join(t.TempDir(), "dev.blk"), 4096)
 	if err != nil {
@@ -54,12 +54,12 @@ func TestFileDeviceReadKeepsOnlyUsedBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	read := func() {
-		b, err := d.Read(id)
-		if err != nil {
+		b := new(block.Block)
+		if err := d.ReadInto(id, b); err != nil {
 			t.Fatal(err)
 		}
-		if got := b.Records(); len(got) != len(rs) || !bytes.Equal(got[15].Payload, rs[15].Payload) {
-			t.Fatalf("read back %d records", len(got))
+		if r, ok := b.Find(15); b.Len() != len(rs) || !ok || !bytes.Equal(r.Payload, rs[15].Payload) {
+			t.Fatalf("read back %d records", b.Len())
 		}
 	}
 	read() // fill the buffer pool
@@ -72,6 +72,37 @@ func TestFileDeviceReadKeepsOnlyUsedBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / reads; per >= 4864 {
 		t.Fatalf("a Read of a %d-byte block allocates %d bytes, want < 4864", block.New(rs).EncodedSize(), per)
+	}
+}
+
+// TestFileDeviceReadIntoReusedBlockAllocatesNothing: a read into a block
+// the caller reuses — a merge input, an iterator's run buffer, a cache
+// miss's pooled buffer — allocates nothing once the block has held one as
+// large.
+func TestFileDeviceReadIntoReusedBlockAllocatesNothing(t *testing.T) {
+	d, err := OpenFileDevice(filepath.Join(t.TempDir(), "dev.blk"), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	rs := make([]block.Record, 32)
+	for i := range rs {
+		rs[i] = block.Record{Key: block.Key(i), Payload: bytes.Repeat([]byte{byte(i)}, 100)}
+	}
+	id := d.Alloc()
+	if err := d.Write(id, block.New(rs)); err != nil {
+		t.Fatal(err)
+	}
+	var b block.Block
+	if n := testing.AllocsPerRun(200, func() {
+		if err := d.ReadInto(id, &b); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a FileDevice read into a reused block allocates %.1f times, want 0", n)
+	}
+	if b.Len() != len(rs) || b.MaxKey() != 31 {
+		t.Fatalf("read back %d records up to key %d", b.Len(), b.MaxKey())
 	}
 }
 
@@ -118,7 +149,7 @@ func TestDeviceCounters(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := d.Peek(ids[0]); err != nil {
+			if err := d.Peek(ids[0], new(block.Block)); err != nil {
 				t.Fatal(err)
 			}
 			d.Free(ids[4])
@@ -343,8 +374,8 @@ func TestQuickDeviceAccounting(t *testing.T) {
 				return false
 			}
 			for id, want := range live {
-				b, err := d.Peek(id)
-				if err != nil || b.MinKey() != want {
+				var b block.Block
+				if err := d.Peek(id, &b); err != nil || b.MinKey() != want {
 					return false
 				}
 			}

@@ -43,7 +43,23 @@ type Iterator struct {
 	// entry Next most recently surfaced (nil before the first Next).
 	heap []*shardCursor
 	cur  *shardCursor
+
+	// chunk holds copies of the values the cursors stand on. A shard's
+	// stream reuses its block buffers, so each value is copied here as
+	// its cursor reaches it; a full chunk is left to the values that
+	// point into it, never reused, so a returned value stays valid.
+	// Scan, whose callback may use a value only until it returns, sets
+	// borrow and is handed the streams' own bytes instead: a value stays
+	// put until its shard's stream moves past it, which is after the
+	// callback returns.
+	chunk  []byte
+	borrow bool
+
+	cursors []*shardCursor // every shard's, closed by Close
 }
+
+// valueChunk is the size of the chunks values are copied into.
+const valueChunk = 4 << 10
 
 // shardCursor is one shard's stream positioned at its current entry.
 type shardCursor struct {
@@ -55,15 +71,16 @@ type shardCursor struct {
 // NewIterator returns an iterator over the keys in [lo, hi] as of the
 // current snapshot. The full key space is [0, ^uint64(0)].
 func (db *DB) NewIterator(lo, hi uint64) (*Iterator, error) {
-	return db.newIterator(lo, hi, nil)
+	return db.newIterator(lo, hi, nil, false)
 }
 
 // newIterator is NewIterator with latency attribution: a non-nil sp is
 // handed to every shard's stream before it is primed, so the L0 seeks land
 // in PhaseMemtable and every block load — the priming ones included — in
 // PhaseCacheRead or PhaseDevRead. It returns with sp in PhaseKWayMerge.
-func (db *DB) newIterator(lo, hi uint64, sp *obs.Span) (*Iterator, error) {
-	it := &Iterator{db: db, views: make([]*core.View, 0, len(db.shards))}
+// borrow hands out values without copying them (Scan's; see chunk).
+func (db *DB) newIterator(lo, hi uint64, sp *obs.Span, borrow bool) (*Iterator, error) {
+	it := &Iterator{db: db, views: make([]*core.View, 0, len(db.shards)), borrow: borrow}
 	// Between two multi-shard Applies' publications, so the views hold all
 	// of each batch or none of it.
 	db.pubMu.RLock()
@@ -82,7 +99,8 @@ func (db *DB) newIterator(lo, hi uint64, sp *obs.Span) (*Iterator, error) {
 	sp.To(obs.PhaseKWayMerge)
 	for _, v := range it.views {
 		c := &shardCursor{it: v.Iter(block.Key(lo), block.Key(hi), sp)}
-		if c.advance() {
+		it.cursors = append(it.cursors, c)
+		if it.advance(c) {
 			it.push(c)
 		} else if err := c.it.Err(); err != nil && it.err == nil {
 			it.err = err
@@ -91,14 +109,31 @@ func (db *DB) newIterator(lo, hi uint64, sp *obs.Span) (*Iterator, error) {
 	return it, nil
 }
 
-// advance moves the cursor to its stream's next entry, reporting whether
-// one exists.
-func (c *shardCursor) advance() bool {
+// advance moves c to its stream's next entry, copying the entry's value
+// into the iterator's chunk, and reports whether one exists.
+func (it *Iterator) advance(c *shardCursor) bool {
 	if !c.it.Next() {
 		return false
 	}
 	c.key, c.val = c.it.Key(), c.it.Value()
+	if !it.borrow {
+		c.val = it.keep(c.val)
+	}
 	return true
+}
+
+// keep returns a copy of v in the iterator's chunk, capped at its length
+// so an append by the caller cannot run into the next value.
+func (it *Iterator) keep(v []byte) []byte {
+	if v == nil {
+		return nil
+	}
+	if cap(it.chunk)-len(it.chunk) < len(v) {
+		it.chunk = make([]byte, 0, max(valueChunk, len(v)))
+	}
+	n := len(it.chunk)
+	it.chunk = append(it.chunk, v...)
+	return it.chunk[n : n+len(v) : n+len(v)]
 }
 
 // push inserts a cursor into the min-heap.
@@ -155,7 +190,7 @@ func (it *Iterator) Next() bool {
 		return false
 	}
 	if it.cur != nil {
-		if it.cur.advance() {
+		if it.advance(it.cur) {
 			it.push(it.cur)
 		} else if err := it.cur.it.Err(); err != nil {
 			it.err = err
@@ -175,8 +210,9 @@ func (it *Iterator) Next() bool {
 func (it *Iterator) Key() uint64 { return uint64(it.cur.key) }
 
 // Value returns the current value. Valid only after Next returned true.
-// The slice is shared with the engine (the memtable or a cached block
-// holds it) and must not be modified.
+// The slice belongs to the iterator, which never reuses it: it stays
+// valid after Next and after Close, and must not be modified (other
+// values share its chunk).
 func (it *Iterator) Value() []byte { return it.cur.val }
 
 // Err returns the first error the iteration hit, if any. Exhausting the
@@ -188,6 +224,9 @@ func (it *Iterator) Err() error { return it.err }
 func (it *Iterator) Close() error {
 	if !it.closed {
 		it.closed = true
+		for _, c := range it.cursors {
+			c.it.Close()
+		}
 		for _, v := range it.views {
 			v.Release()
 		}

@@ -142,6 +142,62 @@ func TestScanSpanCoversPriming(t *testing.T) {
 	}
 }
 
+// TestTracedReadPhaseFollowsCacheOutcome: with a one-block cache, a
+// traced Get of the block just read is a hit and its fetch lands in
+// PhaseCacheRead alone; a traced Get of another block is a miss and lands
+// in PhaseDevRead alone. The label comes from the read call's own report,
+// so no separate presence check can disagree with what the read did.
+func TestTracedReadPhaseFollowsCacheOutcome(t *testing.T) {
+	o := traceOptions()
+	o.CacheBlocks = 1
+	db, err := Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	// Ascending puts leave only the newest keys in L0 (2 blocks of 8):
+	// keys 0 and 64 live on the device, in different blocks, and no
+	// other level's fences cover them.
+	for i := uint64(0); i < 400; i++ {
+		if err := db.Put(i, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := DrainCompaction(db); err != nil {
+		t.Fatal(err)
+	}
+	getSpan := func(k uint64) SpanEvent {
+		t.Helper()
+		if _, ok, err := db.Get(k); !ok || err != nil {
+			t.Fatalf("Get(%d) = %v, %v", k, ok, err)
+		}
+		evs := db.SlowOps() // newest first
+		if len(evs) == 0 || evs[0].Op != obs.OpGet {
+			t.Fatalf("Get(%d) left no span", k)
+		}
+		return evs[0]
+	}
+	getSpan(0) // brings key 0's block into the one frame
+	st0 := db.Stats()
+	hit := getSpan(0)
+	miss := getSpan(64)
+	st1 := db.Stats()
+	if dh, dm := st1.CacheHits-st0.CacheHits, st1.CacheMisses-st0.CacheMisses; dh != 1 || dm != 1 {
+		t.Fatalf("the two Gets made %d hits and %d misses, want 1 and 1", dh, dm)
+	}
+	if hit.Phases[obs.PhaseCacheRead] <= 0 || hit.Phases[obs.PhaseDevRead] != 0 {
+		t.Errorf("hit: cache_read %v, dev_read %v; want only cache_read", hit.Phases[obs.PhaseCacheRead], hit.Phases[obs.PhaseDevRead])
+	}
+	if miss.Phases[obs.PhaseDevRead] <= 0 || miss.Phases[obs.PhaseCacheRead] != 0 {
+		t.Errorf("miss: cache_read %v, dev_read %v; want only dev_read", miss.Phases[obs.PhaseCacheRead], miss.Phases[obs.PhaseDevRead])
+	}
+	for _, ev := range []SpanEvent{hit, miss} {
+		if ev.PhaseSum() != ev.Total {
+			t.Errorf("phase sum %v != total %v", ev.PhaseSum(), ev.Total)
+		}
+	}
+}
+
 // TestLockWaitPhaseAttributed: time a write spends between admission and
 // getting the shard's writer lock — behind a merge step, under background
 // compaction — lands in PhaseLockWait, not in the unattributed remainder.
