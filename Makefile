@@ -67,12 +67,13 @@ crash:
 
 # Fault-domain isolation soak (internal/crashloop chaos mode via
 # cmd/crashloop -chaos): seeded device-fault scenarios — bit rot, ENOSPC,
-# sticky sync failures, injected latency, flaky reads — each injected into
-# one shard of a 4-shard store and checked against a paired fault-free
-# run: unfaulted shards must stay byte-identical and healthy, every health
-# transition must carry a cause and name only the faulted shard, and a
-# crash+reopen must recover every acked write. Same entry point for a
-# longer soak: `go run ./cmd/crashloop -chaos -ops 20000`.
+# sticky sync failures, injected latency, flaky reads, a permanent write
+# failure — each injected into one shard of a 4-shard store and checked
+# against a paired fault-free run: unfaulted shards must stay
+# byte-identical and healthy, every health transition must carry a cause
+# and name only the faulted shard, and a crash+reopen must recover every
+# acked write. Same entry point for a longer soak:
+# `go run ./cmd/crashloop -chaos -ops 20000`.
 chaos:
 	$(GO) run ./cmd/crashloop -chaos
 

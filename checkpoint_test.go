@@ -657,9 +657,8 @@ func testFailedBackgroundCheckpointDemotesShard(t *testing.T) {
 }
 
 // TestIdleWALTailIsSynced: under SyncInterval a write followed by silence is
-// durable within about an interval — the shard's background goroutine
-// syncs the tail the next append never came
-// to sync.
+// durable within about an interval — no commit syncs, and the DB's
+// interval-sync goroutine syncs the tail whether or not more writes follow.
 func TestIdleWALTailIsSynced(t *testing.T) {
 	t.Run("background", testIdleWALTailIsSynced)
 }
@@ -676,11 +675,10 @@ func testIdleWALTailIsSynced(t *testing.T) {
 	if err := db.Put(42, []byte("written, then silence")); err != nil {
 		t.Fatal(err)
 	}
-	// The append normally finds the last sync (Open's) younger than
-	// the interval and leaves its frame unsynced; the tick then syncs
-	// it and the counter moves. Should the append have synced inline
-	// (a stalled machine), nothing is left to sync: give up after ten
-	// intervals and let the crash below decide either way.
+	// The Put leaves its frame unsynced; the interval-sync goroutine then
+	// syncs it and the counter moves. Should a tick have synced it before
+	// the counter is first read, nothing is left to sync: give up after
+	// ten intervals and let the crash below decide either way.
 	synced := db.Stats().WAL.Syncs
 	for deadline := time.Now().Add(10 * opts.WAL.Interval); db.Stats().WAL.Syncs == synced && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)

@@ -17,12 +17,12 @@
 //
 // With -chaos the command runs the fault-domain isolation soak instead:
 // seeded device-fault scenarios (bit rot, ENOSPC, sticky sync failures,
-// latency, flaky reads) injected into one shard of a sharded store, with
+// latency, flaky reads, a permanent write failure) injected into one shard of a sharded store, with
 // the blast radius, health-event causes, and acked-write durability
 // checked against a paired fault-free run. -scenario selects a single
 // scenario; -ops and -shards apply (shards defaults to 4 in chaos mode).
 //
-//	crashloop -chaos [-scenario bitflip|enospc|stickysync|latency|transient]
+//	crashloop -chaos [-scenario bitflip|enospc|stickysync|latency|transient|writefail]
 package main
 
 import (
@@ -50,7 +50,7 @@ func main() {
 		layout   = flag.String("layout", "leveling", "level layout: leveling, tiering, or lazy")
 		tierRuns = flag.Int("tier-runs", 0, "run budget T for tiered layouts (0 = default)")
 		chaos    = flag.Bool("chaos", false, "run the fault-domain isolation soak instead of the crash loop")
-		scenario = flag.String("scenario", "", "chaos scenario to run: bitflip, enospc, stickysync, latency, or transient (default: all)")
+		scenario = flag.String("scenario", "", "chaos scenario to run: bitflip, enospc, stickysync, latency, transient, or writefail (default: all)")
 		verbose  = flag.Bool("v", false, "log each cycle")
 	)
 	flag.Parse()

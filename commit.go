@@ -1,6 +1,7 @@
 package lsmssd
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -50,8 +51,10 @@ func (db *DB) write(op obs.Op, frame, byShard []block.Op, shards []*shard) error
 // frames in log order, and a write becomes visible only once it is as
 // durable as the policy promises. Writers to different shards share
 // nothing but the log, and under SyncEvery they share its fsyncs. Merges
-// and checkpoints run on the shards' scheduler goroutines; their failures
-// surface on a later write's admission or Notify.
+// and checkpoints run on the shards' scheduler goroutines; one that fails
+// demotes its shard (shard.backgroundFailed), and the health gate refuses
+// later writes to it. A writer the failure releases from the stall gate
+// finds the shard already demoted.
 //
 // A mutation is refused whole before anything is logged when any touched
 // shard is read-only or fails admission. A health-relevant error is
@@ -73,14 +76,9 @@ func (db *DB) commit(frame, byShard []block.Op, shards []*shard, lat *obs.Latenc
 	sp.To(obs.PhaseStallWait)
 	for _, s := range shards {
 		if err := s.sched.Admit(); err != nil {
-			// A background checkpoint that failed has already demoted the
-			// shard; report that, as every later write will, rather than the
-			// raw cause.
-			if roErr := s.writable(); roErr != nil {
-				return roErr
-			}
-			s.noteWriteError(err)
-			return err
+			// The failure that released the stall gate demoted the shard
+			// first: report that, as every later write will.
+			return cmp.Or(s.writable(), err)
 		}
 	}
 	sp.To(obs.PhaseLockWait)
@@ -134,20 +132,10 @@ func (db *DB) logLocked(log *wal.Log, frame []block.Op, shards []*shard, lat *ob
 // applyLocked lands a logged mutation: each shard's ops go into its L0,
 // all of them under pubMu when there are several shards, so a reader sees
 // the whole mutation or none of it; then each shard's scheduler is
-// notified and, under Paranoid, the shard audited. Every shard is applied
-// even when one reports an error — the frame is logged, and recovery would
-// apply all of it — and the first error is returned. The caller holds the
-// writer lock of every shard in shards.
+// notified and, under Paranoid, the shard audited. Every shard is audited
+// even when one fails its audit, and the first failure is returned. The
+// caller holds the writer lock of every shard in shards.
 func (db *DB) applyLocked(byShard []block.Op, shards []*shard, sp *obs.Span) error {
-	var first error
-	keep := func(s *shard, err error) {
-		if err != nil {
-			s.noteWriteError(err)
-			if first == nil {
-				first = err
-			}
-		}
-	}
 	sp.To(obs.PhaseMemtable)
 	if len(shards) > 1 {
 		db.pubMu.Lock()
@@ -156,18 +144,21 @@ func (db *DB) applyLocked(byShard []block.Op, shards []*shard, sp *obs.Span) err
 	for _, s := range shards {
 		var ops []block.Op
 		ops, rest = db.cut(rest, s)
-		keep(s, s.tree.ApplyBatch(ops))
+		s.tree.ApplyBatch(ops)
 	}
 	if len(shards) > 1 {
 		db.pubMu.Unlock()
 	}
 	sp.To(obs.PhaseCascade)
+	var first error
 	for _, s := range shards {
-		if err := s.sched.Notify(); err != nil {
-			keep(s, err)
-			continue
+		s.sched.Notify()
+		if err := s.paranoidSteadyCheck(); err != nil {
+			s.noteWriteError(err)
+			if first == nil {
+				first = err
+			}
 		}
-		keep(s, s.paranoidSteadyCheck())
 	}
 	sp.To(obs.PhaseOther)
 	return first
@@ -261,20 +252,49 @@ func (db *DB) noteLogError(err error) {
 	}
 }
 
-// syncIdleWAL is shard 0's scheduler tick under SyncInterval: fsync
-// whatever the log holds unsynced, so the tail written before a pause is
-// durable within an interval instead of waiting for the next append. One
-// goroutine owns it for the whole DB.
-func (db *DB) syncIdleWAL() error {
+// startIntervalSync starts the goroutine that runs SyncInterval's fsyncs,
+// once Open's replay has opened the log. stopIntervalSync, in shutdown,
+// stops it before the log closes.
+func (db *DB) startIntervalSync() {
 	log := db.wal.Load()
-	if log == nil { // recovery has not opened the log yet
-		return nil
+	if log == nil || db.opts.WAL.Sync != SyncInterval {
+		return
 	}
-	if err := log.Sync(); err != nil {
-		db.noteLogError(err)
-		return fmt.Errorf("lsmssd: write-ahead log idle sync: %w", err)
+	db.syncQuit = make(chan struct{})
+	db.syncDone = make(chan struct{})
+	go db.intervalSync(log)
+}
+
+// stopIntervalSync halts the interval-sync goroutine and waits for it to
+// exit. Idempotent; a no-op when it never started.
+func (db *DB) stopIntervalSync() {
+	if db.syncDone == nil {
+		return
 	}
-	return nil
+	db.syncOnce.Do(func() { close(db.syncQuit) })
+	<-db.syncDone
+}
+
+// intervalSync fsyncs the log every WAL.Interval, whatever it holds
+// unsynced — a no-op when nothing is — so under SyncInterval no commit
+// syncs, and the frames written before a pause are durable within an
+// interval as surely as those of a busy log. A failed sync poisons the
+// log: the goroutine demotes every shard (noteLogError) and exits.
+func (db *DB) intervalSync(log *wal.Log) {
+	defer close(db.syncDone)
+	tick := time.NewTicker(db.opts.WAL.Interval)
+	defer tick.Stop()
+	for {
+		select {
+		case <-db.syncQuit:
+			return
+		case <-tick.C:
+		}
+		if err := log.Sync(); err != nil {
+			db.noteLogError(err)
+			return
+		}
+	}
 }
 
 // openWAL performs crash recovery and positions the DB's log for
@@ -322,7 +342,6 @@ func (db *DB) openWAL() error {
 	}
 	log, err := wal.Open(base, max(info.LastSeq, to)+1, wal.Options{
 		Policy:       wal.SyncPolicy(db.opts.WAL.Sync),
-		Interval:     db.opts.WAL.Interval,
 		SegmentBytes: db.opts.WAL.SegmentBytes,
 	})
 	if err != nil {

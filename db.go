@@ -58,8 +58,9 @@ var ErrCorrupt = storage.ErrCorrupt
 // for. Writes pay only the L0 insertion, subject to LevelDB-style
 // backpressure when compaction falls behind: a 1 ms pacing sleep per write
 // once the shard's L0 holds 2×MemtableBlocks blocks, and a hard stall from
-// 4×MemtableBlocks until the goroutine drains it. Merge errors surface on
-// a subsequent write or at Close. Stats().Compaction.QueueDepth is zero
+// 4×MemtableBlocks until the goroutine drains it. A merge step or
+// checkpoint that fails demotes its shard to read-only (Health), and Close
+// reports the error. Stats().Compaction.QueueDepth is zero
 // once the cascade and any requested checkpoint have finished; a caller
 // that waits for that after every write gets exactly the paper's inline
 // merge sequence, and its BlocksWritten. No merge is ever initiated from
@@ -74,12 +75,17 @@ type DB struct {
 	mask   uint64
 
 	// The write-ahead log (nil for an in-memory store, and until Open's
-	// replay of it is done; published atomically for shard 0's idle-sync
-	// tick, which may already be running), what the replay did, and gcMu,
-	// which serializes the shards' checkpoints' calls to its GC (commit.go).
+	// replay of it is done, which is how commit knows to skip the append),
+	// what the replay did, and gcMu, which serializes the shards'
+	// checkpoints' calls to its GC (commit.go). Under SyncInterval one
+	// goroutine fsyncs it every WAL.Interval (intervalSync), stopped exactly
+	// once (syncOnce) before the log closes.
 	wal      atomic.Pointer[wal.Log]
 	recovery WALRecoveryStats
 	gcMu     sync.Mutex
+	syncQuit chan struct{}
+	syncDone chan struct{}
+	syncOnce sync.Once
 
 	// pubMu makes a multi-shard Apply one step for readers: the writer
 	// applies its shards' slices holding it exclusively, and newIterator
@@ -157,6 +163,7 @@ func Open(opts Options) (*DB, error) {
 	if err := db.openWAL(); err != nil {
 		return nil, errors.Join(err, db.shutdown(true))
 	}
+	db.startIntervalSync()
 	return db.startObs()
 }
 
@@ -215,10 +222,10 @@ func (db *DB) Checkpoint() error {
 }
 
 // Put inserts or updates the value stored for key. It may pace or stall
-// when the owning shard's L0 reaches 2× or 4× MemtableBlocks blocks, and
-// it reports any error that shard's scheduler goroutine parked since the
-// previous write (a failed merge step, checkpoint or idle WAL sync). The
-// memtable keeps value itself, not a copy: the caller must not modify it
+// when the owning shard's L0 reaches 2× or 4× MemtableBlocks blocks, and it
+// fails with ErrShardReadOnly once a fault — a failed merge step,
+// checkpoint or log sync among them — demoted that shard. The memtable
+// keeps value itself, not a copy: the caller must not modify it
 // afterwards.
 func (db *DB) Put(key uint64, value []byte) error {
 	ops := []block.Op{{Key: key, Value: value}}
@@ -299,8 +306,8 @@ func (db *DB) Scan(lo, hi uint64, fn func(key uint64, value []byte) bool) error 
 // delivered to subscribed sinks before Close returns). Every operation
 // issued after Close returns ErrClosed. A cascade interrupted mid-way is
 // completed on the next Open (the manifest round-trips over-capacity
-// levels; Restore drains them). Any background merge error a scheduler
-// parked is folded into Close's return.
+// levels; Restore drains them). The error of a background merge step or
+// checkpoint that failed is folded into Close's return.
 func (db *DB) Close() error { return db.shutdown(false) }
 
 // Crash abandons the DB as a power cut would: no checkpoint, no device
@@ -318,10 +325,11 @@ func (db *DB) Crash() error { return db.shutdown(true) }
 // writer lock (shard.releaseLocked: clean close, or crash) and to the log
 // after every shard (close, or drop the unsynced tail).
 //
-// Ordering: every shard's compaction scheduler and scrubber is stopped
-// first, before any lock is taken — a scheduler's in-flight checkpoint
-// needs its shard's locks to finish, and both must be quiescent before the
-// devices and event bus go away. The flight recorder stops next (its
+// Ordering: every shard's compaction scheduler and scrubber, and the
+// interval-sync goroutine, are stopped first, before any lock is taken — a
+// scheduler's in-flight checkpoint needs its shard's locks to finish, and
+// all must be quiescent before the devices, the log and the event bus go
+// away. The flight recorder stops next (its
 // collector reads per-shard state the release step frees), then every
 // checkpoint lock and every writer lock is taken (DESIGN.md §13.4), the
 // metrics endpoint and the bus close, the DB is marked closed, and each
@@ -331,6 +339,7 @@ func (db *DB) shutdown(crash bool) error {
 		s.sched.Stop()
 		s.stopScrub()
 	}
+	db.stopIntervalSync()
 	db.recOnce.Do(func() { db.recorder.Close() })
 	// Checkpoint locks before writer locks (DESIGN.md §13.4): a
 	// DB.Checkpoint in flight finishes its persist first.

@@ -273,3 +273,50 @@ func TestFaultIsolationAcrossShards(t *testing.T) {
 		t.Fatalf("Validate after recovery: %v", err)
 	}
 }
+
+// TestBackgroundFailureDemotesShard: a merge step whose device write fails
+// ends the shard's scheduler, which runs no merge again, so the shard is
+// demoted to read-only with a cause: Health reports it, the next Put is
+// refused with an error that is both ErrShardReadOnly and the injected
+// fault, reads keep serving, and Close reports the failure.
+func TestBackgroundFailureDemotesShard(t *testing.T) {
+	opts := smallOptions()
+	opts.DeviceWrap = func(_ int, dev storage.Device) storage.Device {
+		fd := faultdev.Wrap(dev, faultdev.Options{})
+		fd.FailWriteAt(1) // the first merge's first output block
+		return fd
+	}
+	db, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := map[uint64]bool{}
+	key := uint64(0)
+	for ; db.Health().Shards[0].State != "read-only"; key++ {
+		if key > 10000 {
+			t.Fatalf("10000 Puts after the injected write fault and the shard is still %q", db.Health().Shards[0].State)
+		}
+		switch err := db.Put(key, isoValue(int(key))); {
+		case err == nil:
+			acked[key] = true
+		case !errors.Is(err, lsmssd.ErrShardReadOnly):
+			t.Fatalf("Put(%d) = %v; a write must succeed or be refused as read-only", key, err)
+		}
+	}
+	h := db.Health().Shards[0]
+	if h.Cause == "" || h.Err == "" {
+		t.Fatalf("read-only shard health %+v carries no cause", h)
+	}
+	err = db.Put(key, isoValue(int(key)))
+	if !errors.Is(err, lsmssd.ErrShardReadOnly) || !errors.Is(err, faultdev.ErrInjected) {
+		t.Fatalf("Put after the failed merge = %v, want ErrShardReadOnly wrapping the injected fault", err)
+	}
+	for k := range acked {
+		if v, ok, err := db.Get(k); err != nil || !ok || !bytes.Equal(v, isoValue(int(k))) {
+			t.Fatalf("read-only shard lost acknowledged key %d: %q, found %v, err %v", k, v, ok, err)
+		}
+	}
+	if err := db.Close(); !errors.Is(err, faultdev.ErrInjected) {
+		t.Fatalf("Close = %v, want the failed merge step's error", err)
+	}
+}

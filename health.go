@@ -15,6 +15,7 @@ package lsmssd
 // when one exists, and promotes a clean Degraded shard back to Healthy.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"lsmssd/internal/block"
@@ -113,6 +114,16 @@ func (s *shard) noteWriteError(err error) {
 	case health.Degraded:
 		s.health.Degrade(cause, err)
 	}
+}
+
+// backgroundFailed is the shard scheduler's Config.Fail: a merge step or
+// checkpoint failed, and the scheduler runs no more merges, so L0 would
+// grow without bound. It demotes the shard to read-only, with the
+// classified cause when the error has one and "background-failed"
+// otherwise, before the scheduler releases writers gated on it.
+func (s *shard) backgroundFailed(err error) {
+	_, cause := classifyWriteError(err)
+	s.health.DemoteReadOnly(cmp.Or(cause, "background-failed"), err)
 }
 
 // noteReadError records a read-path integrity failure: corruption on a

@@ -20,23 +20,20 @@
 // model, and its BlocksWritten accounting byte for byte, are reproduced
 // through a DB by draining, not by a second executor.
 //
-// The goroutine also carries the shard's other background work, so the
-// engine has one background protocol per shard, not several:
+// The goroutine also carries the shard's checkpoints, so the engine has one
+// background protocol per shard, not several: a writer whose WAL append
+// sealed a segment calls RequestCheckpoint on each shard due one and
+// returns; the goroutine runs Config.Checkpoint between merge steps,
+// without the merge lock. Requests coalesce, and one arriving while a
+// checkpoint runs yields one more run. A requested-or-running checkpoint
+// counts one unit of QueueDepth, so "drained" means "and checkpointed".
 //
-//   - checkpoints: a writer whose WAL append sealed a segment calls
-//     RequestCheckpoint on each shard due one and returns; the goroutine
-//     runs Config.Checkpoint between merge steps, without the merge lock.
-//     Requests coalesce, and one arriving while a checkpoint runs yields
-//     one more run. A requested-or-running checkpoint counts one unit of
-//     QueueDepth, so "drained" means "and checkpointed";
-//   - the idle tick (when Config.Tick is set): called every TickInterval —
-//     the DB uses it to fsync a WAL tail that went idle under the interval
-//     sync policy.
-//
-// Error contract: a failed merge step, checkpoint or tick parks the error;
-// every subsequent Admit/Notify returns it, and DB.Close folds it into its
-// own error, so background failures surface on the next write or at Close —
-// never silently.
+// Error contract: the first failed merge step or checkpoint ends the
+// goroutine. It calls Config.Fail once — the DB demotes the shard to
+// read-only there — then parks the error and releases the writers gated
+// at the stop trigger, whose Admit returns it. Writes never poll for it
+// otherwise: below the gate Admit and Notify read no error. WaitIdle
+// returns the parked error, and DB.Close folds it into its own.
 package compaction
 
 import (
@@ -81,10 +78,10 @@ type Config struct {
 	// per coalesced RequestCheckpoint, with MergeMu not held. Required if
 	// RequestCheckpoint is ever called.
 	Checkpoint func() error
-	// Tick, when set with a positive TickInterval, is called from the
-	// goroutine every TickInterval between other work.
-	Tick         func() error
-	TickInterval time.Duration
+	// Fail, when set, is called once from the goroutine with the error of
+	// the merge step or checkpoint that ended it, before gated writers are
+	// released. No more merges run after it.
+	Fail func(error)
 }
 
 // Scheduler drives a Tree's overflow cascade per its Config. All methods
@@ -104,14 +101,14 @@ type Scheduler struct {
 	stopOnce sync.Once
 	stopping atomic.Bool
 
-	// Stall gate. gateMu guards l0Gate and err, and orders the gauge
-	// refreshes; the condition variable wakes writers parked at the stop
-	// trigger when the scheduler drains L0, fails, or shuts down (atomics
-	// alone would lose wakeups).
+	// Stall gate. gateMu guards err and orders the gauge refreshes; a
+	// writer at the stop trigger reads l0Blocks under it, so no refresh
+	// falls between its check and its wait. The condition variable wakes
+	// writers parked at the stop trigger when the scheduler drains L0,
+	// fails, or shuts down (atomics alone would lose wakeups).
 	gateMu sync.Mutex
 	gate   *sync.Cond
-	l0Gate int
-	err    error // first failed merge step, checkpoint or tick; sticky
+	err    error // the failed merge step or checkpoint that ended the goroutine
 
 	// Checkpoint requests are generations: a request bumps ckptWant, the
 	// goroutine copies the value it read before running into ckptDone
@@ -119,10 +116,10 @@ type Scheduler struct {
 	// it is neither lost nor run twice.
 	ckptWant, ckptDone atomic.Int64
 
-	// Gauges and counters, atomics so Stats stays lock-free.
+	// Gauges and counters, atomics so Stats stays lock-free. The gauges
+	// are stored only in refresh, under gateMu.
 	queueDepth    atomic.Int64
 	l0Blocks      atomic.Int64
-	pendingWork   atomic.Bool
 	steps         atomic.Int64
 	slowdowns     atomic.Int64
 	stops         atomic.Int64
@@ -153,12 +150,11 @@ func New(cfg Config) (*Scheduler, error) {
 }
 
 // Admit applies write-path backpressure; writers call it before taking
-// their own locks (it may sleep or block). It returns any parked
-// background error; below the gate that is all it does.
+// their own locks (it may sleep or block). Below the slowdown trigger it is
+// one atomic load. It returns an error only to a writer gated at the stop
+// trigger that a failed merge step or checkpoint released: the error that
+// ended the goroutine, reported after Config.Fail ran.
 func (s *Scheduler) Admit() error {
-	if err := s.Err(); err != nil {
-		return err
-	}
 	switch l0 := int(s.l0Blocks.Load()); {
 	case l0 >= s.stop:
 		return s.waitBelowStop()
@@ -166,17 +162,16 @@ func (s *Scheduler) Admit() error {
 		start := time.Now()
 		time.Sleep(pacingSleep)
 		s.recordStall("slowdown", s.slowdown, &s.slowdowns, &s.slowdownNanos, time.Since(start))
-		return s.Err()
 	}
 	return nil
 }
 
 // waitBelowStop parks the writer until L0 drops back under the stop
-// threshold, a merge fails, or the scheduler stops.
+// threshold, a merge step or checkpoint fails, or the scheduler stops.
 func (s *Scheduler) waitBelowStop() error {
 	start := time.Now()
 	s.gateMu.Lock()
-	for s.l0Gate >= s.stop && s.err == nil && !s.stopping.Load() {
+	for int(s.l0Blocks.Load()) >= s.stop && s.err == nil && !s.stopping.Load() {
 		s.gate.Wait()
 	}
 	err := s.err
@@ -200,14 +195,13 @@ func (s *Scheduler) recordStall(kind string, trigger int, n, nanos *atomic.Int64
 }
 
 // Notify hands the scheduler the overflow work a mutation may have
-// created: it refreshes the gauges, wakes the goroutine if merge work is
-// pending, and returns any parked background error.
-func (s *Scheduler) Notify() error {
+// created: it refreshes the gauges and wakes the goroutine if merge work is
+// pending.
+func (s *Scheduler) Notify() {
 	s.refresh()
-	if s.pendingWork.Load() {
+	if s.Pending() {
 		s.signal()
 	}
-	return s.Err()
 }
 
 // RequestCheckpoint asks the goroutine to run Config.Checkpoint and returns
@@ -237,8 +231,6 @@ func (s *Scheduler) refresh() {
 	depth, l0 := s.cfg.Tree.CompactionBacklog()
 	s.l0Blocks.Store(int64(l0))
 	s.queueDepth.Store(int64(depth))
-	s.pendingWork.Store(depth > 0)
-	s.l0Gate = l0
 	s.gateMu.Unlock()
 	s.gate.Broadcast()
 }
@@ -252,28 +244,16 @@ func (s *Scheduler) broadcast() {
 	s.gate.Broadcast()
 }
 
-// run is the scheduler goroutine: sleep until woken or ticked, then run
-// what is due — a requested checkpoint, then the pending cascade one step
-// at a time (step), with a checkpoint requested mid-drain served between
-// steps. The first failure parks and ends the goroutine.
+// run is the scheduler goroutine: sleep until woken, then run what is due
+// — a requested checkpoint, then the pending cascade one step at a time
+// (step), with a checkpoint requested mid-drain served between steps. The
+// first failure ends the goroutine (fail).
 func (s *Scheduler) run() {
 	defer close(s.done)
-	var tick <-chan time.Time
-	if s.cfg.Tick != nil && s.cfg.TickInterval > 0 {
-		t := time.NewTicker(s.cfg.TickInterval)
-		defer t.Stop()
-		tick = t.C
-	}
 	for {
 		select {
 		case <-s.stopCh:
 			return
-		case <-tick:
-			if err := s.cfg.Tick(); err != nil {
-				s.fail(err)
-				return
-			}
-			continue
 		case <-s.wake:
 		}
 		for {
@@ -289,7 +269,7 @@ func (s *Scheduler) run() {
 				s.broadcast()
 				continue
 			}
-			if !s.pendingWork.Load() {
+			if !s.Pending() {
 				break
 			}
 			if err := s.step(); err != nil {
@@ -313,19 +293,21 @@ func (s *Scheduler) step() error {
 	return err
 }
 
-// fail parks the first background error and releases any gated writers.
+// fail ends the goroutine's work on err: Config.Fail first, so a writer the
+// gate releases finds the shard demoted, then the parked error and the
+// release.
 func (s *Scheduler) fail(err error) {
-	s.gateMu.Lock()
-	if s.err == nil {
-		s.err = err
+	if s.cfg.Fail != nil {
+		s.cfg.Fail(err)
 	}
+	s.gateMu.Lock()
+	s.err = err
 	s.gateMu.Unlock()
 	s.gate.Broadcast()
 }
 
-// Err returns the parked background error (merge step, checkpoint or
-// tick), or nil. Sticky: once one fails the scheduler goroutine has exited
-// and every subsequent write reports the failure.
+// Err returns the error of the merge step or checkpoint that ended the
+// goroutine, or nil. For Close, which folds it into its own result.
 func (s *Scheduler) Err() error {
 	s.gateMu.Lock()
 	defer s.gateMu.Unlock()
@@ -338,7 +320,7 @@ var errStopped = errors.New("compaction: scheduler stopped")
 
 // WaitIdle returns once the scheduler is idle: no merge step and no
 // checkpoint outstanding (Snapshot's QueueDepth is zero). It returns the
-// parked error if a step, checkpoint or tick fails first, and an error if
+// parked error if a step or checkpoint fails first, and an error if
 // the scheduler stops first. The caller must not hold the merge lock. Idle
 // is a moment, not a state: the next write may queue
 // work again. Called after every write, it makes a DB perform exactly
@@ -361,9 +343,9 @@ func (s *Scheduler) WaitIdle() error {
 // Pending reports whether merge work is outstanding as of the last
 // refresh; the DB keys its mid-cascade-vs-steady invariant audits off
 // this.
-func (s *Scheduler) Pending() bool { return s.pendingWork.Load() }
+func (s *Scheduler) Pending() bool { return s.queueDepth.Load() > 0 }
 
-// Stop halts the scheduler: no further step, checkpoint or tick starts,
+// Stop halts the scheduler: no further step or checkpoint starts,
 // the one in flight (if any) completes, gated writers are released, and
 // Stop returns once the goroutine has exited. Callers must NOT hold the
 // merge lock — the goroutine may need it to finish — nor anything
@@ -437,17 +419,13 @@ type Driver struct {
 
 // Put inserts k and drains the cascade.
 func (d Driver) Put(k block.Key, payload []byte) error {
-	if err := d.Tree.Put(k, payload); err != nil {
-		return err
-	}
+	d.Tree.Put(k, payload)
 	return d.Tree.RunCascade()
 }
 
 // Delete removes k and drains the cascade.
 func (d Driver) Delete(k block.Key) error {
-	if err := d.Tree.Delete(k); err != nil {
-		return err
-	}
+	d.Tree.Delete(k)
 	return d.Tree.RunCascade()
 }
 

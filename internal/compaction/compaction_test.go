@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -69,8 +70,8 @@ func TestDrainedSchedulerMatchesDriver(t *testing.T) {
 					if viaScheduler {
 						s := drainedScheduler(t, tr)
 						defer s.Stop()
-						apply = func(k block.Key, v []byte) error { return s.write(func() error { return tr.Put(k, v) }) }
-						del = func(k block.Key) error { return s.write(func() error { return tr.Delete(k) }) }
+						apply = func(k block.Key, v []byte) error { return s.write(func() { tr.Put(k, v) }) }
+						del = func(k block.Key) error { return s.write(func() { tr.Delete(k) }) }
 					}
 					for k := block.Key(0); k < 600; k++ {
 						var err error
@@ -128,22 +129,17 @@ func drainedScheduler(t *testing.T, tr *core.Tree) *drained {
 	return &drained{Scheduler: s, t: t, mu: mu}
 }
 
-func (d *drained) write(mutate func() error) error {
+func (d *drained) write(mutate func()) error {
 	if err := d.Admit(); err != nil {
 		return err
 	}
 	d.mu.Lock()
-	err := mutate()
-	if err == nil {
-		err = d.Notify()
-	}
+	mutate()
+	d.Notify()
 	if d.writes++; d.writes%50 == 0 {
 		d.RequestCheckpoint()
 	}
 	d.mu.Unlock()
-	if err != nil {
-		return err
-	}
 	waitDepth(d.t, d.Scheduler, 0)
 	return nil
 }
@@ -187,14 +183,9 @@ func TestBackgroundDrainsAndStops(t *testing.T) {
 			t.Fatal(err)
 		}
 		mu.Lock()
-		err := tr.Put(k, []byte{byte(k)})
-		if err == nil {
-			err = s.Notify()
-		}
+		tr.Put(k, []byte{byte(k)})
+		s.Notify()
 		mu.Unlock()
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -251,54 +242,94 @@ func (d *faultDevice) Write(id storage.BlockID, b *block.Block) error {
 	return d.MemDevice.Write(id, b)
 }
 
-// TestBackgroundErrorParksAndSurfaces: a failed merge step must park its
-// error and surface it on every subsequent Admit and Notify — never
-// silently vanish with the goroutine.
+// TestBackgroundErrorParksAndSurfaces: a failed merge step ends the
+// goroutine, reaches Config.Fail exactly once, and parks for WaitIdle and
+// Close — never silently — while a write below the stall gate reads no
+// error at all.
 func TestBackgroundErrorParksAndSurfaces(t *testing.T) {
 	dev := &faultDevice{MemDevice: storage.NewMemDevice()}
 	tr := newTree(t, dev)
-	var mu sync.Mutex
-	s, err := compaction.New(compaction.Config{Tree: tr, MergeMu: new(sync.Mutex)})
+	failed := make(chan error, 2)
+	s, err := compaction.New(compaction.Config{Tree: tr, MergeMu: new(sync.Mutex), Fail: func(err error) { failed <- err }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Stop()
 	dev.arm()
-	for k := block.Key(0); k < 200; k++ {
+	// Nine records overflow L0 (K0 = 2 blocks of 4) and leave it at three
+	// blocks, under the slowdown trigger.
+	for k := block.Key(0); k < 9; k++ {
 		if err := s.Admit(); err != nil {
-			break // parked error surfaced on admission — the contract
-		}
-		mu.Lock()
-		err := tr.Put(k, []byte{byte(k)})
-		if err == nil {
-			s.Notify() //nolint — parked error checked below
-		}
-		mu.Unlock()
-		if err != nil {
 			t.Fatal(err)
 		}
+		tr.Put(k, []byte{byte(k)})
+		s.Notify()
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Err() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("background merge failure never parked")
+	select {
+	case err := <-failed:
+		if !errors.Is(err, errInjected) {
+			t.Fatalf("Fail got %v, want wrapped errInjected", err)
 		}
-		time.Sleep(time.Millisecond)
+	case <-time.After(10 * time.Second):
+		t.Fatal("the background merge failure never reached Config.Fail")
 	}
 	if !errors.Is(s.Err(), errInjected) {
 		t.Fatalf("parked error = %v, want wrapped errInjected", s.Err())
 	}
-	if err := s.Admit(); !errors.Is(err, errInjected) {
-		t.Fatalf("Admit after failure = %v, want wrapped errInjected", err)
-	}
 	if err := s.WaitIdle(); !errors.Is(err, errInjected) {
 		t.Fatalf("WaitIdle after failure = %v, want wrapped errInjected", err)
 	}
-	mu.Lock()
-	err = s.Notify()
-	mu.Unlock()
-	if !errors.Is(err, errInjected) {
-		t.Fatalf("Notify after failure = %v, want wrapped errInjected", err)
+	if err := s.Admit(); err != nil {
+		t.Fatalf("Admit below the gate after a failure = %v; only a gated writer reads the error", err)
+	}
+	s.Notify()
+	s.Stop()
+	if len(failed) != 0 {
+		t.Fatalf("Config.Fail called again with %v", <-failed)
+	}
+}
+
+// TestBackgroundFailReleasesGatedWriter: a writer parked at the stop
+// trigger is released by a failed merge step only after Config.Fail has
+// run, and its Admit returns the failure.
+func TestBackgroundFailReleasesGatedWriter(t *testing.T) {
+	dev := &faultDevice{MemDevice: storage.NewMemDevice()}
+	tr := newTree(t, dev)
+	for k := block.Key(0); k < 64; k++ { // 16 L0 blocks, past the stop trigger 8
+		tr.Put(k, []byte{1})
+	}
+	dev.arm()
+	var failed atomic.Bool
+	s, err := compaction.New(compaction.Config{Tree: tr, MergeMu: new(sync.Mutex), Fail: func(error) { failed.Store(true) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	type admission struct {
+		err    error
+		failed bool
+	}
+	admitted := make(chan admission, 1)
+	go func() {
+		err := s.Admit()
+		admitted <- admission{err, failed.Load()}
+	}()
+	select {
+	case a := <-admitted:
+		t.Fatalf("Admit returned %v before any merge ran; the gate should have parked it", a.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	s.Notify() // wakes the goroutine, whose first step fails
+	select {
+	case a := <-admitted:
+		if !errors.Is(a.err, errInjected) {
+			t.Fatalf("gated Admit = %v, want wrapped errInjected", a.err)
+		}
+		if !a.failed {
+			t.Fatal("the gated writer was released before Config.Fail ran")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the failed merge step did not release the gated writer")
 	}
 }
 
@@ -311,9 +342,7 @@ func TestStopReleasesGatedWriter(t *testing.T) {
 	// building the scheduler: New seeds the gate from the tree, and with no
 	// Notify ever sent, nothing drains it — the gate stays shut until Stop.
 	for k := block.Key(0); k < 64; k++ {
-		if err := tr.Put(k, []byte{1}); err != nil {
-			t.Fatal(err)
-		}
+		tr.Put(k, []byte{1})
 	}
 	s, err := compaction.New(compaction.Config{Tree: tr, MergeMu: new(sync.Mutex)})
 	if err != nil {
@@ -354,9 +383,7 @@ func TestDerivedStallGate(t *testing.T) {
 		t.Helper()
 		tr := newTree(t, storage.NewMemDevice())
 		for k := 0; k < records; k++ {
-			if err := tr.Put(block.Key(k), []byte{1}); err != nil {
-				t.Fatal(err)
-			}
+			tr.Put(block.Key(k), []byte{1})
 		}
 		s, err := compaction.New(compaction.Config{Tree: tr, MergeMu: new(sync.Mutex)})
 		if err != nil {
@@ -446,61 +473,36 @@ func TestCheckpointRequestsCoalesce(t *testing.T) {
 }
 
 // TestCheckpointErrorParks: a failed checkpoint is a failed background
-// step — parked, returned by the next Admit, the goroutine gone.
+// step — Config.Fail called, the error parked for WaitIdle, the goroutine
+// gone — and a write below the gate does not read it.
 func TestCheckpointErrorParks(t *testing.T) {
 	boom := errors.New("checkpoint failed")
+	failed := make(chan error, 1)
 	s, err := compaction.New(compaction.Config{
 		Tree:       newTree(t, storage.NewMemDevice()),
 		MergeMu:    new(sync.Mutex),
 		Checkpoint: func() error { return boom },
+		Fail:       func(err error) { failed <- err },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Stop()
 	s.RequestCheckpoint()
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Err() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("the checkpoint failure never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := s.Admit(); !errors.Is(err, boom) {
-		t.Fatalf("Admit after a failed checkpoint = %v, want the parked error", err)
-	}
-}
-
-// TestTickRunsInBothModes: the goroutine ticks, and Stop ends it. Only the
-// background case is left; the name is the one the suite has always
-// reported it under.
-func TestTickRunsInBothModes(t *testing.T) {
-	t.Run("background", testTickRuns)
-}
-
-func testTickRuns(t *testing.T) {
-	ticks := make(chan struct{}, 1)
-	s, err := compaction.New(compaction.Config{
-		Tree:         newTree(t, storage.NewMemDevice()),
-		MergeMu:      new(sync.Mutex),
-		TickInterval: time.Millisecond,
-		Tick: func() error {
-			select {
-			case ticks <- struct{}{}:
-			default:
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	select {
-	case <-ticks:
+	case err := <-failed:
+		if err != boom {
+			t.Fatalf("Fail got %v, want the checkpoint's error", err)
+		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("no tick within 10s")
+		t.Fatal("the checkpoint failure never reached Config.Fail")
 	}
-	s.Stop() // returns only once the goroutine has exited
+	if err := s.WaitIdle(); !errors.Is(err, boom) {
+		t.Fatalf("WaitIdle after a failed checkpoint = %v, want the parked error", err)
+	}
+	if err := s.Admit(); err != nil {
+		t.Fatalf("Admit below the gate after a failed checkpoint = %v, want nil", err)
+	}
 }
 
 // waitDepth waits until the scheduler's QueueDepth reads want. It yields

@@ -13,16 +13,12 @@ import (
 // harness. Production code never calls Put without a paired cascade
 // (lsmlint's compaction-step rule pins the cascade to internal/compaction).
 func putC(tr *Tree, k block.Key, payload []byte) error {
-	if err := tr.Put(k, payload); err != nil {
-		return err
-	}
+	tr.Put(k, payload)
 	return tr.RunCascade()
 }
 
 func delC(tr *Tree, k block.Key) error {
-	if err := tr.Delete(k); err != nil {
-		return err
-	}
+	tr.Delete(k)
 	return tr.RunCascade()
 }
 
@@ -34,9 +30,7 @@ func TestPutAloneDoesNotMerge(t *testing.T) {
 	// Mutations only land in L0 now; without a cascade the tree must
 	// report the backlog but perform no merge I/O.
 	for k := block.Key(0); k < 100; k++ {
-		if err := tr.Put(k, []byte{byte(k)}); err != nil {
-			t.Fatal(err)
-		}
+		tr.Put(k, []byte{byte(k)})
 	}
 	if got := tr.dev.Counters().Writes; got != 0 {
 		t.Fatalf("Put alone wrote %d blocks; merges must be caller-driven", got)
@@ -83,9 +77,7 @@ func TestLevelOverflowTrigger(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := tr.Put(k, []byte{1}); err != nil {
-				t.Fatal(err)
-			}
+			tr.Put(k, []byte{1})
 		}
 		if !tr.fires(1) {
 			t.Errorf("%s: L1 at capacity does not fire", p.Name())
@@ -102,9 +94,7 @@ func TestCompactionStepResumable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := block.Key(0); k < 200; k++ {
-		if err := tr.Put(k, []byte{1}); err != nil {
-			t.Fatal(err)
-		}
+		tr.Put(k, []byte{1})
 	}
 	// Single-stepping to quiescence must terminate and leave the same
 	// steady state RunCascade guarantees.
@@ -144,9 +134,7 @@ func TestStepSequenceMatchesRunCascade(t *testing.T) {
 		}
 		for k := block.Key(0); k < 500; k++ {
 			key := (k * 7919) % 1000
-			if err := tr.Put(key, []byte{byte(k)}); err != nil {
-				t.Fatal(err)
-			}
+			tr.Put(key, []byte{byte(k)})
 			if step {
 				for {
 					acted, err := tr.CompactionStep()

@@ -5,16 +5,16 @@ import (
 )
 
 // Put inserts or updates the record for k: a one-op ApplyBatch.
-func (t *Tree) Put(k block.Key, payload []byte) error {
-	return t.ApplyBatch([]block.Op{{Key: uint64(k), Value: payload}})
+func (t *Tree) Put(k block.Key, payload []byte) {
+	t.ApplyBatch([]block.Op{{Key: uint64(k), Value: payload}})
 }
 
 // Delete removes k: a one-op ApplyBatch. If k lives in L0 the request
 // executes there (the record is replaced by a tombstone); otherwise the
 // delete is logged as a tombstone record that cancels matching records
 // during merges.
-func (t *Tree) Delete(k block.Key) error {
-	return t.ApplyBatch([]block.Op{{Key: uint64(k), Delete: true}})
+func (t *Tree) Delete(k block.Key) {
+	t.ApplyBatch([]block.Op{{Key: uint64(k), Delete: true}})
 }
 
 // ApplyBatch is the tree's one mutation entry: it lands ops in L0 in order
@@ -26,14 +26,13 @@ func (t *Tree) Delete(k block.Key) error {
 // batch rather than len(ops) times. Storage levels change only through
 // merges, which ApplyBatch does not drive: after the mutation the caller
 // (internal/compaction) runs or schedules the overflow cascade via
-// CompactionStep/RunCascade. The error return is reserved for future L0
-// failure modes; today ApplyBatch always succeeds. It needs no lock of the
+// CompactionStep/RunCascade. It cannot fail, and it needs no lock of the
 // caller's: concurrent batches are each atomic, in memMu's order.
 //
 // Request statistics count each op individually, keeping a batched
 // workload's Stats comparable to the same workload issued record by
 // record.
-func (t *Tree) ApplyBatch(ops []block.Op) error {
+func (t *Tree) ApplyBatch(ops []block.Op) {
 	t.memMu.Lock()
 	defer t.memMu.Unlock()
 	for _, op := range ops {
@@ -54,7 +53,6 @@ func (t *Tree) ApplyBatch(ops []block.Op) error {
 		t.cnt.requestBytes.Add(int64(r.Size()))
 	}
 	t.memDirty.Store(true)
-	return nil
 }
 
 // Get returns the payload stored for k. It acquires the current snapshot,

@@ -105,6 +105,8 @@ type chaosScenario struct {
 	fault faultdev.Options        // injected into the target shard's device
 	tune  func(o *lsmssd.Options) // scenario-specific engine options (both runs)
 
+	failWriteAt int64 // when set, every device write from this one on fails (faultdev.FailWriteAt)
+
 	expectReadOnly bool   // the faulted shard must end up rejecting writes with ErrShardReadOnly
 	expectCause    string // when set, the read-only demotion must carry exactly this cause
 	ackedUntilRO   bool   // the fault must cost no write its acknowledgement: every refusal is ErrShardReadOnly
@@ -157,6 +159,14 @@ func chaosScenarios() []chaosScenario {
 			expectRetries: true,
 			quiet:         true,
 			compareTarget: true,
+		},
+		{
+			name:           "writefail",
+			about:          "a permanent device write failure on one shard: the merge step that meets it ends the shard's scheduler, which demotes the shard to read-only with a cause while its siblings keep writing",
+			failWriteAt:    4,
+			expectReadOnly: true,
+			expectCause:    "background-failed",
+			ackedUntilRO:   true,
 		},
 	}
 }
@@ -356,7 +366,11 @@ func runChaosInstance(dir string, sc chaosScenario, target int, cfg ChaosConfig)
 		}
 		f := sc.fault
 		f.Seed = cfg.Seed + int64(shard) + 1
-		return faultdev.Wrap(dev, f)
+		fd := faultdev.Wrap(dev, f)
+		if sc.failWriteAt > 0 {
+			fd.FailWriteAt(sc.failWriteAt)
+		}
+		return fd
 	}
 	db, err := lsmssd.Open(opts)
 	if err != nil {

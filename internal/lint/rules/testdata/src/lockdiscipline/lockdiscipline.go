@@ -17,12 +17,12 @@ type store struct {
 	tree     *core.Tree
 }
 
-func unguarded(s *store) error {
-	return s.tree.Put(1, nil) // want lock-discipline
+func unguarded(s *store) {
+	s.tree.Put(1, nil) // want lock-discipline
 }
 
-func unguardedBatch(s *store) error {
-	return s.tree.ApplyBatch(nil) // want lock-discipline
+func unguardedBatch(s *store) {
+	s.tree.ApplyBatch(nil) // want lock-discipline
 }
 
 func unguardedResetAndClose(s *store) {
@@ -40,46 +40,44 @@ func growAndRepair(s *store) error {
 	return err
 }
 
-func unguardedOnOnePath(s *store, fast bool) error {
+func unguardedOnOnePath(s *store, fast bool) {
 	if !fast {
 		s.writerMu.Lock()
 		defer s.writerMu.Unlock()
 	}
-	return s.tree.Delete(2) // want lock-discipline
+	s.tree.Delete(2) // want lock-discipline
 }
 
-func leakOnEarlyReturn(s *store, n int) error { // want lock-discipline
+func leakOnEarlyReturn(s *store, n int) { // want lock-discipline
 	s.writerMu.Lock()
 	if n == 0 {
-		return nil
+		return
 	}
-	err := s.tree.Put(3, nil)
+	s.tree.Put(3, nil)
 	s.writerMu.Unlock()
-	return err
 }
 
-func deferredUnlock(s *store) error {
+func deferredUnlock(s *store) {
 	s.writerMu.Lock()
 	defer s.writerMu.Unlock()
-	return s.tree.Put(4, nil)
+	s.tree.Put(4, nil)
 }
 
-func unlockOnEveryPath(s *store, n int) error {
+func unlockOnEveryPath(s *store, n int) {
 	s.writerMu.Lock()
 	if n == 0 {
 		s.writerMu.Unlock()
-		return nil
+		return
 	}
-	err := s.tree.Put(5, nil)
+	s.tree.Put(5, nil)
 	s.writerMu.Unlock()
-	return err
 }
 
-func throughHelper(s *store) error {
+func throughHelper(s *store) {
 	shards := []*store{s}
 	lockShards(shards)
 	defer unlockShards(shards)
-	return s.tree.Put(6, nil)
+	s.tree.Put(6, nil)
 }
 
 // lockShards and unlockShards are the acquire and release helpers.
@@ -103,8 +101,8 @@ func (s *store) handBack() func() {
 }
 
 // applyLocked follows the caller-holds-lock suffix convention.
-func applyLocked(s *store) error {
-	return s.tree.Delete(7)
+func applyLocked(s *store) {
+	s.tree.Delete(7)
 }
 
 // The checkpoint split. captureLocked is on the LockHeldFuncs table: its

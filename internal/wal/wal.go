@@ -24,12 +24,13 @@
 // encodes the frame into an in-memory buffer under the log's mutex, and
 // Commit applies the sync policy outside it. The buffer reaches the file in
 // one write before every sync, at rotation and Close, and whenever it holds
-// 64 KiB; so under SyncInterval and SyncNever a commit that does not sync
-// makes no system call. Under SyncEvery, Commit waits until an fsync covers
-// the frame. One fsync covers every frame written before it started (the
-// write that precedes it carries all of them), so a writer whose frame an
-// fsync already running (or finished) covers issues none of its own:
-// concurrent writers share writes and fsyncs. Append is Write plus Commit.
+// 64 KiB; so under SyncInterval and SyncNever Commit returns at once, and a
+// commit makes no system call unless its frame fills the buffer. Under
+// SyncEvery, Commit waits until an fsync covers the frame. One fsync covers
+// every frame written before it started (the write that precedes it
+// carries all of them), so a writer whose frame an fsync already running
+// (or finished) covers issues none of its own: concurrent writers share
+// writes and fsyncs. Append is Write plus Commit.
 //
 // Zero-filled tail. The active segment is kept zero-filled a little ahead
 // of its frames in the file: when a write of buffered frames ends past the
@@ -111,16 +112,14 @@ const (
 	// tail, so the sync (fdatasync on Linux) flushes its data blocks only,
 	// with no file-system metadata. The default.
 	SyncEvery SyncPolicy = iota
-	// SyncInterval fsyncs about once per Options.Interval: an append that
-	// finds the last fsync at least Interval old syncs inline, and the
-	// owner calls Sync once per Interval from a background goroutine so the
-	// tail of a log that went idle is synced too. A power cut therefore
-	// loses at most about the last interval's writes (plus however long
-	// that goroutine was busy), and the surviving log is always a prefix of
-	// what was acknowledged. A process crash loses the buffered frames: at
-	// most 64 KiB of them, and at most the same interval. Without the
-	// periodic Sync call the tail written before a pause stays unsynced
-	// (and buffered) until the next append that syncs, or Close.
+	// SyncInterval leaves the fsyncs to the owner's timer: Commit returns at
+	// once, as under SyncNever, and the owner calls Sync once per interval
+	// from one goroutine, busy log or idle. A power cut therefore loses at
+	// most about the last interval's writes, and the surviving log is
+	// always a prefix of what was acknowledged. A process crash loses the
+	// buffered frames: at most 64 KiB of them, and at most the same
+	// interval. The log keeps no clock; without the periodic Sync call
+	// frames stay unsynced until rotation or Close.
 	SyncInterval
 	// SyncNever issues no explicit fsync until rotation or Close; the OS
 	// decides when dirty pages reach the platter. Frames reach the file 64
@@ -144,11 +143,6 @@ func (p SyncPolicy) String() string {
 type Options struct {
 	// Policy selects the sync policy (default SyncEvery).
 	Policy SyncPolicy
-	// Interval is the target time between fsyncs under SyncInterval
-	// (default 100ms). Append checks it inline; the log has no timer of its
-	// own, so bounding an idle tail is the owner's job: call Sync every
-	// Interval (a no-op when nothing is unsynced).
-	Interval time.Duration
 	// SegmentBytes is the rotation threshold (default 4 MiB): an append
 	// that would push the active segment past it seals the segment and
 	// starts a new one. Append reports the rotation so the DB layer can
@@ -157,9 +151,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Interval == 0 {
-		o.Interval = 100 * time.Millisecond
-	}
 	if o.SegmentBytes == 0 {
 		o.SegmentBytes = 4 << 20
 	}
@@ -511,21 +502,20 @@ type Log struct {
 	// segment's RawConn, cached when it opens.
 	commitSync, sealSync *datasyncer
 
-	mu       sync.Mutex
-	f        *os.File
-	rc       syscall.RawConn
-	idx      int    // active segment index
-	size     int64  // append offset: the end of the active segment's frames, buffered ones included
-	written  int64  // end of the frames in the file; buf holds the rest, up to size
-	filled   int64  // the file holds only zeros from written to here
-	synced   int64  // prefix of the active segment known durable
-	durable  uint64 // every frame at or below this sequence is known durable
-	buf      []byte // frames written since the last file write (flushLocked)
-	segs     []segInfo
-	nextSeq  uint64
-	lastSync time.Time
-	closed   bool
-	poison   error // sticky ErrPoisoned after a failed fsync or file write
+	mu      sync.Mutex
+	f       *os.File
+	rc      syscall.RawConn
+	idx     int    // active segment index
+	size    int64  // append offset: the end of the active segment's frames, buffered ones included
+	written int64  // end of the frames in the file; buf holds the rest, up to size
+	filled  int64  // the file holds only zeros from written to here
+	synced  int64  // prefix of the active segment known durable
+	durable uint64 // every frame at or below this sequence is known durable
+	buf     []byte // frames written since the last file write (flushLocked)
+	segs    []segInfo
+	nextSeq uint64
+	closed  bool
+	poison  error // sticky ErrPoisoned after a failed fsync or file write
 
 	appends, ops, bytes, syncs, rotations atomic.Int64
 	syncNanos, fillBytes                  atomic.Int64
@@ -546,7 +536,7 @@ func Open(base string, nextSeq uint64, o Options) (*Log, error) {
 	if nextSeq == 0 {
 		return nil, fmt.Errorf("wal: next sequence must be positive")
 	}
-	l := &Log{base: base, opts: o.withDefaults(), nextSeq: nextSeq, lastSync: time.Now(),
+	l := &Log{base: base, opts: o.withDefaults(), nextSeq: nextSeq,
 		buf: make([]byte, 0, 2*fillPiece), commitSync: newDatasyncer(), sealSync: newDatasyncer()}
 	paths, err := SegmentFiles(base)
 	if err != nil {
@@ -783,20 +773,11 @@ func (l *Log) fillLocked(end int64) error {
 // Commit applies the sync policy to the frame Write gave seq. Under
 // SyncEvery it returns once an fsync covers the frame, issuing one only if
 // no fsync that started after the frame was written has covered it; under
-// SyncInterval it does the same when the last fsync is at least Interval
-// old; under SyncNever it returns at once. Callers may commit concurrently:
-// that is how writers share fsyncs.
+// SyncInterval and SyncNever it returns at once. Callers may commit
+// concurrently: that is how writers share fsyncs.
 func (l *Log) Commit(seq uint64) error {
-	switch l.opts.Policy {
-	case SyncEvery:
+	if l.opts.Policy == SyncEvery {
 		return l.syncTo(seq)
-	case SyncInterval:
-		l.mu.Lock()
-		due := time.Since(l.lastSync) >= l.opts.Interval
-		l.mu.Unlock()
-		if due {
-			return l.syncTo(seq)
-		}
 	}
 	return nil
 }
@@ -856,7 +837,6 @@ func (l *Log) syncTo(seq uint64) error {
 	}
 	l.durable = max(l.durable, upTo)
 	l.syncs.Add(1)
-	l.lastSync = time.Now()
 	return nil
 }
 
@@ -935,7 +915,6 @@ func (l *Log) syncLocked() error {
 	l.synced = l.written
 	l.durable = l.nextSeq - 1
 	l.syncs.Add(1)
-	l.lastSync = time.Now()
 	return nil
 }
 

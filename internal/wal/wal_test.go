@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 func testBase(t *testing.T) string {
@@ -445,6 +446,41 @@ func TestCommitSharesFsyncs(t *testing.T) {
 	}
 	if st := l.Stats(); st.Syncs != 1 || st.Appends != 3 {
 		t.Fatalf("three commits of frames written before one fsync: %+v, want 1 sync", st)
+	}
+	if err := l.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if info, ops := collect(t, base, 0); info.Frames != 3 || len(ops) != 3 {
+		t.Fatalf("after a power cut: %+v, want all 3 frames", info)
+	}
+}
+
+// TestIntervalSyncCommitIssuesNoFsync: under SyncInterval the log keeps no
+// clock — its owner calls Sync on a timer — so Write and Commit issue no
+// fsync however long ago the last one was (the sleep outlasts the 100 ms a
+// commit once waited before it synced inline), and one Sync then makes
+// every frame durable.
+func TestIntervalSyncCommitIssuesNoFsync(t *testing.T) {
+	base := testBase(t)
+	l := mustOpen(t, base, 1, Options{Policy: SyncInterval})
+	time.Sleep(120 * time.Millisecond)
+	for i := 0; i < 3; i++ {
+		seq, _, err := l.Write([]Op{{Key: uint64(i), Value: []byte("v")}})
+		if err == nil {
+			err = l.Commit(seq)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := l.Stats(); st.Syncs != 0 {
+		t.Fatalf("Write and Commit under SyncInterval fsynced: %+v", st)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Syncs != 1 {
+		t.Fatalf("Sync: %+v, want 1 sync", st)
 	}
 	if err := l.Crash(); err != nil {
 		t.Fatal(err)

@@ -167,17 +167,15 @@ const (
 	// Linux that flushes the frame's data and no file-system metadata
 	// (DESIGN.md §11.1). The default.
 	SyncEvery SyncPolicy = iota
-	// SyncInterval fsyncs about once per WALOptions.Interval — inline in a
-	// write that finds the last fsync that old, and from shard 0's
-	// background goroutine every Interval, so the tail of a log that went
-	// idle is synced too. A power cut loses at most about the final
-	// interval's writes (the goroutine's sync can be late by a merge step
-	// or a checkpoint in progress), and recovery always yields a prefix of
-	// the acknowledged history (never a gap). Between syncs the log keeps
-	// frames in memory and writes them to its file once 64 KiB have
-	// collected, so a process crash, not only a power cut, loses
-	// acknowledged writes: at most 64 KiB of frames, and at most the same
-	// interval.
+	// SyncInterval fsyncs once per WALOptions.Interval, from one DB
+	// goroutine that does nothing else; no write syncs or reads the clock.
+	// The tail of a log that went idle is synced as surely as a busy one's.
+	// A power cut loses at most about the final interval's writes, and
+	// recovery always yields a prefix of the acknowledged history (never a
+	// gap). Between syncs the log keeps frames in memory and writes them to
+	// its file once 64 KiB have collected, so a process crash, not only a
+	// power cut, loses acknowledged writes: at most 64 KiB of frames, and
+	// at most the same interval.
 	SyncInterval
 	// SyncNever leaves fsync timing to the operating system: fastest, and
 	// a power cut may lose everything since the last checkpoint or natural
@@ -205,9 +203,9 @@ type WALOptions struct {
 	Enabled bool
 	// Sync selects the fsync cadence (default SyncEvery).
 	Sync SyncPolicy
-	// Interval is the target time between fsyncs under SyncInterval
-	// (default 100ms): how old acknowledged-but-unsynced writes may get,
-	// whether or not more writes follow. Ignored by the other policies.
+	// Interval is the period of SyncInterval's fsyncs (default 100ms): how
+	// old acknowledged-but-unsynced writes may get, whether or not more
+	// writes follow. Ignored by the other policies.
 	Interval time.Duration
 	// SegmentBytes caps a log segment (default 4 MiB). Filling a segment
 	// seals it. Each shard checkpoints once Shards segments have been

@@ -160,20 +160,14 @@ func (db *DB) openShard(id int) (*shard, error) {
 		}
 	}
 
-	ccfg := compaction.Config{
+	sched, err := compaction.New(compaction.Config{
 		Tree:       s.tree,
 		MergeMu:    &s.mergeMu,
 		Bus:        db.bus,
 		Lat:        s.lat,
 		Checkpoint: s.checkpoint,
-	}
-	if id == 0 && s.path != "" && opts.WAL.Sync == SyncInterval {
-		// Bound the unsynced tail of a log that goes idle: appends check the
-		// interval only when they happen. One shard's goroutine owns it.
-		ccfg.Tick = db.syncIdleWAL
-		ccfg.TickInterval = opts.WAL.Interval
-	}
-	sched, err := compaction.New(ccfg)
+		Fail:       s.backgroundFailed,
+	})
 	if err != nil {
 		return nil, errors.Join(err, s.raw.Close())
 	}
@@ -524,8 +518,8 @@ func (s *shard) forceGrow() {
 
 // releaseLocked is the last per-shard step of DB.shutdown, which holds the
 // shard's checkpoint and writer locks and has stopped its scheduler. A
-// clean close folds in any background merge error the scheduler parked and
-// checkpoints; crash
+// clean close folds in the error of a failed background merge step or
+// checkpoint and checkpoints; crash
 // abandons the shard as a power cut would — no checkpoint, no device sync.
 // Either way snapshot acquisition fails from here on and the device is
 // closed. The log outlives every shard's release: the checkpoints GC it.
