@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -62,7 +63,7 @@ func gatedOpts(t *testing.T, g *syncGate, segmentBytes int64) lsmssd.Options {
 	return lsmssd.Options{
 		Path:            t.TempDir() + "/store.db",
 		RecordsPerBlock: 16,
-		MemtableBlocks:  8, // slowdown at 256 records, stop at 512 — room for the puts a test issues while the scheduler is blocked
+		MemtableBlocks:  8, // slowdown at 256 records, stop at 512 — room for the puts a test issues while merges are blocked
 		Gamma:           4,
 		CacheBlocks:     -1, // every level read is a device read
 		WAL:             lsmssd.WALOptions{Sync: lsmssd.SyncEvery, SegmentBytes: segmentBytes},
@@ -234,10 +235,10 @@ func putUntilBackgroundCheckpoint(t *testing.T, db *lsmssd.DB, g *syncGate, mode
 
 // TestBackgroundCheckpointDoesNotBlockWrites: with the rotation-requested
 // checkpoint stuck in its device sync, the Put that sealed the segment has
-// returned, later Puts still return and Gets that go to the device are
-// served; the sealed segment waits, and QueueDepth says so. Released, the
-// checkpoint finishes, the merges queued behind it on the same goroutine
-// run, and the log shrinks to its active segment.
+// returned, later Puts still return, merge steps still run on the shard's
+// scheduler, and Gets that go to the device are served; the sealed segment
+// waits, and QueueDepth says so. Released, the checkpoint finishes and the
+// log shrinks to its active segment.
 func TestBackgroundCheckpointDoesNotBlockWrites(t *testing.T) {
 	t.Run("background", testCheckpointDoesNotBlockWrites)
 }
@@ -261,12 +262,22 @@ func testCheckpointDoesNotBlockWrites(t *testing.T) {
 		t.Fatalf("%d WAL segments on disk while the covering checkpoint is blocked, want the sealed one kept", len(segs))
 	}
 
-	// Few enough to stay clear of the stall gate: the merges that would
-	// drain L0 share the blocked goroutine.
-	within(t, "Puts during a blocked checkpoint", func() error {
-		return putRange(db, next, next+40, 0, model)
+	// The checkpoint runs on the checkpointer, not on the scheduler
+	// goroutine: merge steps drain L0 while its sync is blocked. Puts go on
+	// until one has run — fewer than would reach the stall gate were the
+	// merges blocked too.
+	mergesBefore := db.Stats().Merges
+	within(t, "Puts and merge steps during a blocked checkpoint", func() error {
+		for i := 0; db.Stats().Merges == mergesBefore && i < 150; i++ {
+			if err := putRange(db, next, next+1, 0, model); err != nil {
+				return err
+			}
+			next++
+		}
+		return poll("merge steps to run while the checkpoint is blocked", func() bool {
+			return db.Stats().Merges > mergesBefore
+		})
 	})
-	next += 40
 	readsBefore := db.Stats().BlocksRead
 	within(t, "device-reading Gets during a blocked checkpoint", func() error {
 		for key := uint64(0); key < 32; key++ {
@@ -293,8 +304,8 @@ func testCheckpointDoesNotBlockWrites(t *testing.T) {
 }
 
 // TestExplicitCheckpointDoesNotBlockWritesOrMerges: DB.Checkpoint persists
-// off the writer lock as well, and since it runs on the caller's goroutine
-// the scheduler stays free — Puts, device-reading Gets and merge steps all
+// off the writer lock as well, and since it runs on the checkpointer the
+// scheduler stays free — Puts, device-reading Gets and merge steps all
 // complete while its device sync is blocked.
 func TestExplicitCheckpointDoesNotBlockWritesOrMerges(t *testing.T) {
 	g := newSyncGate()
@@ -412,8 +423,8 @@ func testCrashDuringBackgroundCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The cut: Crash waits for the scheduler goroutine, whose device sync
-	// now fails the way a dying device's would.
+	// The cut: Crash waits for the checkpointer, whose device sync now
+	// fails the way a dying device's would.
 	crashed := make(chan error, 1)
 	go func() { crashed <- db.Crash() }()
 	g.release <- errors.New("power cut")
@@ -647,6 +658,63 @@ func testFailedBackgroundCheckpointDemotesShard(t *testing.T) {
 		t.Fatalf("Close = %v, want the parked checkpoint failure", err)
 	}
 
+	opts.DeviceWrap = nil
+	rdb, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdb.Close()
+	mustHave(t, rdb, model)
+}
+
+// TestFailedCheckpointSparesOtherShards: the checkpointer serves every
+// shard, and a checkpoint that fails there demotes only its own shard. On a
+// 2-shard store whose shard 1 device sync fails, DB.Checkpoint reports the
+// failure under shard 1's index, shard 0 stays writable and goes on
+// checkpointing as its segments seal, and Close reports the failure again.
+func TestFailedCheckpointSparesOtherShards(t *testing.T) {
+	g := newSyncGate()
+	opts := gatedOpts(t, g, 8<<10)
+	opts.Shards = 2
+	opts.DeviceWrap = func(id int, dev storage.Device) storage.Device {
+		if id != 1 {
+			return dev
+		}
+		return g.wrap(id, dev)
+	}
+	db, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, next := map[uint64]int{}, uint64(0)
+	preload(t, db, 100, model, &next)
+
+	g.armed.Store(true)
+	ckptErr := make(chan error, 1)
+	go func() { ckptErr <- db.Checkpoint() }()
+	awaitEntered(t, g, "shard 1's checkpoint")
+	g.armed.Store(false)
+	syncErr := errors.New("injected sync failure")
+	g.release <- syncErr
+	if err := <-ckptErr; !errors.Is(err, syncErr) || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("Checkpoint = %v, want shard 1's sync failure", err)
+	}
+	if h := db.Health(); h.Shards[0].State != "healthy" || h.Shards[1].State != "read-only" {
+		t.Fatalf("health after shard 1's failed checkpoint: %+v, want shard 0 healthy and shard 1 read-only", h.Shards)
+	}
+
+	before := db.Stats()
+	for key := next &^ 1; db.Stats().WAL.Rotations < before.WAL.Rotations+4; key += 2 { // shard 0's keys
+		mustPut(t, db, key, model)
+	}
+	mustDrain(t, db)
+	if got := db.Stats().Shards[0].Checkpoints; got <= before.Shards[0].Checkpoints {
+		t.Fatalf("shard 0 checkpointed %d times before four more rotations and %d after; the checkpointer stopped serving it",
+			before.Shards[0].Checkpoints, got)
+	}
+	if err := db.Close(); !errors.Is(err, syncErr) {
+		t.Fatalf("Close = %v, want shard 1's checkpoint failure", err)
+	}
 	opts.DeviceWrap = nil
 	rdb, err := lsmssd.Open(opts)
 	if err != nil {

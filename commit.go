@@ -51,10 +51,10 @@ func (db *DB) write(op obs.Op, frame, byShard []block.Op, shards []*shard) error
 // frames in log order, and a write becomes visible only once it is as
 // durable as the policy promises. Writers to different shards share
 // nothing but the log, and under SyncEvery they share its fsyncs. Merges
-// and checkpoints run on the shards' scheduler goroutines; one that fails
-// demotes its shard (shard.backgroundFailed), and the health gate refuses
-// later writes to it. A writer the failure releases from the stall gate
-// finds the shard already demoted.
+// run on the shards' scheduler goroutines and checkpoints on the DB's
+// checkpointer; one that fails demotes its shard (shard.backgroundFailed),
+// and the health gate refuses later writes to it. A writer the failure
+// releases from the stall gate finds the shard already demoted.
 //
 // A mutation is refused whole before anything is logged when any touched
 // shard is read-only or fails admission. A health-relevant error is
@@ -102,10 +102,10 @@ func (db *DB) commit(frame, byShard []block.Op, shards []*shard, lat *obs.Latenc
 // of every shard in shards.
 //
 // Before the frame is written each shard records a lower bound on its
-// sequence (markLoggingLocked), so neither a rotation's checkpoint rule nor
-// the log's GC can miss it. A frame that sealed a segment asks for
-// checkpoints (rotated) even when its own write then failed, so the sealed
-// segment is still covered and collected.
+// sequence (markLoggingLocked), so neither the checkpointer's rule nor the
+// log's GC can miss it. A frame that sealed a segment wakes the
+// checkpointer (rotated) even when its own write then failed, so the
+// sealed segment is still covered and collected.
 func (db *DB) logLocked(log *wal.Log, frame []block.Op, shards []*shard, lat *obs.LatencySet, sp *obs.Span) error {
 	for _, s := range shards {
 		s.markLoggingLocked(log)
@@ -174,66 +174,111 @@ func (db *DB) cut(byShard []block.Op, s *shard) (ops, rest []block.Op) {
 	return byShard[:n], byShard[n:]
 }
 
-// markLoggingLocked records, before a frame touching the shard is
-// written, a lower bound on that frame's sequence: the first since the
-// shard's last checkpoint capture, and since its last durable checkpoint.
-// It precedes the write, so a rotation the frame causes counts for it.
-// Only the first frame after a capture pays for it. The caller holds
-// writerMu, which orders this against the capture that resets it.
+// markLoggingLocked stores, before a frame touching the shard is written,
+// a lower bound on that frame's sequence: the log's newest plus one. The
+// first frame after a capture may make the shard due a checkpoint at once —
+// the log sealed Shards segments while the shard had nothing to cover —
+// and then wakes the checkpointer, so a due shard always has a wake-up
+// pending. The caller holds writerMu, which orders this against the
+// capture.
 func (s *shard) markLoggingLocked(log *wal.Log) {
-	if s.sinceCapture.Load() != 0 {
-		return
+	seq, seg := log.Position()
+	clean := s.lastLogged.Load() <= s.ckptSeq.Load()
+	s.lastLogged.Store(seq + 1)
+	if clean && s.due(seg) {
+		s.db.wakeCheckpointer()
 	}
-	s.markLogged(log.LastSeq() + 1)
 }
 
-// markLogged notes that the shard has operations at sequence seq or later
-// that no checkpoint covers yet.
-func (s *shard) markLogged(seq uint64) {
-	s.walMu.Lock()
-	if s.sinceCapture.Load() == 0 {
-		s.sinceCapture.Store(seq)
-	}
-	if s.sinceDurable.Load() == 0 {
-		s.sinceDurable.Store(seq)
-	}
-	s.walMu.Unlock()
-}
-
-// rotated reacts to a sealed segment: it publishes the rotation and asks
-// for a checkpoint from every shard that has now seen Shards segments
-// sealed while it held frames its last checkpoint capture does not cover.
-// With one shard that is every rotation; under an even load over N shards
-// it is every N rotations, once per SegmentBytes of the shard's own logged
-// bytes; and a shard that stops writing is asked N rotations later, so an
-// idle shard does not pin the log. The log holds about Shards+1 segments.
+// rotated reacts to a sealed segment: it publishes the rotation and wakes
+// the checkpointer, which runs the checkpoints the seal made due (shard.due).
 func (db *DB) rotated() {
 	if db.bus.Enabled() {
 		ws := db.wal.Load().Stats()
 		db.bus.Publish(obs.WALEvent{Kind: "rotate", Segments: ws.Segments, LastSeq: ws.NextSeq - 1})
 	}
-	for _, s := range db.shards {
-		if s.sinceCapture.Load() != 0 && s.sealed.Add(1) >= int64(len(db.shards)) {
-			s.sched.RequestCheckpoint()
+	db.wakeCheckpointer()
+}
+
+// wakeCheckpointer asks the checkpointer for a pass over the shards due a
+// checkpoint, without blocking: wake-ups made while one is queued or a pass
+// runs coalesce into one more pass.
+func (db *DB) wakeCheckpointer() {
+	select {
+	case db.ckptWake <- struct{}{}:
+	default:
+	}
+}
+
+// checkpointer is the goroutine that runs every checkpoint of a running
+// file-backed store, one at a time, so manifests reach the disk in capture
+// order and the log's GC has one caller. A wake-up runs the checkpoint of
+// each shard then due; a DB.Checkpoint request runs every shard's and gets
+// their joined errors back. Merges never wait for it: they run on the
+// shards' schedulers.
+func (db *DB) checkpointer() {
+	defer db.bg.Done()
+	for {
+		var req chan error
+		select {
+		case <-db.quit:
+			return
+		case <-db.ckptWake:
+		case req = <-db.ckptReq:
+		}
+		err := db.checkpointShards(req != nil)
+		if req != nil {
+			req <- err
 		}
 	}
 }
 
+// checkpointShards runs, on the checkpointer, the checkpoint of every shard
+// due one, or of every shard with all set. Each holds its shard's writer
+// lock for the capture only; the fsyncs happen after it is dropped. A
+// failed checkpoint demotes only its own shard (shard.backgroundFailed) and
+// is kept for Close; the other shards are still served.
+func (db *DB) checkpointShards(all bool) error {
+	log := db.wal.Load()
+	var errs []error
+	for _, s := range db.shards {
+		_, seg := log.Position()
+		due := s.due(seg)
+		if !due && !all {
+			continue
+		}
+		s.ckptRunning.Store(due)
+		s.writerMu.Lock()
+		img, err := s.captureLocked()
+		s.writerMu.Unlock()
+		if err == nil {
+			err = s.persist(img)
+		}
+		s.ckptRunning.Store(false)
+		if err != nil {
+			s.backgroundFailed(err)
+			if s.ckptErr == nil {
+				s.ckptErr = err
+			}
+			errs = append(errs, shardErr(s.id, err))
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // gcWAL drops the sealed segments no shard needs for recovery any more:
-// those below the first frame, over all shards, that a shard logged after
-// its newest durable checkpoint. A shard with no such frame needs nothing,
-// however old its checkpoint. The log's newest sequence is read before the
-// shards' marks: a writer that has not set its mark yet gets a sequence
-// above it. Checkpoints of different shards call this concurrently; gcMu
-// gives the log's GC its one caller at a time.
+// those at or below the smallest durableSeq among the shards that logged a
+// frame after their newest durable checkpoint. A shard with no such frame
+// needs nothing, however old its checkpoint. The log's newest sequence is
+// read before the shards' marks: a writer that has not stored its mark yet
+// gets a sequence above it. Only the checkpointer calls it, or Close and
+// the post-recovery checkpoint while it is not running.
 func (db *DB) gcWAL() (removed int, err error) {
-	db.gcMu.Lock()
-	defer db.gcMu.Unlock()
 	log := db.wal.Load()
 	upTo := log.LastSeq()
 	for _, s := range db.shards {
-		if n := s.sinceDurable.Load(); n != 0 {
-			upTo = min(upTo, n-1)
+		if d := s.durableSeq.Load(); s.lastLogged.Load() > d {
+			upTo = min(upTo, d)
 		}
 	}
 	removed, err = log.GC(upTo)
@@ -252,27 +297,29 @@ func (db *DB) noteLogError(err error) {
 	}
 }
 
-// startIntervalSync starts the goroutine that runs SyncInterval's fsyncs,
-// once Open's replay has opened the log. stopIntervalSync, in shutdown,
-// stops it before the log closes.
-func (db *DB) startIntervalSync() {
+// startBackground starts the goroutines that serve the DB's log once Open's
+// replay has opened it: the checkpointer, and under SyncInterval
+// intervalSync. stopBackground, in shutdown, stops them before any lock is
+// taken and before the log closes.
+func (db *DB) startBackground() {
 	log := db.wal.Load()
-	if log == nil || db.opts.WAL.Sync != SyncInterval {
+	if log == nil {
 		return
 	}
-	db.syncQuit = make(chan struct{})
-	db.syncDone = make(chan struct{})
-	go db.intervalSync(log)
+	db.bg.Add(1)
+	go db.checkpointer()
+	if db.opts.WAL.Sync == SyncInterval {
+		db.bg.Add(1)
+		go db.intervalSync(log)
+	}
 }
 
-// stopIntervalSync halts the interval-sync goroutine and waits for it to
-// exit. Idempotent; a no-op when it never started.
-func (db *DB) stopIntervalSync() {
-	if db.syncDone == nil {
-		return
-	}
-	db.syncOnce.Do(func() { close(db.syncQuit) })
-	<-db.syncDone
+// stopBackground halts the background goroutines and waits for them to
+// exit; a checkpoint in flight completes first. Idempotent; a no-op for
+// goroutines that never started.
+func (db *DB) stopBackground() {
+	db.quitOnce.Do(func() { close(db.quit) })
+	db.bg.Wait()
 }
 
 // intervalSync fsyncs the log every WAL.Interval, whatever it holds
@@ -281,12 +328,12 @@ func (db *DB) stopIntervalSync() {
 // interval as surely as those of a busy log. A failed sync poisons the
 // log: the goroutine demotes every shard (noteLogError) and exits.
 func (db *DB) intervalSync(log *wal.Log) {
-	defer close(db.syncDone)
+	defer db.bg.Done()
 	tick := time.NewTicker(db.opts.WAL.Interval)
 	defer tick.Stop()
 	for {
 		select {
-		case <-db.syncQuit:
+		case <-db.quit:
 			return
 		case <-tick.C:
 		}
@@ -315,9 +362,9 @@ func (db *DB) openWAL() error {
 		return err
 	}
 	base := walBase(path)
-	from, to := db.shards[0].ckptSeq, db.shards[0].ckptSeq
+	from, to := db.shards[0].ckptSeq.Load(), db.shards[0].ckptSeq.Load()
 	for _, s := range db.shards[1:] {
-		from, to = min(from, s.ckptSeq), max(to, s.ckptSeq)
+		from, to = min(from, s.ckptSeq.Load()), max(to, s.ckptSeq.Load())
 	}
 	start := time.Now()
 	replayed := make([]bool, len(db.shards))
@@ -326,10 +373,10 @@ func (db *DB) openWAL() error {
 		for _, s := range shards {
 			var part []block.Op
 			part, rest = db.cut(rest, s)
-			if seq <= s.ckptSeq {
+			if seq <= s.ckptSeq.Load() {
 				continue
 			}
-			s.markLogged(seq)
+			s.lastLogged.Store(seq)
 			replayed[s.id] = true
 			if err := db.commit(nil, part, []*shard{s}, s.lat, nil); err != nil {
 				return shardErr(s.id, err)
@@ -355,15 +402,15 @@ func (db *DB) openWAL() error {
 		Ops:       info.Ops,
 		TornBytes: info.TornBytes,
 	}
+	_, seg := log.Position()
 	for _, s := range db.shards {
+		s.ckptSeg.Store(int64(seg))
 		if !replayed[s.id] {
 			continue
 		}
-		s.ckptMu.Lock()
 		s.writerMu.Lock()
 		err := s.checkpointLocked()
 		s.writerMu.Unlock()
-		s.ckptMu.Unlock()
 		if err != nil {
 			return fmt.Errorf("lsmssd: post-recovery checkpoint: %w", shardErr(s.id, err))
 		}

@@ -1,6 +1,7 @@
 package lsmssd_test
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,8 @@ import (
 	"testing"
 
 	"lsmssd"
+	"lsmssd/internal/faultdev"
+	"lsmssd/internal/storage"
 	"lsmssd/internal/wal"
 )
 
@@ -243,11 +246,30 @@ func checkBatches(db *lsmssd.DB, shards uint64, value func(uint64) []byte, all i
 
 // TestIdleShardDoesNotPinLog: on a 2-shard store whose shard 1 wrote a
 // little and then went idle while shard 0 sealed segment after segment,
-// the log stays a bounded number of segments (shard 1 is asked to
-// checkpoint once its frames fall behind), and a power cut after that GC
-// recovers both shards.
+// the log stays a bounded number of segments (shard 1 checkpoints once its
+// frames fall behind), and a power cut after that GC recovers both shards.
+// The second input makes shard 1 idle the other way: its first merge
+// step's device write fails, which demotes it and ends its scheduler, but
+// not its checkpoints, which the checkpointer runs.
 func TestIdleShardDoesNotPinLog(t *testing.T) {
+	t.Run("idle", func(t *testing.T) { testIdleShardDoesNotPinLog(t, false) })
+	t.Run("merge-failed", func(t *testing.T) { testIdleShardDoesNotPinLog(t, true) })
+}
+
+func testIdleShardDoesNotPinLog(t *testing.T, failMerges bool) {
 	opts := logOpts(t.TempDir(), 2, lsmssd.SyncEvery)
+	var skip []int
+	if failMerges {
+		skip = []int{1} // its scheduler parks the failure: its queue never empties
+		opts.DeviceWrap = func(shard int, dev storage.Device) storage.Device {
+			if shard != 1 {
+				return dev
+			}
+			fd := faultdev.Wrap(dev, faultdev.Options{})
+			fd.FailWriteAt(1) // every block write fails; syncs still work
+			return fd
+		}
+	}
 	db, err := lsmssd.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -261,20 +283,38 @@ func TestIdleShardDoesNotPinLog(t *testing.T) {
 		}
 		want[key] = v
 	}
-	for key := uint64(1); key < 40; key += 2 { // shard 1
-		put(key)
+	if failMerges {
+		// Shard 1 until its L0 overflows and the merge step fails; a Put the
+		// stall gate held when it did is refused.
+		for key := uint64(1); db.Health().Shards[1].State == "healthy"; key += 2 {
+			if key > 2000 {
+				t.Fatal("shard 1's merge step never failed")
+			}
+			v := fmt.Sprintf("v%d", key)
+			if err := db.Put(key, []byte(v)); errors.Is(err, lsmssd.ErrShardReadOnly) {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			want[key] = v
+		}
+		waitFor(t, "shard 1's demotion", func() bool { return db.Health().Shards[1].State == "read-only" })
+	} else {
+		for key := uint64(1); key < 40; key += 2 { // shard 1
+			put(key)
+		}
 	}
 	maxSegs := 0
 	for key := uint64(0); key < 6000; key += 2 { // shard 0 only
 		put(key)
 		if key%200 == 0 {
-			if err := lsmssd.DrainCompaction(db); err != nil {
+			if err := lsmssd.DrainCompaction(db, skip...); err != nil {
 				t.Fatal(err)
 			}
 			maxSegs = max(maxSegs, db.Stats().WAL.Segments)
 		}
 	}
-	if err := lsmssd.DrainCompaction(db); err != nil {
+	if err := lsmssd.DrainCompaction(db, skip...); err != nil {
 		t.Fatal(err)
 	}
 	st := db.Stats()
@@ -282,7 +322,7 @@ func TestIdleShardDoesNotPinLog(t *testing.T) {
 		t.Fatalf("only %d rotations; the test needs many", st.WAL.Rotations)
 	}
 	// Shards+1 segments, plus the one a rotation seals before the
-	// checkpoint it asks for has collected it.
+	// checkpoint it makes due has collected it.
 	if maxSegs > 4 {
 		t.Fatalf("log held up to %d segments over %d rotations; an idle shard pins it", maxSegs, st.WAL.Rotations)
 	}
@@ -292,6 +332,7 @@ func TestIdleShardDoesNotPinLog(t *testing.T) {
 	if err := db.Crash(); err != nil {
 		t.Fatal(err)
 	}
+	opts.DeviceWrap = nil
 	db, err = lsmssd.Open(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -54,17 +54,18 @@ var ErrCorrupt = storage.ErrCorrupt
 // Merge scheduling: mutations land records in the owning shard's L0 and
 // hand overflow work to that shard's compaction scheduler
 // (internal/compaction), whose goroutine is the only thing that runs the
-// shard's merges; it also writes the checkpoint a sealed WAL segment calls
-// for. Writes pay only the L0 insertion, subject to LevelDB-style
+// shard's merges. Checkpoints run on one DB goroutine of their own, the
+// checkpointer, which a sealed WAL segment wakes; merges never wait for
+// it. Writes pay only the L0 insertion, subject to LevelDB-style
 // backpressure when compaction falls behind: a 1 ms pacing sleep per write
 // once the shard's L0 holds 2×MemtableBlocks blocks, and a hard stall from
 // 4×MemtableBlocks until the goroutine drains it. A merge step or
 // checkpoint that fails demotes its shard to read-only (Health), and Close
-// reports the error. Stats().Compaction.QueueDepth is zero
-// once the cascade and any requested checkpoint have finished; a caller
-// that waits for that after every write gets exactly the paper's inline
-// merge sequence, and its BlocksWritten. No merge is ever initiated from
-// this layer directly.
+// reports the error. Stats().Compaction.QueueDepth is zero once the
+// cascades and every checkpoint a sealed segment made due have finished; a
+// caller that waits for that after every write gets exactly the paper's
+// inline merge sequence, and its BlocksWritten. No merge is ever initiated
+// from this layer directly.
 type DB struct {
 	closed atomic.Bool
 	opts   Options
@@ -75,17 +76,19 @@ type DB struct {
 	mask   uint64
 
 	// The write-ahead log (nil for an in-memory store, and until Open's
-	// replay of it is done, which is how commit knows to skip the append),
-	// what the replay did, and gcMu, which serializes the shards'
-	// checkpoints' calls to its GC (commit.go). Under SyncInterval one
-	// goroutine fsyncs it every WAL.Interval (intervalSync), stopped exactly
-	// once (syncOnce) before the log closes.
+	// replay of it is done, which is how commit knows to skip the append)
+	// and what the replay did. Once it is open two goroutines serve it
+	// (commit.go): the checkpointer, woken on ckptWake and asked by
+	// DB.Checkpoint on ckptReq, and, under SyncInterval, intervalSync.
+	// shutdown closes quit once (quitOnce) and waits for both (bg) before
+	// it takes any lock.
 	wal      atomic.Pointer[wal.Log]
 	recovery WALRecoveryStats
-	gcMu     sync.Mutex
-	syncQuit chan struct{}
-	syncDone chan struct{}
-	syncOnce sync.Once
+	ckptWake chan struct{}
+	ckptReq  chan chan error
+	quit     chan struct{}
+	quitOnce sync.Once
+	bg       sync.WaitGroup
 
 	// pubMu makes a multi-shard Apply one step for readers: the writer
 	// applies its shards' slices holding it exclusively, and newIterator
@@ -146,7 +149,8 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	db := &DB{opts: opts, bus: obs.NewBus(0), lat: &obs.LatencySet{}}
+	db := &DB{opts: opts, bus: obs.NewBus(0), lat: &obs.LatencySet{},
+		ckptWake: make(chan struct{}, 1), ckptReq: make(chan chan error), quit: make(chan struct{})}
 	db.lat.Enable(opts.Metrics)
 	db.tracer = obs.NewTracer(db.bus, opts.Shards, opts.TraceSampleRate, opts.SlowOpThreshold)
 	db.mask = uint64(opts.Shards - 1)
@@ -163,7 +167,7 @@ func Open(opts Options) (*DB, error) {
 	if err := db.openWAL(); err != nil {
 		return nil, errors.Join(err, db.shutdown(true))
 	}
-	db.startIntervalSync()
+	db.startBackground()
 	return db.startObs()
 }
 
@@ -208,17 +212,27 @@ func unlockShards(shards []*shard) {
 // Checkpoint atomically persists the store's metadata (level indexes and
 // memtable contents) to the per-shard manifests, so a subsequent Open
 // restores the current state, and lets the log drop the segments every
-// shard's checkpoint now covers. Shards checkpoint one at a time — each
-// shard's checkpoint is atomic for its own keys, and WAL replay covers
-// any shard that crashes between its siblings' checkpoints. Only
+// shard's checkpoint now covers. It asks the checkpointer to checkpoint
+// every shard and waits for those runs, behind a checkpoint already in
+// flight. Shards checkpoint one at a time — each shard's checkpoint is
+// atomic for its own keys, and WAL replay covers any shard that crashes
+// between its siblings' checkpoints. A shard whose checkpoint fails is
+// demoted to read-only, and the others are still checkpointed. Only
 // meaningful for file-backed stores; a no-op without Path.
 func (db *DB) Checkpoint() error {
-	for _, s := range db.shards {
-		if err := s.checkpoint(); err != nil {
-			return shardErr(s.id, err)
-		}
+	if db.closed.Load() {
+		return ErrClosed
 	}
-	return nil
+	if db.opts.Path == "" {
+		return nil
+	}
+	done := make(chan error, 1)
+	select {
+	case db.ckptReq <- done:
+		return <-done
+	case <-db.quit:
+		return ErrClosed
+	}
 }
 
 // Put inserts or updates the value stored for key. It may pace or stall
@@ -325,28 +339,21 @@ func (db *DB) Crash() error { return db.shutdown(true) }
 // writer lock (shard.releaseLocked: clean close, or crash) and to the log
 // after every shard (close, or drop the unsynced tail).
 //
-// Ordering: every shard's compaction scheduler and scrubber, and the
-// interval-sync goroutine, are stopped first, before any lock is taken — a
-// scheduler's in-flight checkpoint needs its shard's locks to finish, and
-// all must be quiescent before the devices, the log and the event bus go
-// away. The flight recorder stops next (its
-// collector reads per-shard state the release step frees), then every
-// checkpoint lock and every writer lock is taken (DESIGN.md §13.4), the
-// metrics endpoint and the bus close, the DB is marked closed, and each
-// shard is released.
+// Ordering: every shard's compaction scheduler and scrubber, the
+// checkpointer and the interval-sync goroutine are stopped first, before
+// any lock is taken — the checkpointer's in-flight checkpoint needs a
+// writer lock for its capture, and all must be quiescent before the
+// devices, the log and the event bus go away. The flight recorder stops
+// next (its collector reads per-shard state the release step frees), then
+// every writer lock is taken (DESIGN.md §13.4), the metrics endpoint and
+// the bus close, the DB is marked closed, and each shard is released.
 func (db *DB) shutdown(crash bool) error {
 	for _, s := range db.shards {
 		s.sched.Stop()
 		s.stopScrub()
 	}
-	db.stopIntervalSync()
+	db.stopBackground()
 	db.recOnce.Do(func() { db.recorder.Close() })
-	// Checkpoint locks before writer locks (DESIGN.md §13.4): a
-	// DB.Checkpoint in flight finishes its persist first.
-	for _, s := range db.shards {
-		s.ckptMu.Lock()
-		defer s.ckptMu.Unlock()
-	}
 	lockShards(db.shards)
 	defer unlockShards(db.shards)
 	if db.closed.Load() {

@@ -116,11 +116,13 @@ func (s *shard) noteWriteError(err error) {
 	}
 }
 
-// backgroundFailed is the shard scheduler's Config.Fail: a merge step or
-// checkpoint failed, and the scheduler runs no more merges, so L0 would
-// grow without bound. It demotes the shard to read-only, with the
-// classified cause when the error has one and "background-failed"
-// otherwise, before the scheduler releases writers gated on it.
+// backgroundFailed demotes the shard after a background failure: as the
+// shard scheduler's Config.Fail, a merge step failed and the scheduler runs
+// no more merges, so L0 would grow without bound; from the checkpointer, a
+// checkpoint failed, so the shard's durability horizon no longer advances.
+// The demotion is to read-only, with the classified cause when the error
+// has one and "background-failed" otherwise, and comes before the
+// scheduler releases writers gated on it.
 func (s *shard) backgroundFailed(err error) {
 	_, cause := classifyWriteError(err)
 	s.health.DemoteReadOnly(cmp.Or(cause, "background-failed"), err)

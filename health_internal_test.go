@@ -118,6 +118,11 @@ func healthWorkload(t *testing.T, db *DB, n int) {
 			t.Fatalf("Put(%d): %v", k, err)
 		}
 	}
+	// Settle the merges: one still running when a test corrupts a block
+	// may read it and demote the shard before the test's own step does.
+	if err := DrainCompaction(db); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestScrubRepairsCorruption: a corrupt device block is detected by the

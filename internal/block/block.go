@@ -36,16 +36,6 @@ func New(records []Record) *Block {
 	return b
 }
 
-// NewChecked is like New but verifies ordering and uniqueness, for use at
-// trust boundaries (test fixtures).
-func NewChecked(records []Record) (*Block, error) {
-	b := New(records)
-	if _, err := check(b.buf); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
 // Reset empties the block, keeping its memory for the records appended
 // next.
 func (b *Block) Reset() {
@@ -115,10 +105,6 @@ func (b *Block) Len() int {
 	return int(binary.LittleEndian.Uint16(b.buf[2:4]))
 }
 
-// Encoded returns the block's bytes: the header and every record, without
-// the zeroed tail Encode pads a device block with. Treat it as read-only.
-func (b *Block) Encoded() []byte { return b.buf }
-
 // MinKey returns the smallest key in the block. It panics on an empty
 // block; empty blocks are never stored in a level.
 func (b *Block) MinKey() Key {
@@ -187,11 +173,6 @@ func (c *Cursor) Next() (Record, bool) {
 	}
 	c.off = start + plen
 	return r, true
-}
-
-// EmptySlots returns the number of unused record slots given capacity b.
-func (b *Block) EmptySlots(capacity int) int {
-	return capacity - b.Len()
 }
 
 // Bytes returns the total request-byte footprint of the block's records.

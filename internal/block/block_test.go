@@ -18,17 +18,28 @@ func recs(keys ...Key) []Record {
 	return rs
 }
 
+// TestNewCheckedOrdering: New trusts its caller's order, and the block
+// checker every device read runs (Decode) is what refuses a block whose
+// keys do not strictly increase.
 func TestNewCheckedOrdering(t *testing.T) {
-	if _, err := NewChecked(recs(1, 2, 3)); err != nil {
+	decode := func(rs []Record) error {
+		buf := make([]byte, 64)
+		if err := New(rs).Encode(buf, 64); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Decode(buf)
+		return err
+	}
+	if err := decode(recs(1, 2, 3)); err != nil {
 		t.Fatalf("sorted records rejected: %v", err)
 	}
-	if _, err := NewChecked(recs(1, 3, 2)); err == nil {
+	if err := decode(recs(1, 3, 2)); err == nil {
 		t.Fatal("out-of-order records accepted")
 	}
-	if _, err := NewChecked(recs(1, 1)); err == nil {
+	if err := decode(recs(1, 1)); err == nil {
 		t.Fatal("duplicate keys accepted")
 	}
-	if _, err := NewChecked(nil); err != nil {
+	if err := decode(nil); err != nil {
 		t.Fatalf("empty record set rejected: %v", err)
 	}
 }
@@ -40,9 +51,6 @@ func TestBlockAccessors(t *testing.T) {
 	}
 	if b.MinKey() != 10 || b.MaxKey() != 30 {
 		t.Errorf("Min/Max = %d/%d, want 10/30", b.MinKey(), b.MaxKey())
-	}
-	if got := b.EmptySlots(5); got != 2 {
-		t.Errorf("EmptySlots(5) = %d, want 2", got)
 	}
 	if got := b.Bytes(); got != 3*9 {
 		t.Errorf("Bytes = %d, want 27", got)
@@ -122,21 +130,21 @@ func fullBlock(tb testing.TB) []byte {
 	return buf
 }
 
-// TestEncodedLen: the bytes an encoded block occupies are what
-// EncodedSize computed, a truncated buffer reports its whole length, and
-// the occupied prefix alone decodes to the same block.
+// TestEncodedLen: the bytes a decoded block keeps of its padded device
+// block are what EncodedSize computed, a buffer truncated inside them is
+// refused, and the occupied prefix alone decodes to the same block.
 func TestEncodedLen(t *testing.T) {
 	buf := fullBlock(t)
 	b, err := Decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := EncodedLen(buf)
+	n := len(b.buf)
 	if n != b.EncodedSize() {
-		t.Fatalf("EncodedLen = %d, EncodedSize = %d", n, b.EncodedSize())
+		t.Fatalf("decoded block keeps %d bytes, EncodedSize = %d", n, b.EncodedSize())
 	}
-	if got := EncodedLen(buf[:n-1]); got != n-1 {
-		t.Fatalf("EncodedLen of a truncated block = %d, want %d", got, n-1)
+	if _, err := Decode(buf[:n-1]); err == nil {
+		t.Fatal("a block truncated by one byte decoded")
 	}
 	c, err := Decode(buf[:n])
 	if err != nil {
@@ -201,10 +209,10 @@ func TestParseAndSearchInPlace(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Parse, Find, Load and MaxKey allocate %.1f times, want 0", n)
 	}
-	if &b.Encoded()[0] != &buf[0] {
+	if &b.buf[0] != &buf[0] {
 		t.Fatal("Parse copied the bytes")
 	}
-	if &c.Encoded()[0] == &buf[0] {
+	if &c.buf[0] == &buf[0] {
 		t.Fatal("Load aliased the bytes")
 	}
 }
@@ -238,13 +246,13 @@ func TestAppendMatchesEncode(t *testing.T) {
 	if err := New(rs).Encode(want, 64); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(b.Encoded(), want[:EncodedLen(want)]) {
-		t.Fatalf("appended bytes %x, encoded %x", b.Encoded(), want)
+	if !bytes.Equal(b.buf, want[:New(rs).EncodedSize()]) {
+		t.Fatalf("appended bytes %x, encoded %x", b.buf, want)
 	}
-	p := &b.Encoded()[0]
+	p := &b.buf[0]
 	b.Reset()
 	b.Append(rs[0])
-	if b.Len() != 1 || &b.Encoded()[0] != p {
+	if b.Len() != 1 || &b.buf[0] != p {
 		t.Fatal("Reset did not keep the block's memory")
 	}
 }
@@ -334,37 +342,6 @@ func TestBuilderPacksToCapacity(t *testing.T) {
 	if sizes[0] != 3 || sizes[1] != 3 || sizes[2] != 1 {
 		t.Errorf("block sizes = %v, want [3 3 1]", sizes)
 	}
-}
-
-func TestBuilderFlushPartialAndAppendExisting(t *testing.T) {
-	bb := NewBuilder(4)
-	bb.Add(rec(1))
-	bb.Add(rec(2))
-	bb.FlushPartial()
-	pre := New(recs(3, 4, 5))
-	bb.AppendExisting(pre)
-	bb.Add(rec(6))
-	blocks := bb.Finish()
-	if len(blocks) != 3 {
-		t.Fatalf("got %d blocks, want 3", len(blocks))
-	}
-	if blocks[1] != pre {
-		t.Error("AppendExisting did not keep block identity")
-	}
-	if blocks[0].Len() != 2 || blocks[2].Len() != 1 {
-		t.Errorf("sizes = %d,%d, want 2,1", blocks[0].Len(), blocks[2].Len())
-	}
-}
-
-func TestBuilderAppendExistingPanicsOnPendingBuffer(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic with non-empty buffer")
-		}
-	}()
-	bb := NewBuilder(4)
-	bb.Add(rec(1))
-	bb.AppendExisting(New(recs(2)))
 }
 
 // Property: encode/decode round-trips arbitrary ordered record sets.
@@ -463,7 +440,7 @@ func TestCopyRange(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) || b.Len() != len(tc.want) {
 			t.Errorf("CopyRange(%d, %d) = %v (Len %d), want %v", tc.lo, tc.hi, got, b.Len(), tc.want)
 		}
-		if _, err := check(b.Encoded()); err != nil {
+		if _, err := check(b.buf); err != nil {
 			t.Errorf("CopyRange(%d, %d) is not a valid block: %v", tc.lo, tc.hi, err)
 		}
 	}

@@ -33,41 +33,13 @@ func (bb *Builder) Add(r Record) {
 	}
 }
 
-// Buffered returns the number of records currently buffered (not yet in a
-// finished block).
-func (bb *Builder) Buffered() int { return bb.cur.Len() }
-
-// FlushPartial finishes the current buffer into a (possibly non-full)
-// block. It is a no-op when the buffer is empty. A block-preserving caller
-// calls this before reusing an input block, so that preserved blocks keep
-// their position in key order.
-func (bb *Builder) FlushPartial() {
+// Finish flushes any remaining records into a last, possibly non-full
+// block and returns the finished blocks. The builder must not be reused
+// afterwards.
+func (bb *Builder) Finish() []*Block {
 	if bb.cur.Len() > 0 {
 		bb.flush()
 	}
-}
-
-// AppendExisting places an already-built block (a preserved input block)
-// after everything emitted so far. The caller guarantees key order.
-func (bb *Builder) AppendExisting(b *Block) {
-	if bb.cur.Len() > 0 {
-		panic("block: AppendExisting with non-empty buffer; call FlushPartial first")
-	}
-	bb.out = append(bb.out, b)
-}
-
-// LastBlock returns the most recently finished block, or nil.
-func (bb *Builder) LastBlock() *Block {
-	if len(bb.out) == 0 {
-		return nil
-	}
-	return bb.out[len(bb.out)-1]
-}
-
-// Finish flushes any remaining records and returns the finished blocks.
-// The builder must not be reused afterwards.
-func (bb *Builder) Finish() []*Block {
-	bb.FlushPartial()
 	return bb.out
 }
 

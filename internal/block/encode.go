@@ -57,24 +57,6 @@ func (b *Block) Encode(dst []byte, blockSize int) error {
 	return nil
 }
 
-// EncodedLen returns how many leading bytes of src the block encoded in it
-// occupies: the header and every record, not the zeroed tail Encode pads
-// the device block with. For a src that does not parse it returns
-// len(src), and Decode reports what is wrong.
-func EncodedLen(src []byte) int {
-	if len(src) < headerSize {
-		return len(src)
-	}
-	off := headerSize
-	for i := int(binary.LittleEndian.Uint16(src[2:4])); i > 0; i-- {
-		if off+recordHeader > len(src) {
-			return len(src)
-		}
-		off += encodedRecordSize(int(binary.LittleEndian.Uint16(src[off+9:])))
-	}
-	return min(off, len(src))
-}
-
 // Decode returns the block encoded at the start of src, validated by
 // Parse. The block is src itself (its occupied prefix), not a copy: it
 // owns src from here on, and the caller must not reuse it.

@@ -69,9 +69,6 @@ func TestRegistryLifecycle(t *testing.T) {
 	if !r.MayContain(7, 5) {
 		t.Error("registered key reported absent")
 	}
-	if r.MemoryBits() <= 0 {
-		t.Error("MemoryBits not accounted")
-	}
 	// Unknown block is conservative.
 	if !r.MayContain(99, 5) {
 		t.Error("unknown block must conservatively report true")

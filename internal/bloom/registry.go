@@ -93,14 +93,3 @@ func (r *Registry) Len() int {
 	defer r.mu.RUnlock()
 	return len(r.filters)
 }
-
-// MemoryBits returns the total filter size in bits.
-func (r *Registry) MemoryBits() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	total := 0
-	for _, f := range r.filters {
-		total += f.SizeBits()
-	}
-	return total
-}

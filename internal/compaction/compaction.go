@@ -20,20 +20,15 @@
 // model, and its BlocksWritten accounting byte for byte, are reproduced
 // through a DB by draining, not by a second executor.
 //
-// The goroutine also carries the shard's checkpoints, so the engine has one
-// background protocol per shard, not several: a writer whose WAL append
-// sealed a segment calls RequestCheckpoint on each shard due one and
-// returns; the goroutine runs Config.Checkpoint between merge steps,
-// without the merge lock. Requests coalesce, and one arriving while a
-// checkpoint runs yields one more run. A requested-or-running checkpoint
-// counts one unit of QueueDepth, so "drained" means "and checkpointed".
+// Checkpoints are not the scheduler's: the DB runs them on a goroutine of
+// its own, so a merge never waits behind a checkpoint's fsyncs.
 //
-// Error contract: the first failed merge step or checkpoint ends the
-// goroutine. It calls Config.Fail once — the DB demotes the shard to
-// read-only there — then parks the error and releases the writers gated
-// at the stop trigger, whose Admit returns it. Writes never poll for it
-// otherwise: below the gate Admit and Notify read no error. WaitIdle
-// returns the parked error, and DB.Close folds it into its own.
+// Error contract: the first failed merge step ends the goroutine. It calls
+// Config.Fail once — the DB demotes the shard to read-only there — then
+// parks the error and releases the writers gated at the stop trigger,
+// whose Admit returns it. Writes never poll for it otherwise: below the
+// gate Admit and Notify read no error. WaitIdle returns the parked error,
+// and DB.Close folds it into its own.
 package compaction
 
 import (
@@ -74,13 +69,9 @@ type Config struct {
 	Bus *obs.Bus
 	// Lat records stall durations under obs.OpStall; may be nil.
 	Lat *obs.LatencySet
-	// Checkpoint persists the engine's state; the goroutine calls it once
-	// per coalesced RequestCheckpoint, with MergeMu not held. Required if
-	// RequestCheckpoint is ever called.
-	Checkpoint func() error
 	// Fail, when set, is called once from the goroutine with the error of
-	// the merge step or checkpoint that ended it, before gated writers are
-	// released. No more merges run after it.
+	// the merge step that ended it, before gated writers are released. No
+	// more merges run after it.
 	Fail func(error)
 }
 
@@ -108,13 +99,7 @@ type Scheduler struct {
 	// fails, or shuts down (atomics alone would lose wakeups).
 	gateMu sync.Mutex
 	gate   *sync.Cond
-	err    error // the failed merge step or checkpoint that ended the goroutine
-
-	// Checkpoint requests are generations: a request bumps ckptWant, the
-	// goroutine copies the value it read before running into ckptDone
-	// afterwards. A request that arrives mid-run leaves the two unequal, so
-	// it is neither lost nor run twice.
-	ckptWant, ckptDone atomic.Int64
+	err    error // the failed merge step that ended the goroutine
 
 	// Gauges and counters, atomics so Stats stays lock-free. The gauges
 	// are stored only in refresh, under gateMu.
@@ -152,8 +137,8 @@ func New(cfg Config) (*Scheduler, error) {
 // Admit applies write-path backpressure; writers call it before taking
 // their own locks (it may sleep or block). Below the slowdown trigger it is
 // one atomic load. It returns an error only to a writer gated at the stop
-// trigger that a failed merge step or checkpoint released: the error that
-// ended the goroutine, reported after Config.Fail ran.
+// trigger that a failed merge step released: the error that ended the
+// goroutine, reported after Config.Fail ran.
 func (s *Scheduler) Admit() error {
 	switch l0 := int(s.l0Blocks.Load()); {
 	case l0 >= s.stop:
@@ -167,7 +152,7 @@ func (s *Scheduler) Admit() error {
 }
 
 // waitBelowStop parks the writer until L0 drops back under the stop
-// threshold, a merge step or checkpoint fails, or the scheduler stops.
+// threshold, a merge step fails, or the scheduler stops.
 func (s *Scheduler) waitBelowStop() error {
 	start := time.Now()
 	s.gateMu.Lock()
@@ -200,23 +185,10 @@ func (s *Scheduler) recordStall(kind string, trigger int, n, nanos *atomic.Int64
 func (s *Scheduler) Notify() {
 	s.refresh()
 	if s.Pending() {
-		s.signal()
-	}
-}
-
-// RequestCheckpoint asks the goroutine to run Config.Checkpoint and returns
-// at once; any number of requests before the next run are served by that
-// one run.
-func (s *Scheduler) RequestCheckpoint() {
-	s.ckptWant.Add(1)
-	s.signal()
-}
-
-// signal wakes the goroutine without blocking.
-func (s *Scheduler) signal() {
-	select {
-	case s.wake <- struct{}{}:
-	default: // a wakeup is already queued
+		select {
+		case s.wake <- struct{}{}:
+		default: // a wakeup is already queued
+		}
 	}
 }
 
@@ -244,10 +216,9 @@ func (s *Scheduler) broadcast() {
 	s.gate.Broadcast()
 }
 
-// run is the scheduler goroutine: sleep until woken, then run what is due
-// — a requested checkpoint, then the pending cascade one step at a time
-// (step), with a checkpoint requested mid-drain served between steps. The
-// first failure ends the goroutine (fail).
+// run is the scheduler goroutine: sleep until woken, then run the pending
+// cascade one step at a time (step). The first failure ends the goroutine
+// (fail).
 func (s *Scheduler) run() {
 	defer close(s.done)
 	for {
@@ -256,22 +227,7 @@ func (s *Scheduler) run() {
 			return
 		case <-s.wake:
 		}
-		for {
-			if s.stopping.Load() {
-				return
-			}
-			if want := s.ckptWant.Load(); want != s.ckptDone.Load() {
-				if err := s.cfg.Checkpoint(); err != nil {
-					s.fail(err)
-					return
-				}
-				s.ckptDone.Store(want)
-				s.broadcast()
-				continue
-			}
-			if !s.Pending() {
-				break
-			}
+		for !s.stopping.Load() && s.Pending() {
 			if err := s.step(); err != nil {
 				s.fail(err)
 				return
@@ -306,8 +262,8 @@ func (s *Scheduler) fail(err error) {
 	s.gate.Broadcast()
 }
 
-// Err returns the error of the merge step or checkpoint that ended the
-// goroutine, or nil. For Close, which folds it into its own result.
+// Err returns the error of the merge step that ended the goroutine, or
+// nil. For Close, which folds it into its own result.
 func (s *Scheduler) Err() error {
 	s.gateMu.Lock()
 	defer s.gateMu.Unlock()
@@ -318,17 +274,16 @@ func (s *Scheduler) Err() error {
 // still queued.
 var errStopped = errors.New("compaction: scheduler stopped")
 
-// WaitIdle returns once the scheduler is idle: no merge step and no
-// checkpoint outstanding (Snapshot's QueueDepth is zero). It returns the
-// parked error if a step or checkpoint fails first, and an error if
-// the scheduler stops first. The caller must not hold the merge lock. Idle
+// WaitIdle returns once the scheduler is idle: no merge step outstanding
+// (Snapshot's QueueDepth is zero). It returns the parked error if a step
+// fails first, and an error if the scheduler stops first. The caller must not hold the merge lock. Idle
 // is a moment, not a state: the next write may queue
 // work again. Called after every write, it makes a DB perform exactly
 // Driver's merge sequence.
 func (s *Scheduler) WaitIdle() error {
 	s.gateMu.Lock()
 	defer s.gateMu.Unlock()
-	for s.queueDepth.Load() != 0 || s.checkpointPending() != 0 {
+	for s.queueDepth.Load() != 0 {
 		if s.err != nil {
 			return s.err
 		}
@@ -345,14 +300,11 @@ func (s *Scheduler) WaitIdle() error {
 // this.
 func (s *Scheduler) Pending() bool { return s.queueDepth.Load() > 0 }
 
-// Stop halts the scheduler: no further step or checkpoint starts,
-// the one in flight (if any) completes, gated writers are released, and
-// Stop returns once the goroutine has exited. Callers must NOT hold the
-// merge lock — the goroutine may need it to finish — nor anything
-// Config.Checkpoint takes. Idempotent. A
-// checkpoint request still pending is dropped (a clean Close checkpoints
-// inline afterwards), and an interrupted cascade is completed by Restore
-// on reopen.
+// Stop halts the scheduler: no further step starts, the one in flight (if
+// any) completes, gated writers are released, and Stop returns once the
+// goroutine has exited. Callers must NOT hold the merge lock — the
+// goroutine may need it to finish. Idempotent. An interrupted cascade is
+// completed by Restore on reopen.
 func (s *Scheduler) Stop() {
 	s.stopOnce.Do(func() {
 		s.stopping.Store(true)
@@ -364,7 +316,7 @@ func (s *Scheduler) Stop() {
 
 // Stats is a point-in-time snapshot of the scheduler's accounting.
 type Stats struct {
-	QueueDepth   int   // overflowing merge sources awaiting work, plus one for a requested-or-running checkpoint
+	QueueDepth   int   // overflowing merge sources awaiting work
 	L0Blocks     int   // L0 size at the last refresh, in blocks
 	Steps        int64 // cascade steps executed by the goroutine
 	Slowdowns    int64 // admissions that paid the pacing sleep
@@ -376,7 +328,7 @@ type Stats struct {
 // Snapshot returns the current Stats. Lock-free.
 func (s *Scheduler) Snapshot() Stats {
 	return Stats{
-		QueueDepth:   int(s.queueDepth.Load()) + s.checkpointPending(),
+		QueueDepth:   int(s.queueDepth.Load()),
 		L0Blocks:     int(s.l0Blocks.Load()),
 		Steps:        s.steps.Load(),
 		Slowdowns:    s.slowdowns.Load(),
@@ -384,14 +336,6 @@ func (s *Scheduler) Snapshot() Stats {
 		SlowdownTime: time.Duration(s.slowdownNanos.Load()),
 		StopTime:     time.Duration(s.stopNanos.Load()),
 	}
-}
-
-// checkpointPending is 1 while a requested checkpoint has not finished.
-func (s *Scheduler) checkpointPending() int {
-	if s.ckptWant.Load() != s.ckptDone.Load() {
-		return 1
-	}
-	return 0
 }
 
 // ResetCounters zeroes the cumulative counters (steps, stalls, stall

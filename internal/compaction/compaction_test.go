@@ -42,8 +42,7 @@ func newTreeWith(t *testing.T, dev storage.Device, p *policy.Policy) *core.Tree 
 // paper's merge sequence is reproduced through a DB: a scheduler whose
 // queue is waited down to zero after every mutation performs exactly the
 // merges the inline Driver does, so the device write counter and the
-// tree's contents match for every policy under every layout. The
-// goroutine also serves the checkpoints requested along the way.
+// tree's contents match for every policy under every layout.
 func TestDrainedSchedulerMatchesDriver(t *testing.T) {
 	policies := []struct {
 		name string
@@ -111,18 +110,17 @@ func TestDrainedSchedulerMatchesDriver(t *testing.T) {
 
 // drained is a scheduler driven the way the DB drives it — Admit, then
 // the mutation and Notify under the writer lock — and waited down to an
-// empty queue after each write, with a checkpoint requested every 50.
+// empty queue after each write.
 type drained struct {
 	*compaction.Scheduler
-	t      *testing.T
-	mu     *sync.Mutex
-	writes int
+	t  *testing.T
+	mu *sync.Mutex
 }
 
 func drainedScheduler(t *testing.T, tr *core.Tree) *drained {
 	t.Helper()
 	mu := &sync.Mutex{}
-	s, err := compaction.New(compaction.Config{Tree: tr, MergeMu: new(sync.Mutex), Checkpoint: func() error { return nil }})
+	s, err := compaction.New(compaction.Config{Tree: tr, MergeMu: new(sync.Mutex)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +134,6 @@ func (d *drained) write(mutate func()) error {
 	d.mu.Lock()
 	mutate()
 	d.Notify()
-	if d.writes++; d.writes%50 == 0 {
-		d.RequestCheckpoint()
-	}
 	d.mu.Unlock()
 	waitDepth(d.t, d.Scheduler, 0)
 	return nil
@@ -420,88 +415,6 @@ func TestDerivedStallGate(t *testing.T) {
 	}
 	if got := compaction.StopBlocks(2); got != 8 {
 		t.Errorf("StopBlocks(2) = %d, want 8", got)
-	}
-}
-
-// TestCheckpointRequestsCoalesce: the goroutine runs Config.Checkpoint off
-// the merge lock, once for any number of requests made before a run
-// starts and once more for requests made while one is running; QueueDepth
-// counts the requested-or-running checkpoint so a drain waits for it.
-func TestCheckpointRequestsCoalesce(t *testing.T) {
-	var mu sync.Mutex
-	entered, release := make(chan struct{}), make(chan struct{})
-	runs := 0
-	s, err := compaction.New(compaction.Config{
-		Tree:    newTree(t, storage.NewMemDevice()),
-		MergeMu: &mu,
-		Checkpoint: func() error {
-			if !mu.TryLock() {
-				t.Error("Checkpoint called with the merge lock held")
-			} else {
-				mu.Unlock()
-			}
-			runs++ // only the scheduler goroutine touches it until Stop
-			entered <- struct{}{}
-			<-release
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Stop()
-
-	s.RequestCheckpoint()
-	s.RequestCheckpoint()
-	<-entered // first run, serving both requests
-	if qd := s.Snapshot().QueueDepth; qd != 1 {
-		t.Fatalf("QueueDepth = %d with a checkpoint running, want 1", qd)
-	}
-	s.RequestCheckpoint() // arrives mid-run: must not be lost, must not double
-	s.RequestCheckpoint()
-	release <- struct{}{}
-	<-entered // the one extra run
-	if qd := s.Snapshot().QueueDepth; qd != 1 {
-		t.Fatalf("QueueDepth = %d with the follow-up checkpoint running, want 1", qd)
-	}
-	release <- struct{}{}
-	waitDepth(t, s, 0)
-	s.Stop()
-	if runs != 2 {
-		t.Fatalf("Checkpoint ran %d times for 2+2 requests, want 2", runs)
-	}
-}
-
-// TestCheckpointErrorParks: a failed checkpoint is a failed background
-// step — Config.Fail called, the error parked for WaitIdle, the goroutine
-// gone — and a write below the gate does not read it.
-func TestCheckpointErrorParks(t *testing.T) {
-	boom := errors.New("checkpoint failed")
-	failed := make(chan error, 1)
-	s, err := compaction.New(compaction.Config{
-		Tree:       newTree(t, storage.NewMemDevice()),
-		MergeMu:    new(sync.Mutex),
-		Checkpoint: func() error { return boom },
-		Fail:       func(err error) { failed <- err },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Stop()
-	s.RequestCheckpoint()
-	select {
-	case err := <-failed:
-		if err != boom {
-			t.Fatalf("Fail got %v, want the checkpoint's error", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the checkpoint failure never reached Config.Fail")
-	}
-	if err := s.WaitIdle(); !errors.Is(err, boom) {
-		t.Fatalf("WaitIdle after a failed checkpoint = %v, want the parked error", err)
-	}
-	if err := s.Admit(); err != nil {
-		t.Fatalf("Admit below the gate after a failed checkpoint = %v, want nil", err)
 	}
 }
 

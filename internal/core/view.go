@@ -324,9 +324,6 @@ func (v *View) Height() int { return len(v.levels) + 1 }
 // MemLen returns the number of memtable records at capture time.
 func (v *View) MemLen() int { return v.mem.Len() }
 
-// MemBytes returns the memtable's request-byte footprint at capture time.
-func (v *View) MemBytes() int { return v.mem.Bytes() }
-
 // Levels returns the frozen per-level metadata. Treat as read-only.
 func (v *View) Levels() []LevelView { return v.levels }
 

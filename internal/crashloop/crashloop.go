@@ -149,7 +149,7 @@ func Run(cfg Config) (Report, error) {
 			Sync:     cfg.Sync,
 			Interval: cfg.Interval,
 			// Small enough that most cycles seal a segment, so crashes land
-			// before, during and after the scheduler goroutine's checkpoint.
+			// before, during and after the checkpointer's checkpoint.
 			SegmentBytes: 4 << 10,
 		},
 	}

@@ -80,15 +80,8 @@ type Tracker struct {
 	cause string
 	err   error
 
-	// history retains the accepted transitions, oldest first, bounded.
-	history []Transition
-
 	onChange func(Transition)
 }
-
-// historyCap bounds the retained transition log. Per ROADMAP scale a
-// shard sees a handful of transitions per incident; 64 is generous.
-const historyCap = 64
 
 // NewTracker returns a Healthy tracker. onChange, when non-nil, is
 // invoked synchronously (outside the tracker's lock) for every accepted
@@ -110,15 +103,6 @@ func (t *Tracker) Cause() (string, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.cause, t.err
-}
-
-// History returns a copy of the accepted transitions, oldest first.
-func (t *Tracker) History() []Transition {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Transition, len(t.history))
-	copy(out, t.history)
-	return out
 }
 
 // legal is the transition table. Demotions must strictly increase
@@ -145,9 +129,6 @@ func (t *Tracker) transition(to State, cause string, err error) bool {
 	}
 	t.state, t.cause, t.err = to, cause, err
 	tr := Transition{From: from, To: to, Cause: cause, Err: err}
-	if len(t.history) < historyCap {
-		t.history = append(t.history, tr)
-	}
 	cb := t.onChange
 	t.mu.Unlock()
 	if cb != nil {

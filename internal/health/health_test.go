@@ -72,15 +72,14 @@ func TestCauseAndHistory(t *testing.T) {
 	if cause, err := tr.Cause(); cause != "enospc" || !errors.Is(err, errCause) {
 		t.Fatalf("Cause() = %q, %v", cause, err)
 	}
-	h := tr.History()
-	if len(h) != 2 || len(seen) != 2 {
-		t.Fatalf("history %d, callbacks %d, want 2 each", len(h), len(seen))
+	if len(seen) != 2 {
+		t.Fatalf("%d callbacks, want one per transition", len(seen))
 	}
-	if h[0].From != Healthy || h[0].To != Degraded || h[0].Cause != "corrupt-block" {
-		t.Fatalf("first transition %+v", h[0])
+	if seen[0].From != Healthy || seen[0].To != Degraded || seen[0].Cause != "corrupt-block" {
+		t.Fatalf("first transition %+v", seen[0])
 	}
-	if h[1].From != Degraded || h[1].To != ReadOnly {
-		t.Fatalf("second transition %+v", h[1])
+	if seen[1].From != Degraded || seen[1].To != ReadOnly {
+		t.Fatalf("second transition %+v", seen[1])
 	}
 }
 

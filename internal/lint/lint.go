@@ -261,9 +261,9 @@ func DefaultConfig() Config {
 		// The checkpoint split: the capture reads the log's sequence, the
 		// current view and the limbo mark as one instant, so it needs the
 		// writer lock; the persist half is shared by callers that hold it
-		// (Close) and callers that do not (the scheduler goroutine,
-		// DB.Checkpoint). The write path's log and apply steps run under the
-		// locks of every shard the mutation touches.
+		// (Close, the post-recovery checkpoint) and the one that does not
+		// (the checkpointer). The write path's log and apply steps run under
+		// the locks of every shard the mutation touches.
 		LockHeldFuncs:    []string{"captureLocked", "logLocked", "applyLocked"},
 		LockFreeFuncs:    []string{"persist"},
 		ShardFanoutFuncs: []string{"lockShards"},
@@ -276,10 +276,9 @@ func DefaultConfig() Config {
 		GoShutdownPkgs: []string{
 			"lsmssd/internal/compaction",
 			"lsmssd/internal/obs",
-			// The DB layer supplies the work the compaction goroutine's
-			// extended loop runs (checkpoints, idle WAL syncs) and owns the
-			// scrubber; background work added here must be stoppable by
-			// DB.shutdown too, not spawned per checkpoint.
+			// The DB layer owns the checkpointer, the interval-sync
+			// goroutine and the scrubber; background work added here must
+			// be stoppable by DB.shutdown too, not spawned per checkpoint.
 			"lsmssd",
 		},
 		GoDelegates: []string{"Serve"},

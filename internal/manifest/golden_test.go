@@ -24,7 +24,7 @@ func regenerateFixtures(t *testing.T) {
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "m")
-	if err := Save(path, sampleState()); err != nil {
+	if _, err := Save(path, sampleState()); err != nil {
 		t.Fatal(err)
 	}
 	valid, err := os.ReadFile(path)
@@ -112,7 +112,7 @@ func TestGoldenCorruptionFixtures(t *testing.T) {
 // the version, so only explicit ordering keeps the error a version error.
 func TestLoadVersionSkewDistinctFromChecksum(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m")
-	if err := Save(path, sampleState()); err != nil {
+	if _, err := Save(path, sampleState()); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

@@ -102,15 +102,17 @@ type State struct {
 	Memtable []block.Record        // key order not required; replayed via Put
 }
 
-// Save writes the state atomically to path.
-func Save(path string, st State) error {
+// Save writes the state atomically to path and returns the size of the
+// manifest it wrote, in bytes.
+func Save(path string, st State) (int64, error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("manifest: %w", err)
+		return 0, fmt.Errorf("manifest: %w", err)
 	}
 	crc := crc32.NewIEEE()
-	w := bufio.NewWriter(io.MultiWriter(f, crc))
+	var n byteCount
+	w := bufio.NewWriter(io.MultiWriter(f, crc, &n))
 
 	writeU64 := func(vs ...uint64) {
 		var buf [8]byte
@@ -159,26 +161,37 @@ func Save(path string, st State) error {
 		w.Write(r.Payload)
 	}
 	if err := w.Flush(); err != nil {
-		return errors.Join(fmt.Errorf("manifest: %w", err), f.Close())
+		return 0, errors.Join(fmt.Errorf("manifest: %w", err), f.Close())
 	}
 	var c32 [4]byte
 	binary.LittleEndian.PutUint32(c32[:], crc.Sum32())
 	if _, err := f.Write(c32[:]); err != nil {
-		return errors.Join(fmt.Errorf("manifest: %w", err), f.Close())
+		return 0, errors.Join(fmt.Errorf("manifest: %w", err), f.Close())
 	}
 	if err := f.Sync(); err != nil {
-		return errors.Join(fmt.Errorf("manifest: %w", err), f.Close())
+		return 0, errors.Join(fmt.Errorf("manifest: %w", err), f.Close())
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("manifest: %w", err)
+		return 0, fmt.Errorf("manifest: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("manifest: %w", err)
+		return 0, fmt.Errorf("manifest: %w", err)
 	}
 	// Sync the directory so the rename itself survives a power cut —
 	// without it a crash can roll the directory entry back to the previous
 	// manifest even though the new file's data blocks are durable.
-	return syncDir(filepath.Dir(path))
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return 0, err
+	}
+	return int64(n) + int64(len(c32)), nil
+}
+
+// byteCount counts the bytes written through it.
+type byteCount int64
+
+func (c *byteCount) Write(p []byte) (int, error) {
+	*c += byteCount(len(p))
+	return len(p), nil
 }
 
 func syncDir(dir string) error {

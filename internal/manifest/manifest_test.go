@@ -47,8 +47,16 @@ func sampleState() State {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m")
 	want := sampleState()
-	if err := Save(path, want); err != nil {
+	n, err := Save(path, want)
+	if err != nil {
 		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != n {
+		t.Fatalf("Save reported %d bytes, the file holds %d", n, fi.Size())
 	}
 	got, err := Load(path)
 	if err != nil {
@@ -98,7 +106,7 @@ func TestLoadMissing(t *testing.T) {
 
 func TestLoadCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m")
-	if err := Save(path, sampleState()); err != nil {
+	if _, err := Save(path, sampleState()); err != nil {
 		t.Fatal(err)
 	}
 	raw, _ := os.ReadFile(path)
@@ -121,13 +129,13 @@ func TestLoadCorruption(t *testing.T) {
 
 func TestSaveIsAtomic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m")
-	if err := Save(path, sampleState()); err != nil {
+	if _, err := Save(path, sampleState()); err != nil {
 		t.Fatal(err)
 	}
 	// Overwrite with new state; a temp file must not linger.
 	st := sampleState()
 	st.Config.Seed = 99
-	if err := Save(path, st); err != nil {
+	if _, err := Save(path, st); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
@@ -192,7 +200,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		}
 		n++
 		path := filepath.Join(dir, "q")
-		if Save(path, st) != nil {
+		if _, err := Save(path, st); err != nil {
 			return false
 		}
 		got, err := Load(path)

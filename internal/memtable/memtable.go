@@ -516,7 +516,7 @@ type VirtualMeta struct {
 // see Snapshot.VirtualBlocks. It reads the table as it stands and freezes
 // nothing.
 func (t *Table) VirtualBlocks(capacity int) []VirtualMeta {
-	s := Snapshot{root: t.root, count: t.count, bytes: t.bytes}
+	s := Snapshot{root: t.root, count: t.count}
 	return s.VirtualBlocks(capacity)
 }
 
@@ -525,7 +525,6 @@ func (t *Table) VirtualBlocks(capacity int) []VirtualMeta {
 type Snapshot struct {
 	root  *node
 	count int
-	bytes int
 }
 
 // Snapshot captures the current contents in O(1). It advances the
@@ -534,14 +533,11 @@ type Snapshot struct {
 // copies in place.
 func (t *Table) Snapshot() *Snapshot {
 	t.gen++
-	return &Snapshot{root: t.root, count: t.count, bytes: t.bytes}
+	return &Snapshot{root: t.root, count: t.count}
 }
 
 // Len returns the number of records (including tombstones) in the snapshot.
 func (s *Snapshot) Len() int { return s.count }
-
-// Bytes returns the request-byte footprint at capture time.
-func (s *Snapshot) Bytes() int { return s.bytes }
 
 // Get returns the record stored for k at capture time, if any.
 func (s *Snapshot) Get(k block.Key) (block.Record, bool) {

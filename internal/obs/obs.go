@@ -199,8 +199,9 @@ type CheckpointEvent struct {
 	ManifestSave time.Duration // read the view out, encode, write, fsync, rename, directory sync
 	GC           time.Duration // slot reclamation and WAL segment removal
 
-	SlotsReclaimed  int // freed block slots returned to the allocator
-	SegmentsRemoved int // WAL segments deleted
+	SlotsReclaimed  int   // freed block slots returned to the allocator
+	SegmentsRemoved int   // WAL segments deleted
+	ManifestBytes   int64 // size of the manifest written
 }
 
 func (CheckpointEvent) event() {}

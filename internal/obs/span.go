@@ -116,19 +116,6 @@ func (s *Span) To(p Phase) {
 	s.cur = p
 }
 
-// Shift reattributes d of already-recorded (or currently accruing) time
-// from phase `from` to phase `to`. The WAL uses it to split the fsync
-// wait out of the append phase: the append is timed as one phase and the
-// log's own cumulative fsync-nanoseconds delta is shifted to
-// PhaseWALSync afterwards. The phase sum is unchanged.
-func (s *Span) Shift(from, to Phase, d time.Duration) {
-	if s == nil || d <= 0 {
-		return
-	}
-	s.phases[from] -= d
-	s.phases[to] += d
-}
-
 // Relabel renames the open phase: the time since the last To accrues to p
 // instead. A block fetch opens PhaseDevRead and relabels itself
 // PhaseCacheRead when the cache reports a hit, so each fetch lands in the

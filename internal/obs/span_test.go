@@ -24,9 +24,6 @@ func TestSpanSumEqualsTotal(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				busyWork(rng.Intn(2000))
 			}
-			if rng.Intn(4) == 0 {
-				sp.Shift(PhaseWALAppend, PhaseWALSync, time.Duration(rng.Intn(1000)))
-			}
 		}
 		sp.Finish()
 	}
@@ -151,7 +148,6 @@ func TestSlowRingBounded(t *testing.T) {
 func TestSpanNilSafe(t *testing.T) {
 	var sp *Span
 	sp.To(PhaseMemtable)
-	sp.Shift(PhaseWALAppend, PhaseWALSync, time.Millisecond)
 	sp.Finish()
 	var tr *Tracer
 	if tr.Enabled() {

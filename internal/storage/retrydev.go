@@ -95,7 +95,3 @@ func (d *RetryDevice) Sync() error {
 
 // RetryStats returns the wrapper's cumulative retry accounting.
 func (d *RetryDevice) RetryStats() retry.Stats { return d.r.Snapshot() }
-
-// Inner returns the wrapped device (the shard's scrubber peeks below
-// the cache through it).
-func (d *RetryDevice) Inner() Device { return d.inner }

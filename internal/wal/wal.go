@@ -67,13 +67,13 @@
 // checkpoint, which bounds both replay time and disk held by the log. The
 // checkpoint need not run inside the append that rotated: the sealed
 // segment simply stays on disk until the checkpoints covering it have been
-// written and GC is called — the shards' scheduler goroutines do that, off
-// the write path.
+// written and GC is called — the DB's checkpointer goroutine does that,
+// off the write path.
 //
 // Concurrency. Every method is safe for concurrent use: writers append
 // from several goroutines at once (the DB's writers to different shards),
-// while Sync and GC run from background goroutines (the idle-tail sync and
-// the checkpoints) and Stats from metrics scrapes. The log's mutex orders
+// while Sync and GC run from background goroutines (the interval sync and
+// the checkpointer) and Stats from metrics scrapes. The log's mutex orders
 // the frame writes; a second mutex orders the fsyncs, which run outside the
 // first so appends continue while one is in flight. GC expects one caller
 // at a time.
@@ -947,6 +947,16 @@ func (l *Log) LastSeq() uint64 {
 	return l.nextSeq - 1
 }
 
+// Position returns LastSeq together with the active segment's index. The
+// index only grows — one per segment sealed, and ResetCounters leaves it
+// alone — so the difference of two readings counts the segments sealed
+// between them.
+func (l *Log) Position() (lastSeq uint64, segment int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.nextSeq - 1, l.idx
+}
+
 // GC removes sealed segments every frame of which has sequence at or
 // below upToSeq — i.e. segments fully covered by the checkpoint that
 // recorded upToSeq. The active segment is never removed.
@@ -955,7 +965,7 @@ func (l *Log) LastSeq() uint64 {
 // multi-megabyte segment takes milliseconds, and appends need not wait for
 // it. That is safe because covered segments are a prefix of the list,
 // appends only ever add at its tail, and GC has one caller at a time (the
-// DB serializes its checkpoints' calls).
+// DB runs its checkpoints on one goroutine).
 func (l *Log) GC(upToSeq uint64) (removed int, err error) {
 	l.mu.Lock()
 	if l.closed {

@@ -360,8 +360,8 @@ func TestResetIOStatsUniformWindow(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// The rotations' checkpoints run on the scheduler goroutine: let them
-	// finish, or one may move a counter between the two snapshots.
+	// The rotations' checkpoints run on the checkpointer: let them finish,
+	// or one may move a counter between the two snapshots.
 	if err := DrainCompaction(db); err != nil {
 		t.Fatal(err)
 	}

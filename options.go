@@ -208,18 +208,19 @@ type WALOptions struct {
 	// writes follow. Ignored by the other policies.
 	Interval time.Duration
 	// SegmentBytes caps a log segment (default 4 MiB). Filling a segment
-	// seals it. Each shard checkpoints once Shards segments have been
-	// sealed while it had frames its last checkpoint does not cover — every
-	// sealed segment with one shard, about every SegmentBytes of its own
-	// logged bytes with several — which bounds both recovery replay time
-	// and the disk the log holds: about Shards+1 segments. The write that
-	// sealed the segment only requests the checkpoints: each shard's
-	// background goroutine runs its fsyncs off the writer lock, so no Put
-	// waits for them, and a failure surfaces on the shard's next write or
-	// at Close. A sealed segment is deleted once every shard with frames
-	// in it has a durable checkpoint covering it, so a shard that stops
-	// writing does not keep the log growing; a shard that cannot
-	// checkpoint (read-only) does, until the store is reopened.
+	// seals it. A shard checkpoints once it has frames its last checkpoint
+	// does not cover and Shards segments have been sealed since that
+	// checkpoint — every sealed segment with one shard, about every
+	// SegmentBytes of its own logged bytes with several — which bounds
+	// both recovery replay time and the disk the log holds: about Shards+1
+	// segments. The write that sealed the segment only wakes the DB's
+	// checkpointer goroutine, which runs the fsyncs off the writer lock, so
+	// no Put waits for them, and merges do not either; a failure demotes
+	// the shard, surfaces on its next write, and again at Close. A sealed
+	// segment is deleted once every shard with frames in it has a durable
+	// checkpoint covering it, so a shard that stops writing, or whose
+	// merges failed, does not keep the log growing; a shard whose
+	// checkpoint itself failed does, until the store is reopened.
 	SegmentBytes int64
 }
 

@@ -24,20 +24,20 @@ import (
 // shards, so two shards never store the same key. The write-ahead log is
 // the DB's, shared by every shard (commit.go).
 //
-// The shard's checkpoint is captureLocked + persist, whoever asks for it;
-// it covers the shard's keys in the shared log up to the sequence it
-// records.
+// The shard's checkpoint is captureLocked + persist; it covers the shard's
+// keys in the shared log up to the sequence it records. The DB's
+// checkpointer runs it (commit.go), or, while the checkpointer is not
+// running, Close and Open's post-recovery checkpoint.
 type shard struct {
 	id   int
 	db   *DB
 	path string // device file path; "" for an in-memory shard
 
 	// mergeMu guards the storage levels, writerMu orders commits (and the
-	// checkpoint captures between them), ckptMu orders checkpoints; who
-	// takes each, and in what order, is DESIGN.md §13.4's lock table.
+	// checkpoint captures between them); who takes each, and in what
+	// order, is DESIGN.md §13.4's lock table.
 	mergeMu  sync.Mutex
 	writerMu sync.Mutex
-	ckptMu   sync.Mutex
 	tree     *core.Tree
 	sched    *compaction.Scheduler
 	raw      storage.Device // the base device (FileDevice/MemDevice), for Close and reclaim
@@ -71,27 +71,30 @@ type shard struct {
 	// multi-shard ops).
 	lat *obs.LatencySet
 
-	// The shard's place in the DB's log. ckptSeq is the log sequence the
-	// shard's newest checkpoint covers (from the manifest at Open, then
-	// from each capture), guarded by writerMu. sinceCapture and
-	// sinceDurable are lower bounds on the first sequence the shard logged
-	// after its newest capture and after its newest durable checkpoint (0:
-	// none): the first says whether a rotation counts toward the shard's
-	// next checkpoint, the second how far the log may be garbage-collected.
-	// Writers set them under writerMu, captures reset sinceCapture under
-	// writerMu, and persist copies it into sinceDurable; walMu makes each
-	// of those read-modify-writes atomic against the others. sealed counts
-	// the rotations since the capture that found sinceCapture set; at
-	// Shards the shard is asked to checkpoint (DB.rotated).
-	ckptSeq      uint64
-	walMu        sync.Mutex
-	sinceCapture atomic.Uint64
-	sinceDurable atomic.Uint64
-	sealed       atomic.Int64
+	// The shard's place in the DB's log, each number with one writer.
+	// lastLogged is a lower bound on the sequence of the newest frame that
+	// touches the shard: a writer stores it under writerMu before its frame
+	// is written, replay stores the frame's own. ckptSeq is the sequence the
+	// newest capture covers and ckptSeg the log's active segment at that
+	// capture; durableSeq is the sequence the newest durable checkpoint
+	// covers. The capture stores the first two (under writerMu) and persist
+	// the third; at Open the manifest's sequence seeds both sequences.
+	// The shard is dirty while lastLogged > ckptSeq (due has the
+	// checkpointer's rule), and the log keeps every frame above durableSeq
+	// while lastLogged > durableSeq (DB.gcWAL).
+	lastLogged, ckptSeq, durableSeq atomic.Uint64
+	ckptSeg                         atomic.Int64
 
-	// Completed checkpoints and their cumulative capture+persist time, for
-	// the flight recorder.
-	ckpts, ckptNanos atomic.Int64
+	// ckptRunning is set while the checkpointer runs a checkpoint the
+	// shard was due, so QueueDepth counts it until it is durable. ckptErr is
+	// the first error of a checkpoint the checkpointer ran, for Close; only
+	// the checkpointer writes it.
+	ckptRunning atomic.Bool
+	ckptErr     error
+
+	// Completed checkpoints, their cumulative capture+persist time and the
+	// manifest bytes they wrote.
+	ckpts, ckptNanos, manifestBytes atomic.Int64
 }
 
 // shardPath derives shard id's device file path. Shard 0 keeps the
@@ -161,12 +164,11 @@ func (db *DB) openShard(id int) (*shard, error) {
 	}
 
 	sched, err := compaction.New(compaction.Config{
-		Tree:       s.tree,
-		MergeMu:    &s.mergeMu,
-		Bus:        db.bus,
-		Lat:        s.lat,
-		Checkpoint: s.checkpoint,
-		Fail:       s.backgroundFailed,
+		Tree:    s.tree,
+		MergeMu: &s.mergeMu,
+		Bus:     db.bus,
+		Lat:     s.lat,
+		Fail:    s.backgroundFailed,
 	})
 	if err != nil {
 		return nil, errors.Join(err, s.raw.Close())
@@ -271,7 +273,9 @@ func (s *shard) restore(cfg core.Config, st manifest.State) error {
 			return errors.Join(fmt.Errorf("lsmssd: restored state: %w", err), fd.Close())
 		}
 	}
-	s.tree, s.raw, s.ckptSeq = tree, fd, st.WALSeq
+	s.tree, s.raw = tree, fd
+	s.ckptSeq.Store(st.WALSeq)
+	s.durableSeq.Store(st.WALSeq)
 	return nil
 }
 
@@ -287,11 +291,12 @@ type checkpointImage struct {
 }
 
 // captureLocked freezes the state a checkpoint will persist. The caller
-// holds writerMu (so view, WAL sequence and the limbo mark describe one
-// instant) and ckptMu. Only a file-backed shard checkpoints, so its device
-// is a FileDevice and the DB has a log. It costs microseconds: the view is
-// the copy-on-write snapshot readers already use, pinned until persist has
-// read it out.
+// holds writerMu, so view, WAL sequence and the limbo mark describe one
+// instant. Only a file-backed shard checkpoints, so its device is a
+// FileDevice and the DB has a log. It costs microseconds: the view is the
+// copy-on-write snapshot readers already use, pinned until persist has
+// read it out. It also records the log's active segment, from which the
+// checkpointer counts the segments sealed since (due).
 //
 // The sequence is the log's newest, read under writerMu: every frame at or
 // below it that touches this shard was written by a writer holding this
@@ -304,20 +309,18 @@ func (s *shard) captureLocked() (checkpointImage, error) {
 	if err != nil {
 		return checkpointImage{}, err
 	}
-	s.ckptSeq = s.db.wal.Load().LastSeq()
-	s.walMu.Lock()
-	s.sinceCapture.Store(0)
-	s.walMu.Unlock()
-	s.sealed.Store(0)
-	img := checkpointImage{view: v, walSeq: s.ckptSeq, limbo: s.raw.(*storage.FileDevice).LimboMark()}
+	seq, seg := s.db.wal.Load().Position()
+	s.ckptSeq.Store(seq)
+	s.ckptSeg.Store(int64(seg))
+	img := checkpointImage{view: v, walSeq: seq, limbo: s.raw.(*storage.FileDevice).LimboMark()}
 	img.capture = time.Since(start)
 	return img, nil
 }
 
 // persist makes a captured image the shard's durable checkpoint and releases
-// it. It takes no engine lock — the caller holds ckptMu and may or may not
-// hold writerMu — so writes, reads and merges all proceed while the
-// scheduler goroutine or DB.Checkpoint runs it. The view is read out and
+// it. It takes no engine lock — the checkpointer runs it without writerMu,
+// Close and the post-recovery checkpoint with it — so writes, reads and
+// merges all proceed while the checkpointer runs it. The view is read out and
 // released first: from then on merges may free blocks the image names,
 // and the limbo mark, not the pin, is what keeps their slots from being
 // reused. The durability horizon then advances in a fixed order, each step
@@ -360,7 +363,7 @@ func (s *shard) persist(img checkpointImage) error {
 	t1 := time.Now()
 	cfg := s.tree.Config()
 	lay := cfg.Policy.Layout().Normalized()
-	if err := manifest.Save(manifestPath(s.path), manifest.State{
+	n, err := manifest.Save(manifestPath(s.path), manifest.State{
 		Config: manifest.Config{
 			BlockCapacity: cfg.BlockCapacity,
 			K0:            cfg.K0,
@@ -375,14 +378,14 @@ func (s *shard) persist(img checkpointImage) error {
 		WALSeq:   img.walSeq,
 		Runs:     st.Runs,
 		Memtable: st.Memtable,
-	}); err != nil {
+	})
+	if err != nil {
 		return err
 	}
+	ev.ManifestBytes = n
 	t2 := time.Now()
 	ev.SlotsReclaimed = s.raw.(*storage.FileDevice).ReclaimFreed(img.limbo)
-	s.walMu.Lock()
-	s.sinceDurable.Store(s.sinceCapture.Load())
-	s.walMu.Unlock()
+	s.durableSeq.Store(img.walSeq)
 	removed, err := s.db.gcWAL()
 	if err != nil {
 		return fmt.Errorf("lsmssd: write-ahead log gc: %w", err)
@@ -391,6 +394,7 @@ func (s *shard) persist(img checkpointImage) error {
 	t3 := time.Now()
 	s.ckpts.Add(1)
 	s.ckptNanos.Add(int64(img.capture + t3.Sub(start)))
+	s.manifestBytes.Add(n)
 	if s.db.bus.Enabled() {
 		ev.DeviceSync, ev.ManifestSave, ev.GC = t1.Sub(t0), t0.Sub(start)+t2.Sub(t1), t3.Sub(t2)
 		s.db.bus.Publish(ev)
@@ -401,9 +405,8 @@ func (s *shard) persist(img checkpointImage) error {
 // checkpointLocked checkpoints inline: capture and persist with the writer
 // lock held throughout, so the checkpoint is durable before the caller's
 // next step. Only Close and the post-recovery checkpoint use it — callers
-// that hold the lock anyway and that no writer can be waiting on. The
-// caller holds ckptMu too, taken before writerMu: a checkpoint in flight
-// finishes first, which keeps manifests in capture order.
+// that hold the lock anyway, that no writer can be waiting on, and that run
+// only while the checkpointer does not, so checkpoints never overlap.
 func (s *shard) checkpointLocked() error {
 	if s.path == "" {
 		return nil
@@ -415,29 +418,27 @@ func (s *shard) checkpointLocked() error {
 	return s.persist(img)
 }
 
-// checkpoint holds the writer lock for the capture only; the fsyncs happen
-// after it is dropped. It serves DB.Checkpoint and, as compaction.Config.
-// Checkpoint, the scheduler goroutine when a WAL rotation requested one.
-// It waits out a checkpoint in flight (ckptMu) before it takes the writer
-// lock, so two racing checkpoints never stall the shard's writes.
-func (s *shard) checkpoint() error {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
-	s.writerMu.Lock()
-	if s.db.closed.Load() {
-		s.writerMu.Unlock()
-		return ErrClosed
+// due reports whether the checkpointer owes the shard a checkpoint, given
+// the log's active segment: the shard is dirty and Shards segments have
+// been sealed since its capture. With one shard that is every rotation;
+// under an even load over N shards every N rotations, once per
+// SegmentBytes of the shard's own logged bytes; and a shard that stops
+// writing is due N rotations after its capture, so an idle shard does not
+// pin the log. The log holds about Shards+1 segments.
+func (s *shard) due(segment int) bool {
+	return s.lastLogged.Load() > s.ckptSeq.Load() && int64(segment)-s.ckptSeg.Load() >= int64(len(s.db.shards))
+}
+
+// checkpointOwed reports whether the shard is due a checkpoint or the
+// checkpointer is running the one it was due: what QueueDepth counts. due
+// is read first: a capture clears it only after ckptRunning is set.
+func (s *shard) checkpointOwed() bool {
+	log := s.db.wal.Load()
+	if log == nil {
+		return false
 	}
-	if s.path == "" {
-		s.writerMu.Unlock()
-		return nil
-	}
-	img, err := s.captureLocked()
-	s.writerMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return s.persist(img)
+	_, seg := log.Position()
+	return s.due(seg) || s.ckptRunning.Load()
 }
 
 // paranoidSteadyCheck asserts the strict (post-cascade) bounds after a
@@ -517,7 +518,7 @@ func (s *shard) forceGrow() {
 }
 
 // releaseLocked is the last per-shard step of DB.shutdown, which holds the
-// shard's checkpoint and writer locks and has stopped its scheduler. A
+// shard's writer lock and has stopped its scheduler and the checkpointer. A
 // clean close folds in the error of a failed background merge step or
 // checkpoint and checkpoints; crash
 // abandons the shard as a power cut would — no checkpoint, no device sync.
@@ -526,7 +527,7 @@ func (s *shard) forceGrow() {
 func (s *shard) releaseLocked(crash bool) error {
 	var errs []error
 	if !crash {
-		errs = append(errs, s.sched.Err(), s.checkpointLocked())
+		errs = append(errs, s.sched.Err(), s.ckptErr, s.checkpointLocked())
 	}
 	s.tree.MarkClosed()
 	return errors.Join(append(errs, s.raw.Close())...)

@@ -127,6 +127,10 @@ type Counters struct {
 	// path.
 	Checkpoints    int64         `json:"checkpoints"`
 	CheckpointTime time.Duration `json:"checkpoint_time"`
+	// ManifestBytes counts the manifest bytes those checkpoints wrote: a
+	// checkpoint's device traffic beside the data blocks BlocksWritten
+	// counts.
+	ManifestBytes int64 `json:"manifest_bytes"`
 
 	// Quarantined counts corrupt blocks currently quarantined.
 	Quarantined int `json:"quarantined_blocks"`
@@ -152,7 +156,7 @@ type WALStats struct {
 	Syncs     int64         // fsyncs issued (one may cover many concurrent writers' frames)
 	SyncTime  time.Duration // cumulative wall time inside those fsyncs
 	FillBytes int64         // zeros written ahead of the append offset, so a commit overwrites written blocks
-	Rotations int64         // segments sealed (each triggers a checkpoint)
+	Rotations int64         // segments sealed (each wakes the checkpointer; a shard checkpoints every Shards of them)
 	Segments  int           // segment files currently on disk
 	LastSeq   uint64        // sequence of the newest logged frame
 
@@ -179,10 +183,12 @@ type WALRecoveryStats struct {
 // 4×MemtableBlocks.
 type CompactionStats struct {
 	// QueueDepth counts overflowing merge sources awaiting background work,
-	// plus one per shard whose background checkpoint (requested when a WAL
-	// segment is sealed) has not finished — so QueueDepth == 0 means drained
-	// and checkpointed: the sealed segment is covered and removed. Waiting
-	// for it after every write reproduces the paper's inline merge sequence.
+	// plus one per shard due a checkpoint (sealed WAL segments made it due,
+	// shard.due) or whose due checkpoint the checkpointer is running — so
+	// QueueDepth == 0 means drained and checkpointed: the sealed segments
+	// are covered and removed. A DB.Checkpoint's own runs are not counted:
+	// its caller waits for them. Waiting for QueueDepth == 0 after every
+	// write reproduces the paper's inline merge sequence.
 	QueueDepth int
 	L0Blocks   int   // L0 size at the last scheduler refresh, in blocks
 	Steps      int64 // cascade steps executed by the background scheduler
@@ -285,7 +291,7 @@ var metricTable = []metric{
 	{typ: counter, name: "lsmssd_bloom_skipped_total", help: "Block reads avoided by Bloom filters.", field: num(func(c *Counters) *int64 { return &c.BloomSkipped })},
 	{typ: counter, name: "lsmssd_bloom_passed_total", help: "Lookups Bloom filters could not rule out.", field: num(func(c *Counters) *int64 { return &c.BloomPassed })},
 
-	{typ: gauge, name: "lsmssd_compaction_queue_depth", help: "Overflowing merge sources (memtable and full levels) awaiting compaction, plus one per shard with a requested-or-running background checkpoint.", field: num(func(c *Counters) *int { return &c.Compaction.QueueDepth })},
+	{typ: gauge, name: "lsmssd_compaction_queue_depth", help: "Overflowing merge sources (memtable and full levels) awaiting compaction, plus one per shard with a due or running background checkpoint.", field: num(func(c *Counters) *int { return &c.Compaction.QueueDepth })},
 	{typ: gauge, name: "lsmssd_compaction_l0_blocks", help: "L0 size in blocks at the compaction schedulers' last refresh.", field: num(func(c *Counters) *int { return &c.Compaction.L0Blocks })},
 	{typ: counter, name: "lsmssd_compaction_steps_total", help: "Cascade steps executed by the background compaction schedulers.", field: num(func(c *Counters) *int64 { return &c.Compaction.Steps })},
 	{typ: counter, name: "lsmssd_write_stalls_total", help: "Writes that hit compaction backpressure, by kind (slowdown = pacing sleep, stop = hard gate).", kind: "slowdown", field: num(func(c *Counters) *int64 { return &c.Compaction.Slowdowns })},
@@ -299,7 +305,7 @@ var metricTable = []metric{
 	{typ: counter, name: "lsmssd_wal_syncs_total", help: "WAL fsyncs issued by the sync policy or checkpoints.", field: num(func(c *Counters) *int64 { return &c.WAL.Syncs })},
 	{typ: counter, name: "lsmssd_wal_sync_seconds_total", help: "Cumulative time spent inside WAL fsyncs.", field: secs(func(c *Counters) *time.Duration { return &c.WAL.SyncTime })},
 	{typ: counter, name: "lsmssd_wal_fill_bytes_total", help: "Zero bytes written ahead of the WAL's append offset, so commits overwrite allocated blocks.", field: num(func(c *Counters) *int64 { return &c.WAL.FillBytes })},
-	{typ: counter, name: "lsmssd_wal_rotations_total", help: "WAL segments sealed (each seals a checkpoint).", field: num(func(c *Counters) *int64 { return &c.WAL.Rotations })},
+	{typ: counter, name: "lsmssd_wal_rotations_total", help: "WAL segments sealed.", field: num(func(c *Counters) *int64 { return &c.WAL.Rotations })},
 	{typ: gauge, name: "lsmssd_wal_segments", help: "WAL segment files currently on disk.", field: num(func(c *Counters) *int { return &c.WAL.Segments })},
 	{typ: gauge, name: "lsmssd_wal_last_seq", help: "Sequence of the newest logged frame.", field: num(func(c *Counters) *uint64 { return &c.WAL.LastSeq })},
 	{typ: fixed, name: "lsmssd_wal_recovered_segments_total", help: "WAL segment files scanned by crash recovery at Open.", field: num(func(c *Counters) *int { return &c.WAL.Recovery.Segments })},
@@ -309,6 +315,7 @@ var metricTable = []metric{
 
 	{typ: counter, name: "lsmssd_checkpoints_total", help: "Checkpoints completed.", field: num(func(c *Counters) *int64 { return &c.Checkpoints })},
 	{typ: counter, name: "lsmssd_checkpoint_seconds_total", help: "Cumulative capture-plus-persist time of completed checkpoints.", field: secs(func(c *Counters) *time.Duration { return &c.CheckpointTime })},
+	{typ: counter, name: "lsmssd_manifest_bytes_total", help: "Manifest bytes written by completed checkpoints.", field: num(func(c *Counters) *int64 { return &c.ManifestBytes })},
 	{typ: gauge, name: "lsmssd_quarantined_blocks", help: "Corrupt blocks currently quarantined (pinned, excluded from merges) across all shards.", shardHelp: "Corrupt blocks the shard currently has quarantined (pinned, excluded from merges).", field: num(func(c *Counters) *int { return &c.Quarantined })},
 	{typ: counter, name: "lsmssd_read_retries_total", help: "Device reads that needed at least one retry.", field: num(func(c *Counters) *int64 { return &c.RetriedReads })},
 	{typ: counter, name: "lsmssd_read_retries_exhausted_total", help: "Device reads that failed even after the full backoff schedule.", field: num(func(c *Counters) *int64 { return &c.RetriesExhausted })},
@@ -419,6 +426,7 @@ func (s *shard) stats() (ShardStats, bool) {
 		Compaction:       CompactionStats(s.sched.Snapshot()),
 		Checkpoints:      s.ckpts.Load(),
 		CheckpointTime:   time.Duration(s.ckptNanos.Load()),
+		ManifestBytes:    s.manifestBytes.Load(),
 		Quarantined:      s.tree.QuarantinedCount(),
 		RetriedReads:     rs.Retries,
 		RetriesExhausted: rs.Exhausted,
@@ -427,6 +435,9 @@ func (s *shard) stats() (ShardStats, bool) {
 		ScrubCorrupt:     s.scrubCorrupt.Load(),
 		ScrubRepaired:    s.scrubRepaired.Load(),
 	}}
+	if s.checkpointOwed() {
+		ss.Compaction.QueueDepth++
+	}
 	ss.HealthCause, _ = s.health.Cause()
 	levels := v.Levels()
 	ss.Levels = make([]LevelStats, 0, len(levels))
@@ -520,7 +531,7 @@ func (db *DB) ResetIOStats() {
 	for _, s := range db.shards {
 		s.tree.ResetStats() // the device (with its retry layer) and s.lat too (the tree's Config.Lat)
 		s.sched.ResetCounters()
-		for _, c := range []*atomic.Int64{&s.ckpts, &s.ckptNanos, &s.scrubPasses, &s.scrubChecked, &s.scrubCorrupt, &s.scrubRepaired} {
+		for _, c := range []*atomic.Int64{&s.ckpts, &s.ckptNanos, &s.manifestBytes, &s.scrubPasses, &s.scrubChecked, &s.scrubCorrupt, &s.scrubRepaired} {
 			c.Store(0)
 		}
 	}

@@ -279,6 +279,9 @@ func TestCheckpointOnBusAndTimeline(t *testing.T) {
 	if ev.Capture <= 0 || ev.DeviceSync <= 0 || ev.ManifestSave <= 0 || ev.GC <= 0 {
 		t.Errorf("event %+v leaves part of the checkpoint's time unreported", ev)
 	}
+	if ev.ManifestBytes <= 0 || db.Stats().ManifestBytes != ev.ManifestBytes {
+		t.Errorf("event reports %d manifest bytes, Stats %d; want the same non-zero count", ev.ManifestBytes, db.Stats().ManifestBytes)
+	}
 	select {
 	case extra := <-events:
 		t.Errorf("a second event for one checkpoint: %+v", extra)
