@@ -230,7 +230,7 @@ func putUntilBackgroundCheckpoint(t *testing.T, db *lsmssd.DB, g *syncGate, mode
 		return nil
 	})
 	awaitEntered(t, g, "the rotation-requested checkpoint")
-	return db.Stats().Shards[0].WAL.LastSeq
+	return db.Stats().WAL.LastSeq
 }
 
 // TestBackgroundCheckpointDoesNotBlockWrites: with the rotation-requested
@@ -485,7 +485,7 @@ func TestCheckpointWALSeqMatchesView(t *testing.T) {
 	}
 	if st.WALSeq != captured {
 		t.Fatalf("manifest WALSeq = %d, want the captured sequence %d (log is at %d)",
-			st.WALSeq, captured, db.Stats().Shards[0].WAL.LastSeq)
+			st.WALSeq, captured, db.Stats().WAL.LastSeq)
 	}
 	// The bus delivers on its own goroutine: drained means published, not yet seen.
 	waitFor(t, "the checkpoint's event", func() bool { return len(events()) >= 1 })
@@ -597,7 +597,7 @@ func testRotationDuringCheckpointIsNotLost(t *testing.T) {
 		mustPut(t, db, next, model)
 		next++
 	}
-	lastSealed := db.Stats().Shards[0].WAL.LastSeq - 1 // the rotating append opened the new segment
+	lastSealed := db.Stats().WAL.LastSeq - 1 // the rotating append opened the new segment
 
 	g.release <- nil // first checkpoint completes
 	awaitEntered(t, g, "the checkpoint the later rotations requested")

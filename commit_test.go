@@ -244,6 +244,155 @@ func checkBatches(db *lsmssd.DB, shards uint64, value func(uint64) []byte, all i
 	return nil
 }
 
+// TestQueuedWritersShareFsyncs: under SyncEvery, writers to one shard share
+// fsyncs. A lone writer pays exactly one per Put; eight concurrent ones pay
+// fewer than one per two Puts, because each commit drops the shard's writer
+// lock once its frame is queued, and the queue's leader syncs every frame
+// queued behind it at once.
+func TestQueuedWritersShareFsyncs(t *testing.T) {
+	db, err := lsmssd.Open(lsmssd.Options{Path: filepath.Join(t.TempDir(), "store.db")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	val := []byte("value")
+
+	const lone = 100
+	before := db.Stats().WAL.Syncs
+	for k := uint64(0); k < lone; k++ {
+		if err := db.Put(k, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := db.Stats().WAL.Syncs - before; got != lone {
+		t.Fatalf("a lone writer's %d Puts issued %d fsyncs, want exactly one each", lone, got)
+	}
+
+	const writers, each = 8, 200
+	before = db.Stats().WAL.Syncs
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := db.Put(uint64(w*each+i), val); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := db.Stats().WAL.Syncs - before; 2*got >= writers*each {
+		t.Fatalf("%d writers' %d Puts to one shard issued %d fsyncs, want fewer than half", writers, writers*each, got)
+	}
+}
+
+// TestQueuedCommitsApplyInLogOrder: under SyncEvery, several writers
+// overwrite the same few keys, by Put and, on two shards, by Applies that
+// span both. Every key's live value must be the one its highest-sequence
+// frame in the log wrote, so the queue's leaders applied the frames in log
+// order; and a power cut and reopen, replaying that log, must give the
+// same values.
+func TestQueuedCommitsApplyInLogOrder(t *testing.T) {
+	const writers, each, keys = 4, 300, 8
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("Shards%d", shards), func(t *testing.T) {
+			opts := lsmssd.Options{Path: filepath.Join(t.TempDir(), "store.db"), Shards: shards}
+			db, err := lsmssd.Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, writers)
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					b := db.NewBatch()
+					for i := 0; i < each; i++ {
+						val := []byte(fmt.Sprintf("w%d-%d", w, i))
+						k := uint64(w+i) % keys
+						var err error
+						if shards > 1 && i%3 == 0 {
+							b.Reset()
+							b.Put(k, val)
+							b.Put(k^1, val) // the other shard's
+							err = db.Apply(b)
+						} else {
+							err = db.Put(k, val)
+						}
+						if err != nil {
+							errs <- err
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			live := liveValues(t, db, keys)
+			if err := db.Crash(); err != nil {
+				t.Fatal(err)
+			}
+
+			want := map[uint64]string{}
+			last := uint64(0)
+			if _, err := wal.Replay(opts.Path+".wal", 0, func(seq uint64, ops []wal.Op) error {
+				if seq <= last {
+					return fmt.Errorf("frame %d after frame %d", seq, last)
+				}
+				last = seq
+				for _, op := range ops {
+					want[op.Key] = string(op.Value)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for k := uint64(0); k < keys; k++ {
+				if live[k] != want[k] {
+					t.Errorf("key %d: live value %q, but its highest-sequence frame wrote %q", k, live[k], want[k])
+				}
+			}
+
+			rdb, err := lsmssd.Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rdb.Close()
+			for k, v := range liveValues(t, rdb, keys) {
+				if v != want[k] {
+					t.Errorf("after replay, key %d holds %q, want %q", k, v, want[k])
+				}
+			}
+		})
+	}
+}
+
+// liveValues reads keys [0, n) from db.
+func liveValues(t *testing.T, db *lsmssd.DB, n uint64) map[uint64]string {
+	t.Helper()
+	out := map[uint64]string{}
+	for k := uint64(0); k < n; k++ {
+		v, ok, err := db.Get(k)
+		if err != nil || !ok {
+			t.Fatalf("Get(%d) = %v, %v", k, ok, err)
+		}
+		out[k] = string(v)
+	}
+	return out
+}
+
 // TestIdleShardDoesNotPinLog: on a 2-shard store whose shard 1 wrote a
 // little and then went idle while shard 0 sealed segment after segment,
 // the log stays a bounded number of segments (shard 1 checkpoints once its

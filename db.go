@@ -40,7 +40,11 @@ var ErrCorrupt = storage.ErrCorrupt
 // Concurrency model: a mutation holds the writer locks of the shards it
 // touches — one for Put and Delete, every touched shard's for Apply, taken
 // in ascending shard order — so writes to different shards proceed in
-// parallel, and concurrent writers share the log's fsyncs (group commit).
+// parallel. Under SyncEvery it holds them only to write its log frame: the
+// frame joins the commit queue, whose leader fsyncs every queued frame at
+// once, and the writers then apply their frames in log order, so
+// concurrent writers share the log's fsyncs (group commit) whichever
+// shards they touch.
 // Reads (Get, Scan, NewIterator, Stats, Histogram, Validate) run against
 // immutable per-shard snapshots: every merge publishes one, and a read
 // that follows a mutation captures L0 anew in O(1), waiting at most for a
@@ -89,6 +93,10 @@ type DB struct {
 	quit     chan struct{}
 	quitOnce sync.Once
 	bg       sync.WaitGroup
+
+	// queue is the group commit of SyncEvery writers (commit.go); its
+	// mutex is DESIGN.md §13.4's commit-queue row.
+	queue commitQueue
 
 	// pubMu makes a multi-shard Apply one step for readers: the writer
 	// applies its shards' slices holding it exclusively, and newIterator
@@ -151,6 +159,7 @@ func Open(opts Options) (*DB, error) {
 	opts = opts.withDefaults()
 	db := &DB{opts: opts, bus: obs.NewBus(0), lat: &obs.LatencySet{},
 		ckptWake: make(chan struct{}, 1), ckptReq: make(chan chan error), quit: make(chan struct{})}
+	db.queue.settle.L = &db.queue.mu
 	db.lat.Enable(opts.Metrics)
 	db.tracer = obs.NewTracer(db.bus, opts.Shards, opts.TraceSampleRate, opts.SlowOpThreshold)
 	db.mask = uint64(opts.Shards - 1)
@@ -344,9 +353,11 @@ func (db *DB) Crash() error { return db.shutdown(true) }
 // any lock is taken — the checkpointer's in-flight checkpoint needs a
 // writer lock for its capture, and all must be quiescent before the
 // devices, the log and the event bus go away. The flight recorder stops
-// next (its collector reads per-shard state the release step frees), then
-// every writer lock is taken (DESIGN.md §13.4), the metrics endpoint and
-// the bus close, the DB is marked closed, and each shard is released.
+// next (its collector reads per-shard state the release step frees). The
+// commit queue closes and its frames settle, before any writer lock is
+// taken, since its writers take them again to apply. Then every writer
+// lock is taken (DESIGN.md §13.4), the metrics endpoint and the bus close,
+// the DB is marked closed, and each shard is released.
 func (db *DB) shutdown(crash bool) error {
 	for _, s := range db.shards {
 		s.sched.Stop()
@@ -354,6 +365,7 @@ func (db *DB) shutdown(crash bool) error {
 	}
 	db.stopBackground()
 	db.recOnce.Do(func() { db.recorder.Close() })
+	db.queue.close()
 	lockShards(db.shards)
 	defer unlockShards(db.shards)
 	if db.closed.Load() {

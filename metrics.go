@@ -133,12 +133,14 @@ func (db *DB) startObs() (*DB, error) {
 }
 
 // collectShardCounters gathers every shard's cumulative observability
-// counters for one flight-recorder tick: the shard's Stats snapshot, so the
-// timeline can show nothing Stats does not, plus the histograms the
-// per-tick quantiles are cut from. It runs on the recorder goroutine
-// concurrently with foreground traffic, like any other Stats caller.
+// counters for one flight-recorder tick: the shard's Stats snapshot and the
+// log's Stats.WAL, so the timeline can show nothing Stats does not, plus
+// the histograms the per-tick quantiles are cut from. It runs on the
+// recorder goroutine concurrently with foreground traffic, like any other
+// Stats caller.
 func (db *DB) collectShardCounters() []obs.ShardCounters {
 	out := make([]obs.ShardCounters, len(db.shards))
+	wal := db.walStats() // the one log, on every shard's timeline
 	for i, s := range db.shards {
 		ss, _ := s.stats() // the recorder stops before the shards close
 		put, get := s.lat.Hist(obs.OpPut).Snapshot(), s.lat.Hist(obs.OpGet).Snapshot()
@@ -152,8 +154,8 @@ func (db *DB) collectShardCounters() []obs.ShardCounters {
 			StallNanos:   int64(ss.Compaction.SlowdownTime + ss.Compaction.StopTime),
 			QueueDepth:   ss.Compaction.QueueDepth,
 			L0Blocks:     ss.Compaction.L0Blocks,
-			WALSyncs:     ss.WAL.Syncs,
-			WALSyncNanos: int64(ss.WAL.SyncTime),
+			WALSyncs:     wal.Syncs,
+			WALSyncNanos: int64(wal.SyncTime),
 			Checkpoints:  ss.Checkpoints,
 			CheckpointNS: int64(ss.CheckpointTime),
 			CacheHits:    ss.CacheHits,
@@ -188,7 +190,7 @@ func shardLabel(id int) obs.Label { return obs.Label{Name: "shard", Value: strco
 // shard the one naming rule applies, lsmssd_X → lsmssd_shard_X, the help is
 // the row's shardHelp or else the aggregate's marked as per shard, and the
 // sample carries the shard label.
-func (m *metric) sample(fams []obs.Family, shard int, c *Counters) []obs.Family {
+func (m *metric[S]) sample(fams []obs.Family, shard int, c *S) []obs.Family {
 	name, help := m.name, m.help
 	var labels []obs.Label
 	if shard >= 0 {
@@ -253,8 +255,9 @@ var timelineSeries = []series[TimelineSample]{
 
 // metricFamilies materializes the /metrics payload from a Stats snapshot:
 // every metricTable row over the aggregate and, on a sharded DB, over each
-// shard; then what is not a Counters field (the bus, the shard count and
-// health states, per-level rows, histograms, the timeline's latest tick).
+// shard; every walTable row over the one log; then what is not a Counters
+// field (the bus, the shard count and health states, per-level rows,
+// histograms, the timeline's latest tick).
 // Called per scrape from HTTP handler goroutines; everything it reads is
 // lock-free or behind the few-instruction view mutex.
 func (db *DB) metricFamilies() []obs.Family {
@@ -262,6 +265,9 @@ func (db *DB) metricFamilies() []obs.Family {
 	var fams []obs.Family
 	for i := range metricTable {
 		fams = metricTable[i].sample(fams, -1, &s.Counters)
+	}
+	for i := range walTable {
+		fams = walTable[i].sample(fams, -1, &s.WAL)
 	}
 	if len(s.Shards) > 1 {
 		for i := range metricTable {

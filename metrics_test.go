@@ -384,19 +384,7 @@ func TestResetIOStatsUniformWindow(t *testing.T) {
 	db.ResetIOStats()
 	s2 := db.Stats()
 
-	running := 0
-	for i := range metricTable {
-		m := &metricTable[i]
-		before, after := m.get(&s1.Counters), m.get(&s2.Counters)
-		switch {
-		case m.typ != counter && after != before:
-			t.Errorf("%s{%s} is no counter, yet ResetIOStats moved it %g → %g", m.name, m.kind, before, after)
-		case m.typ == counter && after != 0:
-			t.Errorf("after ResetIOStats counter %s{%s} = %g, want 0", m.name, m.kind, after)
-		case m.typ == counter && before != 0:
-			running++
-		}
-	}
+	running := checkReset(t, metricTable, &s1.Counters, &s2.Counters) + checkReset(t, walTable, &s1.WAL, &s2.WAL)
 	if running < 20 {
 		t.Errorf("only %d counter rows were non-zero before the reset", running)
 	}
@@ -426,4 +414,24 @@ func TestResetIOStatsUniformWindow(t *testing.T) {
 	if s3 := db.Stats(); s3.Inserts != 1 {
 		t.Errorf("post-reset Inserts = %d, want 1", s3.Inserts)
 	}
+}
+
+// checkReset checks table's rows across a ResetIOStats, from before to
+// after: counters read 0, everything else is unmoved. It returns how many
+// counters had run before the reset.
+func checkReset[S any](t *testing.T, table []metric[S], before, after *S) (running int) {
+	t.Helper()
+	for i := range table {
+		m := &table[i]
+		b, a := m.get(before), m.get(after)
+		switch {
+		case m.typ != counter && a != b:
+			t.Errorf("%s{%s} is no counter, yet ResetIOStats moved it %g → %g", m.name, m.kind, b, a)
+		case m.typ == counter && a != 0:
+			t.Errorf("after ResetIOStats counter %s{%s} = %g, want 0", m.name, m.kind, a)
+		case m.typ == counter && b != 0:
+			running++
+		}
+	}
+	return running
 }

@@ -160,12 +160,14 @@ const (
 	// SyncEvery fsyncs the log before acknowledging each mutation: zero
 	// acknowledged writes are lost on a crash. Group commit applies twice:
 	// a WriteBatch pays one fsync for the whole batch, whichever shards it
-	// spans, and concurrent writers share fsyncs — one fsync covers every
-	// frame written before it started, so a writer whose frame is already
-	// covered waits for that fsync instead of issuing its own. A frame
-	// lands in the log's zero-filled tail, so the sync is an fdatasync on
-	// Linux that flushes the frame's data and no file-system metadata
-	// (DESIGN.md §11.1). The default.
+	// spans, and concurrent writers share fsyncs, whether or not they touch
+	// the same shards. A writer queues its frame and releases its shards'
+	// locks; one of the queued writers fsyncs every frame queued so far at
+	// once, and the writers then apply their frames in log order before
+	// their calls return. A lone writer pays one fsync per mutation. A
+	// frame lands in the log's zero-filled tail, so the sync is an
+	// fdatasync on Linux that flushes the frame's data and no file-system
+	// metadata (DESIGN.md §11.1, §13.4). The default.
 	SyncEvery SyncPolicy = iota
 	// SyncInterval fsyncs once per WALOptions.Interval, from one DB
 	// goroutine that does nothing else; no write syncs or reads the clock.

@@ -301,6 +301,13 @@ type checkpointImage struct {
 // The sequence is the log's newest, read under writerMu: every frame at or
 // below it that touches this shard was written by a writer holding this
 // lock from its append to its apply, so the view includes all of them.
+// Under SyncEvery a frame is applied later, by its writer in the commit
+// queue's turn, again under its shards' writer locks; so the sequence is
+// capped at the queue's settled one. Every frame at or below
+// that is applied (or failed), and none above it that touches this shard
+// can be applied while the capture holds the lock. The checkpointer waits
+// for the queue to settle first (commitQueue.awaitSettled), so the cap
+// leaves out only frames logged after the capture began.
 func (s *shard) captureLocked() (checkpointImage, error) {
 	start := time.Now()
 	// The tree's own acquire, not s.acquireView: Close checkpoints after the
@@ -310,6 +317,9 @@ func (s *shard) captureLocked() (checkpointImage, error) {
 		return checkpointImage{}, err
 	}
 	seq, seg := s.db.wal.Load().Position()
+	if s.db.opts.WAL.Sync == SyncEvery {
+		seq = min(seq, s.db.queue.settled.Load())
+	}
 	s.ckptSeq.Store(seq)
 	s.ckptSeg.Store(int64(seg))
 	img := checkpointImage{view: v, walSeq: seq, limbo: s.raw.(*storage.FileDevice).LimboMark()}

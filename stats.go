@@ -33,6 +33,12 @@ import (
 type Stats struct {
 	Counters
 
+	// WAL reports the DB's write-ahead log: its traffic and the recovery
+	// Open performed, if any. There is one log for all shards, so it is
+	// reported here once, not per shard. Zero value for an in-memory store,
+	// which has no log.
+	WAL WALStats `json:"wal"`
+
 	// Levels has one row per storage level, combined across shards.
 	Levels []LevelStats `json:"levels"`
 
@@ -57,8 +63,8 @@ type Stats struct {
 
 // ShardStats is one shard's share of the Stats snapshot: the same
 // Counters and structure as the aggregate, scoped to the shard's own
-// tree, device and scheduler. Its WAL is the exception: the DB has one
-// log, shared by every shard, so each ShardStats reports that log whole.
+// tree, device and scheduler. The write-ahead log is the DB's, shared by
+// every shard, so it is in Stats.WAL only.
 type ShardStats struct {
 	Shard int `json:"shard"` // shard index; keys route here when key & (Shards-1) == Shard
 
@@ -114,12 +120,6 @@ type Counters struct {
 	// Compaction reports the merge schedulers' state and write-stall
 	// accounting.
 	Compaction CompactionStats `json:"compaction"`
-
-	// WAL reports the DB's write-ahead log: its traffic and the recovery
-	// Open performed, if any. There is one log for all shards, so every
-	// ShardStats reports the same log and the aggregate counts it once.
-	// Zero value for an in-memory store, which has no log.
-	WAL WALStats `json:"wal"`
 
 	// Checkpoints counts completed checkpoints (manifest made durable, WAL
 	// segments and freed block slots reclaimed); CheckpointTime is their
@@ -238,40 +238,41 @@ const (
 	fixed                     // what Open's recovery did: exported as a counter, never changes
 )
 
-// metric is one row of metricTable: a Counters field and the names it is
-// scraped under.
-type metric struct {
+// metric is one row of a metric table: a field of S — Counters, or the
+// log's WALStats — and the names it is scraped under.
+type metric[S any] struct {
 	typ  metricType
 	name string // aggregate family; shard i's sample goes to lsmssd_shard_X for lsmssd_X
 	help string
-	field
+	field[S]
 	kind      string // the sample's "kind" label, if any; consecutive rows with one name are one family
 	shardHelp string // replaces "Per shard: "+help where that would read wrongly
 }
 
-// field is a row's access to its Counters field: get reads it as a sample,
-// add folds another shard's value into c's. Built by num or secs from one
+// field is a row's access to its field of S: get reads it as a sample, add
+// folds another shard's value into c's. Built by num or secs from one
 // pointer-returning accessor, so a row names its field once.
-type field struct {
-	get func(c *Counters) float64
-	add func(c, o *Counters)
+type field[S any] struct {
+	get func(c *S) float64
+	add func(c, o *S)
 }
 
-func num[T int | int64 | uint64](p func(*Counters) *T) field {
-	return field{func(c *Counters) float64 { return float64(*p(c)) }, func(c, o *Counters) { *p(c) += *p(o) }}
+func num[S any, T int | int64 | uint64](p func(*S) *T) field[S] {
+	return field[S]{func(c *S) float64 { return float64(*p(c)) }, func(c, o *S) { *p(c) += *p(o) }}
 }
 
 // secs is num for a duration, sampled in seconds.
-func secs(p func(*Counters) *time.Duration) field {
-	return field{func(c *Counters) float64 { return p(c).Seconds() }, func(c, o *Counters) { *p(c) += *p(o) }}
+func secs[S any](p func(*S) *time.Duration) field[S] {
+	return field[S]{func(c *S) float64 { return p(c).Seconds() }, func(c, o *S) { *p(c) += *p(o) }}
 }
 
-// metricTable is the one list of the engine's counters. DB.Stats sums the
-// shards over it, /metrics renders an aggregate family for every row and a
-// shard-labelled one when Shards > 1, ResetIOStats' contract is its typ
-// column, and /debug/lsm serves the same Counters as JSON. A new counter is
-// its source read in shard.stats, one Counters field and one row here.
-var metricTable = []metric{
+// metricTable is the one list of the engine's per-shard counters. DB.Stats
+// sums the shards over it, /metrics renders an aggregate family for every
+// row and a shard-labelled one when Shards > 1, ResetIOStats' contract is
+// its typ column, and /debug/lsm serves the same Counters as JSON. A new
+// counter is its source read in shard.stats, one Counters field and one row
+// here. The DB's one log has walTable.
+var metricTable = []metric[Counters]{
 	{typ: counter, name: "lsmssd_blocks_written_total", help: "Data blocks written to the device (the paper's cost metric).", shardHelp: "Data blocks written by the shard's tree.", field: num(func(c *Counters) *int64 { return &c.BlocksWritten })},
 	{typ: counter, name: "lsmssd_blocks_read_total", help: "Data blocks read from the device (cache misses only when caching is on).", field: num(func(c *Counters) *int64 { return &c.BlocksRead })},
 	{typ: gauge, name: "lsmssd_live_blocks", help: "Device blocks currently allocated.", field: num(func(c *Counters) *int64 { return &c.LiveBlocks })},
@@ -299,20 +300,6 @@ var metricTable = []metric{
 	{typ: counter, name: "lsmssd_write_stall_seconds_total", help: "Cumulative time writes spent stalled, by kind.", kind: "slowdown", field: secs(func(c *Counters) *time.Duration { return &c.Compaction.SlowdownTime })},
 	{typ: counter, name: "lsmssd_write_stall_seconds_total", kind: "stop", field: secs(func(c *Counters) *time.Duration { return &c.Compaction.StopTime })},
 
-	{typ: counter, name: "lsmssd_wal_appends_total", help: "WAL frames appended (one per Put/Delete/Apply).", field: num(func(c *Counters) *int64 { return &c.WAL.Appends })},
-	{typ: counter, name: "lsmssd_wal_ops_total", help: "Operations inside appended WAL frames.", field: num(func(c *Counters) *int64 { return &c.WAL.Ops })},
-	{typ: counter, name: "lsmssd_wal_bytes_total", help: "WAL frame bytes written, headers included.", field: num(func(c *Counters) *int64 { return &c.WAL.Bytes })},
-	{typ: counter, name: "lsmssd_wal_syncs_total", help: "WAL fsyncs issued by the sync policy or checkpoints.", field: num(func(c *Counters) *int64 { return &c.WAL.Syncs })},
-	{typ: counter, name: "lsmssd_wal_sync_seconds_total", help: "Cumulative time spent inside WAL fsyncs.", field: secs(func(c *Counters) *time.Duration { return &c.WAL.SyncTime })},
-	{typ: counter, name: "lsmssd_wal_fill_bytes_total", help: "Zero bytes written ahead of the WAL's append offset, so commits overwrite allocated blocks.", field: num(func(c *Counters) *int64 { return &c.WAL.FillBytes })},
-	{typ: counter, name: "lsmssd_wal_rotations_total", help: "WAL segments sealed.", field: num(func(c *Counters) *int64 { return &c.WAL.Rotations })},
-	{typ: gauge, name: "lsmssd_wal_segments", help: "WAL segment files currently on disk.", field: num(func(c *Counters) *int { return &c.WAL.Segments })},
-	{typ: gauge, name: "lsmssd_wal_last_seq", help: "Sequence of the newest logged frame.", field: num(func(c *Counters) *uint64 { return &c.WAL.LastSeq })},
-	{typ: fixed, name: "lsmssd_wal_recovered_segments_total", help: "WAL segment files scanned by crash recovery at Open.", field: num(func(c *Counters) *int { return &c.WAL.Recovery.Segments })},
-	{typ: fixed, name: "lsmssd_wal_recovered_frames_total", help: "WAL frames replayed by crash recovery at Open.", field: num(func(c *Counters) *int { return &c.WAL.Recovery.Frames })},
-	{typ: fixed, name: "lsmssd_wal_recovered_ops_total", help: "Operations re-applied by crash recovery at Open.", field: num(func(c *Counters) *int { return &c.WAL.Recovery.Ops })},
-	{typ: fixed, name: "lsmssd_wal_recovered_torn_bytes_total", help: "Bytes truncated from the WAL's torn tail at Open.", field: num(func(c *Counters) *int64 { return &c.WAL.Recovery.TornBytes })},
-
 	{typ: counter, name: "lsmssd_checkpoints_total", help: "Checkpoints completed.", field: num(func(c *Counters) *int64 { return &c.Checkpoints })},
 	{typ: counter, name: "lsmssd_checkpoint_seconds_total", help: "Cumulative capture-plus-persist time of completed checkpoints.", field: secs(func(c *Counters) *time.Duration { return &c.CheckpointTime })},
 	{typ: counter, name: "lsmssd_manifest_bytes_total", help: "Manifest bytes written by completed checkpoints.", field: num(func(c *Counters) *int64 { return &c.ManifestBytes })},
@@ -325,15 +312,32 @@ var metricTable = []metric{
 	{typ: counter, name: "lsmssd_scrub_repaired_total", help: "Corrupt blocks the scrubber repaired from a surviving cached copy.", field: num(func(c *Counters) *int64 { return &c.ScrubRepaired })},
 }
 
+// walTable is metricTable for the DB's one log: its rows read Stats.WAL,
+// and /metrics renders them for the whole store only.
+var walTable = []metric[WALStats]{
+	{typ: counter, name: "lsmssd_wal_appends_total", help: "WAL frames appended (one per Put/Delete/Apply).", field: num(func(w *WALStats) *int64 { return &w.Appends })},
+	{typ: counter, name: "lsmssd_wal_ops_total", help: "Operations inside appended WAL frames.", field: num(func(w *WALStats) *int64 { return &w.Ops })},
+	{typ: counter, name: "lsmssd_wal_bytes_total", help: "WAL frame bytes written, headers included.", field: num(func(w *WALStats) *int64 { return &w.Bytes })},
+	{typ: counter, name: "lsmssd_wal_syncs_total", help: "WAL fsyncs issued by the sync policy or checkpoints.", field: num(func(w *WALStats) *int64 { return &w.Syncs })},
+	{typ: counter, name: "lsmssd_wal_sync_seconds_total", help: "Cumulative time spent inside WAL fsyncs.", field: secs(func(w *WALStats) *time.Duration { return &w.SyncTime })},
+	{typ: counter, name: "lsmssd_wal_fill_bytes_total", help: "Zero bytes written ahead of the WAL's append offset, so commits overwrite allocated blocks.", field: num(func(w *WALStats) *int64 { return &w.FillBytes })},
+	{typ: counter, name: "lsmssd_wal_rotations_total", help: "WAL segments sealed.", field: num(func(w *WALStats) *int64 { return &w.Rotations })},
+	{typ: gauge, name: "lsmssd_wal_segments", help: "WAL segment files currently on disk.", field: num(func(w *WALStats) *int { return &w.Segments })},
+	{typ: gauge, name: "lsmssd_wal_last_seq", help: "Sequence of the newest logged frame.", field: num(func(w *WALStats) *uint64 { return &w.LastSeq })},
+	{typ: fixed, name: "lsmssd_wal_recovered_segments_total", help: "WAL segment files scanned by crash recovery at Open.", field: num(func(w *WALStats) *int { return &w.Recovery.Segments })},
+	{typ: fixed, name: "lsmssd_wal_recovered_frames_total", help: "WAL frames replayed by crash recovery at Open.", field: num(func(w *WALStats) *int { return &w.Recovery.Frames })},
+	{typ: fixed, name: "lsmssd_wal_recovered_ops_total", help: "Operations re-applied by crash recovery at Open.", field: num(func(w *WALStats) *int { return &w.Recovery.Ops })},
+	{typ: fixed, name: "lsmssd_wal_recovered_torn_bytes_total", help: "Bytes truncated from the WAL's torn tail at Open.", field: num(func(w *WALStats) *int64 { return &w.Recovery.TornBytes })},
+}
+
 // add folds another shard's counters into c: every row sums, except that
-// Height is the maximum and WAL stays c's — every shard reports the one log
-// the DB has, which the aggregate counts once.
+// Height is the maximum.
 func (c *Counters) add(o *Counters) {
-	height, log := max(c.Height, o.Height), c.WAL
+	height := max(c.Height, o.Height)
 	for i := range metricTable {
 		metricTable[i].add(c, o)
 	}
-	c.Height, c.WAL = height, log
+	c.Height = height
 }
 
 // Stats returns the current snapshot. It is lock-free: counters are read
@@ -354,6 +358,7 @@ func (db *DB) Stats() Stats {
 	for i := range per[1:] {
 		s.Counters.add(&per[i+1].Counters)
 	}
+	s.WAL = db.walStats()
 	s.Levels = mergeLevels(per)
 	s.Latencies = latencyRows(db.lat, db.shards)
 	return s
@@ -460,23 +465,29 @@ func (s *shard) stats() (ShardStats, bool) {
 	if b := s.tree.Blooms(); b != nil {
 		ss.BloomSkipped, ss.BloomPassed = b.Counts()
 	}
-	if log := s.db.wal.Load(); log != nil {
-		ws := log.Stats()
-		ss.WAL = WALStats{
-			Appends:   ws.Appends,
-			Ops:       ws.Ops,
-			Bytes:     ws.Bytes,
-			Syncs:     ws.Syncs,
-			SyncTime:  time.Duration(ws.SyncNanos),
-			FillBytes: ws.FillBytes,
-			Rotations: ws.Rotations,
-			Segments:  ws.Segments,
-			LastSeq:   ws.NextSeq - 1,
-			Recovery:  s.db.recovery,
-		}
-	}
 	ss.Latencies = latencyRows(s.lat, nil)
 	return ss, true
+}
+
+// walStats reads the DB's log; the zero value when it has none.
+func (db *DB) walStats() WALStats {
+	log := db.wal.Load()
+	if log == nil {
+		return WALStats{}
+	}
+	ws := log.Stats()
+	return WALStats{
+		Appends:   ws.Appends,
+		Ops:       ws.Ops,
+		Bytes:     ws.Bytes,
+		Syncs:     ws.Syncs,
+		SyncTime:  time.Duration(ws.SyncNanos),
+		FillBytes: ws.FillBytes,
+		Rotations: ws.Rotations,
+		Segments:  ws.Segments,
+		LastSeq:   ws.NextSeq - 1,
+		Recovery:  db.recovery,
+	}
 }
 
 // latencyRows summarizes set's histograms — merged, for the DB-wide view,

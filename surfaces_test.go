@@ -189,36 +189,12 @@ func counterFields(typ reflect.Type, index []int, prefix string) []counterField 
 // a numeric field added to Counters without a metricTable row fails here, and
 // so does a row without its field, a field /debug/lsm does not serve (whole
 // store and per shard), or a row with no aggregate or no per-shard family.
-// Reflection stays in this test; no serving path uses it.
+// The log's WALStats and walTable are held to the same rules, except that
+// they are served for the whole store only. Reflection stays in this test;
+// no serving path uses it.
 func TestEveryCounterOnEverySurface(t *testing.T) {
-	fields := counterFields(reflect.TypeOf(Counters{}), nil, "")
-	rowHits := make([]int, len(metricTable))
-	for _, f := range fields {
-		var c Counters
-		switch v := reflect.ValueOf(&c).Elem().FieldByIndex(f.index); v.Kind() {
-		case reflect.Uint64:
-			v.SetUint(3)
-		case reflect.Float64:
-			v.SetFloat(3)
-		default:
-			v.SetInt(3)
-		}
-		rows := 0
-		for i := range metricTable {
-			if metricTable[i].get(&c) != 0 {
-				rows++
-				rowHits[i]++
-			}
-		}
-		if rows != 1 {
-			t.Errorf("Counters field %s is read by %d metricTable rows, want exactly 1", f.key, rows)
-		}
-	}
-	for i, hits := range rowHits {
-		if m := metricTable[i]; hits != 1 {
-			t.Errorf("row %s{%s} reads no numeric Counters field", m.name, m.kind)
-		}
-	}
+	fields := tableCoversFields(t, metricTable)
+	walFields := tableCoversFields(t, walTable)
 
 	db := surfaceDB(t, 4)
 	keys := debugLSMKeys(t, db)
@@ -227,6 +203,14 @@ func TestEveryCounterOnEverySurface(t *testing.T) {
 			if keys[key] != "number" {
 				t.Errorf("/debug/lsm serves %q as %q, want a number", key, keys[key])
 			}
+		}
+	}
+	for _, f := range walFields {
+		if key := "wal." + f.key; keys[key] != "number" {
+			t.Errorf("/debug/lsm serves %q as %q, want a number", key, keys[key])
+		}
+		if key := "per_shard[].wal." + f.key; keys[key] != "" {
+			t.Errorf("/debug/lsm serves the one log per shard, as %q", key)
 		}
 	}
 	samples := map[string]int{}
@@ -244,4 +228,47 @@ func TestEveryCounterOnEverySurface(t *testing.T) {
 				name, samples[name], shardName, samples[shardName], rows, 4*rows)
 		}
 	}
+	for _, m := range walTable {
+		shardName := "lsmssd_shard_" + strings.TrimPrefix(m.name, "lsmssd_")
+		if samples[m.name] != 1 || samples[shardName] != 0 {
+			t.Errorf("%s has %d samples and %s %d at Shards=4, want 1 and none",
+				m.name, samples[m.name], shardName, samples[shardName])
+		}
+	}
+}
+
+// tableCoversFields checks that every numeric field of S is read by exactly
+// one row of table, and every row reads one; it returns the fields.
+func tableCoversFields[S any](t *testing.T, table []metric[S]) []counterField {
+	t.Helper()
+	var zero S
+	fields := counterFields(reflect.TypeOf(zero), nil, "")
+	rowHits := make([]int, len(table))
+	for _, f := range fields {
+		var c S
+		switch v := reflect.ValueOf(&c).Elem().FieldByIndex(f.index); v.Kind() {
+		case reflect.Uint64:
+			v.SetUint(3)
+		case reflect.Float64:
+			v.SetFloat(3)
+		default:
+			v.SetInt(3)
+		}
+		rows := 0
+		for i := range table {
+			if table[i].get(&c) != 0 {
+				rows++
+				rowHits[i]++
+			}
+		}
+		if rows != 1 {
+			t.Errorf("%T field %s is read by %d table rows, want exactly 1", zero, f.key, rows)
+		}
+	}
+	for i, hits := range rowHits {
+		if m := table[i]; hits != 1 {
+			t.Errorf("row %s{%s} reads no numeric %T field", m.name, m.kind, zero)
+		}
+	}
+	return fields
 }

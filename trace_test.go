@@ -380,46 +380,50 @@ func TestTracingDisabledAddsNoAllocs(t *testing.T) {
 	// and the span plumbing add nothing. A write after a reader's capture
 	// copies the path the capture froze (one leaf and its array on this
 	// 8-key memtable), and that Get publishes the View and the memtable
-	// snapshot it captures.
-	wdb, err := Open(Options{
-		Path:            filepath.Join(t.TempDir(), "db.blk"),
-		RecordsPerBlock: 32,
-		WAL:             WALOptions{Sync: SyncNever},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wdb.Close()
-	val := []byte("answer")
-	batch := wdb.NewBatch()
-	for k := uint64(0); k < 8; k++ {
-		batch.Put(k, val)
-	}
-	if err := wdb.Apply(batch); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		max  float64
-		fn   func() error
-	}{
-		{"Put", 0, func() error { return wdb.Put(3, val) }},
-		{"Delete", 0, func() error { return wdb.Delete(3) }},
-		{"Apply of a reused 8-op batch", 0, func() error { return wdb.Apply(batch) }},
-		{"Put after a Get", 4, func() error {
-			if _, _, err := wdb.Get(3); err != nil {
-				return err
-			}
-			return wdb.Put(3, val)
-		}},
-	} {
-		got := testing.AllocsPerRun(1000, func() {
-			if err := tc.fn(); err != nil {
-				t.Fatal(err)
-			}
+	// snapshot it captures. Under SyncEvery the commit queue adds nothing
+	// either: its nodes, and the copies of the ops and shards they keep,
+	// are the DB's and reused.
+	for _, sync := range []SyncPolicy{SyncNever, SyncEvery} {
+		wdb, err := Open(Options{
+			Path:            filepath.Join(t.TempDir(), "db.blk"),
+			RecordsPerBlock: 32,
+			WAL:             WALOptions{Sync: sync},
 		})
-		if got > tc.max {
-			t.Errorf("%s allocates %.1f per op, want ≤ %.0f", tc.name, got, tc.max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer wdb.Close()
+		val := []byte("answer")
+		batch := wdb.NewBatch()
+		for k := uint64(0); k < 8; k++ {
+			batch.Put(k, val)
+		}
+		if err := wdb.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			max  float64
+			fn   func() error
+		}{
+			{"Put", 0, func() error { return wdb.Put(3, val) }},
+			{"Delete", 0, func() error { return wdb.Delete(3) }},
+			{"Apply of a reused 8-op batch", 0, func() error { return wdb.Apply(batch) }},
+			{"Put after a Get", 4, func() error {
+				if _, _, err := wdb.Get(3); err != nil {
+					return err
+				}
+				return wdb.Put(3, val)
+			}},
+		} {
+			got := testing.AllocsPerRun(1000, func() {
+				if err := tc.fn(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > tc.max {
+				t.Errorf("%s (sync %s) allocates %.1f per op, want ≤ %.0f", tc.name, sync, got, tc.max)
+			}
 		}
 	}
 }

@@ -8,9 +8,9 @@ import (
 
 // TestMergeStepsTakeNoWriterLock: merge steps, scrub repairs and ForceGrow
 // change the storage levels under the merge lock alone. With every shard's
-// writer lock held, as a writer parked in a SyncEvery fsync holds it, a
-// queued cascade drains, a corrupt block is repaired, the tree grows, and
-// Gets see each result.
+// writer lock held, as writers and checkpoint captures hold them, a queued
+// cascade drains, a corrupt block is repaired, the tree grows, and Gets see
+// each result.
 func TestMergeStepsTakeNoWriterLock(t *testing.T) {
 	db, fd := openWithFault(t, Options{MemtableBlocks: 2, RecordsPerBlock: 16})
 	s := db.shards[0]
