@@ -172,7 +172,7 @@ func TestAllPoliciesAgree(t *testing.T) {
 	}
 }
 
-func TestStatsAndReset(t *testing.T) {
+func TestStatsWindow(t *testing.T) {
 	db, err := lsmssd.Open(smallOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestStatsAndReset(t *testing.T) {
 	for k := uint64(0); k < 200; k++ {
 		db.Put(k, []byte("v"))
 	}
-	// No merge may run between the counters read below, or after the reset.
+	// No merge may run between the counters read below.
 	if err := lsmssd.DrainCompaction(db); err != nil {
 		t.Fatal(err)
 	}
@@ -199,13 +199,28 @@ func TestStatsAndReset(t *testing.T) {
 	if sum != s.BlocksWritten {
 		t.Errorf("per-level writes %d != device writes %d", sum, s.BlocksWritten)
 	}
-	db.ResetIOStats()
-	s = db.Stats()
-	if s.BlocksWritten != 0 || s.BlocksRead != 0 {
-		t.Error("ResetIOStats did not zero traffic")
+
+	// A window is the difference of two snapshots.
+	for k := uint64(0); k < 200; k++ {
+		db.Put(k, []byte("w"))
+		db.Get(k)
 	}
-	if s.LiveBlocks == 0 {
-		t.Error("ResetIOStats clobbered live-block accounting")
+	if err := lsmssd.DrainCompaction(db); err != nil {
+		t.Fatal(err)
+	}
+	w := db.Stats()
+	if got := w.Inserts - s.Inserts; got != 200 {
+		t.Errorf("window inserts = %d, want 200", got)
+	}
+	if w.Lookups-s.Lookups != 200 || w.BlocksWritten <= s.BlocksWritten || w.LiveBlocks == 0 {
+		t.Errorf("window stats: before %+v, after %+v", s.Counters, w.Counters)
+	}
+	var wsum int64
+	for _, ls := range w.Levels {
+		wsum += ls.BlocksWritten
+	}
+	if got, want := wsum-sum, w.BlocksWritten-s.BlocksWritten; got != want {
+		t.Errorf("window per-level writes %d != device writes %d", got, want)
 	}
 }
 

@@ -107,10 +107,11 @@ func run(pol lsmssd.Policy, noPreserve bool) (written int64, perMB float64, heig
 	}
 
 	apply(requests / 2) // fill + settle
-	db.ResetIOStats()
+	before := db.Stats().BlocksWritten
 	bytes := apply(requests / 2) // measure
 	s := db.Stats()
-	return s.BlocksWritten, float64(s.BlocksWritten) / (float64(bytes) / (1 << 20)), s.Height
+	written = s.BlocksWritten - before
+	return written, float64(written) / (float64(bytes) / (1 << 20)), s.Height
 }
 
 // settle waits until the compaction goroutine has run every merge the

@@ -69,12 +69,12 @@ func main() {
 // request settles, so the window charges exactly the merges these requests
 // caused.
 func measure(db *lsmssd.DB, g *steadyGen, n int) float64 {
-	db.ResetIOStats()
+	before := db.Stats().BlocksWritten
 	var bytes int64
 	for i := 0; i < n; i++ {
 		bytes += g.apply(db)
 	}
-	return float64(db.Stats().BlocksWritten) / (float64(bytes) / (1 << 20))
+	return float64(db.Stats().BlocksWritten-before) / (float64(bytes) / (1 << 20))
 }
 
 // settle waits until the compaction goroutine has run every merge the

@@ -80,13 +80,6 @@ func (r *Registry) Counts() (skipped, passed int64) {
 	return r.skipped.Load(), r.passed.Load()
 }
 
-// ResetCounts zeroes the skip statistics, starting a fresh measurement
-// window. Filters are unaffected.
-func (r *Registry) ResetCounts() {
-	r.skipped.Store(0)
-	r.passed.Store(0)
-}
-
 // Len returns the number of registered filters.
 func (r *Registry) Len() int {
 	r.mu.RLock()

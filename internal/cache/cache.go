@@ -266,9 +266,6 @@ func (c *Cache) Free(id storage.BlockID) error {
 // Counters returns the underlying device's counters.
 func (c *Cache) Counters() storage.Counters { return c.dev.Counters() }
 
-// ResetCounters resets the underlying device's traffic counters.
-func (c *Cache) ResetCounters() { c.dev.ResetCounters() }
-
 // Close drops the cache and closes the underlying device.
 func (c *Cache) Close() error {
 	for _, s := range c.shards {
@@ -293,16 +290,6 @@ func (c *Cache) Stats() Stats {
 		s.mu.Unlock()
 	}
 	return st
-}
-
-// ResetStats zeroes the hit/miss counts, starting a fresh measurement
-// window. Cached contents are unaffected.
-func (c *Cache) ResetStats() {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		s.hits, s.misses = 0, 0
-		s.mu.Unlock()
-	}
 }
 
 // Len returns the number of cached blocks.

@@ -338,17 +338,6 @@ func (s *Scheduler) Snapshot() Stats {
 	}
 }
 
-// ResetCounters zeroes the cumulative counters (steps, stalls, stall
-// time), aligning the scheduler's series with the DB's uniform
-// measurement window on ResetIOStats. Gauges are left alone.
-func (s *Scheduler) ResetCounters() {
-	s.steps.Store(0)
-	s.slowdowns.Store(0)
-	s.stops.Store(0)
-	s.slowdownNanos.Store(0)
-	s.stopNanos.Store(0)
-}
-
 // Driver is the bare-tree executor: it adapts a Tree without a DB around
 // it to the synchronous request semantics the paper's cost model assumes —
 // every mutation runs the overflow cascade to completion before returning.

@@ -33,46 +33,6 @@ type counters struct {
 	grows        atomic.Int64
 }
 
-// reset zeroes every counter. The caller quiesces mutations;
-// concurrent snapshot readers may lose a handful of in-flight lookup/scan
-// increments at the window boundary, which is inherent to any reset.
-func (c *counters) reset() {
-	c.requests.Store(0)
-	c.inserts.Store(0)
-	c.deletes.Store(0)
-	c.lookups.Store(0)
-	c.scans.Store(0)
-	c.requestBytes.Store(0)
-	c.merges.Store(0)
-	c.fullMerges.Store(0)
-	c.grows.Store(0)
-}
-
-// ResetStats starts a fresh measurement window: it zeroes the request and
-// merge counters, the device traffic counters, every level's cumulative
-// write series, cache hit/miss counts, Bloom skip statistics, and the
-// latency histograms. Structural state (levels, blocks, snapshots,
-// deferred frees) is untouched. The level image is reinstalled so
-// per-level numbers served from the current view reset along with the live
-// ones. Merge lock.
-func (t *Tree) ResetStats() {
-	t.cnt.reset()
-	t.dev.ResetCounters()
-	for _, s := range t.slots {
-		for _, l := range s.runs {
-			l.ResetWriteStats()
-		}
-		s.retiredWrites, s.retiredCompactions = 0, 0
-	}
-	t.cache.ResetStats()
-	t.lastCacheHits, t.lastCacheMisses = 0, 0
-	if t.blooms != nil {
-		t.blooms.ResetCounts()
-	}
-	t.lat.Reset()
-	t.installLevels(t.levelImage())
-}
-
 // Stats materializes the tree's request/merge counters.
 func (t *Tree) Stats() Stats {
 	return Stats{

@@ -20,8 +20,8 @@ import (
 // Tree is the LSM-tree engine. L0 is guarded by the tree's own memMu, so
 // mutations (Put, Delete, ApplyBatch) need no caller lock beyond the
 // log-ordering one the DB keeps; the storage levels change only under the
-// merge lock the caller holds (the cascade steps, RepairBlock, ForceGrow,
-// ResetStats). Reads are snapshot-isolated: Get, Scan, and Iter run
+// merge lock the caller holds (the cascade steps, RepairBlock, ForceGrow).
+// Reads are snapshot-isolated: Get, Scan, and Iter run
 // against an acquired View and may proceed concurrently with both (see
 // view.go). DESIGN.md §13.4 is the lock table.
 type Tree struct {
@@ -103,7 +103,7 @@ type slot struct {
 
 	// Write accounting carried over from runs this slot has retired:
 	// tiered merges drain whole runs, but the per-level BlocksWritten and
-	// Compactions series must stay cumulative across those resets.
+	// Compactions series must stay cumulative across those drains.
 	retiredWrites      int64
 	retiredCompactions int64
 }

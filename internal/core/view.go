@@ -310,7 +310,6 @@ func (d treeDevice) Free(id storage.BlockID) error {
 	return nil
 }
 func (d treeDevice) Counters() storage.Counters { return d.t.dev.Counters() }
-func (d treeDevice) ResetCounters()             { d.t.dev.ResetCounters() }
 func (d treeDevice) Close() error               { return d.t.dev.Close() }
 
 // --- snapshot reads ------------------------------------------------------

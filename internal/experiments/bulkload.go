@@ -20,8 +20,8 @@ import (
 // waiting step (growAndSettle's settle phase, unchanged) is what
 // establishes the steady-state level distribution, so short-circuiting
 // the fill changes only how fast an experiment reaches its measured
-// state. Blocks written during loading are counted and then discarded by
-// the ResetCounters call that opens every measurement window.
+// state. Blocks written during loading are counted, and every measurement
+// window subtracts them: it reads the device counters when it opens.
 func bulkLoad(tree *core.Tree, gen workload.Generator, targetRecords int) error {
 	content := make(map[block.Key][]byte, targetRecords)
 	guard := 0

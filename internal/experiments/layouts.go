@@ -136,7 +136,7 @@ func (p Params) LayoutSweep(layouts []policy.Layout, workloads []string, dataset
 			if err := growAndSettle(tree, gen, target); err != nil {
 				return nil, nil, fmt.Errorf("%s/%s: %w", lay, wl, err)
 			}
-			dev.ResetCounters()
+			base := dev.Counters()
 			// Batched drive: the run fan-out peaks between merges, so the
 			// max-runs gauge is sampled during the window, not after it.
 			var issued int64
@@ -165,8 +165,8 @@ func (p Params) LayoutSweep(layouts []policy.Layout, workloads []string, dataset
 				Layout:      lay.String(),
 				TierRuns:    lay.TierRuns,
 				Workload:    wl,
-				WritesPerMB: float64(dev.Counters().Writes) / realMB,
-				ReadsPerMB:  float64(dev.Counters().Reads) / realMB,
+				WritesPerMB: float64(dev.Counters().Writes-base.Writes) / realMB,
+				ReadsPerMB:  float64(dev.Counters().Reads-base.Reads) / realMB,
 				Height:      tree.Height(),
 				MaxRuns:     maxRuns,
 				MeasuredMB:  realMB,

@@ -51,16 +51,16 @@ func (p Params) QueryOverhead(policies []string, datasetMB float64) (*Table, err
 		rng := rand.New(rand.NewSource(p.Seed))
 
 		const lookups = 5000
-		dev.ResetCounters()
+		base := dev.Counters().Reads
 		for j := 0; j < lookups; j++ {
 			k := present[rng.Intn(len(present))]
 			if _, ok, err := tree.Get(k); err != nil || !ok {
 				return nil, fmt.Errorf("queries %s: present key %d missing: %w", pol, k, err)
 			}
 		}
-		readsHit := float64(dev.Counters().Reads) / lookups
+		readsHit := float64(dev.Counters().Reads-base) / lookups
 
-		dev.ResetCounters()
+		base = dev.Counters().Reads
 		for j := 0; j < lookups; j++ {
 			// Uniform keys over the space are overwhelmingly absent.
 			k := block.Key(rng.Uint64() % p.KeySpace)
@@ -68,12 +68,12 @@ func (p Params) QueryOverhead(policies []string, datasetMB float64) (*Table, err
 				return nil, err
 			}
 		}
-		readsMiss := float64(dev.Counters().Reads) / lookups
+		readsMiss := float64(dev.Counters().Reads-base) / lookups
 
 		// Range scans of ~1000 records each.
 		span := block.Key(p.KeySpace / uint64(tree.Records()) * 1000)
 		const scans = 300
-		dev.ResetCounters()
+		base = dev.Counters().Reads
 		for j := 0; j < scans; j++ {
 			lo := block.Key(rng.Uint64() % p.KeySpace)
 			n := 0
@@ -84,7 +84,7 @@ func (p Params) QueryOverhead(policies []string, datasetMB float64) (*Table, err
 				return nil, err
 			}
 		}
-		readsScan := float64(dev.Counters().Reads) / scans
+		readsScan := float64(dev.Counters().Reads-base) / scans
 
 		t.AddRow(pol, f2(readsHit), f2(readsMiss), f1(readsScan), fmt.Sprint(tree.Height()))
 	}

@@ -119,7 +119,7 @@ func (p Params) measureSteady(spec SteadySpec, run *steadyRun) (SteadyResult, er
 	tree, dev := run.tree, run.dev
 	h := tree.Height()
 	winBytes := int64(spec.WindowCycles * float64(tree.CapacityBlocks(h-2)*p.BlockSize))
-	dev.ResetCounters()
+	base := dev.Counters().Writes
 	runName := spec.PolicyName + "/" + spec.Workload.Kind.String()
 	if p.Bus.Enabled() {
 		// The marker is published from the writer's goroutine, so in a
@@ -138,16 +138,17 @@ func (p Params) measureSteady(spec SteadySpec, run *steadyRun) (SteadyResult, er
 	// preserves), so writes per MB of actual requests is directly
 	// comparable with the paper's absolute y-axis.
 	realMB := float64(issued) / mib
+	writes := dev.Counters().Writes - base
 	if p.Bus.Enabled() {
 		p.Bus.Publish(obs.RunEvent{
 			Name:      runName,
 			Phase:     "measure-end",
-			Writes:    dev.Counters().Writes,
+			Writes:    writes,
 			RequestMB: realMB,
 		})
 	}
 	return SteadyResult{
-		WritesPerMB:  float64(dev.Counters().Writes) / realMB,
+		WritesPerMB:  float64(writes) / realMB,
 		SecondsPerMB: elapsed.Seconds() / realMB,
 		Height:       tree.Height(),
 		Records:      tree.Records(),

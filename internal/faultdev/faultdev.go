@@ -432,8 +432,5 @@ func (d *Device) Counters() storage.Counters {
 	return c
 }
 
-// ResetCounters delegates to the inner device.
-func (d *Device) ResetCounters() { d.inner.ResetCounters() }
-
 // Close delegates to the inner device.
 func (d *Device) Close() error { return d.inner.Close() }

@@ -120,15 +120,6 @@ func (l *Level) RequiredBlocks() int {
 // merge into the next level.
 func (l *Level) Full() bool { return l.RequiredBlocks() >= l.capacity }
 
-// ResetWriteStats zeroes the level's cumulative write accounting
-// (BlocksWritten, Compactions), starting a fresh measurement window. The
-// slack balance is deliberately untouched: it is an invariant-bearing
-// quantity, not a statistic.
-func (l *Level) ResetWriteStats() {
-	l.BlocksWritten = 0
-	l.Compactions = 0
-}
-
 // WasteFactor returns the fraction of empty slots across the level's data
 // blocks, or 0 for an empty level.
 func (l *Level) WasteFactor() float64 {

@@ -257,7 +257,7 @@ func DefaultConfig() Config {
 		LockName:           "writerMu",
 		LockAcquireHelpers: []string{"lockShards"},
 		LockReleaseHelpers: []string{"unlockShards"},
-		TreeMutateMethods:  []string{"Put", "Delete", "ApplyBatch", "MarkClosed", "ResetStats"},
+		TreeMutateMethods:  []string{"Put", "Delete", "ApplyBatch", "MarkClosed"},
 		// The checkpoint split: the capture reads the log's sequence, the
 		// current view and the limbo mark as one instant, so it needs the
 		// writer lock; the persist half is shared by callers that hold it

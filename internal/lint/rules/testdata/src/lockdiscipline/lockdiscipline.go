@@ -25,8 +25,8 @@ func unguardedBatch(s *store) {
 	s.tree.ApplyBatch(nil) // want lock-discipline
 }
 
-func unguardedResetAndClose(s *store) {
-	s.tree.ResetStats() // want lock-discipline
+func unguardedDeleteAndClose(s *store) {
+	s.tree.Delete(1)    // want lock-discipline
 	s.tree.MarkClosed() // want lock-discipline
 }
 

@@ -49,17 +49,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sum.Add(int64(d))
 }
 
-// Reset zeroes the histogram. Concurrent Observes may survive partially;
-// reset is meant for measurement-window boundaries where the caller
-// quiesces writers (the DB does it under the writer lock).
-func (h *Histogram) Reset() {
-	h.count.Store(0)
-	h.sum.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-}
-
 // Snapshot materializes the current counters.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
@@ -90,19 +79,13 @@ func (s *HistSnapshot) Merge(o HistSnapshot) {
 }
 
 // Sub returns s − o elementwise: the histogram of observations made
-// between o's snapshot time and s's. Meaningful only when o is an
-// earlier snapshot of the same histogram (no reset in between); the
-// flight recorder uses it to turn cumulative histograms into per-tick
-// deltas. Negative counts (from a concurrent reset) clamp to zero.
+// between o's snapshot time and s's, when o is an earlier snapshot of the
+// same histogram (whose counts never decrease). The flight recorder uses it
+// to turn cumulative histograms into per-tick deltas.
 func (s HistSnapshot) Sub(o HistSnapshot) HistSnapshot {
 	out := HistSnapshot{Count: s.Count - o.Count, Sum: s.Sum - o.Sum}
-	if out.Count < 0 {
-		return HistSnapshot{}
-	}
 	for i := range s.Buckets {
-		if d := s.Buckets[i] - o.Buckets[i]; d > 0 {
-			out.Buckets[i] = d
-		}
+		out.Buckets[i] = s.Buckets[i] - o.Buckets[i]
 	}
 	return out
 }
@@ -235,14 +218,3 @@ func (s *LatencySet) Observe(op Op, d time.Duration) {
 
 // Hist returns the histogram for op (for snapshots and rendering).
 func (s *LatencySet) Hist(op Op) *Histogram { return &s.hists[op] }
-
-// Reset zeroes every histogram (measurement-window boundary; see
-// Histogram.Reset for the concurrency caveat).
-func (s *LatencySet) Reset() {
-	if s == nil {
-		return
-	}
-	for i := range s.hists {
-		s.hists[i].Reset()
-	}
-}

@@ -7,9 +7,9 @@ import (
 
 // ShardCounters is one shard's cumulative observability state, as the DB
 // gathers it for the flight recorder on every tick from the shard's Stats
-// snapshot and latency histograms. All fields are cumulative since Open (or
-// the last reset); the recorder diffs successive collections to produce
-// per-tick deltas.
+// snapshot and latency histograms. All fields but the two gauges are
+// cumulative since Open and never decrease; the recorder diffs successive
+// collections to produce per-tick deltas.
 type ShardCounters struct {
 	Ops          int64 // operations routed to the shard (puts+gets+deletes+applies)
 	Put          HistSnapshot
@@ -179,12 +179,6 @@ func diffSample(shard int, seq int64, now time.Time, interval time.Duration, cur
 	}
 	if dc := cur.Checkpoints - prev.Checkpoints; dc > 0 {
 		s.Checkpoints, s.CheckpointNanos = dc, cur.CheckpointNS-prev.CheckpointNS
-	}
-	if s.Ops < 0 { // reset landed between ticks
-		s.Ops = 0
-	}
-	if s.Stalls < 0 {
-		s.Stalls, s.StallNanos = 0, 0
 	}
 	if interval > 0 {
 		s.OpsPerSec = float64(s.Ops) / interval.Seconds()

@@ -288,17 +288,3 @@ func (t *Tracer) PhaseSnapshot(shard int) [NumPhases]HistSnapshot {
 	}
 	return out
 }
-
-// ResetPhases zeroes the per-shard phase histograms (measurement-window
-// boundary, paired with LatencySet.Reset). The slow ring is a debugging
-// capture, not a counter, and is left intact.
-func (t *Tracer) ResetPhases() {
-	if t == nil {
-		return
-	}
-	for s := range t.phases {
-		for p := range t.phases[s] {
-			t.phases[s][p].Reset()
-		}
-	}
-}

@@ -85,11 +85,6 @@ func (c *atomicCounters) snapshot() Counters {
 	}
 }
 
-func (c *atomicCounters) resetTraffic() {
-	c.reads.Store(0)
-	c.writes.Store(0)
-}
-
 // Device is a block store. Blocks are immutable once written: the tree
 // never updates a block in place (the defining property of LSM on SSDs),
 // so Write is called exactly once per allocated ID.
@@ -117,12 +112,10 @@ type Device interface {
 	Peek(id BlockID, dst *block.Block) error
 	// Free releases id; reading it afterwards fails.
 	Free(id BlockID) error
-	// Counters returns a snapshot of the accounting state.
+	// Counters returns a snapshot of the accounting state. All but Live
+	// count over the device's lifetime: a measurement window is the
+	// difference of two snapshots.
 	Counters() Counters
-	// ResetCounters zeroes Reads and Writes (Allocs/Frees/Live persist,
-	// as they describe space, not traffic). Harnesses call this when a
-	// measurement window begins.
-	ResetCounters()
 	// Close releases any resources held by the device.
 	Close() error
 }

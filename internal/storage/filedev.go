@@ -318,9 +318,6 @@ func (d *FileDevice) Sync() error {
 // Counters returns a snapshot of the accounting state.
 func (d *FileDevice) Counters() Counters { return d.cnt.snapshot() }
 
-// ResetCounters zeroes the traffic counters.
-func (d *FileDevice) ResetCounters() { d.cnt.resetTraffic() }
-
 // Close closes the backing file.
 func (d *FileDevice) Close() error {
 	return d.f.Close()

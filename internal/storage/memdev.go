@@ -106,9 +106,6 @@ func (d *MemDevice) Free(id BlockID) error {
 // Counters returns a snapshot of the accounting state.
 func (d *MemDevice) Counters() Counters { return d.cnt.snapshot() }
 
-// ResetCounters zeroes the traffic counters.
-func (d *MemDevice) ResetCounters() { d.cnt.resetTraffic() }
-
 // Close releases the block map.
 func (d *MemDevice) Close() error {
 	d.mu.Lock()

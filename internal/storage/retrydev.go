@@ -74,13 +74,6 @@ func (d *RetryDevice) Free(id BlockID) error { return d.inner.Free(id) }
 // Counters returns the inner device's counters.
 func (d *RetryDevice) Counters() Counters { return d.inner.Counters() }
 
-// ResetCounters resets the inner device's traffic counters and the
-// wrapper's retry accounting: one measurement window for both.
-func (d *RetryDevice) ResetCounters() {
-	d.inner.ResetCounters()
-	d.r.Reset()
-}
-
 // Close closes the inner device.
 func (d *RetryDevice) Close() error { return d.inner.Close() }
 

@@ -158,14 +158,6 @@ func TestDeviceCounters(t *testing.T) {
 			if c != want {
 				t.Errorf("Counters = %+v, want %+v", c, want)
 			}
-			d.ResetCounters()
-			c = d.Counters()
-			if c.Reads != 0 || c.Writes != 0 {
-				t.Errorf("after reset traffic = %d/%d, want 0/0", c.Reads, c.Writes)
-			}
-			if c.Live != 4 || c.Allocs != 5 {
-				t.Errorf("reset clobbered space counters: %+v", c)
-			}
 		})
 	}
 }

@@ -948,9 +948,8 @@ func (l *Log) LastSeq() uint64 {
 }
 
 // Position returns LastSeq together with the active segment's index. The
-// index only grows — one per segment sealed, and ResetCounters leaves it
-// alone — so the difference of two readings counts the segments sealed
-// between them.
+// index only grows, one per segment sealed, so the difference of two
+// readings counts the segments sealed between them.
 func (l *Log) Position() (lastSeq uint64, segment int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -1011,19 +1010,6 @@ func (l *Log) Stats() Stats {
 	st.NextSeq = l.nextSeq
 	l.mu.Unlock()
 	return st
-}
-
-// ResetCounters zeroes the cumulative traffic counters (appends, ops,
-// bytes, syncs, fill bytes, rotations), aligning the WAL series with the
-// DB's uniform measurement window.
-func (l *Log) ResetCounters() {
-	l.appends.Store(0)
-	l.ops.Store(0)
-	l.bytes.Store(0)
-	l.syncs.Store(0)
-	l.syncNanos.Store(0)
-	l.fillBytes.Store(0)
-	l.rotations.Store(0)
 }
 
 // Close writes the buffered frames, syncs the active segment and closes it.

@@ -7,8 +7,13 @@ import (
 	"net/http"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"lsmssd/internal/faultdev"
+	"lsmssd/internal/storage"
 )
 
 // obsOptions mirrors the external tests' smallOptions: tiny levels so a
@@ -320,118 +325,246 @@ func TestLatenciesOffByDefault(t *testing.T) {
 	}
 }
 
-// TestResetIOStatsUniformWindow pins the documented reset semantics by the
-// metric table's types: every counter row reads zero after ResetIOStats,
-// every gauge and fixed row reads what it read before. The store has seen a
-// faulted device read, a scrub pass and a checkpoint first, so the counters
-// the reset once skipped are running.
-func TestResetIOStatsUniformWindow(t *testing.T) {
+// TestCountersNeverDecrease pins what Stats promises a scraper: every row
+// typed counter, the per-level write series and the latency counts only
+// grow while writers, readers, checkpoints, a scrub pass and a faulted read
+// run beside a poller; and a window taken by subtracting two drained
+// snapshots keeps the identities the totals keep.
+func TestCountersNeverDecrease(t *testing.T) {
 	opts := obsOptions()
 	opts.Path = filepath.Join(t.TempDir(), "store.blk")
 	opts.WAL = WALOptions{Sync: SyncEvery, SegmentBytes: 8 << 10}
+	opts.Shards = 2
 	opts.Metrics = true
 	opts.CacheBlocks = 8
 	opts.BloomBitsPerKey = 8
 	opts.ReadRetries = 2
-	db, fd := openWithFault(t, opts)
-
-	for i := uint64(0); i < 2000; i++ {
-		if err := db.Put(i%500, []byte("payload")); err != nil {
-			t.Fatal(err)
-		}
+	fds := make([]*faultdev.Device, opts.Shards)
+	opts.DeviceWrap = func(shard int, dev storage.Device) storage.Device {
+		fds[shard] = faultdev.Wrap(dev, faultdev.Options{})
+		return fds[shard]
 	}
-	if err := db.Delete(3); err != nil {
+	db, err := Open(opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Let the merges finish before reads start failing: the injected
-	// faults are for the Gets below, not for a merge step.
+	defer db.Close()
+
+	stop := make(chan struct{})
+	var drops []string
+	polls := 0
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		prev := db.Stats()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			time.Sleep(100 * time.Microsecond)
+			cur := db.Stats()
+			drops = append(drops, decreases(&prev, &cur)...)
+			prev = cur
+			polls++
+		}
+	}()
+
+	// Four writers, writer w on keys ≡ w mod 4, so each shard has two;
+	// every write is one op, so it is one WAL frame and one request.
+	const writers = 4
+	write := func(n int) {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w uint64) {
+				defer wg.Done()
+				for i := 0; i < n; i++ {
+					k := uint64(i%300)*writers + w
+					var err error
+					if i%5 == 4 {
+						err = db.Delete(k)
+					} else {
+						err = db.Put(k, []byte("payload"))
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(uint64(w))
+		}
+		wg.Wait()
+	}
+
+	readersDone := make(chan struct{})
+	readStop := make(chan struct{})
+	go func() {
+		defer close(readersDone)
+		for k := uint64(0); ; k = (k + 7) % 1200 {
+			select {
+			case <-readStop:
+				return
+			default:
+			}
+			db.Get(k)
+			_ = db.Scan(k, k+40, func(uint64, []byte) bool { return true })
+		}
+	}()
+	checkpointed := make(chan error, 1)
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		checkpointed <- db.Checkpoint()
+	}()
+	write(600)
+	close(readStop)
+	<-readersDone
+	if err := <-checkpointed; err != nil {
+		t.Fatal(err)
+	}
+
+	// Reads fail only once the merges are done: the fault is for a Get.
 	if err := DrainCompaction(db); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Scan(0, 50, func(uint64, []byte) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	fd.FailReadAt(fd.Reads() + 1) // every device read fails: some Get below misses the cache
-	for k := uint64(0); k < 500 && db.Stats().RetriesExhausted == 0; k++ {
+	fds[0].FailReadAt(fds[0].Reads() + 1)
+	for k := uint64(0); k < 1200 && db.Stats().RetriesExhausted == 0; k += 2 {
 		db.Get(k)
 	}
-	fd.FailReadAt(0)
+	fds[0].FailReadAt(0)
 	db.shards[0].scrubPass() // also promotes the shard the failed read degraded
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// The rotations' checkpoints run on the checkpointer: let them finish,
-	// or one may move a counter between the two snapshots.
 	if err := DrainCompaction(db); err != nil {
 		t.Fatal(err)
 	}
 
-	s1 := db.Stats()
-	if s1.BlocksWritten == 0 || s1.Merges == 0 || s1.Inserts != 2000 || len(s1.Latencies) == 0 {
-		t.Fatalf("warm-up did not populate counters: %+v", s1)
-	}
-	for name, v := range map[string]int64{
-		"RetriedReads": s1.RetriedReads, "RetriesExhausted": s1.RetriesExhausted,
-		"ScrubPasses": s1.ScrubPasses, "ScrubChecked": s1.ScrubChecked,
-		"Checkpoints": s1.Checkpoints, "CheckpointTime": int64(s1.CheckpointTime),
-		"WAL.SyncTime": int64(s1.WAL.SyncTime), "WAL.Rotations": s1.WAL.Rotations,
-	} {
-		if v == 0 {
-			t.Errorf("warm-up left %s at zero; the reset of it would go untested", name)
-		}
-	}
-
-	db.ResetIOStats()
-	s2 := db.Stats()
-
-	running := checkReset(t, metricTable, &s1.Counters, &s2.Counters) + checkReset(t, walTable, &s1.WAL, &s2.WAL)
-	if running < 20 {
-		t.Errorf("only %d counter rows were non-zero before the reset", running)
-	}
-	for _, l := range s2.Levels {
-		if l.BlocksWritten != 0 || l.Compactions != 0 {
-			t.Errorf("L%d traffic not reset: written=%d compactions=%d", l.Level, l.BlocksWritten, l.Compactions)
-		}
-	}
-	if len(s2.Latencies) != 0 {
-		t.Errorf("latency histograms not reset: %+v", s2.Latencies)
-	}
-
-	// Level contents describe the present and must be unaffected.
-	if len(s2.Levels) != len(s1.Levels) {
-		t.Fatalf("level count changed by reset: %d → %d", len(s1.Levels), len(s2.Levels))
-	}
-	for i := range s2.Levels {
-		if s2.Levels[i].Blocks != s1.Levels[i].Blocks || s2.Levels[i].Records != s1.Levels[i].Records {
-			t.Errorf("L%d contents changed by reset", s2.Levels[i].Level)
-		}
-	}
-
-	// The next window accumulates from zero.
-	if err := db.Put(999_999, []byte("x")); err != nil {
+	// A window is the difference of two drained snapshots.
+	const windowOps = 200
+	before := db.Stats()
+	write(windowOps)
+	if err := DrainCompaction(db); err != nil {
 		t.Fatal(err)
 	}
-	if s3 := db.Stats(); s3.Inserts != 1 {
-		t.Errorf("post-reset Inserts = %d, want 1", s3.Inserts)
+	after := db.Stats()
+	close(stop)
+	<-polled
+
+	for i, d := range drops {
+		if i == 10 {
+			t.Errorf("... and %d more decreases", len(drops)-i)
+			break
+		}
+		t.Error(d)
+	}
+	if polls < 10 {
+		t.Errorf("only %d polls", polls)
+	}
+	t.Logf("%d polls", polls)
+
+	if got := after.Requests - before.Requests; got != writers*windowOps {
+		t.Errorf("window Requests = %d, want %d", got, writers*windowOps)
+	}
+	if got, want := after.WAL.Appends-before.WAL.Appends, after.Requests-before.Requests; got != want {
+		t.Errorf("window WAL.Appends = %d, Requests = %d: single-op writes are one frame each", got, want)
+	}
+	written := after.BlocksWritten - before.BlocksWritten
+	if levels := levelWrites(after.Levels) - levelWrites(before.Levels); levels != written || written == 0 {
+		t.Errorf("window per-level writes sum to %d, BlocksWritten moved %d", levels, written)
+	}
+
+	// Every counter ran, so none of them was checked vacuously.
+	for name, v := range map[string]int64{
+		"RetriedReads": after.RetriedReads, "RetriesExhausted": after.RetriesExhausted,
+		"ScrubPasses": after.ScrubPasses, "ScrubChecked": after.ScrubChecked,
+		"Checkpoints": after.Checkpoints, "CheckpointTime": int64(after.CheckpointTime),
+		"WAL.SyncTime": int64(after.WAL.SyncTime), "WAL.Rotations": after.WAL.Rotations,
+		"Compaction.Steps": after.Compaction.Steps, "Scans": after.Scans,
+	} {
+		if v == 0 {
+			t.Errorf("the run left %s at zero", name)
+		}
+	}
+	if len(after.Latencies) == 0 {
+		t.Error("no latencies recorded")
 	}
 }
 
-// checkReset checks table's rows across a ResetIOStats, from before to
-// after: counters read 0, everything else is unmoved. It returns how many
-// counters had run before the reset.
-func checkReset[S any](t *testing.T, table []metric[S], before, after *S) (running int) {
-	t.Helper()
+// decreases lists every counter of cur that reads less than it did in prev:
+// the counter rows of both tables, the latency counts, and the per-level
+// write series, aggregate and per shard. A tree that grows relabels its
+// bottom level one deeper and inserts an empty level above it, so levels
+// are compared one by one only while no shard's level count changed; their
+// sum must never decrease.
+func decreases(prev, cur *Stats) []string {
+	out := counterDrops(nil, "", metricTable, &prev.Counters, &cur.Counters)
+	out = counterDrops(out, "", walTable, &prev.WAL, &cur.WAL)
+	sameShape := true
+	for i := range cur.Shards {
+		p, c := &prev.Shards[i], &cur.Shards[i]
+		where := fmt.Sprintf("shard %d: ", i)
+		out = counterDrops(out, where, metricTable, &p.Counters, &c.Counters)
+		out = latencyDrops(out, where, p.Latencies, c.Latencies)
+		same := len(p.Levels) == len(c.Levels)
+		out = levelDrops(out, where, p.Levels, c.Levels, same)
+		sameShape = sameShape && same
+	}
+	out = latencyDrops(out, "", prev.Latencies, cur.Latencies)
+	return levelDrops(out, "", prev.Levels, cur.Levels, sameShape)
+}
+
+func counterDrops[S any](out []string, where string, table []metric[S], prev, cur *S) []string {
 	for i := range table {
 		m := &table[i]
-		b, a := m.get(before), m.get(after)
-		switch {
-		case m.typ != counter && a != b:
-			t.Errorf("%s{%s} is no counter, yet ResetIOStats moved it %g → %g", m.name, m.kind, b, a)
-		case m.typ == counter && a != 0:
-			t.Errorf("after ResetIOStats counter %s{%s} = %g, want 0", m.name, m.kind, a)
-		case m.typ == counter && b != 0:
-			running++
+		if p, c := m.get(prev), m.get(cur); m.typ == counter && c < p {
+			out = append(out, fmt.Sprintf("%s%s{%s} fell %g → %g", where, m.name, m.kind, p, c))
 		}
 	}
-	return running
+	return out
+}
+
+func latencyDrops(out []string, where string, prev, cur []LatencyStats) []string {
+	count := make(map[string]int64, len(cur))
+	for _, l := range cur {
+		count[l.Op] = l.Count
+	}
+	for _, l := range prev {
+		if c := count[l.Op]; c < l.Count {
+			out = append(out, fmt.Sprintf("%slatency count of %s fell %d → %d", where, l.Op, l.Count, c))
+		}
+	}
+	return out
+}
+
+func levelDrops(out []string, where string, prev, cur []LevelStats, perLevel bool) []string {
+	if p, c := levelWrites(prev), levelWrites(cur); c < p {
+		out = append(out, fmt.Sprintf("%sper-level writes fell %d → %d in sum", where, p, c))
+	}
+	if p, c := levelCompactions(prev), levelCompactions(cur); c < p {
+		out = append(out, fmt.Sprintf("%sper-level compactions fell %d → %d in sum", where, p, c))
+	}
+	for i := 0; perLevel && i < len(cur); i++ {
+		p, c := &prev[i], &cur[i]
+		if c.BlocksWritten < p.BlocksWritten || c.Compactions < p.Compactions {
+			out = append(out, fmt.Sprintf("%sL%d fell: written %d → %d, compactions %d → %d",
+				where, c.Level, p.BlocksWritten, c.BlocksWritten, p.Compactions, c.Compactions))
+		}
+	}
+	return out
+}
+
+func levelWrites(ls []LevelStats) (n int64) {
+	for _, l := range ls {
+		n += l.BlocksWritten
+	}
+	return n
+}
+
+func levelCompactions(ls []LevelStats) (n int64) {
+	for _, l := range ls {
+		n += l.Compactions
+	}
+	return n
 }

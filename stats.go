@@ -1,7 +1,6 @@
 package lsmssd
 
 import (
-	"sync/atomic"
 	"time"
 
 	"lsmssd/internal/health"
@@ -11,9 +10,9 @@ import (
 // Stats is a point-in-time accounting snapshot of a DB.
 //
 // BlocksWritten is the paper's primary cost metric: the number of data
-// blocks written to the device since Open (or the last ResetIOStats). On
-// SSDs writes dominate cost and wear, so merge policies are compared by
-// this number, typically normalized per megabyte of requests.
+// blocks written to the device since Open. On SSDs writes dominate cost and
+// wear, so merge policies are compared by this number, typically normalized
+// per megabyte of requests.
 //
 // The scalars live in the embedded Counters, declared once and shared with
 // ShardStats. On a sharded DB (Options.Shards > 1) they aggregate across
@@ -22,14 +21,15 @@ import (
 // breakdown. With the default single shard the aggregate is exactly the one
 // shard's, unchanged from the unsharded engine.
 //
-// Reset semantics follow the metric table's types (see metricTable): every
-// counter, the per-level write series and Latencies cover the same window,
-// from Open or the last ResetIOStats to now, and ResetIOStats zeroes them
-// all together, so cross-counter identities (per-level writes summing to
-// BlocksWritten, hit rates, writes per request) hold within any window.
-// Gauges (Height, Records, MemtableRecords, LiveBlocks, Quarantined, the
-// compaction queue, WAL segments and sequence, per-level shapes) describe
-// the present and are never reset; WAL.Recovery is fixed at Open.
+// Every counter (the metric table's rows typed counter), the per-level write
+// series and Latencies count since Open and never decrease. A measurement
+// window is the difference of two snapshots: read BlocksWritten (or any
+// counter) before and after, and subtract. Cross-counter identities
+// (per-level writes summing to BlocksWritten, hit rates, writes per request)
+// hold for such differences as they do for the totals. Gauges (Height,
+// Records, MemtableRecords, LiveBlocks, Quarantined, the compaction queue,
+// WAL segments and sequence, per-level shapes) describe the present;
+// WAL.Recovery is what Open's replay did.
 type Stats struct {
 	Counters
 
@@ -161,7 +161,7 @@ type WALStats struct {
 	LastSeq   uint64        // sequence of the newest logged frame
 
 	// Recovery is what Open's replay did for this DB instance; it never
-	// changes afterwards and does not reset.
+	// changes afterwards.
 	Recovery WALRecoveryStats
 }
 
@@ -200,8 +200,8 @@ type CompactionStats struct {
 	StopTime     time.Duration
 }
 
-// LatencyStats summarizes one operation's latency histogram over the
-// current measurement window. Quantiles are upper bounds from log-spaced
+// LatencyStats summarizes one operation's latency histogram since Open.
+// Quantiles are upper bounds from log-spaced
 // buckets (within a factor of two of the true value).
 type LatencyStats struct {
 	Op    string // "get", "put", "delete", "scan", "merge"
@@ -228,14 +228,12 @@ type LevelStats struct {
 	Compactions    int64   `json:"compactions"`
 }
 
-// metricType is how a table row behaves over time: its Prometheus type and
-// its ResetIOStats rule in one.
+// metricType is how a table row behaves over time, and its Prometheus type.
 type metricType int
 
 const (
-	counter metricType = iota // cumulative over the measurement window; ResetIOStats zeroes it
-	gauge                     // describes the present; never reset
-	fixed                     // what Open's recovery did: exported as a counter, never changes
+	counter metricType = iota // cumulative since Open; never decreases
+	gauge                     // describes the present
 )
 
 // metric is one row of a metric table: a field of S — Counters, or the
@@ -268,8 +266,8 @@ func secs[S any](p func(*S) *time.Duration) field[S] {
 
 // metricTable is the one list of the engine's per-shard counters. DB.Stats
 // sums the shards over it, /metrics renders an aggregate family for every
-// row and a shard-labelled one when Shards > 1, ResetIOStats' contract is
-// its typ column, and /debug/lsm serves the same Counters as JSON. A new
+// row and a shard-labelled one when Shards > 1, its typ column says which
+// rows never decrease, and /debug/lsm serves the same Counters as JSON. A new
 // counter is its source read in shard.stats, one Counters field and one row
 // here. The DB's one log has walTable.
 var metricTable = []metric[Counters]{
@@ -324,10 +322,10 @@ var walTable = []metric[WALStats]{
 	{typ: counter, name: "lsmssd_wal_rotations_total", help: "WAL segments sealed.", field: num(func(w *WALStats) *int64 { return &w.Rotations })},
 	{typ: gauge, name: "lsmssd_wal_segments", help: "WAL segment files currently on disk.", field: num(func(w *WALStats) *int { return &w.Segments })},
 	{typ: gauge, name: "lsmssd_wal_last_seq", help: "Sequence of the newest logged frame.", field: num(func(w *WALStats) *uint64 { return &w.LastSeq })},
-	{typ: fixed, name: "lsmssd_wal_recovered_segments_total", help: "WAL segment files scanned by crash recovery at Open.", field: num(func(w *WALStats) *int { return &w.Recovery.Segments })},
-	{typ: fixed, name: "lsmssd_wal_recovered_frames_total", help: "WAL frames replayed by crash recovery at Open.", field: num(func(w *WALStats) *int { return &w.Recovery.Frames })},
-	{typ: fixed, name: "lsmssd_wal_recovered_ops_total", help: "Operations re-applied by crash recovery at Open.", field: num(func(w *WALStats) *int { return &w.Recovery.Ops })},
-	{typ: fixed, name: "lsmssd_wal_recovered_torn_bytes_total", help: "Bytes truncated from the WAL's torn tail at Open.", field: num(func(w *WALStats) *int64 { return &w.Recovery.TornBytes })},
+	{typ: counter, name: "lsmssd_wal_recovered_segments_total", help: "WAL segment files scanned by crash recovery at Open.", field: num(func(w *WALStats) *int { return &w.Recovery.Segments })},
+	{typ: counter, name: "lsmssd_wal_recovered_frames_total", help: "WAL frames replayed by crash recovery at Open.", field: num(func(w *WALStats) *int { return &w.Recovery.Frames })},
+	{typ: counter, name: "lsmssd_wal_recovered_ops_total", help: "Operations re-applied by crash recovery at Open.", field: num(func(w *WALStats) *int { return &w.Recovery.Ops })},
+	{typ: counter, name: "lsmssd_wal_recovered_torn_bytes_total", help: "Bytes truncated from the WAL's torn tail at Open.", field: num(func(w *WALStats) *int64 { return &w.Recovery.TornBytes })},
 }
 
 // add folds another shard's counters into c: every row sums, except that
@@ -516,36 +514,4 @@ func latencyRows(set *obs.LatencySet, shards []*shard) []LatencyStats {
 		}
 	}
 	return out
-}
-
-// ResetIOStats starts a fresh measurement window: across every shard it
-// zeroes, at its source, every metricTable row typed counter — device
-// traffic, request accounting, merge counts, cache and Bloom statistics,
-// compaction steps and stalls, WAL traffic, checkpoints, read retries, scrub
-// work — along with the per-level BlocksWritten/Compactions series and the
-// latency histograms. Gauges and WAL.Recovery are unaffected. See the Stats
-// documentation for the uniform-window guarantee this provides.
-func (db *DB) ResetIOStats() {
-	// The levels' write series live on the storage levels, which only the
-	// merge lock holds still; take every shard's, ascending, before the
-	// writer locks. This stop-the-world fan-out is the one place a merge
-	// lock is held across a writer lock (DESIGN.md §13.4).
-	for _, s := range db.shards {
-		s.mergeMu.Lock()
-		defer s.mergeMu.Unlock()
-	}
-	lockShards(db.shards)
-	defer unlockShards(db.shards)
-	if log := db.wal.Load(); log != nil {
-		log.ResetCounters()
-	}
-	for _, s := range db.shards {
-		s.tree.ResetStats() // the device (with its retry layer) and s.lat too (the tree's Config.Lat)
-		s.sched.ResetCounters()
-		for _, c := range []*atomic.Int64{&s.ckpts, &s.ckptNanos, &s.manifestBytes, &s.scrubPasses, &s.scrubChecked, &s.scrubCorrupt, &s.scrubRepaired} {
-			c.Store(0)
-		}
-	}
-	db.lat.Reset()
-	db.tracer.ResetPhases()
 }

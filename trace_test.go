@@ -639,49 +639,6 @@ func TestTracingPreservesBlockAccounting(t *testing.T) {
 	}
 }
 
-// TestResetCoversShardLatenciesAndPhases extends the uniform-window
-// guarantee to the new series: ResetIOStats zeroes the per-shard latency
-// sets and the tracer's phase histograms together.
-func TestResetCoversShardLatenciesAndPhases(t *testing.T) {
-	opts := traceOptions()
-	opts.Shards = 2
-	db, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	for i := uint64(0); i < 200; i++ {
-		if err := db.Put(i, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := db.Stats(); len(s.Latencies) == 0 || len(s.Shards[0].Latencies) == 0 {
-		t.Fatal("warm-up recorded nothing")
-	}
-	if snap := db.tracer.PhaseSnapshot(0); snap[obs.PhaseMemtable].Count == 0 {
-		t.Fatal("warm-up traced no memtable phases")
-	}
-	// A merge step still running would record into the new window.
-	if err := DrainCompaction(db); err != nil {
-		t.Fatal(err)
-	}
-	db.ResetIOStats()
-	s := db.Stats()
-	if len(s.Latencies) != 0 {
-		t.Errorf("aggregate latencies survive reset: %+v", s.Latencies)
-	}
-	for _, ss := range s.Shards {
-		if len(ss.Latencies) != 0 {
-			t.Errorf("shard %d latencies survive reset: %+v", ss.Shard, ss.Latencies)
-		}
-	}
-	for sh := 0; sh < 2; sh++ {
-		if snap := db.tracer.PhaseSnapshot(sh); snap[obs.PhaseMemtable].Count != 0 {
-			t.Errorf("shard %d phase histograms survive reset", sh)
-		}
-	}
-}
-
 // fastTimeline makes the flight recorder of every DB the test opens tick
 // every d instead of once a second.
 func fastTimeline(t *testing.T, d time.Duration) {
