@@ -170,8 +170,8 @@ func run(p experiments.Params, fig string, quick bool) ([]*experiments.Table, er
 	case "6":
 		var sizesU, sizesT []float64
 		if quick {
-			sizesU = []float64{200, 800, 1400, 2000}
-			sizesT = []float64{200, 1500, 3000, 8000}
+			sizesU = []float64{100, 300}
+			sizesT = []float64{100, 400}
 		}
 		ta, err := p.Fig6(experiments.Uniform, sizesU)
 		if err != nil {
@@ -186,7 +186,7 @@ func run(p experiments.Params, fig string, quick bool) ([]*experiments.Table, er
 	case "7":
 		var sizes []float64
 		if quick {
-			sizes = []float64{200, 2000}
+			sizes = []float64{100, 300}
 		}
 		t, err := p.Fig7(sizes)
 		return []*experiments.Table{t}, err

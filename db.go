@@ -276,12 +276,12 @@ func (db *DB) Get(key uint64) (value []byte, found bool, err error) {
 		sp.Finish()
 		s.lat.Done(obs.OpGet, start)
 	}()
-	v, err := s.acquireView()
+	p, err := s.pinView()
 	if err != nil {
 		return nil, false, err
 	}
-	defer v.Release()
-	value, found, err = v.GetTraced(block.Key(key), sp)
+	defer p.Unpin()
+	value, found, err = p.View().GetTraced(block.Key(key), sp)
 	if err != nil {
 		// Corruption observed on the read path counts against the shard's
 		// health (Degraded while writable, Failed once read-only).

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"lsmssd/internal/block"
-	"lsmssd/internal/storage"
 )
 
 func TestNoFalseNegatives(t *testing.T) {
@@ -62,31 +61,32 @@ func TestEmptyFilter(t *testing.T) {
 func TestRegistryLifecycle(t *testing.T) {
 	r := NewRegistry(10)
 	b := block.New([]block.Record{{Key: 1}, {Key: 5}, {Key: 9}})
-	r.Add(7, b)
-	if r.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", r.Len())
+	f := r.Build(b)
+	if !r.Probe(&f, 5) {
+		t.Error("built key reported absent")
 	}
-	if !r.MayContain(7, 5) {
-		t.Error("registered key reported absent")
+	// No filter is conservative.
+	if !r.Probe(&Filter{}, 5) {
+		t.Error("the zero filter must report true")
 	}
-	// Unknown block is conservative.
-	if !r.MayContain(99, 5) {
-		t.Error("unknown block must conservatively report true")
+	if sk, pa := r.Counts(); sk != 0 || pa != 2 {
+		t.Errorf("counts = %d skipped, %d passed; want 0, 2", sk, pa)
 	}
-	r.Drop(7)
-	if r.Len() != 0 {
-		t.Errorf("Len after Drop = %d", r.Len())
+	// A key far from the block's set usually skips; either way it counts.
+	r.Probe(&f, 123456789)
+	if sk, pa := r.Counts(); sk+pa != 3 {
+		t.Errorf("probe not counted: %d skipped + %d passed", sk, pa)
 	}
-	// Skip accounting: a key far from the block's set should usually
-	// skip; at minimum the counters move.
-	r.Add(8, b)
-	sk, pa := r.Counts()
-	before := sk + pa
-	r.MayContain(8, 123456789)
-	if sk, pa = r.Counts(); sk+pa != before+1 {
-		t.Error("lookup not counted")
+	// Same bits as a filter built from the keys directly.
+	g := NewFilter([]block.Key{1, 5, 9}, 10)
+	if f.SizeBits() != g.SizeBits() || f.hashes != g.hashes {
+		t.Fatalf("Build made %d bits/%d hashes, NewFilter %d/%d", f.SizeBits(), f.hashes, g.SizeBits(), g.hashes)
 	}
-	_ = storage.BlockID(0) // keep import honest in minimal builds
+	for i := range f.bits {
+		if f.bits[i] != g.bits[i] {
+			t.Fatalf("word %d: Build %x, NewFilter %x", i, f.bits[i], g.bits[i])
+		}
+	}
 }
 
 // Property: filters never produce false negatives for any key set.

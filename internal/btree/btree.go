@@ -24,6 +24,7 @@ import (
 	"sort"
 
 	"lsmssd/internal/block"
+	"lsmssd/internal/bloom"
 	"lsmssd/internal/storage"
 )
 
@@ -31,11 +32,27 @@ import (
 // the delete records inside the block; the block-preserving merge consults
 // it to refuse reusing a tombstone-carrying block in the bottom level,
 // where tombstones must not survive.
+//
+// Filter is the block's Bloom filter, the zero Filter when the tree keeps
+// none. It is built once, when the block is written (level.WriteNew) or
+// read back at a restore (core.Restore), and travels with the entry: a
+// preserved block keeps its filter in whatever level it lands, and a
+// lookup reads it from the entry it found by fence, with no lock. It is
+// not part of what the entry says about the block's contents (SameBlock),
+// and it is never persisted.
 type BlockMeta struct {
 	ID         storage.BlockID
 	Min, Max   block.Key
 	Count      int // number of records in the block
 	Tombstones int // number of tombstone (delete) records among them
+	Filter     bloom.Filter
+}
+
+// SameBlock reports whether m and o describe the same block contents: the
+// same id, fences and counts. Filters are not compared.
+func (m BlockMeta) SameBlock(o BlockMeta) bool {
+	return m.ID == o.ID && m.Min == o.Min && m.Max == o.Max &&
+		m.Count == o.Count && m.Tombstones == o.Tombstones
 }
 
 // MetaFor builds the BlockMeta describing b stored under id.

@@ -28,7 +28,7 @@ func seq(n int) *Index {
 func TestMetaFor(t *testing.T) {
 	b := block.New([]block.Record{{Key: 4}, {Key: 9}})
 	m := MetaFor(7, b)
-	if m != (BlockMeta{ID: 7, Min: 4, Max: 9, Count: 2}) {
+	if !m.SameBlock(BlockMeta{ID: 7, Min: 4, Max: 9, Count: 2}) || m.Filter.SizeBits() != 0 {
 		t.Errorf("MetaFor = %+v", m)
 	}
 }

@@ -258,9 +258,6 @@ func (t *Tree) abort(st *step) error {
 	t.slots = st.saved
 	var errs []error
 	for _, id := range t.written {
-		if t.blooms != nil {
-			t.blooms.Drop(id)
-		}
 		if err := t.dev.Free(id); err != nil {
 			errs = append(errs, fmt.Errorf("core: freeing block %d of a failed merge: %w", id, err))
 		}

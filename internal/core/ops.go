@@ -18,8 +18,8 @@ func (t *Tree) Delete(k block.Key) {
 }
 
 // ApplyBatch is the tree's one mutation entry: it lands ops in L0 in order
-// under L0's mutex and marks L0 changed. It publishes nothing: the next
-// AcquireView captures L0 (publish), and since a capture takes the same
+// under L0's mutex and advances L0's generation. It publishes nothing: the
+// next reader captures L0 (publish), and since a capture takes the same
 // mutex, no reader observes a prefix of the batch. A run of writes with no
 // reader between them therefore changes L0's nodes in place, and the
 // per-request overhead (the caller's one overflow check) is paid once per
@@ -52,19 +52,18 @@ func (t *Tree) ApplyBatch(ops []block.Op) {
 		t.cnt.inserts.Add(1)
 		t.cnt.requestBytes.Add(int64(r.Size()))
 	}
-	t.memDirty.Store(true)
+	t.gen.Add(1)
 }
 
-// Get returns the payload stored for k. It acquires the current snapshot,
-// so it is safe to call concurrently with the writer and with other
-// readers.
+// Get returns the payload stored for k. It pins the current snapshot, so
+// it is safe to call concurrently with the writer and with other readers.
 func (t *Tree) Get(k block.Key) ([]byte, bool, error) {
-	v, err := t.AcquireView()
+	p, err := t.PinView()
 	if err != nil {
 		return nil, false, err
 	}
-	defer v.Release()
-	return v.Get(k)
+	defer p.Unpin()
+	return p.View().Get(k)
 }
 
 // Scan calls fn for every live record with key in [lo, hi], in key order,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"lsmssd/internal/block"
 	"lsmssd/internal/btree"
@@ -56,6 +57,7 @@ func Restore(cfg Config, st ExportedState) (*Tree, error) {
 	for len(t.slots) < len(st.Runs) {
 		t.slots = append(t.slots, newSlot(t.newLevel(len(t.slots)+1)))
 	}
+	var blk block.Block
 	for i, runs := range st.Runs {
 		if len(runs) == 0 {
 			return nil, fmt.Errorf("core: restore L%d has no runs", i+1)
@@ -68,7 +70,11 @@ func Restore(cfg Config, st ExportedState) (*Tree, error) {
 			if j > 0 {
 				s.runs = append(s.runs, t.newLevel(i+1))
 			}
-			if err := s.runs[j].ReplaceRange(0, 0, metas, nil); err != nil {
+			own, err := t.checkBlocks(metas, &blk)
+			if err != nil {
+				return nil, fmt.Errorf("core: restore L%d run %d: %w", i+1, j, err)
+			}
+			if err := s.runs[j].ReplaceRange(0, 0, own, nil); err != nil {
 				return nil, err
 			}
 			if err := s.runs[j].Validate(); err != nil {
@@ -81,32 +87,6 @@ func Restore(cfg Config, st ExportedState) (*Tree, error) {
 		t.mem.Put(r)
 	}
 	t.memMu.Unlock()
-	// Read every live block back with an uncounted Peek of the uncached
-	// device into one reused buffer, before the cascade below. Each must still hold what the state
-	// says it does: without a write-ahead log a checkpoint neither syncs
-	// the device nor parks freed slots, so after a crash a slot the state
-	// names may hold a later merge's block, and serving it would return
-	// wrong answers with no error. Filters are not persisted, so the same
-	// read rebuilds each block's, before the cascade so the blocks it
-	// preserves keep theirs. A block that fails its checksum is left to the
-	// read path: it gets no filter, and a Get reads it and surfaces the error.
-	var blk block.Block
-	for i, runs := range st.Runs {
-		for j, metas := range runs {
-			for _, m := range metas {
-				if err := cfg.Device.Peek(m.ID, &blk); err != nil {
-					continue
-				}
-				if got := btree.MetaFor(m.ID, &blk); got != m {
-					return nil, fmt.Errorf("core: restore L%d run %d: block %d holds keys [%d, %d] in %d records, the state names [%d, %d] in %d: %w",
-						i+1, j, m.ID, got.Min, got.Max, got.Count, m.Min, m.Max, m.Count, storage.ErrCorrupt)
-				}
-				if t.blooms != nil {
-					t.blooms.Add(m.ID, &blk)
-				}
-			}
-		}
-	}
 	// Complete any overflow cascade the shutdown interrupted: a Close can
 	// land mid-cascade (the background scheduler stops after its current
 	// step), so the manifest may describe levels legitimately over
@@ -117,4 +97,35 @@ func Restore(cfg Config, st ExportedState) (*Tree, error) {
 	}
 	t.installLevels(t.levelImage()) // expose the restored levels and memtable to readers
 	return t, nil
+}
+
+// checkBlocks reads every block metas names back with an uncounted Peek of
+// the uncached device into blk, and returns a copy of metas with each
+// block's Bloom filter built in. The copy is the run's own: Export shares
+// the live view's slices, which must not be written.
+//
+// Each block must still hold what the state says it does: without a
+// write-ahead log a checkpoint neither syncs the device nor parks freed
+// slots, so after a crash a slot the state names may hold a later merge's
+// block, and serving it would return wrong answers with no error. Filters
+// are not persisted, so the same read rebuilds each block's, before the
+// cascade so the blocks it preserves keep theirs. A block that fails its
+// checksum is left to the read path: it gets no filter, and a Get reads it
+// and surfaces the error.
+func (t *Tree) checkBlocks(metas []btree.BlockMeta, blk *block.Block) ([]btree.BlockMeta, error) {
+	own := slices.Clone(metas)
+	for x := range own {
+		m := &own[x]
+		if err := t.cfg.Device.Peek(m.ID, blk); err != nil {
+			continue
+		}
+		if got := btree.MetaFor(m.ID, blk); !got.SameBlock(*m) {
+			return nil, fmt.Errorf("block %d holds keys [%d, %d] in %d records, the state names [%d, %d] in %d: %w",
+				m.ID, got.Min, got.Max, got.Count, m.Min, m.Max, m.Count, storage.ErrCorrupt)
+		}
+		if t.blooms != nil {
+			m.Filter = t.blooms.Build(blk)
+		}
+	}
+	return own, nil
 }

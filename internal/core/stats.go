@@ -1,6 +1,10 @@
 package core
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"lsmssd/internal/stripe"
+)
 
 // Stats aggregates tree-level accounting. Device traffic (the paper's
 // write-cost metric) lives in the device counters; per-level write series
@@ -18,14 +22,14 @@ type Stats struct {
 	Grows        int64 // times the tree gained a level
 }
 
-// counters is the live form of Stats. Mutation counters are bumped by the
-// single writer; lookup/scan counters by any number of snapshot readers —
-// hence atomics throughout, so Stats can be materialized without a lock.
+// counters is the live form of Stats: atomics throughout, so Stats can be
+// materialized without a lock. lookups is bumped by every point read, so
+// it is striped: concurrent Gets write cells of their own.
 type counters struct {
 	requests     atomic.Int64
 	inserts      atomic.Int64
 	deletes      atomic.Int64
-	lookups      atomic.Int64
+	lookups      stripe.Counter
 	scans        atomic.Int64
 	requestBytes atomic.Int64
 	merges       atomic.Int64

@@ -35,11 +35,12 @@ type Tree struct {
 
 	// memMu, L0's mutex, guards L0 and levelBacklog: every change (a whole
 	// batch, a step's install), every read outside a View (the overflow
-	// check, the gauges) and every snapshot, which advances L0's
-	// generation. memDirty says L0 changed since the current View captured
-	// it. Lock order: viewMu, then memMu.
-	memMu    sync.Mutex
-	memDirty atomic.Bool
+	// check, the gauges) and every snapshot. gen counts the batches L0 has
+	// taken: ApplyBatch advances it under memMu, and every View records the
+	// value its L0 snapshot saw, so a view whose generation is gen's holds
+	// every completed write. Lock order: viewMu, then memMu.
+	memMu sync.Mutex
+	gen   atomic.Uint64
 
 	// The storage levels firing in the installed level image (memMu),
 	// which answers CompactionBacklog. The image itself is the current
@@ -77,17 +78,18 @@ type Tree struct {
 	// per decision.
 	memMetas []btree.BlockMeta
 
-	// Snapshot state (view.go). viewMu guards the current view, the
-	// reference counts and the captures and installs that replace the
-	// view — never any block I/O, so readers cannot stall behind a
-	// merge's reads and writes.
+	// Snapshot state (view.go). viewMu guards the reference counts, the
+	// live views, the deferred frees and the captures and installs that
+	// replace the current view — never any block I/O, so readers cannot
+	// stall behind a merge's reads and writes. cur and closed change only
+	// under viewMu; they are atomics for PinView's lock-free path.
 	viewMu     sync.Mutex
-	cur        *View
-	liveViews  []*View // acquired views, ascending seq
+	cur        atomic.Pointer[View]
+	liveViews  []*View // views not yet dropped, ascending seq
 	seq        uint64
 	zombies    []zombieBatch
 	zombieN    int64
-	closed     bool
+	closed     atomic.Bool
 	reclaimErr error
 }
 
@@ -272,7 +274,7 @@ func (t *Tree) Device() storage.Device { return t.dev }
 // CacheBlocks <= 0).
 func (t *Tree) Cache() *cache.Cache { return t.cache }
 
-// Blooms returns the Bloom filter registry, or nil.
+// Blooms returns the registry the levels build Bloom filters with, or nil.
 func (t *Tree) Blooms() *bloom.Registry { return t.blooms }
 
 // Policy returns the merge policy in use.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"lsmssd/internal/block"
 	"lsmssd/internal/btree"
@@ -12,6 +13,7 @@ import (
 	"lsmssd/internal/obs"
 	"lsmssd/internal/policy"
 	"lsmssd/internal/storage"
+	"lsmssd/internal/stripe"
 )
 
 // ErrClosed is returned by snapshot acquisition after the tree has been
@@ -25,16 +27,59 @@ var ErrClosed = errors.New("core: tree is closed")
 // so a View stays internally consistent for as long as it is held — reads
 // against it need no lock, no matter how many merges run meanwhile.
 //
-// Views are reference-counted. Blocks a merge removes from the tree are
-// not freed on the device until every View that might reference them has
-// been released; see Tree.install and Tree.reclaimLocked. Always pair
-// AcquireView with Release.
+// A View is held two ways. AcquireView raises its reference count under
+// viewMu (scans, iterators, checkpoints, validation; pair it with Release).
+// PinView bumps one striped cell of its pin count, with no lock when no
+// write has changed L0 since the view captured it (point reads; pair it
+// with Unpin). Blocks a merge removes from the tree are not freed on the
+// device until the views that might reference them are retired and
+// neither referenced nor pinned; see Tree.install and Tree.reclaimLocked.
 type View struct {
-	tree   *Tree
-	seq    uint64
-	refs   int // guarded by tree.viewMu
-	mem    *memtable.Snapshot
-	levels []LevelView
+	// pins come first, so no pin cell shares a cache line with the fields
+	// every reader reads (the allocation is 64-byte aligned).
+	pins    [stripe.Cells]Pin
+	tree    *Tree
+	seq     uint64
+	gen     uint64 // L0's generation (Tree.gen) when mem was captured
+	refs    int    // guarded by tree.viewMu
+	retired atomic.Bool
+	mem     *memtable.Snapshot
+	levels  []LevelView
+}
+
+// Pin is a point read's hold on a View: one padded cell of the view's pin
+// count, so two readers rarely write the same cache line. PinView returns
+// it with the count raised; Unpin lowers it.
+type Pin struct {
+	n atomic.Int64
+	v *View
+	_ [64 - 16]byte
+}
+
+// View returns the pinned snapshot, valid until Unpin.
+func (p *Pin) View() *View { return p.v }
+
+// Unpin drops the hold. A hold on a retired view checks, under viewMu,
+// whether it was the view's last, and if so frees the blocks only that
+// view (and older ones) could still reach.
+func (p *Pin) Unpin() {
+	p.n.Add(-1)
+	if v := p.v; v.retired.Load() {
+		t := v.tree
+		t.viewMu.Lock()
+		t.dropIfUnusedLocked(v)
+		t.viewMu.Unlock()
+	}
+}
+
+// pinned reports whether any cell of v's pin count is raised.
+func (v *View) pinned() bool {
+	for i := range v.pins {
+		if v.pins[i].n.Load() != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // LevelView is the frozen metadata of one storage level at capture time.
@@ -63,7 +108,7 @@ func (lv *LevelView) Blocks() int {
 // zombieBatch records blocks logically freed during the mutation that
 // retired the view with sequence number seq: they may still be referenced
 // by any view with sequence <= seq and are physically freed only once no
-// such view remains acquired.
+// such view remains acquired or pinned.
 type zombieBatch struct {
 	seq uint64
 	ids []storage.BlockID
@@ -81,42 +126,105 @@ type zombieBatch struct {
 func (t *Tree) AcquireView() (*View, error) {
 	t.viewMu.Lock()
 	defer t.viewMu.Unlock()
-	if t.closed || t.cur == nil {
-		return nil, ErrClosed
+	v, err := t.currentLocked()
+	if err != nil {
+		return nil, err
 	}
-	if t.memDirty.Load() {
-		t.publish()
-	}
-	t.cur.refs++
-	return t.cur, nil
+	v.refs++
+	return v, nil
 }
 
-// Release drops the caller's reference. When the last reference to a
-// retired view goes away, device blocks that only that view (and older
-// ones) could still reach are physically freed.
+// PinView returns a hold on the current snapshot for one point read, or an
+// error if the tree is closed. When no write has changed L0 since the
+// current view captured it — the view's generation is L0's — it takes no
+// lock (tryPin). Otherwise it publishes under viewMu as AcquireView does
+// and pins the new view there. Callers must Unpin the pin, and stop using
+// its view, when done.
+func (t *Tree) PinView() (*Pin, error) {
+	if p := t.tryPin(); p != nil {
+		return p, nil
+	}
+	t.viewMu.Lock()
+	defer t.viewMu.Unlock()
+	v, err := t.currentLocked()
+	if err != nil {
+		return nil, err
+	}
+	p := &v.pins[stripe.Index()]
+	p.n.Add(1)
+	return p, nil
+}
+
+// tryPin is PinView's lock-free path, nil when it does not apply. A
+// generation that matches means the current view holds every write that
+// completed before the call, a reader's own included; a dirty flag would
+// not do, since install clears it before it publishes the view that holds
+// those writes. The pin is raised before the view is checked current
+// again: a publisher retires a view (cur, then retired) before it reads
+// the view's pins, so either it sees this pin, or this check sees the new
+// view and backs off.
+func (t *Tree) tryPin() *Pin {
+	v := t.cur.Load()
+	if v == nil || v.gen != t.gen.Load() || t.closed.Load() {
+		return nil
+	}
+	p := &v.pins[stripe.Index()]
+	p.n.Add(1)
+	if t.cur.Load() != v {
+		p.Unpin()
+		return nil
+	}
+	return p
+}
+
+// currentLocked returns the current view, first publishing one when a
+// write has changed L0 since it was captured, or ErrClosed. viewMu.
+func (t *Tree) currentLocked() (*View, error) {
+	if t.closed.Load() {
+		return nil, ErrClosed
+	}
+	v := t.cur.Load()
+	if v == nil {
+		return nil, ErrClosed
+	}
+	if v.gen != t.gen.Load() {
+		t.publish()
+		v = t.cur.Load()
+	}
+	return v, nil
+}
+
+// Release drops the caller's reference. When the last hold on a retired
+// view goes away, device blocks that only that view (and older ones) could
+// still reach are physically freed.
 func (v *View) Release() {
 	t := v.tree
 	t.viewMu.Lock()
 	v.refs--
-	if v.refs == 0 && v != t.cur {
-		t.removeLiveLocked(v)
+	t.dropIfUnusedLocked(v)
+	t.viewMu.Unlock()
+}
+
+// dropIfUnusedLocked drops v from the live views, and frees what that
+// lets go, once v is retired and neither referenced nor pinned. Any number
+// of callers may find it so; the first drops it. viewMu.
+func (t *Tree) dropIfUnusedLocked(v *View) {
+	if v.retired.Load() && v.refs == 0 && !v.pinned() && t.removeLiveLocked(v) {
 		t.reclaimLocked()
 	}
-	t.viewMu.Unlock()
 }
 
 // publish makes a View of L0 as it stands, with the current view's level
 // image, the snapshot readers acquire. Writers do not call it: ApplyBatch
-// only marks L0 changed, and the next AcquireView publishes, so writes with
-// no reader between them freeze nothing and each reader pays one O(1)
+// only advances L0's generation, and the next reader publishes, so writes
+// with no reader between them freeze nothing and each reader pays one O(1)
 // capture after a write. The caller holds viewMu; publish takes L0's mutex
 // for the capture (lock order: viewMu, then memMu).
 func (t *Tree) publish() {
 	t.memMu.Lock()
-	t.memDirty.Store(false)
-	mem := t.mem.Snapshot()
+	mem, gen := t.mem.Snapshot(), t.gen.Load()
 	t.memMu.Unlock()
-	t.publishFreeing(mem, t.cur.levels, nil)
+	t.publishFreeing(mem, gen, t.cur.Load().levels, nil)
 }
 
 // installLevels makes levels (and backlog, the storage levels firing in
@@ -140,34 +248,38 @@ func (t *Tree) install(st *step) {
 	if st.snap != nil {
 		t.mem.RemoveUnchanged(st.lo, st.hi, st.snap)
 	}
-	t.memDirty.Store(false)
-	mem := t.mem.Snapshot()
+	mem, gen := t.mem.Snapshot(), t.gen.Load()
 	t.levelBacklog = st.backlog
 	t.memMu.Unlock()
-	t.publishFreeing(mem, st.levels, t.pending)
+	t.publishFreeing(mem, gen, st.levels, t.pending)
 	t.viewMu.Unlock()
 	t.pending, t.written = nil, nil
 }
 
-// publishFreeing makes a View of mem and levels the current snapshot and
-// queues freed, the blocks that only views up to the previous one can
-// reach, for reclamation. The caller holds viewMu.
-func (t *Tree) publishFreeing(mem *memtable.Snapshot, levels []LevelView, freed []storage.BlockID) {
-	nv := &View{tree: t, mem: mem, levels: levels, refs: 1}
+// publishFreeing makes a View of mem (captured at L0 generation gen) and
+// levels the current snapshot, retires the previous one and queues freed,
+// the blocks that only views up to the previous one can reach, for
+// reclamation. The new view is made current before the old one is marked
+// retired, and both before the old one's pins are read (tryPin relies on
+// that order). The caller holds viewMu.
+func (t *Tree) publishFreeing(mem *memtable.Snapshot, gen uint64, levels []LevelView, freed []storage.BlockID) {
+	nv := &View{tree: t, mem: mem, gen: gen, levels: levels, refs: 1}
+	for i := range nv.pins {
+		nv.pins[i].v = nv
+	}
 	t.seq++
 	nv.seq = t.seq
-	old := t.cur
+	old := t.cur.Load()
 	if len(freed) > 0 && old != nil {
 		t.zombies = append(t.zombies, zombieBatch{seq: old.seq, ids: freed})
 		t.zombieN += int64(len(freed))
 	}
-	t.cur = nv
 	t.liveViews = append(t.liveViews, nv)
+	t.cur.Store(nv)
 	if old != nil {
 		old.refs--
-		if old.refs == 0 {
-			t.removeLiveLocked(old)
-		}
+		old.retired.Store(true)
+		t.dropIfUnusedLocked(old)
 	}
 	t.reclaimLocked()
 }
@@ -203,18 +315,20 @@ func (t *Tree) levelImage() ([]LevelView, int) {
 	return levels, backlog
 }
 
-// removeLiveLocked drops v from the acquired-view list. Callers hold viewMu.
-func (t *Tree) removeLiveLocked(v *View) {
+// removeLiveLocked drops v from the live-view list, reporting whether it
+// was there. Callers hold viewMu.
+func (t *Tree) removeLiveLocked(v *View) bool {
 	for i, lv := range t.liveViews {
 		if lv == v {
 			t.liveViews = append(t.liveViews[:i], t.liveViews[i+1:]...)
-			return
+			return true
 		}
 	}
+	return false
 }
 
-// reclaimLocked frees every zombie batch no acquired view can reach: batch
-// seq S is reclaimable once the oldest acquired view is newer than S.
+// reclaimLocked frees every zombie batch no live view can reach: batch
+// seq S is reclaimable once the oldest live view is newer than S.
 // Callers hold viewMu.
 func (t *Tree) reclaimLocked() {
 	minSeq := ^uint64(0)
@@ -225,13 +339,8 @@ func (t *Tree) reclaimLocked() {
 	for ; i < len(t.zombies) && t.zombies[i].seq < minSeq; i++ {
 		for _, id := range t.zombies[i].ids {
 			t.zombieN--
-			if t.closed {
+			if t.closed.Load() {
 				continue // device is being torn down; nothing to recycle
-			}
-			// The filter goes first: once freed, the slot may be
-			// reallocated to a merge step that registers its own.
-			if t.blooms != nil {
-				t.blooms.Drop(id)
 			}
 			if err := t.dev.Free(id); err != nil && t.reclaimErr == nil {
 				t.reclaimErr = fmt.Errorf("core: deferred free of block %d: %w", id, err)
@@ -246,17 +355,18 @@ func (t *Tree) reclaimLocked() {
 	}
 }
 
-// MarkClosed makes every subsequent AcquireView fail with ErrClosed and
-// stops deferred frees from touching the device (the owner is about to
-// close it). In-flight views remain released as usual.
+// MarkClosed makes every subsequent AcquireView and PinView fail with
+// ErrClosed and stops deferred frees from touching the device (the owner
+// is about to close it). In-flight views remain released as usual.
 func (t *Tree) MarkClosed() {
 	t.viewMu.Lock()
-	t.closed = true
+	t.closed.Store(true)
 	t.viewMu.Unlock()
 }
 
-// LiveViews returns the number of currently acquired snapshots (including
-// the tree's own reference to the current view). Diagnostics only.
+// LiveViews returns the number of snapshots not yet dropped: the current
+// one (the tree holds it) and every retired one still acquired or pinned.
+// Diagnostics only.
 func (t *Tree) LiveViews() int {
 	t.viewMu.Lock()
 	defer t.viewMu.Unlock()
@@ -367,7 +477,7 @@ func (v *View) Get(k block.Key) ([]byte, bool, error) {
 // and is the one allocation such a Get makes.
 func (v *View) GetTraced(k block.Key, sp *obs.Span) ([]byte, bool, error) {
 	t := v.tree
-	t.cnt.lookups.Add(1)
+	t.cnt.lookups.Add(1) // striped: concurrent Gets bump cells of their own
 	sp.To(obs.PhaseMemtable)
 	if r, ok := v.mem.Get(k); ok {
 		sp.To(obs.PhaseOther)
@@ -381,13 +491,14 @@ func (v *View) GetTraced(k block.Key, sp *obs.Span) ([]byte, bool, error) {
 		// Within a level, runs are consulted newest first: a match in a
 		// newer run shadows anything in the older ones.
 		for _, metas := range v.levels[i].Runs {
-			m, ok := findBlock(metas, k)
+			j, ok := btree.FindIn(metas, k)
 			if !ok {
 				continue
 			}
+			m := &metas[j]
 			if t.blooms != nil {
 				sp.To(obs.PhaseBloom)
-				may := t.blooms.MayContain(m.ID, k)
+				may := t.blooms.Probe(&m.Filter, k)
 				sp.To(obs.PhaseOther)
 				if !may {
 					continue
@@ -412,15 +523,6 @@ func (v *View) GetTraced(k block.Key, sp *obs.Span) ([]byte, bool, error) {
 		}
 	}
 	return nil, false, nil
-}
-
-// findBlock locates the block whose key range contains k.
-func findBlock(metas []btree.BlockMeta, k block.Key) (btree.BlockMeta, bool) {
-	i, ok := btree.FindIn(metas, k)
-	if !ok {
-		return btree.BlockMeta{}, false
-	}
-	return metas[i], true
 }
 
 // Scan calls fn for every live record with key in [lo, hi] as of the
@@ -651,7 +753,7 @@ func (v *View) Validate() error {
 				if err := v.PeekBlock(m.ID, &blk); err != nil {
 					return fmt.Errorf("core: L%d run %d block %d: %w", lv.Number, ri, j, err)
 				}
-				if got := btree.MetaFor(m.ID, &blk); got != m {
+				if got := btree.MetaFor(m.ID, &blk); !got.SameBlock(m) {
 					return fmt.Errorf("core: L%d run %d block %d stale fence pointer: meta %+v vs contents %+v",
 						lv.Number, ri, j, m, got)
 				}

@@ -33,7 +33,7 @@ type Level struct {
 	b        int             // block capacity B in records
 	epsilon  float64         // maximum waste factor ε
 	capacity int             // level capacity K_i in blocks
-	blooms   *bloom.Registry // optional shared per-block Bloom filters
+	blooms   *bloom.Registry // optional: builds each written block's filter
 
 	// Slack accounting for block preservation (Section II-B): allowance
 	// accumulates ⌊ε·|X|·B⌋ per merge since the last compaction; used is
@@ -58,8 +58,9 @@ type Config struct {
 	BlockCapacity int     // B, records per block
 	Epsilon       float64 // ε, maximum waste factor
 	Capacity      int     // K_i, level capacity in blocks
-	// Blooms, when non-nil, maintains a Bloom filter per data block to
-	// skip reads for absent keys (shared across the tree's levels).
+	// Blooms, when non-nil, builds a Bloom filter into the metadata of
+	// every block the level writes, to skip reads for absent keys (shared
+	// across the tree's levels, which share its bits per key and counts).
 	Blooms *bloom.Registry
 }
 
@@ -81,7 +82,7 @@ func New(cfg Config) *Level {
 // Clone returns a copy of the level that changes independently of l: the
 // tree runs a merge step against copies, so the levels it started from stay
 // intact until the step installs, and stay as they were if it fails. The
-// copy shares l's device, filters and metadata slice, which ReplaceRange
+// copy shares l's device and metadata slice (filters included), which ReplaceRange
 // never modifies in place.
 func (l *Level) Clone() *Level {
 	c := *l
@@ -150,19 +151,21 @@ func (l *Level) PeekAt(i int, dst *block.Block) error {
 	return l.dev.Peek(l.idx.Meta(i).ID, dst)
 }
 
-// WriteNew allocates and writes a fresh data block, returning its metadata.
-// It counts one block write against this level. Neither the device nor the
+// WriteNew allocates and writes a fresh data block, returning its metadata
+// with the block's Bloom filter built in when the level keeps filters. It
+// counts one block write against this level. Neither the device nor the
 // level keeps b, so a merge may refill it once WriteNew returns.
 func (l *Level) WriteNew(b *block.Block) (btree.BlockMeta, error) {
 	id := l.dev.Alloc()
 	if err := l.dev.Write(id, b); err != nil {
 		return btree.BlockMeta{}, err
 	}
-	if l.blooms != nil {
-		l.blooms.Add(id, b)
-	}
 	l.BlocksWritten++
-	return btree.MetaFor(id, b), nil
+	m := btree.MetaFor(id, b)
+	if l.blooms != nil {
+		m.Filter = l.blooms.Build(b)
+	}
+	return m, nil
 }
 
 // ReplaceRange performs the bulk-delete of positions [i, j) and bulk-insert
@@ -337,7 +340,7 @@ func (l *Level) ValidateContents() error {
 			}
 			prev = r
 		}
-		if got := btree.MetaFor(m.ID, &blk); got != m {
+		if got := btree.MetaFor(m.ID, &blk); !got.SameBlock(m) {
 			return fmt.Errorf("level: block %d stale fence pointer: meta %+v vs contents %+v", i, m, got)
 		}
 	}

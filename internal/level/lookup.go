@@ -18,7 +18,7 @@ func (l *Level) Get(k block.Key) (block.Record, bool, error) {
 	if !ok {
 		return block.Record{}, false, nil
 	}
-	if l.blooms != nil && !l.blooms.MayContain(l.idx.Meta(i).ID, k) {
+	if l.blooms != nil && !l.blooms.Probe(&l.idx.All()[i].Filter, k) {
 		return block.Record{}, false, nil
 	}
 	blk := getBuffers.Get().(*block.Block)

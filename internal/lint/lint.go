@@ -221,6 +221,7 @@ func DefaultConfig() Config {
 		}},
 		Obligations: []Obligation{
 			{Rule: "view-refcount", Pkg: "lsmssd/internal/core", Type: "View", Method: "Release"},
+			{Rule: "view-refcount", Pkg: "lsmssd/internal/core", Type: "Pin", Method: "Unpin"},
 			{Rule: "span-finish", Pkg: "lsmssd/internal/obs", Type: "Span", Method: "Finish"},
 		},
 		RetryAllowed: []string{

@@ -10,8 +10,9 @@ package rules
 // field, captured by a closure, or reassigned. The receiver of an escaped
 // value owns the discharge.
 //
-//   - view-refcount (core, View, Release): an unreleased view pins its
-//     snapshot's deferred frees forever.
+//   - view-refcount (core, View, Release) and (core, Pin, Unpin): an
+//     unreleased view or a pin never dropped holds its snapshot's
+//     deferred frees forever.
 //   - span-finish (obs, Span, Finish): an unfinished span never publishes
 //     its event, never feeds the phase histograms, and leaks its pooled
 //     buffer.
@@ -301,6 +302,6 @@ func obligation(name, doc string) lint.Rule {
 }
 
 var (
-	viewRefcount = obligation("view-refcount", "every AcquireView reaches Release (or escapes) on all paths")
+	viewRefcount = obligation("view-refcount", "every AcquireView reaches Release, and every PinView Unpin (or escapes), on all paths")
 	spanFinish   = obligation("span-finish", "every span from Tracer.Start reaches Finish (or escapes) on all paths")
 )

@@ -1,10 +1,13 @@
 // Package viewrefcount seeds violations of the view-refcount rule:
-// acquired core.Views that miss their Release on some path. The fixed
-// shapes (deferred release, release on every path, escape to the caller)
-// ride along as negatives.
+// acquired core.Views that miss their Release, and core.Pins that miss
+// their Unpin, on some path. The fixed shapes (deferred release, release
+// on every path, escape to the caller) ride along as negatives.
 package viewrefcount
 
-import "lsmssd/internal/core"
+import (
+	"lsmssd/internal/block"
+	"lsmssd/internal/core"
+)
 
 func leakOnSuccessPath(t *core.Tree, skip bool) error {
 	v, err := t.AcquireView() // want view-refcount
@@ -93,4 +96,31 @@ func nilGuarded(t *core.Tree) {
 
 func droppedBare(t *core.Tree) {
 	t.AcquireView() // want view-refcount unchecked-err
+}
+
+func pinDroppedOnMiss(t *core.Tree, k uint64) ([]byte, error) {
+	p, err := t.PinView() // want view-refcount
+	if err != nil {
+		return nil, err
+	}
+	v, ok, err := p.View().Get(block.Key(k))
+	if err != nil || !ok {
+		return nil, err
+	}
+	p.Unpin()
+	return v, nil
+}
+
+func pinDiscarded(t *core.Tree) {
+	_, _ = t.PinView() // want view-refcount
+}
+
+func pinDeferredUnpin(t *core.Tree, k uint64) ([]byte, error) {
+	p, err := t.PinView()
+	if err != nil {
+		return nil, err
+	}
+	defer p.Unpin()
+	v, _, err := p.View().Get(block.Key(k))
+	return v, err
 }

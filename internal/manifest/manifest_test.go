@@ -80,7 +80,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				t.Fatalf("L%d run %d: %d metas, want %d", i+1, j, len(got.Runs[i][j]), len(want.Runs[i][j]))
 			}
 			for k := range want.Runs[i][j] {
-				if got.Runs[i][j][k] != want.Runs[i][j][k] {
+				if !got.Runs[i][j][k].SameBlock(want.Runs[i][j][k]) {
 					t.Errorf("L%d run %d[%d] = %+v, want %+v", i+1, j, k, got.Runs[i][j][k], want.Runs[i][j][k])
 				}
 			}
@@ -216,7 +216,7 @@ func TestQuickRoundTrip(t *testing.T) {
 					return false
 				}
 				for k := range st.Runs[i][j] {
-					if got.Runs[i][j][k] != st.Runs[i][j][k] {
+					if !got.Runs[i][j][k].SameBlock(st.Runs[i][j][k]) {
 						return false
 					}
 				}

@@ -20,6 +20,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"lsmssd/internal/stripe"
 )
 
 // Defaults applied by New for zero Policy fields.
@@ -66,13 +68,15 @@ type Stats struct {
 
 // Retryer runs operations under a Policy. Safe for concurrent use; the
 // jitter source is shared and mutex-guarded (the loop is on an error
-// path, never on the hot path).
+// path, never on the hot path). A first try that succeeds — every read of
+// a healthy device — bumps only its striped cell of attempts and reads no
+// clock.
 type Retryer struct {
 	p  Policy
 	mu sync.Mutex // guards rng
 	rn *rand.Rand
 
-	attempts  atomic.Int64
+	attempts  stripe.Counter
 	retries   atomic.Int64
 	exhausted atomic.Int64
 }
@@ -102,13 +106,15 @@ func New(p Policy) *Retryer {
 
 // Do runs op, retrying retryable failures with jittered exponential
 // backoff until it succeeds, the error is classified permanent, the
-// attempt cap is hit, or the deadline would be crossed. The final error
+// attempt cap is hit, or the deadline would be crossed. The deadline runs
+// from the end of the first failed attempt: the clock is read only once a
+// retry is possible. The final error
 // is wrapped with the attempt count when the loop is exhausted (the
 // original error remains reachable through errors.Is/As); permanent
 // errors are returned unwrapped so sentinel classification upstream is
 // undisturbed.
 func (r *Retryer) Do(op func() error) error {
-	start := r.p.Now()
+	var start time.Time
 	delay := r.p.BaseDelay
 	var err error
 	for attempt := 1; ; attempt++ {
@@ -122,6 +128,9 @@ func (r *Retryer) Do(op func() error) error {
 		if attempt >= r.p.MaxAttempts {
 			r.exhausted.Add(1)
 			return fmt.Errorf("retry: exhausted after %d attempts: %w", attempt, err)
+		}
+		if attempt == 1 {
+			start = r.p.Now()
 		}
 		if r.p.Now().Sub(start)+delay > r.p.Deadline {
 			r.exhausted.Add(1)

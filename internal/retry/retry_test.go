@@ -10,9 +10,10 @@ import (
 type fakeClock struct {
 	now    time.Time
 	sleeps []time.Duration
+	reads  int // Now calls
 }
 
-func (c *fakeClock) Now() time.Time { return c.now }
+func (c *fakeClock) Now() time.Time { c.reads++; return c.now }
 func (c *fakeClock) Sleep(d time.Duration) {
 	c.sleeps = append(c.sleeps, d)
 	c.now = c.now.Add(d)
@@ -50,6 +51,37 @@ func TestSucceedsAfterRetries(t *testing.T) {
 	st := r.Snapshot()
 	if st.Attempts != 3 || st.Retries != 2 || st.Exhausted != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// A first try that succeeds — every read of a healthy device — reads no
+// clock; the first failure starts the deadline.
+func TestFirstTrySuccessReadsNoClock(t *testing.T) {
+	c := &fakeClock{}
+	r := newTestRetryer(Policy{MaxAttempts: 3}, c)
+	for i := 0; i < 10; i++ {
+		if err := r.Do(func() error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.reads != 0 {
+		t.Fatalf("%d clock reads for 10 first-try successes, want 0", c.reads)
+	}
+	if st := r.Snapshot(); st.Attempts != 10 {
+		t.Fatalf("attempts = %d, want 10", st.Attempts)
+	}
+	failed := false
+	if err := r.Do(func() error {
+		if !failed {
+			failed = true
+			return errTransient
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if c.reads == 0 {
+		t.Fatal("a retried failure read no clock: the deadline has no start")
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 
 	"lsmssd/internal/block"
+	"lsmssd/internal/stripe"
 )
 
 // BlockID identifies a block on a device. The zero value is never a valid
@@ -68,11 +69,12 @@ type Counters struct {
 }
 
 // atomicCounters is the devices' shared counter implementation. Counters
-// are atomics so the concurrent read path (snapshot-isolated Get/Scan)
-// never serializes on accounting, and so snapshots taken while traffic
-// flows are race-free.
+// are atomics so snapshots taken while traffic flows are race-free. Reads
+// come from every concurrent Get, so they are striped: a read bumps a cell
+// no other reader (and no merge's write, alloc or free) bumps.
 type atomicCounters struct {
-	reads, writes, allocs, frees, live atomic.Int64
+	reads                       stripe.Counter
+	writes, allocs, frees, live atomic.Int64
 }
 
 func (c *atomicCounters) snapshot() Counters {

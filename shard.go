@@ -497,6 +497,20 @@ func (s *shard) acquireView() (*core.View, error) {
 	return v, nil
 }
 
+// pinView pins the shard's current read snapshot for one point read,
+// translating a closed engine into the public sentinel. Callers must Unpin
+// the returned pin.
+func (s *shard) pinView() (*core.Pin, error) {
+	if s.db.closed.Load() {
+		return nil, ErrClosed
+	}
+	p, err := s.tree.PinView()
+	if err != nil {
+		return nil, ErrClosed
+	}
+	return p, nil
+}
+
 // validate checks the shard's structural invariants against its current
 // snapshot, then the device-accounting cross-check under its merge lock,
 // which keeps merge steps from allocating meanwhile.
